@@ -154,9 +154,7 @@ def run_e2e():
         record["trace_rounds"] = TRACE_ROUNDS
         record["trace_on_s"] = round(min(trace_times), 2)
         record["trace_overhead"] = round(min(trace_times) / elapsed, 2)
-    # Fold into the existing file: other tools (bench_kernel.py's
-    # ``kernel_micro``, perf_smoke.py's ``perf_smoke``) keep their
-    # sections.
+    # Fold into the existing file: perf_smoke.py's sections are kept.
     merged = {}
     if OUT_PATH.exists():
         try:

@@ -12,42 +12,12 @@ from repro.core import (
     DoubleDeckerCache,
     EvictionEntity,
     Pool,
-    RadixTree,
     StoreKind,
     get_victim,
 )
 from repro.simkernel import Environment
 
 BLK = 64 * 1024
-
-
-def test_radix_insert_1k(benchmark):
-    keys = list(range(0, 100_000, 100))
-
-    def run():
-        tree = RadixTree()
-        for key in keys:
-            tree.insert(key, key)
-        return tree
-
-    tree = benchmark(run)
-    assert len(tree) == 1000
-
-
-def test_radix_lookup_1k(benchmark):
-    tree = RadixTree()
-    keys = list(range(0, 100_000, 100))
-    for key in keys:
-        tree.insert(key, key)
-
-    def run():
-        total = 0
-        for key in keys:
-            total += tree.get(key)
-        return total
-
-    total = benchmark(run)
-    assert total == sum(keys)
 
 
 def test_victim_selection_100_entities(benchmark):

@@ -30,8 +30,7 @@ Re-record after an intentional perf or behaviour change::
 
 which updates the ``perf_smoke`` and ``fleet_smoke`` sections of
 ``BENCH_core.json`` (the other sections are preserved;
-``bench_e2e_speed.py`` and ``bench_kernel.py`` maintain theirs the same
-way).
+``bench_e2e_speed.py`` maintains its own the same way).
 """
 
 import argparse

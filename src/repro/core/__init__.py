@@ -45,7 +45,7 @@ from .engine import EvictionRound, PolicyEngine
 from .interface import HypervisorCacheBase, NullCache
 from .optimizations import CompressionModel, DedupIndex, content_fingerprint
 from .pools import BlockKey, Pool, VMEntry
-from .radix import BlockTable, RadixTree
+from .radix import BlockTable
 from .stats import PoolStats, StoreStats
 from .victim import EvictionEntity, exceed_value, fallback_victim, get_victim
 
@@ -85,7 +85,6 @@ __all__ = [
     "NullCache",
     "Pool",
     "PoolStats",
-    "RadixTree",
     "StaticPartitionCache",
     "StoreKind",
     "StoreStats",

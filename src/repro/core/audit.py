@@ -17,7 +17,7 @@ drift mechanically instead of by luck:
   ``--audit`` flag).
 * :class:`ReferenceCache` / :class:`ReferenceGlobalCache` /
   :class:`ReferenceStaticCache` — brute-force dict-based re-implementations
-  of the three cache semantics (plain dicts and lists, no radix trees, no
+  of the three cache semantics (plain dicts and lists, no slab, no
   hoisted hot loops, no timing).  Differential tests drive the production
   cache and its reference with the same op stream and require *identical*
   results, occupancy, FIFO order, and counters.
@@ -1240,7 +1240,7 @@ class ReferenceCache:
 
 def pool_items(pool: _RefPool) -> List[Tuple[BlockKey, StoreKind]]:
     """A reference pool's contents in ascending key order (the order
-    ``RadixTree.items`` reports, which ``migrate_objects`` iterates)."""
+    ``Pool.items_of_inode`` reports, which ``migrate_objects`` iterates)."""
     return sorted(pool.blocks.items())
 
 

@@ -1,35 +1,19 @@
-"""Block index structures for the hypervisor cache pools.
+"""Block index for the hypervisor cache pools.
 
-Two generations live here:
-
-* :class:`BlockTable` — the production structure: a flat parallel-array
-  slab keyed by integer *handles*, with intrusive doubly-linked FIFOs
-  per store and a free-list threaded through the ``next`` array.  Pools
-  index ``inode -> {block -> handle}``; all per-block state (identity,
-  store, FIFO links) lives in the arrays, so the steady-state data path
-  allocates no per-block Python objects at all.
-* :class:`RadixTree` — the earlier per-block-object index (a fixed-fanout
-  radix tree mirroring the paper's "file block radix-tree" description).
-  Kept as a reference implementation and for the microbenchmark
-  old-vs-new comparison; the pools no longer use it.
-
-When numpy is importable the slab exposes vectorized sweep helpers
-(occupancy counting over the ``kind`` byte plane); the mutation path is
-identical pure Python either way, so results cannot depend on numpy
-being present.
+:class:`BlockTable` is a flat parallel-array slab keyed by integer
+*handles*, with intrusive doubly-linked FIFOs per store and a free-list
+threaded through the ``next`` array.  Pools index
+``inode -> {block -> handle}``; all per-block state (identity, store,
+FIFO links) lives in the arrays, so the steady-state data path allocates
+no per-block Python objects at all.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly on numpy-equipped hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = ["BlockTable", "RadixTree", "NIL"]
+__all__ = ["BlockTable", "NIL"]
 
 #: Null handle / empty link sentinel in the slab arrays.
 NIL = -1
@@ -196,215 +180,5 @@ class BlockTable:
 
     def occupancy(self) -> List[int]:
         """Live slot count per store code (index = code), by sweeping the
-        ``kind`` plane.  Vectorized via numpy when available; the pure
-        Python fallback is byte-for-byte equivalent."""
-        codes = len(self.heads)
-        if _np is not None:
-            counts = _np.bincount(
-                _np.frombuffer(self.kind, dtype=_np.uint8), minlength=codes
-            )
-            return [int(c) for c in counts[:codes]]
-        counts = [0] * codes
-        for code in self.kind:
-            counts[code] += 1
-        return counts
-
-
-_BITS = 6
-_FANOUT = 1 << _BITS
-_MASK = _FANOUT - 1
-
-
-class _Node:
-    __slots__ = ("slots", "count")
-
-    def __init__(self) -> None:
-        self.slots: List[Any] = [None] * _FANOUT
-        self.count = 0  # number of non-None slots
-
-
-class RadixTree:
-    """Maps non-negative integer keys (block offsets) to values."""
-
-    __slots__ = ("_root", "_height", "_size")
-
-    def __init__(self) -> None:
-        self._root: Optional[_Node] = None
-        self._height = 0  # number of levels; 0 means empty tree
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _required_height(key: int) -> int:
-        # Equivalent to dividing the key's bit length into 6-bit digits;
-        # bit_length() is a single C call vs. a Python shift loop.
-        if key < _FANOUT:
-            return 1
-        return (key.bit_length() + _BITS - 1) // _BITS
-
-    def _grow_to(self, height: int) -> None:
-        if self._root is None:
-            self._root = _Node()
-            self._height = height
-            return
-        while self._height < height:
-            node = _Node()
-            node.slots[0] = self._root
-            node.count = 1
-            self._root = node
-            self._height += 1
-
-    # -- mapping operations ---------------------------------------------------
-
-    def insert(self, key: int, value: Any) -> Any:
-        """Set ``key`` to ``value``; returns the replaced value or ``None``.
-
-        Returning the previous value lets callers fold the
-        lookup-then-insert pair into a single tree descent.
-        """
-        if key < 0:
-            raise ValueError(f"keys must be non-negative, got {key}")
-        if value is None:
-            raise ValueError("None values are reserved for empty slots")
-        node = self._root
-        if node is not None and self._height == 1 and key < _FANOUT:
-            # Fast path: single-level tree (small files), no descent needed.
-            previous = node.slots[key]
-            if previous is None:
-                node.count += 1
-                self._size += 1
-            node.slots[key] = value
-            return previous
-        self._grow_to(self._required_height(key))
-        node = self._root
-        for level in range(self._height - 1, 0, -1):
-            idx = (key >> (level * _BITS)) & _MASK
-            child = node.slots[idx]
-            if child is None:
-                child = _Node()
-                node.slots[idx] = child
-                node.count += 1
-            node = child
-        idx = key & _MASK
-        previous = node.slots[idx]
-        if previous is None:
-            node.count += 1
-            self._size += 1
-        node.slots[idx] = value
-        return previous
-
-    def get(self, key: int, default: Any = None) -> Any:
-        """Value at ``key``, or ``default`` if absent."""
-        node = self._root
-        if node is None or key < 0:
-            return default
-        height = self._height
-        if height == 1:
-            # Fast path: single-level tree (small files), no descent.
-            if key >= _FANOUT:
-                return default
-            value = node.slots[key]
-            return default if value is None else value
-        if self._required_height(key) > height:
-            return default
-        for level in range(height - 1, 0, -1):
-            node = node.slots[(key >> (level * _BITS)) & _MASK]
-            if node is None:
-                return default
-        value = node.slots[key & _MASK]
-        return default if value is None else value
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
-
-    def remove(self, key: int) -> Any:
-        """Delete ``key`` and return its value (``None`` if absent).
-
-        Empty interior nodes are pruned so long-lived trees don't leak.
-        """
-        node = self._root
-        if node is None or key < 0:
-            return None
-        if self._height == 1:
-            # Fast path: single-level tree (small files) — no descent,
-            # no path bookkeeping.
-            if key >= _FANOUT:
-                return None
-            value = node.slots[key]
-            if value is None:
-                return None
-            node.slots[key] = None
-            node.count -= 1
-            self._size -= 1
-            if self._size == 0:
-                self._root = None
-                self._height = 0
-            return value
-        if self._required_height(key) > self._height:
-            return None
-        path: List[Tuple[_Node, int]] = []
-        node = self._root
-        for level in range(self._height - 1, 0, -1):
-            idx = (key >> (level * _BITS)) & _MASK
-            child = node.slots[idx]
-            if child is None:
-                return None
-            path.append((node, idx))
-            node = child
-        idx = key & _MASK
-        value = node.slots[idx]
-        if value is None:
-            return None
-        node.slots[idx] = None
-        node.count -= 1
-        self._size -= 1
-        # Prune now-empty nodes bottom-up.
-        child = node
-        for parent, pidx in reversed(path):
-            if child.count:
-                break
-            parent.slots[pidx] = None
-            parent.count -= 1
-            child = parent
-        if self._size == 0:
-            self._root = None
-            self._height = 0
-        return value
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(key, value)`` pairs in ascending key order."""
-        if self._root is None:
-            return
-        stack: List[Tuple[_Node, int, int]] = [(self._root, self._height - 1, 0)]
-        # Iterative DFS keeping the key prefix accumulated so far.
-        while stack:
-            node, level, prefix = stack.pop()
-            if level == 0:
-                for idx in range(_FANOUT):
-                    value = node.slots[idx]
-                    if value is not None:
-                        yield (prefix | idx, value)
-            else:
-                # Push children in reverse so ascending order pops first.
-                for idx in range(_FANOUT - 1, -1, -1):
-                    child = node.slots[idx]
-                    if child is not None:
-                        stack.append(
-                            (child, level - 1, prefix | (idx << (level * _BITS)))
-                        )
-
-    def keys(self) -> Iterator[int]:
-        for key, _ in self.items():
-            yield key
-
-    def clear(self) -> None:
-        self._root = None
-        self._height = 0
-        self._size = 0
+        ``kind`` plane."""
+        return [self.kind.count(code) for code in range(len(self.heads))]

@@ -74,11 +74,6 @@ class ServiceCache:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._tracer = tracer
         self._clock = clock
-        # Span/instant timestamps come from the tracer's own clock when
-        # it has one (LiveTracer: monotonic ns), falling back to the
-        # service clock — mixing bases would break the trace validator's
-        # instant-ordering check.
-        self._trace_now = getattr(tracer, "now", None) or clock
 
         self.engine = PolicyEngine(
             {StoreKind.MEMORY: 0, _SSD: self.capacity_blocks},
@@ -137,17 +132,12 @@ class ServiceCache:
         tracer = self._tracer
         if tracer is None:
             return self._get(tenant, key)
-        tracer.span_begin()
-        t0 = self._trace_now()
-        found = None
-        try:
+        with tracer.span("svc.get", vm=self._vm_id,
+                         pool=self.pool(tenant).pool_id, tenant=tenant,
+                         hit=False) as span:
             found = self._get(tenant, key)
+            span.note(hit=found is not None)
             return found
-        finally:
-            tracer.span_end(
-                "svc.get", t0, self._trace_now(), vm=self._vm_id,
-                pool=self.pool(tenant).pool_id, tenant=tenant,
-                hit=found is not None)
 
     def set(self, tenant: str, key: str, value: bytes,
             flags: int = 0) -> str:
@@ -155,34 +145,24 @@ class ServiceCache:
         tracer = self._tracer
         if tracer is None:
             return self._set(tenant, key, value, flags)
-        tracer.span_begin()
-        t0 = self._trace_now()
-        status = "error"
-        try:
+        with tracer.span("svc.put", vm=self._vm_id,
+                         pool=self.pool(tenant).pool_id, tenant=tenant,
+                         status="error", nbytes=len(value)) as span:
             status = self._set(tenant, key, value, flags)
+            span.note(status=status)
             return status
-        finally:
-            tracer.span_end(
-                "svc.put", t0, self._trace_now(), vm=self._vm_id,
-                pool=self.pool(tenant).pool_id, tenant=tenant,
-                status=status, nbytes=len(value))
 
     def delete(self, tenant: str, key: str) -> bool:
         """Remove a key; True if it was present."""
         tracer = self._tracer
         if tracer is None:
             return self._delete(tenant, key)
-        tracer.span_begin()
-        t0 = self._trace_now()
-        deleted = False
-        try:
+        with tracer.span("svc.delete", vm=self._vm_id,
+                         pool=self.pool(tenant).pool_id, tenant=tenant,
+                         deleted=False) as span:
             deleted = self._delete(tenant, key)
+            span.note(deleted=deleted)
             return deleted
-        finally:
-            tracer.span_end(
-                "svc.delete", t0, self._trace_now(), vm=self._vm_id,
-                pool=self.pool(tenant).pool_id, tenant=tenant,
-                deleted=deleted)
 
     def _get(self, tenant: str, key: str) -> Optional[Tuple[bytes, int, int]]:
         pool = self.pool(tenant)
@@ -206,20 +186,31 @@ class ServiceCache:
         if blocks > self.capacity_blocks:
             pool.stats.put_rejected_capacity += 1
             return SetStatus.TOO_LARGE
+        # A refused overwrite drops the old item too (memcached semantics):
+        # acknowledging NOT_STORED and then serving the stale value, or
+        # leaving its row on disk for _recover() to resurrect, is worse
+        # than a miss.
+        old_id = self._ids.get((tenant, key))
         controller = pool.admission
         if controller is not None and not controller.admit(
                 (tenant, key), self._clock()):
             pool.stats.put_rejected_admission += 1
+            if old_id is not None:
+                self._forget(old_id)
+                self.store.delete_entry(old_id)
             return SetStatus.NOT_STORED
 
         # Replace-in-place: retire the old copy's blocks first so the
-        # eviction pass below sees true occupancy.
-        old_id = self._ids.get((tenant, key))
+        # eviction pass below sees true occupancy.  Its store row stays
+        # until DiskStore.set replaces it atomically, or the refusal
+        # below deletes it.
         if old_id is not None:
             self._forget(old_id)
 
         if not self._make_room(blocks):
             pool.stats.put_rejected_capacity += 1
+            if old_id is not None:
+                self.store.delete_entry(old_id)
             return SetStatus.NOT_STORED
 
         entry_id = self.store.set(tenant, key, value, flags)
@@ -268,16 +259,14 @@ class ServiceCache:
                 return False
             victim_pool = round_.victim_pool
             tracer = self._tracer
-            t0 = 0
             if tracer is not None:
-                tracer.span_begin()
-                t0 = self._trace_now()
-            freed = self._evict_batch(victim_pool, blocks_needed)
-            if tracer is not None:
-                tracer.span_end(
-                    "svc.evict.round", t0, self._trace_now(),
-                    vm=self._vm_id, pool=victim_pool.pool_id,
-                    tenant=victim_pool.name, freed=freed)
+                with tracer.span("svc.evict.round", vm=self._vm_id,
+                                 pool=victim_pool.pool_id,
+                                 tenant=victim_pool.name, freed=0) as span:
+                    freed = self._evict_batch(victim_pool, blocks_needed)
+                    span.note(freed=freed)
+            else:
+                freed = self._evict_batch(victim_pool, blocks_needed)
             if freed == 0:
                 # The selected pool had nothing left (stale candidate);
                 # no other entity can be closer to its entitlement, so
@@ -304,7 +293,7 @@ class ServiceCache:
             freed += blocks
             if self._tracer is not None:
                 self._tracer.instant(
-                    "service.evict", self._trace_now(), vm=self._vm_id,
+                    "service.evict", self._tracer.now(), vm=self._vm_id,
                     pool=pool.pool_id, tenant=tenant, blocks=blocks)
         return freed
 

@@ -19,7 +19,7 @@ error — the partial command is simply discarded.
 
 from __future__ import annotations
 
-# dd-lint: disable-file=DD010 (ServiceCache/DiskStore calls are bounded sub-ms blob+SQLite ops at memcached entry sizes; a thread offload costs more than it buys — see benchmarks/bench_service.py)
+# dd-lint: disable-file=DD010 (ServiceCache/DiskStore calls are bounded sub-ms blob+SQLite ops at memcached entry sizes; a thread offload costs more than it buys — see the svc_tcp_* workloads of `python3 -m bench run`)
 
 import asyncio
 import time
@@ -80,14 +80,12 @@ class MemcacheProtocol:
             return
         conn_id = self.connections
         tracer.instant("conn.accept", tracer.clock(), conn=conn_id)
-        tracer.span_begin()
-        t0 = tracer.clock()
         ops_before = self.ops
-        try:
-            await self._serve(reader, writer)
-        finally:
-            tracer.span_end("conn", t0, tracer.clock(), conn=conn_id,
-                            ops=self.ops - ops_before)
+        with tracer.span("conn", conn=conn_id, ops=0) as span:
+            try:
+                await self._serve(reader, writer)
+            finally:
+                span.note(ops=self.ops - ops_before)
 
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
@@ -134,12 +132,8 @@ class MemcacheProtocol:
             return await self._run_command(reader, writer, parts, tenant)
         command = parts[0]
         name = f"cmd.{command}" if command in _COMMANDS else "cmd.unknown"
-        tracer.span_begin()
-        t0 = tracer.clock()
-        try:
+        with tracer.span(name, tenant=tenant):
             return await self._run_command(reader, writer, parts, tenant)
-        finally:
-            tracer.span_end(name, t0, tracer.clock(), tenant=tenant)
 
     async def _run_command(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,

@@ -29,7 +29,7 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 __all__ = ["DiskStore", "StoredEntry"]
 
@@ -119,10 +119,8 @@ class DiskStore:
         """
         if self.probe is None:
             return self._set(tenant, key, value, flags)
-        t0 = time.monotonic_ns()
-        entry_id = self._set(tenant, key, value, flags)
-        self.probe("set", t0, time.monotonic_ns(), len(value))
-        return entry_id
+        return self._probed("set", len(value), self._set,
+                            tenant, key, value, flags)
 
     def _set(self, tenant: str, key: str, value: bytes,
              flags: int = 0) -> int:
@@ -157,11 +155,7 @@ class DiskStore:
         """``(value, flags, entry_id)`` of a committed key, else ``None``."""
         if self.probe is None:
             return self._get(tenant, key)
-        t0 = time.monotonic_ns()
-        found = self._get(tenant, key)
-        self.probe("get", t0, time.monotonic_ns(),
-                   len(found[0]) if found is not None else 0)
-        return found
+        return self._probed("get", None, self._get, tenant, key)
 
     def _get(self, tenant: str, key: str) -> Optional[Tuple[bytes, int, int]]:
         row = self._row_of(tenant, key, ready_only=True)
@@ -176,14 +170,6 @@ class DiskStore:
             self.delete_entry(entry_id)
             return None
 
-    def delete(self, tenant: str, key: str) -> Optional[int]:
-        """Delete a key; returns its entry id, or ``None`` if absent."""
-        row = self._row_of(tenant, key)
-        if row is None:
-            return None
-        self.delete_entry(row[0])
-        return row[0]
-
     def delete_entry(self, entry_id: int) -> None:
         """Delete one entry by id (the evictor's path).
 
@@ -192,28 +178,13 @@ class DiskStore:
         """
         if self.probe is None:
             return self._delete_entry(entry_id)
-        t0 = time.monotonic_ns()
-        self._delete_entry(entry_id)
-        self.probe("delete", t0, time.monotonic_ns(), 0)
+        self._probed("delete", 0, self._delete_entry, entry_id)
 
     def _delete_entry(self, entry_id: int) -> None:
         self._db.execute("BEGIN IMMEDIATE")
         self._db.execute("DELETE FROM entries WHERE id = ?", (entry_id,))
         self._db.execute("COMMIT")
         self._unlink_quietly(self._blob_path(entry_id))
-
-    def flush(self, tenant: Optional[str] = None) -> List[int]:
-        """Drop every entry (of one tenant, or all); returns their ids."""
-        if tenant is None:
-            cur = self._db.execute("SELECT id FROM entries ORDER BY id")
-        else:
-            cur = self._db.execute(
-                "SELECT id FROM entries WHERE tenant = ? ORDER BY id",
-                (tenant,))
-        ids = [row[0] for row in cur.fetchall()]
-        for entry_id in ids:
-            self.delete_entry(entry_id)
-        return ids
 
     # -- accounting / recovery iteration --------------------------------
 
@@ -242,6 +213,17 @@ class DiskStore:
         self._db.close()
 
     # -- internals ------------------------------------------------------
+
+    def _probed(self, op: str, nbytes: Optional[int], impl, *args):
+        """Run ``impl(*args)`` and report its wall time to the probe.
+        ``nbytes=None`` reports the size of the value a ``get`` found."""
+        t0 = time.monotonic_ns()
+        result = impl(*args)
+        t1 = time.monotonic_ns()
+        if nbytes is None:
+            nbytes = len(result[0]) if result is not None else 0
+        self.probe(op, t0, t1, nbytes)
+        return result
 
     def _blob_path(self, entry_id: int) -> str:
         return os.path.join(self._data_dir, f"{entry_id}.val")

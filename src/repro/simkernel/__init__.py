@@ -12,12 +12,11 @@ from .lookahead import LookaheadGroup
 from .process import Process
 from .resources import Request, Resource, TokenBucket
 from .rng import RandomStreams, zipf_ranks
-from .timeline import CalendarTimeline
+from .timeline import Timeline
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarTimeline",
     "ConditionEvent",
     "EmptySchedule",
     "Environment",
@@ -29,6 +28,7 @@ __all__ = [
     "Request",
     "Resource",
     "StopSimulation",
+    "Timeline",
     "Timeout",
     "TokenBucket",
     "zipf_ranks",

@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional
 
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
-from .timeline import CalendarTimeline
+from .timeline import Timeline
 
 __all__ = ["Environment", "StopSimulation", "EmptySchedule"]
 
@@ -38,7 +38,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._timeline = CalendarTimeline(self._now)
+        self._timeline = Timeline()
         #: Bound push method; the event classes enqueue through this to
         #: skip two attribute hops on the hottest call in the kernel.
         self._push = self._timeline.push

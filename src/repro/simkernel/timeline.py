@@ -1,182 +1,42 @@
-"""Calendar-queue timeline: the kernel's event queue.
+"""The kernel's event queue: a binary heap behind three methods.
 
-A classic binary heap pays ``O(log n)`` *C-level sift* work per push and
-pop, but more importantly every pop touches scattered heap slots.  Most
-discrete-event simulations schedule overwhelmingly into the *near
-future* — for this project the floor is the hypercall round-trip (a few
-microseconds) and the ceiling of the hot band is one device service time
-(milliseconds).  A calendar queue exploits that: time is divided into
-fixed *ticks* and each tick gets a bucket; pops walk the current bucket
-left to right by index, which is the cheapest possible dequeue.
-
-Layout
-------
-
-* ``_cur`` / ``_pos`` — the bucket currently being drained.  It is kept
-  sorted from ``_pos`` onward; popping is ``cur[pos]; pos += 1``.
-* ``_buckets`` — dict mapping future tick index -> *unsorted* list of
-  entries.  A bucket is sorted once, when it becomes current.
-* ``_ticks`` — min-heap of the tick indices present in ``_buckets``
-  (one push per bucket *creation*, not per event).
-* ``_overflow`` — entry min-heap for events beyond the dense window
-  (``horizon`` ticks past the current bucket): far-future items such as
-  run-until sentinels, flusher wakeups, or pacing timeouts.  They spill
-  back in when the window advances past them (see :meth:`_advance`).
-
-Determinism
------------
-
-Entries are the same ``(time, priority, eid, event)`` tuples the heap
-used, with ``eid`` strictly increasing.  Pop order must be *exactly*
-the tuple-lexicographic order heapq produced — fixed-seed fingerprints
-depend on it.  Three facts make the calendar equivalent:
-
-1. ``int(t * tick_inv)`` is monotone in ``t``, so every entry of a
-   lower-indexed bucket precedes every entry of a higher-indexed one.
-2. A becoming-current bucket is sorted wholesale, giving exact tuple
-   order (ties broken by ``eid`` = FIFO insertion order) within a tick.
-3. The clock never moves backwards, so a push lands either in the
-   current bucket — where :func:`bisect.insort` with ``lo=_pos`` places
-   it among the not-yet-popped suffix — or in a future bucket.  An
-   urgent same-time push therefore still overtakes pending normal
-   entries, exactly as it would in the heap.
+Entries are ``(time, priority, eid, event)`` tuples and pop order is
+tuple order.  ``eid`` strictly increases, so entries with equal time and
+priority pop FIFO and the event itself is never compared.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-__all__ = ["CalendarTimeline", "DEFAULT_TICK", "DEFAULT_HORIZON"]
-
-#: Bucket width in seconds.  Sized to the cheapest scheduled latency in
-#: the stack (the 2 us hypercall floor): anything finer wastes buckets,
-#: anything much coarser piles unrelated events into one sort.
-DEFAULT_TICK = 1e-4
-
-#: Number of ticks in the dense bucket window (~131 ms at the default
-#: tick) — comfortably past one device service time.  Entries beyond it
-#: go to the overflow heap.
-DEFAULT_HORIZON = 65536
+__all__ = ["Timeline"]
 
 #: A queue entry: ``(time, priority, eid, event)``.
 Entry = Tuple[float, int, int, Any]
 
 
-class CalendarTimeline:
-    """Bucketed event timeline with heap-identical pop order."""
+class Timeline:
+    """Min-heap of scheduled entries."""
 
-    __slots__ = ("_tick_inv", "_horizon", "_buckets", "_ticks", "_overflow",
-                 "_cur", "_pos", "_cur_tick", "_limit_tick", "_count")
+    __slots__ = ("_heap",)
 
-    def __init__(self, start: float = 0.0, tick: float = DEFAULT_TICK,
-                 horizon: int = DEFAULT_HORIZON) -> None:
-        if tick <= 0:
-            raise ValueError(f"tick must be positive, got {tick}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
-        self._tick_inv = 1.0 / tick
-        self._horizon = horizon
-        self._buckets: Dict[int, List[Entry]] = {}
-        self._ticks: List[int] = []
-        self._overflow: List[Entry] = []
-        self._cur: List[Entry] = []
-        self._pos = 0
-        self._cur_tick = int(start * self._tick_inv)
-        self._limit_tick = self._cur_tick + horizon
-        self._count = 0
+    def __init__(self) -> None:
+        self._heap: List[Entry] = []
 
     def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    # -- enqueue -----------------------------------------------------------
+        return len(self._heap)
 
     def push(self, entry: Entry) -> None:
-        """Insert ``entry``; its time must not precede the last pop."""
-        self._count += 1
-        idx = int(entry[0] * self._tick_inv)
-        if idx <= self._cur_tick:
-            # Same tick as the bucket being drained (the dominant case:
-            # zero-delay triggers and hypercall-scale timeouts).
-            cur = self._cur
-            if self._pos < len(cur) and entry < cur[-1]:
-                insort(cur, entry, self._pos)
-            else:
-                cur.append(entry)
-        elif idx < self._limit_tick:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-                heappush(self._ticks, idx)
-            else:
-                bucket.append(entry)
-        else:
-            heappush(self._overflow, entry)
-
-    # -- dequeue -----------------------------------------------------------
+        """Insert ``entry``."""
+        heappush(self._heap, entry)
 
     def pop(self) -> Optional[Entry]:
         """Remove and return the earliest entry, or ``None`` when empty."""
-        pos = self._pos
-        cur = self._cur
-        if pos < len(cur):
-            self._pos = pos + 1
-            self._count -= 1
-            return cur[pos]
-        if not self._count:
-            return None
-        self._advance()
-        self._pos = 1
-        self._count -= 1
-        return self._cur[0]
-
-    def _advance(self) -> None:
-        """Make the next non-empty tick current (rollover).
-
-        The next tick may live in the bucket dict, the overflow heap, or
-        both (an entry overflows based on the window *at push time*, so a
-        later in-window push can target the same tick).  Whichever source
-        wins, the merged bucket is sorted into exact tuple order.
-        """
-        ticks = self._ticks
-        overflow = self._overflow
-        tick_inv = self._tick_inv
-        t_bucket = ticks[0] if ticks else None
-        if overflow:
-            t_over = int(overflow[0][0] * tick_inv)
-            if t_bucket is None or t_over <= t_bucket:
-                # Refill: spill every overflow entry of this tick back in.
-                entries = []
-                while overflow and int(overflow[0][0] * tick_inv) == t_over:
-                    entries.append(heappop(overflow))
-                if t_over == t_bucket:
-                    heappop(ticks)
-                    entries.extend(self._buckets.pop(t_bucket))
-                entries.sort()
-                self._cur = entries
-                self._cur_tick = t_over
-                self._limit_tick = t_over + self._horizon
-                return
-        heappop(ticks)
-        entries = self._buckets.pop(t_bucket)
-        entries.sort()
-        self._cur = entries
-        self._cur_tick = t_bucket
-        self._limit_tick = t_bucket + self._horizon
-
-    # -- inspection --------------------------------------------------------
+        heap = self._heap
+        return heappop(heap) if heap else None
 
     def peek_time(self) -> float:
         """Time of the earliest entry, or ``inf`` when empty."""
-        if self._pos < len(self._cur):
-            return self._cur[self._pos][0]
-        best = float("inf")
-        if self._ticks:
-            best = min(self._buckets[self._ticks[0]])[0]
-        if self._overflow and self._overflow[0][0] < best:
-            best = self._overflow[0][0]
-        return best
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")

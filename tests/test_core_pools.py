@@ -1,5 +1,7 @@
 """Unit tests for cache pools and VM entries."""
 
+import random
+
 import pytest
 
 from repro.core import CachePolicy, Pool, StoreKind, VMEntry
@@ -89,6 +91,49 @@ class TestPool:
         pool.insert(1, 5, StoreKind.MEMORY)
         pool.insert(1, 2, StoreKind.MEMORY)
         assert list(pool.iter_keys(StoreKind.MEMORY)) == [(1, 5), (1, 2)]
+
+    def test_batch_sweep_equivalent_to_per_key(self):
+        """``remove_many`` (fused sweep) agrees with a ``remove_key`` loop
+        on a request stream with repeats and absent keys."""
+        rng = random.Random(7)
+        keys = [(rng.randrange(64), rng.randrange(4096)) for _ in range(2000)]
+        a, b = make_pool(), make_pool()
+        for inode, block in dict.fromkeys(keys[::2]):
+            a.insert(inode, block, StoreKind.MEMORY)
+            b.insert(inode, block, StoreKind.MEMORY)
+        removed = [key for key in keys if a.remove_key(key) is not None]
+        mem_keys, ssd_keys = b.remove_many(keys)
+        assert mem_keys == removed
+        assert ssd_keys == []
+        assert len(a) == len(b) == 0
+        assert a.table.free_head == b.table.free_head
+
+    def test_interleaved_mutations_reuse_slots_and_keep_fifo_order(self):
+        """insert / remove_key / remove_many / pop_oldest all share one
+        free-list and one FIFO: the slab never grows past the high-water
+        mark of live blocks, and residence order stays insertion order."""
+        pool = make_pool()
+        rng = random.Random(11)
+        model = []  # live keys, oldest first
+        high_water = 0
+        next_block = 0
+        for _ in range(200):
+            for _ in range(rng.randrange(1, 9)):
+                pool.insert(next_block % 5, next_block, StoreKind.MEMORY)
+                model.append((next_block % 5, next_block))
+                next_block += 1
+            high_water = max(high_water, len(model))
+            victim = model.pop(rng.randrange(len(model)))
+            assert pool.remove_key(victim) is StoreKind.MEMORY
+            batch = rng.sample(model, min(3, len(model)))
+            mem_keys, _ = pool.remove_many(batch + [victim])  # victim: absent
+            assert mem_keys == batch
+            model = [key for key in model if key not in batch]
+            if model:
+                assert pool.pop_oldest(StoreKind.MEMORY) == model.pop(0)
+            assert list(pool.iter_keys(StoreKind.MEMORY)) == model
+            assert len(pool) == len(model)
+            assert len(pool.table) <= high_water
 
 
 class TestVMEntry:

@@ -5,7 +5,7 @@ import tempfile
 import unittest
 
 from repro.core import StoreKind
-from repro.service import DiskStore, ServiceCache
+from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service.server import CacheServer
 
 
@@ -400,6 +400,50 @@ class AdmissionTests(ServerHarness):
         self.assertEqual(
             self.cache.tenants["default"].stats.put_rejected_admission, 1)
         writer.close()
+
+    async def store_then_refuse_overwrite(self):
+        """``set k v1`` (ghost, then stored), then a refused ``set k v2``."""
+        reader, writer = await self.connect()
+        for expected in (b"NOT_STORED\r\n", b"STORED\r\n"):
+            reply = await self.command(reader, writer, b"set k 0 0 2\r\nv1\r\n")
+            self.assertEqual(reply, expected)
+        reply = await self.command(reader, writer, b"set k 0 0 2\r\nv2\r\n")
+        self.assertEqual(reply, b"NOT_STORED\r\n")
+        return reader, writer
+
+    async def test_refused_overwrite_drops_the_old_value(self):
+        reader, writer = await self.store_then_refuse_overwrite()
+        writer.write(b"get k\r\n")
+        await writer.drain()
+        self.assertEqual(await self.read_get(reader), {})  # not stale v1
+        self.assertEqual(self.cache.store.count(),
+                         self.cache.stats()["_host"]["entries"])
+        writer.close()
+
+    async def test_refused_overwrite_stays_dropped_across_restart(self):
+        _, writer = await self.store_then_refuse_overwrite()
+        writer.close()
+        await self.server.close()
+        reopened = ServiceCache(
+            DiskStore(self._tmp.name, sync_writes=False),
+            capacity_mb=self.capacity_mb, admission=self.admission)
+        try:
+            self.assertIsNone(reopened.get("default", "k"))
+            self.assertEqual(reopened.store.count(),
+                             reopened.stats()["_host"]["entries"])
+        finally:
+            reopened.close()
+
+
+class CapacityRefusalTests(ServerHarness):
+    async def test_overwrite_refused_for_capacity_leaves_no_orphan_row(self):
+        self.assertEqual(self.cache.set("default", "k", b"v1"), SetStatus.STORED)
+        self.cache._make_room = lambda blocks: False  # eviction finds no victim
+        self.assertEqual(self.cache.set("default", "k", b"v2"),
+                         SetStatus.NOT_STORED)
+        self.assertIsNone(self.cache.get("default", "k"))
+        self.assertEqual(self.cache.store.count(),
+                         self.cache.stats()["_host"]["entries"])
 
 
 class LifecycleTests(ServerHarness):

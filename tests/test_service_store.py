@@ -30,11 +30,11 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(got_id, entry_id)
 
     def test_tenants_are_disjoint_namespaces(self):
-        self.store.set("t0", "k", b"zero")
+        zero_id = self.store.set("t0", "k", b"zero")
         self.store.set("t1", "k", b"one")
         self.assertEqual(self.store.get("t0", "k")[0], b"zero")
         self.assertEqual(self.store.get("t1", "k")[0], b"one")
-        self.store.delete("t0", "k")
+        self.store.delete_entry(zero_id)
         self.assertIsNone(self.store.get("t0", "k"))
         self.assertEqual(self.store.get("t1", "k")[0], b"one")
 
@@ -46,20 +46,6 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertFalse(
             os.path.exists(self.store._blob_path(first)))
         self.assertEqual(self.store.count(), 1)
-
-    def test_delete_missing_returns_none(self):
-        self.assertIsNone(self.store.delete("t0", "ghost"))
-
-    def test_flush_scopes_to_tenant(self):
-        self.store.set("t0", "a", b"x")
-        self.store.set("t0", "b", b"x")
-        self.store.set("t1", "a", b"x")
-        dropped = self.store.flush("t0")
-        self.assertEqual(len(dropped), 2)
-        self.assertIsNone(self.store.get("t0", "a"))
-        self.assertIsNotNone(self.store.get("t1", "a"))
-        self.store.flush()
-        self.assertEqual(self.store.count(), 0)
 
     def test_iter_entries_in_fifo_id_order(self):
         for i in range(5):

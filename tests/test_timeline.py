@@ -1,20 +1,14 @@
-"""Calendar-queue timeline tests.
+"""Timeline tests: the ordering contract the kernel relies on.
 
-The calendar queue replaced the binary heap as the kernel's event
-queue; fixed-seed fingerprints depend on its pop order being *exactly*
-the tuple-lexicographic order heapq produced.  These tests pin the
-equivalence: same-tick FIFO ordering, cancellation behaviour at the
-kernel level, bucket rollover, far-future overflow spill/refill, and a
-randomized 100k-event differential against a heapq reference.
+Fixed-seed fingerprints depend on pop order being exactly tuple order
+over ``(time, priority, eid, event)``: same-time FIFO by ``eid``, urgent
+before normal, and nothing skipped or reordered by cancellation.
 """
 
-import heapq
 import random
 
-import pytest
-
 from repro.simkernel.core import Environment, NORMAL, URGENT
-from repro.simkernel.timeline import CalendarTimeline, DEFAULT_TICK
+from repro.simkernel.timeline import Timeline
 
 
 def drain(timeline):
@@ -30,7 +24,7 @@ def drain(timeline):
 class TestSameTickFifo:
     def test_ties_pop_in_eid_order(self):
         """Same (time, priority) entries pop FIFO by insertion id."""
-        tl = CalendarTimeline(tick=1.0)
+        tl = Timeline()
         entries = [(0.5, NORMAL, eid, object()) for eid in range(32)]
         shuffled = entries[:]
         random.Random(7).shuffle(shuffled)
@@ -42,20 +36,20 @@ class TestSameTickFifo:
 
     def test_urgent_overtakes_pending_normal_same_time(self):
         """An urgent push while draining lands before queued normal
-        entries of the same time — exactly as in the heap."""
-        tl = CalendarTimeline(tick=1.0)
+        entries of the same time."""
+        tl = Timeline()
         normals = [(0.25, NORMAL, eid, "n") for eid in range(4)]
         for entry in normals:
             tl.push(entry)
         first = tl.pop()
         assert first == normals[0]
         urgent = (0.25, URGENT, 99, "u")
-        tl.push(urgent)  # same tick as the bucket being drained
+        tl.push(urgent)
         assert tl.pop() == urgent
         assert drain(tl) == normals[1:]
 
     def test_priority_orders_within_tick(self):
-        tl = CalendarTimeline(tick=1.0)
+        tl = Timeline()
         a = (0.5, URGENT, 1, "a")
         b = (0.5, NORMAL, 0, "b")
         tl.push(b)
@@ -63,7 +57,7 @@ class TestSameTickFifo:
         assert drain(tl) == [a, b]
 
     def test_len_and_bool(self):
-        tl = CalendarTimeline(tick=1.0)
+        tl = Timeline()
         assert not tl and len(tl) == 0
         tl.push((0.0, NORMAL, 0, None))
         tl.push((5.0, NORMAL, 1, None))
@@ -115,7 +109,7 @@ class TestCancellation:
         """A popped entry whose event was already processed (callbacks
         None) is simply inert — the timeline itself never skips or
         reorders anything."""
-        tl = CalendarTimeline(tick=1.0)
+        tl = Timeline()
         sentinel = object()
         entries = [(float(i), NORMAL, i, sentinel) for i in range(5)]
         for entry in entries:
@@ -123,119 +117,17 @@ class TestCancellation:
         assert drain(tl) == entries
 
 
-class TestRollover:
-    def test_pops_cross_bucket_boundaries_in_time_order(self):
-        tl = CalendarTimeline(tick=1.0)
-        entries = [(float(i) + 0.5, NORMAL, i, None) for i in range(20)]
-        shuffled = entries[:]
-        random.Random(3).shuffle(shuffled)
-        for entry in sorted(shuffled, key=lambda e: e[2]):
-            tl.push(entry)
-        assert drain(tl) == entries
-
-    def test_push_into_current_bucket_while_draining(self):
-        tl = CalendarTimeline(tick=1.0)
-        tl.push((0.1, NORMAL, 0, None))
-        tl.push((0.9, NORMAL, 1, None))
-        assert tl.pop() == (0.1, NORMAL, 0, None)
-        # Lands between the pending 0.9 entry and the already-popped one.
-        tl.push((0.5, NORMAL, 2, None))
-        assert tl.pop() == (0.5, NORMAL, 2, None)
-        assert tl.pop() == (0.9, NORMAL, 1, None)
-
-    def test_sparse_buckets_skip_empty_ticks(self):
-        tl = CalendarTimeline(tick=1.0)
-        far = [(1000.0, NORMAL, 0, None), (5000.0, NORMAL, 1, None)]
-        for entry in far:
-            tl.push(entry)
-        assert drain(tl) == far
-
-
-class TestOverflow:
-    def test_far_future_entries_spill_and_refill(self):
-        tl = CalendarTimeline(tick=1.0, horizon=4)
-        near = (0.5, NORMAL, 0, None)
-        far = (100.5, NORMAL, 1, None)  # beyond the 4-tick window
-        tl.push(far)
-        tl.push(near)
-        assert len(tl._overflow) == 1
-        assert tl.pop() == near
-        assert tl.pop() == far  # refilled on rollover
-        assert not tl._overflow
-        assert tl.pop() is None
-
-    def test_overflow_merges_with_later_in_window_push(self):
-        """An entry overflows based on the window *at push time*; a later
-        push can target the same tick through the bucket dict.  The two
-        sources must merge into one sorted bucket."""
-        tl = CalendarTimeline(tick=1.0, horizon=4)
-        late = (10.7, NORMAL, 0, None)
-        tl.push(late)  # tick 10 is past the initial 4-tick window
-        stepper = (6.0, NORMAL, 1, None)
-        tl.push(stepper)
-        assert tl.pop() == stepper  # window now reaches tick 10
-        early_same_tick = (10.2, NORMAL, 2, None)
-        tl.push(early_same_tick)  # same tick, via the bucket dict
-        assert tl.pop() == early_same_tick
-        assert tl.pop() == late
-
-    def test_peek_time_sees_all_three_sources(self):
-        tl = CalendarTimeline(tick=1.0, horizon=4)
+class TestFarFuture:
+    def test_far_future_entry_pushed_first_pops_last(self):
+        tl = Timeline()
         assert tl.peek_time() == float("inf")
-        tl.push((50.0, NORMAL, 0, None))  # overflow
-        assert tl.peek_time() == 50.0
-        tl.push((2.5, NORMAL, 1, None))  # future bucket
-        assert tl.peek_time() == 2.5
-        tl.push((0.25, NORMAL, 2, None))  # current bucket
-        assert tl.peek_time() == 0.25
-        tl.pop()
-        assert tl.peek_time() == 2.5
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CalendarTimeline(tick=0.0)
-        with pytest.raises(ValueError):
-            CalendarTimeline(horizon=0)
-
-
-class TestHeapDifferential:
-    N_EVENTS = 100_000
-
-    @pytest.mark.slow
-    def test_pop_order_identical_to_heapq_on_100k_events(self):
-        """Randomized push/pop mix: the calendar queue must reproduce
-        heapq's pop order exactly over 100k seeded events with a
-        forward-moving clock and delays spanning sub-tick to far beyond
-        the overflow horizon."""
-        rng = random.Random(0xDD)
-        tl = CalendarTimeline(tick=DEFAULT_TICK, horizon=256)
-        heap = []
-        now = 0.0
-        eid = 0
-        pushed = popped = 0
-        while pushed < self.N_EVENTS or heap:
-            do_push = pushed < self.N_EVENTS and (not heap or rng.random() < 0.55)
-            if do_push:
-                roll = rng.random()
-                if roll < 0.30:
-                    delay = 0.0  # same-instant trigger
-                elif roll < 0.80:
-                    delay = rng.random() * DEFAULT_TICK * 4  # hot band
-                elif roll < 0.95:
-                    delay = rng.random() * DEFAULT_TICK * 128  # device band
-                else:
-                    delay = rng.random() * DEFAULT_TICK * 100_000  # overflow
-                prio = URGENT if rng.random() < 0.05 else NORMAL
-                entry = (now + delay, prio, eid, None)
-                eid += 1
-                tl.push(entry)
-                heapq.heappush(heap, entry)
-                pushed += 1
-            else:
-                expected = heapq.heappop(heap)
-                got = tl.pop()
-                assert got == expected, f"divergence at pop {popped}"
-                now = got[0]
-                popped += 1
-        assert tl.pop() is None
-        assert popped == pushed == self.N_EVENTS
+        now = 2.0
+        far = (now + 1e6, NORMAL, 0, None)
+        tl.push(far)
+        assert tl.peek_time() == now + 1e6
+        near = [(now + 0.001 * i, NORMAL, i, None) for i in range(1, 6)]
+        for entry in reversed(near):
+            tl.push(entry)
+        assert tl.peek_time() == near[0][0]
+        assert drain(tl) == near + [far]
+        assert tl.peek_time() == float("inf")
