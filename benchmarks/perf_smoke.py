@@ -19,7 +19,7 @@ For each record two things are checked:
 * **Wall time** — the run must not take more than ``1 + threshold``
   times the recorded ``smoke_s`` (default threshold 0.25, override with
   ``REPRO_SMOKE_MAX_REGRESSION``; set a large value on known-slow
-  runners).  Generous compared to the e2e benchmark's min-of-N
+  runners).  Generous compared to `python3 -m bench`'s ten-seed
   precision, because a single CI round is noisy — the gate is for
   order-of-magnitude regressions (an accidental O(n^2) sweep, a debug
   loop left enabled), not for micro-tuning.
@@ -29,8 +29,7 @@ Re-record after an intentional perf or behaviour change::
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/perf_smoke.py --record
 
 which updates the ``perf_smoke`` and ``fleet_smoke`` sections of
-``BENCH_core.json`` (the other sections are preserved;
-``bench_e2e_speed.py`` maintains its own the same way).
+``BENCH_core.json``.
 """
 
 import argparse

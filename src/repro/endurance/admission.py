@@ -53,9 +53,11 @@ ADMISSION_POLICIES = ("admit_all", "second_access", "write_throttle")
 class AdmissionController:
     """Decision point in front of an SSD-backed pool.
 
-    ``admit(key, now)`` returns True to let the put proceed and keeps the
-    attempt ledger; ``now`` is the simulation clock (seconds), used only
-    by time-based policies.
+    ``admit(key, now, blocks=1)`` returns True to let the put proceed and
+    keeps the attempt ledger; ``now`` is the simulation clock (seconds),
+    used only by time-based policies, and ``blocks`` is how many cache
+    blocks the put writes (one per call in the simulator, a whole entry
+    in the live service), used only by byte-budget policies.
     """
 
     __slots__ = ("attempts", "admitted", "rejected")
@@ -68,7 +70,7 @@ class AdmissionController:
         self.admitted = 0
         self.rejected = 0
 
-    def admit(self, key, now: float) -> bool:
+    def admit(self, key, now: float, blocks: int = 1) -> bool:
         raise NotImplementedError
 
     def as_dict(self) -> dict:
@@ -86,7 +88,7 @@ class AdmitAll(AdmissionController):
     __slots__ = ()
     name = "admit_all"
 
-    def admit(self, key, now: float) -> bool:
+    def admit(self, key, now: float, blocks: int = 1) -> bool:
         self.attempts += 1
         self.admitted += 1
         return True
@@ -110,7 +112,7 @@ class SecondAccessAdmit(AdmissionController):
         self.ghost_blocks = ghost_blocks
         self._ghost: "OrderedDict" = OrderedDict()
 
-    def admit(self, key, now: float) -> bool:
+    def admit(self, key, now: float, blocks: int = 1) -> bool:
         self.attempts += 1
         ghost = self._ghost
         if ghost.pop(key, None) is not None:
@@ -130,8 +132,8 @@ class WriteRateThrottle(AdmissionController):
     """Token bucket over SSD bytes written: admit while under budget.
 
     The bucket starts full (``burst_bytes``) and refills at
-    ``rate_bytes_s``; each admitted put consumes one cache block of
-    tokens.  Integer token arithmetic is avoided on purpose — refill is
+    ``rate_bytes_s``; each admitted put consumes ``blocks`` cache blocks
+    of tokens.  Integer token arithmetic is avoided on purpose — refill is
     exact in float seconds, so results are reproducible across runs.
     """
 
@@ -153,7 +155,7 @@ class WriteRateThrottle(AdmissionController):
         self._tokens = burst_bytes
         self._last_refill = 0.0
 
-    def admit(self, key, now: float) -> bool:
+    def admit(self, key, now: float, blocks: int = 1) -> bool:
         self.attempts += 1
         if now > self._last_refill:
             self._tokens = min(
@@ -161,8 +163,9 @@ class WriteRateThrottle(AdmissionController):
                 self._tokens + (now - self._last_refill) * self.rate_bytes_s,
             )
             self._last_refill = now
-        if self._tokens >= self.block_bytes:
-            self._tokens -= self.block_bytes
+        cost = blocks * self.block_bytes
+        if self._tokens >= cost:
+            self._tokens -= cost
             self.admitted += 1
             return True
         self.rejected += 1

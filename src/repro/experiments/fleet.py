@@ -220,7 +220,8 @@ class FleetExperiment(Experiment):
         )
 
         quantiles = ["op", "count", "mean", "p50", "p90", "p99", "p999"]
-        all_rows = tracer.latency_rows(per_pool=False)  # dd-lint: disable=DD006 (run installs a tracer when none is active, so _report always receives a live one)
+        # run() installs a tracer when none is active, so this one is live.
+        all_rows = tracer.latency_rows(per_pool=False)
         fleet_rows = [r for r in all_rows if ".host" not in r[0]]
         host_rows = [r for r in all_rows if ".host" in r[0]]
         if fleet_rows:

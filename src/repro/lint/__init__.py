@@ -1,32 +1,31 @@
 """``repro.lint`` — the determinism & invariant static-analysis suite.
 
-Every guarantee this reproduction makes (byte-identical ``--jobs``
+The guarantees this reproduction makes (byte-identical ``--jobs``
 fan-out, fixed-seed fingerprints, exact ledger replay in ``repro.obs``,
-the shadow-accounting auditor) depends on code discipline that nothing
-enforced mechanically until this suite: no wall-clock reads in simulated
-paths, no unseeded module-global randomness, no unordered iteration
-feeding Algorithm 1 victim selection, no float drift in integer
-accounting counters.  ``sim-lint`` defends those properties the way the
-auditor defends accounting: with tooling, not reviewer vigilance.
+the shadow-accounting auditor) depend on code discipline.  Most of it is
+enforced dynamically — by the auditor, the fingerprint goldens, the
+tier-1 suite, ruff and mypy.  ``sim-lint`` keeps only the checks nothing
+else makes, or that have caught a shipped bug: no wall-clock reads in
+simulated paths (DD001), no unseeded module-global randomness (DD002),
+no read-modify-write of shared service state across an ``await``
+(DD012), no ledger counter the auditor never reconciles (DD014).
 
-Three entry points:
+Two entry points:
 
-* ``python -m repro.lint [paths] [--strict]`` — the AST pass (rules
-  DD001..DD008 plus the TC001 typed-core gate); see :mod:`repro.lint.rules`.
+* ``python -m repro.lint [paths]`` — the static pass; see
+  :mod:`repro.lint.rules` and :mod:`repro.lint.analysis`.
 * ``python -m repro.lint.sanitize`` — the *runtime* nondeterminism
   sanitizer: asserts ``PYTHONHASHSEED`` discipline, wraps hot
   decision-path entry points so unordered containers are rejected at the
   call boundary, and double-runs a smoke scenario comparing fingerprints
   byte-for-byte.
-* :func:`repro.lint.typed.run_mypy` — shells out to the scoped strict
-  ``mypy`` gate when mypy is installed (CI), and reports "skipped"
-  rather than failing when it is not (hermetic containers).
 
 Suppressions are inline and must be justified::
 
     started = time.time()  # dd-lint: disable=DD001 (host-side wall clock, not simulated time)
 
-See ``docs/LINTING.md`` for the rule catalog and how to add a rule.
+See ``docs/LINTING.md`` for the rule catalog, the retired rules and what
+covers each of their hazards now, and how to add a rule.
 """
 
 from .engine import (

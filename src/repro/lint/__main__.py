@@ -3,43 +3,32 @@
 Usage::
 
     python -m repro.lint                      # lint src/ and tests/
-    python -m repro.lint src tests --strict   # per-file CI gate
-    python -m repro.lint --interprocedural --strict   # + whole-program rules
-    python -m repro.lint --changed            # only files differing from HEAD
-    python -m repro.lint --changed=main src   # ... or from a given ref
+    python -m repro.lint src tests            # the CI gate
     python -m repro.lint --list-rules --format json
-    python -m repro.lint src --rule DD001 --rule DD011 --format json
-    python -m repro.lint --interprocedural --format sarif > lint.sarif
-    python -m repro.lint --mypy               # also run the scoped mypy gate
+    python -m repro.lint src --rule DD001 --rule DD012 --format json
 
-Exit status: 0 clean; 1 findings (errors always; warnings too under
-``--strict``) or a blown ``--budget``; 2 usage errors.
+The per-file rules (DD001, DD002) run on every file; DD012 and DD014 run
+over whatever part of a ``repro`` tree the given paths contain.
+
+Exit status: 0 clean; 1 findings; 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-# Wall-clock use below is the CI budget gate for the analysis itself —
-# host-side tooling time, never simulated state.
-# dd-lint: disable-file=DD001 (lint driver measures its own wall time for --budget)
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .analysis import WHOLE_PROGRAM_RULE_IDS, AnalysisReport, analyze_paths
+from .analysis import analyze_paths
 from .engine import (
     Finding,
-    exit_code,
     format_findings_json,
     format_findings_text,
     lint_paths,
 )
-from .rules import ALL_RULES, rule_catalog
-from .sarif import format_findings_sarif
-from .typed import run_mypy
+from .rules import ALL_RULES, WHOLE_PROGRAM_RULE_IDS, rule_catalog
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,159 +42,72 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests)")
     parser.add_argument(
         "--rule", action="append", default=None, metavar="DDnnn",
-        help="only run the given rule id (repeatable); whole-program ids "
-             "(DD011..DD014) imply --interprocedural")
+        help="only report the given rule id (repeatable)")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero on warnings and unjustified suppressions too")
-    parser.add_argument(
-        "--interprocedural", action="store_true",
-        help="also run the whole-program analyzers (DD011 taint, DD012 "
-             "await races, DD013 generator protocol, DD014 auditor "
-             "coverage) over the project call graph")
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint only python files differing from the git ref (default "
-             "HEAD when the flag is given bare); whole-program rules "
-             "still analyze the full tree, with a note")
-    parser.add_argument(
-        "--budget", type=float, default=None, metavar="SECONDS",
-        help="fail (exit 1) if the whole run takes longer than this — "
-             "the CI guard keeping whole-program analysis fast")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit (--format json for the "
-             "machine-readable form including witness-format docs)")
-    parser.add_argument(
-        "--mypy", action="store_true",
-        help="also run the scoped mypy gate (skips cleanly if mypy "
-             "is not installed)")
+             "machine-readable form)")
     return parser
-
-
-def _changed_files(ref: str, parser: argparse.ArgumentParser) -> List[Path]:
-    """Python files differing from ``ref`` (tracked diff + untracked)."""
-    def run(*args: str) -> List[str]:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            parser.error(
-                f"--changed={ref}: git failed: {proc.stderr.strip() or proc.stdout.strip()}")
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    names = run("diff", "--name-only", ref, "--", "*.py")
-    names += run("ls-files", "--others", "--exclude-standard", "--", "*.py")
-    unique = sorted(set(names))
-    return [Path(name) for name in unique if Path(name).exists()]
-
-
-def _print_notes(notes: Sequence[str], fmt: str) -> None:
-    """Notes go to stdout in text mode (part of the report) and stderr
-    in json/sarif mode (stdout must stay machine-parseable)."""
-    stream = sys.stdout if fmt == "text" else sys.stderr
-    for note in notes:
-        print(f"sim-lint: note: {note}", file=stream)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    catalog = rule_catalog()
     if args.list_rules:
-        catalog = rule_catalog()
         if args.format == "json":
-            print(json.dumps({"version": 1, "rules": catalog},
+            print(json.dumps({"version": 2, "rules": catalog},
                              indent=2, sort_keys=True))
         else:
             for entry in catalog:
-                print(f"{entry['id']}  [{entry['severity']:7s}] "
-                      f"({entry['scope']}) {entry['title']}")
+                print(f"{entry['id']}  ({entry['scope']}) {entry['title']}")
                 print(f"       {entry['rationale']}")
                 if entry["witness"]:
                     print(f"       witness: {entry['witness']}")
         return 0
 
-    started = time.perf_counter()
-
-    rules = list(ALL_RULES)
-    interproc_ids: Optional[List[str]] = None
+    wanted = {entry["id"] for entry in catalog}
     if args.rule:
-        wanted = set(args.rule)
-        # DD000 (pragma defects) is a pseudo-rule emitted by the engine.
-        known = ({rule.rule_id for rule in rules}
-                 | set(WHOLE_PROGRAM_RULE_IDS) | {"DD000"})
-        unknown = sorted(wanted - known)
+        unknown = sorted(set(args.rule) - wanted)
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(unknown)} "
                          f"(see --list-rules)")
-        rules = [rule for rule in rules if rule.rule_id in wanted]
-        interproc_ids = sorted(wanted & set(WHOLE_PROGRAM_RULE_IDS))
-        if interproc_ids:
-            args.interprocedural = True
+        wanted = set(args.rule)
 
-    raw_paths = args.paths or ["src", "tests"]
     paths: List[Path] = []
-    for raw in raw_paths:
+    for raw in args.paths or ["src", "tests"]:
         path = Path(raw)
         if not path.exists():
             parser.error(f"no such path: {raw}")
         paths.append(path)
 
+    # The per-file pass also emits DD000 (pragma defects, syntax errors),
+    # so it runs even when --rule selects no per-file rule.
+    findings: List[Finding] = lint_paths(
+        paths, [rule for rule in ALL_RULES if rule.rule_id in wanted])
     notes: List[str] = []
-    per_file_paths = paths
-    if args.changed is not None:
-        changed = _changed_files(args.changed, parser)
-        requested = [p.resolve() for p in paths]
-        per_file_paths = [
-            c for c in changed
-            if any(c.resolve() == r or r in c.resolve().parents
-                   for r in requested)
-        ]
-        notes.append(
-            f"--changed={args.changed}: {len(per_file_paths)} changed "
-            f"python file(s) in scope")
-
-    findings: List[Finding] = []
-    if rules and per_file_paths:
-        findings.extend(lint_paths(per_file_paths, rules))
-    if args.interprocedural:
-        if args.changed is not None:
-            notes.append(
-                "whole-program rules cannot run incrementally: analyzing "
-                "the full tree (per-file rules stayed on the changed set)")
-        report: AnalysisReport = analyze_paths(paths, rule_ids=interproc_ids)
-        notes.extend(report.notes)
+    whole_program = sorted(wanted & set(WHOLE_PROGRAM_RULE_IDS))
+    if whole_program:
+        report = analyze_paths(paths, rule_ids=whole_program)
+        notes = report.notes
         findings.extend(report.findings)
-    findings.sort(key=Finding.sort_key)
-    if args.rule and "DD000" not in set(args.rule):
-        # --rule narrows the report to the requested ids; pragma-defect
-        # findings (DD000) ride along only when asked for explicitly.
-        findings = [f for f in findings if f.rule_id != "DD000"]
-    status = exit_code(findings, strict=args.strict)
+    findings = sorted((f for f in findings if f.rule_id in wanted),
+                      key=Finding.sort_key)
 
-    _print_notes(notes, args.format)
+    # Notes are part of the text report; in json mode stdout must stay
+    # machine-parseable, so they go to stderr.
+    for note in notes:
+        print(f"sim-lint: note: {note}",
+              file=sys.stdout if args.format == "text" else sys.stderr)
     if args.format == "json":
-        print(format_findings_json(findings, strict=args.strict))
-    elif args.format == "sarif":
-        print(format_findings_sarif(findings))
+        print(format_findings_json(findings))
     else:
         print(format_findings_text(findings))
-
-    if args.mypy:
-        mypy_status, mypy_output = run_mypy()
-        print(mypy_output.rstrip() or "(mypy produced no output)")
-        status = status or (1 if mypy_status else 0)
-
-    elapsed = time.perf_counter() - started
-    if args.budget is not None and elapsed > args.budget:
-        print(f"sim-lint: analysis wall time {elapsed:.2f}s exceeded the "
-              f"--budget of {args.budget:.2f}s", file=sys.stderr)
-        status = status or 1
-
-    return status
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

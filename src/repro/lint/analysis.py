@@ -1,21 +1,12 @@
-"""Whole-program analysis orchestration (rules DD011–DD014).
+"""Whole-program checks (DD012, DD014): orchestration, and DD014 itself.
 
-This is the entry point the CLI, the runtime sanitizer, and the tests
-share.  :func:`analyze_paths` loads every ``repro``-tree file reachable
-from the given paths into one :class:`~repro.lint.callgraph.Project`,
-builds the call graph once, runs the four analyzers, and filters the
-results through the same ``dd-lint`` suppression tables the per-file
-engine parsed (one pragma parser, one semantics).
+:func:`analyze_paths` loads every ``repro``-tree file reachable from the
+given paths into one :class:`~repro.lint.project.Project`, runs the two
+analyzers, and filters the results through the same ``dd-lint``
+suppression tables the per-file engine parsed (one pragma parser, one
+semantics).
 
-The four rules:
-
-* **DD011** — interprocedural nondeterminism taint (:mod:`repro.lint.taint`);
 * **DD012** — await-interleaving races (:mod:`repro.lint.asyncsafe`);
-* **DD013** — sim-kernel generator-protocol misuse, checked here against
-  the call graph's generator-valuedness fixed point: ``yield gen_fn(...)``
-  parks a process on a generator object instead of an event (use
-  ``yield from``), and a bare ``gen_fn(...)`` statement discards the
-  generator so its body never runs;
 * **DD014** — auditor coverage: every monotone ledger counter declared in
   ``repro.core.stats`` (``int`` dataclass fields defaulting to ``0``,
   excluding point-in-time gauges) must be referenced by at least one
@@ -24,9 +15,9 @@ The four rules:
   design, cheap, and exactly strong enough to catch a counter nobody
   reconciles.
 
-Rules degrade gracefully on partial projects: linting a subtree that
-lacks ``repro.core.stats``/``repro.core.audit`` skips DD014 with a note
-rather than failing.
+Each check runs whenever the files it needs are in scope: linting a
+subtree that lacks ``repro.core.stats``/``repro.core.audit`` skips DD014
+with a note rather than failing.
 """
 
 from __future__ import annotations
@@ -35,22 +26,18 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .asyncsafe import analyze_asyncsafe
-from .callgraph import CallGraph, Project, own_nodes
-from .engine import Finding, WitnessHop, iter_python_files
-from .rules import INTERPROC_RULES, REALTIME_MODULES
+from .engine import Finding, iter_python_files
+from .project import Project
+from .rules import WHOLE_PROGRAM_RULE_IDS
 
 __all__ = [
     "AnalysisReport",
-    "WHOLE_PROGRAM_RULE_IDS",
     "analyze_paths",
     "analyze_project",
 ]
-
-WHOLE_PROGRAM_RULE_IDS: Tuple[str, ...] = tuple(
-    rule.rule_id for rule in INTERPROC_RULES)
 
 #: Stats fields that are point-in-time gauges, not monotone ledger
 #: counters — re-derived on every snapshot, so "no auditor cross-check"
@@ -68,64 +55,6 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-
-
-def _module_tail(rel: str) -> str:
-    marker = "repro/"
-    idx = rel.rfind(marker)
-    return rel[idx + len(marker):] if idx >= 0 else rel
-
-
-def _is_realtime_rel(rel: str) -> bool:
-    tail = _module_tail(rel)
-    return any(tail.startswith(prefix) if prefix.endswith("/")
-               else tail == prefix for prefix in REALTIME_MODULES)
-
-
-# -- DD013: generator-protocol misuse ---------------------------------------
-
-def _check_generator_protocol(project: Project, graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for func in project.functions.values():
-        if _is_realtime_rel(func.rel):
-            continue
-        for node in own_nodes(func.node):
-            call: Optional[ast.Call] = None
-            kind = ""
-            if (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)):
-                call = node.value
-                kind = "discard"
-            elif (isinstance(node, ast.Yield)
-                    and isinstance(node.value, ast.Call)):
-                call = node.value
-                kind = "yield"
-            if call is None:
-                continue
-            callee = graph.resolve_call(func, call)
-            if callee is None or not graph.is_generator_valued(callee):
-                continue
-            callee_info = project.functions[callee]
-            if kind == "yield":
-                message = (
-                    f"'{func.qual}' yields the generator object from "
-                    f"'{callee}' into the sim kernel — the kernel expects "
-                    f"events; delegate with 'yield from {callee_info.name}"
-                    f"(...)' instead")
-            else:
-                message = (
-                    f"'{func.qual}' calls generator '{callee}' as a bare "
-                    f"statement and discards the result — the body never "
-                    f"runs; drive it with 'yield from' or iterate it")
-            findings.append(Finding(
-                rule_id="DD013", severity="error", path=func.rel,
-                line=call.lineno, col=call.col_offset, message=message,
-                witness=(WitnessHop(
-                    callee_info.rel,
-                    getattr(callee_info.node, "lineno", 1),
-                    f"'{callee}' is generator-valued (defined here)"),),
-            ))
-    return findings
 
 
 # -- DD014: auditor coverage of ledger counters ------------------------------
@@ -170,11 +99,11 @@ def _referenced_names(audit_tree: ast.AST) -> Set[str]:
 def _check_audit_coverage(project: Project, notes: List[str]) -> List[Finding]:
     stats_mod = None
     audit_mod = None
-    for module in project.modules.values():
-        if module.name.endswith(_STATS_MODULE_SUFFIX):
-            stats_mod = module
-        elif module.name.endswith(_AUDIT_MODULE_SUFFIX):
-            audit_mod = module
+    for name, ctx in project.modules.items():
+        if name.endswith(_STATS_MODULE_SUFFIX):
+            stats_mod = ctx
+        elif name.endswith(_AUDIT_MODULE_SUFFIX):
+            audit_mod = ctx
     if stats_mod is None or audit_mod is None:
         notes.append(
             "DD014 skipped: core/stats.py and core/audit.py are not both "
@@ -186,15 +115,12 @@ def _check_audit_coverage(project: Project, notes: List[str]) -> List[Finding]:
         if field_name in referenced:
             continue
         findings.append(Finding(
-            rule_id="DD014", severity="error", path=stats_mod.rel,
-            line=line, col=0,
+            rule_id="DD014", path=stats_mod.rel, line=line, col=0,
             message=(
                 f"ledger counter '{cls_name}.{field_name}' has no auditor "
-                f"cross-check — no invariant in {audit_mod.rel} references "
-                f"it, so drift in it is invisible to shadow accounting"),
-            witness=(WitnessHop(
-                stats_mod.rel, line,
-                f"counter field '{field_name}' declared here"),),
+                f"cross-check — no invariant in {audit_mod.rel} "
+                f"references it, so drift in it is invisible to shadow "
+                f"accounting"),
         ))
     return findings
 
@@ -207,39 +133,18 @@ def analyze_project(
 ) -> AnalysisReport:
     """Run the whole-program analyzers over a loaded project."""
     wanted = set(rule_ids) if rule_ids is not None else set(WHOLE_PROGRAM_RULE_IDS)
-    report = AnalysisReport()
-    report.notes.append(
-        f"interprocedural: analyzed {len(project.modules)} module(s), "
-        f"{len(project.functions)} function(s)")
-    report.notes.extend(project.notes)
-    graph = CallGraph(project)
+    report = AnalysisReport(notes=list(project.notes))
     findings: List[Finding] = []
-    if "DD011" in wanted:
-        from .taint import analyze_taint
-
-        findings.extend(analyze_taint(project, graph))
     if "DD012" in wanted:
         findings.extend(analyze_asyncsafe(project))
-    if "DD013" in wanted:
-        findings.extend(_check_generator_protocol(project, graph))
     if "DD014" in wanted:
         findings.extend(_check_audit_coverage(project, report.notes))
-    report.findings = _apply_suppressions(project, findings)
-    report.findings.sort(key=Finding.sort_key)
+    # Filter through the same per-file tables the engine parsed.
+    tables = {ctx.rel: ctx.suppressions for ctx in project.modules.values()}
+    report.findings = sorted(
+        (f for f in findings if not tables[f.path].suppresses(f)),
+        key=Finding.sort_key)
     return report
-
-
-def _apply_suppressions(
-    project: Project, findings: Sequence[Finding]
-) -> List[Finding]:
-    """Filter through the same per-file tables the engine parsed."""
-    kept: List[Finding] = []
-    for finding in findings:
-        ctx = project.contexts.get(finding.path)
-        if ctx is not None and ctx.suppressions.suppresses(finding):
-            continue
-        kept.append(finding)
-    return kept
 
 
 def analyze_paths(

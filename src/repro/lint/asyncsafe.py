@@ -41,11 +41,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import ModuleInfo, Project, dotted_name, own_nodes
-from .engine import Finding, WitnessHop
-from .rules import REALTIME_MODULES
+from .engine import Finding, LintContext, WitnessHop
+from .project import Project
+from .rules import dotted_name, is_realtime
 
 __all__ = ["analyze_asyncsafe"]
 
@@ -54,16 +54,18 @@ _RULE_ID = "DD012"
 _LOCK_NAME_RE = re.compile(r"lock|mutex|sem|guard", re.IGNORECASE)
 
 
-def _module_tail(rel: str) -> str:
-    marker = "repro/"
-    idx = rel.rfind(marker)
-    return rel[idx + len(marker):] if idx >= 0 else rel
-
-
-def _is_realtime(module: ModuleInfo) -> bool:
-    tail = _module_tail(module.rel)
-    return any(tail.startswith(prefix) if prefix.endswith("/")
-               else tail == prefix for prefix in REALTIME_MODULES)
+def _coroutines(
+    name: str, ctx: LintContext
+) -> Iterator[Tuple[str, ast.AsyncFunctionDef]]:
+    """``(qualified name, node)`` of each top-level ``async def`` and
+    each ``async def`` method of a top-level class of module ``name``."""
+    for stmt in ctx.tree.body:  # type: ignore[attr-defined]
+        if isinstance(stmt, ast.AsyncFunctionDef):
+            yield f"{name}:{stmt.name}", stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, ast.AsyncFunctionDef):
+                    yield f"{name}:{stmt.name}.{member.name}", member
 
 
 @dataclass
@@ -154,7 +156,7 @@ class _CoroutineScan:
                     self._record_expr(item.context_expr, locked)
                 # Entering an async with awaits __aenter__.
                 self.awaits.append(_Access(stmt.lineno, locked))
-                self._walk_body(stmt, item_locked)
+                self._walk(stmt, item_locked)
                 continue
             if isinstance(stmt, ast.Assign):
                 self._scan_assign(stmt.targets, stmt.value, stmt, locked,
@@ -168,9 +170,6 @@ class _CoroutineScan:
             else:
                 self._record_expr_parts(stmt, locked)
             self._walk(stmt, locked)
-
-    def _walk_body(self, stmt: ast.AST, locked: bool) -> None:
-        self._walk(stmt, locked)
 
     def _record_expr_parts(self, stmt: ast.AST, locked: bool) -> None:
         """Record loads/awaits of a non-assignment statement's own
@@ -210,70 +209,68 @@ class _CoroutineScan:
                     (stmt.lineno, getattr(stmt, "col_offset", 0), path, aug))
 
 
+def _cross_segment_rmw(
+    loads: List[_Access], awaits: List[_Access], stores: List[_Access]
+) -> Optional[Tuple[_Access, _Access, _Access]]:
+    """First unlocked ``load < await < store`` triple by line, if any."""
+    for load in loads:
+        if load.locked:
+            continue
+        for store in stores:
+            if store.locked or store.line <= load.line:
+                continue
+            for awaited in awaits:
+                if load.line < awaited.line < store.line:
+                    return load, awaited, store
+    return None
+
+
 def analyze_asyncsafe(project: Project) -> List[Finding]:
     """Run DD012 over the real-time modules of ``project``."""
     findings: List[Finding] = []
-    for module in project.modules.values():
-        if not _is_realtime(module):
+    for name, ctx in project.modules.items():
+        if not is_realtime(ctx):
             continue
-        for func in project.functions.values():
-            if func.module != module.name or not func.is_async:
-                continue
-            scan = _CoroutineScan(func.node)
+        rel = ctx.rel
+        for qual, node in _coroutines(name, ctx):
+            scan = _CoroutineScan(node)
             flagged: Set[str] = set()
             for line, col, path, aug in scan.stmt_rmw:
                 flagged.add(path)
                 verb = "augments" if aug else "re-reads"
                 findings.append(Finding(
-                    rule_id=_RULE_ID, severity="error", path=func.rel,
-                    line=line, col=col,
+                    rule_id=_RULE_ID, path=rel, line=line, col=col,
                     message=(
-                        f"'{func.qual}' {verb} shared '{path}' in a statement "
+                        f"'{qual}' {verb} shared '{path}' in a statement "
                         f"that awaits — the loop may interleave another "
                         f"handler between the read and the write"),
                     witness=(
-                        WitnessHop(func.rel, line,
+                        WitnessHop(rel, line,
                                    f"read of {path} and await in one statement"),
-                        WitnessHop(func.rel, line,
+                        WitnessHop(rel, line,
                                    f"store to {path} commits the stale value"),
                     ),
                 ))
             for path, stores in sorted(scan.stores.items()):
                 if path in flagged:
                     continue
-                loads = scan.loads.get(path, [])
-                hit = None
-                for load in loads:
-                    if load.locked:
-                        continue
-                    for store in stores:
-                        if store.locked or store.line <= load.line:
-                            continue
-                        for awaited in scan.awaits:
-                            if load.line < awaited.line < store.line:
-                                hit = (load, awaited, store)
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        break
+                hit = _cross_segment_rmw(scan.loads.get(path, []), scan.awaits, stores)
                 if hit is None:
                     continue
                 load, awaited, store = hit
                 findings.append(Finding(
-                    rule_id=_RULE_ID, severity="error", path=func.rel,
-                    line=store.line, col=0,
+                    rule_id=_RULE_ID, path=rel, line=store.line, col=0,
                     message=(
-                        f"'{func.qual}' loads shared '{path}' (line "
+                        f"'{qual}' loads shared '{path}' (line "
                         f"{load.line}), awaits (line {awaited.line}), then "
                         f"stores it (line {store.line}) — check-then-act "
                         f"across an await; capture-and-swap before awaiting "
                         f"or guard with an async lock"),
                     witness=(
-                        WitnessHop(func.rel, load.line, f"load of {path}"),
-                        WitnessHop(func.rel, awaited.line,
+                        WitnessHop(rel, load.line, f"load of {path}"),
+                        WitnessHop(rel, awaited.line,
                                    "await yields the event loop here"),
-                        WitnessHop(func.rel, store.line,
+                        WitnessHop(rel, store.line,
                                    f"store to {path} commits the stale value"),
                     ),
                 ))

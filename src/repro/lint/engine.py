@@ -8,8 +8,8 @@ the resulting :class:`Finding` list through the suppressions.
 Suppression syntax (all forms require a parenthesised justification; an
 unjustified suppression is itself reported as ``DD000``):
 
-* ``# dd-lint: disable=DD001,DD006 (reason)`` — this line only;
-* ``# dd-lint: disable-next-line=DD003 (reason)`` — the following line;
+* ``# dd-lint: disable=DD001,DD002 (reason)`` — this line only;
+* ``# dd-lint: disable-next-line=DD012 (reason)`` — the following line;
 * ``# dd-lint: disable-file=DD002 (reason)`` — the whole file;
 * ``disable=all`` suppresses every rule for the given scope.
 """
@@ -54,7 +54,7 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass(frozen=True)
 class WitnessHop:
-    """One hop of a whole-program witness path (source → … → sink)."""
+    """One hop of a whole-program witness path (load → await → store)."""
 
     path: str
     line: int
@@ -68,13 +68,12 @@ class WitnessHop:
 class Finding:
     """One lint finding, machine-readable.
 
-    ``witness`` is empty for the per-file rules; the whole-program
-    analyzers (DD011/DD012) attach the hop-by-hop evidence chain that
-    justifies the finding, rendered in text, JSON, and SARIF output.
+    There is one severity: every finding fails the run.  ``witness`` is
+    empty for the per-file rules; DD012 attaches the hop-by-hop evidence
+    chain that justifies the finding, rendered in text and JSON output.
     """
 
     rule_id: str
-    severity: str  # "error" | "warning"
     path: str
     line: int
     col: int
@@ -87,7 +86,6 @@ class Finding:
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "rule": self.rule_id,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -106,7 +104,6 @@ class Finding:
         )
         return Finding(
             rule_id=str(payload["rule"]),
-            severity=str(payload["severity"]),
             path=str(payload["path"]),
             line=int(payload["line"]),      # type: ignore[arg-type]
             col=int(payload["col"]),        # type: ignore[arg-type]
@@ -210,24 +207,21 @@ class LintContext:
 class Rule:
     """Base class for sim-lint rules.
 
-    Subclasses set ``rule_id``/``severity``/``title``/``rationale`` and
-    implement :meth:`check`.  Rules are stateless; one instance serves
-    the whole run.
+    Subclasses set ``rule_id``/``title``/``rationale`` and implement
+    :meth:`check`.  Rules are stateless; one instance serves the whole
+    run.
     """
 
     rule_id: str = "DD000"
-    severity: str = "error"
     title: str = ""
     rationale: str = ""
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         raise NotImplementedError
 
-    def finding(self, ctx: LintContext, node: ast.AST, message: str,
-                severity: Optional[str] = None) -> Finding:
+    def finding(self, ctx: LintContext, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule_id=self.rule_id,
-            severity=severity or self.severity,
             path=ctx.rel,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
@@ -266,14 +260,12 @@ def _rel_path(path: Path, root: Optional[Path]) -> str:
 
 
 def _known_rule_ids() -> Set[str]:
-    """Ids of the full catalog — suppression pragmas are validated
-    against every rule that exists (per-file and whole-program), not
-    just the ones selected with ``--rule`` (lazy import to avoid an
-    engine <-> rules cycle)."""
-    from .rules import ALL_RULES, INTERPROC_RULES
+    """Ids a pragma may name — every suppressible rule that exists
+    (per-file and whole-program), not just the ones selected with
+    ``--rule`` (lazy import to avoid an engine <-> rules cycle)."""
+    from .rules import ALL_RULES, WHOLE_PROGRAM_RULE_IDS
 
-    return {rule.rule_id for rule in ALL_RULES} | {
-        rule.rule_id for rule in INTERPROC_RULES}
+    return {rule.rule_id for rule in ALL_RULES} | set(WHOLE_PROGRAM_RULE_IDS)
 
 
 def load_context(path: Path, root: Optional[Path] = None) -> Optional[LintContext]:
@@ -307,13 +299,13 @@ def lint_file(
     try:
         ctx = load_context(path, root=root)
     except OSError as exc:
-        return [Finding("DD000", "error", rel, 1, 0, f"unreadable: {exc}")]
+        return [Finding("DD000", rel, 1, 0, f"unreadable: {exc}")]
     if ctx is None:
         source = path.read_text(encoding="utf-8")
         try:
             ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            return [Finding("DD000", "error", rel, exc.lineno or 1,
+            return [Finding("DD000", rel, exc.lineno or 1,
                             exc.offset or 0, f"syntax error: {exc.msg}")]
         return []
     table = ctx.suppressions
@@ -323,7 +315,7 @@ def lint_file(
             if not table.suppresses(finding):
                 findings.append(finding)
     for lineno, message in table.defects:
-        findings.append(Finding("DD000", "warning", rel, lineno, 0, message))
+        findings.append(Finding("DD000", rel, lineno, 0, message))
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -349,34 +341,19 @@ def format_findings_text(findings: Sequence[Finding]) -> str:
     parts = []
     for f in findings:
         parts.append(
-            f"{f.path}:{f.line}:{f.col}: {f.rule_id} [{f.severity}] {f.message}")
+            f"{f.path}:{f.line}:{f.col}: {f.rule_id} {f.message}")
         for index, hop in enumerate(f.witness):
             arrow = "witness:" if index == 0 else "      ->"
             parts.append(f"    {arrow} {hop.path}:{hop.line}: {hop.note}")
-    errors = sum(1 for f in findings if f.severity == "error")
-    warnings = len(findings) - errors
-    parts.append(f"sim-lint: {errors} error(s), {warnings} warning(s)")
+    parts.append(f"sim-lint: {len(findings)} finding(s)")
     return "\n".join(parts)
 
 
-def format_findings_json(findings: Sequence[Finding], strict: bool) -> str:
-    errors = sum(1 for f in findings if f.severity == "error")
+def format_findings_json(findings: Sequence[Finding]) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "tool": "sim-lint",
-        "strict": strict,
-        "counts": {
-            "errors": errors,
-            "warnings": len(findings) - errors,
-            "total": len(findings),
-        },
+        "count": len(findings),
         "findings": [f.as_dict() for f in findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def exit_code(findings: Sequence[Finding], strict: bool) -> int:
-    """0 when clean; 1 on errors (or, under ``--strict``, any finding)."""
-    if strict:
-        return 1 if findings else 0
-    return 1 if any(f.severity == "error" for f in findings) else 0

@@ -1,59 +1,43 @@
-"""sim-lint rule catalog: DD001..DD010.
+"""sim-lint rule catalog.
 
-Each rule defends one determinism or invariant property the reproduction
-relies on (see docs/LINTING.md for the full catalog with examples):
+The per-file rules (see docs/LINTING.md for the catalog with examples,
+and for the retired rules and what covers each hazard now):
 
 * DD001 — wall-clock reads in simulated paths;
-* DD002 — unseeded module-global ``random`` use;
-* DD003 — unordered iteration feeding eviction/victim/migration decisions;
-* DD004 — float accumulation into integer accounting counters;
-* DD005 — mutable default arguments;
-* DD006 — tracer calls missing the ``if tracer is not None`` zero-cost guard;
-* DD007 — bare/swallowed exception handlers;
-* DD008 — stats-counter writes that bypass the put-outcome ledger;
-* DD009 — linear-time list operations in hot-path modules;
-* DD010 — blocking calls inside ``async def`` bodies in the live service.
+* DD002 — unseeded module-global ``random`` use.
 
-The TC001 typed-core gate (annotation completeness over
-``repro.core.victim`` / ``repro.core.radix``) is registered alongside
-these; it lives in :mod:`repro.lint.typed`.
+DD000 (pragma defects) is emitted by the engine; DD012 (await races)
+lives in :mod:`repro.lint.asyncsafe` and DD014 (auditor coverage) in
+:mod:`repro.lint.analysis` — both need more than one file.  Their
+catalog entries are here so ``--list-rules`` and pragma validation share
+one registry.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import Finding, LintContext, Rule
 
-__all__ = ["ALL_RULES", "INTERPROC_RULES", "rule_catalog", "DECISION_NAME_RE"]
+__all__ = [
+    "ALL_RULES",
+    "REALTIME_MODULES",
+    "WHOLE_PROGRAM_RULE_IDS",
+    "dotted_name",
+    "is_realtime",
+    "rule_catalog",
+]
 
 
 # -- shared AST helpers ------------------------------------------------------
 
-def _parents(tree: ast.AST) -> Dict[int, ast.AST]:
-    """Map ``id(child) -> parent`` for every node in ``tree``."""
-    table: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            table[id(child)] = node
-    return table
-
-
-def _ancestors(node: ast.AST, parents: Dict[int, ast.AST]) -> Iterator[ast.AST]:
-    current: Optional[ast.AST] = parents.get(id(node))
-    while current is not None:
-        yield current
-        current = parents.get(id(current))
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
+        base = dotted_name(node.value)
         return f"{base}.{node.attr}" if base is not None else None
     return None
 
@@ -85,14 +69,14 @@ _WALL_CLOCK_DATETIME_FNS = {"now", "utcnow", "today", "utcfromtimestamp"}
 
 #: Wall-clock-native module prefixes: the cache *service* and the live
 #: telemetry plane live on real time and real sockets by design, so the
-#: determinism rules that protect simulated fingerprints (DD001) and the
-#: kernel's failure surfacing (DD007) do not apply there.  Everything
-#: else in ``repro/`` stays under the strict regime.  These modules get
-#: their own rule instead: DD010 polices their event loop.
+#: rule that protects simulated fingerprints (DD001) does not apply
+#: there.  These are also the modules that host an event loop, so they
+#: are DD012's scope.
 REALTIME_MODULES = ("service/", "obs/live.py")
 
 
-def _in_realtime_module(ctx: LintContext) -> bool:
+def is_realtime(ctx: LintContext) -> bool:
+    """Is this file one of the wall-clock-native modules?"""
     return ctx.module_tail().startswith(REALTIME_MODULES)
 
 
@@ -106,7 +90,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code or _in_realtime_module(ctx):
+        if not ctx.in_sim_code or is_realtime(ctx):
             return
         time_mods, time_members = _import_aliases(ctx.tree, "time")
         dt_mods, dt_members = _import_aliases(ctx.tree, "datetime")
@@ -126,7 +110,7 @@ class WallClockRule(Rule):
                 continue
             if not isinstance(func, ast.Attribute):
                 continue
-            recv = _dotted(func.value)
+            recv = dotted_name(func.value)
             if recv in time_mods and func.attr in _WALL_CLOCK_TIME_FNS:
                 yield self.finding(
                     ctx, node,
@@ -168,7 +152,7 @@ class UnseededRandomRule(Rule):
                 continue
             func = node.func
             if isinstance(func, ast.Attribute):
-                recv = _dotted(func.value)
+                recv = dotted_name(func.value)
                 if recv in mods and func.attr not in self._ALLOWED:
                     yield self.finding(
                         ctx, node,
@@ -184,847 +168,63 @@ class UnseededRandomRule(Rule):
                         f"random.Random(seed) instead")
 
 
-# -- DD003 -------------------------------------------------------------------
-
-#: Function/class names considered part of the decision path: anything
-#: that picks victims, enumerates eviction candidates, migrates blocks,
-#: rebalances entitlements, or admits writes.
-DECISION_NAME_RE = re.compile(
-    r"evict|victim|migrat|candidat|select|admit|balanc|reclaim|trickle"
-    r"|shrink|make_room|entitle",
-    re.IGNORECASE,
-)
-
-_SET_CALLS = {"set", "frozenset"}
-
-
-class UnorderedDecisionIterationRule(Rule):
-    rule_id = "DD003"
-    title = "unordered iteration in a decision path"
-    rationale = (
-        "Iterating a set (hash order) where the elements flow into "
-        "eviction/victim/migration decisions makes the victim depend on "
-        "PYTHONHASHSEED; wrap the iterable in sorted() or justify "
-        "insertion order with a suppression."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code:
-            return
-        parents = _parents(ctx.tree)
-        set_attrs = self._set_valued_attrs(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            iters: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            else:
-                continue
-            if not self._in_decision_context(node, parents):
-                continue
-            local_sets = self._set_valued_locals(node, parents)
-            for expr in iters:
-                for finding in self._check_iter(ctx, expr, local_sets, set_attrs):
-                    yield finding
-
-    def _in_decision_context(self, node: ast.AST,
-                             parents: Dict[int, ast.AST]) -> bool:
-        for ancestor in _ancestors(node, parents):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                if DECISION_NAME_RE.search(ancestor.name):
-                    return True
-        return False
-
-    @staticmethod
-    def _enclosing_function(node: ast.AST, parents: Dict[int, ast.AST]
-                            ) -> Optional[ast.AST]:
-        for ancestor in _ancestors(node, parents):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
-    def _set_valued_locals(self, node: ast.AST,
-                           parents: Dict[int, ast.AST]) -> Set[str]:
-        """Local names assigned a set in the enclosing function."""
-        func = self._enclosing_function(node, parents)
-        if func is None:
-            return set()
-        names: Set[str] = set()
-        for stmt in ast.walk(func):
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not self._is_set_expr(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    @staticmethod
-    def _set_valued_attrs(tree: ast.AST) -> Set[str]:
-        """``self.X`` attribute names assigned a set anywhere in the file."""
-        attrs: Set[str] = set()
-        for stmt in ast.walk(tree):
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not UnorderedDecisionIterationRule._is_set_expr(value):
-                continue
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    attrs.add(target.attr)
-        return attrs
-
-    @staticmethod
-    def _is_set_expr(expr: ast.expr) -> bool:
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            return expr.func.id in _SET_CALLS
-        return False
-
-    def _check_iter(self, ctx: LintContext, expr: ast.expr,
-                    local_sets: Set[str], set_attrs: Set[str]
-                    ) -> Iterator[Finding]:
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-                and expr.func.id == "sorted":
-            return  # explicitly ordered — the sanctioned fix
-        if self._is_set_expr(expr):
-            yield self.finding(
-                ctx, expr,
-                "iteration over a set inside a decision-path function — "
-                "hash order leaks into victim selection; wrap in sorted()")
-        elif isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute) \
-                and expr.func.attr == "keys" and not expr.args:
-            yield self.finding(
-                ctx, expr,
-                "iteration over dict.keys() inside a decision-path function — "
-                "insertion order is deterministic but order-sensitivity must "
-                "be explicit; wrap in sorted() or justify with a suppression",
-                severity="warning")
-        elif isinstance(expr, ast.Name) and expr.id in local_sets:
-            yield self.finding(
-                ctx, expr,
-                f"iteration over local set {expr.id!r} inside a decision-path "
-                f"function — hash order leaks into victim selection; wrap in "
-                f"sorted()")
-        elif (isinstance(expr, ast.Attribute)
-              and isinstance(expr.value, ast.Name)
-              and expr.value.id == "self" and expr.attr in set_attrs):
-            yield self.finding(
-                ctx, expr,
-                f"iteration over set-valued attribute self.{expr.attr} inside "
-                f"a decision-path function — hash order leaks into victim "
-                f"selection; wrap in sorted()")
-
-
-# -- DD004 -------------------------------------------------------------------
-
-_COUNTER_EXACT = {
-    "used", "_size", "count", "used_blocks", "mem_used_blocks",
-    "ssd_used_blocks", "capacity_blocks", "gets", "get_hits", "puts",
-    "puts_stored", "flushes", "flush_requests", "evictions",
-    "eviction_rounds", "migrated_in", "migrated_out", "ssd_writes",
-    "bytes_read", "bytes_written", "blocks_written", "host_bytes_written",
-    "pe_cycles", "erases", "logical_blocks", "_mem_units_used",
-}
-_COUNTER_PREFIXES = ("put_rejected_", "rejected_", "trickle_rejected")
-
-
-def _is_counter_name(name: str) -> bool:
-    return name in _COUNTER_EXACT or name.startswith(_COUNTER_PREFIXES)
-
-
-class FloatDriftRule(Rule):
-    rule_id = "DD004"
-    title = "float accumulation into an integer accounting counter"
-    rationale = (
-        "Accounting counters (used, _size, wear/ledger fields) are exact "
-        "integers the auditor replays; accumulating a float drifts and "
-        "breaks exact ledger replay. Round explicitly with int()/round() "
-        "or use integer arithmetic (//)."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.AugAssign):
-                continue
-            if not isinstance(node.op, (ast.Add, ast.Sub)):
-                continue
-            target = node.target
-            if isinstance(target, ast.Attribute):
-                name = target.attr
-            elif isinstance(target, ast.Name):
-                name = target.id
-            else:
-                continue
-            if not _is_counter_name(name):
-                continue
-            if self._is_floaty(node.value):
-                yield self.finding(
-                    ctx, node,
-                    f"float-valued accumulation into integer counter "
-                    f"{name!r} — drift breaks exact ledger replay; round "
-                    f"explicitly (int()/round()) or use // integer division")
-
-    @staticmethod
-    def _is_floaty(expr: ast.expr) -> bool:
-        # An explicit int()/round() wrapper at the top level sanctions
-        # whatever floating-point math happens inside it.
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-                and expr.func.id in ("int", "round", "len"):
-            return False
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                return True
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                    and node.func.id == "float":
-                return True
-        return False
-
-
-# -- DD005 -------------------------------------------------------------------
-
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque",
-                  "Counter", "OrderedDict"}
-
-
-class MutableDefaultRule(Rule):
-    rule_id = "DD005"
-    title = "mutable default argument"
-    rationale = (
-        "A mutable default is shared across calls — state leaks between "
-        "simulations and between --jobs workers' warm-up phases. Default "
-        "to None and construct inside the function."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        ctx, default,
-                        f"mutable default argument in {node.name}() — shared "
-                        f"across calls; use None and construct inside")
-
-    @staticmethod
-    def _is_mutable(expr: ast.expr) -> bool:
-        if isinstance(expr, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            return expr.func.id in _MUTABLE_CALLS
-        return False
-
-
-# -- DD006 -------------------------------------------------------------------
-
-class UnguardedTracerRule(Rule):
-    rule_id = "DD006"
-    title = "tracer call without the zero-cost guard"
-    rationale = (
-        "The observability contract is zero cost when tracing is off: "
-        "every tracer call in simulator code must sit under an "
-        "'if tracer is not None' guard (or equivalent early exit), both "
-        "for speed and so untraced runs stay byte-identical."
-    )
-
-    #: Receiver spellings that denote the flight recorder.
-    _RECV_RE = re.compile(r"(^|\.)_?tracer$")
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code:
-            return
-        tail = ctx.module_tail()
-        # repro.obs analysis/export code receives a non-None tracer by
-        # contract; the guard idiom applies to simulator call sites.
-        if tail.startswith(("obs/", "lint/")):
-            return
-        parents = _parents(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) \
-                    or not isinstance(node.func, ast.Attribute):
-                continue
-            recv = _dotted(node.func.value)
-            if recv is None or not self._RECV_RE.search(recv):
-                continue
-            if not self._is_guarded(node, recv, parents):
-                yield self.finding(
-                    ctx, node,
-                    f"call to {recv}.{node.func.attr}() outside an "
-                    f"'if {recv} is not None' guard — tracing must be "
-                    f"zero-cost when disabled")
-
-    def _is_guarded(self, call: ast.Call, recv: str,
-                    parents: Dict[int, ast.AST]) -> bool:
-        node: ast.AST = call
-        for ancestor in _ancestors(call, parents):
-            if isinstance(ancestor, ast.If):
-                if self._guards(ancestor.test, recv) \
-                        and self._within(ancestor.body, node):
-                    return True
-            elif isinstance(ancestor, ast.IfExp):
-                if self._guards(ancestor.test, recv) and ancestor.body is node:
-                    return True
-            elif isinstance(ancestor, ast.BoolOp) and isinstance(ancestor.op, ast.And):
-                idx = next((i for i, v in enumerate(ancestor.values)
-                            if v is node), None)
-                if idx is not None and any(
-                        self._guards(v, recv) for v in ancestor.values[:idx]):
-                    return True
-            elif isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self._early_exit_guard(ancestor, recv, call):
-                    return True
-                return False
-            node = ancestor
-        return False
-
-    def _guards(self, test: ast.expr, recv: str) -> bool:
-        """Does ``test`` establish ``recv is not None``?"""
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            return any(self._guards(v, recv) for v in test.values)
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-                and isinstance(test.ops[0], ast.IsNot) \
-                and isinstance(test.comparators[0], ast.Constant) \
-                and test.comparators[0].value is None:
-            return _dotted(test.left) == recv
-        return False
-
-    @staticmethod
-    def _within(body: Sequence[ast.stmt], node: ast.AST) -> bool:
-        return any(n is node or any(sub is node for sub in ast.walk(n))
-                   for n in body)
-
-    @staticmethod
-    def _early_exit_guard(func: ast.AST, recv: str, call: ast.Call) -> bool:
-        """``if recv is None: return/continue/raise`` before the call."""
-        for stmt in ast.walk(func):
-            if not isinstance(stmt, ast.If):
-                continue
-            test = stmt.test
-            if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-                    and isinstance(test.ops[0], ast.Is)
-                    and isinstance(test.comparators[0], ast.Constant)
-                    and test.comparators[0].value is None
-                    and _dotted(test.left) == recv):
-                continue
-            if stmt.body and isinstance(stmt.body[-1],
-                                        (ast.Return, ast.Continue, ast.Raise)):
-                if stmt.lineno < call.lineno:
-                    return True
-        return False
-
-
-# -- DD007 -------------------------------------------------------------------
-
-class SwallowedErrorRule(Rule):
-    rule_id = "DD007"
-    title = "bare except / swallowed error"
-    rationale = (
-        "The kernel run loop surfaces unhandled event failures by design "
-        "(PR 1); a bare or swallowed except hides exactly the failures "
-        "the auditor and obs validators exist to catch."
-    )
-
-    _BROAD = {"Exception", "BaseException"}
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if _in_realtime_module(ctx):
-            # A server must outlive misbehaving clients; broad handlers
-            # at the connection boundary are the correct idiom there.
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    ctx, node,
-                    "bare 'except:' — catches SystemExit/KeyboardInterrupt "
-                    "and hides kernel failures; name the exception")
-                continue
-            if self._is_broad(node.type) and self._only_pass(node.body):
-                yield self.finding(
-                    ctx, node,
-                    "broad exception swallowed with 'pass' — failures the "
-                    "run loop deliberately surfaces are silently dropped")
-
-    def _is_broad(self, type_node: ast.expr) -> bool:
-        if isinstance(type_node, ast.Name):
-            return type_node.id in self._BROAD
-        if isinstance(type_node, ast.Tuple):
-            return any(self._is_broad(el) for el in type_node.elts)
-        return False
-
-    @staticmethod
-    def _only_pass(body: Sequence[ast.stmt]) -> bool:
-        return all(
-            isinstance(stmt, ast.Pass)
-            or (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis)
-            for stmt in body
-        )
-
-
-# -- DD008 -------------------------------------------------------------------
-
-#: Put-outcome ledger fields (PR 3): ``puts == puts_stored + put_rejected_*``.
-LEDGER_FIELDS = {
-    "puts", "puts_stored", "put_rejected_policy", "put_rejected_capacity",
-    "put_rejected_admission", "put_rejected_backpressure",
-    "trickle_rejected_admission", "rejected_puts", "rejected_admission",
-    "rejected_backpressure",
-}
-
-#: Modules allowed to write ledger fields: the cache implementations that
-#: own the ledger, its dataclass definition, and the auditor/tracer that
-#: reconcile it.
-LEDGER_WRITER_MODULES = {
-    "core/cache_manager.py",
-    "core/baselines.py",
-    "core/stats.py",
-    "core/audit.py",
-    "obs/tracer.py",
-    "service/cache.py",
-}
-
-
-class LedgerBypassRule(Rule):
-    rule_id = "DD008"
-    title = "stats-counter write bypassing the put-outcome ledger"
-    rationale = (
-        "Every put must land in puts_stored or exactly one rejection "
-        "bucket; a write to a ledger field outside the owning modules "
-        "breaks the 'puts == stored + rejected_*' identity the auditor "
-        "and the obs ledger replay both assert."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code:
-            return
-        if ctx.module_tail() in LEDGER_WRITER_MODULES:
-            return
-        for node in ast.walk(ctx.tree):
-            targets: List[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Attribute) \
-                        and target.attr in LEDGER_FIELDS:
-                    yield self.finding(
-                        ctx, node,
-                        f"write to ledger field {target.attr!r} outside the "
-                        f"owning modules ({', '.join(sorted(LEDGER_WRITER_MODULES))}) "
-                        f"— route the outcome through put_many so "
-                        f"'puts == stored + rejected_*' stays exact")
-
-
-# -- DD009 -------------------------------------------------------------------
-
-#: Module prefixes on the per-event data path, where an O(n) list
-#: operation compounds into O(n^2) over a run.
-HOT_PATH_PREFIXES = ("simkernel/", "core/", "guest/", "cleancache/", "mem/")
-
-#: Hot-prefix modules exempt from DD009: the auditor's reference models
-#: are deliberately brute-force (plain lists, ``remove``/``pop(0)``) so
-#: differential tests compare against the simplest possible restatement.
-HOT_PATH_EXEMPT = {"core/audit.py"}
-
-_LIST_CALLS = {"list", "sorted"}
-
-
-class LinearListOpRule(Rule):
-    rule_id = "DD009"
-    title = "linear-time list operation in a hot-path module"
-    rationale = (
-        "The per-event data path (kernel, pools, cache manager, guest "
-        "page cache) runs millions of times per experiment; list.pop(0), "
-        "'x in <list>' membership, and per-element 'del list[i]' are all "
-        "O(n) and compound into O(n^2) run time. Use a deque, a dict/set "
-        "index, or the flat BlockTable slab instead."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.in_sim_code:
-            return
-        tail = ctx.module_tail()
-        if tail in HOT_PATH_EXEMPT or not tail.startswith(HOT_PATH_PREFIXES):
-            return
-        parents = _parents(ctx.tree)
-        list_attrs = self._list_valued_attrs(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_pop_front(ctx, node, parents, list_attrs)
-            elif isinstance(node, ast.Compare):
-                yield from self._check_membership(ctx, node, parents, list_attrs)
-            elif isinstance(node, ast.Delete):
-                yield from self._check_del(ctx, node, parents, list_attrs)
-
-    # -- list-typed receiver inference (mirrors DD003's set inference) ---
-
-    @staticmethod
-    def _is_list_expr(expr: ast.expr) -> bool:
-        if isinstance(expr, (ast.List, ast.ListComp)):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            return expr.func.id in _LIST_CALLS
-        return False
-
-    @staticmethod
-    def _enclosing_function(node: ast.AST, parents: Dict[int, ast.AST]
-                            ) -> Optional[ast.AST]:
-        for ancestor in _ancestors(node, parents):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
-    def _list_valued_locals(self, node: ast.AST,
-                            parents: Dict[int, ast.AST]) -> Set[str]:
-        func = self._enclosing_function(node, parents)
-        if func is None:
-            return set()
-        names: Set[str] = set()
-        for stmt in ast.walk(func):
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not self._is_list_expr(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    def _list_valued_attrs(self, tree: ast.AST) -> Set[str]:
-        attrs: Set[str] = set()
-        for stmt in ast.walk(tree):
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not self._is_list_expr(value):
-                continue
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    attrs.add(target.attr)
-        return attrs
-
-    def _is_known_list(self, expr: ast.expr, node: ast.AST,
-                       parents: Dict[int, ast.AST],
-                       list_attrs: Set[str]) -> Optional[str]:
-        """Spelled receiver if ``expr`` is list-valued by local inference."""
-        if isinstance(expr, ast.Name):
-            if expr.id in self._list_valued_locals(node, parents):
-                return expr.id
-        elif (isinstance(expr, ast.Attribute)
-              and isinstance(expr.value, ast.Name)
-              and expr.value.id == "self" and expr.attr in list_attrs):
-            return f"self.{expr.attr}"
-        return None
-
-    # -- the three flagged shapes ----------------------------------------
-
-    def _check_pop_front(self, ctx: LintContext, node: ast.Call,
-                         parents: Dict[int, ast.AST],
-                         list_attrs: Set[str]) -> Iterator[Finding]:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "pop"
-                and len(node.args) == 1 and not node.keywords):
-            return
-        arg = node.args[0]
-        if not (isinstance(arg, ast.Constant) and arg.value == 0):
-            return
-        recv = self._is_known_list(func.value, node, parents, list_attrs)
-        if recv is not None:
-            yield self.finding(
-                ctx, node,
-                f"{recv}.pop(0) shifts every remaining element — O(n) per "
-                f"event; use collections.deque.popleft() or an index cursor")
-
-    def _check_membership(self, ctx: LintContext, node: ast.Compare,
-                          parents: Dict[int, ast.AST],
-                          list_attrs: Set[str]) -> Iterator[Finding]:
-        for op, comparator in zip(node.ops, node.comparators):
-            if not isinstance(op, (ast.In, ast.NotIn)):
-                continue
-            recv = self._is_known_list(comparator, node, parents, list_attrs)
-            if recv is not None:
-                yield self.finding(
-                    ctx, node,
-                    f"membership test against list {recv!r} scans linearly — "
-                    f"O(n) per event; keep a set/dict alongside the list")
-
-    def _check_del(self, ctx: LintContext, node: ast.Delete,
-                   parents: Dict[int, ast.AST],
-                   list_attrs: Set[str]) -> Iterator[Finding]:
-        for target in node.targets:
-            if not isinstance(target, ast.Subscript):
-                continue
-            if isinstance(target.slice, ast.Slice):
-                continue  # del lst[:] and friends are wholesale, not per-element
-            recv = self._is_known_list(target.value, node, parents, list_attrs)
-            if recv is not None:
-                yield self.finding(
-                    ctx, node,
-                    f"del {recv}[i] shifts every element past i — O(n) per "
-                    f"event; swap-with-last, tombstone, or use a dict index")
-
-
-# -- DD010 -------------------------------------------------------------------
-
-#: ``os`` functions that block on storage until the kernel flushes.
-_BLOCKING_OS_FNS = {"fsync", "fdatasync", "sync"}
-
-#: Receiver spellings that denote the disk store / service cache, whose
-#: data-path methods run SQLite transactions and blob I/O synchronously.
-_BLOCKING_RECV_RE = re.compile(r"(^|\.)_?(store|cache)$")
-
-#: The synchronous data-path methods on those receivers.  ``stats`` and
-#: ``close`` are deliberately absent: both are cheap metadata reads and
-#: flagging them would force suppressions on every shutdown path.
-_BLOCKING_DATA_METHODS = {
-    "get", "set", "delete", "delete_entry", "flush", "flush_all", "recover",
-}
-
-
-class BlockingAsyncCallRule(Rule):
-    rule_id = "DD010"
-    title = "blocking call inside an async def body"
-    rationale = (
-        "The service runs one event loop: a time.sleep, fsync, builtin "
-        "open(), or synchronous DiskStore/ServiceCache data call inside "
-        "an async def stalls every connection, the telemetry sidecar, "
-        "and the snapshot task at once. Use await asyncio.sleep, hoist "
-        "file I/O into the sync entry point, or justify the bounded "
-        "blocking with a suppression."
-    )
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_realtime_module(ctx):
-            # Only the realtime modules host event loops; simulated code
-            # is synchronous by construction and DD001 already owns it.
-            return
-        time_mods, time_members = _import_aliases(ctx.tree, "time")
-        os_mods, os_members = _import_aliases(ctx.tree, "os")
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, ast.AsyncFunctionDef):
-                continue
-            for node in self._own_body(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                yield from self._check_call(
-                    ctx, node, time_mods, time_members, os_mods, os_members)
-
-    @staticmethod
-    def _own_body(func: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-        """Nodes executed *by this coroutine* — nested defs excluded (a
-        nested async def is visited on its own; a nested sync def only
-        blocks if the coroutine calls it, which the call-site catches)."""
-        stack: List[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_call(self, ctx: LintContext, node: ast.Call,
-                    time_mods: Set[str], time_members: Dict[str, str],
-                    os_mods: Set[str], os_members: Dict[str, str]
-                    ) -> Iterator[Finding]:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                yield self.finding(
-                    ctx, node,
-                    "builtin open() inside an async def blocks the event "
-                    "loop on disk I/O — open files in the sync entry point "
-                    "and pass the stream in")
-            elif time_members.get(func.id) == "sleep":
-                yield self.finding(
-                    ctx, node,
-                    "time.sleep() inside an async def stalls the whole "
-                    "event loop — use 'await asyncio.sleep(...)'")
-            elif os_members.get(func.id) in _BLOCKING_OS_FNS:
-                yield self.finding(
-                    ctx, node,
-                    f"os.{os_members[func.id]}() inside an async def blocks "
-                    f"until the kernel flushes — offload to the sync data "
-                    f"path or a thread")
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        recv = _dotted(func.value)
-        if recv is None:
-            return
-        if recv in time_mods and func.attr == "sleep":
-            yield self.finding(
-                ctx, node,
-                f"{recv}.sleep() inside an async def stalls the whole "
-                f"event loop — use 'await asyncio.sleep(...)'")
-        elif recv in os_mods and func.attr in _BLOCKING_OS_FNS:
-            yield self.finding(
-                ctx, node,
-                f"{recv}.{func.attr}() inside an async def blocks until "
-                f"the kernel flushes — offload to the sync data path or "
-                f"a thread")
-        elif _BLOCKING_RECV_RE.search(recv) \
-                and func.attr in _BLOCKING_DATA_METHODS:
-            yield self.finding(
-                ctx, node,
-                f"synchronous {recv}.{func.attr}() inside an async def — "
-                f"SQLite transactions and blob I/O block the event loop; "
-                f"bound the cost and justify with a suppression, or "
-                f"offload to a thread")
-
-
 # -- registry ----------------------------------------------------------------
 
-def _build_rules() -> List[Rule]:
-    from .typed import TypedCoreRule
+ALL_RULES: List[Rule] = [WallClockRule(), UnseededRandomRule()]
 
-    return [
-        WallClockRule(),
-        UnseededRandomRule(),
-        UnorderedDecisionIterationRule(),
-        FloatDriftRule(),
-        MutableDefaultRule(),
-        UnguardedTracerRule(),
-        SwallowedErrorRule(),
-        LedgerBypassRule(),
-        LinearListOpRule(),
-        BlockingAsyncCallRule(),
-        TypedCoreRule(),
-    ]
+#: Catalog rows for the checks that are not per-file :class:`Rule`
+#: objects.  ``witness`` documents how a finding's witness path reads.
+_OTHER_ENTRIES: Tuple[Dict[str, str], ...] = (
+    {
+        "id": "DD000",
+        "scope": "per-file",
+        "title": "pragma defect, syntax error or unreadable file",
+        "rationale": (
+            "A suppression must name a rule that exists and carry a "
+            "parenthesised reason, or it hides a finding nobody justified; "
+            "a file that cannot be parsed cannot be checked at all"),
+        "witness": "",
+    },
+    {
+        "id": "DD012",
+        "scope": "whole-program",
+        "title": "read-modify-write of shared service state split across an await",
+        "rationale": (
+            "The asyncio service interleaves handlers at every await: loading a "
+            "shared cache/store/registry attribute, awaiting, then storing a "
+            "value derived from the stale read silently corrupts accounting "
+            "under concurrency; hold no shared state across awaits, or guard "
+            "the section with an async lock"),
+        "witness": (
+            "three hops: the shared-attribute load, the await that yields the "
+            "event loop, and the store that commits the stale value"),
+    },
+    {
+        "id": "DD014",
+        "scope": "whole-program",
+        "title": "ledger counter without an auditor cross-check",
+        "rationale": (
+            "Every monotone put-outcome/ledger counter in repro.core.stats must "
+            "be reconciled by at least one invariant in repro.core.audit — an "
+            "unchecked counter is exactly where bookkeeping drift hides (the "
+            "shadow auditor is the reproduction's ground truth)"),
+        "witness": "",
+    },
+)
 
-
-ALL_RULES: List[Rule] = _build_rules()
-
-
-# -- whole-program rules (descriptors only) ----------------------------------
-#
-# DD011..DD014 are checked by :mod:`repro.lint.analysis` over the project
-# call graph, not per file; the classes below carry their catalog metadata
-# (and document each rule's witness format) so ``--list-rules``, pragma
-# validation, and SARIF share one registry with the per-file rules.
-
-class WholeProgramRule(Rule):
-    """Metadata carrier for analyzers that need the whole project."""
-
-    whole_program = True
-    #: How the finding's witness path reads, for ``--list-rules`` JSON.
-    witness_doc = ""
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        return ()
-
-
-class InterproceduralTaintRule(WholeProgramRule):
-    rule_id = "DD011"
-    title = "nondeterminism taint reaching a decision sink"
-    rationale = (
-        "Wall-clock reads, unseeded random, builtin hash()/id(), os.environ "
-        "and unordered-set iteration results must never flow — even through "
-        "helpers in other modules — into victim selection, eviction rounds, "
-        "admission, migration/lending choices, or ledger writers: any such "
-        "path breaks fixed-seed replay exactly the way the ShardsEstimator "
-        "PYTHONHASHSEED bug did")
-    witness_doc = (
-        "source -> sink call chain: first hop is the sink-side expression, "
-        "each later hop is the callee (or tainted attribute store) that "
-        "carried the value, ending at the nondeterminism source")
-
-
-class AwaitInterleavingRule(WholeProgramRule):
-    rule_id = "DD012"
-    title = "read-modify-write of shared service state split across an await"
-    rationale = (
-        "The asyncio service interleaves handlers at every await: loading a "
-        "shared cache/store/registry attribute, awaiting, then storing a "
-        "value derived from the stale read silently corrupts accounting "
-        "under concurrency; hold no shared state across awaits, or guard "
-        "the section with an async lock")
-    witness_doc = (
-        "three hops: the shared-attribute load, the await that yields the "
-        "event loop, and the store that commits the stale value")
-
-
-class GeneratorProtocolRule(WholeProgramRule):
-    rule_id = "DD013"
-    title = "sim-kernel generator-protocol misuse"
-    rationale = (
-        "Simulation processes are generators driven by the event kernel: "
-        "yielding a generator object (instead of delegating with 'yield "
-        "from') parks the process on a non-event, and calling a generator "
-        "function as a bare statement discards the generator so its body "
-        "never runs — both are silent no-ops that skew results")
-    witness_doc = "single hop: the definition of the generator being misused"
-
-
-class AuditCoverageRule(WholeProgramRule):
-    rule_id = "DD014"
-    title = "ledger counter without an auditor cross-check"
-    rationale = (
-        "Every monotone put-outcome/ledger counter in repro.core.stats must "
-        "be reconciled by at least one invariant in repro.core.audit — an "
-        "unchecked counter is exactly where bookkeeping drift hides (the "
-        "shadow auditor is the reproduction's ground truth)")
-    witness_doc = (
-        "single hop: the dataclass field definition that no auditor "
-        "invariant references")
-
-
-INTERPROC_RULES: List[Rule] = [
-    InterproceduralTaintRule(),
-    AwaitInterleavingRule(),
-    GeneratorProtocolRule(),
-    AuditCoverageRule(),
-]
+WHOLE_PROGRAM_RULE_IDS: Tuple[str, ...] = tuple(
+    entry["id"] for entry in _OTHER_ENTRIES if entry["scope"] == "whole-program")
 
 
 def rule_catalog() -> List[Dict[str, str]]:
-    """Machine-readable rule listing for ``--list-rules``."""
-    entries = []
-    for rule in list(ALL_RULES) + INTERPROC_RULES:
+    """Machine-readable rule listing for ``--list-rules``, sorted by id."""
+    entries = [dict(entry) for entry in _OTHER_ENTRIES]
+    for rule in ALL_RULES:
         entries.append({
             "id": rule.rule_id,
-            "severity": rule.severity,
+            "scope": "per-file",
             "title": rule.title,
             "rationale": rule.rationale,
-            "scope": ("whole-program" if getattr(rule, "whole_program", False)
-                      else "per-file"),
-            "witness": getattr(rule, "witness_doc", ""),
+            "witness": "",
         })
-    return entries
+    return sorted(entries, key=lambda entry: entry["id"])

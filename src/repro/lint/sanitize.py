@@ -1,23 +1,19 @@
 """Runtime nondeterminism sanitizer — the dynamic half of sim-lint.
 
 Static rules catch what the AST shows; this module catches what only a
-run shows.  ``python -m repro.lint.sanitize`` performs a smoke run that:
+run shows (it found the one determinism bug the tree ever shipped, the
+``PYTHONHASHSEED``-dependent ``ShardsEstimator._hash``).
+``python -m repro.lint.sanitize`` performs a smoke run that:
 
 1. asserts ``PYTHONHASHSEED`` discipline (set, and not ``random``) so
    hash order is pinned for the process under test;
 2. installs *decision-path guards*: the Algorithm 1 entry points
    (``get_victim``, ``fallback_victim``, ``selection_state``) are wrapped
    to reject unordered containers (``set``/``frozenset``/dict views) at
-   the call boundary — the runtime analogue of static rule DD003;
+   the call boundary, so hash order cannot reach victim selection;
 3. runs a fixed-seed experiment **twice in the same process** and
    compares the two summaries byte-for-byte, which flushes out leaked
    module-global state as well as hash-order dependence.
-
-The CLI additionally runs the *static* whole-program pre-pass (DD011–
-DD014 over the installed ``repro`` tree) before spending any time on
-the runtime smoke — an interprocedural taint path or await race should
-fail the sanitizer even on a workload too small to trip it dynamically.
-``--no-static`` skips it (the test suite covers it separately).
 
 Exit status: 0 when the smoke run is deterministic and no guard fired;
 1 otherwise.
@@ -37,7 +33,6 @@ __all__ = [
     "decision_guards",
     "hashseed_problem",
     "run_smoke",
-    "run_static_precheck",
     "main",
 ]
 
@@ -170,40 +165,11 @@ def run_smoke(
     return 0
 
 
-def run_static_precheck(out: Callable[[str], None] = print) -> int:
-    """Whole-program static pass over the installed ``repro`` tree.
-
-    Returns 0 when DD011–DD014 report nothing (the same analyzers the
-    ``--interprocedural`` CI gate runs); 1 with the findings printed
-    otherwise.  Static findings fail fast: no point timing a runtime
-    smoke around a taint path the call graph already proves.
-    """
-    from pathlib import Path
-
-    import repro
-
-    from .analysis import analyze_paths
-    from .engine import format_findings_text
-
-    package_root = Path(repro.__file__).resolve().parent
-    report = analyze_paths([package_root])
-    for note in report.notes:
-        out(f"sanitize: note: {note}")
-    if report.findings:
-        out(format_findings_text(report.findings))
-        out(f"sanitize: FAIL — {len(report.findings)} whole-program static "
-            f"finding(s); fix or justify-suppress them before smoke-running")
-        return 1
-    out("sanitize: static interprocedural pre-pass clean (DD011–DD014)")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint.sanitize",
-        description="runtime nondeterminism sanitizer (static whole-program "
-                    "pre-pass, then a guarded double-run smoke with "
-                    "PYTHONHASHSEED discipline)",
+        description="runtime nondeterminism sanitizer (a guarded double-run "
+                    "smoke with PYTHONHASHSEED discipline)",
     )
     parser.add_argument("--experiment", default="caching_modes",
                         help="experiment to smoke-run (default: caching_modes)")
@@ -213,13 +179,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="fixed seed for both rounds (default: 42)")
     parser.add_argument("--no-hashseed-check", action="store_true",
                         help="skip the PYTHONHASHSEED discipline assertion")
-    parser.add_argument("--no-static", action="store_true",
-                        help="skip the static interprocedural pre-pass")
     args = parser.parse_args(argv)
-    if not args.no_static:
-        status = run_static_precheck()
-        if status:
-            return status
     return run_smoke(
         experiment=args.experiment,
         scale=args.scale,

@@ -20,8 +20,9 @@ resident.  Residence order is still FIFO per pool, so Algorithm 1's
 batch eviction behaves exactly as in the paper.
 
 These modules live on the host wall clock by design; sim-lint's DD001
-(wall-clock) and DD007 rules are allowlisted for ``repro/service/``
-(see ``repro.lint.rules.REALTIME_MODULES``).
+(wall-clock) rule is allowlisted for ``repro/service/``, which is
+instead the scope of DD012 (no read-modify-write of shared state across
+an ``await``) — see ``repro.lint.rules.REALTIME_MODULES``.
 """
 
 from .cache import ServiceCache, SetStatus

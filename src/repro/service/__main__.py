@@ -160,7 +160,7 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The ops stream opens here, outside the event loop: file I/O in the
-    # sync entry point, never inside an async def (sim-lint DD010).
+    # sync entry point, never inside an async def.
     ops_stream = open(args.ops_log, "a") if args.ops_log else None
     try:
         asyncio.run(_run(args, ops_stream))

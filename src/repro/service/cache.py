@@ -193,7 +193,7 @@ class ServiceCache:
         old_id = self._ids.get((tenant, key))
         controller = pool.admission
         if controller is not None and not controller.admit(
-                (tenant, key), self._clock()):
+                (tenant, key), self._clock(), blocks):
             pool.stats.put_rejected_admission += 1
             if old_id is not None:
                 self._forget(old_id)

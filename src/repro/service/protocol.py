@@ -19,7 +19,10 @@ error — the partial command is simply discarded.
 
 from __future__ import annotations
 
-# dd-lint: disable-file=DD010 (ServiceCache/DiskStore calls are bounded sub-ms blob+SQLite ops at memcached entry sizes; a thread offload costs more than it buys — see the svc_tcp_* workloads of `python3 -m bench run`)
+# The handlers call ServiceCache/DiskStore synchronously on the event
+# loop: those are bounded sub-ms blob+SQLite ops at memcached entry
+# sizes, and a thread offload costs more than it buys — see the
+# svc_tcp_* workloads of `python3 -m bench run`.
 
 import asyncio
 import time
@@ -35,6 +38,8 @@ DEFAULT_TENANT = "default"
 MAX_VALUE_BYTES = 1 << 20
 
 _CRLF = b"\r\n"
+#: Read size while discarding the body of an oversized ``set``.
+_DRAIN_CHUNK_BYTES = 64 * 1024
 
 #: Commands with dedicated span names; anything else is ``cmd.unknown``
 #: so a hostile client cannot balloon the tracer's span-name table.
@@ -196,17 +201,27 @@ class MemcacheProtocol:
                 writer, b"CLIENT_ERROR bad command line format\r\n",
                 error=True, suppress=noreply)
 
+        oversized = nbytes > self.max_value_bytes
         try:
-            body = await reader.readexactly(nbytes + 2)
+            if oversized:
+                # Never buffer what will be refused: consume the declared
+                # body in bounded chunks so the stream stays in sync.
+                remaining = nbytes + 2
+                while remaining:
+                    chunk = min(remaining, _DRAIN_CHUNK_BYTES)
+                    await reader.readexactly(chunk)
+                    remaining -= chunk
+            else:
+                body = await reader.readexactly(nbytes + 2)
         except (asyncio.IncompleteReadError, ConnectionError):
             return False  # abrupt disconnect mid-body: discard quietly
+        if oversized:
+            return await self._reply(
+                writer, b"SERVER_ERROR object too large for cache\r\n",
+                error=True, suppress=noreply)
         if not body.endswith(_CRLF):
             return await self._reply(
                 writer, b"CLIENT_ERROR bad data chunk\r\n",
-                error=True, suppress=noreply)
-        if nbytes > self.max_value_bytes:
-            return await self._reply(
-                writer, b"SERVER_ERROR object too large for cache\r\n",
                 error=True, suppress=noreply)
 
         t0 = time.perf_counter_ns()

@@ -1,9 +1,9 @@
-"""Allowlist fixture: wall-clock reads and broad handlers are *correct*
-in ``repro/service/`` modules, which live on real time and real sockets.
+"""Allowlist fixture: wall-clock reads are *correct* in ``repro/service/``
+modules, which live on real time and real sockets.
 
-Every construct below fires DD001 or DD007 elsewhere in ``repro/``
-(see ``dd001_wall_clock.py`` and ``dd007_swallowed_errors.py``); here
-the ``REALTIME_MODULES`` allowlist must keep the file clean.
+Every construct below fires DD001 elsewhere in ``repro/`` (see
+``dd001_wall_clock.py``); here the ``REALTIME_MODULES`` allowlist must
+keep the file clean.
 """
 
 import time
@@ -13,10 +13,3 @@ def measure_latency() -> int:
     started = time.perf_counter_ns()   # allowed: real service latency
     _ = time.monotonic()               # allowed: admission clock
     return time.perf_counter_ns() - started
-
-
-def serve_one(handler) -> None:
-    try:
-        handler()
-    except Exception:  # allowed: a server must outlive bad clients
-        pass

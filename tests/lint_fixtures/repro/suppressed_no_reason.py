@@ -1,7 +1,7 @@
-"""Suppression fixture: pragma without justification -> DD000 warning.
+"""Suppression fixture: pragma without justification -> DD000.
 
-The DD001 finding itself is silenced, but strict mode still fails the
-file because the suppression carries no reason.
+The DD001 finding itself is silenced, but the file still fails because
+the suppression carries no reason.
 """
 
 import time

@@ -1,85 +1,64 @@
-"""sim-lint suite: every DD rule fires on its fixture, suppressions and
-formats round-trip, the shipped tree is clean, and the runtime sanitizer
-guards/hashseed discipline behave."""
+"""sim-lint suite: the fixture corpus fires exactly the catalog,
+suppressions and formats round-trip, the shipped tree is clean, and the
+runtime sanitizer guards/hashseed discipline behave."""
 
+import contextlib
+import io
 import json
+import tempfile
 import unittest
+from collections import Counter
 from pathlib import Path
 
 from repro.core import victim
 from repro.lint import ALL_RULES, Finding, lint_file, lint_paths, rule_catalog
 from repro.lint.__main__ import main as lint_main
-from repro.lint.engine import exit_code, format_findings_json, iter_python_files
-from repro.lint.typed import TYPED_CORE_MODULES, run_mypy
+from repro.lint.engine import format_findings_json, iter_python_files
 from repro.lint import sanitize
 
 REPO = Path(__file__).resolve().parent.parent
-FIXTURES = REPO / "tests" / "lint_fixtures" / "repro"
+FIXTURE_ROOT = REPO / "tests" / "lint_fixtures"
+FIXTURES = FIXTURE_ROOT / "repro"
 
 
 def lint_fixture(name):
     return lint_paths([FIXTURES / name], ALL_RULES, root=REPO)
 
 
+def run_cli(argv):
+    """``(exit status, parsed JSON report)`` of one ``--format json`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        status = lint_main([*argv, "--format", "json"])
+    return status, json.loads(out.getvalue())
+
+
 class RuleFiringTests(unittest.TestCase):
-    """Each rule must fire on its known-bad snippet — exact counts, so a
-    rule that silently widens or narrows breaks the suite."""
-
-    CASES = [
-        ("dd001_wall_clock.py", "DD001", 4),
-        ("dd002_unseeded_random.py", "DD002", 3),
-        ("dd003_unordered_iteration.py", "DD003", 5),
-        ("dd004_float_drift.py", "DD004", 3),
-        ("dd005_mutable_default.py", "DD005", 3),
-        ("dd006_unguarded_tracer.py", "DD006", 2),
-        ("dd007_swallowed_errors.py", "DD007", 3),
-        ("dd008_ledger_bypass.py", "DD008", 3),
-        ("core/dd009_linear_list_ops.py", "DD009", 5),
-        ("service/dd010_blocking_async.py", "DD010", 4),
-        ("core/victim.py", "TC001", 2),
-        ("core/engine.py", "TC001", 2),
-    ]
-
     def test_every_rule_fires_on_its_fixture(self):
-        for name, rule_id, expected in self.CASES:
-            with self.subTest(rule=rule_id):
-                findings = lint_fixture(name)
-                hits = [f for f in findings if f.rule_id == rule_id]
-                self.assertEqual(
-                    len(hits), expected,
-                    f"{rule_id} fired {len(hits)}x on {name}, expected "
-                    f"{expected}: {[f.message for f in findings]}")
-                # The fixture must not trip unrelated rules.
-                others = [f for f in findings
-                          if f.rule_id not in (rule_id, "DD000")]
-                self.assertEqual(others, [], f"unexpected findings in {name}")
-
-    def test_dd003_keys_iteration_is_a_warning(self):
-        findings = lint_fixture("dd003_unordered_iteration.py")
-        keys_findings = [f for f in findings if "dict.keys()" in f.message]
-        self.assertEqual(len(keys_findings), 1)
-        self.assertEqual(keys_findings[0].severity, "warning")
-        set_findings = [f for f in findings
-                        if f.rule_id == "DD003" and f is not keys_findings[0]]
-        self.assertTrue(all(f.severity == "error" for f in set_findings))
+        # Exact counts, so a rule that silently widens or narrows breaks
+        # the suite.
+        status, report = run_cli([str(FIXTURE_ROOT)])
+        self.assertEqual(status, 1)
+        fired = Counter((f["rule"], Path(f["path"]).name)
+                        for f in report["findings"])
+        self.assertEqual(dict(fired), {
+            ("DD000", "suppressed_no_reason.py"): 1,
+            ("DD001", "dd001_wall_clock.py"): 4,
+            ("DD002", "dd002_unseeded_random.py"): 3,
+            ("DD012", "racy.py"): 3,
+            ("DD014", "stats.py"): 1,
+        })
 
     def test_every_catalogued_rule_has_a_firing_case(self):
-        # Per-file rules fire via CASES above; whole-program rules
-        # (scope "whole-program") fire via the interproc fixture corpus,
-        # pinned to exact counts in tests/test_lint_analysis.py.
-        from repro.lint.analysis import WHOLE_PROGRAM_RULE_IDS
-
-        covered = {rule_id for _, rule_id, _ in self.CASES}
-        per_file = {entry["id"] for entry in rule_catalog()
-                    if entry["scope"] == "per-file"}
-        whole_program = {entry["id"] for entry in rule_catalog()
-                         if entry["scope"] == "whole-program"}
-        self.assertEqual(per_file, covered)
-        self.assertEqual(whole_program, set(WHOLE_PROGRAM_RULE_IDS))
+        _, report = run_cli([str(FIXTURE_ROOT)])
+        fired = sorted({f["rule"] for f in report["findings"]})
+        self.assertEqual(fired, ["DD000", "DD001", "DD002", "DD012", "DD014"])
+        self.assertEqual(fired, [entry["id"] for entry in rule_catalog()])
 
     def test_realtime_service_modules_are_allowlisted(self):
-        # Wall-clock reads and broad handlers that fire DD001/DD007
-        # anywhere else in repro/ are clean under service/.
+        # Wall-clock reads that fire DD001 anywhere else in repro/ are
+        # clean under service/.
         findings = lint_fixture("service/realtime_clean.py")
         self.assertEqual(findings, [], [f.message for f in findings])
 
@@ -89,33 +68,6 @@ class RuleFiringTests(unittest.TestCase):
         findings = lint_fixture("dd001_wall_clock.py")
         self.assertEqual(
             sum(1 for f in findings if f.rule_id == "DD001"), 4)
-        findings = lint_fixture("dd007_swallowed_errors.py")
-        self.assertEqual(
-            sum(1 for f in findings if f.rule_id == "DD007"), 3)
-
-    def test_dd010_is_scoped_to_realtime_modules(self):
-        # The same blocking constructs outside service/ and obs/live.py
-        # are not DD010's business — simulated code has no event loop
-        # (DD001 polices its clock reads instead).
-        import shutil
-        import tempfile
-
-        src = FIXTURES / "service" / "dd010_blocking_async.py"
-        with tempfile.TemporaryDirectory() as tmp:
-            elsewhere = Path(tmp) / "repro" / "core" / "blocking.py"
-            elsewhere.parent.mkdir(parents=True)
-            shutil.copy(src, elsewhere)
-            findings = lint_paths([elsewhere], ALL_RULES, root=Path(tmp))
-        self.assertEqual(
-            [f for f in findings if f.rule_id == "DD010"], [])
-
-    def test_typed_core_gate_covers_policy_engine(self):
-        self.assertIn("core/engine.py", TYPED_CORE_MODULES)
-
-    def test_fixture_dir_fails_strict_lint(self):
-        findings = lint_paths([FIXTURES], ALL_RULES, root=REPO)
-        self.assertEqual(exit_code(findings, strict=True), 1)
-        self.assertEqual(exit_code(findings, strict=False), 1)
 
 
 class SuppressionTests(unittest.TestCase):
@@ -124,18 +76,15 @@ class SuppressionTests(unittest.TestCase):
         self.assertEqual(findings, [],
                          [f.message for f in findings])
 
-    def test_unjustified_suppression_is_dd000_and_fails_strict_only(self):
+    def test_unjustified_suppression_is_dd000_and_fails(self):
         findings = lint_fixture("suppressed_no_reason.py")
         self.assertEqual([f.rule_id for f in findings], ["DD000"])
-        self.assertEqual(findings[0].severity, "warning")
         # The DD001 finding itself stayed suppressed.
         self.assertNotIn("DD001", {f.rule_id for f in findings})
-        self.assertEqual(exit_code(findings, strict=False), 0)
-        self.assertEqual(exit_code(findings, strict=True), 1)
+        status, _ = run_cli([str(FIXTURES / "suppressed_no_reason.py")])
+        self.assertEqual(status, 1)
 
     def test_unknown_rule_in_pragma_is_flagged(self):
-        import tempfile
-
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "snippet.py"
             path.write_text(
@@ -154,48 +103,30 @@ class SuppressionTests(unittest.TestCase):
 
 class FormatAndCliTests(unittest.TestCase):
     def test_json_round_trip(self):
-        findings = lint_fixture("dd004_float_drift.py")
-        payload = json.loads(format_findings_json(findings, strict=True))
-        self.assertEqual(payload["version"], 1)
-        self.assertTrue(payload["strict"])
-        self.assertEqual(payload["counts"]["total"], len(findings))
-        self.assertEqual(payload["counts"]["errors"],
-                         sum(1 for f in findings if f.severity == "error"))
+        findings = lint_fixture("dd001_wall_clock.py")
+        payload = json.loads(format_findings_json(findings))
+        self.assertEqual(payload["version"], 2)
+        self.assertEqual(payload["count"], len(findings))
         rebuilt = [Finding.from_dict(item) for item in payload["findings"]]
         self.assertEqual(rebuilt, list(findings))
 
     def test_cli_json_output_parses(self):
-        import contextlib
-        import io
-
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            status = lint_main([str(FIXTURES / "dd001_wall_clock.py"),
-                                "--format", "json"])
+        status, payload = run_cli([str(FIXTURES / "dd001_wall_clock.py")])
         self.assertEqual(status, 1)
-        payload = json.loads(buffer.getvalue())
-        self.assertEqual(payload["counts"]["errors"], 4)
+        self.assertEqual(payload["count"], 4)
         self.assertTrue(all(f["rule"] == "DD001"
                             for f in payload["findings"]))
 
     def test_cli_rule_filter(self):
-        import contextlib
-        import io
-
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            status = lint_main([str(FIXTURES), "--rule", "DD005",
-                                "--format", "json"])
-        self.assertEqual(status, 1)
-        payload = json.loads(buffer.getvalue())
-        self.assertTrue(payload["findings"])
-        self.assertTrue(all(f["rule"] == "DD005"
-                            for f in payload["findings"]))
+        for rule_id in ("DD002", "DD012"):
+            with self.subTest(rule=rule_id):
+                status, payload = run_cli(
+                    [str(FIXTURE_ROOT), "--rule", rule_id])
+                self.assertEqual(status, 1)
+                self.assertEqual({f["rule"] for f in payload["findings"]},
+                                 {rule_id})
 
     def test_cli_unknown_rule_exits_2(self):
-        import contextlib
-        import io
-
         with self.assertRaises(SystemExit) as caught:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -203,24 +134,20 @@ class FormatAndCliTests(unittest.TestCase):
         self.assertEqual(caught.exception.code, 2)
 
     def test_cli_list_rules(self):
-        import contextlib
-        import io
-
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             status = lint_main(["--list-rules"])
         self.assertEqual(status, 0)
-        for rule in ALL_RULES:
-            self.assertIn(rule.rule_id, buffer.getvalue())
+        listed = [line.split()[0] for line in buffer.getvalue().splitlines()
+                  if line.startswith("DD")]
+        self.assertEqual(listed, ["DD000", "DD001", "DD002", "DD012", "DD014"])
 
-    def test_shipped_tree_is_strict_clean(self):
+    def test_shipped_tree_is_clean(self):
         # The acceptance gate: the repository's own src/ and tests/ lint
-        # clean under --strict (fixtures are pruned from the walk).
-        findings = lint_paths([REPO / "src", REPO / "tests"], ALL_RULES,
-                              root=REPO)
-        self.assertEqual(findings, [],
-                         "\n".join(f"{f.path}:{f.line}: {f.rule_id} "
-                                   f"{f.message}" for f in findings))
+        # clean under every rule (fixtures are pruned from the walk).
+        status, report = run_cli([str(REPO / "src"), str(REPO / "tests")])
+        self.assertEqual(report["findings"], [])
+        self.assertEqual(status, 0)
 
     def test_walk_prunes_fixtures_and_caches(self):
         files = list(iter_python_files([REPO / "tests"]))
@@ -229,26 +156,6 @@ class FormatAndCliTests(unittest.TestCase):
         self.assertFalse([p for p in files if "__pycache__" in str(p)])
         # Deterministic walk order.
         self.assertEqual(files, sorted(files))
-
-
-class TypedCoreGateTests(unittest.TestCase):
-    def test_shipped_typed_core_modules_pass_tc001(self):
-        src = REPO / "src" / "repro"
-        for tail in TYPED_CORE_MODULES:
-            with self.subTest(module=tail):
-                findings = lint_paths([src / tail], ALL_RULES, root=REPO)
-                self.assertEqual(
-                    [f for f in findings if f.rule_id == "TC001"], [])
-
-    def test_run_mypy_skips_cleanly_when_absent(self):
-        import shutil
-
-        code, output = run_mypy()
-        if shutil.which("mypy") is None:
-            self.assertEqual(code, 0)
-            self.assertIn("not installed", output)
-        else:
-            self.assertEqual(code, 0, output)
 
 
 class SanitizerTests(unittest.TestCase):

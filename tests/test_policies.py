@@ -246,7 +246,7 @@ class TestBalloonController:
         web.start(filey, ctx.streams)
         controller = BalloonController(ctx.env, [anon, filey],
                                        interval_s=30.0, step_mb=64.0)
-        ctx.run(until=300)
+        ctx.run(until=90)  # both moves land by the t=60 tick
         assert controller.moves > 0
         # The swapping container's limit grew; the donor's shrank.
         block_mb = vm.block_bytes / (1 << 20)

@@ -120,15 +120,56 @@ class BasicProtocolTests(ServerHarness):
 class EdgeCaseTests(ServerHarness):
     async def test_oversized_value_is_consumed_and_rejected(self):
         reader, writer = await self.connect()
-        huge = b"z" * (self.max_value_bytes + 1)
+        huge = b"z" * (3 * 64 * 1024 + 1)  # several drain chunks
         writer.write(b"set big 0 0 %d\r\n" % len(huge) + huge + b"\r\n")
-        # The stream must stay in sync: the next command still works.
+        # The stream must stay in sync: the next commands still work.
         writer.write(b"set small 0 0 2\r\nok\r\n")
+        writer.write(b"get small\r\n")
         await writer.drain()
         self.assertEqual(await reader.readline(),
                          b"SERVER_ERROR object too large for cache\r\n")
         self.assertEqual(await reader.readline(), b"STORED\r\n")
+        self.assertEqual(await self.read_get(reader), {"small": (0, b"ok")})
         writer.close()
+
+    async def test_oversized_body_is_never_buffered(self):
+        # A client may *declare* a gigabyte; the server must discard it
+        # in bounded reads instead of asking the stream for all of it.
+        declared = 1 << 30
+        sizes = []
+
+        class Reader:
+            def __init__(self):
+                self.lines = [b"set big 0 0 %d\r\n" % declared]
+
+            async def readline(self):
+                return self.lines.pop(0) if self.lines else b""
+
+            async def readexactly(self, n):
+                sizes.append(n)
+                return b""
+
+        class Writer:
+            sent = b""
+
+            def write(self, data):
+                self.sent += data
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        writer = Writer()
+        await self.server.protocol.handle(Reader(), writer)
+        self.assertEqual(writer.sent,
+                         b"SERVER_ERROR object too large for cache\r\n")
+        self.assertEqual(sum(sizes), declared + 2)
+        self.assertLessEqual(max(sizes), 64 * 1024)
 
     async def test_noreply_suppresses_responses(self):
         reader, writer = await self.connect()
@@ -156,10 +197,13 @@ class EdgeCaseTests(ServerHarness):
         writer.close()
 
     async def test_abrupt_disconnect_mid_body_discards_quietly(self):
-        reader, writer = await self.connect()
-        writer.write(b"set torn 0 0 100\r\nonly-a-fragment")
-        await writer.drain()
-        writer.close()  # vanish with 85 bytes outstanding
+        # Once mid-body of a storable value, once mid-drain of an
+        # oversized one.
+        for declared in (100, 100 * self.max_value_bytes):
+            reader, writer = await self.connect()
+            writer.write(b"set torn 0 0 %d\r\nonly-a-fragment" % declared)
+            await writer.drain()
+            writer.close()  # vanish with the rest outstanding
         await asyncio.sleep(0.05)
         # The server neither stored the fragment nor counted an error,
         # and keeps serving fresh connections.
@@ -433,6 +477,23 @@ class AdmissionTests(ServerHarness):
                              reopened.stats()["_host"]["entries"])
         finally:
             reopened.close()
+
+
+    async def test_write_throttle_charges_every_block_of_an_entry(self):
+        # At a frozen clock the 64 MiB burst buys exactly 64 one-MiB
+        # values — not 16 383, which is what one block per entry admits.
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ServiceCache(
+                DiskStore(tmp, sync_writes=False), capacity_mb=4.0,
+                admission="write_throttle", clock=lambda: 0.0)
+            try:
+                value = b"x" * (1 << 20)
+                statuses = [cache.set("default", f"k{i}", value)
+                            for i in range(65)]
+            finally:
+                cache.close()
+        self.assertEqual(
+            statuses, [SetStatus.STORED] * 64 + [SetStatus.NOT_STORED])
 
 
 class CapacityRefusalTests(ServerHarness):
