@@ -1,170 +1,128 @@
-"""Fixed-seed perf smoke: fingerprint goldens + wall-time regression gate.
+"""Fixed-seed fingerprint goldens for all nine experiments.
 
-CI's perf-smoke job runs this in check mode (no arguments).  It executes
-two smoke scenarios and asserts each against the committed record in
-``BENCH_core.json``:
+CI's perf-smoke job runs this in check mode (no arguments).  It runs
+every experiment in ``repro.experiments.ALL_EXPERIMENTS`` once at
+``scale=0.02, seed=42`` and asserts the SHA-256 of the run's summary
+table against the committed record in ``BENCH_core.json``.  Any drift
+in simulated results fails the job; this is the cross-machine
+complement to the sanitizer's same-process double run.  Wall time is
+not gated here — ``python3 -m bench`` is the ruler for speed.
 
-* ``perf_smoke`` — ``caching_modes`` at ``scale=0.02, seed=42``, the
-  same configuration the runtime sanitizer double-runs (single-host
-  path; its fingerprint also pins the fleet refactor's no-op guarantee);
-* ``fleet_smoke`` — the ``fleet`` experiment at ``scale=0.02, seed=42``
-  with 2 hosts (sharded simulation, lending, live migration).
+* ``perf_smoke`` — ``caching_modes`` at its default span, the same
+  configuration the runtime sanitizer double-runs (single-host path; its
+  fingerprint also pins the fleet refactor's no-op guarantee);
+* ``fleet_smoke`` — the ``fleet`` experiment with 2 hosts (sharded
+  simulation, lending, live migration);
+* ``<experiment>_smoke`` — the other seven, on each constructor's span
+  override so the whole check stays under three minutes on two cores.
 
-For each record two things are checked:
-
-* **Fingerprint** — the SHA-256 of the run's summary table must equal
-  the recorded ``fingerprint_sha256`` exactly.  Any drift in simulated
-  results (not wall time) fails the job; this is the cross-machine
-  complement to the sanitizer's same-process double run.
-* **Wall time** — the run must not take more than ``1 + threshold``
-  times the recorded ``smoke_s`` (default threshold 0.25, override with
-  ``REPRO_SMOKE_MAX_REGRESSION``; set a large value on known-slow
-  runners).  Generous compared to `python3 -m bench`'s ten-seed
-  precision, because a single CI round is noisy — the gate is for
-  order-of-magnitude regressions (an accidental O(n^2) sweep, a debug
-  loop left enabled), not for micro-tuning.
-
-Re-record after an intentional perf or behaviour change::
+Re-record after an intentional behaviour change::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/perf_smoke.py --record
-
-which updates the ``perf_smoke`` and ``fleet_smoke`` sections of
-``BENCH_core.json``.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-from repro.experiments.caching_modes import CachingModesExperiment
-from repro.experiments.fleet import FleetExperiment
+from repro.experiments import ALL_EXPERIMENTS
 
 #: Smoke configuration — matches the runtime sanitizer's double run.
 SCALE = 0.02
 SEED = 42
-FLEET_HOSTS = 2
-
-#: Allowed fractional wall-time regression before the gate fails.
-MAX_REGRESSION = float(os.environ.get("REPRO_SMOKE_MAX_REGRESSION", "0.25"))
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
-
-def _fingerprint(result):
-    summary = result.summary(plots=False)
-    return hashlib.sha256(summary.encode("utf-8")).hexdigest()
-
-
-def run_smoke():
-    """One caching_modes smoke round; returns ``(elapsed_s, sha256)``."""
-    started = time.perf_counter()
-    result = CachingModesExperiment(scale=SCALE, seed=SEED).run()
-    elapsed = time.perf_counter() - started
-    return elapsed, _fingerprint(result)
-
-
-def run_fleet_smoke():
-    """One 2-host fleet smoke round; returns ``(elapsed_s, sha256)``."""
-    started = time.perf_counter()
-    result = FleetExperiment(scale=SCALE, seed=SEED, hosts=FLEET_HOSTS).run()
-    elapsed = time.perf_counter() - started
-    return elapsed, _fingerprint(result)
-
-
-#: Record key -> (runner, descriptive metadata).
-SCENARIOS = {
-    "perf_smoke": (run_smoke, {"experiment": "caching_modes",
-                               "scale": SCALE, "seed": SEED}),
-    "fleet_smoke": (run_fleet_smoke, {"experiment": "fleet",
-                                      "scale": SCALE, "seed": SEED,
-                                      "hosts": FLEET_HOSTS}),
+#: Record key -> (experiment name, constructor overrides).
+SMOKES = {
+    "perf_smoke": ("caching_modes", {}),
+    "fleet_smoke": ("fleet", {"hosts": 2}),
+    "motivation_smoke": ("motivation", {}),
+    "app_behavior_smoke": ("app_behavior",
+                           {"warmup_s": 10.0, "duration_s": 20.0}),
+    "flexible_policy_smoke": ("flexible_policy",
+                              {"warmup_s": 40.0, "duration_s": 60.0}),
+    "cooperative_smoke": ("cooperative",
+                          {"warmup_s": 10.0, "duration_s": 20.0}),
+    "dynamic_containers_smoke": ("dynamic_containers", {"phase_s": 60.0}),
+    "dynamic_vms_smoke": ("dynamic_vms", {"phase_s": 40.0}),
+    "endurance_smoke": ("endurance", {"warmup_s": 30.0, "duration_s": 50.0}),
 }
 
 
+def run_smoke(key):
+    """One smoke round; returns ``(elapsed_s, sha256)``."""
+    name, overrides = SMOKES[key]
+    started = time.perf_counter()
+    result = ALL_EXPERIMENTS[name](scale=SCALE, seed=SEED, **overrides).run()
+    elapsed = time.perf_counter() - started
+    summary = result.summary(plots=False)
+    return elapsed, hashlib.sha256(summary.encode("utf-8")).hexdigest()
+
+
 def record():
-    """Run both smoke scenarios and write the golden records."""
+    """Run every smoke and write the golden records."""
     data = {}
-    if OUT_PATH.exists():
-        data = json.loads(OUT_PATH.read_text())
-    for key, (runner, meta) in SCENARIOS.items():
-        elapsed, digest = runner()
-        data[key] = dict(meta, smoke_s=round(elapsed, 2),
-                         fingerprint_sha256=digest)
+    for key, (name, overrides) in SMOKES.items():
+        elapsed, digest = run_smoke(key)
+        data[key] = dict(experiment=name, scale=SCALE, seed=SEED,
+                         **overrides, fingerprint_sha256=digest)
         print(f"recorded {key}: {elapsed:.2f}s, fingerprint {digest[:16]}…")
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
 
 def check():
-    """Run both smoke scenarios and gate against the committed records."""
+    """Run every smoke and gate against the committed records."""
     if not OUT_PATH.exists():
         print(f"{OUT_PATH} missing; run with --record first", file=sys.stderr)
         return 2
     data = json.loads(OUT_PATH.read_text())
     failures = []
-    for key, (runner, _) in SCENARIOS.items():
+    for key in SMOKES:
         golden = data.get(key)
         if not golden:
             print(f"BENCH_core.json has no {key} record; run --record first",
                   file=sys.stderr)
             return 2
-        elapsed, digest = runner()
-        round_failures = []
-        if digest != golden["fingerprint_sha256"]:
-            round_failures.append(
+        elapsed, digest = run_smoke(key)
+        drifted = digest != golden["fingerprint_sha256"]
+        if drifted:
+            failures.append(
                 f"{key} fingerprint mismatch: simulated results drifted "
                 f"from the committed golden ({digest[:16]}… != "
                 f"{golden['fingerprint_sha256'][:16]}…)"
             )
-        budget = golden["smoke_s"] * (1.0 + MAX_REGRESSION)
-        if elapsed > budget:
-            round_failures.append(
-                f"{key} wall-time regression: {elapsed:.2f}s > {budget:.2f}s "
-                f"(recorded {golden['smoke_s']:.2f}s + {MAX_REGRESSION:.0%})"
-            )
-        status = "FAIL" if round_failures else "ok"
-        print(f"{key} {status}: {elapsed:.2f}s "
-              f"(recorded {golden['smoke_s']:.2f}s), "
+        print(f"{key} {'FAIL' if drifted else 'ok'}: {elapsed:.2f}s, "
               f"fingerprint {digest[:16]}…")
-        failures.extend(round_failures)
     for failure in failures:
         print(f"  {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
-# -- pytest entry point (record shape only; timing gates are CI's) ------
+# -- pytest entry point (record shape only; running them is CI's) -------
 
-def test_perf_smoke_record_is_committed():
-    """The golden record must exist and describe the smoke config."""
+def test_smoke_records_are_committed():
+    """Every golden must exist and describe its smoke configuration."""
     data = json.loads(OUT_PATH.read_text())
-    golden = data["perf_smoke"]
-    assert golden["experiment"] == "caching_modes"
-    assert golden["scale"] == SCALE
-    assert golden["seed"] == SEED
-    assert golden["smoke_s"] > 0
-    assert len(golden["fingerprint_sha256"]) == 64
-
-
-def test_fleet_smoke_record_is_committed():
-    """The fleet golden must exist and describe the smoke config."""
-    data = json.loads(OUT_PATH.read_text())
-    golden = data["fleet_smoke"]
-    assert golden["experiment"] == "fleet"
-    assert golden["scale"] == SCALE
-    assert golden["seed"] == SEED
-    assert golden["hosts"] == FLEET_HOSTS
-    assert golden["smoke_s"] > 0
-    assert len(golden["fingerprint_sha256"]) == 64
+    assert set(data) == set(SMOKES)
+    for key, (name, overrides) in SMOKES.items():
+        golden = data[key]
+        assert golden["experiment"] == name
+        assert golden["scale"] == SCALE
+        assert golden["seed"] == SEED
+        for option, value in overrides.items():
+            assert golden[option] == value
+        assert len(golden["fingerprint_sha256"]) == 64
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true",
-                        help="re-record the golden fingerprints and wall times")
+                        help="re-record the golden fingerprints")
     args = parser.parse_args(argv)
     return record() if args.record else check()
 

@@ -3,9 +3,11 @@
 
 A derivative-cloud provider runs two tenant VMs (weights 70/30) with an
 OLTP database, a fileserver, and a bursty webserver that only boots
-mid-run.  At T=300 s the provider demotes the fileserver to the SSD store
-to make room for the web burst — all declared as data, no experiment
-class needed.
+mid-run.  The second tenant's VM itself boots at T=120 s (until then the
+first one is entitled to the whole cache).  At T=300 s the provider
+demotes the fileserver to the SSD store to make room for the web burst —
+all declared as data, no experiment class needed; the paper's own
+experiments are built the same way.
 
 Run:  python examples/custom_scenario.py
 """
@@ -20,7 +22,10 @@ def main() -> None:
         .cache("doubledecker", mem_mb=768, ssd_mb=32768)
         .vm("tenant-a", memory_mb=2048, vcpus=4, weight=70,
             readahead_blocks=16)
-        .vm("tenant-b", memory_mb=1536, vcpus=2, weight=30)
+        # Boots mid-run; its container follows it.  The VM-level gauge
+        # samples the memory store only, under its own label.
+        .vm("tenant-b", memory_mb=1536, vcpus=2, weight=30, boot_at=120.0,
+            gauges={"tenant-b (mem)": "mem"})
         .container("tenant-a", "oltp-db", 768, policy="mem:60",
                    workload=("oltp", {"datafile_mb": 1536, "threads": 2}))
         .container("tenant-a", "webburst", 512, policy="mem:40",
@@ -38,7 +43,7 @@ def main() -> None:
     print(result.table())
     print()
     print(ascii_plot(result.series, width=72, height=12,
-                     title="hypervisor-cache occupancy per container (MB)"))
+                     title="hypervisor-cache occupancy per container and VM (MB)"))
 
 
 if __name__ == "__main__":

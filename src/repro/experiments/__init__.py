@@ -15,7 +15,7 @@ from .endurance import EnduranceExperiment
 from .fleet import FleetExperiment
 from .flexible import FlexiblePolicyExperiment
 from .motivation import MotivationExperiment
-from .runner import Experiment, ExperimentResult, OccupancySampler, measure_window
+from .runner import Experiment, ExperimentResult, OccupancySampler
 from .scenarios import Scenario, ScenarioResult
 
 ALL_EXPERIMENTS = {
@@ -46,5 +46,4 @@ __all__ = [
     "OccupancySampler",
     "Scenario",
     "ScenarioResult",
-    "measure_window",
 ]

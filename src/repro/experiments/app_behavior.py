@@ -14,17 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig
-from ..hypervisor import HostSpec
-from ..workloads import (
-    MongoWorkload,
-    MySQLWorkload,
-    RedisWorkload,
-    WebserverWorkload,
-    Workload,
-)
-from .runner import Experiment, ExperimentResult, measure_window
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["AppBehaviorExperiment", "SPLITS"]
 
@@ -56,19 +47,18 @@ class AppBehaviorExperiment(Experiment):
 
     # -- workload factory -------------------------------------------------------
 
-    def _make_workload(self, app: str) -> Workload:
+    def _make_workload(self, app: str) -> Tuple[str, dict]:
         if app == "webserver":
-            return WebserverWorkload(
-                nfiles=self.count(14000), mean_size_kb=128.0, threads=2
-            )
+            return app, dict(
+                nfiles=self.count(14000), mean_size_kb=128.0, threads=2)
         if app == "redis":
-            return RedisWorkload(nrecords=self.count(1_800_000), record_kb=1.0,
-                                 threads=2)
+            return app, dict(nrecords=self.count(1_800_000), record_kb=1.0,
+                             threads=2)
         if app == "mongodb":
-            return MongoWorkload(nrecords=self.count(3_000_000), record_kb=1.0,
-                                 threads=2)
+            return app, dict(nrecords=self.count(3_000_000), record_kb=1.0,
+                             threads=2)
         if app == "mysql":
-            return MySQLWorkload(
+            return app, dict(
                 nrecords=self.count(2_000_000),
                 record_kb=1.0,
                 buffer_pool_mb=self.mb(1024.0),
@@ -77,24 +67,19 @@ class AppBehaviorExperiment(Experiment):
         raise ValueError(f"unknown app {app!r}")
 
     def _run_cell(self, app: str, vm_gb: float, cache_gb: float) -> dict:
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
-        host.install_doubledecker(
-            DDConfig(mem_capacity_mb=max(0.0, self.mb(cache_gb * 1024)))
+        run = (
+            Scenario(seed=self.seed)
+            .cache("doubledecker", mem_mb=max(0.0, self.mb(cache_gb * 1024)))
+            .vm("vm1", memory_mb=self.mb(vm_gb * 1024) + 256, vcpus=4)
+            .container("vm1", app, self.mb(vm_gb * 1024),
+                       "mem:100" if cache_gb > 0 else "none",
+                       self._make_workload(app))
+            .run(self.warmup_s, self.duration_s)
         )
-        vm = host.create_vm(
-            "vm1", memory_mb=self.mb(vm_gb * 1024) + 256, vcpus=4,
-            kernel_reserve_mb=64.0,
-        )
-        policy = CachePolicy.memory(100.0) if cache_gb > 0 else CachePolicy.none()
-        container = vm.create_container(app, self.mb(vm_gb * 1024), policy)
-        workload = self._make_workload(app)
-        workload.start(container, ctx.streams)
-        rates = measure_window(ctx, [workload], self.warmup_s, self.duration_s)
-        out = dict(rates[workload.name])
+        container = run.containers[app]
+        out = run.rates[app]
         out["swap_mb"] = container.swap_out_mb
         out["anon_mb"] = container.anon_mb
-        out["hvcache_mb"] = container.hvcache_mb
         return out
 
     def run_table1_only(self) -> ExperimentResult:

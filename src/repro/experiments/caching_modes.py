@@ -15,16 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig
-from ..hypervisor import HostSpec
-from ..workloads import (
-    VarmailWorkload,
-    VideoserverWorkload,
-    WebproxyWorkload,
-    WebserverWorkload,
-)
-from .runner import Experiment, ExperimentResult, OccupancySampler, measure_window
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["CachingModesExperiment", "MODES"]
 
@@ -54,65 +46,45 @@ class CachingModesExperiment(Experiment):
         # the 4x1 GB containers exceeds the 3 GB cache, creating the
         # paper's contention regime with video as the IO hog.
         return [
-            ("webserver", WebserverWorkload(
+            ("webserver", ("webserver", dict(
                 nfiles=self.count(11500), mean_size_kb=128.0, threads=2,
-                cpu_think_ms=3.0)),
-            ("webproxy", WebproxyWorkload(
-                nfiles=self.count(11000), mean_size_kb=64.0, threads=2)),
-            ("mail", VarmailWorkload(
-                nfiles=self.count(25000), mean_size_kb=32.0, threads=2)),
-            ("videoserver", VideoserverWorkload(
+                cpu_think_ms=3.0))),
+            ("webproxy", ("webproxy", dict(
+                nfiles=self.count(11000), mean_size_kb=64.0, threads=2))),
+            ("mail", ("varmail", dict(
+                nfiles=self.count(25000), mean_size_kb=32.0, threads=2))),
+            ("videoserver", ("videoserver", dict(
                 nvideos=18, video_mb=self.mb(256.0), threads=4,
-                stream_pace_ms=2.0)),
+                stream_pace_ms=2.0))),
         ]
 
     def _run_mode(self, mode: str, result: ExperimentResult) -> Dict[str, dict]:
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
+        scenario = Scenario(seed=self.seed)
+        policy = "mem:25"
         if mode == "Global":
-            cache = host.install_global_cache(
-                capacity_mb=self.mb(3072), per_vm_cap_mb=self.mb(3072)
-            )
-            policies = {name: CachePolicy.memory(25.0) for name in
-                        ("webserver", "webproxy", "mail", "videoserver")}
+            scenario.cache("global", capacity_mb=self.mb(3072),
+                           per_vm_cap_mb=self.mb(3072))
         elif mode == "DDMem":
-            cache = host.install_doubledecker(DDConfig(mem_capacity_mb=self.mb(3072)))
-            policies = {name: CachePolicy.memory(25.0) for name in
-                        ("webserver", "webproxy", "mail", "videoserver")}
+            scenario.cache("doubledecker", mem_mb=self.mb(3072))
         elif mode == "DDSSD":
-            cache = host.install_doubledecker(
-                DDConfig(mem_capacity_mb=0.0, ssd_capacity_mb=self.mb(245760))
-            )
-            policies = {name: CachePolicy.ssd(25.0) for name in
-                        ("webserver", "webproxy", "mail", "videoserver")}
+            scenario.cache("doubledecker", mem_mb=0.0,
+                           ssd_mb=self.mb(245760))
+            policy = "ssd:25"
         else:
             raise ValueError(f"unknown mode {mode!r}")
-
-        vm = host.create_vm("vm1", memory_mb=self.mb(8192), vcpus=8)
-        sampler = OccupancySampler(ctx, interval_s=max(
-            1.0, (self.warmup_s + self.duration_s) / 120))
-        workloads = []
-        containers = {}
+        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
         for name, workload in self._workloads():
-            container = vm.create_container(name, self.mb(1024), policies[name])
-            workload.start(container, ctx.streams)
-            sampler.watch_pool(cache, name, container.pool_id)
-            workloads.append(workload)
-            containers[name] = container
-        sampler.start()
+            scenario.container("vm1", name, self.mb(1024), policy, workload)
+        run = scenario.run(self.warmup_s, self.duration_s, max(
+            1.0, (self.warmup_s + self.duration_s) / 120))
 
-        rates = measure_window(ctx, workloads, self.warmup_s, self.duration_s)
-        for name, series in sampler.series.items():
+        for name, series in run.series.items():
             result.add_series(f"{mode}/{name}", series)
-        out: Dict[str, dict] = {}
-        for workload in workloads:
-            name = workload.name
-            stats = containers[name].cache_stats()
-            cell = dict(rates[name])
+        for name, cell in run.rates.items():
+            stats = run.cache_stats[name]
             cell["hit_ratio_pct"] = 100.0 * stats.hit_ratio if stats else 0.0
             cell["evictions"] = stats.evictions if stats else 0
-            out[name] = cell
-        return out
+        return run.rates
 
     def run(self) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)

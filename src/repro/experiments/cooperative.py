@@ -21,16 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig
-from ..hypervisor import HostSpec
-from ..workloads import (
-    MongoWorkload,
-    MySQLWorkload,
-    RedisWorkload,
-    WebserverWorkload,
-)
-from .runner import Experiment, ExperimentResult, measure_window
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["CooperativeExperiment", "DEFAULT_SLAS", "PARTITION_CANDIDATES"]
 
@@ -79,60 +71,45 @@ class CooperativeExperiment(Experiment):
 
     def _make_workloads(self):
         return {
-            "mongodb": MongoWorkload(nrecords=self.count(3_000_000), threads=2),
-            "mysql": MySQLWorkload(
+            "mongodb": ("mongodb", dict(
+                nrecords=self.count(3_000_000), threads=2)),
+            "mysql": ("mysql", dict(
                 nrecords=self.count(2_000_000),
-                buffer_pool_mb=self.mb(1024.0), threads=2),
-            "redis": RedisWorkload(nrecords=self.count(1_900_000), threads=2),
-            "webserver": WebserverWorkload(
+                buffer_pool_mb=self.mb(1024.0), threads=2)),
+            "redis": ("redis", dict(
+                nrecords=self.count(1_900_000), threads=2)),
+            "webserver": ("webserver", dict(
                 nfiles=self.count(15000), mean_size_kb=128.0, threads=2,
-                cpu_think_ms=3.0),
+                cpu_think_ms=3.0)),
         }
 
     def _run_config(self, technique: str,
                     partition: Tuple[float, ...]) -> Dict[str, dict]:
         """One simulation run; returns per-app rates + memory usage."""
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
         vm_mb = self.mb(6144)
-
-        if technique == "morai":
-            cache = host.install_static_partition(capacity_mb=self.mb(2048))
-        else:
-            cache = host.install_doubledecker(DDConfig(mem_capacity_mb=self.mb(2048)))
-
-        vm = host.create_vm("vm1", memory_mb=vm_mb, vcpus=8)
+        scenario = Scenario(seed=self.seed).vm("vm1", memory_mb=vm_mb, vcpus=8)
         workloads = self._make_workloads()
-        containers = {}
-        for app, weight in zip(APPS, partition):
-            if technique == "morai":
-                # Centralized: the VM is a black box; containers share the
-                # VM memory with no individual limits.
-                limit = vm_mb
-                policy = CachePolicy.memory(100.0)
-            else:
-                limit = self.mb(DD_MEMORY_PLAN_GB[app] * 1024)
-                policy = (CachePolicy.memory(weight) if weight > 0
-                          else CachePolicy.none())
-            container = vm.create_container(app, limit, policy)
-            containers[app] = container
-            if technique == "morai":
-                cache.set_partition(container.pool_id,
-                                    self.mb(2048) * weight / 100.0)
-        for app, workload in workloads.items():
-            workload.start(containers[app], ctx.streams)
+        if technique == "morai":
+            # Centralized: the VM is a black box; containers share the
+            # VM memory with no individual limits.
+            scenario.cache("static", capacity_mb=self.mb(2048))
+            for app, weight in zip(APPS, partition):
+                scenario.container(
+                    "vm1", app, vm_mb, "mem:100", workloads[app],
+                    partition_mb=self.mb(2048) * weight / 100.0)
+        else:
+            scenario.cache("doubledecker", mem_mb=self.mb(2048))
+            for app, weight in zip(APPS, partition):
+                scenario.container(
+                    "vm1", app, self.mb(DD_MEMORY_PLAN_GB[app] * 1024),
+                    f"mem:{weight}" if weight > 0 else "none", workloads[app])
+        run = scenario.run(self.warmup_s, self.duration_s)
 
-        rates = measure_window(
-            ctx, list(workloads.values()), self.warmup_s, self.duration_s
-        )
-        out: Dict[str, dict] = {}
-        for app, workload in workloads.items():
-            container = containers[app]
-            cell = dict(rates[workload.name])
+        for app, cell in run.rates.items():
+            container = run.containers[app]
             cell["app_memory_gb"] = (container.anon_mb + container.file_mb) / 1024.0
             cell["hvcache_gb"] = container.hvcache_mb / 1024.0
-            out[app] = cell
-        return out
+        return run.rates
 
     def _score(self, cells: Dict[str, dict]) -> Tuple[int, float]:
         """(#SLAs met, aggregate throughput) — lexicographic, as in the

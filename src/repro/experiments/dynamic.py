@@ -15,17 +15,10 @@ re-provisioning at both nesting levels:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig, StoreKind
-from ..hypervisor import HostSpec
-from ..workloads import (
-    VideoserverWorkload,
-    WebproxyWorkload,
-    WebserverWorkload,
-)
-from .runner import Experiment, ExperimentResult, OccupancySampler
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["DynamicContainersExperiment", "DynamicVMsExperiment"]
 
@@ -49,62 +42,51 @@ class DynamicContainersExperiment(Experiment):
 
     def run(self) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
-        cache = host.install_doubledecker(DDConfig(
-            mem_capacity_mb=self.mb(1024), ssd_capacity_mb=self.mb(245760)
-        ))
-        vm = host.create_vm("vm1", memory_mb=self.mb(6144), vcpus=8)
-
-        c1 = vm.create_container("container1", self.mb(1024), CachePolicy.memory(60))
-        c2 = vm.create_container("container2", self.mb(1024), CachePolicy.memory(40))
-        w1 = WebserverWorkload(nfiles=self.count(14000), mean_size_kb=128.0,
-                               threads=2, cpu_think_ms=3.0)
-        w2 = WebproxyWorkload(nfiles=self.count(14000), mean_size_kb=64.0, threads=2)
-        w1.start(c1, ctx.streams)
-        w2.start(c2, ctx.streams)
-
-        sampler = OccupancySampler(ctx, interval_s=max(1.0, self.phase_s / 30))
-        sampler.watch_pool(cache, "container1", c1.pool_id, StoreKind.MEMORY)
-        sampler.watch_pool(cache, "container2", c2.pool_id, StoreKind.MEMORY)
-        sampler.start()
-        state: Dict[str, object] = {}
-
-        def orchestrator(env):
+        phase = self.phase_s
+        web = ("webserver", dict(
+            name="webserver", nfiles=self.count(14000), mean_size_kb=128.0,
+            threads=2, cpu_think_ms=3.0))
+        proxy = ("webproxy", dict(
+            name="webproxy", nfiles=self.count(14000), mean_size_kb=64.0,
+            threads=2))
+        video = ("videoserver", dict(
+            name="videoserver", nvideos=12, video_mb=self.mb(256.0),
+            threads=2, stream_pace_ms=2.0))
+        series = (
+            Scenario(seed=self.seed)
+            .cache("doubledecker", mem_mb=self.mb(1024),
+                   ssd_mb=self.mb(245760))
+            .vm("vm1", memory_mb=self.mb(6144), vcpus=8)
+            .container("vm1", "container1", self.mb(1024), "mem:60", web,
+                       gauges={"container1": "mem"})
+            .container("vm1", "container2", self.mb(1024), "mem:40", proxy,
+                       gauges={"container2": "mem"})
             # Phase 2: the videoserver container boots; weights 50/30/20.
-            yield env.timeout(self.phase_s)
-            c3 = vm.create_container("container3", self.mb(1024),
-                                     CachePolicy.memory(20))
-            w3 = VideoserverWorkload(nvideos=12, video_mb=self.mb(256.0),
-                                     threads=2, stream_pace_ms=2.0)
-            w3.start(c3, ctx.streams)
-            state["c3"] = c3
-            sampler.watch_pool(cache, "container3-mem", c3.pool_id,
-                               StoreKind.MEMORY)
-            sampler.watch_pool(cache, "container3-ssd", c3.pool_id,
-                               StoreKind.SSD)
-            c1.set_cache_policy(CachePolicy.memory(50))
-            c2.set_cache_policy(CachePolicy.memory(30))
+            .container("vm1", "container3", self.mb(1024), "mem:20", video,
+                       start_at=phase,
+                       gauges={"container3-mem": "mem",
+                               "container3-ssd": "ssd"})
+            .at(phase, "set_policy", container="container1", policy="mem:50")
+            .at(phase, "set_policy", container="container2", policy="mem:30")
             # Phase 3: video moves to the SSD store; memory back to 60/40.
-            yield env.timeout(self.phase_s)
-            c3.set_cache_policy(CachePolicy.ssd(100))
-            c1.set_cache_policy(CachePolicy.memory(60))
-            c2.set_cache_policy(CachePolicy.memory(40))
-
-        ctx.env.process(orchestrator(ctx.env), name="fig12-orchestrator")
-        ctx.run(until=3 * self.phase_s)
-
-        for label, series in sampler.series.items():
-            result.add_series(f"fig12/{label}", series)
+            .at(2 * phase, "set_policy", container="container3",
+                policy="ssd:100")
+            .at(2 * phase, "set_policy", container="container1",
+                policy="mem:60")
+            .at(2 * phase, "set_policy", container="container2",
+                policy="mem:40")
+            .run(0.0, 3 * phase, max(1.0, phase / 30))
+        ).series
 
         # Phase means capture the redistribution the paper narrates.
         rows: List[List[object]] = []
-        for label, series in sampler.series.items():
+        for label, trace in series.items():
+            result.add_series(f"fig12/{label}", trace)
             rows.append([
                 label,
-                round(series.mean(start=0.5 * self.phase_s, end=self.phase_s)),
-                round(series.mean(start=1.5 * self.phase_s, end=2 * self.phase_s)),
-                round(series.mean(start=2.5 * self.phase_s, end=3 * self.phase_s)),
+                round(trace.mean(start=0.5 * phase, end=phase)),
+                round(trace.mean(start=1.5 * phase, end=2 * phase)),
+                round(trace.mean(start=2.5 * phase, end=3 * phase)),
             ])
         result.add_table(
             "fig12: per-phase mean cache occupancy (MB)",
@@ -136,63 +118,38 @@ class DynamicVMsExperiment(Experiment):
         #: Interval between VM boots (paper: 600 s).
         self.phase_s = phase_s if phase_s is not None else self.secs(600.0)
 
-    def _launch_vm(self, ctx, host, cache, sampler, name: str, weight: float,
-                   policy: CachePolicy):
-        vm = host.create_vm(name, memory_mb=self.mb(4096), vcpus=4,
-                            cache_weight=weight)
-        container = vm.create_container(f"{name}-video", self.mb(1024), policy)
-        workload = VideoserverWorkload(
-            name=f"{name}-video", nvideos=12, video_mb=self.mb(256.0),
-            threads=2, stream_pace_ms=2.0,
-        )
-        workload.start(container, ctx.streams)
-        kind = (StoreKind.SSD if policy.ssd_weight > 0 else StoreKind.MEMORY)
-        sampler.watch_vm(cache, name, vm.vm_id, kind)
-        return vm
-
     def run(self) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
-        cache = host.install_doubledecker(DDConfig(
-            mem_capacity_mb=self.mb(2048), ssd_capacity_mb=self.mb(245760)
-        ))
-        sampler = OccupancySampler(ctx, interval_s=max(1.0, self.phase_s / 20))
-        sampler.start()
-        vms: Dict[str, object] = {}
-
-        vms["vm1"] = self._launch_vm(ctx, host, cache, sampler, "vm1", 100,
-                                     CachePolicy.memory(100))
-
-        def orchestrator(env):
-            yield env.timeout(self.phase_s)
-            vms["vm2"] = self._launch_vm(ctx, host, cache, sampler, "vm2", 40,
-                                         CachePolicy.memory(100))
-            host.set_vm_cache_weight(vms["vm1"], 60)
-            yield env.timeout(self.phase_s)
-            # VM3 is SSD-only: the memory split must stay 60/40.
-            vms["vm3"] = self._launch_vm(ctx, host, cache, sampler, "vm3", 100,
-                                         CachePolicy.ssd(100))
-            yield env.timeout(self.phase_s)
-            vms["vm4"] = self._launch_vm(ctx, host, cache, sampler, "vm4", 25,
-                                         CachePolicy.memory(100))
-            cache.set_capacity(StoreKind.MEMORY, self.mb(4096))
-            host.set_vm_cache_weight(vms["vm1"], 40)
-            host.set_vm_cache_weight(vms["vm2"], 35)
-
-        ctx.env.process(orchestrator(ctx.env), name="fig13-orchestrator")
-        ctx.run(until=4 * self.phase_s)
-
-        for label, series in sampler.series.items():
-            result.add_series(f"fig13/{label}", series)
+        phase = self.phase_s
+        scenario = Scenario(seed=self.seed).cache(
+            "doubledecker", mem_mb=self.mb(2048), ssd_mb=self.mb(245760))
+        # VM3 is SSD-only: the memory split must stay 60/40.
+        boots = [("vm1", 100, "mem"), ("vm2", 40, "mem"),
+                 ("vm3", 100, "ssd"), ("vm4", 25, "mem")]
+        for index, (name, weight, store) in enumerate(boots):
+            scenario.vm(name, memory_mb=self.mb(4096), vcpus=4, weight=weight,
+                        boot_at=index * phase, gauges={name: store})
+            scenario.container(
+                name, f"{name}-video", self.mb(1024), f"{store}:100",
+                ("videoserver", dict(nvideos=12, video_mb=self.mb(256.0),
+                                     threads=2, stream_pace_ms=2.0)),
+                gauges={})
+        series = (
+            scenario
+            .at(phase, "set_vm_weight", vm="vm1", weight=60)
+            .at(3 * phase, "set_capacity", store="mem", mb=self.mb(4096))
+            .at(3 * phase, "set_vm_weight", vm="vm1", weight=40)
+            .at(3 * phase, "set_vm_weight", vm="vm2", weight=35)
+            .run(0.0, 4 * phase, max(1.0, phase / 20))
+        ).series
 
         rows: List[List[object]] = []
-        for label, series in sampler.series.items():
+        for label, trace in series.items():
+            result.add_series(f"fig13/{label}", trace)
             row: List[object] = [label]
-            for phase in range(4):
-                start = (phase + 0.5) * self.phase_s
-                end = (phase + 1) * self.phase_s
-                row.append(round(series.mean(start=start, end=end)))
+            for index in range(4):
+                row.append(round(trace.mean(start=(index + 0.5) * phase,
+                                            end=(index + 1) * phase)))
             rows.append(row)
         result.add_table(
             "fig13: per-phase mean cache occupancy (MB)",

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig
 from ..endurance import ADMISSION_POLICIES, endurance_summary
-from ..hypervisor import HostSpec
 from .caching_modes import CachingModesExperiment
-from .runner import ExperimentResult, measure_window
+from .runner import ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["EnduranceExperiment", "ENDURANCE_SCENARIOS"]
 
@@ -39,54 +37,36 @@ class EnduranceExperiment(CachingModesExperiment):
         "projected flash lifetime."
     )
 
-    def _run_config(
-        self, scenario: str, admission: str, result: ExperimentResult
-    ) -> dict:
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
-        if scenario == "DDSSD":
-            config = DDConfig(
-                mem_capacity_mb=0.0,
-                ssd_capacity_mb=self.mb(245760),
-                admission=admission,
-            )
-            policy = CachePolicy.ssd(25.0)
-        elif scenario == "DDHybrid":
-            config = DDConfig(
-                mem_capacity_mb=self.mb(3072),
-                ssd_capacity_mb=self.mb(245760),
-                trickle_down=True,
-                admission=admission,
-            )
-            policy = CachePolicy.hybrid(25.0, 25.0)
+    def _run_config(self, config: str, admission: str) -> dict:
+        scenario = Scenario(seed=self.seed)
+        if config == "DDSSD":
+            scenario.cache("doubledecker", mem_mb=0.0,
+                           ssd_mb=self.mb(245760), admission=admission)
+            policy = "ssd:25"
+        elif config == "DDHybrid":
+            scenario.cache("doubledecker", mem_mb=self.mb(3072),
+                           ssd_mb=self.mb(245760), trickle_down=True,
+                           admission=admission)
+            policy = "hybrid:25:25"
         else:
-            raise ValueError(f"unknown scenario {scenario!r}")
-        host.install_doubledecker(config)
-
-        vm = host.create_vm("vm1", memory_mb=self.mb(8192), vcpus=8)
-        workloads = []
-        containers = {}
+            raise ValueError(f"unknown scenario {config!r}")
+        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
         for name, workload in self._workloads():
-            container = vm.create_container(name, self.mb(1024), policy)
-            workload.start(container, ctx.streams)
-            workloads.append(workload)
-            containers[name] = container
-
-        rates = measure_window(ctx, workloads, self.warmup_s, self.duration_s)
+            scenario.container("vm1", name, self.mb(1024), policy, workload)
+        run = scenario.run(self.warmup_s, self.duration_s)
 
         gets = hits = ssd_writes = rejected = 0
-        for container in containers.values():
-            stats = container.cache_stats()
+        for stats in run.cache_stats.values():
             gets += stats.gets
             hits += stats.get_hits
             ssd_writes += stats.ssd_writes
             rejected += (
                 stats.put_rejected_admission + stats.trickle_rejected_admission
             )
-        wear = host.ssd.wear
-        cell = endurance_summary(wear, elapsed_s=ctx.now, hits=hits)
+        cell = endurance_summary(run.host.ssd.wear,
+                                 elapsed_s=run.host.env.now, hits=hits)
         cell["hit_ratio_pct"] = 100.0 * hits / gets if gets else 0.0
-        cell["mb_per_s"] = sum(r["mb_per_s"] for r in rates.values())
+        cell["mb_per_s"] = sum(r["mb_per_s"] for r in run.rates.values())
         cell["ssd_writes"] = ssd_writes
         cell["rejected_admission"] = rejected
         return cell
@@ -97,8 +77,7 @@ class EnduranceExperiment(CachingModesExperiment):
         for scenario in ENDURANCE_SCENARIOS:
             for admission in ADMISSION_POLICIES:
                 cells[scenario, admission] = self._run_config(
-                    scenario, admission, result
-                )
+                    scenario, admission)
 
         headers = ["config", "admission", "hit %", "MB/s", "SSD GB written",
                    "WAF", "wear %", "lifetime", "hits/GB", "rejected"]

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..context import SimContext
-from ..core import CachePolicy, DDConfig
-from ..hypervisor import HostSpec
-from ..workloads import (
-    VarmailWorkload,
-    VideoserverWorkload,
-    WebproxyWorkload,
-    WebserverWorkload,
-)
-from .runner import Experiment, ExperimentResult, OccupancySampler, measure_window
+from ..core import CachePolicy
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["FlexiblePolicyExperiment", "POLICY_TABLE"]
 
@@ -80,58 +73,38 @@ class FlexiblePolicyExperiment(Experiment):
 
     def _workloads(self):
         return [
-            ("webserver", WebserverWorkload(
+            ("webserver", ("webserver", dict(
                 nfiles=self.count(13000), mean_size_kb=128.0, threads=2,
-                cpu_think_ms=3.0)),
-            ("webproxy", WebproxyWorkload(
-                nfiles=self.count(13000), mean_size_kb=64.0, threads=2)),
-            ("mail", VarmailWorkload(
-                nfiles=self.count(25000), mean_size_kb=32.0, threads=2)),
-            ("videoserver", VideoserverWorkload(
+                cpu_think_ms=3.0))),
+            ("webproxy", ("webproxy", dict(
+                nfiles=self.count(13000), mean_size_kb=64.0, threads=2))),
+            ("mail", ("varmail", dict(
+                nfiles=self.count(25000), mean_size_kb=32.0, threads=2))),
+            ("videoserver", ("videoserver", dict(
                 nvideos=18, video_mb=self.mb(256.0), threads=4,
-                stream_pace_ms=2.0)),
+                stream_pace_ms=2.0))),
         ]
 
     def _run_mode(self, mode: str, result: ExperimentResult) -> Dict[str, dict]:
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
+        scenario = Scenario(seed=self.seed)
         if mode == "Global":
-            cache = host.install_global_cache(
-                capacity_mb=self.mb(2048), per_vm_cap_mb=self.mb(2048)
-            )
-            policies = {name: CachePolicy.memory(25.0) for name in MEMORY_LIMITS}
+            scenario.cache("global", capacity_mb=self.mb(2048),
+                           per_vm_cap_mb=self.mb(2048))
+            policies = {name: "mem:25" for name in MEMORY_LIMITS}
         else:
             ssd_mb = self.mb(245760) if mode == "DDHybrid" else 0.0
-            cache = host.install_doubledecker(
-                DDConfig(mem_capacity_mb=self.mb(2048), ssd_capacity_mb=ssd_mb)
-            )
+            scenario.cache("doubledecker", mem_mb=self.mb(2048), ssd_mb=ssd_mb)
             policies = POLICY_TABLE[mode]
-
-        vm = host.create_vm("vm1", memory_mb=self.mb(8192), vcpus=8)
-        sampler = OccupancySampler(ctx, interval_s=max(
-            1.0, (self.warmup_s + self.duration_s) / 120))
-        workloads = []
-        containers = {}
+        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
         for name, workload in self._workloads():
-            container = vm.create_container(
-                name, self.mb(MEMORY_LIMITS[name]), policies[name]
-            )
-            workload.start(container, ctx.streams)
-            sampler.watch_pool(cache, name, container.pool_id)
-            workloads.append(workload)
-            containers[name] = container
-        sampler.start()
+            scenario.container("vm1", name, self.mb(MEMORY_LIMITS[name]),
+                               policies[name], workload)
+        run = scenario.run(self.warmup_s, self.duration_s, max(
+            1.0, (self.warmup_s + self.duration_s) / 120))
 
-        rates = measure_window(ctx, workloads, self.warmup_s, self.duration_s)
-        for name, series in sampler.series.items():
+        for name, series in run.series.items():
             result.add_series(f"{mode}/{name}", series)
-        out = {}
-        for workload in workloads:
-            stats = containers[workload.name].cache_stats()
-            cell = dict(rates[workload.name])
-            cell["evictions"] = stats.evictions if stats else 0
-            out[workload.name] = cell
-        return out
+        return run.rates
 
     def run(self) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..context import SimContext
-from ..hypervisor import HostSpec
-from ..workloads import WebserverWorkload
-from .runner import Experiment, ExperimentResult, OccupancySampler
+from .runner import Experiment, ExperimentResult
+from .scenarios import Scenario
 
 __all__ = ["MotivationExperiment"]
 
@@ -36,52 +34,29 @@ class MotivationExperiment(Experiment):
         self.duration_s = duration_s if duration_s is not None else self.secs(800.0)
         self.offset_s = self.secs(200.0)
 
-    # -- scenario plumbing ---------------------------------------------------
-
-    def _build(self, run_c1: bool, run_c2: bool, c2_delay: float = 0.0):
-        ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(HostSpec())
-        cache = host.install_global_cache(
-            capacity_mb=self.mb(1024), per_vm_cap_mb=self.mb(1024)
+    def _run_scenario(self, label: str, result: ExperimentResult,
+                      run_c1: bool, run_c2: bool, c2_delay: float = 0.0) -> Dict[str, float]:
+        scenario = (
+            Scenario(seed=self.seed)
+            .cache("global", capacity_mb=self.mb(1024),
+                   per_vm_cap_mb=self.mb(1024))
+            .vm("vm1", memory_mb=self.mb(2048), vcpus=4)
         )
-        vm = host.create_vm("vm1", memory_mb=self.mb(2048), vcpus=4)
-        containers = {}
-        workloads = {}
-        limit = self.mb(768)
-        sampler = OccupancySampler(ctx, interval_s=max(1.0, self.duration_s / 100))
         specs = [
             ("container1", 2, run_c1, 0.0),
             ("container2", 3, run_c2, c2_delay),
         ]
         for name, threads, enabled, delay in specs:
-            if not enabled:
-                continue
-            container = vm.create_container(name, limit)
-            workload = WebserverWorkload(
-                name=f"web-{name}",
-                nfiles=self.count(14000),
-                mean_size_kb=128.0,
-                threads=threads,
-            )
-            containers[name] = container
-            workloads[name] = workload
-            if delay <= 0:
-                workload.start(container, ctx.streams)
-            else:
-                def starter(env, wl=workload, cont=container, d=delay):
-                    yield env.timeout(d)
-                    wl.start(cont, ctx.streams)
-                ctx.env.process(starter(ctx.env), name=f"start-{name}")
-            sampler.watch_pool(cache, name, container.pool_id)
-        sampler.start()
-        return ctx, sampler, workloads
-
-    def _run_scenario(self, label: str, result: ExperimentResult,
-                      run_c1: bool, run_c2: bool, c2_delay: float = 0.0) -> Dict[str, float]:
-        ctx, sampler, workloads = self._build(run_c1, run_c2, c2_delay)
-        ctx.run(until=self.duration_s)
+            if enabled:
+                scenario.container(
+                    "vm1", name, self.mb(768), workload_at=delay,
+                    workload=("webserver", dict(
+                        name=f"web-{name}", nfiles=self.count(14000),
+                        mean_size_kb=128.0, threads=threads)))
+        run = scenario.run(0.0, self.duration_s,
+                           max(1.0, self.duration_s / 100))
         peaks = {}
-        for name, series in sampler.series.items():
+        for name, series in run.series.items():
             result.add_series(f"{label}/{name}", series)
             half = self.duration_s / 2
             peaks[name] = series.mean(start=half)

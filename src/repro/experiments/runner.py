@@ -1,4 +1,4 @@
-"""Experiment scaffolding: results containers and measurement helpers."""
+"""Experiment scaffolding: results containers and the occupancy sampler."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..context import SimContext
 from ..metrics import TimeSeries, ascii_plot, format_table
-from ..workloads import CounterSnapshot, Workload
 
-__all__ = ["Experiment", "ExperimentResult", "measure_window", "OccupancySampler"]
+__all__ = ["Experiment", "ExperimentResult", "OccupancySampler"]
 
 
 @dataclass
@@ -92,24 +91,6 @@ class Experiment(abc.ABC):
     def secs(self, seconds: float) -> float:
         """Scale a duration (sub-linear so small scales stay meaningful)."""
         return seconds * max(0.25, min(1.0, self.scale))
-
-
-def measure_window(
-    ctx: SimContext,
-    workloads: Sequence[Workload],
-    warmup_s: float,
-    duration_s: float,
-) -> Dict[str, dict]:
-    """Run warm-up then a measurement window; returns per-workload rates."""
-    ctx.run(until=ctx.now + warmup_s)
-    begin: Dict[str, CounterSnapshot] = {
-        workload.name: workload.snapshot() for workload in workloads
-    }
-    ctx.run(until=ctx.now + duration_s)
-    rates: Dict[str, dict] = {}
-    for workload in workloads:
-        rates[workload.name] = workload.snapshot().rates_since(begin[workload.name])
-    return rates
 
 
 class OccupancySampler:

@@ -32,6 +32,7 @@ from ..core import CachePolicy, DDConfig, StoreKind
 from ..hypervisor import HostSpec
 from ..metrics import format_table
 from ..workloads import (
+    CounterSnapshot,
     FileserverWorkload,
     MongoWorkload,
     MySQLWorkload,
@@ -90,6 +91,30 @@ def parse_policy(spec: Union[str, CachePolicy, None]) -> CachePolicy:
     raise ValueError(f"unknown policy kind {kind!r} in {spec!r}")
 
 
+#: Store names accepted by gauges and the ``set_capacity`` event.
+_STORES = {"mem": StoreKind.MEMORY, "ssd": StoreKind.SSD}
+
+#: Event action -> the keyword arguments it takes (all required).
+_EVENT_ARGS = {
+    "set_policy": ("container", "policy"),
+    "set_limit": ("container", "limit_mb"),
+    "set_vm_weight": ("vm", "weight"),
+    "set_capacity": ("store", "mb"),
+}
+
+
+def _parse_gauges(gauges: Mapping[str, Optional[str]],
+                  owner: str) -> Dict[str, Optional[StoreKind]]:
+    """``{label: "mem" | "ssd" | None}`` -> ``{label: StoreKind | None}``."""
+    parsed: Dict[str, Optional[StoreKind]] = {}
+    for label, store in gauges.items():
+        if store is not None and store not in _STORES:
+            raise ValueError(f"unknown store {store!r} for gauge {label!r} "
+                             f"of {owner}; expected 'mem', 'ssd' or None")
+        parsed[label] = _STORES.get(store)
+    return parsed
+
+
 @dataclass
 class _VMSpec:
     name: str
@@ -97,6 +122,8 @@ class _VMSpec:
     vcpus: int
     weight: float
     readahead_blocks: int
+    boot_at: float
+    gauges: Dict[str, Optional[StoreKind]]
 
 
 @dataclass
@@ -108,24 +135,33 @@ class _ContainerSpec:
     workload_type: Optional[str]
     workload_args: Dict[str, Any]
     start_at: float
+    workload_at: float
     partition_mb: Optional[float]
+    gauges: Dict[str, Optional[StoreKind]]
 
 
 @dataclass
 class _Event:
     time: float
-    action: str
+    action: Union[str, Callable]
     kwargs: Dict[str, Any]
 
 
 @dataclass
 class ScenarioResult:
-    """Rates and cache stats for every workload-bearing container."""
+    """Rates and cache stats for every workload-bearing container.
+
+    ``containers`` and ``host`` are the live simulation objects, for
+    readers that need guest-side state (``swap_out_mb``, ``anon_mb``,
+    ``file_mb``) or device state (``host.ssd.wear``) after the run.
+    """
 
     rates: Dict[str, dict]
     cache_stats: Dict[str, Any]
     series: Dict[str, Any]
     duration_s: float
+    containers: Dict[str, Any] = field(default_factory=dict)
+    host: Any = None
 
     def table(self) -> str:
         headers = ["container", "ops/s", "MB/s", "lat (ms)",
@@ -157,7 +193,6 @@ class Scenario:
         self._vms: List[_VMSpec] = []
         self._containers: List[_ContainerSpec] = []
         self._events: List[_Event] = []
-        self._custom_events: List[Tuple[float, Callable]] = []
 
     # -- declaration -----------------------------------------------------------
 
@@ -223,18 +258,37 @@ class Scenario:
         return self
 
     def vm(self, name: str, memory_mb: float, vcpus: int = 4,
-           weight: float = 100.0, readahead_blocks: int = 0) -> "Scenario":
-        self._vms.append(_VMSpec(name, memory_mb, vcpus, weight,
-                                 readahead_blocks))
+           weight: float = 100.0, readahead_blocks: int = 0,
+           boot_at: float = 0.0,
+           gauges: Optional[Mapping[str, Optional[str]]] = None) -> "Scenario":
+        """Add a VM that boots at ``boot_at`` (its containers boot no
+        earlier).  ``gauges`` maps a series label to the store whose
+        per-VM occupancy it samples (``"mem"``, ``"ssd"`` or ``None`` for
+        both); a VM has no gauge by default."""
+        self._vms.append(_VMSpec(
+            name, memory_mb, vcpus, weight, readahead_blocks, boot_at,
+            _parse_gauges(gauges or {}, f"VM {name!r}"),
+        ))
         return self
 
     def container(self, vm: str, name: str, limit_mb: float,
                   policy: Union[str, CachePolicy, None] = None,
                   workload: Optional[Tuple[str, Dict[str, Any]]] = None,
                   start_at: float = 0.0,
-                  partition_mb: Optional[float] = None) -> "Scenario":
-        """Add a container; ``partition_mb`` assigns a hard cap when the
-        scenario runs the ``static`` (Morai-like) cache."""
+                  partition_mb: Optional[float] = None,
+                  workload_at: float = 0.0,
+                  gauges: Optional[Mapping[str, Optional[str]]] = None,
+                  ) -> "Scenario":
+        """Add a container that boots at ``start_at``.
+
+        The workload is named after the container unless its arguments
+        carry a ``"name"`` (its RNG stream is ``workload.<name>``), and
+        starts when the container boots or at ``workload_at`` if that is
+        later.  ``partition_mb`` is the container's hard cap under the
+        ``static`` (Morai-like) cache.  ``gauges`` maps a series label to
+        the store whose pool occupancy it samples; the default is one
+        gauge labelled ``name`` over both stores, ``{}`` disables it.
+        """
         workload_type, workload_args = (None, {})
         if workload is not None:
             workload_type, workload_args = workload
@@ -244,27 +298,73 @@ class Scenario:
             vm=vm, name=name, limit_mb=limit_mb,
             policy=parse_policy(policy),
             workload_type=workload_type,
-            workload_args=dict(workload_args),
+            workload_args={"name": name, **workload_args},
             start_at=start_at,
+            workload_at=workload_at,
             partition_mb=partition_mb,
+            gauges=_parse_gauges({name: None} if gauges is None else gauges,
+                                 f"container {name!r}"),
         ))
         return self
 
     def at(self, time: float, action: Union[str, Callable], **kwargs) -> "Scenario":
         """Schedule an event: ``set_policy`` (container=, policy=),
         ``set_limit`` (container=, limit_mb=), ``set_vm_weight`` (vm=,
-        weight=), ``set_capacity`` (store=, mb=), or a callable receiving
-        the live runtime dict."""
-        if callable(action):
-            self._custom_events.append((time, action))
-            return self
-        if action not in ("set_policy", "set_limit", "set_vm_weight",
-                          "set_capacity"):
+        weight=), ``set_capacity`` (store= ``"mem"`` or ``"ssd"``, mb=),
+        or a callable receiving the live runtime dict.  Events sharing an
+        instant fire in declaration order, after any boot at that instant."""
+        expected = () if callable(action) else _EVENT_ARGS.get(action)
+        if expected is None:
             raise ValueError(f"unknown event action {action!r}")
+        if set(kwargs) != set(expected):
+            raise ValueError(
+                f"event {action!r} at t={time} takes exactly {expected}, "
+                f"got {tuple(sorted(kwargs))}")
+        if action == "set_policy":
+            kwargs["policy"] = parse_policy(kwargs["policy"])
+        if action == "set_capacity" and kwargs["store"] not in _STORES:
+            raise ValueError(
+                f"unknown store {kwargs['store']!r} in set_capacity at "
+                f"t={time}; expected 'mem' or 'ssd'")
         self._events.append(_Event(time, action, kwargs))
         return self
 
     # -- execution ---------------------------------------------------------------
+
+    def _validate(self) -> Dict[str, float]:
+        """Reject declarations that would only fail mid-simulation;
+        returns each container's boot time (never before its VM's)."""
+        if not self._vms:
+            raise ValueError("scenario has no VMs")
+        vm_boot = {spec.name: spec.boot_at for spec in self._vms}
+        container_boot: Dict[str, float] = {}
+        for spec in self._containers:
+            if spec.vm not in vm_boot:
+                raise ValueError(f"container {spec.name!r} references "
+                                 f"unknown VM {spec.vm!r}")
+            if spec.partition_mb is not None and self._cache_kind != "static":
+                raise ValueError(
+                    f"container {spec.name!r} sets partition_mb but the "
+                    f"cache is {self._cache_kind!r}, not 'static'")
+            container_boot[spec.name] = max(spec.start_at, vm_boot[spec.vm])
+        for event in self._events:
+            for kind, boots in (("container", container_boot), ("vm", vm_boot)):
+                target = event.kwargs.get(kind)
+                if target is None:
+                    continue
+                if target not in boots:
+                    raise ValueError(f"event {event.action!r} at t={event.time} "
+                                     f"references unknown {kind} {target!r}")
+                if event.time < boots[target]:
+                    raise ValueError(
+                        f"event {event.action!r} at t={event.time} precedes "
+                        f"the boot of {kind} {target!r} at t={boots[target]}")
+            if (event.action == "set_capacity"
+                    and self._cache_kind != "doubledecker"):
+                raise ValueError(
+                    f"event 'set_capacity' at t={event.time} needs the "
+                    f"'doubledecker' cache, not {self._cache_kind!r}")
+        return container_boot
 
     def _install_cache(self, host):
         kind = self._cache_kind
@@ -288,104 +388,95 @@ class Scenario:
     def run(self, warmup_s: float = 120.0, duration_s: float = 300.0,
             sample_interval_s: float = 10.0) -> ScenarioResult:
         """Build everything, run warm-up + measurement, return results."""
-        if not self._vms:
-            raise ValueError("scenario has no VMs")
+        container_boot = self._validate()
         ctx = SimContext(seed=self.seed)
         host = ctx.create_host(self.host_spec)
         cache = self._install_cache(host)
+        sampler = OccupancySampler(ctx, interval_s=sample_interval_s)
+        vms: Dict[str, Any] = {}
+        containers: Dict[str, Any] = {}
+        workloads: Dict[str, Any] = {}
+        runtime = {"ctx": ctx, "host": host, "cache": cache, "vms": vms,
+                   "containers": containers, "workloads": workloads}
 
-        vms = {}
-        for spec in self._vms:
-            vms[spec.name] = host.create_vm(
+        def schedule(time: float, fn: Callable, arg) -> None:
+            """``fn(arg)`` now if ``time`` has come, else from a process
+            that sleeps until then.  Processes wake in creation order, so
+            same-instant actions keep the order they were set up in."""
+            delay = time - ctx.now
+            if delay <= 0:
+                fn(arg)
+                return
+
+            def sleeper(env):
+                yield env.timeout(delay)
+                fn(arg)
+            ctx.env.process(sleeper(ctx.env), name=f"{fn.__name__}@{time}")
+
+        def watch(register: Callable, gauges, target_id: int) -> None:
+            if self._cache_kind != "none":
+                for label, kind in gauges.items():
+                    register(cache, label, target_id, kind)
+
+        def boot_vm(spec: _VMSpec) -> None:
+            vm = vms[spec.name] = host.create_vm(
                 spec.name, memory_mb=spec.memory_mb, vcpus=spec.vcpus,
                 cache_weight=spec.weight,
                 readahead_blocks=spec.readahead_blocks,
             )
+            watch(sampler.watch_vm, spec.gauges, vm.vm_id)
 
-        sampler = OccupancySampler(ctx, interval_s=sample_interval_s)
-        containers = {}
-        workloads = {}
-
-        def boot_container(spec: _ContainerSpec):
-            vm = vms[spec.vm]
-            container = vm.create_container(spec.name, spec.limit_mb,
-                                            spec.policy)
-            containers[spec.name] = container
-            if spec.partition_mb is not None and hasattr(cache, "set_partition"):
+        def boot_container(spec: _ContainerSpec) -> None:
+            container = containers[spec.name] = vms[spec.vm].create_container(
+                spec.name, spec.limit_mb, spec.policy)
+            if spec.partition_mb is not None:
                 cache.set_partition(container.pool_id, spec.partition_mb)
-            if hasattr(cache, "pool_used_mb"):
-                sampler.watch_pool(cache, spec.name, container.pool_id)
             if spec.workload_type is not None:
-                workload_cls = WORKLOAD_TYPES[spec.workload_type]
-                workload = workload_cls(name=spec.name, **spec.workload_args)
-                workload.start(container, ctx.streams)
-                workloads[spec.name] = workload
+                schedule(spec.workload_at, start_workload, spec)
+            watch(sampler.watch_pool, spec.gauges, container.pool_id)
 
-        for spec in self._containers:
-            if spec.vm not in vms:
-                raise ValueError(f"container {spec.name!r} references "
-                                 f"unknown VM {spec.vm!r}")
-            if spec.start_at <= 0:
-                boot_container(spec)
-            else:
-                def delayed(env, spec=spec):
-                    yield env.timeout(spec.start_at)
-                    boot_container(spec)
-                ctx.env.process(delayed(ctx.env), name=f"boot-{spec.name}")
-        sampler.start()
+        def start_workload(spec: _ContainerSpec) -> None:
+            workload = WORKLOAD_TYPES[spec.workload_type](**spec.workload_args)
+            workload.start(containers[spec.name], ctx.streams)
+            workloads[spec.name] = workload
 
-        runtime = {"ctx": ctx, "host": host, "cache": cache, "vms": vms,
-                   "containers": containers, "workloads": workloads}
-
-        def run_event(event: _Event):
-            if event.action == "set_policy":
-                containers[event.kwargs["container"]].set_cache_policy(
-                    parse_policy(event.kwargs["policy"]))
+        def fire(event: _Event) -> None:
+            kwargs = event.kwargs
+            if callable(event.action):
+                event.action(runtime)
+            elif event.action == "set_policy":
+                containers[kwargs["container"]].set_cache_policy(
+                    kwargs["policy"])
             elif event.action == "set_limit":
-                containers[event.kwargs["container"]].set_memory_limit_mb(
-                    event.kwargs["limit_mb"])
+                containers[kwargs["container"]].set_memory_limit_mb(
+                    kwargs["limit_mb"])
             elif event.action == "set_vm_weight":
-                host.set_vm_cache_weight(vms[event.kwargs["vm"]],
-                                         event.kwargs["weight"])
+                host.set_vm_cache_weight(vms[kwargs["vm"]], kwargs["weight"])
             elif event.action == "set_capacity":
-                store = (StoreKind.SSD if str(event.kwargs["store"]).lower()
-                         == "ssd" else StoreKind.MEMORY)
-                cache.set_capacity(store, event.kwargs["mb"])
+                cache.set_capacity(_STORES[kwargs["store"]], kwargs["mb"])
 
+        for vm_spec in self._vms:
+            schedule(vm_spec.boot_at, boot_vm, vm_spec)
+        for spec in self._containers:
+            schedule(container_boot[spec.name], boot_container, spec)
+        sampler.start()
         for event in self._events:
-            def fire(env, event=event):
-                yield env.timeout(event.time)
-                run_event(event)
-            ctx.env.process(fire(ctx.env), name=f"event@{event.time}")
-        for time_, fn in self._custom_events:
-            def fire_custom(env, time_=time_, fn=fn):
-                yield env.timeout(time_)
-                fn(runtime)
-            ctx.env.process(fire_custom(ctx.env), name=f"custom@{time_}")
+            schedule(event.time, fire, event)
 
-        # Inline measurement (not measure_window): containers may boot
-        # mid-run, so the workload set is only known after warm-up.
+        # The workload set is read after warm-up and again after the
+        # window because containers may boot (or start work) mid-run; a
+        # late one is rated on everything it did against the full window.
         ctx.run(until=ctx.now + warmup_s)
-        warmup_end = ctx.now
+        idle = CounterSnapshot(time=ctx.now, ops=0, bytes_read=0,
+                               bytes_written=0, latency_total=0.0,
+                               latency_count=0)
         begin = {name: w.snapshot() for name, w in workloads.items()}
         ctx.run(until=ctx.now + duration_s)
-        rates: Dict[str, dict] = {}
-        for name, workload in workloads.items():
-            baseline = begin.get(name)
-            if baseline is None:
-                # Booted during the measurement window: rate everything it
-                # did against the full window.
-                from ..workloads import CounterSnapshot
-
-                baseline = CounterSnapshot(
-                    time=warmup_end, ops=0, bytes_read=0, bytes_written=0,
-                    latency_total=0.0, latency_count=0,
-                )
-            rates[name] = workload.snapshot().rates_since(baseline)
+        rates = {name: w.snapshot().rates_since(begin.get(name, idle))
+                 for name, w in workloads.items()}
         cache_stats = {}
         for name, container in containers.items():
-            stats = container.cache_stats()
-            cache_stats[name] = stats
+            cache_stats[name] = container.cache_stats()
             if name in rates:
                 rates[name]["hvcache_mb"] = container.hvcache_mb
         return ScenarioResult(
@@ -393,4 +484,6 @@ class Scenario:
             cache_stats=cache_stats,
             series=dict(sampler.series),
             duration_s=duration_s,
+            containers=containers,
+            host=host,
         )

@@ -13,8 +13,11 @@ mapping it onto that tenant's DD container.  Connections start in the
 Error discipline follows memcached: unknown commands answer ``ERROR``,
 malformed arguments answer ``CLIENT_ERROR``, an oversized body is *fully
 consumed* and answered ``SERVER_ERROR object too large for cache`` so
-the stream stays in sync.  An abrupt disconnect mid-body is not an
-error — the partial command is simply discarded.
+the stream stays in sync; a ``set`` whose key exceeds 250 bytes is
+drained the same way and answered ``CLIENT_ERROR key too long``, and a
+``tenant`` naming one tenant too many answers ``SERVER_ERROR too many
+tenants``.  An abrupt disconnect mid-body is not an error — the partial
+command is simply discarded.
 """
 
 from __future__ import annotations
@@ -30,12 +33,18 @@ from typing import Optional
 
 from .cache import ServiceCache, SetStatus
 
-__all__ = ["MemcacheProtocol", "DEFAULT_TENANT", "MAX_VALUE_BYTES",
-           "parse_stats"]
+__all__ = ["MemcacheProtocol", "DEFAULT_TENANT", "MAX_KEY_BYTES",
+           "MAX_TENANTS", "MAX_VALUE_BYTES", "parse_stats"]
 
 DEFAULT_TENANT = "default"
 #: Stock memcached's default item-size ceiling.
 MAX_VALUE_BYTES = 1 << 20
+#: memcached's key-length ceiling; also applied to tenant names.
+MAX_KEY_BYTES = 250
+#: Distinct tenants one server will create: each is a ``Pool`` plus an
+#: O(pools) entitlement recompute, so names from the wire must not mint
+#: them without bound.
+MAX_TENANTS = 1024
 
 _CRLF = b"\r\n"
 #: Read size while discarding the body of an oversized ``set``.
@@ -165,11 +174,20 @@ class MemcacheProtocol:
             ok = await self._reply(writer, b"VERSION repro-dd/1\r\n")
             return (ok, tenant)
         if command == "tenant":
-            if len(parts) != 2 or not parts[1]:
+            if len(parts) != 2 or len(parts[1].encode()) > MAX_KEY_BYTES:
                 ok = await self._reply(
                     writer, b"CLIENT_ERROR usage: tenant <name>\r\n",
                     error=True)
                 return (ok, tenant)
+            if parts[1] not in self.cache.tenants:
+                if len(self.cache.tenants) >= MAX_TENANTS:
+                    ok = await self._reply(
+                        writer, b"SERVER_ERROR too many tenants\r\n",
+                        error=True)
+                    return (ok, tenant)
+                # Claim the slot now (no await since the check), so
+                # concurrent connections cannot overshoot the cap.
+                self.cache.pool(parts[1])
             ok = await self._reply(writer, b"OK\r\n")
             return (ok, parts[1])
         if command == "quit":
@@ -201,9 +219,10 @@ class MemcacheProtocol:
                 writer, b"CLIENT_ERROR bad command line format\r\n",
                 error=True, suppress=noreply)
 
+        key_too_long = len(key.encode()) > MAX_KEY_BYTES
         oversized = nbytes > self.max_value_bytes
         try:
-            if oversized:
+            if oversized or key_too_long:
                 # Never buffer what will be refused: consume the declared
                 # body in bounded chunks so the stream stays in sync.
                 remaining = nbytes + 2
@@ -215,6 +234,10 @@ class MemcacheProtocol:
                 body = await reader.readexactly(nbytes + 2)
         except (asyncio.IncompleteReadError, ConnectionError):
             return False  # abrupt disconnect mid-body: discard quietly
+        if key_too_long:
+            return await self._reply(
+                writer, b"CLIENT_ERROR key too long\r\n",
+                error=True, suppress=noreply)
         if oversized:
             return await self._reply(
                 writer, b"SERVER_ERROR object too large for cache\r\n",

@@ -32,6 +32,21 @@ class TestDesignIndex:
             assert artifact in design, f"{artifact} missing from DESIGN.md"
 
 
+class TestOneBuildPath:
+    def test_only_scenarios_and_fleet_wire_a_simulation(self):
+        """DESIGN.md promises one build path: every single-host experiment
+        declares a Scenario instead of wiring a host by hand."""
+        wiring = re.compile(
+            r"\b(SimContext|create_host|create_vm|create_container)\(")
+        experiments = REPO / "src" / "repro" / "experiments"
+        offenders = [
+            path.name for path in sorted(experiments.glob("*.py"))
+            if path.name not in ("scenarios.py", "fleet.py")
+            and wiring.search(path.read_text())
+        ]
+        assert offenders == []
+
+
 class TestReadme:
     def test_example_table_matches_directory(self):
         readme = (REPO / "README.md").read_text()

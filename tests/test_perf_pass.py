@@ -185,12 +185,33 @@ class TestBatchEquivalence:
 
 
 class TestParallelRunner:
-    #: The two cheapest experiments at the smallest scale keep the
-    #: determinism check affordable (durations floor at 0.25x, so the
-    #: scale mostly shrinks the working sets).
     SCALE = "0.01"
     ARGS = ["motivation,dynamic_containers", "--scale", SCALE, "--no-plots",
             "--seed", "7", "--json"]
+
+    @pytest.fixture(autouse=True)
+    def short_spans(self, monkeypatch):
+        """These tests are about --jobs/--profile plumbing, and the CLI has
+        no span option, so the registry gets subclasses of the two cheapest
+        experiments that simulate a fraction of the paper's span.  Forked
+        --jobs workers inherit the swap."""
+        from repro.experiments import (
+            ALL_EXPERIMENTS,
+            DynamicContainersExperiment,
+            MotivationExperiment,
+        )
+
+        class ShortMotivation(MotivationExperiment):
+            def __init__(self, scale, seed):
+                super().__init__(scale, seed, duration_s=20.0)
+
+        class ShortDynamicContainers(DynamicContainersExperiment):
+            def __init__(self, scale, seed):
+                super().__init__(scale, seed, phase_s=10.0)
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "motivation", ShortMotivation)
+        monkeypatch.setitem(ALL_EXPERIMENTS, "dynamic_containers",
+                            ShortDynamicContainers)
 
     @pytest.mark.slow
     def test_jobs_output_identical_to_serial(self, tmp_path):

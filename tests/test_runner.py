@@ -1,15 +1,8 @@
 """Unit tests for the experiment runner utilities."""
 
-import pytest
-
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.experiments.runner import (
-    ExperimentResult,
-    OccupancySampler,
-    measure_window,
-)
-from repro.workloads import WebserverWorkload
+from repro.experiments.runner import ExperimentResult, OccupancySampler
 
 
 class TestOccupancySampler:
@@ -62,23 +55,6 @@ class TestOccupancySampler:
         sampler.watch_pool(cache, "late", c.pool_id)
         ctx.run(until=30)
         assert "late" in sampler.series
-
-
-class TestMeasureWindow:
-    def test_rates_over_window_only(self):
-        ctx = SimContext(seed=62)
-        host = ctx.create_host()
-        host.install_doubledecker(DDConfig(mem_capacity_mb=64))
-        vm = host.create_vm("vm1", memory_mb=512)
-        c = vm.create_container("c", 128, CachePolicy.memory(100))
-        workload = WebserverWorkload(nfiles=300, threads=1)
-        workload.start(c, ctx.streams)
-        rates = measure_window(ctx, [workload], warmup_s=10, duration_s=20)
-        assert ctx.now == pytest.approx(30.0)
-        entry = rates[workload.name]
-        assert entry["ops_per_s"] > 0
-        # Sanity: the rate excludes warm-up ops.
-        assert entry["ops_per_s"] * 20 <= workload.counters.ops
 
 
 class TestExperimentResultEdgeCases:

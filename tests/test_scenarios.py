@@ -63,6 +63,49 @@ class TestDeclaration:
         with pytest.raises(ValueError):
             scenario.run(warmup_s=1, duration_s=1)
 
+    def test_set_capacity_unknown_store_rejected(self):
+        # "sdd" used to fall through to the memory store.
+        with pytest.raises(ValueError, match="sdd"):
+            Scenario().at(10, "set_capacity", store="sdd", mb=64)
+
+    def test_event_with_missing_argument_rejected(self):
+        with pytest.raises(ValueError, match="set_policy"):
+            Scenario().at(10, "set_policy", container="web")
+
+    def test_event_on_unknown_container_or_vm_rejected(self):
+        base = Scenario().cache("doubledecker", mem_mb=64).vm("v", 512)
+        base.container("v", "web", 64, policy="mem:100")
+        ran = []
+        base.at(1, lambda runtime: ran.append(runtime))
+        base.at(5, "set_limit", container="wbe", limit_mb=32)
+        with pytest.raises(ValueError, match="wbe"):
+            base.run(warmup_s=10, duration_s=10)
+        assert not ran  # refused before the first event ran
+        other = Scenario().vm("v", 512).at(5, "set_vm_weight", vm="w",
+                                           weight=50)
+        with pytest.raises(ValueError, match="'w'"):
+            other.run(warmup_s=10, duration_s=10)
+
+    def test_event_before_its_target_boots_rejected(self):
+        scenario = (
+            Scenario().cache("doubledecker", mem_mb=64)
+            .vm("v", 512, boot_at=20)
+            .container("v", "web", 64, policy="mem:100")
+            .at(10, "set_policy", container="web", policy="mem:50")
+        )
+        with pytest.raises(ValueError, match="precedes"):
+            scenario.run(warmup_s=10, duration_s=20)
+
+    def test_set_capacity_needs_doubledecker(self):
+        scenario = (Scenario().cache("global", capacity_mb=64).vm("v", 512)
+                    .at(5, "set_capacity", store="mem", mb=128))
+        with pytest.raises(ValueError, match="set_capacity"):
+            scenario.run(warmup_s=10, duration_s=10)
+
+    def test_unknown_gauge_store_rejected(self):
+        with pytest.raises(ValueError, match="disk"):
+            Scenario().vm("v", 512, gauges={"v": "disk"})
+
     def test_registry_covers_all_profiles(self):
         assert {"webserver", "webproxy", "varmail", "videoserver",
                 "fileserver", "oltp", "redis", "mysql",
@@ -168,6 +211,114 @@ class TestExecution:
         scenario.run(warmup_s=8, duration_s=8)
         assert seen["containers"] == ["c"]
 
+    def test_rates_cover_the_measurement_window_only(self):
+        runtime = {}
+        scenario = (
+            Scenario(seed=62)
+            .cache("doubledecker", mem_mb=64)
+            .vm("vm1", memory_mb=512)
+            .container("vm1", "c", 128, policy="mem:100",
+                       workload=("webserver", {"nfiles": 300, "threads": 1}))
+            .at(1, runtime.update)
+        )
+        result = scenario.run(warmup_s=10, duration_s=20)
+        assert runtime["ctx"].now == pytest.approx(30.0)
+        rate = result.rates["c"]["ops_per_s"]
+        assert rate > 0
+        # The rate excludes warm-up ops.
+        assert rate * 20 <= runtime["workloads"]["c"].counters.ops
+
+    def test_vm_booting_mid_run_joins_entitlement_at_boot(self):
+        seen = {}
+
+        def probe(runtime):
+            stats = runtime["containers"]["first"].cache_stats()
+            seen[runtime["ctx"].now] = (sorted(runtime["vms"]),
+                                        stats.mem_entitlement_blocks)
+
+        scenario = (
+            Scenario(seed=5)
+            .cache("doubledecker", mem_mb=64)
+            .vm("vm1", memory_mb=512, weight=100)
+            .vm("vm2", memory_mb=512, weight=100, boot_at=20.0)
+            .container("vm1", "first", 64, policy="mem:100")
+            .container("vm2", "second", 64, policy="mem:100",
+                       workload=("webserver", {"nfiles": 200, "threads": 1}))
+            .at(19.0, probe)
+            .at(20.0, probe)
+        )
+        result = scenario.run(warmup_s=25, duration_s=15)
+        blocks = (64 << 20) // (64 << 10)
+        assert seen[19.0] == (["vm1"], blocks)
+        assert seen[20.0] == (["vm1", "vm2"], blocks // 2)
+        assert result.rates["second"]["ops_per_s"] > 0
+
+    def test_delayed_workload_leaves_gauge_at_zero_until_it_starts(self):
+        scenario = (
+            Scenario(seed=5)
+            .cache("global", capacity_mb=64)
+            .vm("vm1", memory_mb=512)
+            .container("vm1", "late", 32, workload_at=30.0,
+                       workload=("webserver", {"nfiles": 400, "threads": 1}))
+        )
+        result = scenario.run(warmup_s=0, duration_s=60, sample_interval_s=5)
+        series = result.series["late"]
+        assert series.times[0] == 0.0  # the container itself booted at 0
+        before = [v for t, v in zip(series.times, series.values) if t <= 30]
+        assert before and max(before) == 0.0
+        assert series.max() > 0
+        assert result.rates["late"]["ops_per_s"] > 0
+
+    def test_per_store_gauges_split_a_hybrid_pool(self):
+        scenario = (
+            Scenario(seed=5)
+            .cache("doubledecker", mem_mb=8, ssd_mb=256, trickle_down=True)
+            .vm("vm1", memory_mb=512, gauges={"vm-all": None})
+            .container("vm1", "web", 32, policy="hybrid:100:100",
+                       workload=("webserver", {"nfiles": 600, "threads": 1}),
+                       gauges={"web-mem": "mem", "web-ssd": "ssd",
+                               "web-all": None})
+        )
+        result = scenario.run(warmup_s=20, duration_s=40, sample_interval_s=5)
+        assert list(result.series) == ["vm-all", "web-mem", "web-ssd",
+                                       "web-all"]
+        mem, ssd, both, vm = (result.series[label].values for label in
+                              ("web-mem", "web-ssd", "web-all", "vm-all"))
+        assert max(mem) > 0 and max(ssd) > 0
+        assert [m + s for m, s in zip(mem, ssd)] == pytest.approx(both)
+        assert vm == both  # the VM's only container
+
+    def test_named_workload_draws_the_hand_wired_stream(self):
+        from repro import SimContext
+        from repro.core import DDConfig
+        from repro.workloads import WebserverWorkload
+
+        args = {"nfiles": 300, "threads": 1}
+        runtime = {}
+        scenario = (
+            Scenario(seed=9)
+            .cache("doubledecker", mem_mb=64)
+            .vm("vm1", memory_mb=512)
+            .container("vm1", "c", 64, policy="mem:100",
+                       workload=("webserver", {"name": "web-x", **args}))
+            .at(1, runtime.update)
+        )
+        scenario.run(warmup_s=10, duration_s=30)
+
+        ctx = SimContext(seed=9)
+        host = ctx.create_host()
+        host.install_doubledecker(DDConfig(mem_capacity_mb=64))
+        container = host.create_vm("vm1", memory_mb=512).create_container(
+            "c", 64, CachePolicy.memory(100))
+        wired = WebserverWorkload(name="web-x", **args)
+        wired.start(container, ctx.streams)
+        ctx.run(until=40)
+
+        declared = runtime["workloads"]["c"]
+        assert declared.name == "web-x"
+        assert declared.counters.ops == wired.counters.ops
+        assert declared.counters.bytes_read == wired.counters.bytes_read
+
     def test_determinism(self):
         def build():
             return (
@@ -198,7 +349,7 @@ class TestStaticPartitions:
         assert stats.puts_stored > 0
         assert stats.mem_used_blocks <= (16 << 20) // (64 << 10)
 
-    def test_partition_ignored_on_other_caches(self):
+    def test_partition_on_other_caches_rejected(self):
         scenario = (
             Scenario(seed=3)
             .cache("doubledecker", mem_mb=64)
@@ -206,8 +357,8 @@ class TestStaticPartitions:
             .container("vm1", "web", 64, policy="mem:100", partition_mb=16,
                        workload=("webserver", {"nfiles": 300, "threads": 1}))
         )
-        result = scenario.run(warmup_s=10, duration_s=15)
-        assert result.rates["web"]["ops_per_s"] > 0
+        with pytest.raises(ValueError, match="partition_mb"):
+            scenario.run(warmup_s=10, duration_s=15)
 
 
 class TestFromDict:

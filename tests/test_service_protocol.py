@@ -171,6 +171,24 @@ class EdgeCaseTests(ServerHarness):
         self.assertEqual(sum(sizes), declared + 2)
         self.assertLessEqual(max(sizes), 64 * 1024)
 
+    async def test_overlong_key_is_rejected_before_its_body_is_stored(self):
+        reader, writer = await self.connect()
+        key = b"k" * 251
+        writer.write(b"set %s 0 0 2\r\nvv\r\n" % key)
+        # The body was consumed, so the stream is still in sync.
+        writer.write(b"set %s 0 0 2\r\nok\r\n" % key[:250])
+        writer.write(b"get %s\r\n" % key[:250])
+        await writer.drain()
+        self.assertEqual(await reader.readline(),
+                         b"CLIENT_ERROR key too long\r\n")
+        self.assertEqual(await reader.readline(), b"STORED\r\n")
+        self.assertEqual(await self.read_get(reader),
+                         {key[:250].decode(): (0, b"ok")})
+        self.assertEqual([entry.key for entry in
+                          self.cache.store.iter_entries()],
+                         [key[:250].decode()])
+        writer.close()
+
     async def test_noreply_suppresses_responses(self):
         reader, writer = await self.connect()
         writer.write(b"set quiet 0 0 2 noreply\r\nhi\r\n")
@@ -278,6 +296,31 @@ class TenantTests(ServerHarness):
         self.assertEqual(
             {self.cache.tenants["alice"].pool_id,
              self.cache.tenants["bob"].pool_id}.__len__(), 2)
+        writer.close()
+
+    async def test_tenant_count_is_capped(self):
+        from unittest import mock
+
+        from repro.service import protocol
+
+        reader, writer = await self.connect()
+        with mock.patch.object(protocol, "MAX_TENANTS", 3):
+            for index in range(3):
+                self.assertEqual(
+                    await self.command(reader, writer,
+                                       b"tenant t%d\r\n" % index),
+                    b"OK\r\n")
+            self.assertEqual(
+                await self.command(reader, writer, b"tenant t3\r\n"),
+                b"SERVER_ERROR too many tenants\r\n")
+            # Refused: no pool was minted and the connection stays where
+            # it was; an existing tenant is still reachable.
+            self.assertEqual(sorted(self.cache.tenants), ["t0", "t1", "t2"])
+            await self.command(reader, writer, b"set k 0 0 1\r\nx\r\n")
+            self.assertEqual(self.cache.store.tenant_bytes(), {"t2": 1})
+            self.assertEqual(
+                await self.command(reader, writer, b"tenant t0\r\n"),
+                b"OK\r\n")
         writer.close()
 
     async def test_flush_all_scopes_to_connection_tenant(self):
