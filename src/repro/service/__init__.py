@@ -3,8 +3,8 @@
 The simulator proves the policy; this package runs it.  Three layers:
 
 * :class:`~repro.service.store.DiskStore` — a crash-safe, process-safe,
-  pure-Python persistent value store (SQLite metadata + one blob file
-  per entry, in the python-diskcache mold).
+  pure-Python persistent value store (one SQLite row per entry, small
+  values inline, large ones as blob files — the python-diskcache mold).
 * :class:`~repro.service.cache.ServiceCache` — drives the same
   :class:`~repro.core.engine.PolicyEngine` the simulator uses: one DD
   container (pool) per tenant, Algorithm-1 victim selection, the

@@ -83,9 +83,9 @@ class ServiceCache:
         self._vm_id = self.engine.register_vm("service", weight=100.0)
         #: tenant name -> its DD container.
         self.tenants: Dict[str, Pool] = {}
-        #: entry id (inode) -> (tenant, key, blocks, size)
-        self._entries: Dict[int, Tuple[str, str, int, int]] = {}
-        #: (tenant, key) -> entry id
+        #: entry id (inode) -> (tenant, key, blocks, size, flags)
+        self._entries: Dict[int, Tuple[str, str, int, int, int]] = {}
+        #: (tenant, key) -> entry id; the truth, the store is only told.
         self._ids: Dict[Tuple[str, str], int] = {}
         self.used_blocks = 0
         self._recover()
@@ -107,7 +107,7 @@ class ServiceCache:
             for block in range(blocks):
                 pool.insert(entry.entry_id, block, _SSD)
             self._entries[entry.entry_id] = (
-                entry.tenant, entry.key, blocks, entry.size)
+                entry.tenant, entry.key, blocks, entry.size, entry.flags)
             self._ids[(entry.tenant, entry.key)] = entry.entry_id
             self.used_blocks += blocks
 
@@ -170,16 +170,16 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return None
-        found = self.store.get(tenant, key)
-        if found is None:
-            # Store and metadata disagree — heal the metadata side.
-            self._forget(entry_id)
+        entry = self._entries[entry_id]
+        value = self.store.get(entry_id, entry[3])
+        if value is None:
+            # The value vanished behind the store's back — heal to a miss.
+            self.store.delete_entry(entry_id, self._forget(entry_id)[3])
             return None
         pool.stats.get_hits += 1
-        return found
+        return value, entry[4], entry_id
 
-    def _set(self, tenant: str, key: str, value: bytes,
-             flags: int = 0) -> str:
+    def _set(self, tenant: str, key: str, value: bytes, flags: int) -> str:
         pool = self.pool(tenant)
         pool.stats.puts += 1
         blocks = self._blocks_of(len(value))
@@ -196,27 +196,26 @@ class ServiceCache:
                 (tenant, key), self._clock(), blocks):
             pool.stats.put_rejected_admission += 1
             if old_id is not None:
-                self._forget(old_id)
-                self.store.delete_entry(old_id)
+                self.store.delete_entry(old_id, self._forget(old_id)[3])
             return SetStatus.NOT_STORED
 
         # Replace-in-place: retire the old copy's blocks first so the
-        # eviction pass below sees true occupancy.  Its store row stays
-        # until DiskStore.set replaces it atomically, or the refusal
-        # below deletes it.
+        # eviction pass below sees true occupancy.  Its row stays until
+        # DiskStore.set replaces it atomically, or the refusal deletes it.
+        old = None
         if old_id is not None:
-            self._forget(old_id)
+            old = (old_id, self._forget(old_id)[3])
 
         if not self._make_room(blocks):
             pool.stats.put_rejected_capacity += 1
-            if old_id is not None:
-                self.store.delete_entry(old_id)
+            if old is not None:
+                self.store.delete_entry(*old)
             return SetStatus.NOT_STORED
 
-        entry_id = self.store.set(tenant, key, value, flags)
+        entry_id = self.store.set(tenant, key, value, flags, old)
         for block in range(blocks):
             pool.insert(entry_id, block, _SSD)
-        self._entries[entry_id] = (tenant, key, blocks, len(value))
+        self._entries[entry_id] = (tenant, key, blocks, len(value), flags)
         self._ids[(tenant, key)] = entry_id
         self.used_blocks += blocks
         pool.stats.puts_stored += 1
@@ -229,24 +228,20 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return False
-        blocks = self._entries[entry_id][2]
-        self._forget(entry_id)
-        self.store.delete_entry(entry_id)
+        _, _, blocks, size, _ = self._forget(entry_id)
+        self.store.delete_entry(entry_id, size)
         pool.stats.flushes += blocks
         return True
 
     def flush_all(self, tenant: Optional[str] = None) -> int:
-        """Drop every entry of one tenant (or of all); returns entries
-        dropped."""
-        victims = [
-            entry_id for entry_id, entry in sorted(self._entries.items())
-            if tenant is None or entry[0] == tenant
-        ]
-        for entry_id in victims:
-            owner, _, blocks, _ = self._entries[entry_id]
-            self._forget(entry_id)
-            self.store.delete_entry(entry_id)
+        """Drop every entry of one tenant (or of all); returns the count."""
+        victims = [(entry_id, entry[3])
+                   for entry_id, entry in self._entries.items()
+                   if tenant is None or entry[0] == tenant]
+        for entry_id, _ in victims:
+            owner, _, blocks, _, _ = self._forget(entry_id)
             self.tenants[owner].stats.flushes += blocks
+        self.store.delete_entries(victims)
         return len(victims)
 
     # -- eviction -------------------------------------------------------
@@ -275,35 +270,37 @@ class ServiceCache:
         return True
 
     def _evict_batch(self, pool: Pool, blocks_needed: int) -> int:
-        """FIFO-evict whole entries from ``pool`` up to one batch."""
+        """FIFO-evict whole entries from ``pool`` up to one batch; the
+        store retires them with one statement."""
         freed = 0
+        victims = []
         while (freed < self._eviction_batch
                and self.used_blocks + blocks_needed > self.capacity_blocks):
             oldest = pool.pop_oldest(_SSD)
             if oldest is None:
                 break
             entry_id = oldest[0]
-            tenant, key, blocks, _ = self._entries.pop(entry_id)
-            # pop_oldest removed one block; drop the entry's remainder.
-            pool.remove_inode(entry_id)
-            del self._ids[(tenant, key)]
-            self.used_blocks -= blocks
-            self.store.delete_entry(entry_id)
+            # pop_oldest removed one block; _forget drops the remainder.
+            tenant, _, blocks, size, _ = self._forget(entry_id)
+            victims.append((entry_id, size))
             pool.stats.evictions += blocks
             freed += blocks
             if self._tracer is not None:
                 self._tracer.instant(
                     "service.evict", self._tracer.now(), vm=self._vm_id,
                     pool=pool.pool_id, tenant=tenant, blocks=blocks)
+        if victims:
+            self.store.delete_entries(victims)
         return freed
 
-    def _forget(self, entry_id: int) -> None:
-        """Drop an entry's pool/index metadata (store row handled by
-        the caller, or replaced atomically by ``DiskStore.set``)."""
-        tenant, key, blocks, _ = self._entries.pop(entry_id)
-        self.tenants[tenant].remove_inode(entry_id)
-        del self._ids[(tenant, key)]
-        self.used_blocks -= blocks
+    def _forget(self, entry_id: int) -> Tuple[str, str, int, int, int]:
+        """Drop and return an entry's pool/index metadata (the caller
+        deletes its row, or ``DiskStore.set`` replaces it atomically)."""
+        entry = self._entries.pop(entry_id)
+        self.tenants[entry[0]].remove_inode(entry_id)
+        del self._ids[(entry[0], entry[1])]
+        self.used_blocks -= entry[2]
+        return entry
 
     # -- introspection --------------------------------------------------
 

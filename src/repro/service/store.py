@@ -1,26 +1,33 @@
-"""Disk-backed value store: SQLite metadata + one blob file per entry.
+"""Disk-backed value store: SQLite is the recovery log, not the index.
 
-The layout follows python-diskcache (SNIPPETS.md 1–2): a small SQLite
-database holds the metadata rows and the values live as individual files
-next to it, so large bodies never travel through the SQL layer.  The
-write protocol makes every state crash-recoverable without a journal of
-its own:
+The layout follows python-diskcache (SNIPPETS.md 1–2): one SQLite row
+per entry; a value of at most :data:`INLINE_BYTES` lives in the row's
+``value`` column, a larger one in ``data/<id>.val`` so big bodies never
+travel through the SQL layer.  The store is never asked *whether* a key
+exists: :class:`~repro.service.cache.ServiceCache`'s index is the truth
+while the process runs and addresses entries by id; the table is what
+:meth:`iter_entries` rebuilds that index from after a restart.  A
+``set`` is two steps:
 
-1. ``INSERT`` the row with ``ready = 0`` and commit — the id allocated
-   here names the blob file, so filenames need no randomness.
-2. Write the blob to its final path, flush, ``fsync``.
-3. ``UPDATE ... SET ready = 1`` and commit.
+1. Take a fresh id and, for a large value, write ``<id>.val`` (flush,
+   ``fsync``).  Nothing references the id yet, so the path is private:
+   no temporary name, no rename.
+2. Commit **one** ``INSERT OR REPLACE`` carrying the id.  The ``UNIQUE
+   (tenant, key)`` conflict retires an overwritten row in the same
+   atomic statement; its blob is unlinked afterwards.
 
-A crash between any two steps leaves either a ``ready = 0`` row (swept
-at :meth:`recover`, its half-written blob unlinked) or a committed row
-whose blob is already durable.  Deletion commits the row removal first
-and unlinks after, so a crash can only leave an orphan blob — also swept
-at recovery.  SQLite runs in WAL mode, giving readers-and-one-writer
-process safety across server restarts and concurrent tools.
+A row therefore exists only if its value is durable.  Deletion is one
+``DELETE`` — one for a whole eviction batch or flush — and then the
+unlinks.  A crash before step 2, or between a committed ``DELETE`` or
+replace and its unlinks, leaves blobs no row references, and only
+those; :meth:`recover` sweeps them.  SQLite runs in WAL mode, every
+statement its own commit.
 
-Entry ids are monotonically increasing and never reused, so iterating
-rows in id order at recovery rebuilds the FIFO residence order the
-eviction policy depends on.
+Entry ids strictly increase and are never reused, across restarts too:
+they are leased :data:`_LEASE` at a time, the lease's high-water mark
+commits before any id under it is used, and a reopened store starts
+above it whatever was deleted since.  So a ``gets`` cas token never
+comes to name another value, and id order is FIFO residence order.
 """
 
 from __future__ import annotations
@@ -28,28 +35,37 @@ from __future__ import annotations
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import (Callable, Dict, Iterator, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-__all__ = ["DiskStore", "StoredEntry"]
+__all__ = ["DiskStore", "StoredEntry", "INLINE_BYTES", "LAYOUT_VERSION"]
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS entries (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
+#: Values up to this size are stored in their row, larger ones as files.
+INLINE_BYTES = 1024
+#: ``PRAGMA user_version`` of this layout (the pre-inline one never set it).
+LAYOUT_VERSION = 2
+_LEASE = 1024  # ids per committed high-water mark: one UPDATE per 1024 sets
+
+_SCHEMA = f"""
+BEGIN;
+CREATE TABLE entries (
+    id INTEGER PRIMARY KEY,
     tenant TEXT NOT NULL,
     key TEXT NOT NULL,
-    flags INTEGER NOT NULL DEFAULT 0,
+    flags INTEGER NOT NULL,
     size INTEGER NOT NULL,
-    ready INTEGER NOT NULL DEFAULT 0,
+    value BLOB,
     UNIQUE (tenant, key)
 );
+CREATE TABLE lease (high_water INTEGER NOT NULL);
+INSERT INTO lease VALUES (0);
+PRAGMA user_version = {LAYOUT_VERSION};
+COMMIT;
 """
 
 
-@dataclass(frozen=True)
-class StoredEntry:
+class StoredEntry(NamedTuple):
     """Metadata of one committed value, as recovery iterates them."""
-
     entry_id: int
     tenant: str
     key: str
@@ -58,7 +74,8 @@ class StoredEntry:
 
 
 class DiskStore:
-    """Crash-safe persistent ``(tenant, key) -> bytes`` store."""
+    """Crash-safe persistent store of ``(tenant, key, flags, value)``
+    entries addressed by id."""
 
     def __init__(self, directory: str, sync_writes: bool = True) -> None:
         self.directory = os.path.abspath(directory)
@@ -67,14 +84,24 @@ class DiskStore:
         self._sync_writes = sync_writes
         self._db = sqlite3.connect(
             os.path.join(self.directory, "meta.db"),
-            isolation_level=None,  # explicit BEGIN/COMMIT below
+            isolation_level=None,  # autocommit: one statement, one commit
             check_same_thread=False,
         )
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute(
             "PRAGMA synchronous=" + ("FULL" if sync_writes else "NORMAL"))
-        self._db.execute(_SCHEMA)
-        self.recovered_rows = 0
+        found = self._db.execute("PRAGMA user_version").fetchone()[0]
+        if not self._db.execute(
+                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
+            self._db.executescript(_SCHEMA)
+        elif found != LAYOUT_VERSION:
+            self._db.close()
+            raise RuntimeError(
+                f"{self.directory} holds store layout version {found}; this "
+                f"build reads and writes version {LAYOUT_VERSION} only and does "
+                "not migrate: serve it with the build that wrote it")
+        self._next_id = self._leased = self._db.execute(
+            "SELECT high_water FROM lease").fetchone()[0] + 1
         self.recovered_orphans = 0
         #: Optional I/O timing hook, ``probe(op, t0_ns, t1_ns, nbytes)``,
         #: called once per data-path op with ``time.monotonic_ns`` stamps
@@ -83,131 +110,113 @@ class DiskStore:
         self.probe: Optional[Callable[[str, int, int, int], None]] = None
         self.recover()
 
-    # -- recovery -------------------------------------------------------
-
     def recover(self) -> None:
-        """Sweep the debris a crash can leave: half-written rows first
-        (with their blobs), then blobs no committed row references."""
-        cur = self._db.execute("SELECT id FROM entries WHERE ready = 0")
-        pending = [row[0] for row in cur.fetchall()]
-        for entry_id in pending:
-            self._db.execute("BEGIN IMMEDIATE")
-            self._db.execute("DELETE FROM entries WHERE id = ?", (entry_id,))
-            self._db.execute("COMMIT")
-            self._unlink_quietly(self._blob_path(entry_id))
-        self.recovered_rows += len(pending)
-
-        live = {row[0] for row in
-                self._db.execute("SELECT id FROM entries").fetchall()}
+        """Sweep the only debris a crash can leave: blobs no row uses."""
+        live = {row[0] for row in self._db.execute(
+            "SELECT id FROM entries WHERE value IS NULL").fetchall()}
         for name in sorted(os.listdir(self._data_dir)):
             stem, _, ext = name.partition(".")
-            if ext != "val" or not stem.isdigit():
-                continue
-            if int(stem) not in live:
-                self._unlink_quietly(os.path.join(self._data_dir, name))
+            if ext == "val" and stem.isdigit() and int(stem) not in live:
+                os.unlink(os.path.join(self._data_dir, name))
                 self.recovered_orphans += 1
 
     # -- data path ------------------------------------------------------
 
-    def set(self, tenant: str, key: str, value: bytes,
-            flags: int = 0) -> int:
-        """Store ``value``; returns the new entry id.
-
-        Replacing an existing key deletes the old row in the same
-        transaction that inserts the new one, so no crash point can show
-        two committed values for one key.
-        """
+    def set(self, tenant: str, key: str, value: bytes, flags: int = 0,
+            replaces: Optional[Tuple[int, int]] = None) -> int:
+        """Store ``value`` under a fresh id and return the id.
+        ``replaces`` is the ``(id, size)`` the caller's index holds for
+        this key, if any: that row goes in the statement that commits
+        the new one, so no crash point shows two values for a key, or
+        none."""
         if self.probe is None:
-            return self._set(tenant, key, value, flags)
+            return self._set(tenant, key, value, flags, replaces)
         return self._probed("set", len(value), self._set,
-                            tenant, key, value, flags)
+                            tenant, key, value, flags, replaces)
 
-    def _set(self, tenant: str, key: str, value: bytes,
-             flags: int = 0) -> int:
-        old = self._row_of(tenant, key)
-        self._db.execute("BEGIN IMMEDIATE")
-        if old is not None:
-            self._db.execute("DELETE FROM entries WHERE id = ?", (old[0],))
-        cur = self._db.execute(
-            "INSERT INTO entries (tenant, key, flags, size, ready) "
-            "VALUES (?, ?, ?, ?, 0)",
-            (tenant, key, flags, len(value)))
-        entry_id = cur.lastrowid
-        assert entry_id is not None
-        self._db.execute("COMMIT")
-
-        path = self._blob_path(entry_id)
-        with open(path, "wb") as blob:
-            blob.write(value)
-            blob.flush()
-            if self._sync_writes:
-                os.fsync(blob.fileno())
-
-        self._db.execute("BEGIN IMMEDIATE")
+    def _set(self, tenant, key, value, flags, replaces) -> int:
+        entry_id = self._next_id
+        if entry_id == self._leased:
+            self._leased += _LEASE
+            self._db.execute("UPDATE lease SET high_water = ?",
+                             (self._leased - 1,))
+        self._next_id += 1
+        inline = len(value) <= INLINE_BYTES
+        if not inline:
+            with open(self._blob_path(entry_id), "wb") as blob:
+                blob.write(value)
+                if self._sync_writes:
+                    blob.flush()
+                    os.fsync(blob.fileno())
         self._db.execute(
-            "UPDATE entries SET ready = 1 WHERE id = ?", (entry_id,))
-        self._db.execute("COMMIT")
-        if old is not None:
-            self._unlink_quietly(self._blob_path(old[0]))
+            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?)",
+            (entry_id, tenant, key, flags, len(value),
+             value if inline else None))
+        if replaces is not None:
+            self._unlink_blobs((replaces,))
         return entry_id
 
-    def get(self, tenant: str, key: str) -> Optional[Tuple[bytes, int, int]]:
-        """``(value, flags, entry_id)`` of a committed key, else ``None``."""
+    def get(self, entry_id: int, size: int) -> Optional[bytes]:
+        """The value of a committed entry of ``size`` bytes (``None`` if
+        its row or blob has vanished behind the store's back)."""
         if self.probe is None:
-            return self._get(tenant, key)
-        return self._probed("get", None, self._get, tenant, key)
+            return self._get(entry_id, size)
+        return self._probed("get", None, self._get, entry_id, size)
 
-    def _get(self, tenant: str, key: str) -> Optional[Tuple[bytes, int, int]]:
-        row = self._row_of(tenant, key, ready_only=True)
-        if row is None:
-            return None
-        entry_id, flags = row
+    def _get(self, entry_id: int, size: int) -> Optional[bytes]:
+        if size <= INLINE_BYTES:
+            row = self._db.execute("SELECT value FROM entries WHERE id = ?",
+                                   (entry_id,)).fetchone()
+            return row[0] if row is not None else None
         try:
             with open(self._blob_path(entry_id), "rb") as blob:
-                return (blob.read(), flags, entry_id)
+                return blob.read()
         except FileNotFoundError:
-            # Cannot happen under the write protocol; self-heal anyway.
-            self.delete_entry(entry_id)
             return None
 
-    def delete_entry(self, entry_id: int) -> None:
-        """Delete one entry by id (the evictor's path).
-
-        Row removal commits before the unlink: a crash in between leaves
-        an orphan blob for :meth:`recover`, never a row without a blob.
-        """
+    def delete_entry(self, entry_id: int, size: int) -> None:
+        """Delete one entry.  The row removal commits before the unlink:
+        a crash in between leaves an orphan blob, never a blobless row."""
         if self.probe is None:
-            return self._delete_entry(entry_id)
-        self._probed("delete", 0, self._delete_entry, entry_id)
+            return self._delete_entry(entry_id, size)
+        self._probed("delete", 0, self._delete_entry, entry_id, size)
 
-    def _delete_entry(self, entry_id: int) -> None:
-        self._db.execute("BEGIN IMMEDIATE")
+    def _delete_entry(self, entry_id: int, size: int) -> None:
         self._db.execute("DELETE FROM entries WHERE id = ?", (entry_id,))
-        self._db.execute("COMMIT")
-        self._unlink_quietly(self._blob_path(entry_id))
+        self._unlink_blobs(((entry_id, size),))
+
+    def delete_entries(self, victims: Sequence[Tuple[int, int]]) -> None:
+        """Delete ``(id, size)`` entries — an eviction batch, a flush —
+        with one statement and one unlink sweep (same crash rule)."""
+        if self.probe is None:
+            return self._delete_entries(victims)
+        self._probed("delete", 0, self._delete_entries, victims)
+
+    def _delete_entries(self, victims: Sequence[Tuple[int, int]]) -> None:
+        for start in range(0, len(victims), 10_000):  # SQL length limit
+            ids = ",".join(str(entry_id) for entry_id, _
+                           in victims[start:start + 10_000])
+            self._db.execute(f"DELETE FROM entries WHERE id IN ({ids})")
+        self._unlink_blobs(victims)
 
     # -- accounting / recovery iteration --------------------------------
 
     def iter_entries(self) -> Iterator[StoredEntry]:
         """Committed entries in id order — FIFO residence order."""
         cur = self._db.execute(
-            "SELECT id, tenant, key, flags, size FROM entries "
-            "WHERE ready = 1 ORDER BY id")
-        for entry_id, tenant, key, flags, size in cur.fetchall():
-            yield StoredEntry(entry_id, tenant, key, flags, size)
+            "SELECT id, tenant, key, flags, size FROM entries ORDER BY id")
+        return map(StoredEntry._make, cur.fetchall())
 
     def tenant_bytes(self) -> Dict[str, int]:
         """Per-tenant committed bytes (size accounting)."""
         cur = self._db.execute(
-            "SELECT tenant, COALESCE(SUM(size), 0) FROM entries "
-            "WHERE ready = 1 GROUP BY tenant ORDER BY tenant")
+            "SELECT tenant, SUM(size) FROM entries "
+            "GROUP BY tenant ORDER BY tenant")
         return {tenant: total for tenant, total in cur.fetchall()}
 
     def count(self) -> int:
         """Number of committed entries."""
-        cur = self._db.execute(
-            "SELECT COUNT(*) FROM entries WHERE ready = 1")
-        return int(cur.fetchone()[0])
+        return self._db.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def close(self) -> None:
         self._db.close()
@@ -221,24 +230,17 @@ class DiskStore:
         result = impl(*args)
         t1 = time.monotonic_ns()
         if nbytes is None:
-            nbytes = len(result[0]) if result is not None else 0
+            nbytes = len(result) if result is not None else 0
         self.probe(op, t0, t1, nbytes)
         return result
 
     def _blob_path(self, entry_id: int) -> str:
         return os.path.join(self._data_dir, f"{entry_id}.val")
 
-    def _row_of(self, tenant: str, key: str,
-                ready_only: bool = False) -> Optional[Tuple[int, int]]:
-        sql = "SELECT id, flags FROM entries WHERE tenant = ? AND key = ?"
-        if ready_only:
-            sql += " AND ready = 1"
-        row = self._db.execute(sql, (tenant, key)).fetchone()
-        return (row[0], row[1]) if row is not None else None
-
-    @staticmethod
-    def _unlink_quietly(path: str) -> None:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
+    def _unlink_blobs(self, entries: Sequence[Tuple[int, int]]) -> None:
+        for entry_id, size in entries:
+            if size > INLINE_BYTES:
+                try:
+                    os.unlink(self._blob_path(entry_id))
+                except FileNotFoundError:
+                    pass
