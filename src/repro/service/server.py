@@ -1,4 +1,10 @@
-"""Asyncio TCP front-end binding the protocol to a ServiceCache."""
+"""Asyncio TCP front-end binding the protocol to a ServiceCache.
+
+``loop.create_server`` makes one parser per accepted socket through
+:meth:`MemcacheProtocol.connection` — no task and no stream objects per
+connection; the parser states and the flush / back-pressure rule are
+described in :mod:`repro.service.protocol`.
+"""
 
 from __future__ import annotations
 
@@ -27,21 +33,10 @@ class CacheServer:
 
     async def start(self) -> None:
         """Bind and start accepting; ``port`` 0 picks a free port."""
-        # asyncio reads with recv(256 KiB).  Under glibc's default 128 KiB
-        # mmap threshold every such buffer is a fresh mmap + two page
-        # faults + munmap (~20 us per request here); freeing one larger
-        # block first raises the threshold so they come from the heap.
-        bytes(1 << 20)
-        self._server = await asyncio.start_server(
-            self.protocol.handle, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            self.protocol.connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        self.protocol.sweep_idle()  # nothing to drop yet: arms the timer
 
     async def close(self) -> None:
         # Capture-and-swap before the first await: a concurrent close()
@@ -51,5 +46,11 @@ class CacheServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            # Transports go before the store, so no parser callback can
+            # reach a closed store; one loop pass then runs their
+            # connection_lost (closing the `conn` spans) before the
+            # caller writes its trace.
+            self.protocol.close()
             await server.wait_closed()
+            await asyncio.sleep(0)
         self.cache.close()

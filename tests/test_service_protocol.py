@@ -1,11 +1,13 @@
 """Memcached protocol edge cases against a live asyncio server."""
 
 import asyncio
+import socket
 import tempfile
 import unittest
+from unittest import mock
 
 from repro.core import StoreKind
-from repro.service import DiskStore, ServiceCache, SetStatus
+from repro.service import DiskStore, ServiceCache, SetStatus, protocol
 from repro.service.server import CacheServer
 
 
@@ -132,45 +134,6 @@ class EdgeCaseTests(ServerHarness):
         self.assertEqual(await self.read_get(reader), {"small": (0, b"ok")})
         writer.close()
 
-    async def test_oversized_body_is_never_buffered(self):
-        # A client may *declare* a gigabyte; the server must discard it
-        # in bounded reads instead of asking the stream for all of it.
-        declared = 1 << 30
-        sizes = []
-
-        class Reader:
-            def __init__(self):
-                self.lines = [b"set big 0 0 %d\r\n" % declared]
-
-            async def readline(self):
-                return self.lines.pop(0) if self.lines else b""
-
-            async def readexactly(self, n):
-                sizes.append(n)
-                return b""
-
-        class Writer:
-            sent = b""
-
-            def write(self, data):
-                self.sent += data
-
-            async def drain(self):
-                pass
-
-            def close(self):
-                pass
-
-            async def wait_closed(self):
-                pass
-
-        writer = Writer()
-        await self.server.protocol.handle(Reader(), writer)
-        self.assertEqual(writer.sent,
-                         b"SERVER_ERROR object too large for cache\r\n")
-        self.assertEqual(sum(sizes), declared + 2)
-        self.assertLessEqual(max(sizes), 64 * 1024)
-
     async def test_overlong_key_is_rejected_before_its_body_is_stored(self):
         reader, writer = await self.connect()
         key = b"k" * 251
@@ -250,6 +213,193 @@ class EdgeCaseTests(ServerHarness):
                                    b"set k x 0 2\r\nvv\r\n")
         self.assertTrue(reply.startswith(b"CLIENT_ERROR"))
         writer.close()
+
+
+class FakeTransport:
+    """Just enough transport to drive a connection object by hand."""
+
+    def __init__(self):
+        self.sent = b""
+        self.closed = False
+
+    def write(self, data):
+        self.sent += data
+
+    def close(self):
+        self.closed = True
+
+    abort = close
+
+    def is_closing(self):
+        return self.closed
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+def feed(conn, data, buffers=None):
+    """Deliver one TCP segment the way the transport does: ask for a
+    buffer, fill as much as it takes, report the count, repeat."""
+    data = memoryview(data)
+    while data:
+        buffer = conn.get_buffer(-1)
+        if buffers is not None:
+            buffers.append(buffer)
+        count = min(len(buffer), len(data))
+        buffer[:count] = data[:count]
+        conn.buffer_updated(count)
+        data = data[count:]
+
+
+class BoundedMemoryTests(ServerHarness):
+    """What a body costs the server while it arrives, and what unread
+    replies cost it while the client stalls."""
+
+    max_value_bytes = 1 << 20
+    capacity_mb = 4.0
+
+    def connection(self):
+        conn = self.server.protocol.connection()
+        transport = FakeTransport()
+        conn.connection_made(transport)
+        return conn, transport
+
+    async def test_declared_gigabyte_body_is_counted_off_not_kept(self):
+        conn, transport = self.connection()
+        declared = 1 << 30
+        segment = bytes(64 * 1024)
+        buffers = []
+        feed(conn, b"set big 0 0 %d\r\n" % declared, buffers)
+        for _ in range(declared // len(segment)):
+            feed(conn, segment, buffers)
+            self.assertEqual(transport.sent, b"")  # owed, not sent early
+        feed(conn, b"\r\nversion\r\n", buffers)
+        self.assertEqual(
+            transport.sent,
+            b"SERVER_ERROR object too large for cache\r\nVERSION repro-dd/1\r\n")
+        self.assertEqual(self.server.protocol.protocol_errors, 1)
+        # Every byte went through one and the same 64 KiB buffer.
+        self.assertEqual(len({id(buffer.obj) for buffer in buffers}), 1)
+        self.assertEqual(len(buffers[0].obj), 64 * 1024)
+
+    async def test_large_value_in_small_segments_needs_no_rejoin(self):
+        conn, transport = self.connection()
+        value = bytes(range(256)) * 4096                      # 1 MiB
+        wire = b"set big 5 0 %d\r\n" % len(value) + value + b"\r\nget big\r\n"
+        buffers = []
+        for start in range(0, len(wire), 4096):
+            feed(conn, wire[start:start + 4096], buffers)
+        self.assertEqual(self.cache.get("default", "big")[:2], (value, 5))
+        self.assertEqual(
+            transport.sent, b"STORED\r\nVALUE big 5 %d\r\n" % len(value)
+            + value + b"\r\nEND\r\n")
+        # O(segment) work per segment: after the header's segment the
+        # transport wrote straight into one buffer of the declared size
+        # (no join, no re-scan), one get_buffer per segment.
+        body = [buffer.obj for buffer in buffers
+                if len(buffer.obj) == len(value) + 2]
+        self.assertEqual(len({id(obj) for obj in body}), 1)
+        self.assertGreaterEqual(len(body), len(value) // 4096 - 1)
+        self.assertLessEqual(len(buffers), len(wire) // 4096 + 3)
+
+    async def test_unread_replies_stall_the_server_at_high_water(self):
+        value = bytes(range(256)) * 32                        # 8 KiB
+        gets = 2000
+        for index in range(7):
+            self.cache.set("default", f"k{index}", value + b"%d" % index)
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(
+            sock, ("127.0.0.1", self.server.port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        writer.write(b"".join(b"get k%d\r\n" % (index % 7)
+                              for index in range(gets)))
+        await writer.drain()
+        (conn,) = self.server.protocol.live
+        high_water = conn.transport.get_write_buffer_limits()[1]
+        one_flush = 64 * 1024 + len(value) + 64
+        stalled = 0
+        for _ in range(20):                   # the client reads nothing
+            await asyncio.sleep(0.01)
+            buffered = conn.transport.get_write_buffer_size()
+            self.assertLessEqual(buffered, high_water + one_flush)
+            stalled += buffered > high_water
+        self.assertGreater(stalled, 15)       # it did stall, above high water
+        self.assertLess(self.server.protocol.ops, gets)
+        for index in range(gets):             # now read: all there, in order
+            self.assertEqual(await self.read_get(reader),
+                             {f"k{index % 7}": (0, value + b"%d" % (index % 7))})
+        self.assertEqual(self.server.protocol.ops, gets)
+        writer.close()
+
+
+class HostileClientTests(ServerHarness):
+    """Connection cap, idle sweep, shutdown with clients attached."""
+
+    async def test_connection_count_is_capped(self):
+        with mock.patch.object(protocol, "MAX_CONNECTIONS", 2):
+            first = await self.connect()
+            second = await self.connect()
+            for reader, writer in (first, second):
+                self.assertTrue((await self.command(
+                    reader, writer, b"version\r\n")).startswith(b"VERSION"))
+            reader, writer = await self.connect()
+            self.assertEqual(await asyncio.wait_for(reader.read(), 10),
+                             b"SERVER_ERROR too many connections\r\n")
+            writer.close()
+            self.assertEqual(self.server.protocol.protocol_errors, 1)
+            # The two inside keep working; a freed slot is reusable.
+            self.assertEqual(
+                await self.command(*first, b"set k 0 0 1\r\nv\r\n"),
+                b"STORED\r\n")
+            second[1].close()
+            while len(self.server.protocol.live) > 1:
+                await asyncio.sleep(0.01)
+            reader, writer = await self.connect()
+            self.assertTrue((await self.command(
+                reader, writer, b"version\r\n")).startswith(b"VERSION"))
+            writer.close()
+            first[1].close()
+
+    async def test_idle_connection_is_dropped_by_the_sweep(self):
+        self.server.protocol.close()          # stop the 300 s timer ...
+        with mock.patch.object(protocol, "IDLE_SECONDS", 0.05):
+            self.server.protocol.sweep_idle()  # ... and re-arm it at 50 ms
+            busy_reader, busy_writer = await self.connect()
+            idle_reader, idle_writer = await self.connect()
+            idle_writer.write(b"set half 0 0 10\r\nabc")   # then silence
+            for _ in range(15):               # 0.3 s: at least five sweeps
+                self.assertTrue((await self.command(
+                    busy_reader, busy_writer, b"version\r\n")
+                ).startswith(b"VERSION"))
+                await asyncio.sleep(0.02)
+            try:
+                self.assertEqual(
+                    await asyncio.wait_for(idle_reader.read(), 10), b"")
+            except ConnectionError:
+                pass
+            self.assertEqual(len(self.server.protocol.live), 1)
+            busy_writer.close()
+            idle_writer.close()
+
+    async def test_close_drops_live_connections_before_the_store(self):
+        reader, writer = await self.connect()
+        await self.command(reader, writer, b"set k 0 0 1\r\nv\r\n")
+        writer.write(b"set half 0 0 10\r\nabc")             # mid-body
+        await writer.drain()
+        await self.server.close()
+        self.assertEqual(self.server.protocol.live, set())
+        try:
+            self.assertEqual(await asyncio.wait_for(reader.read(), 10), b"")
+        except ConnectionError:
+            pass
+        writer.close()
+        with self.assertRaises(Exception):    # the store really is closed
+            self.cache.store.count()
 
 
 class TinyCapacityTests(ServerHarness):
