@@ -27,9 +27,6 @@ from ..endurance import (
 )
 from .audit import (
     InvariantViolation,
-    ReferenceCache,
-    ReferenceGlobalCache,
-    ReferenceStaticCache,
     assert_consistent,
     assert_host_clean,
     check_cache,
@@ -62,9 +59,6 @@ __all__ = [
     "BlockTable",
     "CachePolicy",
     "InvariantViolation",
-    "ReferenceCache",
-    "ReferenceGlobalCache",
-    "ReferenceStaticCache",
     "assert_consistent",
     "assert_host_clean",
     "check_cache",

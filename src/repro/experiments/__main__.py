@@ -10,8 +10,8 @@ Usage::
     python -m repro.experiments caching_modes --trace --audit
 
 ``--trace [PREFIX]`` turns on the flight recorder for each experiment and
-writes ``PREFIX_<name>.jsonl`` (lossless, ``python -m repro.obs`` reads
-it) plus ``PREFIX_<name>.perfetto.json`` (load in Perfetto/chrome about
+writes ``PREFIX_<name>.jsonl`` (lossless; ``python -m repro.obs`` reads
+it, and its ``export`` subcommand renders it for Perfetto/chrome about
 tracing); the run report grows a per-op latency quantile table.  Tracing
 off, output is byte-identical to a build without the subsystem.
 
@@ -47,16 +47,15 @@ from . import ALL_EXPERIMENTS
 def _run_one(
     task: Tuple[str, float, int, bool, bool, float, Optional[str],
                 Optional[str], int, int, bool, Optional[int], int]
-) -> Tuple[str, str, float, Optional[str], Optional[str], Optional[str],
-           Optional[bytes]]:
+) -> Tuple[str, str, float, Optional[str], Optional[str], Optional[bytes]]:
     """Run one experiment; module-level so multiprocessing can pickle it.
 
     Returns ``(name, summary, elapsed, json_text, trace_jsonl,
-    trace_perfetto, profile_blob)`` — plain strings/bytes only, so the
-    result pickles cheaply and the parent never needs the (large,
-    unpicklable) simulation objects.  The trace fields are ``None`` with
-    tracing off, keeping the untraced output byte-identical whether or
-    not this build knows about tracing.  ``profile_blob`` (set by the
+    profile_blob)`` — plain strings/bytes only, so the result pickles
+    cheaply and the parent never needs the (large, unpicklable)
+    simulation objects.  The trace field is ``None`` with tracing off,
+    keeping the untraced output byte-identical whether or not this build
+    knows about tracing.  ``profile_blob`` (set by the
     ``--profile --jobs N`` path) is the worker's marshalled cProfile
     stats — the exact byte format ``Profile.dump_stats`` writes, so the
     parent can persist it verbatim and ``pstats`` can load it.
@@ -104,14 +103,13 @@ def _run_one(
             from ..obs import set_tracer
 
             set_tracer(None)
-    trace_jsonl = trace_perfetto = None
+    trace_jsonl = None
     if tracer is not None:
-        from ..obs import attach_latency_report, to_jsonl, to_perfetto
+        from ..obs import attach_latency_report, to_jsonl
 
         # Fold p50/p90/p99/p999 per op into the run report itself.
         attach_latency_report(result, tracer)
         trace_jsonl = to_jsonl(tracer)
-        trace_perfetto = to_perfetto(tracer)
     profile_blob = None
     if profiler is not None:
         import marshal
@@ -124,13 +122,12 @@ def _run_one(
         from ..analysis import result_to_json
 
         json_text = result_to_json(result)
-    return (name, summary, elapsed, json_text, trace_jsonl, trace_perfetto,
-            profile_blob)
+    return name, summary, elapsed, json_text, trace_jsonl, profile_blob
 
 
 def _emit(args, name: str, summary: str, elapsed: float,
-          json_text: Optional[str], trace_jsonl: Optional[str] = None,
-          trace_perfetto: Optional[str] = None) -> None:
+          json_text: Optional[str],
+          trace_jsonl: Optional[str] = None) -> None:
     cls = ALL_EXPERIMENTS[name]
     print(f"\n### running {name} ({cls.exp_id}) at scale {args.scale} ###")
     print(summary)
@@ -143,10 +140,8 @@ def _emit(args, name: str, summary: str, elapsed: float,
         # Artifacts are written by the parent in canonical experiment
         # order, so --jobs fan-out yields the same files as a serial run.
         jsonl_path = Path(f"{args.trace}_{name}.jsonl")
-        perfetto_path = Path(f"{args.trace}_{name}.perfetto.json")
         jsonl_path.write_text(trace_jsonl)
-        perfetto_path.write_text(trace_perfetto)
-        print(f"(trace written to {jsonl_path} and {perfetto_path})")
+        print(f"(trace written to {jsonl_path})")
 
 
 def main(argv=None) -> int:
@@ -188,9 +183,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", nargs="?", const="trace", default=None,
                         metavar="PREFIX",
                         help="record an operation/provenance trace per "
-                             "experiment; writes PREFIX_<name>.jsonl and "
-                             "PREFIX_<name>.perfetto.json (PREFIX defaults "
-                             "to 'trace'); analyze with python -m repro.obs")
+                             "experiment; writes PREFIX_<name>.jsonl "
+                             "(PREFIX defaults to 'trace'); analyze, or "
+                             "export for Perfetto, with python -m repro.obs")
     parser.add_argument("--trace-ops", type=int, default=200_000, metavar="N",
                         help="flight-recorder capacity: keep the newest N "
                              "events (default 200000)")
@@ -282,7 +277,7 @@ def main(argv=None) -> int:
         profiler.enable()
         try:
             for task in tasks:
-                _emit(args, *_run_one(task)[:6])
+                _emit(args, *_run_one(task)[:5])
         finally:
             profiler.disable()
             profiler.dump_stats(args.profile)
@@ -302,13 +297,13 @@ def main(argv=None) -> int:
         # finishes first.
         with mp.Pool(processes=min(args.jobs, len(tasks))) as pool:
             for rank, outcome in enumerate(pool.imap(_run_one, tasks)):
-                _emit(args, *outcome[:6])
+                _emit(args, *outcome[:5])
                 if base is not None:
                     suffix = base.suffix or ".pstats"
                     path = base.with_name(f"{base.stem}.{rank}{suffix}")
                     # The blob is marshalled cProfile stats — identical
                     # bytes to Profile.dump_stats, loadable by pstats.
-                    path.write_bytes(outcome[6])
+                    path.write_bytes(outcome[5])
                     profile_paths.append(path)
                     print(f"(profile written to {path})")
         if profile_paths:
@@ -322,7 +317,7 @@ def main(argv=None) -> int:
             stats.print_stats(10)
     else:
         for task in tasks:
-            _emit(args, *_run_one(task)[:6])
+            _emit(args, *_run_one(task)[:5])
     return 0
 
 

@@ -468,8 +468,7 @@ class Scenario:
         # late one is rated on everything it did against the full window.
         ctx.run(until=ctx.now + warmup_s)
         idle = CounterSnapshot(time=ctx.now, ops=0, bytes_read=0,
-                               bytes_written=0, latency_total=0.0,
-                               latency_count=0)
+                               bytes_written=0, latency_total=0.0)
         begin = {name: w.snapshot() for name, w in workloads.items()}
         ctx.run(until=ctx.now + duration_s)
         rates = {name: w.snapshot().rates_since(begin.get(name, idle))

@@ -6,23 +6,19 @@ from .exposition import (
     check_exposition,
     registry_families,
     render_families,
-    render_registry,
 )
-from .reporting import ascii_plot, format_series_csv, format_table
-from .timeseries import Histogram, SummaryStat, TimeSeries
+from .reporting import ascii_plot, format_table
+from .timeseries import Histogram, TimeSeries
 
 __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
     "Sampler",
-    "SummaryStat",
     "TimeSeries",
     "ascii_plot",
     "check_exposition",
-    "format_series_csv",
     "format_table",
     "registry_families",
     "render_families",
-    "render_registry",
 ]

@@ -1,15 +1,16 @@
 """Central metrics registry plus periodic samplers.
 
-A single :class:`MetricsRegistry` is owned by the simulation context; all
-components register counters, gauges, series, and summaries in it under
-hierarchical dotted names (``"hvcache.pool.web.used_mb"``).
+A :class:`MetricsRegistry` holds what has a producer: the gauge series a
+:class:`Sampler` records and the latency histograms of the tracer (sim)
+or the protocol layer and store probe (service), under hierarchical
+dotted names (``"hvcache.pool.web.used_mb"``, ``"service.lat.get"``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict
 
-from .timeseries import Histogram, SummaryStat, TimeSeries
+from .timeseries import Histogram, TimeSeries
 
 __all__ = ["MetricsRegistry", "Sampler"]
 
@@ -22,28 +23,8 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
         self._series: Dict[str, TimeSeries] = {}
-        self._summaries: Dict[str, SummaryStat] = {}
         self._histograms: Dict[str, Histogram] = {}
-
-    # -- counters --------------------------------------------------------------
-
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to counter ``name``."""
-        self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def counter(self, name: str) -> float:
-        """Current value of counter ``name`` (0.0 if never incremented)."""
-        return self._counters.get(name, 0.0)
-
-    def counters(self, prefix: str = "") -> Dict[str, float]:
-        """All counters whose names start with ``prefix``."""
-        return {
-            name: value
-            for name, value in self._counters.items()
-            if name.startswith(prefix)
-        }
 
     # -- time series -------------------------------------------------------------
 
@@ -65,35 +46,14 @@ class MetricsRegistry:
             name: ts for name, ts in self._series.items() if name.startswith(prefix)
         }
 
-    # -- summaries ----------------------------------------------------------------
-
-    def summary(self, name: str) -> SummaryStat:
-        """The summary statistic ``name`` (created on first use)."""
-        stat = self._summaries.get(name)
-        if stat is None:
-            stat = SummaryStat(name)
-            self._summaries[name] = stat
-        return stat
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into summary ``name``."""
-        self.summary(name).add(value)
-
     # -- histograms ---------------------------------------------------------------
 
-    def histogram(self, name: str, **create_kwargs) -> Histogram:
-        """The log-bucketed histogram ``name`` (created on first use).
-
-        ``create_kwargs`` (``lo``, ``growth``) apply only on creation —
-        wall-clock callers pass ``lo=Histogram.WALLCLOCK_NS_LO`` (or use
-        :meth:`wallclock_histogram`) so nanosecond samples don't collapse
-        into the simulated-magnitude underflow bucket.  An existing
-        histogram is returned as-is regardless of kwargs.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """The log-bucketed histogram ``name`` (created on first use with
+        the simulated-seconds buckets)."""
         hist = self._histograms.get(name)
         if hist is None:
-            hist = Histogram(name, **create_kwargs)
-            self._histograms[name] = hist
+            hist = self._histograms[name] = Histogram(name)
         return hist
 
     def wallclock_histogram(self, name: str) -> Histogram:
@@ -101,13 +61,8 @@ class MetricsRegistry:
         use via :meth:`Histogram.wallclock_ns`)."""
         hist = self._histograms.get(name)
         if hist is None:
-            hist = Histogram.wallclock_ns(name)
-            self._histograms[name] = hist
+            hist = self._histograms[name] = Histogram.wallclock_ns(name)
         return hist
-
-    def observe_histogram(self, name: str, value: float) -> None:
-        """Record one sample into histogram ``name``."""
-        self.histogram(name).add(value)
 
     def register_histogram(self, hist: Histogram) -> Histogram:
         """Adopt an externally built histogram under its own name.
@@ -126,19 +81,6 @@ class MetricsRegistry:
             for name, hist in self._histograms.items()
             if name.startswith(prefix)
         }
-
-    # -- introspection ---------------------------------------------------------------
-
-    def names(self) -> Iterator[Tuple[str, str]]:
-        """Yield ``(kind, name)`` for every registered metric."""
-        for name in self._counters:
-            yield ("counter", name)
-        for name in self._series:
-            yield ("series", name)
-        for name in self._summaries:
-            yield ("summary", name)
-        for name in self._histograms:
-            yield ("histogram", name)
 
 
 class Sampler:

@@ -1,10 +1,10 @@
 """Prometheus text exposition (format 0.0.4) for :class:`MetricsRegistry`.
 
-One renderer serves every consumer: the live service's ``/metrics``
-sidecar, the fleet's per-host export hook, and ad-hoc dumps from tests.
-Dotted registry names become sanitized Prometheus names under a common
-prefix (``service.lat.get`` -> ``dd_service_lat_get``), counters gain
-the conventional ``_total`` suffix, and log-bucketed
+One renderer serves both consumers: the live service's ``/metrics``
+sidecar and the fleet's per-host export hook.  Dotted registry names
+become sanitized Prometheus names under a common prefix
+(``service.lat.get`` -> ``dd_service_lat_get``), a series renders as a
+gauge holding its last sample, and log-bucketed
 :class:`~repro.metrics.timeseries.Histogram`\\ s render as cumulative
 ``le`` buckets closed by ``+Inf`` (from
 :meth:`Histogram.cumulative_buckets`), plus ``_sum``/``_count``.
@@ -36,7 +36,6 @@ __all__ = [
     "histogram_family",
     "registry_families",
     "render_families",
-    "render_registry",
     "check_exposition",
 ]
 
@@ -123,21 +122,14 @@ def registry_families(registry, prefix: str = "dd",
                       ) -> List[MetricFamily]:
     """Every metric of a :class:`MetricsRegistry` as exposition families.
 
-    Counters render as ``<prefix>_<name>_total`` counters, series as
-    gauges holding their last sample, summaries as quantile gauges, and
-    histograms as full bucket sets.  ``labels`` (e.g. a fleet's
-    ``{"host": "host2"}``) are attached to every sample, which is what
-    lets several hosts' registries merge into one scrape body.
+    Series render as gauges holding their last sample and histograms as
+    full bucket sets.  ``labels`` (e.g. a fleet's ``{"host": "host2"}``)
+    are attached to every sample, which is what lets several hosts'
+    registries merge into one scrape body.
     """
     base = {sanitize_label_name(k): str(v)
             for k, v in sorted((labels or {}).items())}
     families: List[MetricFamily] = []
-
-    for name in sorted(registry.counters()):
-        family = MetricFamily(
-            f"{prefix}_{sanitize_metric_name(name)}_total", "counter")
-        family.add(registry.counter(name), labels=base)
-        families.append(family)
 
     for name, series in sorted(registry.all_series().items()):
         if series.last is None:
@@ -145,17 +137,6 @@ def registry_families(registry, prefix: str = "dd",
         family = MetricFamily(
             f"{prefix}_{sanitize_metric_name(name)}", "gauge")
         family.add(series.last, labels=base)
-        families.append(family)
-
-    for name, stat in sorted(registry._summaries.items()):
-        family = MetricFamily(
-            f"{prefix}_{sanitize_metric_name(name)}", "summary")
-        for q in (0.5, 0.9, 0.99):
-            q_labels = dict(base)
-            q_labels["quantile"] = format_value(q)
-            family.add(stat.quantile(q), labels=q_labels)
-        family.add(stat.total, labels=base, suffix="_sum")
-        family.add(float(stat.count), labels=base, suffix="_count")
         families.append(family)
 
     for name, hist in sorted(registry.histograms().items()):
@@ -209,13 +190,6 @@ def render_families(families: Iterable[MetricFamily]) -> str:
                 f"{family.name}{suffix}{_labels_text(labels)} "
                 f"{format_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_registry(registry, prefix: str = "dd",
-                    labels: Optional[Dict[str, str]] = None) -> str:
-    """Shorthand: one registry straight to exposition text."""
-    return render_families(registry_families(registry, prefix=prefix,
-                                             labels=labels))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .timeseries import TimeSeries
 
-__all__ = ["format_table", "ascii_plot", "format_series_csv"]
+__all__ = ["format_table", "ascii_plot"]
 
 
 def format_table(
@@ -96,22 +96,4 @@ def ascii_plot(
         f"{symbols[idx % len(symbols)]} {name}" for idx, (name, _) in enumerate(points)
     )
     lines.append("  legend: " + legend)
-    return "\n".join(lines)
-
-
-def format_series_csv(series: Dict[str, TimeSeries], step: float = 10.0) -> str:
-    """Resample series onto a common grid and emit CSV text."""
-    if not series:
-        return ""
-    names = sorted(series)
-    end = max((ts.times[-1] for ts in series.values() if len(ts)), default=0.0)
-    lines = ["time," + ",".join(names)]
-    t = 0.0
-    while t <= end:
-        row = [f"{t:.0f}"]
-        for name in names:
-            value = series[name].value_at(t)
-            row.append("" if value is None else f"{value:.2f}")
-        lines.append(",".join(row))
-        t += step
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Time-series and summary-statistics containers used across the simulator."""
+"""Time-series and latency-histogram containers used across the simulator."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import bisect
 import math
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["TimeSeries", "SummaryStat", "Histogram"]
+__all__ = ["TimeSeries", "Histogram"]
 
 
 class TimeSeries:
@@ -14,7 +14,7 @@ class TimeSeries:
 
     Times must be non-decreasing (samplers append in simulation order).
     Provides the handful of reductions the experiment harness needs:
-    means over windows, final values, and resampling for plotting/tables.
+    means and maxima over windows and the final value.
     """
 
     __slots__ = ("name", "times", "values")
@@ -44,11 +44,6 @@ class TimeSeries:
         """Most recent value, or ``None`` if empty."""
         return self.values[-1] if self.values else None
 
-    def value_at(self, time: float) -> Optional[float]:
-        """Value of the latest sample at or before ``time``."""
-        idx = bisect.bisect_right(self.times, time) - 1
-        return self.values[idx] if idx >= 0 else None
-
     def mean(self, start: float = float("-inf"), end: float = float("inf")) -> float:
         """Arithmetic mean of samples with ``start <= t <= end``."""
         lo = bisect.bisect_left(self.times, start)
@@ -65,103 +60,6 @@ class TimeSeries:
         window = self.values[lo:hi]
         return max(window) if window else 0.0
 
-    def resample(self, step: float, end: Optional[float] = None) -> "TimeSeries":
-        """Piecewise-constant resampling at a fixed ``step`` (for plots)."""
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        out = TimeSeries(self.name)
-        if not self.times:
-            return out
-        stop = end if end is not None else self.times[-1]
-        t = self.times[0]
-        while t <= stop:
-            value = self.value_at(t)
-            out.record(t, value if value is not None else 0.0)
-            t += step
-        return out
-
-
-class SummaryStat:
-    """Streaming summary of a scalar sample set (latencies, sizes, ...).
-
-    Keeps count/sum/min/max plus a bounded reservoir for approximate
-    percentiles, so memory stays constant regardless of op counts.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "_reservoir",
-                 "_reservoir_size", "_rng_state")
-
-    def __init__(self, name: str = "", reservoir_size: int = 2048) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._reservoir: List[float] = []
-        self._reservoir_size = reservoir_size
-        # Cheap deterministic LCG for reservoir sampling; avoids entangling
-        # metrics with the simulation's RNG streams.
-        self._rng_state = 0x2545F4914F6CDD1D
-
-    def add(self, value: float) -> None:
-        """Record one sample."""
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(value)
-        else:
-            self._rng_state = (self._rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            slot = self._rng_state % self.count
-            if slot < self._reservoir_size:
-                self._reservoir[slot] = value
-
-    @property
-    def mean(self) -> float:
-        """Mean of all samples (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Approximate ``q``-th percentile (q in [0, 100])."""
-        if not (0.0 <= q <= 100.0):
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return self.quantile(q / 100.0)
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (q in [0, 1]), linearly interpolated.
-
-        Edge cases: an empty summary reports 0.0 (there is nothing to
-        estimate, and callers tabulate rather than branch); a single
-        sample is every quantile of itself.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = sorted(self._reservoir)
-        n = len(ordered)
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return ordered[0]
-        position = q * (n - 1)
-        lo = int(position)
-        if lo >= n - 1:
-            return ordered[-1]
-        frac = position - lo
-        return ordered[lo] + (ordered[lo + 1] - ordered[lo]) * frac
-
-    def merge(self, other: "SummaryStat") -> None:
-        """Fold another summary into this one (reservoirs concatenated)."""
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        room = self._reservoir_size - len(self._reservoir)
-        if room > 0:
-            self._reservoir.extend(other._reservoir[:room])
-
 
 class Histogram:
     """Log-bucketed histogram for latency-style samples.
@@ -169,9 +67,8 @@ class Histogram:
     Buckets grow geometrically (``growth`` per bucket, ~4 buckets per
     doubling at the default), so quantile estimates carry a bounded
     *relative* error across nine decades while memory stays a small
-    sparse dict.  Unlike :class:`SummaryStat`'s sampled reservoir, every
-    sample lands in a bucket, so tail quantiles (p99.9) stay stable for
-    arbitrarily long runs.
+    sparse dict.  Every sample lands in a bucket (nothing is sampled
+    out), so tail quantiles (p99.9) stay stable for arbitrarily long runs.
 
     Values at or below ``lo`` share the underflow bucket 0 (with the
     default ``lo`` of 0.1 microseconds that is "instantaneous" for the
@@ -270,12 +167,6 @@ class Histogram:
                 return min(self.max, max(self.min, value))
             cumulative += bucket
         return self.max
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (p in [0, 100])."""
-        if not (0.0 <= p <= 100.0):
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        return self.quantile(p / 100.0)
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs in bound order.

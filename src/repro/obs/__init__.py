@@ -12,47 +12,31 @@ from .export import (
     events_to_perfetto,
     parse_jsonl,
     to_jsonl,
-    to_perfetto,
     validate_trace,
 )
-from .live import (
-    LiveTracer,
-    OpsLogger,
-    SnapshotWriter,
-    TelemetrySidecar,
-    bind_store_probe,
-    write_trace,
-)
+from .live import OpsLogger, TelemetrySidecar, bind_store_probe
 from .tracer import (
-    ACTIVE,
     LEDGER_FIELDS,
     QUANTILE_LABELS,
     Tracer,
-    get_tracer,
     ledger_violations,
     set_tracer,
 )
 
 __all__ = [
-    "ACTIVE",
     "LEDGER_FIELDS",
     "QUANTILE_LABELS",
-    "LiveTracer",
     "OpsLogger",
-    "SnapshotWriter",
     "TelemetrySidecar",
     "Tracer",
     "attach_latency_report",
     "bind_store_probe",
     "events_to_perfetto",
-    "get_tracer",
     "ledger_violations",
     "parse_jsonl",
     "set_tracer",
     "to_jsonl",
-    "to_perfetto",
     "validate_trace",
-    "write_trace",
 ]
 
 

@@ -26,8 +26,8 @@ from typing import Any, Dict, List, Tuple
 
 from ..metrics.reporting import format_table
 from ..metrics.timeseries import Histogram
-from .export import parse_jsonl, validate_trace
-from .tracer import QUANTILE_LABELS
+from .export import parse_jsonl, time_scale_us, validate_trace
+from .tracer import QUANTILE_LABELS, latency_rows
 
 __all__ = [
     "load_trace",
@@ -43,15 +43,6 @@ Trace = Tuple[Dict[str, Any], List[Dict[str, Any]]]
 def load_trace(path: str) -> Trace:
     """Read and parse a JSONL trace file."""
     return parse_jsonl(Path(path).read_text())
-
-
-def _ms_per_unit(meta: Dict[str, Any]) -> float:
-    """Native-duration-to-milliseconds factor for this trace.
-
-    Simulated traces record seconds; live traces declare
-    ``"time_unit": "ns"`` and record integer nanoseconds.
-    """
-    return 1e-6 if meta.get("time_unit") == "ns" else 1e3
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +71,7 @@ def summarize(trace: Trace) -> str:
     )
 
     if spans:
-        ms = _ms_per_unit(meta)
+        ms = time_scale_us(meta) / 1e3
         rows = []
         for name in sorted(spans):
             durations = spans[name]
@@ -165,18 +156,10 @@ def latency_breakdown(trace: Trace, per_vm: bool = False) -> str:
     snapshots = meta.get("histograms", {})
     if not snapshots:
         return "no latency histograms in trace"
-    ms = _ms_per_unit(meta)
-    rows = []
-    for name in sorted(snapshots, key=lambda n: (n.count("."), n)):
-        if not per_vm and ".vm" in name:
-            continue
-        hist = Histogram.from_dict(snapshots[name])
-        if not hist.count:
-            continue
-        rows.append(
-            [name, hist.count, hist.mean * ms]
-            + [hist.quantile(q) * ms for q, _ in QUANTILE_LABELS]
-        )
+    rows = latency_rows(
+        {name: Histogram.from_dict(snapshot)
+         for name, snapshot in snapshots.items()},
+        meta, detail=per_vm)
     scope = "per op/vm/pool" if per_vm else "per op"
     return format_table(
         ["histogram", "count", "mean(ms)"]
@@ -211,7 +194,7 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
     )
     from ..simkernel import Environment
     from ..storage import SSD
-    from .export import to_jsonl, to_perfetto
+    from .export import events_to_perfetto, to_jsonl
     from .tracer import Tracer, ledger_violations, set_tracer
 
     failures: List[str] = []
@@ -304,7 +287,7 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
             failures.append("JSONL round-trip altered events")
         failures.extend(validate_trace(meta, events, allow_open_spans=False))
 
-        perfetto = json.loads(to_perfetto(tracer))
+        perfetto = json.loads(events_to_perfetto(meta, events))
         if not perfetto.get("traceEvents"):
             failures.append("Perfetto export has no traceEvents")
 

@@ -10,8 +10,9 @@ Two on-disk formats, both plain text:
 * **Chrome trace-event / Perfetto JSON** — the ``traceEvents`` array
   format that ``chrome://tracing`` and https://ui.perfetto.dev load
   directly.  VMs map to processes (pid), container pools to threads
-  (tid); timestamps are converted from simulated seconds to the
-  format's microseconds.
+  (tid); timestamps are converted from the trace's native unit to the
+  format's microseconds.  ``python -m repro.obs export`` is its one
+  producer; runs write the lossless JSONL only.
 
 :func:`validate_trace` is the schema check CI runs on emitted traces:
 field/type validation of every record (hand-enforced, so no external
@@ -27,14 +28,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
-from .tracer import LEDGER_FIELDS, Tracer
+from .tracer import LEDGER_FIELDS, Tracer, time_scale_us
 
 __all__ = [
     "JSONL_VERSION",
-    "EVENT_SCHEMA",
     "to_jsonl",
     "parse_jsonl",
-    "to_perfetto",
     "events_to_perfetto",
     "time_scale_us",
     "validate_trace",
@@ -42,24 +41,6 @@ __all__ = [
 
 #: Bumped when the JSONL record shape changes incompatibly.
 JSONL_VERSION = 1
-
-#: JSON-Schema-style description of one event record.  Documentation of
-#: the wire format; :func:`_check_event` enforces it without needing the
-#: ``jsonschema`` package at runtime.
-EVENT_SCHEMA = {
-    "type": "object",
-    "required": ["type", "ph", "name", "ts", "vm", "pool", "args"],
-    "properties": {
-        "type": {"const": "event"},
-        "ph": {"enum": ["X", "i"]},
-        "name": {"type": "string", "minLength": 1},
-        "ts": {"type": "number", "minimum": 0},
-        "dur": {"type": "number", "minimum": 0},  # required iff ph == "X"
-        "vm": {"type": ["integer", "null"]},
-        "pool": {"type": ["integer", "null"]},
-        "args": {"type": "object"},
-    },
-}
 
 _META_COUNTERS = (
     "max_events", "sample", "recorded", "dropped", "sampled_out",
@@ -127,17 +108,6 @@ def _display_names(meta: Dict[str, Any], table: str) -> Dict[int, str]:
     return names
 
 
-def time_scale_us(meta: Dict[str, Any]) -> float:
-    """Multiplier from the trace's native time unit to microseconds.
-
-    Simulated traces record seconds; live wall-clock traces declare
-    ``"time_unit": "ns"`` in their meta record and record integer
-    nanoseconds.  One exporter and one analyzer serve both by scaling
-    through this.
-    """
-    return 1e-3 if meta.get("time_unit") == "ns" else 1e6
-
-
 def events_to_perfetto(meta: Dict[str, Any],
                        events: Iterable[Dict[str, Any]]) -> str:
     """Render parsed trace records as Chrome trace-event JSON."""
@@ -189,11 +159,6 @@ def events_to_perfetto(meta: Dict[str, Any],
             "sampled_out": meta.get("sampled_out", 0),
         },
     }, sort_keys=True)
-
-
-def to_perfetto(tracer: Tracer) -> str:
-    """Render a live tracer as Chrome trace-event JSON."""
-    return events_to_perfetto(tracer.meta(), tracer.events)
 
 
 # ----------------------------------------------------------------------

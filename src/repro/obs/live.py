@@ -1,33 +1,22 @@
 """Wall-clock telemetry for the live service path (``repro.obs.live``).
 
-The simulator's flight recorder (:class:`~repro.obs.tracer.Tracer`)
-thinks in simulated seconds.  This module extends it to real time so one
+The service records into the same :class:`~repro.obs.tracer.Tracer` the
+simulator uses, built with a clock (``Tracer(clock=time.monotonic_ns)``:
+integer nanoseconds, ``"time_unit": "ns"`` in the meta record), so one
 toolchain — the JSONL/Perfetto exporters, ``python -m repro.obs``
-validation and analysis — reads both kinds of trace:
+validation and analysis — reads both kinds of trace.  This module holds
+what only a live process needs:
 
-* :class:`LiveTracer` — a tracer whose clock is injected (default
-  ``time.monotonic_ns``) and whose native unit is integer nanoseconds.
-  Its meta record declares ``"time_unit": "ns"``, which the exporters
-  and analyzers use to scale; the simulated-time semantics of the base
-  class are untouched.
-* :class:`LiveSpan` — a context manager for instrumenting request-path
-  sections (``with tracer.span("cmd.get", tenant=t):``), usable across
-  ``await`` points because begin/end are explicit counter updates.
 * :class:`OpsLogger` — structured JSON operational logging with a
   rate-limited slow-op log.
 * :class:`TelemetrySidecar` — a stdlib-asyncio HTTP endpoint on the
   service's own event loop serving ``/metrics`` (Prometheus text
-  exposition via :mod:`repro.metrics.exposition`), ``/healthz``, and
-  ``/stats.json``.
-* :class:`SnapshotWriter` — a periodic task appending counter deltas to
-  a JSONL run artifact that the loadgen and benchmarks can assert
-  against, emitting eviction-pressure ops events as a side effect.
+  exposition via :mod:`repro.metrics.exposition`) and ``/healthz``.
 * :func:`bind_store_probe` — hooks :class:`repro.service.store.DiskStore`
   I/O timing into a tracer as ``store.*`` spans.
 
-Nothing here touches the simulator: importing this module does not
-change :mod:`repro.obs.tracer`, and fixed-seed fingerprints are pinned
-by the perf-smoke goldens.
+Nothing here touches the simulator, and fixed-seed fingerprints are
+pinned by the perf-smoke goldens.
 """
 
 from __future__ import annotations
@@ -36,7 +25,6 @@ import asyncio
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..metrics.exposition import (
@@ -44,109 +32,16 @@ from ..metrics.exposition import (
     registry_families,
     render_families,
 )
-from ..metrics.timeseries import Histogram
-from .export import to_jsonl
 from .tracer import Tracer
 
 __all__ = [
-    "LiveTracer",
-    "LiveSpan",
     "OpsLogger",
     "TelemetrySidecar",
-    "SnapshotWriter",
     "service_families",
     "bind_store_probe",
-    "write_trace",
 ]
 
 _NS_PER_S = 1_000_000_000
-
-
-class LiveSpan:
-    """One in-flight wall-clock span, closed by ``with`` exit.
-
-    Unlike the simulator's generator-driven spans (begin/end around a
-    ``yield``), live spans bracket ``await``-ful request handling, so
-    the context-manager shape guarantees the close even on exceptions —
-    the validator's span-balance check stays strict for live traces.
-    """
-
-    __slots__ = ("_tracer", "name", "vm", "pool", "args", "_t0")
-
-    def __init__(self, tracer: "LiveTracer", name: str,
-                 vm: Optional[int] = None, pool: Optional[int] = None,
-                 **args: Any) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.vm = vm
-        self.pool = pool
-        self.args = args
-        self._t0 = 0
-
-    def note(self, **args: Any) -> None:
-        """Attach arguments discovered mid-span (hit/miss, status, ...)."""
-        self.args.update(args)
-
-    def __enter__(self) -> "LiveSpan":
-        self._tracer.span_begin()
-        self._t0 = self._tracer.clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.span_end(
-            self.name, self._t0, self._tracer.clock(),
-            vm=self.vm, pool=self.pool, **self.args)
-
-
-class LiveTracer(Tracer):
-    """The flight recorder on a wall clock.
-
-    The ring buffer, sampling, ledger, and export machinery are the base
-    class's; only the units change.  Timestamps come exclusively from
-    the injected ``clock`` (monotonic integer nanoseconds), so instant
-    events stay monotone and the validator's ordering check holds.
-    Latency histograms are created nanosecond-bucketed
-    (:meth:`Histogram.wallclock_ns`), and :meth:`latency_rows` scales
-    ns to the milliseconds the report tabulates.
-    """
-
-    #: Declared in :meth:`meta` so exporters/analyzers scale correctly.
-    time_unit = "ns"
-    _MS_PER_UNIT = 1e-6  # ns -> ms
-
-    def __init__(self, max_events: int = 200_000, sample: int = 1,
-                 clock=time.monotonic_ns) -> None:
-        super().__init__(max_events=max_events, sample=sample)
-        self.clock = clock
-
-    def now(self) -> int:
-        """Current timestamp in this tracer's native unit (ns)."""
-        return self.clock()
-
-    def span(self, name: str, vm: Optional[int] = None,
-             pool: Optional[int] = None, **args: Any) -> LiveSpan:
-        """A context-managed span timed on this tracer's clock."""
-        return LiveSpan(self, name, vm=vm, pool=pool, **args)
-
-    def histogram(self, name: str) -> Histogram:
-        """Nanosecond-bucketed histogram ``name`` (created on first use)."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = Histogram.wallclock_ns(name)
-            self._histograms[name] = hist
-            for registry in self._registries:
-                registry.register_histogram(hist)
-        return hist
-
-    def meta(self) -> Dict[str, Any]:
-        meta = super().meta()
-        meta["time_unit"] = self.time_unit
-        return meta
-
-
-def write_trace(tracer: Tracer, path: str) -> None:
-    """Serialize a tracer to a JSONL trace file."""
-    Path(path).write_text(to_jsonl(tracer))
 
 
 # ----------------------------------------------------------------------
@@ -229,8 +124,8 @@ def service_families(cache, protocol=None,
     Per-tenant hit/miss/eviction counters (``tenant`` label), host
     occupancy gauges, server connection/op counters, and everything in
     the cache's :class:`MetricsRegistry` — which includes the
-    nanosecond latency histograms the protocol layer records
-    (``dd_service_lat_get`` et al.) and any bound tracer histograms.
+    nanosecond latency histograms the protocol layer and the store
+    probe record (``dd_service_lat_get``, ``dd_service_disk_get`` et al.).
     """
     snapshot = cache.stats()
     host = snapshot.pop("_host", {})
@@ -269,32 +164,41 @@ def service_families(cache, protocol=None,
     return families
 
 
+#: Bounds on one request head (request line + headers).  The sidecar
+#: shares the cache's event loop, so a scraper gets one bounded, timed
+#: read: a head over ``_HEAD_BYTES`` is answered 400, one not finished
+#: within ``_HEAD_SECONDS`` 408, and either way the connection closes.
+_HEAD_BYTES = 8192
+_HEAD_SECONDS = 5.0
+
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 408: "Request Timeout"}
+
+
 class TelemetrySidecar:
     """Minimal HTTP/1.0 metrics endpoint on the service's event loop.
 
-    Stdlib-only by design (no aiohttp in the container): one readline
-    for the request line, headers drained and ignored, one response,
-    connection closed.  That is all a Prometheus scraper, ``curl``, or
-    a load balancer's health check needs.
+    Stdlib-only by design (no aiohttp in the container): one bounded read
+    of the request head, headers ignored, one response, connection
+    closed.  That is all a Prometheus scraper, ``curl``, or a load
+    balancer's health check needs.
 
     Routes: ``/metrics`` (text exposition 0.0.4), ``/healthz`` (JSON
-    liveness), ``/stats.json`` (the ``stats`` command's content as
-    JSON, plus server counters and latency quantiles).
+    liveness).
     """
 
     def __init__(self, cache, protocol=None, host: str = "127.0.0.1",
-                 port: int = 0, ops: Optional[OpsLogger] = None) -> None:
+                 port: int = 0) -> None:
         self.cache = cache
         self.protocol = protocol
         self.host = host
         self.port = port
-        self.ops = ops
         self.scrapes = 0
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> "TelemetrySidecar":
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
+            self._handle, self.host, self.port, limit=_HEAD_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -306,36 +210,10 @@ class TelemetrySidecar:
         if self._server is not None:
             await self._server.wait_closed()
 
-    # -- rendering (sync, shared with tests and the fleet) --------------
-
     def render_metrics(self) -> str:
-        """The ``/metrics`` body."""
+        """The ``/metrics`` body (sync: tests and the gate call it)."""
         return render_families(
             service_families(self.cache, protocol=self.protocol))
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """The ``/stats.json`` body as a dict."""
-        payload: Dict[str, Any] = {"tenants": self.cache.stats()}
-        payload["host"] = payload["tenants"].pop("_host", {})
-        if self.protocol is not None:
-            payload["server"] = {
-                "connections": self.protocol.connections,
-                "ops": self.protocol.ops,
-                "protocol_errors": self.protocol.protocol_errors,
-            }
-        latency: Dict[str, Dict[str, float]] = {}
-        for op in ("get", "set", "delete"):
-            hist = self.cache.registry.wallclock_histogram(
-                f"service.lat.{op}")
-            if hist.count:
-                latency[op] = {
-                    "count": hist.count,
-                    "p50_ns": hist.quantile(0.5),
-                    "p99_ns": hist.quantile(0.99),
-                }
-        payload["latency"] = latency
-        payload["scrapes"] = self.scrapes
-        return payload
 
     def _route(self, path: str):
         if path == "/metrics":
@@ -345,32 +223,40 @@ class TelemetrySidecar:
         if path == "/healthz":
             return (200, "application/json",
                     json.dumps({"ok": True}) + "\n")
-        if path == "/stats.json":
-            return (200, "application/json",
-                    json.dumps(self.stats_payload(), sort_keys=True) + "\n")
         return (404, "text/plain", "not found\n")
 
     # -- connection handling --------------------------------------------
 
+    async def _request_line(self, reader: asyncio.StreamReader) -> List[str]:
+        """The request line's words, from one bounded, timed read of the
+        whole head."""
+        try:
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), _HEAD_SECONDS)
+        except asyncio.IncompleteReadError as exc:
+            head = exc.partial  # half-closed instead of a blank line
+        return head.split(b"\r\n", 1)[0].decode("latin-1").split()
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await reader.readline()
-            parts = request.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) >= 2 else ""
-            while True:  # drain headers; this endpoint ignores them all
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if not parts or parts[0] not in ("GET", "HEAD"):
-                status, ctype, body = 405, "text/plain", "GET only\n"
-            else:
-                status, ctype, body = self._route(path)
-            reason = {200: "OK", 404: "Not Found",
-                      405: "Method Not Allowed"}[status]
+            parts: List[str] = []
+            try:
+                parts = await self._request_line(reader)
+                if not parts or parts[0] not in ("GET", "HEAD"):
+                    status, ctype, body = 405, "text/plain", "GET only\n"
+                else:
+                    status, ctype, body = self._route(
+                        parts[1] if len(parts) >= 2 else "")
+            except asyncio.LimitOverrunError:
+                status, ctype, body = (
+                    400, "text/plain", "request head too large\n")
+            except asyncio.TimeoutError:
+                status, ctype, body = (
+                    408, "text/plain", "request head not received\n")
             payload = body.encode("utf-8")
             head = (
-                f"HTTP/1.0 {status} {reason}\r\n"
+                f"HTTP/1.0 {status} {_REASONS[status]}\r\n"
                 f"Content-Type: {ctype}\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 f"Connection: close\r\n\r\n"
@@ -389,90 +275,10 @@ class TelemetrySidecar:
 
 
 # ----------------------------------------------------------------------
-# Periodic registry-delta snapshots
-# ----------------------------------------------------------------------
-
-class SnapshotWriter:
-    """Append counter totals + deltas to a JSONL run artifact.
-
-    Each record: ``{"event": "snapshot", "seq", "t_ns", "totals",
-    "delta"}`` where ``totals`` flattens ``ServiceCache.stats()`` (and
-    the protocol counters) to ``"scope.field"`` keys and ``delta`` holds
-    only the keys that moved since the previous snapshot.  Loadgen and
-    benchmarks assert against this artifact; an interval with a nonzero
-    eviction delta additionally emits an ``eviction_pressure`` ops-log
-    event (the interval itself bounds the event rate).
-    """
-
-    def __init__(self, path: str, cache, protocol=None,
-                 interval_s: float = 2.0, tracer: Optional[LiveTracer] = None,
-                 ops: Optional[OpsLogger] = None,
-                 clock=time.monotonic_ns) -> None:
-        if interval_s <= 0:
-            raise ValueError(
-                f"interval_s must be positive, got {interval_s}")
-        self.path = path
-        self.cache = cache
-        self.protocol = protocol
-        self.interval_s = interval_s
-        self.tracer = tracer
-        self.ops = ops
-        self.clock = clock
-        self.seq = 0
-        self._last: Dict[str, float] = {}
-
-    def totals(self) -> Dict[str, float]:
-        """Current counters, flattened to ``scope.field`` keys."""
-        flat: Dict[str, float] = {}
-        for scope, fields in self.cache.stats().items():
-            for field, value in fields.items():
-                flat[f"{scope}.{field}"] = value
-        if self.protocol is not None:
-            flat["server.connections"] = self.protocol.connections
-            flat["server.ops"] = self.protocol.ops
-            flat["server.protocol_errors"] = self.protocol.protocol_errors
-        return flat
-
-    def write_once(self) -> Dict[str, float]:
-        """Take one snapshot now; returns the delta it recorded."""
-        totals = self.totals()
-        delta = {
-            key: value - self._last.get(key, 0)
-            for key, value in totals.items()
-            if value != self._last.get(key, 0)
-        }
-        record = {
-            "event": "snapshot", "seq": self.seq, "t_ns": self.clock(),
-            "totals": totals, "delta": delta,
-        }
-        with open(self.path, "a") as artifact:
-            artifact.write(json.dumps(record, sort_keys=True) + "\n")
-        evicted = sum(
-            value for key, value in delta.items()
-            if key.endswith(".evictions"))
-        if evicted and self.ops is not None:
-            self.ops.log("eviction_pressure", evicted_blocks=evicted,
-                         interval_s=self.interval_s)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "obs.snapshot", self.tracer.clock(), seq=self.seq,
-                changed=len(delta))
-        self._last = totals
-        self.seq += 1
-        return delta
-
-    async def run(self) -> None:
-        """Snapshot every ``interval_s`` until cancelled."""
-        while True:
-            await asyncio.sleep(self.interval_s)
-            self.write_once()
-
-
-# ----------------------------------------------------------------------
 # DiskStore I/O probing
 # ----------------------------------------------------------------------
 
-def bind_store_probe(store, tracer: LiveTracer, registry=None):
+def bind_store_probe(store, tracer: Tracer, registry=None):
     """Attach a timing probe to a :class:`DiskStore`.
 
     The store times its own SQLite + blob work (``t0_ns``/``t1_ns`` from

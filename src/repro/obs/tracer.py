@@ -30,17 +30,25 @@ Instrumentation contract: every call site guards with ``if tracer is not
 None`` on the module global ``ACTIVE``; with tracing disabled the entire
 subsystem costs one attribute read and one branch per *batch* operation
 (never per block), which the end-to-end bench bounds at <= 1.02x.
+
+One recorder serves both time bases.  Built without a ``clock`` it keeps
+simulated seconds and every caller passes its own timestamps; built with
+one (``Tracer(clock=time.monotonic_ns)``, the live service) its unit is
+integer nanoseconds, its meta record says so, and :meth:`Tracer.span`
+times ``with`` blocks on that clock.  :func:`time_scale_us` is the only
+place the unit is decoded.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..metrics.timeseries import Histogram
 
-__all__ = ["Tracer", "ACTIVE", "get_tracer", "set_tracer",
-           "ledger_violations", "LEDGER_FIELDS", "QUANTILE_LABELS"]
+__all__ = ["Tracer", "LiveSpan", "ACTIVE", "set_tracer", "time_scale_us",
+           "latency_rows", "ledger_violations", "LEDGER_FIELDS",
+           "QUANTILE_LABELS"]
 
 #: Ledger fields mirror the pool's put-outcome/eviction counters exactly,
 #: so reconciliation is a field-by-field equality check.
@@ -60,23 +68,91 @@ QUANTILE_LABELS = (
 )
 
 
+def time_scale_us(meta: Dict[str, Any]) -> float:
+    """Multiplier from a trace's native time unit to microseconds.
+
+    Simulated traces record seconds and declare nothing; clocked traces
+    declare ``"time_unit": "ns"`` in their meta record.  The exporter,
+    the analyzers and :meth:`Tracer.latency_rows` all scale through this.
+    """
+    return 1e-3 if meta.get("time_unit") == "ns" else 1e6
+
+
+def latency_rows(histograms: Dict[str, Histogram], meta: Dict[str, Any],
+                 detail: bool = True) -> List[List[object]]:
+    """Tabulated latencies in milliseconds: one row per histogram.
+
+    Rows: ``[name, count, mean, p50, p90, p99, p999]``, scaled from the
+    unit ``meta`` declares; coarser aggregates sort first so the per-op
+    summary leads the report, and ``detail=False`` keeps only those (no
+    per-VM/per-pool rows).
+    """
+    ms_per_unit = time_scale_us(meta) / 1e3
+    rows: List[List[object]] = []
+    for name in sorted(histograms, key=lambda n: (n.count("."), n)):
+        if not detail and ".vm" in name:
+            continue
+        hist = histograms[name]
+        if not hist.count:
+            continue
+        rows.append(
+            [name, hist.count, hist.mean * ms_per_unit]
+            + [hist.quantile(q) * ms_per_unit for q, _ in QUANTILE_LABELS]
+        )
+    return rows
+
+
+class LiveSpan:
+    """One in-flight span on the tracer's clock, closed by ``with`` exit.
+
+    Unlike the simulator's generator-driven spans (begin/end around a
+    ``yield``), live spans bracket ``await``-ful request handling, so
+    the context-manager shape guarantees the close even on exceptions —
+    the validator's span-balance check stays strict for live traces.
+    """
+
+    __slots__ = ("_tracer", "name", "vm", "pool", "args", "_t0")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 vm: Optional[int] = None, pool: Optional[int] = None,
+                 **args: Any) -> None:
+        self._tracer = tracer
+        self.name = name
+        self.vm = vm
+        self.pool = pool
+        self.args = args
+        self._t0 = 0
+
+    def note(self, **args: Any) -> None:
+        """Attach arguments discovered mid-span (hit/miss, status, ...)."""
+        self.args.update(args)
+
+    def __enter__(self) -> "LiveSpan":
+        self._tracer.span_begin()
+        self._t0 = self._tracer.clock()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer.span_end(
+            self.name, self._t0, self._tracer.clock(),
+            vm=self.vm, pool=self.pool, **self.args)
+
+
 class Tracer:
     """Ring-buffered flight recorder plus provenance ledger."""
 
-    #: Multiplier turning this tracer's native duration unit into the
-    #: milliseconds :meth:`latency_rows` tabulates.  The base tracer
-    #: records simulated seconds; the wall-clock subclass
-    #: (:class:`repro.obs.live.LiveTracer`) records integer nanoseconds
-    #: and overrides this with ``1e-6``.
-    _MS_PER_UNIT = 1e3
-
-    def __init__(self, max_events: int = 200_000, sample: int = 1) -> None:
+    def __init__(self, max_events: int = 200_000, sample: int = 1,
+                 clock: Optional[Callable[[], int]] = None) -> None:
         if max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.max_events = max_events
         self.sample = sample
+        #: ``None``: simulated seconds, timestamps come from the callers.
+        #: Else monotonic integer nanoseconds — the only source of live
+        #: timestamps, so instants stay ordered for the validator.
+        self.clock = clock
         self.events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
         #: Events pushed out of the ring by newer ones.
         self.dropped = 0
@@ -134,6 +210,12 @@ class Tracer:
         """Mark a span as in flight (finished by a ``span_end``/``op_span``)."""
         self.spans_started += 1
 
+    def span(self, name: str, vm: Optional[int] = None,
+             pool: Optional[int] = None, **args: Any) -> LiveSpan:
+        """A context-managed span timed on :attr:`clock` (clocked tracers
+        only)."""
+        return LiveSpan(self, name, vm=vm, pool=pool, **args)
+
     def span_end(self, name: str, t0: float, t1: float,
                  vm: Optional[int] = None, pool: Optional[int] = None,
                  **args) -> None:
@@ -188,24 +270,8 @@ class Tracer:
         self.histogram(f"obs.lat.{scope}{op}.vm{vm}.pool{pool}").add(duration)
 
     def latency_rows(self, per_pool: bool = True) -> List[List[object]]:
-        """Tabulated latencies in milliseconds: one row per histogram.
-
-        Rows: ``[name, count, mean, p50, p90, p99, p999]``; coarser
-        aggregates sort first so the per-op summary leads the report.
-        """
-        rows: List[List[object]] = []
-        for name in sorted(self._histograms, key=lambda n: (n.count("."), n)):
-            if not per_pool and ".vm" in name:
-                continue
-            hist = self._histograms[name]
-            if not hist.count:
-                continue
-            rows.append(
-                [name, hist.count, hist.mean * self._MS_PER_UNIT]
-                + [hist.quantile(q) * self._MS_PER_UNIT
-                   for q, _ in QUANTILE_LABELS]
-            )
-        return rows
+        """:func:`latency_rows` of this tracer's histograms."""
+        return latency_rows(self._histograms, self._unit(), per_pool)
 
     # -- instant events + ledger ----------------------------------------
 
@@ -243,9 +309,15 @@ class Tracer:
 
     # -- snapshots ------------------------------------------------------
 
+    def _unit(self) -> Dict[str, str]:
+        """The meta keys that declare the time unit (none for seconds, so
+        simulated traces stay byte-identical)."""
+        return {} if self.clock is None else {"time_unit": "ns"}
+
     def meta(self) -> Dict[str, Any]:
         """Everything the exporters/validators need beyond the events."""
         return {
+            **self._unit(),
             "max_events": self.max_events,
             "sample": self.sample,
             "recorded": len(self.events),
@@ -305,11 +377,6 @@ def ledger_violations(tracer: Tracer, cache) -> List[str]:
 
 #: The active tracer; ``None`` keeps every instrumented site a no-op.
 ACTIVE: Optional[Tracer] = None
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The process-wide tracer, or ``None`` when tracing is disabled."""
-    return ACTIVE
 
 
 def set_tracer(tracer: Optional[Tracer]) -> None:

@@ -1,29 +1,28 @@
 """CLI: ``python -m repro.service --port 11311 --dir /tmp/ddcache``.
 
 Telemetry flags wire in :mod:`repro.obs.live`: ``--metrics-port`` starts
-the Prometheus/``/stats.json`` sidecar on the same event loop,
-``--trace`` records a wall-clock span trace written at shutdown (read it
-with ``python -m repro.obs``), ``--ops-log`` appends structured JSON
-operational events (otherwise they go to stderr), and ``--snapshot``
-appends periodic counter-delta records benchmarks can assert against.
+the Prometheus ``/metrics`` + ``/healthz`` sidecar on the same event
+loop, ``--trace`` records a wall-clock span trace written at shutdown
+(read it with ``python -m repro.obs``), and ``--ops-log`` appends
+structured JSON operational events (otherwise they go to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import signal
 import sys
+import time
+from pathlib import Path
 
 from ..endurance import ADMISSION_POLICIES
-from ..obs.live import (
-    LiveTracer,
+from ..obs import (
     OpsLogger,
-    SnapshotWriter,
     TelemetrySidecar,
+    Tracer,
     bind_store_probe,
-    write_trace,
+    to_jsonl,
 )
 from .cache import ServiceCache
 from .protocol import MAX_VALUE_BYTES
@@ -56,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip per-value fsync (benchmarks only)")
     telemetry = parser.add_argument_group("telemetry")
     telemetry.add_argument("--metrics-port", type=int, default=None,
-                           help="serve /metrics, /healthz, /stats.json on "
-                                "this port (0 picks a free one)")
+                           help="serve /metrics and /healthz on this "
+                                "port (0 picks a free one)")
     telemetry.add_argument("--metrics-host", default="127.0.0.1")
     telemetry.add_argument("--trace", default=None, metavar="PATH",
                            help="record a wall-clock JSONL trace, written "
@@ -69,18 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: stderr)")
     telemetry.add_argument("--slow-op-ms", type=float, default=10.0,
                            help="slow-op log threshold in milliseconds")
-    telemetry.add_argument("--snapshot", default=None, metavar="PATH",
-                           help="append periodic counter-delta snapshots "
-                                "to this JSONL artifact")
-    telemetry.add_argument("--snapshot-interval", type=float, default=2.0,
-                           help="seconds between snapshots")
     return parser
 
 
 async def _run(args: argparse.Namespace, ops_stream=None) -> None:
     ops = OpsLogger(stream=ops_stream,
                     slow_op_ns=int(args.slow_op_ms * 1e6))
-    tracer = LiveTracer(sample=args.trace_sample) if args.trace else None
+    tracer = (Tracer(sample=args.trace_sample, clock=time.monotonic_ns)
+              if args.trace else None)
 
     store = DiskStore(args.dir, sync_writes=not args.no_fsync)
     if store.recovered_orphans:
@@ -95,7 +90,6 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
         tracer=tracer,
     )
     if tracer is not None:
-        tracer.bind_registry(cache.registry)
         bind_store_probe(store, tracer, registry=cache.registry)
 
     server = CacheServer(cache, host=args.host, port=args.port,
@@ -110,7 +104,7 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
     if args.metrics_port is not None:
         sidecar = TelemetrySidecar(cache, protocol=server.protocol,
                                    host=args.metrics_host,
-                                   port=args.metrics_port, ops=ops)
+                                   port=args.metrics_port)
         await sidecar.start()
         print(f"repro.service metrics on "
               f"http://{sidecar.host}:{sidecar.port}/metrics", flush=True)
@@ -118,18 +112,8 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
             dir=store.directory, capacity_mb=args.capacity_mb,
             metrics_port=sidecar.port if sidecar else None)
 
-    snapshot = None
-    snapshot_task = None
-    if args.snapshot:
-        snapshot = SnapshotWriter(
-            args.snapshot, cache, protocol=server.protocol,
-            interval_s=args.snapshot_interval, tracer=tracer, ops=ops)
-        snapshot.write_once()  # seq 0: the baseline totals
-        snapshot_task = asyncio.get_running_loop().create_task(
-            snapshot.run())
-
-    # Graceful shutdown on SIGINT/SIGTERM so the trace and the final
-    # snapshot are written even when CI kills the process.
+    # Graceful shutdown on SIGINT/SIGTERM so the trace is written even
+    # when CI kills the process.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -140,12 +124,6 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
     try:
         await stop.wait()
     finally:
-        if snapshot_task is not None:
-            snapshot_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await snapshot_task
-        if snapshot is not None:
-            snapshot.write_once()  # final totals for post-run assertions
         if sidecar is not None:
             sidecar.close()
             await sidecar.wait_closed()
@@ -154,7 +132,7 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
                 protocol_errors=server.protocol.protocol_errors)
         await server.close()
         if tracer is not None:
-            write_trace(tracer, args.trace)
+            Path(args.trace).write_text(to_jsonl(tracer))
 
 
 def main(argv=None) -> int:

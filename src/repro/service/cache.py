@@ -58,7 +58,6 @@ class ServiceCache:
         eviction_batch_mb: float = 2.0,
         admission: Optional[str] = None,
         tenant_weight: float = 100.0,
-        registry: Optional[MetricsRegistry] = None,
         tracer: Optional[object] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -71,7 +70,7 @@ class ServiceCache:
             1, int(eviction_batch_mb * _MB) // block_bytes)
         self._admission = admission
         self._tenant_weight = tenant_weight
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._tracer = tracer
         self._clock = clock
 
@@ -287,7 +286,7 @@ class ServiceCache:
             freed += blocks
             if self._tracer is not None:
                 self._tracer.instant(
-                    "service.evict", self._tracer.now(), vm=self._vm_id,
+                    "service.evict", self._tracer.clock(), vm=self._vm_id,
                     pool=pool.pool_id, tenant=tenant, blocks=blocks)
         if victims:
             self.store.delete_entries(victims)

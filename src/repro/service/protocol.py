@@ -108,7 +108,7 @@ class MemcacheProtocol:
         self.protocol_errors = 0
         self.connections = 0
         self.ops = 0
-        #: Optional :class:`repro.obs.live.LiveTracer` for conn/cmd spans.
+        #: Optional clocked :class:`repro.obs.Tracer` for conn/cmd spans.
         self.tracer = tracer
         #: Optional :class:`repro.obs.live.OpsLogger` for the slow-op log.
         self.ops_log = ops_log

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..guest import Container
-from ..metrics import SummaryStat
 from ..simkernel import Environment, Interrupt, Process, RandomStreams
 
 __all__ = ["Workload", "WorkloadCounters", "CounterSnapshot"]
@@ -22,19 +21,19 @@ __all__ = ["Workload", "WorkloadCounters", "CounterSnapshot"]
 class WorkloadCounters:
     """Cumulative workload-side counters."""
 
-    __slots__ = ("ops", "bytes_read", "bytes_written", "latency")
+    __slots__ = ("ops", "bytes_read", "bytes_written", "latency_total")
 
     def __init__(self) -> None:
         self.ops = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self.latency = SummaryStat("op-latency")
+        self.latency_total = 0.0
 
     def op_done(self, latency: float, bytes_read: int = 0, bytes_written: int = 0) -> None:
         self.ops += 1
         self.bytes_read += bytes_read
         self.bytes_written += bytes_written
-        self.latency.add(latency)
+        self.latency_total += latency
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class CounterSnapshot:
     bytes_read: int
     bytes_written: int
     latency_total: float
-    latency_count: int
 
     def rates_since(self, earlier: "CounterSnapshot") -> dict:
         """ops/s, MB/s, and mean latency between two snapshots."""
@@ -59,11 +57,10 @@ class CounterSnapshot:
             + self.bytes_written - earlier.bytes_written
         )
         lat_total = self.latency_total - earlier.latency_total
-        lat_count = self.latency_count - earlier.latency_count
         return {
             "ops_per_s": ops / dt,
             "mb_per_s": total_bytes / dt / (1024.0 * 1024.0),
-            "mean_latency_ms": (lat_total / lat_count * 1000.0) if lat_count else 0.0,
+            "mean_latency_ms": (lat_total / ops * 1000.0) if ops else 0.0,
         }
 
 
@@ -149,8 +146,7 @@ class Workload(abc.ABC):
             ops=counters.ops,
             bytes_read=counters.bytes_read,
             bytes_written=counters.bytes_written,
-            latency_total=counters.latency.total,
-            latency_count=counters.latency.count,
+            latency_total=counters.latency_total,
         )
 
     # -- to implement ----------------------------------------------------------------

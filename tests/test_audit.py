@@ -28,9 +28,6 @@ from repro.core import (
     DoubleDeckerCache,
     GlobalCache,
     InvariantViolation,
-    ReferenceCache,
-    ReferenceGlobalCache,
-    ReferenceStaticCache,
     StaticPartitionCache,
     StoreKind,
     assert_consistent,
@@ -39,6 +36,12 @@ from repro.core import (
 )
 from repro.simkernel import Environment
 from repro.storage import SSD
+
+from .support.reference_models import (
+    ReferenceCache,
+    ReferenceGlobalCache,
+    ReferenceStaticCache,
+)
 
 BLK = 64 * 1024
 MEMORY = StoreKind.MEMORY
@@ -698,6 +701,25 @@ class TestAuditor:
         cache.dedup._placed[key] = fp
         cache.dedup.logical_blocks += 1
         assert check_cache(cache) == []
+
+    @pytest.mark.parametrize("field, delta, message", [
+        ("get_hits", +1, "hits out of only"),
+        ("flushes", +1, "were asked about"),
+        ("migrated_out", +1, "block flow leaks"),
+        ("migrated_in", -1, "block flow leaks"),
+        ("migrated_rejected", -1, "ran backwards"),
+    ])
+    def test_lookup_flush_migration_drift_is_caught(self, field, delta,
+                                                    message):
+        env, cache, vm, pool = self.populated()
+        run_gen(env, cache.get_many(vm, pool, [(1, 0), (1, 1), (9, 9)]))
+        cache.flush_many(vm, pool, [(1, 2), (9, 8)])
+        other = cache.create_pool(vm, "other", CachePolicy.memory(100.0))
+        assert cache.migrate_objects(vm, pool, other, 1) == 5
+        assert check_cache(cache) == []
+        stats = cache._pools[other].stats
+        setattr(stats, field, getattr(stats, field) + delta)
+        assert any(message in v for v in check_cache(cache))
 
     def test_stale_entitlements_are_caught(self):
         _, cache, vm, _ = self.populated()

@@ -71,3 +71,20 @@ class TestExperimentsRecord:
     def test_known_deviations_documented(self):
         record = (REPO / "EXPERIMENTS.md").read_text()
         assert "deviation" in record.lower()
+
+
+class TestServiceFlags:
+    def test_help_and_flag_tables_agree(self):
+        """Every flag ``python -m repro.service --help`` prints is a row
+        (or named in a row) of the flag tables in docs/SERVICE.md and
+        docs/OBSERVABILITY.md, and nothing else is."""
+        from repro.service.__main__ import build_parser
+
+        flag = re.compile(r"--[a-z][a-z-]*")
+        offered = set(flag.findall(build_parser().format_help())) - {"--help"}
+        documented = set()
+        for doc in ("SERVICE.md", "OBSERVABILITY.md"):
+            for line in (REPO / "docs" / doc).read_text().splitlines():
+                if line.startswith("| `--"):
+                    documented.update(flag.findall(line))
+        assert offered == documented

@@ -19,7 +19,6 @@ from repro.metrics import (
     check_exposition,
     registry_families,
     render_families,
-    render_registry,
 )
 from repro.metrics.exposition import (
     escape_label_value,
@@ -111,44 +110,44 @@ class HistogramFamilyTests(unittest.TestCase):
 
 
 class RegistryFamiliesTests(unittest.TestCase):
-    def test_counters_series_summaries_histograms(self):
+    """A registry holds sampled series and histograms; the fleet renders
+    one per host under a ``host`` label."""
+
+    def test_series_and_histograms_carry_labels(self):
         registry = MetricsRegistry()
-        registry.incr("tenant.gets", 7)
-        registry.record("cache.used_blocks", 1.0, 42.0)
-        registry.observe("op.cost", 3.0)
+        registry.record("cache.used_blocks", 1.0, 40.0)
+        registry.record("cache.used_blocks", 2.0, 42.0)  # the last one shows
         registry.wallclock_histogram("service.lat.get").add(500)
-        text = render_registry(registry, labels={"host": "host0"})
+        text = render_families(
+            registry_families(registry, labels={"host": "host0"}))
         self.assertEqual(check_exposition(text), [])
-        self.assertIn('dd_tenant_gets_total{host="host0"} 7', text)
-        self.assertIn('dd_cache_used_blocks{host="host0"} 42', text)
-        self.assertIn('quantile="0.5"', text)
-        self.assertIn("dd_service_lat_get_bucket", text)
-        self.assertIn("# TYPE dd_tenant_gets_total counter", text)
         self.assertIn("# TYPE dd_cache_used_blocks gauge", text)
-        self.assertIn("# TYPE dd_op_cost summary", text)
+        self.assertIn('dd_cache_used_blocks{host="host0"} 42', text)
         self.assertIn("# TYPE dd_service_lat_get histogram", text)
+        self.assertIn('dd_service_lat_get_bucket{host="host0",le="+Inf"} 1',
+                      text)
+        self.assertIn('dd_service_lat_get_count{host="host0"} 1', text)
 
     def test_empty_series_are_skipped(self):
         registry = MetricsRegistry()
         registry.series("never.sampled")
-        self.assertNotIn("never_sampled",
-                         render_registry(registry))
+        self.assertEqual(registry_families(registry), [])
 
     def test_same_name_families_merge_under_one_type(self):
-        registries = []
-        for host in range(2):
-            registry = MetricsRegistry()
-            registry.incr("gets", 1 + host)
-            registries.append(registry)
         families = []
-        for index, registry in enumerate(registries):
+        for index in range(2):
+            registry = MetricsRegistry()
+            registry.record("pool.used_mb", 0.0, 1.0 + index)
+            registry.histogram("obs.lat.get").add(0.001 * (1 + index))
             families.extend(registry_families(
                 registry, labels={"host": f"host{index}"}))
         text = render_families(families)
         self.assertEqual(check_exposition(text), [])
-        self.assertEqual(text.count("# TYPE dd_gets_total"), 1)
-        self.assertIn('dd_gets_total{host="host0"} 1', text)
-        self.assertIn('dd_gets_total{host="host1"} 2', text)
+        self.assertEqual(text.count("# TYPE dd_pool_used_mb"), 1)
+        self.assertIn('dd_pool_used_mb{host="host0"} 1', text)
+        self.assertIn('dd_pool_used_mb{host="host1"} 2', text)
+        self.assertEqual(text.count("# TYPE dd_obs_lat_get histogram"), 1)
+        self.assertIn('dd_obs_lat_get_count{host="host1"} 1', text)
 
     def test_kind_mismatch_raises(self):
         with self.assertRaises(ValueError):
@@ -216,10 +215,10 @@ class CliTests(unittest.TestCase):
         from pathlib import Path
 
         registry = MetricsRegistry()
-        registry.incr("gets", 3)
+        registry.record("gets", 0.0, 3)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "metrics.prom"
-            path.write_text(render_registry(registry))
+            path.write_text(render_families(registry_families(registry)))
             status, output = self._run([str(path)])
         self.assertEqual(status, 0)
         self.assertIn("OK (1 samples)", output)

@@ -21,12 +21,12 @@ from repro.obs import (
     LEDGER_FIELDS,
     Tracer,
     attach_latency_report,
-    get_tracer,
+    events_to_perfetto,
     ledger_violations,
     parse_jsonl,
     set_tracer,
     to_jsonl,
-    to_perfetto,
+    tracer as obs_tracer,
     validate_trace,
 )
 from repro.simkernel import Environment
@@ -147,12 +147,12 @@ class TestTracerBasics:
         assert tracer.register_cache("other") == "other"
 
     def test_set_get_tracer(self, no_tracer):
-        assert get_tracer() is None
+        assert obs_tracer.ACTIVE is None
         tracer = Tracer()
         set_tracer(tracer)
-        assert get_tracer() is tracer
+        assert obs_tracer.ACTIVE is tracer
         set_tracer(None)
-        assert get_tracer() is None
+        assert obs_tracer.ACTIVE is None
 
     def test_ledger_update_accumulates(self):
         tracer = Tracer()
@@ -272,7 +272,7 @@ class TestExporters:
 
     def test_perfetto_structure(self, no_tracer):
         tracer = self.make_trace()
-        doc = json.loads(to_perfetto(tracer))
+        doc = json.loads(events_to_perfetto(tracer.meta(), tracer.events))
         events = doc["traceEvents"]
         assert events
         phases = {e["ph"] for e in events}

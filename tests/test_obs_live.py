@@ -1,34 +1,35 @@
-"""Live telemetry: wall-clock tracer, ops logging, snapshots, sidecar.
+"""Live telemetry: clocked tracer, ops logging, store probe, sidecar.
 
-Unit tests inject a fake nanosecond clock so spans, slow-op windows, and
-snapshot timestamps are exact; the integration tests at the bottom run a
-real server with a :class:`LiveTracer` attached and push the resulting
-trace through the same strict validator and Perfetto exporter the
-simulated traces use.
+Unit tests inject a fake nanosecond clock so spans and slow-op windows
+are exact; the integration tests at the bottom run a real server with a
+clocked :class:`Tracer` attached and push the resulting trace through
+the same strict validator and Perfetto exporter the simulated traces
+use.
 """
 
 import asyncio
+import gc
 import io
 import json
 import tempfile
+import time
 import unittest
-from pathlib import Path
+from unittest import mock
 
 from repro.metrics import check_exposition
 from repro.obs import (
+    Tracer,
     events_to_perfetto,
+    live,
     parse_jsonl,
     to_jsonl,
     validate_trace,
 )
 from repro.obs.export import time_scale_us
 from repro.obs.live import (
-    LiveTracer,
     OpsLogger,
-    SnapshotWriter,
     TelemetrySidecar,
     bind_store_probe,
-    write_trace,
 )
 from repro.service import DiskStore, ServiceCache
 from repro.service.server import CacheServer
@@ -49,7 +50,7 @@ class FakeClock:
 class LiveTracerTests(unittest.TestCase):
     def test_span_records_wallclock_duration(self):
         clock = FakeClock(start=0, step=50)
-        tracer = LiveTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         with tracer.span("cmd.get", tenant="t0") as span:
             span.note(hit=True)
         (event,) = list(tracer.events)
@@ -59,7 +60,7 @@ class LiveTracerTests(unittest.TestCase):
         self.assertTrue(event["args"]["hit"])
 
     def test_span_closes_on_exception(self):
-        tracer = LiveTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         with self.assertRaises(RuntimeError):
             with tracer.span("cmd.set"):
                 raise RuntimeError("boom")
@@ -68,7 +69,7 @@ class LiveTracerTests(unittest.TestCase):
 
     def test_meta_declares_ns_unit_and_validates(self):
         clock = FakeClock()
-        tracer = LiveTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         with tracer.span("cmd.get"):
             pass
         tracer.instant("conn.accept", tracer.clock(), conn=1)
@@ -81,7 +82,7 @@ class LiveTracerTests(unittest.TestCase):
         self.assertEqual(time_scale_us({}), 1e6)
 
     def test_perfetto_export_scales_ns_to_us(self):
-        tracer = LiveTracer(clock=FakeClock(start=0, step=500))
+        tracer = Tracer(clock=FakeClock(start=0, step=500))
         with tracer.span("cmd.get"):
             pass
         meta, events = parse_jsonl(to_jsonl(tracer))
@@ -89,27 +90,6 @@ class LiveTracerTests(unittest.TestCase):
         spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         self.assertEqual(len(spans), 1)
         self.assertEqual(spans[0]["dur"], 0.5)  # 500 ns == 0.5 us
-
-    def test_histograms_are_ns_bucketed(self):
-        tracer = LiveTracer(clock=FakeClock())
-        hist = tracer.histogram("svc.lat")
-        hist.add(750)
-        # A simulated-second histogram would park 750 (interpreted as
-        # seconds' magnitude ns) far outside bucket 0; ns buckets keep
-        # sub-microsecond resolution.
-        self.assertNotIn(0, hist._counts)
-        self.assertEqual(hist._lo, 1.0)
-
-    def test_write_trace_round_trips(self):
-        tracer = LiveTracer(clock=FakeClock())
-        with tracer.span("cmd.get"):
-            pass
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trace.jsonl"
-            write_trace(tracer, str(path))
-            meta, events = parse_jsonl(path.read_text())
-        self.assertEqual(validate_trace(meta, events), [])
-        self.assertEqual(len(events), 1)
 
 
 class OpsLoggerTests(unittest.TestCase):
@@ -158,70 +138,10 @@ class OpsLoggerTests(unittest.TestCase):
             OpsLogger(stream=io.StringIO(), slow_op_per_s=0)
 
 
-class SnapshotWriterTests(unittest.TestCase):
-    def test_deltas_track_only_changed_counters(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = DiskStore(tmp, sync_writes=False)
-            cache = ServiceCache(store, capacity_mb=1.0)
-            path = Path(tmp) / "snap.jsonl"
-            ops_stream = io.StringIO()
-            ops = OpsLogger(stream=ops_stream, clock=FakeClock())
-            snap = SnapshotWriter(str(path), cache, ops=ops,
-                                  clock=FakeClock())
-            first = snap.write_once()
-            # Seq 0 baselines the static host gauges; no tenant exists yet.
-            self.assertTrue(all(key.startswith("_host.") for key in first),
-                            first)
-            cache.set("t0", "k", b"v")
-            cache.get("t0", "k")
-            second = snap.write_once()
-            self.assertEqual(second["t0.puts"], 1)
-            self.assertEqual(second["t0.gets"], 1)
-            self.assertNotIn("t0.evictions", second)  # unchanged: no delta
-            third = snap.write_once()
-            self.assertEqual(third, {})
-            records = [json.loads(line)
-                       for line in path.read_text().splitlines()]
-            self.assertEqual([r["seq"] for r in records], [0, 1, 2])
-            self.assertEqual(records[1]["totals"]["t0.puts_stored"], 1)
-            # No evictions happened, so no pressure event was logged.
-            self.assertNotIn("eviction_pressure", ops_stream.getvalue())
-            cache.close()
-
-    def test_eviction_delta_emits_pressure_event(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = DiskStore(tmp, sync_writes=False)
-            cache = ServiceCache(store, capacity_mb=4096 * 8 / (1 << 20),
-                                 eviction_batch_mb=4096 / (1 << 20))
-            path = Path(tmp) / "snap.jsonl"
-            ops_stream = io.StringIO()
-            ops = OpsLogger(stream=ops_stream, clock=FakeClock())
-            snap = SnapshotWriter(str(path), cache, ops=ops,
-                                  clock=FakeClock())
-            snap.write_once()
-            payload = b"x" * 4096
-            for i in range(16):  # twice the capacity: must evict
-                cache.set("t0", f"k{i}", payload)
-            delta = snap.write_once()
-            self.assertGreater(delta["t0.evictions"], 0)
-            events = [json.loads(line)
-                      for line in ops_stream.getvalue().splitlines()]
-            pressure = [e for e in events
-                        if e["event"] == "eviction_pressure"]
-            self.assertEqual(len(pressure), 1)
-            self.assertEqual(pressure[0]["evicted_blocks"],
-                             delta["t0.evictions"])
-            cache.close()
-
-    def test_rejects_nonpositive_interval(self):
-        with self.assertRaises(ValueError):
-            SnapshotWriter("x.jsonl", cache=None, interval_s=0)
-
-
 class StoreProbeTests(unittest.TestCase):
     def test_probe_records_spans_and_histograms(self):
         clock = FakeClock(start=10_000, step=10)
-        tracer = LiveTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         with tempfile.TemporaryDirectory() as tmp:
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=1.0, tracer=tracer)
@@ -289,27 +209,14 @@ class SidecarTests(unittest.IsolatedAsyncioTestCase):
         self.assertEqual(self.sidecar.scrapes, 1)
 
     async def test_healthz_and_stats_json(self):
-        # Drive one set over the wire so the protocol layer records a
-        # latency sample (in-process cache calls bypass those histograms).
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", self.server.port)
-        writer.write(b"set k 0 0 1\r\nv\r\nquit\r\n")
-        await writer.drain()
-        await reader.read()
-        writer.close()
         status, _, body = await self.http(
             "GET /healthz HTTP/1.0\r\n\r\n")
         self.assertEqual(status, 200)
         self.assertEqual(json.loads(body), {"ok": True})
-        status, _, body = await self.http(
-            "GET /stats.json HTTP/1.0\r\n\r\n")
-        self.assertEqual(status, 200)
-        payload = json.loads(body)
-        self.assertEqual(payload["tenants"]["default"]["puts_stored"], 1)
-        self.assertIn("used_blocks", payload["host"])
-        self.assertEqual(payload["server"]["connections"], 1)
-        self.assertIn("set", payload["latency"])
-        self.assertGreater(payload["latency"]["set"]["p99_ns"], 0)
+        # The wire `stats` command and /metrics are the two renderings of
+        # ServiceCache.stats(); there is no third over HTTP.
+        status, _, _ = await self.http("GET /stats.json HTTP/1.0\r\n\r\n")
+        self.assertEqual(status, 404)
 
     async def test_unknown_path_404_and_post_405(self):
         status, _, _ = await self.http("GET /nope HTTP/1.0\r\n\r\n")
@@ -325,11 +232,49 @@ class SidecarTests(unittest.IsolatedAsyncioTestCase):
         self.assertIn("Content-Length:", head)
 
 
+    # -- hostile scrapers: the port shares the cache's event loop --------
+
+    async def test_overlong_request_line_is_answered_400(self):
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", self.sidecar.port)
+        writer.write(b"GET /" + b"a" * 200_000 + b" HTTP/1.0\r\n\r\n")
+        # The status line only: what the server left unread of the
+        # request turns its close into a reset right behind the reply.
+        self.assertEqual(await reader.readline(),
+                         b"HTTP/1.0 400 Bad Request\r\n")
+        writer.close()
+        gc.collect()  # an exception lost in a handler task reports here
+        self.assertEqual(errors, [])
+
+    async def test_silent_client_is_answered_408_and_closed(self):
+        with mock.patch.object(live, "_HEAD_SECONDS", 0.05):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", self.sidecar.port)
+            raw = await asyncio.wait_for(reader.read(), 2.0)  # to EOF
+        writer.close()
+        self.assertTrue(raw.startswith(b"HTTP/1.0 408 Request Timeout\r\n"),
+                        raw)
+
+    async def test_endless_headers_are_cut_at_head_bytes(self):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", self.sidecar.port)
+        header = b"X-Pad: " + b"x" * 1015 + b"\r\n"  # 1 KiB, no blank line
+        writer.write(b"GET /metrics HTTP/1.0\r\n"
+                     + header * (4 * live._HEAD_BYTES // len(header)))
+        self.assertEqual(await reader.readline(),
+                         b"HTTP/1.0 400 Bad Request\r\n")
+        writer.close()
+        self.assertEqual(self.sidecar.scrapes, 0)  # refused, not routed
+
+
 class LiveTraceEndToEndTests(unittest.IsolatedAsyncioTestCase):
     """A traced server under real traffic produces a strict-valid trace."""
 
     async def test_full_request_path_trace_validates(self):
-        tracer = LiveTracer()
+        tracer = Tracer(clock=time.monotonic_ns)
         with tempfile.TemporaryDirectory() as tmp:
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=1.0, tracer=tracer)
