@@ -2,9 +2,10 @@
 
 The simulator proves the policy; this package runs it.  Three layers:
 
-* :class:`~repro.service.store.DiskStore` — a crash-safe, process-safe,
-  pure-Python persistent value store (one SQLite row per entry, small
-  values inline, large ones as blob files — the python-diskcache mold).
+* :class:`~repro.service.store.DiskStore` — a crash-safe, pure-Python
+  persistent value store owned by one process (one SQLite row per
+  entry, small values inline, large ones in 4 KiB slots of one slab
+  file).
 * :class:`~repro.service.cache.ServiceCache` — drives the same
   :class:`~repro.core.engine.PolicyEngine` the simulator uses: one DD
   container (pool) per tenant, Algorithm-1 victim selection, the
@@ -16,8 +17,9 @@ The simulator proves the policy; this package runs it.  Three layers:
 
 Unlike the simulator's exclusive second-chance cache, the service cache
 is the system of record for its values: a ``get`` hit leaves the entry
-resident.  Residence order is still FIFO per pool, so Algorithm 1's
-batch eviction behaves exactly as in the paper.
+resident.  Residence order is still FIFO per pool and Algorithm 1
+picks the victims; a round stops as soon as the request fits, where the
+paper's drains its whole batch (see :mod:`repro.service.cache`).
 
 These modules live on the host wall clock by design; sim-lint's DD001
 (wall-clock) rule is allowlisted for ``repro/service/``, which is

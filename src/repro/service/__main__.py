@@ -78,9 +78,6 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
               if args.trace else None)
 
     store = DiskStore(args.dir, sync_writes=not args.no_fsync)
-    if store.recovered_orphans:
-        ops.log("store.recovery", orphans=store.recovered_orphans,
-                dir=store.directory)
     cache = ServiceCache(
         store,
         capacity_mb=args.capacity_mb,

@@ -13,8 +13,11 @@ The disk store plays the role of the simulator's SSD store
 ``ceil(n / block_bytes)`` blocks of the capacity budget, entered into
 its pool's FIFO under the entry's id as the inode.  Eviction pops the
 FIFO head and retires the *whole* entry — partial values are useless to
-a memcached client — so one Algorithm-1 round frees up to an eviction
-batch worth of blocks exactly as in the simulator.
+a memcached client.  One Algorithm-1 round frees *at most* an eviction
+batch worth of blocks and stops as soon as the request fits, where the
+simulator's ``DoubleDeckerCache._evict_round`` drains the whole batch:
+in the steady eviction regime a ``set`` evicts what it needs and no
+more (one victim selection per evicting ``set``).
 
 Unlike the simulated exclusive cache, a ``get`` hit leaves the entry
 resident (the service is the system of record for its values), so

@@ -9,12 +9,15 @@ that are supposed to agree —
 * the policy side: every entry's blocks sit in its tenant's pool FIFO,
   contiguous and in id order; ``pool.used`` and ``used_blocks`` equal
   the recounted block sums and stay within capacity;
-* the disk side, read straight from ``meta.db`` and ``data/`` rather
-  than through :class:`~repro.service.store.DiskStore` methods: one row
-  per entry with the same identity and size, every row's value readable
-  (from its ``<id>.val`` blob, or from the row's ``value`` column in a
-  layout that has one) at exactly the recorded size, and no blob file
-  without a row.
+* the disk side, read straight from ``meta.db`` and ``data.slab``
+  rather than through :class:`~repro.service.store.DiskStore` methods:
+  one row per entry with the same identity and size; every row's value
+  in its ``value`` column or in the slab run its ``slot`` column names,
+  never both, readable at exactly the recorded size; no two runs
+  overlapping, none past the end of the file;
+* the store's allocation state against the slot map recomputed from
+  the rows alone: the same slots in use, the same id → slot map, and a
+  file exactly as long as the map.
 
 It is meant to run between operations (tests call it every N ops); a
 store caught mid-``set`` is not a state it describes.
@@ -26,6 +29,7 @@ import os
 from typing import Dict, List
 
 from ..core.config import StoreKind
+from .store import SLOT_BYTES, slots_of
 
 __all__ = ["check_service"]
 
@@ -96,41 +100,67 @@ def check_service(cache) -> List[str]:
 
     # -- disk ------------------------------------------------------------
     store = cache.store
-    data_dir = os.path.join(store.directory, "data")
-    cursor = store._db.execute("SELECT * FROM entries ORDER BY id")
-    columns = [column[0] for column in cursor.description]
-    seen_ids = set()
-    for values in cursor.fetchall():
-        row = dict(zip(columns, values))
-        entry_id = row["id"]
-        seen_ids.add(entry_id)
-        entry = entries.get(entry_id)
-        identity = (row["tenant"], row["key"], row["size"])
-        if entry is None:
-            violations.append(f"row {entry_id} {identity!r} is not indexed")
-        elif (entry[0], entry[1], entry[3]) != identity or (
-                len(entry) > 4 and entry[4] != row["flags"]):
-            violations.append(f"row {entry_id} is {identity!r} flags "
-                              f"{row['flags']}, the index says {entry!r}")
-        path = os.path.join(data_dir, f"{entry_id}.val")
-        inline = row.get("value")
-        if inline is not None and os.path.exists(path):
-            violations.append(f"row {entry_id} has an inline value and a blob")
-        try:
-            if inline is None:
-                with open(path, "rb") as blob:
-                    inline = blob.read()
-        except OSError as error:
-            violations.append(f"row {entry_id}: value unreadable ({error})")
-            continue
-        if len(inline) != row["size"]:
-            violations.append(f"row {entry_id}: {len(inline)} bytes stored, "
-                              f"size column says {row['size']}")
+    slab = os.open(os.path.join(store.directory, "data.slab"), os.O_RDONLY)
+    try:
+        slab_bytes = os.fstat(slab).st_size
+        cursor = store._db.execute("SELECT * FROM entries ORDER BY id")
+        columns = [column[0] for column in cursor.description]
+        seen_ids = set()
+        claimed: Dict[int, int] = {}        # slot -> id of the row claiming it
+        first_slots: Dict[int, int] = {}    # id -> first slot, from the rows
+        for values in cursor.fetchall():
+            row = dict(zip(columns, values))
+            entry_id, size = row["id"], row["size"]
+            seen_ids.add(entry_id)
+            entry = entries.get(entry_id)
+            identity = (row["tenant"], row["key"], size)
+            if entry is None:
+                violations.append(f"row {entry_id} {identity!r} is not indexed")
+            elif ((entry[0], entry[1], entry[3]) != identity
+                  or entry[4] != row["flags"]):
+                violations.append(f"row {entry_id} is {identity!r} flags "
+                                  f"{row['flags']}, the index says {entry!r}")
+            stored, slot = row["value"], row["slot"]
+            if (stored is None) == (slot is None):
+                violations.append(
+                    f"row {entry_id} has " + ("neither an inline value nor "
+                    "a slot" if slot is None else "an inline value and a slot"))
+                continue
+            if slot is not None:
+                first_slots[entry_id] = slot
+                run = range(slot, slot + slots_of(size))
+                for at in run:
+                    if claimed.setdefault(at, entry_id) != entry_id:
+                        violations.append(f"rows {claimed[at]} and {entry_id} "
+                                          f"overlap at slot {at}")
+                        break
+                if run.stop * SLOT_BYTES > slab_bytes:
+                    violations.append(
+                        f"row {entry_id}: slots {run.start}..{run.stop - 1} "
+                        f"reach past the end of data.slab ({slab_bytes} bytes)")
+                stored = os.pread(slab, size, slot * SLOT_BYTES)
+            if len(stored) != size:
+                violations.append(f"row {entry_id}: {len(stored)} bytes stored,"
+                                  f" size column says {size}")
+    finally:
+        os.close(slab)
     for entry_id in sorted(set(entries) - seen_ids):
         violations.append(f"entry {entry_id} {entries[entry_id][:2]!r} "
                           "has no row")
-    for name in sorted(os.listdir(data_dir)):
-        stem, _, ext = name.partition(".")
-        if ext == "val" and stem.isdigit() and int(stem) not in seen_ids:
-            violations.append(f"blob {name} has no row")
+    # The store's in-memory allocation state against the rows alone.
+    used = store._map.used
+    for at in sorted(set(claimed) | {at for at, taken in enumerate(used)
+                                     if taken}):
+        if at not in claimed:
+            violations.append(f"slot {at} is marked used, no row claims it")
+        elif at >= len(used) or not used[at]:
+            violations.append(f"slot {at} is marked free, row {claimed[at]} "
+                              "claims it")
+    if store._slots != first_slots:
+        odd = sorted(set(store._slots.items()) ^ set(first_slots.items()))
+        violations.append(f"the store's id -> slot map and the rows disagree "
+                          f"on {odd[:6]}")
+    if slab_bytes != len(used) * SLOT_BYTES:
+        violations.append(f"data.slab is {slab_bytes} bytes, the slot map "
+                          f"spans {len(used)} slots of {SLOT_BYTES}")
     return violations

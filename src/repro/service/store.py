@@ -1,27 +1,35 @@
 """Disk-backed value store: SQLite is the recovery log, not the index.
 
-The layout follows python-diskcache (SNIPPETS.md 1–2): one SQLite row
-per entry; a value of at most :data:`INLINE_BYTES` lives in the row's
-``value`` column, a larger one in ``data/<id>.val`` so big bodies never
-travel through the SQL layer.  The store is never asked *whether* a key
-exists: :class:`~repro.service.cache.ServiceCache`'s index is the truth
-while the process runs and addresses entries by id; the table is what
-:meth:`iter_entries` rebuilds that index from after a restart.  A
-``set`` is two steps:
+One SQLite row per entry.  A value of at most :data:`INLINE_BYTES`
+lives in the row's ``value`` column; a larger one takes
+``ceil(size / SLOT_BYTES)`` contiguous slots of the single file
+``data.slab`` and the row's ``slot`` column names the first — cache
+space addressed by block, as the paper's SSD store is, with no file,
+inode or directory entry per value.  The store is never asked *whether*
+a key exists: :class:`~repro.service.cache.ServiceCache`'s index is the
+truth while the process runs and addresses entries by id; the table is
+what :meth:`iter_entries` rebuilds that index from after a restart.
+Which slots are free is memory only (:class:`SlotMap`), rebuilt from
+the rows at open.  A ``set`` is two steps:
 
-1. Take a fresh id and, for a large value, write ``<id>.val`` (flush,
-   ``fsync``).  Nothing references the id yet, so the path is private:
-   no temporary name, no rename.
-2. Commit **one** ``INSERT OR REPLACE`` carrying the id.  The ``UNIQUE
-   (tenant, key)`` conflict retires an overwritten row in the same
-   atomic statement; its blob is unlinked afterwards.
+1. Take a fresh id and, for a large value, a free run (a hole of
+   exactly its length if there is one, else the lowest that fits, else
+   the end of the file) and write it there: one ``pwrite``, one
+   ``fsync``.
+2. Commit **one** ``INSERT OR REPLACE`` carrying id and slot.  The
+   ``UNIQUE (tenant, key)`` conflict retires an overwritten row in the
+   same atomic statement; only then is the old run marked free.
 
-A row therefore exists only if its value is durable.  Deletion is one
-``DELETE`` — one for a whole eviction batch or flush — and then the
-unlinks.  A crash before step 2, or between a committed ``DELETE`` or
-replace and its unlinks, leaves blobs no row references, and only
-those; :meth:`recover` sweeps them.  SQLite runs in WAL mode, every
-statement its own commit.
+Deletion is one ``DELETE`` — one for a whole eviction batch or flush —
+and then the runs are marked free, the file cut back when the last one
+ended it.  The crash rule is **a slot is written only while no
+committed row claims it**: a run becomes reusable after the statement
+that removed its row has committed, never before.  A torn write can
+therefore only damage bytes no row claims, a row exists only if its
+value is durable, and a crash leaves no debris: :meth:`recover` marks
+what the rows claim and cuts off what lies beyond.  SQLite runs in WAL
+mode, every statement its own commit, and holds the database's file
+lock for as long as the store is open — a directory has one server.
 
 Entry ids strictly increase and are never reused, across restarts too:
 they are leased :data:`_LEASE` at a time, the lease's high-water mark
@@ -32,18 +40,23 @@ comes to name another value, and id order is FIFO residence order.
 
 from __future__ import annotations
 
+import errno
 import os
 import sqlite3
 import time
 from typing import (Callable, Dict, Iterator, NamedTuple, Optional, Sequence,
                     Tuple)
 
-__all__ = ["DiskStore", "StoredEntry", "INLINE_BYTES", "LAYOUT_VERSION"]
+__all__ = ["DiskStore", "SlotMap", "StoredEntry", "slots_of", "INLINE_BYTES",
+           "SLOT_BYTES", "LAYOUT_VERSION"]
 
-#: Values up to this size are stored in their row, larger ones as files.
+#: Values up to this size are stored in their row, larger ones in the slab.
 INLINE_BYTES = 1024
-#: ``PRAGMA user_version`` of this layout (the pre-inline one never set it).
-LAYOUT_VERSION = 2
+#: Allocation unit of ``data.slab``.
+SLOT_BYTES = 4096
+#: ``PRAGMA user_version`` of this layout (1 never existed; 2 kept each
+#: large value in a file of its own under ``data/``).
+LAYOUT_VERSION = 3
 _LEASE = 1024  # ids per committed high-water mark: one UPDATE per 1024 sets
 
 _SCHEMA = f"""
@@ -55,6 +68,7 @@ CREATE TABLE entries (
     flags INTEGER NOT NULL,
     size INTEGER NOT NULL,
     value BLOB,
+    slot INTEGER,
     UNIQUE (tenant, key)
 );
 CREATE TABLE lease (high_water INTEGER NOT NULL);
@@ -73,36 +87,96 @@ class StoredEntry(NamedTuple):
     size: int
 
 
+def slots_of(size: int) -> int:
+    """Slots a slab value of ``size`` bytes occupies."""
+    return -(-size // SLOT_BYTES)
+
+
+class SlotMap:
+    """Which slots of the slab are taken: one byte each, 1 = in use.
+    The map ends at the last slot in use, and so does the file."""
+
+    def __init__(self) -> None:
+        self.used = bytearray()
+
+    def find(self, count: int) -> int:
+        """First slot of a free run for ``count`` slots: the lowest hole
+        of exactly that length between two slots in use, else the lowest
+        run that fits, else the end of the map.  (Lowest fit alone lets
+        small values nibble the holes large ones left and need again.)"""
+        free = bytes(count)
+        hole = self.used.find(b"\1" + free + b"\1")
+        if hole >= 0:
+            return hole + 1
+        slot = self.used.find(free)
+        return slot if slot >= 0 else len(self.used)
+
+    def claim(self, slot: int, count: int) -> None:
+        """Mark a run in use, growing the map to reach it."""
+        used = self.used
+        if slot + count > len(used):
+            used.extend(bytes(slot + count - len(used)))
+        used[slot:slot + count] = b"\1" * count
+
+    def release(self, slot: int, count: int) -> None:
+        """Mark a run free and drop the free slots that end the map."""
+        used = self.used
+        used[slot:slot + count] = bytes(count)
+        if slot + count == len(used):
+            del used[used.rfind(1) + 1:]
+
+
 class DiskStore:
     """Crash-safe persistent store of ``(tenant, key, flags, value)``
     entries addressed by id."""
 
     def __init__(self, directory: str, sync_writes: bool = True) -> None:
         self.directory = os.path.abspath(directory)
-        self._data_dir = os.path.join(self.directory, "data")
-        os.makedirs(self._data_dir, exist_ok=True)
+        os.makedirs(self.directory, exist_ok=True)
         self._sync_writes = sync_writes
         self._db = sqlite3.connect(
             os.path.join(self.directory, "meta.db"),
             isolation_level=None,  # autocommit: one statement, one commit
             check_same_thread=False,
+            timeout=0,  # the lock is held for good or not at all: never wait
         )
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute(
-            "PRAGMA synchronous=" + ("FULL" if sync_writes else "NORMAL"))
-        found = self._db.execute("PRAGMA user_version").fetchone()[0]
-        if not self._db.execute(
-                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
-            self._db.executescript(_SCHEMA)
-        elif found != LAYOUT_VERSION:
+        try:
+            self._db.execute("PRAGMA locking_mode=EXCLUSIVE")
+            found = self._db.execute("PRAGMA user_version").fetchone()[0]
+            fresh = not self._db.execute(
+                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0]
+            if not fresh and found != LAYOUT_VERSION:
+                raise RuntimeError(
+                    f"{self.directory} holds store layout version {found}; "
+                    f"this build reads and writes version {LAYOUT_VERSION} "
+                    "only and does not migrate: serve it with the build that "
+                    "wrote it")
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute(
+                "PRAGMA synchronous=" + ("FULL" if sync_writes else "NORMAL"))
+            if fresh:
+                self._db.executescript(_SCHEMA)
+            self._next_id = self._leased = self._db.execute(
+                "SELECT high_water FROM lease").fetchone()[0] + 1
+        except sqlite3.OperationalError as error:
             self._db.close()
+            if error.sqlite_errorcode != sqlite3.SQLITE_BUSY:
+                raise
             raise RuntimeError(
-                f"{self.directory} holds store layout version {found}; this "
-                f"build reads and writes version {LAYOUT_VERSION} only and does "
-                "not migrate: serve it with the build that wrote it")
-        self._next_id = self._leased = self._db.execute(
-            "SELECT high_water FROM lease").fetchone()[0] + 1
-        self.recovered_orphans = 0
+                f"{self.directory} is locked: another server (or an open "
+                "sqlite3 shell) holds its meta.db, and a directory has one "
+                "owner") from error
+        except BaseException:
+            self._db.close()
+            raise
+        self._slab = os.open(os.path.join(self.directory, "data.slab"),
+                             os.O_RDWR | os.O_CREAT, 0o644)
+        if sync_writes:  # the slab's directory entry: once, not per value
+            handle = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(handle)
+            finally:
+                os.close(handle)
         #: Optional I/O timing hook, ``probe(op, t0_ns, t1_ns, nbytes)``,
         #: called once per data-path op with ``time.monotonic_ns`` stamps
         #: (see :func:`repro.obs.live.bind_store_probe`).  ``None`` keeps
@@ -111,14 +185,17 @@ class DiskStore:
         self.recover()
 
     def recover(self) -> None:
-        """Sweep the only debris a crash can leave: blobs no row uses."""
-        live = {row[0] for row in self._db.execute(
-            "SELECT id FROM entries WHERE value IS NULL").fetchall()}
-        for name in sorted(os.listdir(self._data_dir)):
-            stem, _, ext = name.partition(".")
-            if ext == "val" and stem.isdigit() and int(stem) not in live:
-                os.unlink(os.path.join(self._data_dir, name))
-                self.recovered_orphans += 1
+        """Rebuild the slot map from the rows and cut off what a crash
+        left beyond them (a torn append, a cut-back that never ran)."""
+        self._map = SlotMap()
+        #: id -> first slot of every slab-backed entry.
+        self._slots: Dict[int, int] = {}
+        for entry_id, slot, size in self._db.execute(
+                "SELECT id, slot, size FROM entries "
+                "WHERE value IS NULL").fetchall():
+            self._map.claim(slot, slots_of(size))
+            self._slots[entry_id] = slot
+        self._cut_back()
 
     # -- data path ------------------------------------------------------
 
@@ -141,24 +218,33 @@ class DiskStore:
             self._db.execute("UPDATE lease SET high_water = ?",
                              (self._leased - 1,))
         self._next_id += 1
-        inline = len(value) <= INLINE_BYTES
-        if not inline:
-            with open(self._blob_path(entry_id), "wb") as blob:
-                blob.write(value)
-                if self._sync_writes:
-                    blob.flush()
-                    os.fsync(blob.fileno())
+        size = len(value)
+        slot = None
+        if size > INLINE_BYTES:
+            count = slots_of(size)
+            slot = self._map.find(count)
+            if slot == len(self._map.used):
+                # Appending: whole slots, so the file ends where the map does.
+                value = value + bytes(count * SLOT_BYTES - size)
+            if os.pwrite(self._slab, value, slot * SLOT_BYTES) != len(value):
+                raise OSError(errno.ENOSPC, "short write to data.slab")
+            if self._sync_writes:
+                os.fsync(self._slab)
+            value = None
         self._db.execute(
-            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?)",
-            (entry_id, tenant, key, flags, len(value),
-             value if inline else None))
+            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (entry_id, tenant, key, flags, size, value, slot))
+        if slot is not None:
+            self._map.claim(slot, count)
+            self._slots[entry_id] = slot
         if replaces is not None:
-            self._unlink_blobs((replaces,))
+            self._release((replaces,))
         return entry_id
 
     def get(self, entry_id: int, size: int) -> Optional[bytes]:
         """The value of a committed entry of ``size`` bytes (``None`` if
-        its row or blob has vanished behind the store's back)."""
+        its row has vanished behind the store's back, or the slab no
+        longer holds all of it)."""
         if self.probe is None:
             return self._get(entry_id, size)
         return self._probed("get", None, self._get, entry_id, size)
@@ -168,26 +254,26 @@ class DiskStore:
             row = self._db.execute("SELECT value FROM entries WHERE id = ?",
                                    (entry_id,)).fetchone()
             return row[0] if row is not None else None
-        try:
-            with open(self._blob_path(entry_id), "rb") as blob:
-                return blob.read()
-        except FileNotFoundError:
+        slot = self._slots.get(entry_id)
+        if slot is None:
             return None
+        value = os.pread(self._slab, size, slot * SLOT_BYTES)
+        return value if len(value) == size else None
 
     def delete_entry(self, entry_id: int, size: int) -> None:
-        """Delete one entry.  The row removal commits before the unlink:
-        a crash in between leaves an orphan blob, never a blobless row."""
+        """Delete one entry.  The row removal commits before its slots
+        can be handed out again."""
         if self.probe is None:
             return self._delete_entry(entry_id, size)
         self._probed("delete", 0, self._delete_entry, entry_id, size)
 
     def _delete_entry(self, entry_id: int, size: int) -> None:
         self._db.execute("DELETE FROM entries WHERE id = ?", (entry_id,))
-        self._unlink_blobs(((entry_id, size),))
+        self._release(((entry_id, size),))
 
     def delete_entries(self, victims: Sequence[Tuple[int, int]]) -> None:
         """Delete ``(id, size)`` entries — an eviction batch, a flush —
-        with one statement and one unlink sweep (same crash rule)."""
+        with one statement, then free their slots (same crash rule)."""
         if self.probe is None:
             return self._delete_entries(victims)
         self._probed("delete", 0, self._delete_entries, victims)
@@ -197,7 +283,7 @@ class DiskStore:
             ids = ",".join(str(entry_id) for entry_id, _
                            in victims[start:start + 10_000])
             self._db.execute(f"DELETE FROM entries WHERE id IN ({ids})")
-        self._unlink_blobs(victims)
+        self._release(victims)
 
     # -- accounting / recovery iteration --------------------------------
 
@@ -219,7 +305,11 @@ class DiskStore:
         return self._db.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def close(self) -> None:
+        """Idempotent, as ``sqlite3``'s own ``close`` is."""
         self._db.close()
+        if self._slab >= 0:
+            os.close(self._slab)
+            self._slab = -1
 
     # -- internals ------------------------------------------------------
 
@@ -234,13 +324,19 @@ class DiskStore:
         self.probe(op, t0, t1, nbytes)
         return result
 
-    def _blob_path(self, entry_id: int) -> str:
-        return os.path.join(self._data_dir, f"{entry_id}.val")
-
-    def _unlink_blobs(self, entries: Sequence[Tuple[int, int]]) -> None:
+    def _release(self, entries: Sequence[Tuple[int, int]]) -> None:
+        """Free the runs of ``(id, size)`` entries whose rows are gone."""
+        before = len(self._map.used)
         for entry_id, size in entries:
-            if size > INLINE_BYTES:
-                try:
-                    os.unlink(self._blob_path(entry_id))
-                except FileNotFoundError:
-                    pass
+            slot = self._slots.pop(entry_id, None)
+            if slot is not None:
+                self._map.release(slot, slots_of(size))
+        if len(self._map.used) < before:
+            self._cut_back()
+
+    def _cut_back(self) -> None:
+        """Truncate the slab to the map's span.  Never lengthen it: bytes
+        a row claims that are not there must read short, not as zeros."""
+        span = len(self._map.used) * SLOT_BYTES
+        if os.fstat(self._slab).st_size > span:
+            os.ftruncate(self._slab, span)

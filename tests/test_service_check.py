@@ -1,7 +1,8 @@
 """check_service: clean on a long seeded op stream, loud on seeded faults.
 
-Everything here goes through ``ServiceCache``'s public surface (plus the
-checker), so the file runs unmodified against any ``DiskStore`` layout.
+The stream test goes through ``ServiceCache``'s public surface (plus the
+checker), so it runs unmodified against any ``DiskStore`` layout; the
+seeded faults are the layout's own.
 """
 
 import os
@@ -12,6 +13,7 @@ import unittest
 from repro.core.config import StoreKind
 from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service.check import check_service
+from repro.service.store import SLOT_BYTES
 
 _MB = 1 << 20
 TENANTS = (("big", 400), ("mid", 150), ("small", 60))   # name, key space
@@ -121,13 +123,15 @@ class SeededFaultTests(unittest.TestCase):
         self.addCleanup(self.cache.close)
         for i in range(6):
             self.cache.set("t0", f"k{i}", b"v" * 100)
-        self.cache.set("t1", "large", b"L" * 20_000)
+        self.cache.set("t1", "large", b"L" * 20_000)     # slots 0..4
+        self.cache.set("t1", "last", b"l" * 5_000)       # slots 5..6
         self.large_id = self.cache.get("t1", "large")[2]
-        self.data_dir = os.path.join(self._tmp.name, "data")
+        self.last_id = self.cache.get("t1", "last")[2]
+        self.slab = os.path.join(self._tmp.name, "data.slab")
         self.assertEqual(check_service(self.cache), [])
 
-    def blob(self, entry_id):
-        return os.path.join(self.data_dir, f"{entry_id}.val")
+    def sql(self, statement, *args):
+        self.cache.store._db.execute(statement, args)
 
     def assert_reported(self, fragment):
         report = check_service(self.cache)
@@ -154,25 +158,57 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported("FIFO order is not id order")
 
     def test_row_missing(self):
-        self.cache.store._db.execute(
-            "DELETE FROM entries WHERE id = ?", (self.large_id,))
+        self.sql("DELETE FROM entries WHERE id = ?", self.large_id)
         self.assert_reported(f"entry {self.large_id} ('t1', 'large') has no row")
-        self.assert_reported(f"blob {self.large_id}.val has no row")
+        self.assert_reported("slot 0 is marked used, no row claims it")
 
     def test_row_not_indexed(self):
         entry_id = self.cache._ids.pop(("t0", "k0"))
         del self.cache._entries[entry_id]
         self.assert_reported(f"row {entry_id} ")
 
-    def test_blob_missing_truncated_or_orphaned(self):
-        with open(self.blob(self.large_id), "r+b") as blob:
-            blob.truncate(19_999)
-        self.assert_reported("19999 bytes stored")
-        os.unlink(self.blob(self.large_id))
-        self.assert_reported(f"row {self.large_id}: value unreadable")
-        with open(self.blob(10 ** 9), "wb") as blob:
-            blob.write(b"stray")
-        self.assert_reported("blob 1000000000.val has no row")
+    def test_two_rows_claim_one_slot(self):
+        self.sql("UPDATE entries SET slot = 4 WHERE id = ?", self.last_id)
+        self.assert_reported(f"rows {self.large_id} and {self.last_id} "
+                             "overlap at slot 4")
+
+    def test_run_past_the_end_of_the_slab(self):
+        self.sql("UPDATE entries SET slot = 6 WHERE id = ?", self.last_id)
+        self.assert_reported(f"row {self.last_id}: slots 6..7 reach past the "
+                             f"end of data.slab ({7 * SLOT_BYTES} bytes)")
+
+    def test_row_with_both_a_value_and_a_slot_or_neither(self):
+        self.sql("UPDATE entries SET value = x'00' WHERE id = ?", self.last_id)
+        self.assert_reported(f"row {self.last_id} has an inline value and a slot")
+        self.sql("UPDATE entries SET value = NULL, slot = NULL WHERE id = ?",
+                 self.last_id)
+        self.assert_reported(f"row {self.last_id} has neither")
+
+    def test_slot_map_and_rows_disagree(self):
+        self.cache.store._map.used[2] = 0
+        self.assert_reported(f"slot 2 is marked free, row {self.large_id} "
+                             "claims it")
+        self.cache.store._map.used[2] = 1
+        self.cache.delete("t1", "large")
+        self.assertEqual(check_service(self.cache), [])
+        self.cache.store._map.used[3] = 1
+        self.assert_reported("slot 3 is marked used, no row claims it")
+
+    def test_id_to_slot_map_and_rows_disagree(self):
+        self.cache.store._slots[self.last_id] = 4
+        self.assert_reported("id -> slot map and the rows disagree on "
+                             f"[({self.last_id}, 4), ({self.last_id}, 5)]")
+
+    def test_slab_length_is_not_the_map_length(self):
+        with open(self.slab, "ab") as slab:
+            slab.write(b"x")
+        self.assert_reported(f"data.slab is {7 * SLOT_BYTES + 1} bytes, the "
+                             "slot map spans 7 slots")
+
+    def test_bytes_at_a_run_are_fewer_than_the_size_column(self):
+        os.truncate(self.slab, 5 * SLOT_BYTES + 4_999)
+        self.assert_reported(f"row {self.last_id}: 4999 bytes stored, size "
+                             "column says 5000")
 
     def test_over_capacity(self):
         self.cache.capacity_blocks = 3

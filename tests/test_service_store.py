@@ -1,6 +1,5 @@
 """DiskStore: semantics, enumerated crash points, kill-and-restart safety."""
 
-import json
 import os
 import signal
 import sqlite3
@@ -11,15 +10,23 @@ import time
 import unittest
 from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service import store as store_module
 from repro.service.check import check_service
-from repro.service.store import INLINE_BYTES, LAYOUT_VERSION
+from repro.service.store import (INLINE_BYTES, LAYOUT_VERSION, SLOT_BYTES,
+                                 SlotMap)
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL = b"s" * INLINE_BYTES            # the largest value kept in its row
-LARGE = b"L" * (INLINE_BYTES + 1)      # the smallest kept as a blob file
+LARGE = b"L" * (INLINE_BYTES + 1)      # the smallest kept in the slab
+
+
+def slab_bytes(directory):
+    return os.path.getsize(os.path.join(directory, "data.slab"))
 
 
 class DiskStoreBasicsTests(unittest.TestCase):
@@ -30,13 +37,18 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.addCleanup(self.store.close)
 
     def test_set_get_round_trip(self):
-        for value in (b"", b"hello", SMALL, LARGE, b"x" * 100_000):
+        slots = 0
+        for value in (b"", b"hello", SMALL, LARGE, b"x" * 100_000,
+                      b"y" * SLOT_BYTES, b"z" * (SLOT_BYTES + 1)):
             entry_id = self.store.set("t0", f"k{len(value)}", value, flags=7)
             self.assertEqual(self.store.get(entry_id, len(value)), value)
-            self.assertEqual(os.path.exists(self.store._blob_path(entry_id)),
-                             len(value) > INLINE_BYTES)
+            if len(value) > INLINE_BYTES:
+                slots += -(-len(value) // SLOT_BYTES)
+            self.assertEqual(slab_bytes(self._tmp.name), slots * SLOT_BYTES)
         flags = {entry.key: entry.flags for entry in self.store.iter_entries()}
         self.assertEqual(set(flags.values()), {7})
+        self.assertEqual(sorted(os.listdir(self._tmp.name)),
+                         ["data.slab", "meta.db", "meta.db-wal"])
 
     def test_tenants_are_disjoint_namespaces(self):
         zero_id = self.store.set("t0", "k", b"zero")
@@ -53,8 +65,50 @@ class DiskStoreBasicsTests(unittest.TestCase):
                                 replaces=(first, len(LARGE)))
         self.assertGreater(second, first)
         self.assertEqual(self.store.get(second, len(LARGE) + 1), LARGE + b"!")
-        self.assertFalse(os.path.exists(self.store._blob_path(first)))
+        self.assertIsNone(self.store.get(first, len(LARGE)))
         self.assertEqual(self.store.count(), 1)
+        # The new value went beside the old one (whose row still claimed
+        # slot 0 while it was written); slot 0 is the next to be used.
+        self.assertEqual(bytes(self.store._map.used), b"\0\1")
+        third = self.store.set("t0", "other", LARGE)
+        self.assertEqual(self.store._slots, {second: 1, third: 0})
+
+    def test_a_hole_of_exactly_the_size_is_taken_before_a_lower_larger_one(self):
+        ids = [self.store.set("t0", f"k{i}", b"x" * (n * SLOT_BYTES))
+               for i, n in enumerate((1, 2, 1, 1, 1))]        # A BB C D E
+        self.store.delete_entry(ids[1], 2 * SLOT_BYTES)
+        self.store.delete_entry(ids[3], SLOT_BYTES)           # A __ C _ E
+        one = self.store.set("t0", "one", b"1" * SLOT_BYTES)
+        two = self.store.set("t0", "two", b"2" * (2 * SLOT_BYTES))
+        more = self.store.set("t0", "more", b"m" * SLOT_BYTES)
+        self.assertEqual([self.store._slots[i] for i in (one, two, more)],
+                         [4, 1, 6])                           # A 22 C 1 E m
+
+    def test_freed_slots_are_reused_lowest_first_and_the_tail_is_cut(self):
+        ids = [self.store.set("t0", f"k{i}", bytes([65 + i]) * (n * SLOT_BYTES))
+               for i, n in enumerate((1, 2, 1, 3))]           # A BB C DDD
+        self.assertEqual(slab_bytes(self._tmp.name), 7 * SLOT_BYTES)
+        self.store.delete_entry(ids[1], 2 * SLOT_BYTES)       # A __ C DDD
+        self.store.delete_entry(ids[3], 3 * SLOT_BYTES)       # A __ C
+        self.assertEqual(slab_bytes(self._tmp.name), 4 * SLOT_BYTES)
+        three = self.store.set("t0", "three", b"3" * (3 * SLOT_BYTES))
+        one = self.store.set("t0", "one", b"1" * 2000)
+        self.assertEqual((self.store._slots[three], self.store._slots[one]),
+                         (4, 1))                              # A 1_ C 333
+        self.store.delete_entries([(three, 3 * SLOT_BYTES),
+                                   (ids[2], SLOT_BYTES)])     # A 1
+        self.assertEqual(slab_bytes(self._tmp.name), 2 * SLOT_BYTES)
+        self.assertEqual(self.store.get(ids[0], SLOT_BYTES), b"A" * SLOT_BYTES)
+        self.assertEqual(self.store.get(one, 2000), b"1" * 2000)
+        # The rows alone give the same allocation state back.
+        self.store.set("t0", "far", b"f" * SLOT_BYTES)
+        self.store.delete_entry(one, 2000)                    # A _ f
+        state = bytes(self.store._map.used), self.store._slots
+        self.store.close()
+        self.store = DiskStore(self._tmp.name, sync_writes=False)
+        self.assertEqual((bytes(self.store._map.used), self.store._slots),
+                         state)
+        self.assertEqual(state[0], b"\1\0\1")
 
     def test_iter_entries_in_fifo_id_order(self):
         for i in range(5):
@@ -81,8 +135,8 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(len(statements), 1, statements)
         self.assertEqual([e.entry_id for e in self.store.iter_entries()],
                          [keep])
-        self.assertEqual(os.listdir(os.path.join(self._tmp.name, "data")),
-                         [f"{keep}.val"])
+        self.assertEqual(self.store._slots, {keep: 2})
+        self.assertEqual(bytes(self.store._map.used), b"\0\0\1")
 
     def test_ids_are_never_reused_across_a_restart(self):
         ids = [self.store.set("t0", f"k{i}", b"v") for i in range(5)]
@@ -91,6 +145,54 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.store.close()
         self.store = DiskStore(self._tmp.name, sync_writes=False)
         self.assertGreater(self.store.set("t0", "again", b"v"), max(ids))
+
+    def test_a_directory_has_one_owner(self):
+        with self.assertRaises(RuntimeError) as caught:
+            DiskStore(self._tmp.name, sync_writes=False)
+        self.assertIn(os.path.abspath(self._tmp.name), str(caught.exception))
+        self.assertIn("locked", str(caught.exception))
+        # The refusal disturbed nothing, and closing hands the directory on.
+        entry_id = self.store.set("t0", "k", LARGE)
+        self.store.close()
+        self.store = DiskStore(self._tmp.name, sync_writes=False)
+        self.assertEqual(self.store.get(entry_id, len(LARGE)), LARGE)
+
+
+class SlotMapPropertyTests(unittest.TestCase):
+    """``SlotMap`` against a list of bools searched by brute force."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("alloc"),
+                  st.one_of(st.integers(1, 4), st.integers(1, 256))),
+        st.tuples(st.just("free"), st.integers(min_value=0))), max_size=80))
+    def test_exact_then_lowest_fit_no_overlap_no_free_tail_same_map_from_rows(
+            self, ops):
+        slots, model, runs = SlotMap(), [], []
+        for op, arg in ops:
+            if op == "alloc":
+                fits = [at for at in range(len(model) - arg + 1)
+                        if not any(model[at:at + arg])]
+                exact = [at for at in fits       # walled in on both sides
+                         if at and model[at - 1] and model[at + arg]]
+                slot = slots.find(arg)
+                self.assertEqual(slot, (exact or fits or [len(model)])[0])
+                self.assertFalse(any(slots.used[slot:slot + arg]), "overlap")
+                slots.claim(slot, arg)
+                model[slot:slot + arg] = [True] * arg
+                runs.append((slot, arg))
+            elif runs:
+                slot, count = runs.pop(arg % len(runs))
+                slots.release(slot, count)
+                model[slot:slot + count] = [False] * count
+                while model and not model[-1]:
+                    model.pop()
+                self.assertTrue(not slots.used or slots.used[-1])
+            self.assertEqual([bool(taken) for taken in slots.used], model)
+        reopened = SlotMap()
+        for slot, count in reversed(runs):      # rows come in id order,
+            reopened.claim(slot, count)         # not in slot order
+        self.assertEqual(reopened.used, slots.used)
 
 
 # -- crash points -----------------------------------------------------------
@@ -101,9 +203,9 @@ class Crash(Exception):
 
 class Boundaries:
     """Counts ``DiskStore``'s calls across its two boundaries — SQLite
-    ``execute`` and the file calls ``open``/``write``/``fsync``/``unlink``
-    — and raises :class:`Crash` when the ``crash_at``-th one has happened.
-    A crash at a ``write`` lands mid-call: half the bytes reach the file.
+    ``execute`` and the slab calls ``pwrite``/``fsync``/``ftruncate`` —
+    and raises :class:`Crash` when the ``crash_at``-th one has happened.
+    A crash at a ``pwrite`` lands mid-call: half the bytes reach the file.
     """
 
     def __init__(self, store, crash_at=None):
@@ -112,9 +214,10 @@ class Boundaries:
         self._real_db = store._db
         store._db = self
         self._patches = [
-            mock.patch.object(store_module, "open", self._open, create=True),
+            mock.patch.object(store_module.os, "pwrite", self._torn_pwrite),
             mock.patch.object(store_module.os, "fsync", self._wrap(os.fsync)),
-            mock.patch.object(store_module.os, "unlink", self._wrap(os.unlink)),
+            mock.patch.object(store_module.os, "ftruncate",
+                              self._wrap(os.ftruncate)),
         ]
 
     def __enter__(self):
@@ -143,34 +246,12 @@ class Boundaries:
         self.hit("execute")
         return cursor
 
-    def _open(self, path, mode):
-        blob = open(path, mode)
-        try:
-            self.hit("open")
-        except Crash:
-            blob.close()
-            raise
-        return _TornBlob(blob, self.hit)
-
-
-class _TornBlob:
-    def __init__(self, blob, hit):
-        self._blob, self._hit = blob, hit
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._blob.close()
-
-    def write(self, data):
-        self._blob.write(data[:len(data) // 2])
-        self._blob.flush()
-        self._hit("write")
-        self._blob.write(data[len(data) // 2:])
-
-    def __getattr__(self, name):
-        return getattr(self._blob, name)
+    def _torn_pwrite(self, fd, data, offset, _pwrite=os.pwrite):
+        half = len(data) // 2
+        _pwrite(fd, data[:half], offset)
+        self.hit("pwrite")
+        _pwrite(fd, data[half:], offset + half)
+        return len(data)
 
 
 def tiny_cache(directory):
@@ -180,6 +261,9 @@ def tiny_cache(directory):
                         eviction_batch_mb=4 * 4096 / (1 << 20))
 
 
+NEWCOMER = b"N" * len(LARGE)
+
+
 class CrashPointTests(unittest.TestCase):
     """Kill the store after the n-th boundary, for every n of an
     operation; the reopened service must be consistent, hold every
@@ -187,6 +271,8 @@ class CrashPointTests(unittest.TestCase):
     value — the in-flight operation alone may or may not have happened.
     """
 
+    #: Stored first, in this order: ``b`` takes slot 0 of the slab and
+    #: ``d`` slot 1, the other three live in their rows.
     BASE = {"a": SMALL, "b": LARGE, "c": b"", "d": LARGE * 2, "e": SMALL}
 
     #: name -> (operation, keys it may remove, {key: value it may write})
@@ -200,31 +286,55 @@ class CrashPointTests(unittest.TestCase):
                       (), {"new": LARGE}),
         "overwrite large with large": (
             lambda c: c.set("t0", "b", LARGE + b"2", 3), (), {"b": LARGE + b"2"}),
+        "overwrite large with large while a free run exists below it": (
+            lambda c: c.set("t0", "d", LARGE + b"2", 3), (), {"d": LARGE + b"2"}),
         "overwrite large with small": (
             lambda c: c.set("t0", "d", SMALL, 3), (), {"d": SMALL}),
         "overwrite small with large": (
             lambda c: c.set("t0", "a", LARGE, 3), (), {"a": LARGE}),
         "delete small": (lambda c: c.delete("t0", "a"), ("a",), {}),
         "delete large": (lambda c: c.delete("t0", "d"), ("d",), {}),
+        "delete large below another": (
+            lambda c: c.delete("t0", "b"), ("b",), {}),
         # 6 blocks needed, 3 free of 8: FIFO-evicts a, b, c in one batch.
         "eviction batch": (lambda c: c.set("t0", "big", b"B" * 24_000, 3),
                            ("a", "b", "c"), {"big": b"B" * 24_000}),
+        # Full cache, b at the FIFO head: its slot is the lowest free one
+        # the moment its DELETE commits, and the newcomer is written there.
+        "set large into the slots an eviction just vacated": (
+            lambda c: c.set("t0", "new", NEWCOMER, 3),
+            ("b",), {"new": NEWCOMER}),
         "flush_all": (lambda c: c.flush_all("t0"), tuple(BASE), {}),
     }
 
+    #: Steps between BASE and the operation, for the scenarios that need
+    #: the slab or the FIFO in a particular state.
+    SETUP = {
+        "overwrite large with large while a free run exists below it":
+            lambda c: c.delete("t0", "b"),
+        "set large into the slots an eviction just vacated":
+            lambda c: [c.delete("t0", "a")] + [
+                c.set("t0", key, SMALL, 1) for key in "fghi"],
+    }
+
     def prepare(self, directory, scenario):
+        """The cache the operation runs on, and what it then holds."""
         cache = tiny_cache(directory)
         for key, value in self.BASE.items():
             self.assertEqual(cache.set("t0", key, value, 1), SetStatus.STORED)
+        if scenario in self.SETUP:
+            self.SETUP[scenario](cache)
         if scenario.endswith("after reopen"):
             cache.close()
             cache = tiny_cache(directory)
-        return cache
+        base = {entry.key: cache.get("t0", entry.key)[:2]
+                for entry in cache.store.iter_entries()}
+        return cache, base
 
     def test_every_boundary_of_every_operation(self):
         for name, (operate, may_remove, may_write) in self.SCENARIOS.items():
             with tempfile.TemporaryDirectory() as tmp:
-                cache = self.prepare(tmp, name)
+                cache, _ = self.prepare(tmp, name)
                 with Boundaries(cache.store) as dry_run:
                     operate(cache)
             self.assertGreater(len(dry_run.trace), 0, name)
@@ -232,20 +342,20 @@ class CrashPointTests(unittest.TestCase):
                 where = f"{name}: crash after boundary {crash_at} of " \
                         f"{dry_run.trace}"
                 with tempfile.TemporaryDirectory() as tmp:
-                    cache = self.prepare(tmp, name)
+                    cache, base = self.prepare(tmp, name)
                     with Boundaries(cache.store, crash_at), \
                             self.assertRaises(Crash, msg=where):
                         operate(cache)
-                    self.verify(tmp, may_remove, may_write, where)
+                    self.verify(tmp, base, may_remove, may_write, where)
 
-    def verify(self, directory, may_remove, may_write, where):
+    def verify(self, directory, base, may_remove, may_write, where):
         cache = tiny_cache(directory)
         self.addCleanup(cache.close)
         self.assertEqual(check_service(cache), [], where)
         removed, written = [], []
-        for key in {**self.BASE, **may_write}:
+        for key in {**base, **may_write}:
             found = cache.get("t0", key)
-            old = (self.BASE[key], 1) if key in self.BASE else None
+            old = base.get(key)
             new = (may_write[key], 3) if key in may_write else None
             if found is None:
                 if old is not None:
@@ -264,27 +374,35 @@ class CrashPointTests(unittest.TestCase):
             self.assertEqual(sorted(removed), sorted(may_remove), where)
         self.assertEqual(
             cache.store.count(),
-            len(self.BASE) - len(removed) + len(set(written) - set(self.BASE)),
+            len(base) - len(removed) + len(set(written) - set(base)),
             where)
 
     def test_the_boundaries_are_the_protocol_the_docstring_states(self):
+        #: name -> (boundaries crossed, slots the slab spans afterwards)
         expected = {
-            "set small": ["execute"],
-            "set small after reopen": ["execute", "execute"],
-            "set large": ["open", "write", "fsync", "execute"],
-            "overwrite large with large":
-                ["open", "write", "fsync", "execute", "unlink"],
-            "delete large": ["execute", "unlink"],
+            "set small": (["execute"], 2),
+            "set small after reopen": (["execute", "execute"], 2),
+            "set large": (["pwrite", "fsync", "execute"], 3),
+            # The old row claims slot 0 until the replace commits.
+            "overwrite large with large": (["pwrite", "fsync", "execute"], 3),
+            "overwrite large with large while a free run exists below it":
+                (["pwrite", "fsync", "execute", "ftruncate"], 1),
+            "overwrite large with small": (["execute", "ftruncate"], 1),
+            "delete large": (["execute", "ftruncate"], 1),
+            "delete large below another": (["execute"], 2),
             "eviction batch":
-                ["execute", "unlink", "open", "write", "fsync", "execute"],
-            "flush_all": ["execute", "unlink", "unlink"],
+                (["execute", "pwrite", "fsync", "execute"], 8),
+            "set large into the slots an eviction just vacated":
+                (["execute", "pwrite", "fsync", "execute"], 2),
+            "flush_all": (["execute", "ftruncate"], 0),
         }
-        for name, trace in expected.items():
+        for name, (trace, slots) in expected.items():
             with tempfile.TemporaryDirectory() as tmp:
-                cache = self.prepare(tmp, name)
+                cache, _ = self.prepare(tmp, name)
                 with Boundaries(cache.store) as boundaries:
                     self.SCENARIOS[name][0](cache)
-            self.assertEqual(boundaries.trace, trace, name)
+                self.assertEqual(boundaries.trace, trace, name)
+                self.assertEqual(slab_bytes(tmp), slots * SLOT_BYTES, name)
 
 
 class CrashStateRecoveryTests(unittest.TestCase):
@@ -292,33 +410,54 @@ class CrashStateRecoveryTests(unittest.TestCase):
         self._tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self._tmp.cleanup)
 
-    def test_orphan_blob_is_swept(self):
+    def test_bytes_past_the_last_claimed_slot_are_cut_off_at_open(self):
         store = DiskStore(self._tmp.name, sync_writes=False)
         kept = store.set("t0", "k", LARGE)
-        orphan = os.path.join(self._tmp.name, "data", f"{kept + 1}.val")
-        with open(orphan, "wb") as blob:
-            blob.write(b"torn")
         store.close()
+        with open(os.path.join(self._tmp.name, "data.slab"), "ab") as slab:
+            slab.write(b"torn append" * 1000)
 
         reopened = DiskStore(self._tmp.name, sync_writes=False)
         self.addCleanup(reopened.close)
-        self.assertEqual(reopened.recovered_orphans, 1)
-        self.assertFalse(os.path.exists(orphan))
+        self.assertEqual(slab_bytes(self._tmp.name), SLOT_BYTES)
         self.assertEqual(reopened.get(kept, len(LARGE)), LARGE)
 
-    def test_foreign_files_in_data_dir_are_left_alone(self):
+    def test_a_short_value_is_a_miss_and_heals(self):
+        """Cut ``data.slab`` under a live cache: what no longer reads
+        back whole is a miss, never a prefix, and reading it repairs
+        index, rows and slot map."""
+        cache = tiny_cache(self._tmp.name)
+        self.addCleanup(cache.close)
+        whole, cut, gone = b"w" * 5000, b"c" * 5000, b"g" * 5000
+        for key, value in (("whole", whole), ("cut", cut), ("gone", gone)):
+            self.assertEqual(cache.set("t0", key, value), SetStatus.STORED)
+        self.assertEqual(slab_bytes(self._tmp.name), 6 * SLOT_BYTES)
+        os.truncate(os.path.join(self._tmp.name, "data.slab"),
+                    2 * SLOT_BYTES + 100)
+        self.assertNotEqual(check_service(cache), [])
+
+        # Healing "gone" first must not lengthen the file under "cut",
+        # or "cut" would read back as 100 bytes and 4 900 zeros.
+        self.assertIsNone(cache.get("t0", "gone"))
+        self.assertIsNone(cache.get("t0", "cut"))
+        self.assertEqual(cache.get("t0", "whole")[0], whole)
+        self.assertEqual(check_service(cache), [])
+        self.assertEqual(cache.stats()["_host"]["entries"], 1)
+        self.assertEqual(slab_bytes(self._tmp.name), 2 * SLOT_BYTES)
+        self.assertEqual(cache.set("t0", "cut", cut), SetStatus.STORED)
+        self.assertEqual(cache.get("t0", "cut")[0], cut)
+
+    def test_a_short_file_is_not_lengthened_at_open(self):
         store = DiskStore(self._tmp.name, sync_writes=False)
-        keep = os.path.join(self._tmp.name, "data", "README.txt")
-        with open(keep, "w") as fh:
-            fh.write("not a blob")
+        entry_id = store.set("t0", "k", b"v" * 5000)
         store.close()
+        os.truncate(os.path.join(self._tmp.name, "data.slab"), 100)
         reopened = DiskStore(self._tmp.name, sync_writes=False)
         self.addCleanup(reopened.close)
-        self.assertTrue(os.path.exists(keep))
-        self.assertEqual(reopened.recovered_orphans, 0)
+        self.assertEqual(slab_bytes(self._tmp.name), 100)
+        self.assertIsNone(reopened.get(entry_id, 5000))
 
     def test_older_layout_is_refused_loudly_and_left_untouched(self):
-        os.makedirs(os.path.join(self._tmp.name, "data"))
         path = os.path.join(self._tmp.name, "meta.db")
         old = sqlite3.connect(path)
         old.execute(
@@ -340,29 +479,42 @@ class CrashStateRecoveryTests(unittest.TestCase):
             old.execute("SELECT tenant, key FROM entries").fetchall(),
             [("t0", "k")])
 
-    def test_recovery_ops_log_line_counts_orphans_and_nothing_else(self):
+    def test_file_per_value_layout_is_refused_and_left_byte_for_byte(self):
+        """A version-2 directory (``data/<id>.val``), written the way
+        that build wrote it, WAL mode included."""
         os.makedirs(os.path.join(self._tmp.name, "data"))
-        with open(os.path.join(self._tmp.name, "data", "7.val"), "wb") as blob:
-            blob.write(b"orphan")
-        ops_log = os.path.join(self._tmp.name, "ops.jsonl")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "--port", "0", "--dir",
-             self._tmp.name, "--no-fsync", "--ops-log", ops_log],
-            env=dict(os.environ, PYTHONPATH=REPO_SRC),
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        try:
-            self.assertIn(b"listening", proc.stdout.readline())
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
-            proc.stdout.close()
-        with open(ops_log) as fh:
-            events = [json.loads(line) for line in fh]
-        recovery = [e for e in events if e["event"] == "store.recovery"]
-        self.assertEqual(len(recovery), 1)
-        self.assertEqual(
-            {k: v for k, v in recovery[0].items() if k not in ("t_ns", "dir")},
-            {"event": "store.recovery", "orphans": 1})
+        with open(os.path.join(self._tmp.name, "data", "2.val"), "wb") as blob:
+            blob.write(LARGE)
+        old = sqlite3.connect(os.path.join(self._tmp.name, "meta.db"),
+                              isolation_level=None)
+        old.execute("PRAGMA journal_mode=WAL")
+        old.executescript(
+            "BEGIN; CREATE TABLE entries (id INTEGER PRIMARY KEY, tenant TEXT "
+            "NOT NULL, key TEXT NOT NULL, flags INTEGER NOT NULL, size INTEGER "
+            "NOT NULL, value BLOB, UNIQUE (tenant, key)); "
+            "CREATE TABLE lease (high_water INTEGER NOT NULL); "
+            "INSERT INTO lease VALUES (1024); PRAGMA user_version = 2; COMMIT;")
+        old.execute("INSERT INTO entries VALUES (1, 't0', 'small', 0, 1, x'76')")
+        old.execute("INSERT INTO entries VALUES (2, 't0', 'large', 0, ?, NULL)",
+                    (len(LARGE),))
+        old.close()
+
+        def snapshot():
+            found = {}
+            for folder, _, names in os.walk(self._tmp.name):
+                for name in names:
+                    with open(os.path.join(folder, name), "rb") as handle:
+                        found[os.path.relpath(handle.name, self._tmp.name)] = \
+                            handle.read()
+            return found
+
+        before = snapshot()
+        self.assertEqual(sorted(before), ["data/2.val", "meta.db"])
+        with self.assertRaises(RuntimeError) as caught:
+            DiskStore(self._tmp.name, sync_writes=False)
+        self.assertIn("layout version 2", str(caught.exception))
+        self.assertIn(f"version {LAYOUT_VERSION} only", str(caught.exception))
+        self.assertEqual(snapshot(), before)
 
 
 _KILL_WRITER = """
@@ -374,7 +526,9 @@ cache = ServiceCache(DiskStore({directory!r}, sync_writes=False),
 print("ready", flush=True)
 i = 0
 while True:
-    cache.set("t%d" % (i % 2), "key%d" % (i % 997), b"v" * (64 + i * 37 % 9000))
+    tenant, key, size = "t%d" % (i % 2), "key%d" % (i % 997), 64 + i * 37 % 9000
+    head = ("%s/%s|" % (tenant, key)).encode()      # says whose bytes these are
+    cache.set(tenant, key, (head * (size // len(head) + 1))[:size])
     i += 1
 """
 
@@ -403,15 +557,18 @@ class KillAndRestartTests(unittest.TestCase):
             entries = list(cache.store.iter_entries())
             self.assertGreater(len(entries), 10,
                                "writer died before doing real work")
-            # Rows, blobs, index and pool accounting all agree, and every
-            # survivor reads back at its recorded size.
+            # Rows, slots, index and pool accounting all agree, and every
+            # survivor reads back at its recorded size with its own bytes
+            # (slots are reused: a foreign value would show its owner).
             self.assertEqual(check_service(cache), [])
             ids = [entry.entry_id for entry in entries]
             self.assertEqual(ids, sorted(set(ids)))
             for entry in entries:
                 value, _, entry_id = cache.get(entry.tenant, entry.key)
-                self.assertEqual((len(value), entry_id),
-                                 (entry.size, entry.entry_id))
+                head = f"{entry.tenant}/{entry.key}|".encode()
+                self.assertEqual(entry_id, entry.entry_id)
+                self.assertEqual(
+                    value, (head * (entry.size // len(head) + 1))[:entry.size])
 
     def test_recovery_is_idempotent(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -422,7 +579,8 @@ class KillAndRestartTests(unittest.TestCase):
             for _ in range(3):
                 reopened = DiskStore(tmp, sync_writes=False)
                 self.assertEqual(reopened.count(), 10)
-                self.assertEqual(reopened.recovered_orphans, 0)
+                self.assertEqual(bytes(reopened._map.used), b"\1" * 5)
+                self.assertEqual(slab_bytes(tmp), 5 * SLOT_BYTES)
                 reopened.close()
 
 
