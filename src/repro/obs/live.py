@@ -281,7 +281,7 @@ class TelemetrySidecar:
 def bind_store_probe(store, tracer: Tracer, registry=None):
     """Attach a timing probe to a :class:`DiskStore`.
 
-    The store times its own SQLite + blob work (``t0_ns``/``t1_ns`` from
+    The store times its own journal + slab work (``t0_ns``/``t1_ns`` from
     ``time.monotonic_ns``) and calls the probe once per op.  The probe
     re-bases the interval onto the tracer's clock — identical in
     production, but it keeps a test's injected fake clock coherent —

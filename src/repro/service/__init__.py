@@ -3,9 +3,9 @@
 The simulator proves the policy; this package runs it.  Three layers:
 
 * :class:`~repro.service.store.DiskStore` — a crash-safe, pure-Python
-  persistent value store owned by one process (one SQLite row per
-  entry, small values inline, large ones in 4 KiB slots of one slab
-  file).
+  persistent value store owned by one process (an append-only,
+  CRC-framed journal of one ``PUT`` frame per entry, small values
+  inline in it, large ones in 4 KiB slots of one slab file).
 * :class:`~repro.service.cache.ServiceCache` — drives the same
   :class:`~repro.core.engine.PolicyEngine` the simulator uses: one DD
   container (pool) per tenant, Algorithm-1 victim selection, the

@@ -9,31 +9,192 @@ that are supposed to agree —
 * the policy side: every entry's blocks sit in its tenant's pool FIFO,
   contiguous and in id order; ``pool.used`` and ``used_blocks`` equal
   the recounted block sums and stay within capacity;
-* the disk side, read straight from ``meta.db`` and ``data.slab``
-  rather than through :class:`~repro.service.store.DiskStore` methods:
-  one row per entry with the same identity and size; every row's value
-  in its ``value`` column or in the slab run its ``slot`` column names,
-  never both, readable at exactly the recorded size; no two runs
-  overlapping, none past the end of the file;
-* the store's allocation state against the slot map recomputed from
-  the rows alone: the same slots in use, the same id → slot map, and a
-  file exactly as long as the map.
+* the disk side, read straight from ``log/*.seg`` and ``data.slab``
+  with a frame parser of its own (:func:`read_journal`) rather than
+  through :class:`~repro.service.store.DiskStore` methods: one live
+  ``PUT`` per entry with the same identity and size; every value whole
+  in its frame or in the slab run its frame names; no two runs
+  overlapping, none past the end of the file; every segment whole and
+  opening with a ``LEASE``; the journal within its reclaim budget;
+* the store's memory against the frames alone: the same slots in use,
+  the same id → slot and id → entry maps, the same per-tenant and byte
+  counters, and a slab exactly as long as the slot map.
 
 It is meant to run between operations (tests call it every N ops); a
 store caught mid-``set`` is not a state it describes.
+
+``python -m repro.service.check DIR`` is the offline inspector: it takes
+a *stopped* store's lock (a served directory answers "locked"), changes
+nothing, prints what the directory holds and exits 1 on any violation of
+the disk-side checks.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
-from typing import Dict, List
+import struct
+import sys
+import zlib
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.config import StoreKind
-from .store import SLOT_BYTES, slots_of
+from .store import (INLINE_BYTES, LAYOUT_VERSION, SLOT_BYTES, log_budget,
+                    slots_of)
 
-__all__ = ["check_service"]
+__all__ = ["check_service", "read_journal", "main"]
 
 _SSD = StoreKind.SSD
+
+
+class Row(NamedTuple):
+    """One live ``PUT`` frame, as the bytes of ``log/`` give it."""
+    tenant: str
+    key: str
+    flags: int
+    size: int
+    slot: Optional[int]     # first slab slot; None: the value is in the frame
+    inline: int             # ... and this many bytes of it are there
+    segment: str            # path of the segment holding the frame
+    at: int                 # offset of the frame in it
+    length: int             # bytes of the frame, header included
+
+
+class Journal(NamedTuple):
+    rows: Dict[int, Row]                    # id -> its live PUT
+    segments: List[Tuple[str, int, int]]    # path, bytes, live PUT bytes
+    high_water: int                         # highest id leased
+    torn: int                               # bytes after the last whole frame
+    violations: List[str]
+
+
+def read_journal(directory: str) -> Journal:
+    """Re-derive the live rows from the segment bytes: frames are
+    ``[u32 length][u32 crc32][payload]``, the payload's first byte is 1
+    ``PUT`` (id u64, flags u64, size u32, slot u32, the value when slot
+    is 0xFFFFFFFF, u16 tenant length, tenant, key), 2 ``DEL`` (ids, u64
+    each) or 3 ``LEASE`` (version u8, high water u64); a ``DEL`` drops
+    ids, the highest id of a (tenant, key) retires the lower ones, a
+    repeated id takes the later frame."""
+    log = os.path.join(directory, "log")
+    names = sorted((name for name in os.listdir(log) if name.endswith(".seg")),
+                   key=lambda name: int(name[:-4]))
+    rows: Dict[int, Row] = {}
+    newest: Dict[Tuple[str, str], int] = {}
+    sizes: Dict[str, int] = {}
+    violations: List[str] = []
+    high_water = torn = 0
+    for name in names:
+        path = os.path.join(log, name)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        sizes[path] = len(data)
+        at = 0
+        while len(data) - at >= 8:
+            length, crc = struct.unpack_from("<II", data, at)
+            payload = data[at + 8:at + 8 + length]
+            if not length or len(payload) < length \
+                    or zlib.crc32(payload) != crc:
+                break
+            kind = payload[0]
+            if at == 0 and kind != 3:
+                violations.append(f"{path} does not open with a LEASE frame")
+            if kind == 1:
+                entry_id, flags, size, slot = struct.unpack_from(
+                    "<QQII", payload, 1)
+                inline = (len(payload[25:25 + size])
+                          if slot == 0xFFFFFFFF else 0)
+                rest = payload[25 + inline:]
+                owner = rest[2:2 + int.from_bytes(rest[:2], "little")]
+                tenant = owner.decode("utf-8", "backslashreplace")
+                key = rest[2 + len(owner):].decode("utf-8", "backslashreplace")
+                older = newest.get((tenant, key))
+                if older is None or older <= entry_id:
+                    newest[(tenant, key)] = entry_id
+                    if older != entry_id:
+                        rows.pop(older, None)
+                    rows[entry_id] = Row(
+                        tenant, key, flags, size,
+                        None if slot == 0xFFFFFFFF else slot, inline,
+                        path, at, 8 + length)
+            elif kind == 2:
+                for (entry_id,) in struct.iter_unpack("<Q", payload[1:]):
+                    rows.pop(entry_id, None)
+            elif kind == 3:
+                version, mark = struct.unpack_from("<BQ", payload, 1)
+                if version != LAYOUT_VERSION:
+                    violations.append(f"{path} offset {at}: LEASE of layout "
+                                      f"version {version}")
+                high_water = max(high_water, mark)
+            else:
+                violations.append(f"{path} offset {at}: frame of unknown "
+                                  f"kind {kind}")
+            at += 8 + length
+        if at < len(data):
+            if name != names[-1]:
+                violations.append(
+                    f"{path} is damaged at offset {at}: {len(data) - at} "
+                    "bytes of a sealed segment are not frames")
+            else:
+                torn = len(data) - at
+    live = dict.fromkeys(sizes, 0)
+    for row in rows.values():
+        live[row.segment] += row.length
+    for entry_id in sorted(rows):
+        if entry_id > high_water:
+            violations.append(f"row {entry_id} is above the lease "
+                              f"high-water mark {high_water}")
+    segments = [(path, sizes[path], live[path]) for path in sizes]
+    total, alive = sum(sizes.values()), sum(live.values())
+    if total > log_budget(alive):
+        violations.append(
+            f"log/ holds {total} bytes for {alive} live: over the reclaim "
+            f"budget of {log_budget(alive)}")
+    return Journal(rows, segments, high_water, torn, violations)
+
+
+def _recount(rows: Dict[int, Row]) -> Dict[str, List[int]]:
+    """tenant -> [entries, bytes of value], from the rows alone."""
+    totals: Dict[str, List[int]] = {}
+    for row in rows.values():
+        account = totals.setdefault(row.tenant, [0, 0])
+        account[0] += 1
+        account[1] += row.size
+    return totals
+
+
+def _check_rows(rows: Dict[int, Row], slab: int, violations: List[str]
+                ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Every row's value against its size, every run against the others
+    and the file.  Returns slot -> id of the row claiming it and id ->
+    first slot, both from the rows alone."""
+    slab_bytes = os.fstat(slab).st_size
+    claimed: Dict[int, int] = {}
+    first_slots: Dict[int, int] = {}
+    for entry_id, row in sorted(rows.items()):
+        size, slot, stored = row.size, row.slot, row.inline
+        if (slot is None) != (size <= INLINE_BYTES):
+            violations.append(
+                f"row {entry_id} of {size} bytes is "
+                + ("inline" if slot is None else f"in slot {slot}")
+                + f": INLINE_BYTES is {INLINE_BYTES}")
+        if slot is not None:
+            first_slots[entry_id] = slot
+            run = range(slot, slot + slots_of(size))
+            for at in run:
+                if claimed.setdefault(at, entry_id) != entry_id:
+                    violations.append(f"rows {claimed[at]} and {entry_id} "
+                                      f"overlap at slot {at}")
+                    break
+            if run.stop * SLOT_BYTES > slab_bytes:
+                violations.append(
+                    f"row {entry_id}: slots {run.start}..{run.stop - 1} "
+                    f"reach past the end of data.slab ({slab_bytes} bytes)")
+            stored = len(os.pread(slab, size, slot * SLOT_BYTES))
+        if stored != size:
+            violations.append(f"row {entry_id}: {stored} bytes stored,"
+                              f" its frame says {size}")
+    return claimed, first_slots
 
 
 def check_service(cache) -> List[str]:
@@ -100,54 +261,31 @@ def check_service(cache) -> List[str]:
 
     # -- disk ------------------------------------------------------------
     store = cache.store
+    journal = read_journal(store.directory)
+    rows = journal.rows
+    violations.extend(journal.violations)
+    if journal.torn:
+        violations.append(f"{journal.torn} bytes after the last whole frame "
+                          "of a store that is open")
     slab = os.open(os.path.join(store.directory, "data.slab"), os.O_RDONLY)
     try:
         slab_bytes = os.fstat(slab).st_size
-        cursor = store._db.execute("SELECT * FROM entries ORDER BY id")
-        columns = [column[0] for column in cursor.description]
-        seen_ids = set()
-        claimed: Dict[int, int] = {}        # slot -> id of the row claiming it
-        first_slots: Dict[int, int] = {}    # id -> first slot, from the rows
-        for values in cursor.fetchall():
-            row = dict(zip(columns, values))
-            entry_id, size = row["id"], row["size"]
-            seen_ids.add(entry_id)
-            entry = entries.get(entry_id)
-            identity = (row["tenant"], row["key"], size)
-            if entry is None:
-                violations.append(f"row {entry_id} {identity!r} is not indexed")
-            elif ((entry[0], entry[1], entry[3]) != identity
-                  or entry[4] != row["flags"]):
-                violations.append(f"row {entry_id} is {identity!r} flags "
-                                  f"{row['flags']}, the index says {entry!r}")
-            stored, slot = row["value"], row["slot"]
-            if (stored is None) == (slot is None):
-                violations.append(
-                    f"row {entry_id} has " + ("neither an inline value nor "
-                    "a slot" if slot is None else "an inline value and a slot"))
-                continue
-            if slot is not None:
-                first_slots[entry_id] = slot
-                run = range(slot, slot + slots_of(size))
-                for at in run:
-                    if claimed.setdefault(at, entry_id) != entry_id:
-                        violations.append(f"rows {claimed[at]} and {entry_id} "
-                                          f"overlap at slot {at}")
-                        break
-                if run.stop * SLOT_BYTES > slab_bytes:
-                    violations.append(
-                        f"row {entry_id}: slots {run.start}..{run.stop - 1} "
-                        f"reach past the end of data.slab ({slab_bytes} bytes)")
-                stored = os.pread(slab, size, slot * SLOT_BYTES)
-            if len(stored) != size:
-                violations.append(f"row {entry_id}: {len(stored)} bytes stored,"
-                                  f" size column says {size}")
+        claimed, first_slots = _check_rows(rows, slab, violations)
     finally:
         os.close(slab)
-    for entry_id in sorted(set(entries) - seen_ids):
+    for entry_id, row in sorted(rows.items()):
+        entry = entries.get(entry_id)
+        identity = (row.tenant, row.key, row.size)
+        if entry is None:
+            violations.append(f"row {entry_id} {identity!r} is not indexed")
+        elif ((entry[0], entry[1], entry[3]) != identity
+              or entry[4] != row.flags):
+            violations.append(f"row {entry_id} is {identity!r} flags "
+                              f"{row.flags}, the index says {entry!r}")
+    for entry_id in sorted(set(entries) - set(rows)):
         violations.append(f"entry {entry_id} {entries[entry_id][:2]!r} "
                           "has no row")
-    # The store's in-memory allocation state against the rows alone.
+    # The store's memory against the frames alone.
     used = store._map.used
     for at in sorted(set(claimed) | {at for at, taken in enumerate(used)
                                      if taken}):
@@ -163,4 +301,75 @@ def check_service(cache) -> List[str]:
     if slab_bytes != len(used) * SLOT_BYTES:
         violations.append(f"data.slab is {slab_bytes} bytes, the slot map "
                           f"spans {len(used)} slots of {SLOT_BYTES}")
+    paths = {segment.fd: segment.path for segment in store._segments}
+    held = {entry_id: (paths.get(place[0]),) + place[1:]
+            for entry_id, place in store._where.items()}
+    framed = {entry_id: (row.segment, row.at, row.length, row.tenant,
+                         row.key, row.flags, row.size)
+              for entry_id, row in rows.items()}
+    if held != framed:
+        odd = sorted(set(held.items()) ^ set(framed.items()))
+        violations.append(f"the store's id -> entry map and the frames "
+                          f"disagree on {odd[:4]}")
+    recount = _recount(rows)
+    running = {tenant: account for tenant, account in store._tenants.items()
+               if account != [0, 0]}
+    if running != recount:
+        violations.append(f"the store's tenant counters say {running}, the "
+                          f"frames add up to {recount}")
+    counted = (sum(size for _, size, _ in journal.segments),
+               sum(live for _, _, live in journal.segments))
+    if (store._log_bytes, store._live_bytes) != counted:
+        violations.append(
+            f"the store counts {store._log_bytes} log bytes and "
+            f"{store._live_bytes} live, the segments hold {counted}")
     return violations
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Inspect the stopped store in ``argv[0]``; 0 if it is clean."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python -m repro.service.check DIR", file=sys.stderr)
+        return 2
+    directory = os.path.abspath(argv[0])
+    try:
+        slab = os.open(os.path.join(directory, "data.slab"), os.O_RDONLY)
+    except FileNotFoundError:
+        print(f"{directory} holds no store of layout version "
+              f"{LAYOUT_VERSION} (no data.slab)", file=sys.stderr)
+        return 1
+    try:
+        try:
+            fcntl.flock(slab, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"{directory} is locked: a server holds it; stop it, or "
+                  "read `stats` / /metrics", file=sys.stderr)
+            return 1
+        journal = read_journal(directory)
+        violations = list(journal.violations)
+        claimed, _ = _check_rows(journal.rows, slab, violations)
+        slab_bytes = os.fstat(slab).st_size
+    finally:
+        os.close(slab)
+    print(f"{directory}: layout {LAYOUT_VERSION}, {len(journal.rows)} entries, "
+          f"ids leased up to {journal.high_water}")
+    for tenant, (count, total) in sorted(_recount(journal.rows).items()):
+        print(f"  tenant {tenant}: {count} entries, {total} bytes")
+    for path, size, live in journal.segments:
+        print(f"  log/{os.path.basename(path)}: {size} bytes, {live} live, "
+              f"{size - live} dead")
+    print(f"  torn tail: {journal.torn} bytes (cut off at the next open)")
+    span = max(claimed) + 1 if claimed else 0
+    print(f"  data.slab: {slab_bytes} bytes, {span} slots spanned, "
+          f"{span - len(claimed)} free within, "
+          f"{max(0, slab_bytes - span * SLOT_BYTES)} bytes beyond (cut off "
+          "at the next open)")
+    for line in violations:
+        print(f"VIOLATION {line}")
+    print(f"{len(violations)} violations")
+    return 1 if violations else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,7 +41,7 @@ the high-water mark plus one flush.
 from __future__ import annotations
 
 # Commands call ServiceCache/DiskStore synchronously on the event loop:
-# those are bounded sub-ms blob+SQLite ops at memcached entry sizes, and
+# those are bounded sub-ms journal+slab ops at memcached entry sizes, and
 # a thread offload costs more than it buys — see the svc_tcp_* workloads
 # of `python3 -m bench run`.
 

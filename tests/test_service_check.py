@@ -5,15 +5,27 @@ checker), so it runs unmodified against any ``DiskStore`` layout; the
 seeded faults are the layout's own.
 """
 
+import contextlib
+import io
 import os
 import random
+import struct
+import subprocess
+import sys
 import tempfile
 import unittest
+import zlib
+from unittest import mock
 
 from repro.core.config import StoreKind
 from repro.service import DiskStore, ServiceCache, SetStatus
+from repro.service import check as check_module
+from repro.service import store as store_module
 from repro.service.check import check_service
 from repro.service.store import SLOT_BYTES
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _MB = 1 << 20
 TENANTS = (("big", 400), ("mid", 150), ("small", 60))   # name, key space
@@ -130,8 +142,24 @@ class SeededFaultTests(unittest.TestCase):
         self.slab = os.path.join(self._tmp.name, "data.slab")
         self.assertEqual(check_service(self.cache), [])
 
-    def sql(self, statement, *args):
-        self.cache.store._db.execute(statement, args)
+    def frame_of(self, entry_id):
+        """Path, offset and length of an entry's PUT frame."""
+        store = self.cache.store
+        fd, at, length = store._where[entry_id][:3]
+        path = next(segment.path for segment in store._segments
+                    if segment.fd == fd)
+        return path, at, length
+
+    def rewrite(self, entry_id, slot):
+        """Point an entry's PUT frame at another slot, CRC made good."""
+        path, at, length = self.frame_of(entry_id)
+        with open(path, "r+b") as segment:
+            segment.seek(at + 8)
+            payload = bytearray(segment.read(length - 8))
+            struct.pack_into("<I", payload, 21, slot)   # kind id flags size
+            segment.seek(at)
+            segment.write(struct.pack("<II", len(payload), zlib.crc32(payload))
+                          + payload)
 
     def assert_reported(self, fragment):
         report = check_service(self.cache)
@@ -158,9 +186,18 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported("FIFO order is not id order")
 
     def test_row_missing(self):
-        self.sql("DELETE FROM entries WHERE id = ?", self.large_id)
+        """The PUT frame of the last entry but one, zeroed: nothing from
+        there on is a frame."""
+        path, at, length = self.frame_of(self.large_id)
+        with open(path, "r+b") as segment:
+            segment.seek(at)
+            segment.write(bytes(length))
         self.assert_reported(f"entry {self.large_id} ('t1', 'large') has no row")
         self.assert_reported("slot 0 is marked used, no row claims it")
+        self.assert_reported(f"{os.path.getsize(path) - at} bytes after the "
+                             "last whole frame of a store that is open")
+        self.assert_reported("id -> entry map and the frames disagree")
+        self.assert_reported("tenant counters say")
 
     def test_row_not_indexed(self):
         entry_id = self.cache._ids.pop(("t0", "k0"))
@@ -168,21 +205,39 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported(f"row {entry_id} ")
 
     def test_two_rows_claim_one_slot(self):
-        self.sql("UPDATE entries SET slot = 4 WHERE id = ?", self.last_id)
+        self.rewrite(self.last_id, slot=4)
         self.assert_reported(f"rows {self.large_id} and {self.last_id} "
                              "overlap at slot 4")
 
     def test_run_past_the_end_of_the_slab(self):
-        self.sql("UPDATE entries SET slot = 6 WHERE id = ?", self.last_id)
+        self.rewrite(self.last_id, slot=6)
         self.assert_reported(f"row {self.last_id}: slots 6..7 reach past the "
                              f"end of data.slab ({7 * SLOT_BYTES} bytes)")
 
-    def test_row_with_both_a_value_and_a_slot_or_neither(self):
-        self.sql("UPDATE entries SET value = x'00' WHERE id = ?", self.last_id)
-        self.assert_reported(f"row {self.last_id} has an inline value and a slot")
-        self.sql("UPDATE entries SET value = NULL, slot = NULL WHERE id = ?",
-                 self.last_id)
-        self.assert_reported(f"row {self.last_id} has neither")
+    def test_row_inline_or_in_a_slot_against_its_size(self):
+        self.rewrite(self.last_id, slot=0xFFFFFFFF)
+        self.assert_reported(f"row {self.last_id} of 5000 bytes is inline")
+        small_id = self.cache.get("t0", "k0")[2]
+        self.rewrite(small_id, slot=3)
+        self.assert_reported(f"row {small_id} of 100 bytes is in slot 3")
+
+    def test_tenant_counters_drift(self):
+        self.cache.store._tenants["t0"][1] += 1
+        self.assert_reported("tenant counters say {'t0': [6, 601], 't1': "
+                             "[2, 25000]}, the frames add up to {'t0': [6, 600]")
+
+    def test_id_to_entry_map_and_frames_disagree(self):
+        store = self.cache.store
+        place = store._where[self.last_id]
+        store._where[self.last_id] = place[:1] + (place[1] + 1,) + place[2:]
+        self.assert_reported("id -> entry map and the frames disagree on")
+
+    def test_log_over_its_reclaim_budget(self):
+        for _ in range(40):             # 40 KB of frames, one of them live
+            self.cache.set("t0", "k0", b"v" * 1000)
+        self.assertEqual(check_service(self.cache), [])
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 64):
+            self.assert_reported("over the reclaim budget of")
 
     def test_slot_map_and_rows_disagree(self):
         self.cache.store._map.used[2] = 0
@@ -205,14 +260,134 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported(f"data.slab is {7 * SLOT_BYTES + 1} bytes, the "
                              "slot map spans 7 slots")
 
-    def test_bytes_at_a_run_are_fewer_than_the_size_column(self):
+    def test_bytes_at_a_run_are_fewer_than_the_frame_says(self):
         os.truncate(self.slab, 5 * SLOT_BYTES + 4_999)
-        self.assert_reported(f"row {self.last_id}: 4999 bytes stored, size "
-                             "column says 5000")
+        self.assert_reported(f"row {self.last_id}: 4999 bytes stored, its "
+                             "frame says 5000")
 
     def test_over_capacity(self):
         self.cache.capacity_blocks = 3
         self.assert_reported("blocks used of 3")
+
+
+def snapshot(directory):
+    found = {}
+    for folder, _, names in os.walk(directory):
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as handle:
+                found[os.path.relpath(handle.name, directory)] = handle.read()
+    return found
+
+
+def flip_bit(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x10]))
+
+
+class DamagedJournalTests(unittest.TestCase):
+    """Bit rot in the journal, and the offline inspector's view of it."""
+
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self._tmp.cleanup)
+        patch = mock.patch.object(store_module, "SEGMENT_BYTES", 1024)
+        patch.start()
+        self.addCleanup(patch.stop)
+        cache = open_cache(self._tmp.name)
+        for i in range(12):
+            if i == 11:
+                cache.delete("t0", "k1")
+            cache.set("t0", f"k{i}", bytes([65 + i]) * (300 if i % 3 else 3000))
+        self.kept = {entry.key: cache.get("t0", entry.key)[:2]
+                     for entry in cache.store.iter_entries()}
+        self.last_key = "k11"
+        self.last_frame = cache.store._where[cache._ids[("t0", "k11")]][1:3]
+        cache.close()
+        self.log = os.path.join(self._tmp.name, "log")
+        self.segments = sorted(os.listdir(self.log),
+                               key=lambda name: int(name[:-4]))
+        self.assertGreater(len(self.segments), 2)
+
+    def inspect(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = check_module.main([self._tmp.name])
+        return code, out.getvalue()
+
+    def test_inspector_on_a_clean_stopped_store(self):
+        code, report = self.inspect()
+        self.assertEqual(code, 0, report)
+        self.assertIn("layout 4, 11 entries, ids leased up to 1024", report)
+        self.assertIn("tenant t0: 11 entries, "
+                      f"{sum(len(v) for v, _ in self.kept.values())} bytes",
+                      report)
+        for name in self.segments:
+            self.assertIn(f"log/{name}: ", report)
+        self.assertIn("torn tail: 0 bytes", report)
+        self.assertIn("4 slots spanned, 0 free within, 0 bytes beyond", report)
+        self.assertIn("0 violations", report)
+
+    def test_inspector_answers_locked_while_the_store_is_served(self):
+        cache = open_cache(self._tmp.name)
+        self.addCleanup(cache.close)
+        code, report = self.inspect()
+        self.assertEqual(code, 1)
+        self.assertIn("is locked", report)
+
+    def test_inspector_runs_as_a_module_and_changes_nothing(self):
+        with open(os.path.join(self.log, self.segments[-1]), "ab") as segment:
+            segment.write(b"\x20\0\0\0torn")         # half a frame
+        before = snapshot(self._tmp.name)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.service.check", self._tmp.name],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        self.assertEqual(done.returncode, 0, done.stdout)
+        self.assertIn("torn tail: 8 bytes", done.stdout)
+        self.assertEqual(snapshot(self._tmp.name), before)
+
+    def test_flipped_bit_in_a_sealed_segment_refuses_to_open(self):
+        flip_bit(os.path.join(self.log, self.segments[0]), 60)
+        before = snapshot(self._tmp.name)
+        with self.assertRaises(RuntimeError) as caught:
+            DiskStore(self._tmp.name, sync_writes=False)
+        self.assertIn(os.path.join(self.log, self.segments[0]),
+                      str(caught.exception))
+        self.assertIn("damaged at offset 36", str(caught.exception))
+        self.assertEqual(snapshot(self._tmp.name), before)
+        code, report = self.inspect()
+        self.assertEqual(code, 1)
+        self.assertIn("is damaged at offset 36", report)
+        # The refusal took no lock with it.
+        flip_bit(os.path.join(self.log, self.segments[0]), 60)
+        open_cache(self._tmp.name).close()
+
+    def test_flipped_bit_in_the_last_frame_loses_that_entry_alone(self):
+        at, length = self.last_frame
+        path = os.path.join(self.log, self.segments[-1])
+        self.assertEqual(os.path.getsize(path), at + length)
+        flip_bit(path, at + length - 1)
+        cache = open_cache(self._tmp.name)
+        self.addCleanup(cache.close)
+        self.assertEqual(check_service(cache), [])
+        self.assertEqual(os.path.getsize(path), at)
+        del self.kept[self.last_key]
+        self.assertEqual({entry.key: cache.get("t0", entry.key)[:2]
+                          for entry in cache.store.iter_entries()}, self.kept)
+
+
+class NoSqliteTests(unittest.TestCase):
+    def test_importing_the_service_leaves_sqlite3_unimported(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.service, repro.service.check, "
+             "repro.service.server; "
+             "sys.exit('sqlite3' in sys.modules or '_sqlite3' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC))
+        self.assertEqual(done.returncode, 0)
 
 
 if __name__ == "__main__":

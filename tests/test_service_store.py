@@ -1,8 +1,11 @@
-"""DiskStore: semantics, enumerated crash points, kill-and-restart safety."""
+"""DiskStore: semantics, enumerated crash points, power cuts,
+kill-and-restart safety."""
 
 import os
+import random
+import shutil
 import signal
-import sqlite3
+import sqlite3          # only to build the directories older layouts left
 import subprocess
 import sys
 import tempfile
@@ -15,13 +18,14 @@ from hypothesis import strategies as st
 
 from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service import store as store_module
-from repro.service.check import check_service
+from repro.service.check import check_service, read_journal
+from repro.service.protocol import MemcacheProtocol, parse_stats
 from repro.service.store import (INLINE_BYTES, LAYOUT_VERSION, SLOT_BYTES,
-                                 SlotMap)
+                                 SlotMap, log_budget)
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-SMALL = b"s" * INLINE_BYTES            # the largest value kept in its row
+SMALL = b"s" * INLINE_BYTES            # the largest value kept in its frame
 LARGE = b"L" * (INLINE_BYTES + 1)      # the smallest kept in the slab
 
 
@@ -48,7 +52,9 @@ class DiskStoreBasicsTests(unittest.TestCase):
         flags = {entry.key: entry.flags for entry in self.store.iter_entries()}
         self.assertEqual(set(flags.values()), {7})
         self.assertEqual(sorted(os.listdir(self._tmp.name)),
-                         ["data.slab", "meta.db", "meta.db-wal"])
+                         ["data.slab", "log"])
+        self.assertEqual(os.listdir(os.path.join(self._tmp.name, "log")),
+                         ["1.seg"])
 
     def test_tenants_are_disjoint_namespaces(self):
         zero_id = self.store.set("t0", "k", b"zero")
@@ -67,7 +73,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(self.store.get(second, len(LARGE) + 1), LARGE + b"!")
         self.assertIsNone(self.store.get(first, len(LARGE)))
         self.assertEqual(self.store.count(), 1)
-        # The new value went beside the old one (whose row still claimed
+        # The new value went beside the old one (whose frame still claimed
         # slot 0 while it was written); slot 0 is the next to be used.
         self.assertEqual(bytes(self.store._map.used), b"\0\1")
         third = self.store.set("t0", "other", LARGE)
@@ -100,7 +106,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(slab_bytes(self._tmp.name), 2 * SLOT_BYTES)
         self.assertEqual(self.store.get(ids[0], SLOT_BYTES), b"A" * SLOT_BYTES)
         self.assertEqual(self.store.get(one, 2000), b"1" * 2000)
-        # The rows alone give the same allocation state back.
+        # The frames alone give the same allocation state back.
         self.store.set("t0", "far", b"f" * SLOT_BYTES)
         self.store.delete_entry(one, 2000)                    # A _ f
         state = bytes(self.store._map.used), self.store._slots
@@ -124,19 +130,87 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.store.set("t1", "a", b"x" * 5)
         self.assertEqual(self.store.tenant_bytes(), {"t0": 3010, "t1": 5})
 
-    def test_delete_entries_is_one_statement_for_the_whole_batch(self):
+    def test_delete_entries_is_one_frame_for_the_whole_batch(self):
         victims = [(self.store.set("t0", f"k{i}", value), len(value))
                    for i, value in enumerate((SMALL, LARGE, b"", LARGE))]
         keep = self.store.set("t0", "keep", LARGE)
-        statements = []
-        self.store._db.set_trace_callback(statements.append)
-        self.store.delete_entries(victims)
-        self.store._db.set_trace_callback(None)
-        self.assertEqual(len(statements), 1, statements)
+        with mock.patch.object(os, "write", wraps=os.write) as write:
+            self.store.delete_entries(victims)
+            self.store.delete_entries(victims)      # nothing left to retire
+        self.assertEqual(write.call_count, 1)
+        self.assertEqual(len(write.call_args[0][1]), 8 + 1 + 4 * 8)
         self.assertEqual([e.entry_id for e in self.store.iter_entries()],
                          [keep])
         self.assertEqual(self.store._slots, {keep: 2})
         self.assertEqual(bytes(self.store._map.used), b"\0\0\1")
+
+    def test_tenant_counters_track_sets_overwrites_and_deletes(self):
+        """``stats tenants`` reads running counters, not a scan: 2 000
+        entries, then overwrites and deletes, against a recount."""
+        cache = ServiceCache(self.store, capacity_mb=16.0)
+        rng = random.Random(7)
+        sizes = {}
+        for i in range(2000):
+            key = (f"t{i % 3}", f"k{i}")
+            sizes[key] = rng.choice((0, 10, 700, INLINE_BYTES, 3000))
+            cache.set(*key, b"x" * sizes[key])
+
+        def recount():
+            totals = {}
+            for (tenant, _), size in sizes.items():
+                totals[tenant] = totals.get(tenant, 0) + size
+            return totals
+
+        def stats_tenants():
+            stats = parse_stats(
+                MemcacheProtocol(cache).stats(by_tenant=True).decode())
+            return {name[:-len(":bytes")]: value
+                    for name, value in stats.items()
+                    if name.endswith(":bytes")}
+
+        self.assertEqual(stats_tenants(), recount())
+        for key in rng.sample(sorted(sizes), 700):
+            cache.delete(*key)
+            del sizes[key]
+        for key in rng.sample(sorted(sizes), 300):
+            sizes[key] = rng.choice((5, 2000))
+            cache.set(*key, b"y" * sizes[key])
+        self.assertEqual(stats_tenants(), recount())
+        self.assertEqual(self.store.tenant_bytes(), recount())
+        self.assertEqual(self.store.count(), len(sizes))
+        self.assertEqual(check_service(cache), [])
+        cache.flush_all("t1")
+        self.assertEqual(self.store.tenant_bytes(),
+                         {t: n for t, n in recount().items() if t != "t1"})
+        self.store.close()
+        self.store = DiskStore(self._tmp.name, sync_writes=False)
+        self.assertEqual(self.store.tenant_bytes(),
+                         {t: n for t, n in recount().items() if t != "t1"})
+
+    def test_a_closed_store_says_so_and_holds_no_descriptor(self):
+        self.store.close()              # setUp's: count from a clean slate
+        before = len(os.listdir("/proc/self/fd"))
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 2048):
+            store = DiskStore(self._tmp.name, sync_writes=False)
+            entry_id = store.set("t0", "k", LARGE)
+            for i in range(20):         # several segments, so several fds
+                store.set("t0", f"k{i}", SMALL)
+            self.assertGreater(len(os.listdir("/proc/self/fd")), before + 3)
+            store.close()
+            store.close()
+        self.assertEqual(len(os.listdir("/proc/self/fd")), before)
+        for call in (lambda: store.set("t0", "k", b"v"),
+                     lambda: store.get(entry_id, len(LARGE)),
+                     lambda: store.get(entry_id + 1, len(SMALL)),
+                     lambda: store.delete_entry(entry_id, len(LARGE)),
+                     lambda: store.delete_entries([(entry_id, len(LARGE))]),
+                     lambda: list(store.iter_entries()),
+                     store.tenant_bytes, store.count):
+            with self.assertRaises(RuntimeError) as caught:
+                call()
+            self.assertIn(os.path.abspath(self._tmp.name),
+                          str(caught.exception))
+            self.assertIn("closed", str(caught.exception))
 
     def test_ids_are_never_reused_across_a_restart(self):
         ids = [self.store.set("t0", f"k{i}", b"v") for i in range(5)]
@@ -145,6 +219,41 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.store.close()
         self.store = DiskStore(self._tmp.name, sync_writes=False)
         self.assertGreater(self.store.set("t0", "again", b"v"), max(ids))
+
+    def test_ids_increase_after_the_newest_are_deleted_and_reclaimed(self):
+        """The lease outlives the segment that first recorded it: every
+        segment opens with the current one."""
+        self.store.close()
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 1024):
+            store = DiskStore(self._tmp.name, sync_writes=False)
+            keep = store.set("t0", "keep", b"v")
+            ids = [store.set("t0", f"k{i}", SMALL) for i in range(1100)]
+            store.delete_entries([(entry_id, len(SMALL)) for entry_id in ids])
+            for i in range(12):         # churn until reclaim has caught up
+                keep = store.set("t0", "keep", b"v", replaces=(keep, 1))
+            first = min(int(name[:-4]) for name in
+                        os.listdir(os.path.join(self._tmp.name, "log")))
+            self.assertGreater(first, 1100, "their segments are still there")
+            store.close()
+            self.store = DiskStore(self._tmp.name, sync_writes=False)
+            self.assertEqual(self.store.count(), 1)
+            self.assertGreater(self.store.set("t0", "again", b"v"), keep)
+
+    def test_a_short_write_leaves_no_half_frame_and_consumes_no_id(self):
+        first = self.store.set("t0", "a", SMALL)
+
+        def short_write(fd, data, _write=os.write):
+            return _write(fd, data[:len(data) // 2])
+
+        with mock.patch.object(os, "write", short_write), \
+                self.assertRaises(OSError):
+            self.store.set("t0", "b", SMALL)
+        self.assertEqual(self.store.count(), 1)
+        self.assertEqual(self.store.set("t0", "c", LARGE), first + 1)
+        self.assertEqual(read_journal(self._tmp.name).violations, [])
+        self.store.close()
+        self.store = DiskStore(self._tmp.name, sync_writes=False)
+        self.assertEqual([e.key for e in self.store.iter_entries()], ["a", "c"])
 
     def test_a_directory_has_one_owner(self):
         with self.assertRaises(RuntimeError) as caught:
@@ -195,6 +304,73 @@ class SlotMapPropertyTests(unittest.TestCase):
         self.assertEqual(reopened.used, slots.used)
 
 
+class JournalPropertyTests(unittest.TestCase):
+    """``DiskStore`` with 4 KiB segments against a dict."""
+
+    KEYS = [(tenant, f"k{i}") for tenant in ("t0", "t1") for i in range(6)]
+    SIZES = (0, 40, 900, INLINE_BYTES, INLINE_BYTES + 1, 6000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(KEYS),
+                  st.sampled_from(SIZES)),
+        st.tuples(st.just("delete"), st.sampled_from(KEYS), st.none()),
+        st.tuples(st.just("batch"), st.sets(st.sampled_from(KEYS)), st.none()),
+        st.tuples(st.just("reopen"), st.none(), st.none())), max_size=120))
+    def test_contents_order_counters_ids_and_budget_against_a_dict(self, ops):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(store_module, "SEGMENT_BYTES", 4096):
+            store = DiskStore(tmp, sync_writes=False)
+            model = {}      # (tenant, key) -> (id, value, flags)
+            issued = 0
+            try:
+                for step, (op, arg, size) in enumerate(ops + [("reopen",) * 3]):
+                    if op == "set":
+                        value = bytes([step % 251]) * size
+                        old = model.get(arg)
+                        entry_id = store.set(
+                            *arg, value, flags=step,
+                            replaces=old and (old[0], len(old[1])))
+                        self.assertGreater(entry_id, issued, "id reused")
+                        issued = entry_id
+                        model[arg] = (entry_id, value, step)
+                    elif op == "delete" and arg in model:
+                        entry_id, value, _ = model.pop(arg)
+                        store.delete_entry(entry_id, len(value))
+                    elif op == "batch":
+                        gone = [model.pop(key) for key in sorted(arg)
+                                if key in model]
+                        store.delete_entries(
+                            [(entry_id, len(value)) for entry_id, value, _ in gone])
+                    elif op == "reopen":
+                        store.close()
+                        store = DiskStore(tmp, sync_writes=False)
+                        self.assertEqual(
+                            [(e.entry_id, (e.tenant, e.key), e.flags, e.size)
+                             for e in store.iter_entries()],
+                            sorted((entry_id, key, flags, len(value)) for
+                                   key, (entry_id, value, flags) in model.items()))
+                    # After every op: values, counters, and the journal as a
+                    # parser that shares no code with the store sees it.
+                    for entry_id, value, _ in model.values():
+                        self.assertEqual(store.get(entry_id, len(value)), value)
+                    totals = {}
+                    for (tenant, _), (_, value, _) in model.items():
+                        totals[tenant] = totals.get(tenant, 0) + len(value)
+                    self.assertEqual(store.tenant_bytes(), totals)
+                    self.assertEqual(store.count(), len(model))
+                    journal = read_journal(tmp)
+                    self.assertEqual(journal.violations, [])
+                    self.assertEqual(sorted(journal.rows),
+                                     sorted(entry_id for entry_id, _, _
+                                            in model.values()))
+                    log = sum(size for _, size, _ in journal.segments)
+                    live = sum(live for _, _, live in journal.segments)
+                    self.assertLessEqual(log, log_budget(live))
+            finally:
+                store.close()
+
+
 # -- crash points -----------------------------------------------------------
 
 class Crash(Exception):
@@ -202,23 +378,24 @@ class Crash(Exception):
 
 
 class Boundaries:
-    """Counts ``DiskStore``'s calls across its two boundaries — SQLite
-    ``execute`` and the slab calls ``pwrite``/``fsync``/``ftruncate`` —
-    and raises :class:`Crash` when the ``crash_at``-th one has happened.
-    A crash at a ``pwrite`` lands mid-call: half the bytes reach the file.
+    """Counts ``DiskStore``'s calls across its boundary with the
+    operating system — ``write`` (a frame), ``pwrite`` (a slab run),
+    ``fsync``, ``ftruncate``, ``open`` (a segment roll) and ``unlink``
+    (reclaim) — and raises :class:`Crash` when the ``crash_at``-th one
+    has happened.  A crash at a ``write`` or ``pwrite`` lands mid-call:
+    half the bytes reach the file.  Leaving the block closes the store's
+    descriptors, as the death of its process would.
     """
 
     def __init__(self, store, crash_at=None):
         self.crash_at = crash_at
         self.trace = []
-        self._real_db = store._db
-        store._db = self
+        self._store = store
         self._patches = [
-            mock.patch.object(store_module.os, "pwrite", self._torn_pwrite),
-            mock.patch.object(store_module.os, "fsync", self._wrap(os.fsync)),
-            mock.patch.object(store_module.os, "ftruncate",
-                              self._wrap(os.ftruncate)),
-        ]
+            mock.patch.object(os, "write", self._torn(os.write)),
+            mock.patch.object(os, "pwrite", self._torn(os.pwrite))] + [
+            mock.patch.object(os, call.__name__, self._wrap(call))
+            for call in (os.fsync, os.ftruncate, os.open, os.unlink)]
 
     def __enter__(self):
         for patch in self._patches:
@@ -228,7 +405,7 @@ class Boundaries:
     def __exit__(self, *exc_info):
         for patch in self._patches:
             patch.stop()
-        self._real_db.close()
+        self._store.close()
 
     def hit(self, name):
         self.trace.append(name)
@@ -237,21 +414,19 @@ class Boundaries:
 
     def _wrap(self, call):
         def wrapped(*args):
-            call(*args)
+            result = call(*args)
             self.hit(call.__name__)
+            return result
         return wrapped
 
-    def execute(self, *args):
-        cursor = self._real_db.execute(*args)
-        self.hit("execute")
-        return cursor
-
-    def _torn_pwrite(self, fd, data, offset, _pwrite=os.pwrite):
-        half = len(data) // 2
-        _pwrite(fd, data[:half], offset)
-        self.hit("pwrite")
-        _pwrite(fd, data[half:], offset + half)
-        return len(data)
+    def _torn(self, call):
+        def torn(fd, data, *offset):
+            half = len(data) // 2
+            call(fd, data[:half], *offset)
+            self.hit(call.__name__)
+            call(fd, data[half:], *(at + half for at in offset))
+            return len(data)
+        return torn
 
 
 def tiny_cache(directory):
@@ -272,14 +447,15 @@ class CrashPointTests(unittest.TestCase):
     """
 
     #: Stored first, in this order: ``b`` takes slot 0 of the slab and
-    #: ``d`` slot 1, the other three live in their rows.
+    #: ``d`` slot 1, the other three live in their frames.
     BASE = {"a": SMALL, "b": LARGE, "c": b"", "d": LARGE * 2, "e": SMALL}
 
     #: name -> (operation, keys it may remove, {key: value it may write})
     SCENARIOS = {
         "set small": (lambda c: c.set("t0", "new", SMALL, 3),
                       (), {"new": SMALL}),
-        # The first set of a process also commits the next id lease.
+        # The first set of a process also writes the next id lease, in
+        # the same write: the tear falls in either frame.
         "set small after reopen": (lambda c: c.set("t0", "new", SMALL, 3),
                                    (), {"new": SMALL}),
         "set large": (lambda c: c.set("t0", "new", LARGE, 3),
@@ -300,11 +476,28 @@ class CrashPointTests(unittest.TestCase):
         "eviction batch": (lambda c: c.set("t0", "big", b"B" * 24_000, 3),
                            ("a", "b", "c"), {"big": b"B" * 24_000}),
         # Full cache, b at the FIFO head: its slot is the lowest free one
-        # the moment its DELETE commits, and the newcomer is written there.
+        # the moment its DEL frame is written, and the newcomer goes there.
         "set large into the slots an eviction just vacated": (
             lambda c: c.set("t0", "new", NEWCOMER, 3),
             ("b",), {"new": NEWCOMER}),
         "flush_all": (lambda c: c.flush_all("t0"), tuple(BASE), {}),
+        # With 1 KiB segments (SEGMENTS below) BASE fills two and they
+        # are sealed; SETUP leaves the journal just under its trigger.
+        "set that rolls the segment": (
+            lambda c: c.set("t0", "new", SMALL, 3), (), {"new": SMALL}),
+        "set whose reclaim copies forward and unlinks the oldest segments": (
+            lambda c: c.set("t0", "e", b"E" * INLINE_BYTES, 3),
+            (), {"e": b"E" * INLINE_BYTES}),
+        "delete of an entry whose PUT was copied forward": (
+            lambda c: c.delete("t0", "a"), ("a",), {}),
+    }
+
+    #: Scenarios that patch ``SEGMENT_BYTES``, and to what.
+    SEGMENTS = {
+        "set that rolls the segment": 1024,
+        "set whose reclaim copies forward and unlinks the oldest segments":
+            1024,
+        "delete of an entry whose PUT was copied forward": 1024,
     }
 
     #: Steps between BASE and the operation, for the scenarios that need
@@ -315,7 +508,16 @@ class CrashPointTests(unittest.TestCase):
         "set large into the slots an eviction just vacated":
             lambda c: [c.delete("t0", "a")] + [
                 c.set("t0", key, SMALL, 1) for key in "fghi"],
+        "set whose reclaim copies forward and unlinks the oldest segments":
+            lambda c: [c.set("t0", "e", SMALL, 1) for _ in range(2)],
+        "delete of an entry whose PUT was copied forward":
+            lambda c: [c.set("t0", "e", SMALL, 1) for _ in range(3)],
     }
+
+    def segments(self, scenario):
+        return mock.patch.object(
+            store_module, "SEGMENT_BYTES",
+            self.SEGMENTS.get(scenario, store_module.SEGMENT_BYTES))
 
     def prepare(self, directory, scenario):
         """The cache the operation runs on, and what it then holds."""
@@ -333,20 +535,21 @@ class CrashPointTests(unittest.TestCase):
 
     def test_every_boundary_of_every_operation(self):
         for name, (operate, may_remove, may_write) in self.SCENARIOS.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                cache, _ = self.prepare(tmp, name)
-                with Boundaries(cache.store) as dry_run:
-                    operate(cache)
-            self.assertGreater(len(dry_run.trace), 0, name)
-            for crash_at in range(1, len(dry_run.trace) + 1):
-                where = f"{name}: crash after boundary {crash_at} of " \
-                        f"{dry_run.trace}"
+            with self.segments(name):
                 with tempfile.TemporaryDirectory() as tmp:
-                    cache, base = self.prepare(tmp, name)
-                    with Boundaries(cache.store, crash_at), \
-                            self.assertRaises(Crash, msg=where):
+                    cache, _ = self.prepare(tmp, name)
+                    with Boundaries(cache.store) as dry_run:
                         operate(cache)
-                    self.verify(tmp, base, may_remove, may_write, where)
+                self.assertGreater(len(dry_run.trace), 0, name)
+                for crash_at in range(1, len(dry_run.trace) + 1):
+                    where = f"{name}: crash after boundary {crash_at} of " \
+                            f"{dry_run.trace}"
+                    with tempfile.TemporaryDirectory() as tmp:
+                        cache, base = self.prepare(tmp, name)
+                        with Boundaries(cache.store, crash_at), \
+                                self.assertRaises(Crash, msg=where):
+                            operate(cache)
+                        self.verify(tmp, base, may_remove, may_write, where)
 
     def verify(self, directory, base, may_remove, may_write, where):
         cache = tiny_cache(directory)
@@ -367,8 +570,8 @@ class CrashPointTests(unittest.TestCase):
             else:
                 self.assertEqual(found[:2], old,
                                  f"{where}: {key!r} is stale or foreign")
-        # One DELETE retires a batch — all of it went or none of it — and
-        # room is made before the value that needs it is committed.
+        # One DEL frame retires a batch — all of it went or none of it —
+        # and room is made before the value that needs it is committed.
         self.assertIn(sorted(removed), ([], sorted(may_remove)), where)
         if written:
             self.assertEqual(sorted(removed), sorted(may_remove), where)
@@ -378,31 +581,152 @@ class CrashPointTests(unittest.TestCase):
             where)
 
     def test_the_boundaries_are_the_protocol_the_docstring_states(self):
+        put = ["write", "fsync"]                    # one frame, made durable
+        run = ["pwrite", "fsync"]                   # one slab run, likewise
+        roll = ["open", "fsync"]                    # the file, its directory
+        retire = ["unlink", "fsync"]                # likewise
         #: name -> (boundaries crossed, slots the slab spans afterwards)
         expected = {
-            "set small": (["execute"], 2),
-            "set small after reopen": (["execute", "execute"], 2),
-            "set large": (["pwrite", "fsync", "execute"], 3),
-            # The old row claims slot 0 until the replace commits.
-            "overwrite large with large": (["pwrite", "fsync", "execute"], 3),
+            "set small": (put, 2),
+            "set small after reopen": (put, 2),
+            "set large": (run + put, 3),
+            # The old frame claims slot 0 until the new one is written.
+            "overwrite large with large": (run + put, 3),
             "overwrite large with large while a free run exists below it":
-                (["pwrite", "fsync", "execute", "ftruncate"], 1),
-            "overwrite large with small": (["execute", "ftruncate"], 1),
-            "delete large": (["execute", "ftruncate"], 1),
-            "delete large below another": (["execute"], 2),
-            "eviction batch":
-                (["execute", "pwrite", "fsync", "execute"], 8),
+                (run + put + ["ftruncate"], 1),
+            "overwrite large with small": (put + ["ftruncate"], 1),
+            "overwrite small with large": (run + put, 3),
+            "delete small": (put, 2),
+            "delete large": (put + ["ftruncate"], 1),
+            "delete large below another": (put, 2),
+            "eviction batch": (put + run + put, 8),
             "set large into the slots an eviction just vacated":
-                (["execute", "pwrite", "fsync", "execute"], 2),
-            "flush_all": (["execute", "ftruncate"], 0),
+                (put + run + put, 2),
+            "flush_all": (put + ["ftruncate"], 0),
+            "set that rolls the segment": (roll + put, 2),
+            # The third overwrite of e tips the journal over its trigger:
+            # a is copied out of segment 1, b c d out of segment 2, and
+            # both are unlinked.  Every frame of 1 KiB fills a segment.
+            "set whose reclaim copies forward and unlinks the oldest segments":
+                (roll + put + roll + put + retire + roll + put + retire, 2),
+            # Retiring a's 1 KiB lowers the trigger: a dead segment goes.
+            "delete of an entry whose PUT was copied forward":
+                (put + retire, 2),
         }
+        self.assertEqual(set(expected), set(self.SCENARIOS))
         for name, (trace, slots) in expected.items():
-            with tempfile.TemporaryDirectory() as tmp:
+            with self.segments(name), tempfile.TemporaryDirectory() as tmp:
                 cache, _ = self.prepare(tmp, name)
                 with Boundaries(cache.store) as boundaries:
                     self.SCENARIOS[name][0](cache)
                 self.assertEqual(boundaries.trace, trace, name)
                 self.assertEqual(slab_bytes(tmp), slots * SLOT_BYTES, name)
+
+
+class FlushedImages:
+    """An ``os.fsync`` that remembers what a power cut would leave: per
+    file the bytes as of its last ``fsync``, per directory the names as
+    of *its* last ``fsync``.  A name synced before its file's first
+    ``fsync`` is an empty file; an unlinked file whose directory was not
+    synced since is back, holding what it last flushed."""
+
+    def __init__(self, root):
+        self.root = root
+        self.files = {}
+        self.names = {}
+
+    def fsync(self, fd):
+        path = os.readlink(f"/proc/self/fd/{fd}")
+        if os.path.isdir(path):
+            self.names[path] = os.listdir(path)
+        else:
+            with open(path, "rb") as handle:
+                self.files[path] = handle.read()
+
+    def rebuild(self, target):
+        shutil.rmtree(target, ignore_errors=True)
+        for folder in sorted(self.names):           # parents first
+            there = os.path.join(target, os.path.relpath(folder, self.root))
+            os.makedirs(there, exist_ok=True)
+            for name in self.names[folder]:
+                path = os.path.join(folder, name)
+                if path not in self.names and not os.path.isdir(path):
+                    with open(os.path.join(there, name), "wb") as out:
+                        out.write(self.files.get(path, b""))
+
+
+class PowerCutTests(unittest.TestCase):
+    """Durability as "readable after a restart from only the bytes
+    flushed before the crash": after every acknowledged operation the
+    directory is rebuilt from the flushed images alone and reopened.
+    (The enumerator above models ``SIGKILL``, where every write stays.)
+    """
+
+    OPS = 300
+
+    def test_every_acknowledged_op_survives_on_the_flushed_bytes_alone(self):
+        rng = random.Random(20261001)
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        live_dir = os.path.join(tmp.name, "live")
+        cut_dir = os.path.join(tmp.name, "cut")
+        images = FlushedImages(live_dir)
+        seen = dict.fromkeys(("stored", "overwrite", "deleted", "evicted",
+                              "flushed", "rolled", "unlinked"), 0)
+
+        def open_cache(directory, sync_writes):
+            return ServiceCache(DiskStore(directory, sync_writes=sync_writes),
+                                capacity_mb=10 * 4096 / (1 << 20),
+                                eviction_batch_mb=2 * 4096 / (1 << 20))
+
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 2048), \
+                mock.patch.object(os, "fsync", images.fsync):
+            cache = open_cache(live_dir, True)
+            self.addCleanup(lambda: cache.close())
+            model = {}              # key -> (value, flags), acknowledged
+            for step in range(1, self.OPS + 1):
+                # Hot keys churn tiny frames, cold ones keep large frames
+                # alive for long: reclaim then works in small steps and
+                # finds live frames to copy, which is where its syncs count.
+                hot = rng.random() < 0.7
+                key = f"h{rng.randrange(6)}" if hot else f"c{rng.randrange(30)}"
+                segments = os.listdir(os.path.join(live_dir, "log"))
+                roll = rng.random()
+                if roll < 0.70:
+                    size = rng.choice((0, 0, 30, 30, 700) if hot else (
+                        700, INLINE_BYTES, INLINE_BYTES + 1, 5000, 9000))
+                    head = f"{key}:{step}|".encode()
+                    value = (head * (size // len(head) + 1))[:size]
+                    self.assertEqual(cache.set("t0", key, value, step),
+                                     SetStatus.STORED)
+                    seen["overwrite" if key in model else "stored"] += 1
+                    model[key] = (value, step)
+                elif roll < 0.97:
+                    seen["deleted"] += cache.delete("t0", key)
+                    model.pop(key, None)
+                else:
+                    seen["flushed"] += cache.flush_all("t0")
+                    model.clear()
+                for lost in [k for k in model if ("t0", k) not in cache._ids]:
+                    seen["evicted"] += 1
+                    del model[lost]
+                after = os.listdir(os.path.join(live_dir, "log"))
+                seen["rolled"] += len(set(after) - set(segments))
+                seen["unlinked"] += len(set(segments) - set(after))
+
+                images.rebuild(cut_dir)
+                survivor = open_cache(cut_dir, False)
+                try:
+                    where = f"power cut after step {step}"
+                    self.assertEqual(check_service(survivor), [], where)
+                    self.assertEqual(
+                        {entry.key: survivor.get("t0", entry.key)[:2]
+                         for entry in survivor.store.iter_entries()},
+                        model, where)
+                finally:
+                    survivor.close()
+        for outcome, count in seen.items():
+            self.assertGreater(count, 3, f"{outcome}: {seen}")
 
 
 class CrashStateRecoveryTests(unittest.TestCase):
