@@ -22,42 +22,32 @@ Quick start::
     print(workload.counters.ops, "ops")
 """
 
-from . import analysis
-from .context import SimContext
-from .core import (
-    CachePolicy,
-    DDConfig,
-    DoubleDeckerCache,
-    GlobalCache,
-    NullCache,
-    StaticPartitionCache,
-    StoreKind,
-)
-from .fleet import Fleet, NetworkModel
-from .hypervisor import Host, HostSpec
-from .guest import Container, VirtualMachine
-from .storage import HDDSpec, MemSpec, SSDSpec
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CachePolicy",
-    "Container",
-    "DDConfig",
-    "DoubleDeckerCache",
-    "Fleet",
-    "GlobalCache",
-    "HDDSpec",
-    "Host",
-    "HostSpec",
-    "MemSpec",
-    "NetworkModel",
-    "NullCache",
-    "SSDSpec",
-    "SimContext",
-    "StaticPartitionCache",
-    "StoreKind",
-    "VirtualMachine",
-    "__version__",
-    "analysis",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "CachePolicy": ".core",
+    "Container": ".guest",
+    "DDConfig": ".core",
+    "DoubleDeckerCache": ".core",
+    "Fleet": ".fleet",
+    "GlobalCache": ".core",
+    "HDDSpec": ".storage",
+    "Host": ".hypervisor",
+    "HostSpec": ".hypervisor",
+    "MemSpec": ".storage",
+    "NetworkModel": ".fleet",
+    "NullCache": ".core",
+    "SSDSpec": ".storage",
+    "SimContext": ".context",
+    "StaticPartitionCache": ".core",
+    "StoreKind": ".core",
+    "VirtualMachine": ".guest",
+    "analysis": ".analysis",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

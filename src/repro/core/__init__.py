@@ -15,75 +15,53 @@ Public surface:
   :class:`WriteRateThrottle`, :func:`set_default_admission`.
 """
 
-from ..endurance import (
-    ADMISSION_POLICIES,
-    AdmissionController,
-    AdmitAll,
-    SecondAccessAdmit,
-    WriteRateThrottle,
-    default_admission,
-    make_admission,
-    set_default_admission,
-)
-from .audit import (
-    InvariantViolation,
-    assert_consistent,
-    assert_host_clean,
-    check_cache,
-    check_host,
-    global_audit_interval,
-    set_audit_interval,
-    start_periodic_audit,
-)
-from .baselines import GlobalCache, StaticPartitionCache
-from .cache_manager import DoubleDeckerCache
-from .config import CachePolicy, DDConfig, StoreKind
-from .engine import EvictionRound, PolicyEngine
-from .interface import HypervisorCacheBase, NullCache
-from .optimizations import CompressionModel, DedupIndex, content_fingerprint
-from .pools import BlockKey, Pool, VMEntry
-from .radix import BlockTable
-from .stats import PoolStats, StoreStats
-from .victim import EvictionEntity, exceed_value, fallback_victim, get_victim
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionController",
-    "AdmitAll",
-    "SecondAccessAdmit",
-    "WriteRateThrottle",
-    "default_admission",
-    "make_admission",
-    "set_default_admission",
-    "BlockKey",
-    "BlockTable",
-    "CachePolicy",
-    "InvariantViolation",
-    "assert_consistent",
-    "assert_host_clean",
-    "check_cache",
-    "check_host",
-    "global_audit_interval",
-    "set_audit_interval",
-    "start_periodic_audit",
-    "CompressionModel",
-    "DedupIndex",
-    "content_fingerprint",
-    "DDConfig",
-    "DoubleDeckerCache",
-    "EvictionEntity",
-    "EvictionRound",
-    "PolicyEngine",
-    "GlobalCache",
-    "HypervisorCacheBase",
-    "NullCache",
-    "Pool",
-    "PoolStats",
-    "StaticPartitionCache",
-    "StoreKind",
-    "StoreStats",
-    "VMEntry",
-    "exceed_value",
-    "fallback_victim",
-    "get_victim",
-]
+#: Public name -> the module that defines it, imported on first use:
+#: the cache service needs ``config``, ``engine`` and ``pools`` and
+#: should not pay for the simulated cache manager, baselines and auditor.
+_EXPORTS = {
+    "ADMISSION_POLICIES": "..endurance",
+    "AdmissionController": "..endurance",
+    "AdmitAll": "..endurance",
+    "SecondAccessAdmit": "..endurance",
+    "WriteRateThrottle": "..endurance",
+    "default_admission": "..endurance",
+    "make_admission": "..endurance",
+    "set_default_admission": "..endurance",
+    "BlockKey": ".pools",
+    "BlockTable": ".radix",
+    "CachePolicy": ".config",
+    "InvariantViolation": ".audit",
+    "assert_consistent": ".audit",
+    "assert_host_clean": ".audit",
+    "check_cache": ".audit",
+    "check_host": ".audit",
+    "global_audit_interval": ".audit",
+    "set_audit_interval": ".audit",
+    "start_periodic_audit": ".audit",
+    "CompressionModel": ".optimizations",
+    "DedupIndex": ".optimizations",
+    "content_fingerprint": ".optimizations",
+    "DDConfig": ".config",
+    "DoubleDeckerCache": ".cache_manager",
+    "EvictionEntity": ".victim",
+    "EvictionRound": ".engine",
+    "PolicyEngine": ".engine",
+    "GlobalCache": ".baselines",
+    "HypervisorCacheBase": ".interface",
+    "NullCache": ".interface",
+    "Pool": ".pools",
+    "PoolStats": ".stats",
+    "StaticPartitionCache": ".baselines",
+    "StoreKind": ".config",
+    "StoreStats": ".stats",
+    "VMEntry": ".pools",
+    "exceed_value": ".victim",
+    "fallback_victim": ".victim",
+    "get_victim": ".victim",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

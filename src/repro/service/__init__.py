@@ -10,6 +10,8 @@ The simulator proves the policy; this package runs it.  Three layers:
   :class:`~repro.core.engine.PolicyEngine` the simulator uses: one DD
   container (pool) per tenant, Algorithm-1 victim selection, the
   ``repro.endurance`` admission controllers, per-tenant accounting.
+  Clients address whole values, not blocks, so the index is one FIFO
+  record per entry per tenant and a pool is told block *counts* only.
 * :class:`~repro.service.server.CacheServer` — an asyncio front-end
   speaking the memcached text protocol (``python -m repro.service``),
   with wall-clock latency histograms in :mod:`repro.metrics` and an
@@ -17,7 +19,7 @@ The simulator proves the policy; this package runs it.  Three layers:
 
 Unlike the simulator's exclusive second-chance cache, the service cache
 is the system of record for its values: a ``get`` hit leaves the entry
-resident.  Residence order is still FIFO per pool and Algorithm 1
+resident.  Residence order is still FIFO per tenant and Algorithm 1
 picks the victims; a round stops as soon as the request fits, where the
 paper's drains its whole batch (see :mod:`repro.service.cache`).
 

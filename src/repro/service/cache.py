@@ -10,14 +10,19 @@ store.
 
 The disk store plays the role of the simulator's SSD store
 (``StoreKind.SSD``); an entry of ``n`` bytes occupies
-``ceil(n / block_bytes)`` blocks of the capacity budget, entered into
-its pool's FIFO under the entry's id as the inode.  Eviction pops the
-FIFO head and retires the *whole* entry — partial values are useless to
-a memcached client.  One Algorithm-1 round frees *at most* an eviction
-batch worth of blocks and stops as soon as the request fits, where the
-simulator's ``DoubleDeckerCache._evict_round`` drains the whole batch:
-in the steady eviction regime a ``set`` evicts what it needs and no
-more (one victim selection per evicting ``set``).
+``ceil(n / block_bytes)`` blocks of the capacity budget.  The paper's
+cache indexes blocks because its guests address blocks; this one's
+clients address whole values, so each tenant keeps **one record per
+entry** in an insertion-ordered FIFO keyed by entry id (ids only grow,
+so insertion order is id order is eviction order) and tells its pool
+only the block count (``pool.used[SSD]``) — the quantity Algorithm 1
+reads.  ``Pool.files`` and its block table stay empty here.  Eviction
+pops the FIFO head and retires the *whole* entry — partial values are
+useless to a memcached client.  One Algorithm-1 round frees *at most*
+an eviction batch worth of blocks and stops as soon as the request
+fits, where the simulator's ``DoubleDeckerCache._evict_round`` drains
+the whole batch: in the steady eviction regime a ``set`` evicts what it
+needs and no more (one victim selection per evicting ``set``).
 
 Unlike the simulated exclusive cache, a ``get`` hit leaves the entry
 resident (the service is the system of record for its values), so
@@ -27,6 +32,7 @@ residence order remains pure FIFO.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.config import CachePolicy, StoreKind
@@ -40,6 +46,9 @@ __all__ = ["ServiceCache", "SetStatus"]
 
 _SSD = StoreKind.SSD
 _MB = 1 << 20
+
+#: What a tenant's FIFO holds per entry: (key, blocks, size, flags).
+Record = Tuple[str, int, int, int]
 
 
 class SetStatus:
@@ -83,10 +92,13 @@ class ServiceCache:
             admission_namer=lambda policy: policy.admission or "",
         )
         self._vm_id = self.engine.register_vm("service", weight=100.0)
-        #: tenant name -> its DD container.
+        #: tenant name -> its DD container: the policy side, told block
+        #: counts only (``used[SSD]``), never blocks.
         self.tenants: Dict[str, Pool] = {}
-        #: entry id (inode) -> (tenant, key, blocks, size, flags)
-        self._entries: Dict[int, Tuple[str, str, int, int, int]] = {}
+        #: tenant name -> entry id -> record, oldest first.  OrderedDict
+        #: because eviction deletes at the front: a dict's first key is
+        #: found by walking the tombstones of every head popped before.
+        self._fifos: Dict[str, "OrderedDict[int, Record]"] = {}
         #: (tenant, key) -> entry id; the truth, the store is only told.
         self._ids: Dict[Tuple[str, str], int] = {}
         self.used_blocks = 0
@@ -102,16 +114,10 @@ class ServiceCache:
         )
 
     def _recover(self) -> None:
-        """Rebuild pool metadata from the store, in id (FIFO) order."""
+        """Rebuild the index from the store, in id (FIFO) order."""
         for entry in self.store.iter_entries():
-            pool = self.pool(entry.tenant)
-            blocks = self._blocks_of(entry.size)
-            for block in range(blocks):
-                pool.insert(entry.entry_id, block, _SSD)
-            self._entries[entry.entry_id] = (
-                entry.tenant, entry.key, blocks, entry.size, entry.flags)
-            self._ids[(entry.tenant, entry.key)] = entry.entry_id
-            self.used_blocks += blocks
+            self._remember(self.pool(entry.tenant), entry.entry_id, entry.key,
+                           self._blocks_of(entry.size), entry.size, entry.flags)
 
     def pool(self, tenant: str) -> Pool:
         """The tenant's container, created on first use."""
@@ -122,6 +128,7 @@ class ServiceCache:
                 CachePolicy(ssd_weight=self._tenant_weight,
                             admission=self._admission))
             self.tenants[tenant] = pool
+            self._fifos[tenant] = OrderedDict()
         return pool
 
     def _blocks_of(self, size: int) -> int:
@@ -172,14 +179,15 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return None
-        entry = self._entries[entry_id]
-        value = self.store.get(entry_id, entry[3])
+        _, _, size, flags = self._fifos[tenant][entry_id]
+        value = self.store.get(entry_id, size)
         if value is None:
             # The value vanished behind the store's back — heal to a miss.
-            self.store.delete_entry(entry_id, self._forget(entry_id)[3])
+            self._forget(pool, entry_id)
+            self.store.delete_entry(entry_id, size)
             return None
         pool.stats.get_hits += 1
-        return value, entry[4], entry_id
+        return value, flags, entry_id
 
     def _set(self, tenant: str, key: str, value: bytes, flags: int) -> str:
         pool = self.pool(tenant)
@@ -198,7 +206,7 @@ class ServiceCache:
                 (tenant, key), self._clock(), blocks):
             pool.stats.put_rejected_admission += 1
             if old_id is not None:
-                self.store.delete_entry(old_id, self._forget(old_id)[3])
+                self.store.delete_entry(old_id, self._forget(pool, old_id)[2])
             return SetStatus.NOT_STORED
 
         # Replace-in-place: retire the old copy's blocks first so the
@@ -206,7 +214,7 @@ class ServiceCache:
         # DiskStore.set replaces it atomically, or the refusal deletes it.
         old = None
         if old_id is not None:
-            old = (old_id, self._forget(old_id)[3])
+            old = (old_id, self._forget(pool, old_id)[2])
 
         if not self._make_room(blocks):
             pool.stats.put_rejected_capacity += 1
@@ -215,11 +223,7 @@ class ServiceCache:
             return SetStatus.NOT_STORED
 
         entry_id = self.store.set(tenant, key, value, flags, old)
-        for block in range(blocks):
-            pool.insert(entry_id, block, _SSD)
-        self._entries[entry_id] = (tenant, key, blocks, len(value), flags)
-        self._ids[(tenant, key)] = entry_id
-        self.used_blocks += blocks
+        self._remember(pool, entry_id, key, blocks, len(value), flags)
         pool.stats.puts_stored += 1
         pool.stats.ssd_writes += blocks
         return SetStatus.STORED
@@ -230,19 +234,22 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return False
-        _, _, blocks, size, _ = self._forget(entry_id)
+        _, blocks, size, _ = self._forget(pool, entry_id)
         self.store.delete_entry(entry_id, size)
         pool.stats.flushes += blocks
         return True
 
     def flush_all(self, tenant: Optional[str] = None) -> int:
         """Drop every entry of one tenant (or of all); returns the count."""
-        victims = [(entry_id, entry[3])
-                   for entry_id, entry in self._entries.items()
-                   if tenant is None or entry[0] == tenant]
-        for entry_id, _ in victims:
-            owner, _, blocks, _, _ = self._forget(entry_id)
-            self.tenants[owner].stats.flushes += blocks
+        victims = []
+        for name, pool in self.tenants.items():
+            if tenant not in (None, name):
+                continue
+            for entry_id in list(self._fifos[name]):
+                _, blocks, size, _ = self._forget(pool, entry_id)
+                pool.stats.flushes += blocks
+                victims.append((entry_id, size))
+        victims.sort()      # the DEL frame lists ids in order, as it always has
         self.store.delete_entries(victims)
         return len(victims)
 
@@ -276,33 +283,38 @@ class ServiceCache:
         store retires them with one statement."""
         freed = 0
         victims = []
-        while (freed < self._eviction_batch
+        fifo = self._fifos[pool.name]
+        while (fifo and freed < self._eviction_batch
                and self.used_blocks + blocks_needed > self.capacity_blocks):
-            oldest = pool.pop_oldest(_SSD)
-            if oldest is None:
-                break
-            entry_id = oldest[0]
-            # pop_oldest removed one block; _forget drops the remainder.
-            tenant, _, blocks, size, _ = self._forget(entry_id)
+            entry_id = next(iter(fifo))
+            _, blocks, size, _ = self._forget(pool, entry_id)
             victims.append((entry_id, size))
             pool.stats.evictions += blocks
             freed += blocks
             if self._tracer is not None:
                 self._tracer.instant(
                     "service.evict", self._tracer.clock(), vm=self._vm_id,
-                    pool=pool.pool_id, tenant=tenant, blocks=blocks)
+                    pool=pool.pool_id, tenant=pool.name, blocks=blocks)
         if victims:
             self.store.delete_entries(victims)
         return freed
 
-    def _forget(self, entry_id: int) -> Tuple[str, str, int, int, int]:
-        """Drop and return an entry's pool/index metadata (the caller
-        deletes its row, or ``DiskStore.set`` replaces it atomically)."""
-        entry = self._entries.pop(entry_id)
-        self.tenants[entry[0]].remove_inode(entry_id)
-        del self._ids[(entry[0], entry[1])]
-        self.used_blocks -= entry[2]
-        return entry
+    def _remember(self, pool: Pool, entry_id: int, key: str, blocks: int,
+                  size: int, flags: int) -> None:
+        """Queue a new entry at the tail of its tenant's FIFO."""
+        self._fifos[pool.name][entry_id] = (key, blocks, size, flags)
+        self._ids[(pool.name, key)] = entry_id
+        pool.used[_SSD] += blocks
+        self.used_blocks += blocks
+
+    def _forget(self, pool: Pool, entry_id: int) -> Record:
+        """Drop and return an entry's record (the caller deletes its
+        row, or ``DiskStore.set`` replaces it atomically)."""
+        record = self._fifos[pool.name].pop(entry_id)
+        del self._ids[(pool.name, record[0])]
+        pool.used[_SSD] -= record[1]
+        self.used_blocks -= record[1]
+        return record
 
     # -- introspection --------------------------------------------------
 
@@ -326,7 +338,7 @@ class ServiceCache:
         out["_host"] = {
             "used_blocks": self.used_blocks,
             "capacity_blocks": self.capacity_blocks,
-            "entries": len(self._entries),
+            "entries": len(self._ids),
         }
         return out
 

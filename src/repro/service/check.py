@@ -5,10 +5,12 @@ what :func:`repro.core.audit.check_cache` is to the simulated caches:
 it trusts no counter and recomputes every quantity from the structures
 that are supposed to agree —
 
-* the index: ``_ids`` and ``_entries`` are inverse maps;
-* the policy side: every entry's blocks sit in its tenant's pool FIFO,
-  contiguous and in id order; ``pool.used`` and ``used_blocks`` equal
-  the recounted block sums and stay within capacity;
+* the index: every tenant's FIFO holds one record per entry in id
+  order, and ``_ids`` is its inverse, key for key;
+* the policy side: ``pool.used[SSD]`` is the block sum of the tenant's
+  records (the pool is told counts, never blocks: ``pool.files`` and
+  its memory store stay empty), and ``used_blocks`` is the sum over
+  tenants and stays within capacity;
 * the disk side, read straight from ``log/*.seg`` and ``data.slab``
   with a frame parser of its own (:func:`read_journal`) rather than
   through :class:`~repro.service.store.DiskStore` methods: one live
@@ -200,59 +202,54 @@ def _check_rows(rows: Dict[int, Row], slab: int, violations: List[str]
 def check_service(cache) -> List[str]:
     """Audit ``cache``; returns violation descriptions (empty = clean)."""
     violations: List[str] = []
-    entries = cache._entries
 
     # -- index -----------------------------------------------------------
+    #: id -> (tenant, key, blocks, size, flags), from the FIFOs alone.
+    entries: Dict[int, Tuple[str, str, int, int, int]] = {}
+    for tenant, fifo in sorted(cache._fifos.items()):
+        if list(fifo) != sorted(fifo):
+            violations.append(f"pool {tenant!r}: FIFO order is not id order")
+        for entry_id, record in fifo.items():
+            if entry_id in entries:
+                violations.append(f"id {entry_id} is queued by tenants "
+                                  f"{entries[entry_id][0]!r} and {tenant!r}")
+            entries[entry_id] = (tenant,) + record
+            indexed = cache._ids.get((tenant, record[0]))
+            if indexed != entry_id:
+                violations.append(
+                    f"pool {tenant!r}: id {entry_id} is queued for key "
+                    f"{record[0]!r}, _ids has {indexed} there")
     for (tenant, key), entry_id in cache._ids.items():
-        entry = entries.get(entry_id)
-        if entry is None or (entry[0], entry[1]) != (tenant, key):
+        record = cache._fifos.get(tenant, {}).get(entry_id)
+        if record is None or record[0] != key:
             violations.append(
-                f"_ids[{tenant!r}, {key!r}] -> {entry_id}, but _entries "
-                f"has {entry and entry[:2]!r} there")
+                f"_ids[{tenant!r}, {key!r}] -> {entry_id}, which tenant "
+                f"{tenant!r} has not queued ({record and record[0]!r} there)")
     if len(cache._ids) != len(entries):
         violations.append(f"{len(cache._ids)} keys in _ids but "
-                          f"{len(entries)} entries in _entries")
+                          f"{len(entries)} records queued")
 
     # -- pools -----------------------------------------------------------
-    owed: Dict[str, int] = {}
-    for entry_id, entry in entries.items():
-        tenant, _, blocks, size = entry[:4]
+    for entry_id, (_, _, blocks, size, _) in entries.items():
         expected = max(1, -(-size // cache.block_bytes))
         if blocks != expected:
             violations.append(f"entry {entry_id}: {blocks} blocks recorded "
                               f"for {size} bytes, expected {expected}")
-        owed[tenant] = owed.get(tenant, 0) + blocks
-    for tenant in sorted(set(owed) - set(cache.tenants)):
-        violations.append(f"entries of tenant {tenant!r} without a pool")
+    if cache._fifos.keys() != cache.tenants.keys():
+        violations.append(f"FIFOs of {sorted(cache._fifos)}, pools of "
+                          f"{sorted(cache.tenants)}")
     for tenant, pool in sorted(cache.tenants.items()):
-        runs: List[List[int]] = []          # [inode, blocks seen] in FIFO order
-        for inode, block in pool.fifos[_SSD]:
-            if runs and runs[-1][0] == inode and runs[-1][1] == block:
-                runs[-1][1] += 1
-            elif block == 0:
-                runs.append([inode, 1])
-            else:
-                violations.append(f"pool {tenant!r}: block ({inode}, {block}) "
-                                  "out of sequence in the FIFO")
-        inodes = [inode for inode, _ in runs]
-        if inodes != sorted(set(inodes)):
-            violations.append(f"pool {tenant!r}: FIFO order is not id order")
-        for inode, seen in runs:
-            entry = entries.get(inode)
-            if entry is None or entry[0] != tenant:
-                violations.append(f"pool {tenant!r}: FIFO holds inode {inode} "
-                                  "that is not an entry of this tenant")
-            elif entry[2] != seen:
-                violations.append(f"pool {tenant!r}: entry {inode} has {seen} "
-                                  f"blocks queued, {entry[2]} recorded")
-        queued = sum(seen for _, seen in runs)
-        if not (queued == owed.get(tenant, 0) == pool.used[_SSD]):
-            violations.append(
-                f"pool {tenant!r}: {queued} blocks queued, {owed.get(tenant, 0)}"
-                f" owed by its entries, pool.used says {pool.used[_SSD]}")
-        if pool.used[StoreKind.MEMORY]:
-            violations.append(f"pool {tenant!r}: blocks in the memory store")
-    total = sum(owed.values())
+        queued = sum(record[1]
+                     for record in cache._fifos.get(tenant, {}).values())
+        if queued != pool.used[_SSD]:
+            violations.append(f"pool {tenant!r}: {queued} blocks queued, "
+                              f"pool.used says {pool.used[_SSD]}")
+        # The service tells its pools counts, never blocks.
+        if pool.files or pool.used[StoreKind.MEMORY]:
+            violations.append(f"pool {tenant!r}: holds blocks of its own "
+                              f"({len(pool.files)} inodes, "
+                              f"{pool.used[StoreKind.MEMORY]} in memory)")
+    total = sum(entry[2] for entry in entries.values())
     if total != cache.used_blocks:
         violations.append(f"used_blocks is {cache.used_blocks}, the entries "
                           f"add up to {total}")

@@ -18,6 +18,7 @@ import zlib
 from unittest import mock
 
 from repro.core.config import StoreKind
+from repro.core.pools import Pool
 from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service import check as check_module
 from repro.service import store as store_module
@@ -175,15 +176,28 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported("keys in _ids")
 
     def test_pool_lost_a_block(self):
-        self.cache.tenants["t1"].remove(self.large_id, 2)
-        self.assert_reported("out of sequence")
-        self.assert_reported("blocks queued")
+        self.cache.tenants["t1"].used[StoreKind.SSD] -= 1
+        self.assert_reported("pool 't1': 7 blocks queued, pool.used says 6")
 
     def test_fifo_order_is_not_id_order(self):
-        pool = self.cache.tenants["t0"]
-        first = next(iter(pool.fifos[StoreKind.SSD]))[0]
-        pool.insert(first, 0, StoreKind.SSD)    # re-queues it at the tail
+        fifo = self.cache._fifos["t0"]
+        fifo.move_to_end(next(iter(fifo)))      # re-queues it at the tail
         self.assert_reported("FIFO order is not id order")
+
+    def test_id_queued_without_an_entry(self):
+        self.cache._fifos["t0"][self.last_id + 1] = ("ghost", 1, 100, 0)
+        self.assert_reported(f"id {self.last_id + 1} is queued for key "
+                             "'ghost', _ids has None there")
+
+    def test_entry_indexed_but_not_queued(self):
+        entry_id = self.cache._ids[("t0", "k2")]
+        del self.cache._fifos["t0"][entry_id]
+        self.assert_reported(f"_ids['t0', 'k2'] -> {entry_id}, which tenant "
+                             "'t0' has not queued")
+
+    def test_pool_holds_blocks_of_its_own(self):
+        self.cache.tenants["t0"].insert(self.last_id, 0, StoreKind.MEMORY)
+        self.assert_reported("pool 't0': holds blocks of its own")
 
     def test_row_missing(self):
         """The PUT frame of the last entry but one, zeroed: nothing from
@@ -201,7 +215,7 @@ class SeededFaultTests(unittest.TestCase):
 
     def test_row_not_indexed(self):
         entry_id = self.cache._ids.pop(("t0", "k0"))
-        del self.cache._entries[entry_id]
+        del self.cache._fifos["t0"][entry_id]
         self.assert_reported(f"row {entry_id} ")
 
     def test_two_rows_claim_one_slot(self):
@@ -268,6 +282,70 @@ class SeededFaultTests(unittest.TestCase):
     def test_over_capacity(self):
         self.cache.capacity_blocks = 3
         self.assert_reported("blocks used of 3")
+
+
+class NoPerBlockCallTests(unittest.TestCase):
+    """The service tells its pools block counts and makes no per-block
+    call: every operation runs with those calls patched to raise."""
+
+    def test_seeded_stream_with_the_pools_block_calls_refusing(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-block Pool call from the service")
+
+        for name in ("insert", "pop_oldest", "remove_inode"):
+            patch = mock.patch.object(Pool, name, refuse)
+            patch.start()
+            self.addCleanup(patch.stop)
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+
+        def reopen():
+            return ServiceCache(DiskStore(tmp.name, sync_writes=False),
+                                capacity_mb=1.25, eviction_batch_mb=BATCH_MB)
+
+        rng = random.Random(20261003)
+        filler = rng.randbytes(_MB + 70_000)
+        cache = reopen()
+        self.addCleanup(lambda: cache.close())
+        model = {}
+
+        def store(tenant, key, size):
+            value = filler[-size:-1] + bytes([rng.randrange(256)])
+            self.assertEqual(cache.set(tenant, key, value), SetStatus.STORED)
+            model[(tenant, key)] = value
+
+        store("big", "mib", _MB)                    # 256 blocks, one record
+        self.assertEqual(cache.tenants["big"].used[StoreKind.SSD], 256)
+        for step in range(600):
+            tenant, keys = rng.choices(TENANTS, weights=(6, 3, 1))[0]
+            key = f"k{rng.randrange(keys // 4)}"
+            roll = rng.random()
+            if roll < 0.6:
+                store(tenant, key, rng.choice(SIZES))    # fresh or overwrite
+            elif roll < 0.9:
+                found = cache.get(tenant, key)
+                if found is not None:
+                    self.assertEqual(found[0], model[(tenant, key)])
+            else:
+                cache.delete(tenant, key)
+            if step % 100 == 99:
+                self.assertEqual(check_service(cache), [], f"step {step}")
+        self.assertGreater(sum(pool.stats.evictions
+                               for pool in cache.tenants.values()), 256)
+        self.assertIsNone(cache.get("big", "mib"))  # the oldest: evicted whole
+        self.assertGreater(cache.flush_all("mid"), 0)
+        self.assertEqual(check_service(cache), [])
+        before = cache.stats()["_host"]
+        cache.close()
+        cache = reopen()
+        self.assertEqual(check_service(cache), [])
+        self.assertEqual(cache.stats()["_host"], before)
+        hits = sum(cache.get(tenant, key) == (value, 0, mock.ANY)
+                   for (tenant, key), value in model.items())
+        self.assertEqual(hits, before["entries"])
+        self.assertEqual(cache.flush_all(), before["entries"])
+        self.assertEqual(check_service(cache), [])
+        self.assertEqual(cache.used_blocks, 0)
 
 
 def snapshot(directory):
