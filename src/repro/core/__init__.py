@@ -7,7 +7,8 @@ Public surface:
   :class:`NullCache` — the baselines it is evaluated against.
 * :class:`CachePolicy` / :class:`StoreKind` / :class:`DDConfig` — policy
   configuration (the paper's ``<T, W>`` tuples and host-admin settings).
-* :func:`get_victim` — Algorithm 1, usable standalone.
+* :func:`select_victim` — Algorithm 1 over ``(ref, entitlement, used,
+  weightage)`` rows, usable standalone.
 * :func:`check_cache` / :func:`assert_consistent` — shadow-accounting
   invariant auditor (see :mod:`repro.core.audit`).
 * Admission controllers (:mod:`repro.endurance`) are re-exported here for
@@ -45,7 +46,7 @@ _EXPORTS = {
     "content_fingerprint": ".optimizations",
     "DDConfig": ".config",
     "DoubleDeckerCache": ".cache_manager",
-    "EvictionEntity": ".victim",
+    "Entity": ".victim",
     "EvictionRound": ".engine",
     "PolicyEngine": ".engine",
     "GlobalCache": ".baselines",
@@ -58,8 +59,7 @@ _EXPORTS = {
     "StoreStats": ".stats",
     "VMEntry": ".pools",
     "exceed_value": ".victim",
-    "fallback_victim": ".victim",
-    "get_victim": ".victim",
+    "select_victim": ".victim",
 }
 
 __all__ = list(_EXPORTS)

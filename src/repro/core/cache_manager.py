@@ -28,7 +28,7 @@ from .optimizations import DedupIndex, content_fingerprint
 from .pools import BlockKey, Pool, VMEntry
 from .stats import PoolStats, StoreStats
 from .stores import MemBackend, SSDBackend, contiguous_runs
-from .victim import exceed_value, selection_state
+from .victim import exceed_value
 
 __all__ = ["DoubleDeckerCache"]
 
@@ -709,11 +709,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
     # Internals
     # ------------------------------------------------------------------
 
-    def _units_for(self, fingerprint: int) -> int:
-        if self.compression is None:
-            return 1
-        return self.compression.charged_units(fingerprint)
-
     def _mem_charge(self, vm_id: int, inode: int, block: int) -> None:
         """Account a block entering the memory store (units/dedup).
 
@@ -791,10 +786,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             burst_mb=self.config.admission_burst_mb,
         )
 
-    def _choose_store(self, pool: Pool) -> Optional[StoreKind]:
-        """Where a new put for ``pool`` should land (hybrid spills to SSD)."""
-        return self.engine.choose_store(pool)
-
     def _make_room(self, kind: StoreKind, need: int) -> bool:
         """Ensure ``need`` free blocks in store ``kind``; False on failure.
 
@@ -822,10 +813,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 return False
         return True
 
-    def _select_victim(self, entities, batch):
-        """Apply the configured victim policy (Algorithm 1 by default)."""
-        return self.engine.select_victim(entities, batch)
-
     def _evict_round(self, kind: StoreKind) -> bool:
         """One Algorithm-1 round: pick victim VM, then pool, evict a batch.
 
@@ -839,11 +826,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         selection = self.engine.select_eviction(kind, batch)
         if selection is None:
             return False
-        vm_entities = selection.vm_entities
-        pool_entities = selection.pool_entities
-        vm: VMEntry = selection.victim_vm
-
-        pool: Pool = selection.victim_pool
+        pool = selection.victim_pool
         evicted = 0
         trickle: List[BlockKey] = []
         while evicted < batch and pool.used[kind] > 0:
@@ -870,24 +853,23 @@ class DoubleDeckerCache(HypervisorCacheBase):
             if tracer is not None and self._obs_label is not None:
                 tracer.ledger_update(self._obs_label, pool.pool_id,
                                      evictions=evicted)
-                # Re-derive each candidate's Algorithm-1 exceed value from
-                # the same (slack, weight) state the selection used, so
+                # Each candidate's Algorithm-1 exceed value, from the rows
+                # and (slack, weight) state the selection itself scored, so
                 # the trace shows *why* this entity lost.
-                vm_b, vm_cw = selection_state(vm_entities, batch)
-                pool_b, pool_cw = selection_state(pool_entities, batch)
                 tracer.instant(
                     "evict.round", self.env.now, vm=pool.vm_id,
                     pool=pool.pool_id, cache=self._obs_label,
                     store=kind.value, batch=batch, evicted=evicted,
                     trickled=len(trickle),
-                    victim_vm=vm.vm_id, victim_pool=pool.pool_id,
+                    victim_vm=selection.victim_vm.vm_id,
+                    victim_pool=pool.pool_id,
                     vm_candidates=[
-                        [e.ref.name, exceed_value(e, batch, vm_b, vm_cw)]
-                        for e in vm_entities
+                        [e[0].name, exceed_value(e, batch, *selection.vm_state)]
+                        for e in selection.vm_entities
                     ],
                     pool_candidates=[
-                        [e.ref.name, exceed_value(e, batch, pool_b, pool_cw)]
-                        for e in pool_entities
+                        [e[0].name, exceed_value(e, batch, *selection.pool_state)]
+                        for e in selection.pool_entities
                     ],
                 )
             if trickle:

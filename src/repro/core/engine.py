@@ -1,10 +1,11 @@
 """The DoubleDecker policy core, extracted behind a driver-agnostic seam.
 
-:class:`PolicyEngine` owns every *decision* the paper's cache makes —
-the VM/pool registry with its two-level weighted entitlements, the
-Algorithm-1 victim selection (``repro.core.victim``), the hybrid
-store-choice rule, and the resolution of per-pool SSD admission
-controllers — while knowing nothing about storage backends or time:
+:class:`PolicyEngine` owns the VM/pool registry with its two-level
+weighted entitlements, the two-level Algorithm-1 victim selection
+(``repro.core.victim``) and the resolution of per-pool SSD admission
+controllers — while knowing nothing about storage backends or time
+(where a put lands, hybrid spill included, is the driver's rule:
+``DoubleDeckerCache.put_many``):
 
 * **Storage-agnostic.**  The engine tracks metadata (``Pool`` FIFOs and
   per-entity occupancy) only; the driver moves bytes and charges device
@@ -25,13 +26,12 @@ wall-clock cache service :mod:`repro.service`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import CachePolicy, StoreKind
 from .policy import recompute_entitlements
 from .pools import Pool, VMEntry
-from .victim import EvictionEntity, fallback_victim, get_victim
+from .victim import Entity, select_victim
 
 __all__ = ["PolicyEngine", "EvictionRound"]
 
@@ -46,19 +46,22 @@ AdmissionBuilder = Callable[[CachePolicy], Optional[object]]
 AdmissionNamer = Callable[[CachePolicy], str]
 
 
-@dataclass
-class EvictionRound:
+class EvictionRound(NamedTuple):
     """One Algorithm-1 selection with full decision provenance.
 
-    The candidate lists are exposed (not just the winners) so drivers
-    can re-derive each entity's exceed value for decision tracing
-    without re-running — or perturbing — the selection.
+    Beside the winners it carries each level's rows as scored — the
+    ``used`` in a row is the selection's snapshot, not the live count the
+    eviction then changes — and the ``(b, cw)`` they were scored with, so
+    ``exceed_value(row, batch, *state)`` is every candidate's exceed
+    value as the selection saw it.
     """
 
-    vm_entities: List[EvictionEntity]
     victim_vm: VMEntry
-    pool_entities: List[EvictionEntity]
     victim_pool: Pool
+    vm_entities: List[Entity]
+    vm_state: Tuple[int, float]
+    pool_entities: List[Entity]
+    pool_state: Tuple[int, float]
 
 
 class PolicyEngine:
@@ -171,92 +174,51 @@ class PolicyEngine:
     # Decisions
     # ------------------------------------------------------------------
 
-    def choose_store(self, pool: Pool) -> Optional[StoreKind]:
-        """Where a new put for ``pool`` should land (hybrid spills to SSD)."""
-        policy = pool.policy
-        if policy.is_hybrid:
-            if pool.used[StoreKind.MEMORY] < pool.entitlement[StoreKind.MEMORY]:
-                return StoreKind.MEMORY
-            return StoreKind.SSD
-        if policy.mem_weight > 0:
-            return StoreKind.MEMORY
-        if policy.ssd_weight > 0:
-            return StoreKind.SSD
-        return None
-
-    def select_victim(
-        self, entities: List[EvictionEntity], batch: int
-    ) -> Optional[EvictionEntity]:
-        """Apply the configured victim policy (Algorithm 1 by default)."""
-        if not entities:
-            return None
-        if self.victim_policy == "max_used":
-            return fallback_victim(entities)
-        victim = get_victim(entities, batch)
-        if victim is None:
-            victim = fallback_victim(entities)
-        return victim
-
-    def vm_candidates(self, kind: StoreKind) -> List[EvictionEntity]:
-        """VM-level eviction candidates for store ``kind``.
-
-        Enumerated by *occupancy*, not policy weight: blocks legitimately
-        left in a store the policy no longer weights (a ``set_policy``
-        store switch, or a trickle-down into a memory-only pool) must
-        stay reclaimable, or a full store wedges with no visible victim.
-        Such entities keep entitlement 0 and get weightage 0, so
-        Algorithm 1 treats them as pure over-users.
-        """
-        entities: List[EvictionEntity] = []
-        for vm in self.vms.values():
-            weighted = bool(vm.pools_on(kind))
-            used = vm.used(kind)
-            if not weighted and used == 0:
-                continue
-            entities.append(EvictionEntity(
-                ref=vm,
-                entitlement=self.vm_entitlements.get((vm.vm_id, kind), 0),
-                used=used,
-                weightage=vm.weight if weighted else 0.0,
-            ))
-        return entities
-
-    def pool_candidates(self, vm: VMEntry, kind: StoreKind) -> List[EvictionEntity]:
-        """Pool-level eviction candidates within ``vm`` (same occupancy rule)."""
-        entities: List[EvictionEntity] = []
-        for pool in vm.pools.values():
-            weight = pool.policy.weight_for(kind)
-            if weight <= 0 and pool.used[kind] == 0:
-                continue
-            entities.append(EvictionEntity(
-                ref=pool,
-                entitlement=pool.entitlement[kind],
-                used=pool.used[kind],
-                weightage=weight,
-            ))
-        return entities
-
     def select_eviction(self, kind: StoreKind, batch: int) -> Optional[EvictionRound]:
         """One Algorithm-1 selection: victim VM, then victim pool within it.
+
+        Entities are enumerated by *occupancy*, not policy weight: blocks
+        legitimately left in a store the policy no longer weights (a
+        ``set_policy`` store switch, or a trickle-down into a memory-only
+        pool) must stay reclaimable, or a full store wedges with no
+        visible victim.  Such entities keep entitlement 0 and get
+        weightage 0, so Algorithm 1 treats them as pure over-users.
 
         Returns ``None`` when no entity holds anything evictable.  The
         driver evicts up to ``batch`` blocks FIFO from the winning pool
         and owns all accounting for them.
         """
-        vm_entities = self.vm_candidates(kind)
-        victim_vm = self.select_victim(vm_entities, batch)
+        policy = self.victim_policy
+        entitlements = self.vm_entitlements
+        vm_entities: List[Entity] = []
+        for vm in self.vms.values():
+            used = 0
+            weighted = False
+            for pool in vm.pools.values():
+                used += pool.used[kind]
+                weighted = weighted or pool.policy.weight_for(kind) > 0
+            if weighted or used:
+                vm_entities.append((
+                    vm, entitlements.get((vm.vm_id, kind), 0), used,
+                    vm.weight if weighted else 0.0,
+                ))
+        victim_vm, vm_b, vm_cw = select_victim(vm_entities, batch, policy)
         if victim_vm is None:
             return None
-        vm: VMEntry = victim_vm.ref
-        pool_entities = self.pool_candidates(vm, kind)
-        victim_pool = self.select_victim(pool_entities, batch)
+        vm = victim_vm[0]
+        pool_entities: List[Entity] = []
+        for pool in vm.pools.values():
+            weight = pool.policy.weight_for(kind)
+            used = pool.used[kind]
+            if weight > 0 or used:
+                pool_entities.append(
+                    (pool, pool.entitlement[kind], used, weight))
+        victim_pool, pool_b, pool_cw = select_victim(pool_entities, batch, policy)
         if victim_pool is None:
             return None
         return EvictionRound(
-            vm_entities=vm_entities,
-            victim_vm=vm,
-            pool_entities=pool_entities,
-            victim_pool=victim_pool.ref,
+            vm, victim_pool[0],
+            vm_entities, (vm_b, vm_cw), pool_entities, (pool_b, pool_cw),
         )
 
     # ------------------------------------------------------------------

@@ -54,7 +54,7 @@ def recompute_entitlements(
             pool_weight_total = sum(pool.policy.weight_for(kind) for pool in pools)
             # Zero out pools not configured on this store.
             for pool in vm.pools.values():
-                if pool not in pools:
+                if pool.policy.weight_for(kind) <= 0:
                     pool.entitlement[kind] = 0
             if not pools or pool_weight_total <= 0 or share <= 0:
                 for pool in pools:

@@ -55,15 +55,6 @@ class PoolStats:
         """Fraction of lookups served by the cache."""
         return self.get_hits / self.gets if self.gets else 0.0
 
-    @property
-    def lookup_to_store_ratio(self) -> float:
-        """Table 2's "lookup-to-store ratio": hits recovered per stored block.
-
-        Expressed as a percentage of stored blocks that were later looked
-        up successfully — a measure of how useful the pool's puts were.
-        """
-        return 100.0 * self.get_hits / self.puts_stored if self.puts_stored else 0.0
-
 
 @dataclass
 class StoreStats:

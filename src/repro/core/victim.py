@@ -15,30 +15,19 @@ total weight of the over-users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
-__all__ = ["EvictionEntity", "get_victim", "exceed_value", "fallback_victim",
-           "selection_state"]
+__all__ = ["Entity", "select_victim", "exceed_value"]
 
-
-@dataclass
-class EvictionEntity:
-    """Uniform view of a VM or a container for victim selection.
-
-    ``ref`` carries the underlying object (a :class:`~repro.core.pools.VMEntry`
-    or :class:`~repro.core.pools.Pool`); the algorithm only reads the three
-    scalar fields.
-    """
-
-    ref: Any
-    entitlement: int
-    used: int
-    weightage: float
+#: A VM or a container as Algorithm 1 sees it: ``(ref, entitlement, used,
+#: weightage)``.  ``ref`` carries the underlying object (a
+#: :class:`~repro.core.pools.VMEntry` or :class:`~repro.core.pools.Pool`);
+#: the algorithm only reads the three numbers.
+Entity = Tuple[Any, int, int, float]
 
 
 def exceed_value(
-    entity: EvictionEntity,
+    entity: Entity,
     eviction_size: int,
     underused_buffer: int,
     cumulative_weight: float,
@@ -46,73 +35,52 @@ def exceed_value(
     """The paper's ``exceed(E, b, cw)`` — how far past its *effective*
     entitlement (base entitlement plus redistributed slack) this entity
     would be after the pending store of ``eviction_size`` blocks."""
+    _, entitlement, used, weightage = entity
     if cumulative_weight > 0:
-        redistributed = underused_buffer * entity.weightage / cumulative_weight
+        redistributed = underused_buffer * weightage / cumulative_weight
     else:
         redistributed = 0.0
-    return entity.used + eviction_size - (entity.entitlement + redistributed)
+    return used + eviction_size - (entitlement + redistributed)
 
 
-def selection_state(
-    entities: Sequence[EvictionEntity], eviction_size: int
-) -> "tuple[int, float]":
-    """The ``(underused_buffer, cumulative_weight)`` pair Algorithm 1
-    derives before scoring candidates — the same slack/weight scan
-    :func:`get_victim` performs, exposed so decision-provenance tracing
-    can recompute each candidate's exceed value without re-running (or
-    perturbing) the selection itself."""
-    cumulative_weight = 0.0
-    underused_buffer = 0
-    for entity in entities:
-        if entity.entitlement < entity.used + eviction_size:
-            cumulative_weight += entity.weightage
-        if entity.entitlement - entity.used > 2 * eviction_size:
-            underused_buffer += entity.entitlement - entity.used
-    return underused_buffer, cumulative_weight
-
-
-def get_victim(
-    entities: Sequence[EvictionEntity], eviction_size: int
-) -> Optional[EvictionEntity]:
+def select_victim(
+    entities: Sequence[Entity], eviction_size: int, policy: str = "exceed"
+) -> Tuple[Optional[Entity], int, float]:
     """Select the eviction victim among ``entities`` (Algorithm 1).
 
-    Returns ``None`` when no entity is over-used *and* holding anything —
-    callers fall back to the largest holder (which can only happen with
-    degenerate entitlement configurations).
+    Returns ``(winner, b, cw)``: the over-user holding blocks with the
+    largest exceed value (the first of equals), and the slack and weight
+    sums it was scored with.  The largest holder wins instead under
+    ``policy="max_used"``, and under ``"exceed"`` when no over-user holds
+    anything (which can only happen with degenerate entitlement
+    configurations); ``winner`` is ``None`` when nothing is held at all.
     """
     if eviction_size <= 0:
         raise ValueError(f"eviction_size must be positive, got {eviction_size}")
 
-    overused: List[EvictionEntity] = []
+    overused: List[Entity] = []
     cumulative_weight = 0.0
     underused_buffer = 0
     for entity in entities:
-        if entity.entitlement < entity.used + eviction_size:
-            overused.append(entity)
-            cumulative_weight += entity.weightage
-        if entity.entitlement - entity.used > 2 * eviction_size:
-            underused_buffer += entity.entitlement - entity.used
+        _, entitlement, used, weightage = entity
+        if entitlement < used + eviction_size:
+            cumulative_weight += weightage
+            if used > 0:  # only entities that hold blocks can yield evictions
+                overused.append(entity)
+        if entitlement - used > 2 * eviction_size:
+            underused_buffer += entitlement - used
 
-    # Only entities that actually hold blocks can yield evictions.
-    candidates = [entity for entity in overused if entity.used > 0]
-    if not candidates:
-        return None
-
-    best = candidates[0]
-    best_exceed = exceed_value(best, eviction_size, underused_buffer, cumulative_weight)
-    for entity in candidates[1:]:
-        value = exceed_value(entity, eviction_size, underused_buffer, cumulative_weight)
-        if value > best_exceed:
-            best = entity
-            best_exceed = value
-    return best
-
-
-def fallback_victim(
-    entities: Sequence[EvictionEntity],
-) -> Optional[EvictionEntity]:
-    """Largest holder — used when Algorithm 1 finds no over-user with data."""
-    holders = [entity for entity in entities if entity.used > 0]
-    if not holders:
-        return None
-    return max(holders, key=lambda entity: entity.used)
+    winner: Optional[Entity] = None
+    if policy == "exceed":
+        best = 0.0
+        for entity in overused:
+            value = exceed_value(
+                entity, eviction_size, underused_buffer, cumulative_weight)
+            if winner is None or value > best:
+                winner, best = entity, value
+    if winner is None:
+        most = 0
+        for entity in entities:
+            if entity[2] > most:
+                winner, most = entity, entity[2]
+    return winner, underused_buffer, cumulative_weight

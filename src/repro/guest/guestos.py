@@ -159,9 +159,6 @@ class GuestOS:
             freed_total += freed
         return freed_total
 
-    def free_blocks(self) -> int:
-        return self.memory_blocks - self.total_usage_blocks()
-
     def _copy_cost(self, nblocks: int) -> float:
         """User-copy cost for ``nblocks`` page-cache hits."""
         return nblocks * self.mem_spec.copy_time(self.block_bytes)

@@ -7,10 +7,10 @@ run shows (it found the one determinism bug the tree ever shipped, the
 
 1. asserts ``PYTHONHASHSEED`` discipline (set, and not ``random``) so
    hash order is pinned for the process under test;
-2. installs *decision-path guards*: the Algorithm 1 entry points
-   (``get_victim``, ``fallback_victim``, ``selection_state``) are wrapped
-   to reject unordered containers (``set``/``frozenset``/dict views) at
-   the call boundary, so hash order cannot reach victim selection;
+2. installs a *decision-path guard*: Algorithm 1's one entry point
+   (``select_victim``) is wrapped to reject unordered containers
+   (``set``/``frozenset``/dict views) at the call boundary, so hash
+   order cannot reach victim selection;
 3. runs a fixed-seed experiment **twice in the same process** and
    compares the two summaries byte-for-byte, which flushes out leaked
    module-global state as well as hash-order dependence.
@@ -73,13 +73,13 @@ def assert_ordered(value: Any, where: str) -> None:
 class decision_guards:
     """Context manager wrapping hot decision-path entry points.
 
-    Patches :mod:`repro.core.victim` plus the names
-    :mod:`repro.core.engine` and :mod:`repro.core.cache_manager` bound
-    at import time, so guarded wrappers are hit regardless of which
-    module the caller resolved the function through.
+    Patches :mod:`repro.core.victim` plus the name
+    :mod:`repro.core.engine` bound at import time, so the guarded
+    wrapper is hit regardless of which module the caller resolved the
+    function through.
     """
 
-    _GUARDED = ("get_victim", "fallback_victim", "selection_state")
+    _GUARDED = ("select_victim",)
 
     def __init__(self) -> None:
         self._saved: List[Tuple[Any, str, Callable[..., Any]]] = []
@@ -97,15 +97,14 @@ class decision_guards:
         return guarded
 
     def __enter__(self) -> "decision_guards":
-        from ..core import cache_manager, engine, victim
+        from ..core import engine, victim
 
         wrappers = {name: self._wrap(name, getattr(victim, name))
                     for name in self._GUARDED}
-        for module in (victim, engine, cache_manager):
+        for module in (victim, engine):
             for name, wrapper in wrappers.items():
-                if hasattr(module, name):
-                    self._saved.append((module, name, getattr(module, name)))
-                    setattr(module, name, wrapper)
+                self._saved.append((module, name, getattr(module, name)))
+                setattr(module, name, wrapper)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:

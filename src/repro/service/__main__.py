@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persistent store directory")
     parser.add_argument("--capacity-mb", type=float, default=64.0,
                         help="disk cache capacity in MB")
-    parser.add_argument("--block-bytes", type=int, default=4096,
-                        help="accounting block size")
     parser.add_argument("--eviction-batch-mb", type=float, default=2.0,
                         help="Algorithm-1 eviction batch (the paper's 2MB)")
     parser.add_argument("--admission", default=None,
@@ -81,7 +79,6 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
     cache = ServiceCache(
         store,
         capacity_mb=args.capacity_mb,
-        block_bytes=args.block_bytes,
         eviction_batch_mb=args.eviction_batch_mb,
         admission=args.admission,
         tracer=tracer,

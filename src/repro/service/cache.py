@@ -10,7 +10,8 @@ store.
 
 The disk store plays the role of the simulator's SSD store
 (``StoreKind.SSD``); an entry of ``n`` bytes occupies
-``ceil(n / block_bytes)`` blocks of the capacity budget.  The paper's
+``ceil(n / SLOT_BYTES)`` blocks of the capacity budget — the slab's
+slot size, so the capacity ledger and ``data.slab`` agree.  The paper's
 cache indexes blocks because its guests address blocks; this one's
 clients address whole values, so each tenant keeps **one record per
 entry** in an insertion-ordered FIFO keyed by entry id (ids only grow,
@@ -40,12 +41,14 @@ from ..core.engine import PolicyEngine
 from ..core.pools import Pool
 from ..endurance import make_admission
 from ..metrics import MetricsRegistry
-from .store import DiskStore
+from .store import SLOT_BYTES, DiskStore
 
 __all__ = ["ServiceCache", "SetStatus"]
 
 _SSD = StoreKind.SSD
 _MB = 1 << 20
+#: Every tenant's ``<T, W>`` weight until a client can set its own.
+_TENANT_WEIGHT = 100.0
 
 #: What a tenant's FIFO holds per entry: (key, blocks, size, flags).
 Record = Tuple[str, int, int, int]
@@ -66,22 +69,17 @@ class ServiceCache:
         self,
         store: DiskStore,
         capacity_mb: float = 64.0,
-        block_bytes: int = 4096,
         eviction_batch_mb: float = 2.0,
         admission: Optional[str] = None,
-        tenant_weight: float = 100.0,
         tracer: Optional[object] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if block_bytes <= 0:
-            raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         self.store = store
-        self.block_bytes = block_bytes
-        self.capacity_blocks = max(1, int(capacity_mb * _MB) // block_bytes)
+        self.block_bytes = SLOT_BYTES
+        self.capacity_blocks = max(1, int(capacity_mb * _MB) // SLOT_BYTES)
         self._eviction_batch = max(
-            1, int(eviction_batch_mb * _MB) // block_bytes)
+            1, int(eviction_batch_mb * _MB) // SLOT_BYTES)
         self._admission = admission
-        self._tenant_weight = tenant_weight
         self.registry = MetricsRegistry()
         self._tracer = tracer
         self._clock = clock
@@ -125,7 +123,7 @@ class ServiceCache:
         if pool is None:
             pool = self.engine.create_pool(
                 self._vm_id, tenant,
-                CachePolicy(ssd_weight=self._tenant_weight,
+                CachePolicy(ssd_weight=_TENANT_WEIGHT,
                             admission=self._admission))
             self.tenants[tenant] = pool
             self._fifos[tenant] = OrderedDict()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Generator, Optional
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
 from .timeline import Timeline
 
@@ -43,7 +43,6 @@ class Environment:
         #: skip two attribute hops on the hottest call in the kernel.
         self._push = self._timeline.push
         self._eid = count()
-        self._active_process: Optional[Process] = None
 
     # -- clock -------------------------------------------------------------
 
@@ -51,11 +50,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time (seconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event constructors -------------------------------------------------
 
@@ -75,9 +69,6 @@ class Environment:
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, list(events))
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, list(events))
 
     # -- scheduling ----------------------------------------------------------
 

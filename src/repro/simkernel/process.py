@@ -89,8 +89,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        env = self.env
-        env._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -100,14 +98,11 @@ class Process(Event):
                 event.defuse()
                 next_event = self._throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
             self.fail(exc)
             return
-        env._active_process = None
 
         if not isinstance(next_event, Event):
             error = RuntimeError(

@@ -35,10 +35,6 @@ class RedisWorkload(YCSBWorkload):
         self.record_kb = record_kb
         self._records_per_page = 1  # set at start (needs block size)
 
-    @property
-    def working_set_mb(self) -> float:
-        return self.nrecords * self.record_kb / 1024.0
-
     def start(self, container, streams) -> None:
         super().start(container, streams)
         block_kb = container.vm.block_bytes / 1024.0

@@ -138,7 +138,9 @@ class _RefVM:
 
 def _alg1_victim(entities: Sequence[Tuple[Any, int, int, float]], batch: int):
     """Algorithm 1 over ``(ref, entitlement, used, weightage)`` tuples —
-    an independent re-statement of :func:`repro.core.victim.get_victim`."""
+    an independent re-statement of the ``"exceed"`` arg-max of
+    :func:`repro.core.victim.select_victim` (``None`` where that falls
+    back to :func:`_max_used_victim`)."""
     overused = []
     cumulative_weight = 0.0
     slack = 0

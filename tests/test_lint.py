@@ -160,8 +160,7 @@ class FormatAndCliTests(unittest.TestCase):
 
 class SanitizerTests(unittest.TestCase):
     def _entities(self):
-        return [victim.EvictionEntity(ref=None, entitlement=0, used=8,
-                                      weightage=1.0)]
+        return [(None, 0, 8, 1.0)]  # (ref, entitlement, used, weightage)
 
     def test_hashseed_problem_cases(self):
         import os
@@ -189,50 +188,49 @@ class SanitizerTests(unittest.TestCase):
                 sanitize.assert_ordered(bad, "here")
 
     def test_decision_guards_reject_sets_and_restore(self):
-        from repro.core import cache_manager, engine
+        from repro.core import engine
 
-        original = victim.get_victim
-        original_state = victim.selection_state
+        original = victim.select_victim
         with sanitize.decision_guards() as guards:
-            self.assertIsNot(victim.get_victim, original)
-            self.assertIs(victim.get_victim, engine.get_victim)
-            self.assertIs(
-                victim.selection_state, cache_manager.selection_state)
-            chosen = victim.get_victim(self._entities(), 1)
+            self.assertIsNot(victim.select_victim, original)
+            self.assertIs(victim.select_victim, engine.select_victim)
+            chosen, _, _ = victim.select_victim(self._entities(), 1)
             self.assertIsNotNone(chosen)
             self.assertEqual(guards.calls, 1)
             with self.assertRaises(sanitize.NondeterminismError):
-                victim.get_victim(set(), 1)
-        self.assertIs(victim.get_victim, original)
-        self.assertIs(engine.get_victim, original)
-        self.assertIs(cache_manager.selection_state, original_state)
+                engine.select_victim(set(), 1)
+        self.assertIs(victim.select_victim, original)
+        self.assertIs(engine.select_victim, original)
 
-    def test_run_smoke_detects_guard_violation(self):
+    def _smoke(self, run):
+        """``run_smoke`` over a stand-in experiment whose ``run`` is ``run``."""
         from repro import experiments
 
-        class BadExperiment:
+        class Experiment:
             def __init__(self, scale, seed):
                 pass
 
             def run(self):
-                victim.get_victim(set(), 1)
+                return run()
 
         lines = []
         saved = dict(experiments.ALL_EXPERIMENTS)
-        experiments.ALL_EXPERIMENTS["_bad"] = BadExperiment
+        experiments.ALL_EXPERIMENTS["_fake"] = Experiment
         try:
             status = sanitize.run_smoke(
-                experiment="_bad", require_hashseed=False,
+                experiment="_fake", require_hashseed=False,
                 out=lines.append)
         finally:
             experiments.ALL_EXPERIMENTS.clear()
             experiments.ALL_EXPERIMENTS.update(saved)
+        return status, lines
+
+    def test_run_smoke_detects_guard_violation(self):
+        status, lines = self._smoke(lambda: victim.select_victim(set(), 1))
         self.assertEqual(status, 1)
         self.assertIn("guard fired", lines[0])
 
     def test_run_smoke_detects_double_run_divergence(self):
-        from repro import experiments
-
         entities = self._entities()
         counter = {"round": 0}
 
@@ -241,26 +239,22 @@ class SanitizerTests(unittest.TestCase):
                 counter["round"] += 1
                 return f"round {counter['round']}"
 
-        class FlakyExperiment:
-            def __init__(self, scale, seed):
-                pass
+        def run():
+            victim.select_victim(list(entities), 1)
+            return FlakyResult()
 
-            def run(self):
-                victim.get_victim(list(entities), 1)
-                return FlakyResult()
-
-        lines = []
-        saved = dict(experiments.ALL_EXPERIMENTS)
-        experiments.ALL_EXPERIMENTS["_flaky"] = FlakyExperiment
-        try:
-            status = sanitize.run_smoke(
-                experiment="_flaky", require_hashseed=False,
-                out=lines.append)
-        finally:
-            experiments.ALL_EXPERIMENTS.clear()
-            experiments.ALL_EXPERIMENTS.update(saved)
+        status, lines = self._smoke(run)
         self.assertEqual(status, 1)
         self.assertIn("diverged", lines[0])
+
+    def test_run_smoke_fails_without_guarded_selections(self):
+        class Result:
+            def summary(self, plots=True):
+                return "same"
+
+        status, lines = self._smoke(Result)
+        self.assertEqual(status, 1)
+        self.assertIn("never executed", lines[0])
 
     def test_run_smoke_requires_hashseed(self):
         import os

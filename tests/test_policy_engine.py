@@ -15,7 +15,6 @@ import unittest
 import pytest
 
 from repro.core import CachePolicy, PolicyEngine, StoreKind
-from repro.core.victim import EvictionEntity
 
 # sha256 of ExperimentResult.summary(plots=False), recorded pre-extraction.
 PRE_EXTRACTION_FINGERPRINTS = {
@@ -133,39 +132,33 @@ class AdmissionPlumbingTests(unittest.TestCase):
 
 class DecisionTests(unittest.TestCase):
 
-    def test_choose_store_hybrid_spills_to_ssd(self):
-        engine = make_engine()
+    @staticmethod
+    def _over_and_under(engine):
+        """One VM, two SSD pools of equal weight: ``over`` holds 220 of
+        its 200, ``under`` holds more (250) but within an entitlement
+        of 300."""
         vm = engine.register_vm("a")
-        pool = engine.create_pool(
-            vm, "p", CachePolicy(mem_weight=1, ssd_weight=1))
-        pool.entitlement[StoreKind.MEMORY] = 2
-        self.assertIs(engine.choose_store(pool), StoreKind.MEMORY)
-        pool.used[StoreKind.MEMORY] = 2
-        self.assertIs(engine.choose_store(pool), StoreKind.SSD)
-
-    def test_choose_store_single_level_and_uncached(self):
-        engine = make_engine()
-        vm = engine.register_vm("a")
-        mem = engine.create_pool(vm, "m", CachePolicy(mem_weight=1))
-        ssd = engine.create_pool(vm, "s", CachePolicy(ssd_weight=1))
-        off = engine.create_pool(vm, "o", CachePolicy())
-        self.assertIs(engine.choose_store(mem), StoreKind.MEMORY)
-        self.assertIs(engine.choose_store(ssd), StoreKind.SSD)
-        self.assertIsNone(engine.choose_store(off))
+        over = engine.create_pool(vm, "over", CachePolicy(ssd_weight=1))
+        under = engine.create_pool(vm, "under", CachePolicy(ssd_weight=1))
+        over.used[StoreKind.SSD] = 220
+        under.used[StoreKind.SSD] = 250
+        under.entitlement[StoreKind.SSD] = 300
+        return over, under
 
     def test_select_victim_prefers_exceeders(self):
         engine = make_engine()
-        over = EvictionEntity(ref="over", entitlement=10, used=20, weightage=1)
-        under = EvictionEntity(ref="under", entitlement=10, used=5, weightage=1)
-        victim = engine.select_victim([under, over], batch=4)
-        self.assertIs(victim, over)
+        over, under = self._over_and_under(engine)
+        round_ = engine.select_eviction(StoreKind.SSD, 4)
+        self.assertIs(round_.victim_pool, over)
+        self.assertEqual(round_.pool_state, (50, 1.0))
+        self.assertEqual(
+            round_.pool_entities, [(over, 200, 220, 1), (under, 300, 250, 1)])
 
     def test_select_victim_max_used_policy(self):
         engine = make_engine(victim_policy="max_used")
-        small = EvictionEntity(ref="s", entitlement=0, used=3, weightage=1)
-        big = EvictionEntity(ref="b", entitlement=0, used=9, weightage=1)
-        self.assertIs(engine.select_victim([small, big], batch=4), big)
-        self.assertIsNone(engine.select_victim([], batch=4))
+        self.assertIsNone(engine.select_eviction(StoreKind.SSD, 4))
+        over, under = self._over_and_under(engine)
+        self.assertIs(engine.select_eviction(StoreKind.SSD, 4).victim_pool, under)
 
     def test_select_eviction_returns_none_on_empty_host(self):
         engine = make_engine()
@@ -179,12 +172,9 @@ class DecisionTests(unittest.TestCase):
         vm = engine.register_vm("a")
         pool = engine.create_pool(vm, "p", CachePolicy(ssd_weight=1))
         pool.used[StoreKind.MEMORY] = 6  # e.g. left behind by set_policy
-        entities = engine.vm_candidates(StoreKind.MEMORY)
-        self.assertEqual(len(entities), 1)
-        self.assertEqual(entities[0].weightage, 0.0)
-        self.assertEqual(entities[0].used, 6)
         round_ = engine.select_eviction(StoreKind.MEMORY, 4)
         self.assertIsNotNone(round_)
+        self.assertEqual(round_.vm_entities, [(round_.victim_vm, 0, 6, 0.0)])
         self.assertIs(round_.victim_pool, pool)
 
     def test_capacities_mutated_in_place_are_reread(self):

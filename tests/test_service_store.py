@@ -916,7 +916,6 @@ class ServiceCacheRecoveryTests(unittest.TestCase):
             store = DiskStore(tmp, sync_writes=False)
             # Capacity of 8 blocks, 1-block values.
             cache = ServiceCache(store, capacity_mb=8 * 4096 / (1 << 20),
-                                 block_bytes=4096,
                                  eviction_batch_mb=4096 / (1 << 20))
             for i in range(8):
                 cache.set("t0", f"k{i}", b"v")
@@ -924,7 +923,6 @@ class ServiceCacheRecoveryTests(unittest.TestCase):
 
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=8 * 4096 / (1 << 20),
-                                 block_bytes=4096,
                                  eviction_batch_mb=4096 / (1 << 20))
             self.assertEqual(cache.used_blocks, 8)
             # The next insert must evict k0 — the oldest surviving entry

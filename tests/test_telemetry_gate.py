@@ -199,7 +199,7 @@ class LiveTraceGate(unittest.IsolatedAsyncioTestCase):
         store = DiskStore(self._tmp.name, sync_writes=False)
         cache = ServiceCache(
             store, capacity_mb=CAPACITY_BLOCKS * BLOCK / _MB,
-            block_bytes=BLOCK, eviction_batch_mb=BATCH_BLOCKS * BLOCK / _MB,
+            eviction_batch_mb=BATCH_BLOCKS * BLOCK / _MB,
             tracer=self.tracer)
         bind_store_probe(store, self.tracer, registry=cache.registry)
         server = CacheServer(cache, port=0, max_value_bytes=MAX_VALUE_BYTES,

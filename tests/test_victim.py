@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EvictionEntity, exceed_value, fallback_victim, get_victim
+from repro.core import exceed_value, select_victim
+from .support.reference_models import _alg1_victim, _max_used_victim
 
 
 def entity(entitlement, used, weight, tag=None):
-    return EvictionEntity(ref=tag, entitlement=entitlement, used=used,
-                          weightage=weight)
+    return (tag, entitlement, used, weight)
+
+
+def get_victim(entities, eviction_size, policy="exceed"):
+    return select_victim(entities, eviction_size, policy)[0]
 
 
 class TestExceedValue:
@@ -27,8 +31,9 @@ class TestExceedValue:
 
 class TestGetVictim:
     def test_eviction_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            get_victim([entity(10, 20, 50)], 0)
+        for policy in ("exceed", "max_used"):
+            with pytest.raises(ValueError):
+                select_victim([entity(10, 20, 50)], 0, policy)
 
     def test_single_overused_entity_selected(self):
         over = entity(100, 200, 50, "over")
@@ -48,17 +53,22 @@ class TestGetVictim:
         heavy = entity(100, 200, 90, "heavy")
         light = entity(100, 200, 10, "light")
         slack = entity(1000, 10, 50, "slack")  # big underused buffer
-        victim = get_victim([heavy, light, slack], 8)
+        victim, b, cw = select_victim([heavy, light, slack], 8)
         assert victim is light
+        assert (b, cw) == (990, 100.0)
 
     def test_no_overused_returns_none(self):
-        entities = [entity(100, 10, 50), entity(100, 20, 50)]
-        assert get_victim(entities, 8) is None
+        """No over-user: nobody is scored (``cw`` stays 0) and the
+        degenerate fallback hands back the largest holder."""
+        small, big = entity(100, 10, 50), entity(100, 20, 50)
+        assert select_victim([small, big], 8) == (big, 170, 0.0)
 
     def test_overused_but_empty_not_selected(self):
         ghost = entity(0, 0, 50, "ghost")  # 0 < 0 + 8 -> "overused", empty
         holder = entity(100, 150, 50, "holder")
-        assert get_victim([ghost, holder], 8) is holder
+        victim, _, cw = select_victim([ghost, holder], 8)
+        assert victim is holder
+        assert cw == 100.0  # the empty over-user still takes its share
 
     def test_at_entitlement_counts_as_overused(self):
         """entitlement < used + eviction_size triggers with used == ent."""
@@ -71,49 +81,54 @@ class TestGetVictim:
         assert get_victim([a, b], 8) is a
 
     def test_empty_entity_list(self):
-        assert get_victim([], 8) is None
+        assert select_victim([], 8) == (None, 0, 0.0)
 
 
 class TestFallbackVictim:
     def test_largest_holder(self):
         a = entity(100, 10, 50, "a")
         b = entity(100, 90, 50, "b")
-        assert fallback_victim([a, b]) is b
+        assert get_victim([a, b], 8, "max_used") is b
+        c = entity(100, 90, 50, "c")
+        assert get_victim([a, b, c], 8, "max_used") is b  # first of equals
 
     def test_empty_holders(self):
-        assert fallback_victim([entity(10, 0, 50)]) is None
+        for policy in ("exceed", "max_used"):
+            assert get_victim([entity(10, 0, 50)], 8, policy) is None
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10_000),   # entitlement
-            st.integers(min_value=0, max_value=10_000),   # used
-            st.floats(min_value=0, max_value=100),        # weight
-        ),
-        min_size=1,
-        max_size=10,
+# Small ranges on purpose: equal exceed values, entities exactly at their
+# entitlement, weight-0 holders and zero entitlements must all be common.
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 8, 64, 100, 5_000]),                # entitlement
+        st.one_of(st.sampled_from([0, 0, 8, 64, 100]),
+                  st.integers(min_value=0, max_value=10_000)),     # used
+        st.one_of(st.sampled_from([0.0, 0.0, 50.0]),
+                  st.floats(min_value=0, max_value=100)),          # weight
     ),
-    st.integers(min_value=1, max_value=64),
+    max_size=10,
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROWS, st.integers(min_value=1, max_value=64))
 def test_victim_invariants(raw, eviction_size):
-    """Whoever Algorithm 1 picks must be over-used and hold blocks, and
-    must have the maximal exceed value among such candidates."""
+    """``select_victim`` *is* the reference model: same winner (by
+    identity, so first-of-equals too) under both policies, and the
+    ``(b, cw)`` it reports are the brute-force sums."""
     entities = [entity(e, u, w, i) for i, (e, u, w) in enumerate(raw)]
-    victim = get_victim(entities, eviction_size)
-    overused = [
-        e for e in entities
-        if e.entitlement < e.used + eviction_size and e.used > 0
-    ]
-    if not overused:
-        assert victim is None
-        return
-    assert victim in overused
-    # Recompute the redistribution context exactly as the algorithm does.
-    cw = sum(e.weightage for e in entities
-             if e.entitlement < e.used + eviction_size)
-    buf = sum(e.entitlement - e.used for e in entities
-              if e.entitlement - e.used > 2 * eviction_size)
-    best = max(exceed_value(e, eviction_size, buf, cw) for e in overused)
-    assert exceed_value(victim, eviction_size, buf, cw) == pytest.approx(best)
+    expected = _alg1_victim(entities, eviction_size)
+    if expected is None:
+        expected = _max_used_victim(entities)
+    victim, b, cw = select_victim(entities, eviction_size, "exceed")
+    assert victim is expected
+
+    largest, b2, cw2 = select_victim(entities, eviction_size, "max_used")
+    assert largest is _max_used_victim(entities)
+
+    assert b == b2 == sum(
+        e[1] - e[2] for e in entities if e[1] - e[2] > 2 * eviction_size)
+    # Bit for bit: the same left-to-right float sum from 0.0.
+    assert cw == cw2 == sum(
+        (e[3] for e in entities if e[1] < e[2] + eviction_size), 0.0)
