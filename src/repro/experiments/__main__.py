@@ -18,19 +18,21 @@ off, output is byte-identical to a build without the subsystem.
 Each experiment prints the same rows/series its paper table or figure
 reports (see DESIGN.md's per-experiment index).
 
-``--jobs N`` fans independent experiments out over N worker processes.
-Experiments share nothing (each builds its own simulation Environment
-from ``scale``/``seed``), so results are byte-identical to a serial run;
-only the wall clock changes.  Output is still printed in the canonical
-experiment order regardless of which worker finishes first.
+``--jobs N`` is the worker budget of the one cell pool
+(:func:`repro.experiments.runner.iter_cells`): every requested
+experiment's independent simulations go into it and at most N of them —
+by default, and never more than, the CPUs this process may use — run at
+a time, each in a forked worker.  A cell builds its own simulation from
+``scale``/``seed`` and shares nothing, so results are byte-identical to
+``--jobs 1`` (everything in this process); only the wall clock changes.
+Output is printed in the order the experiments were named, each as soon
+as its cells are done.
 
 ``--profile [FILE]`` wraps the run in :mod:`cProfile` and dumps a
-``.pstats`` file for ``pstats``/``snakeviz``-style analysis.  Combined
-with ``--jobs N`` each experiment is profiled inside its worker process
-(profiling the pool's parent would only see an idle dispatcher) and one
-``FILE``-derived ``<stem>.<rank>.pstats`` is written per experiment,
-ranked in canonical experiment order no matter which worker finishes
-first; the parent prints a combined hotspot table across all ranks.
+``.pstats`` file for ``pstats``/``snakeviz``-style analysis.  A profiled
+or traced run stays in this process whatever ``--jobs`` says — the
+profiler and the tracer only see the process they live in — and writes
+one pstats file, and one JSONL per experiment.
 """
 
 from __future__ import annotations
@@ -39,106 +41,53 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import ALL_EXPERIMENTS
+from .runner import Experiment, ExperimentResult, iter_cells
 
 
-def _run_one(
-    task: Tuple[str, float, int, bool, bool, float, Optional[str],
-                Optional[str], int, int, bool, Optional[int], int]
-) -> Tuple[str, str, float, Optional[str], Optional[str], Optional[bytes]]:
-    """Run one experiment; module-level so multiprocessing can pickle it.
+def _results(experiments: List[Experiment], args
+             ) -> Iterator[Tuple[ExperimentResult, Optional[str]]]:
+    """``(result, trace JSONL or None)`` per experiment, in order, each
+    as soon as it is complete."""
+    if args.trace is None:
+        grids = [experiment.cells() for experiment in experiments]
+        outcomes = iter_cells(
+            lambda experiment, cell: experiment.simulate(*cell),
+            [(experiment, cell) for experiment, grid in zip(experiments, grids)
+             for cell in grid],
+            args.jobs)
+        for experiment, grid in zip(experiments, grids):
+            yield experiment.report([next(outcomes) for _ in grid]), None
+        return
+    from ..obs import Tracer, attach_latency_report, set_tracer, to_jsonl
 
-    Returns ``(name, summary, elapsed, json_text, trace_jsonl,
-    profile_blob)`` — plain strings/bytes only, so the result pickles
-    cheaply and the parent never needs the (large, unpicklable)
-    simulation objects.  The trace field is ``None`` with tracing off,
-    keeping the untraced output byte-identical whether or not this build
-    knows about tracing.  ``profile_blob`` (set by the
-    ``--profile --jobs N`` path) is the worker's marshalled cProfile
-    stats — the exact byte format ``Profile.dump_stats`` writes, so the
-    parent can persist it verbatim and ``pstats`` can load it.
-    """
-    (name, scale, seed, plots, want_json, audit, admission,
-     trace, trace_ops, trace_sample, profile, hosts, fleet_jobs) = task
-    cls = ALL_EXPERIMENTS[name]
-    # Fleet-topology experiments additionally take a host count and a
-    # shard-worker count; every other experiment keeps its signature.
-    extra = {}
-    if getattr(cls, "takes_fleet_args", False):
-        extra["jobs"] = fleet_jobs
-        if hosts is not None:
-            extra["hosts"] = hosts
-    from ..core import set_audit_interval, set_default_admission
-
-    # Installed here (not in main) so --jobs workers inherit it too.
-    set_audit_interval(audit)
-    set_default_admission(admission)
-    tracer = None
-    if trace is not None:
-        from ..obs import Tracer, set_tracer
-
-        tracer = Tracer(max_events=trace_ops, sample=trace_sample)
+    for experiment in experiments:
+        tracer = Tracer(max_events=args.trace_ops, sample=args.trace_sample)
         set_tracer(tracer)
-    profiler = None
-    if profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-    try:
-        started = time.time()  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
-        if profiler is not None:
-            profiler.enable()
         try:
-            result = cls(scale=scale, seed=seed, **extra).run()
+            result = experiment.run()
         finally:
-            if profiler is not None:
-                profiler.disable()
-        elapsed = time.time() - started  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
-    finally:
-        set_audit_interval(0.0)
-        set_default_admission(None)
-        if tracer is not None:
-            from ..obs import set_tracer
-
             set_tracer(None)
-    trace_jsonl = None
-    if tracer is not None:
-        from ..obs import attach_latency_report, to_jsonl
-
         # Fold p50/p90/p99/p999 per op into the run report itself.
         attach_latency_report(result, tracer)
-        trace_jsonl = to_jsonl(tracer)
-    profile_blob = None
-    if profiler is not None:
-        import marshal
-
-        profiler.create_stats()
-        profile_blob = marshal.dumps(profiler.stats)
-    summary = result.summary(plots=plots)
-    json_text = None
-    if want_json:
-        from ..analysis import result_to_json
-
-        json_text = result_to_json(result)
-    return name, summary, elapsed, json_text, trace_jsonl, profile_blob
+        yield result, to_jsonl(tracer)
 
 
-def _emit(args, name: str, summary: str, elapsed: float,
-          json_text: Optional[str],
-          trace_jsonl: Optional[str] = None) -> None:
+def _emit(args, name: str, result: ExperimentResult,
+          trace_jsonl: Optional[str]) -> None:
     cls = ALL_EXPERIMENTS[name]
     print(f"\n### running {name} ({cls.exp_id}) at scale {args.scale} ###")
-    print(summary)
-    print(f"(wall time {elapsed:.1f}s)")
+    summary = result.summary(plots=not args.no_plots)
+    print(summary, flush=True)
     if args.out is not None:
         (args.out / f"{name}.txt").write_text(summary + "\n")
-        if json_text is not None:
-            (args.out / f"{name}.json").write_text(json_text)
+        if args.json:
+            from ..analysis import result_to_json
+
+            (args.out / f"{name}.json").write_text(result_to_json(result))
     if trace_jsonl is not None:
-        # Artifacts are written by the parent in canonical experiment
-        # order, so --jobs fan-out yields the same files as a serial run.
         jsonl_path = Path(f"{args.trace}_{name}.jsonl")
         jsonl_path.write_text(trace_jsonl)
         print(f"(trace written to {jsonl_path})")
@@ -162,11 +111,11 @@ def main(argv=None) -> int:
                         help="directory to also write summaries into")
     parser.add_argument("--json", action="store_true",
                         help="with --out, also write machine-readable JSON")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run experiments in N worker processes "
-                             "(results identical to serial; default 1); "
-                             "for fleet-topology experiments also the "
-                             "shard-worker count per fleet")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="run at most N simulations at a time, each in "
+                             "a forked worker (default and ceiling: the "
+                             "CPU count; 1 keeps everything in this "
+                             "process; results are identical either way)")
     parser.add_argument("--hosts", type=int, default=None, metavar="N",
                         help="host count for fleet-topology experiments "
                              "(default: experiment-specific)")
@@ -197,9 +146,7 @@ def main(argv=None) -> int:
                         default=None, metavar="FILE",
                         help="profile the run with cProfile and dump "
                              "pstats to FILE (default profile.pstats); "
-                             "with --jobs N each experiment is profiled "
-                             "in its worker and written as "
-                             "<stem>.<rank>.pstats in canonical order")
+                             "a profiled run stays in this process")
     args = parser.parse_args(argv)
 
     if args.list or not args.experiment:
@@ -222,7 +169,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
 
@@ -257,67 +204,46 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    # Under --jobs, profiling must happen inside the workers (profiling
-    # the pool's parent would only see an idle dispatcher), so the flag
-    # rides along in the task tuple.
-    fan_out = args.jobs > 1 and len(names) > 1
-    profile_in_worker = args.profile is not None and fan_out
-    tasks = [(name, args.scale, args.seed, not args.no_plots, args.json,
-              args.audit, args.admission,
-              args.trace, args.trace_ops, args.trace_sample,
-              profile_in_worker, args.hosts, args.jobs)
-             for name in names]
+    experiments = []
+    for name in names:
+        cls = ALL_EXPERIMENTS[name]
+        # Fleet-topology experiments additionally take a host count;
+        # every other experiment keeps its signature.
+        extra = {}
+        if getattr(cls, "takes_fleet_args", False) and args.hosts is not None:
+            extra["hosts"] = args.hosts
+        experiments.append(cls(scale=args.scale, seed=args.seed, **extra))
 
-    if args.profile is not None and not fan_out:
-        # Serial run: one profiler around everything, one pstats file.
+    from ..core import set_audit_interval, set_default_admission
+
+    # Process-wide switches: forked workers inherit them.
+    set_audit_interval(args.audit)
+    set_default_admission(args.admission)
+    profiler = None
+    if args.profile is not None:
         import cProfile
-        import pstats
 
         profiler = cProfile.Profile()
         profiler.enable()
-        try:
-            for task in tasks:
-                _emit(args, *_run_one(task)[:5])
-        finally:
+    started = time.time()  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
+    try:
+        for name, outcome in zip(names, _results(experiments, args)):
+            _emit(args, name, *outcome)
+    finally:
+        set_audit_interval(0.0)
+        set_default_admission(None)
+        if profiler is not None:
             profiler.disable()
             profiler.dump_stats(args.profile)
+    elapsed = time.time() - started  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
+    print(f"\n(wall time {elapsed:.1f}s)")
+    if profiler is not None:
+        import pstats
+
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative")
         print(f"\nprofile written to {args.profile}; top hotspots:")
         stats.print_stats(10)
-        return 0
-
-    if fan_out:
-        import multiprocessing as mp
-
-        profile_paths = []
-        base = Path(args.profile) if profile_in_worker else None
-        # imap preserves submission order, so output — and the profile
-        # rank numbering — stays deterministic no matter which worker
-        # finishes first.
-        with mp.Pool(processes=min(args.jobs, len(tasks))) as pool:
-            for rank, outcome in enumerate(pool.imap(_run_one, tasks)):
-                _emit(args, *outcome[:5])
-                if base is not None:
-                    suffix = base.suffix or ".pstats"
-                    path = base.with_name(f"{base.stem}.{rank}{suffix}")
-                    # The blob is marshalled cProfile stats — identical
-                    # bytes to Profile.dump_stats, loadable by pstats.
-                    path.write_bytes(outcome[5])
-                    profile_paths.append(path)
-                    print(f"(profile written to {path})")
-        if profile_paths:
-            import pstats
-
-            stats = pstats.Stats(str(profile_paths[0]))
-            for path in profile_paths[1:]:
-                stats.add(str(path))
-            stats.sort_stats("cumulative")
-            print(f"\ncombined hotspots across {len(profile_paths)} workers:")
-            stats.print_stats(10)
-    else:
-        for task in tasks:
-            _emit(args, *_run_one(task)[:5])
     return 0
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .runner import Experiment, ExperimentResult
+from .runner import Experiment, ExperimentResult, run_cells
 from .scenarios import Scenario
 
 __all__ = ["AppBehaviorExperiment", "SPLITS"]
+
+APPS = ("webserver", "redis", "mongodb", "mysql")
 
 #: (in-VM GB, hypervisor-cache GB) splits of the 2 GB budget (Figure 3's x-axis).
 SPLITS: List[Tuple[float, float]] = [
@@ -66,7 +68,12 @@ class AppBehaviorExperiment(Experiment):
             )
         raise ValueError(f"unknown app {app!r}")
 
-    def _run_cell(self, app: str, vm_gb: float, cache_gb: float) -> dict:
+    def cells(self):
+        return [(app, vm_gb, cache_gb) for app in APPS
+                for vm_gb, cache_gb in SPLITS]
+
+    def simulate(self, app: str, vm_gb: float, cache_gb: float) -> dict:
+        """One app at one split: its rates plus swap and anon usage."""
         run = (
             Scenario(seed=self.seed)
             .cache("doubledecker", mem_mb=max(0.0, self.mb(cache_gb * 1024)))
@@ -82,58 +89,39 @@ class AppBehaviorExperiment(Experiment):
         out["anon_mb"] = container.anon_mb
         return out
 
+    @staticmethod
+    def _add_table1(result: ExperimentResult, equal: List[dict]) -> None:
+        """Table 1 from the four apps' cells at the equal split."""
+        result.add_table(
+            "table1: guest metrics at the 1:1 split",
+            ["app", "total swap (MB)", "anon usage (MB)", "hv cache usage (MB)"],
+            [[app, round(cell["swap_mb"], 1), round(cell["anon_mb"], 1),
+              round(cell["hvcache_mb"], 1)] for app, cell in zip(APPS, equal)],
+        )
+
     def run_table1_only(self) -> ExperimentResult:
         """Only the equal-split cells (Table 1) — cheaper than the sweep."""
         result = ExperimentResult(self.name + "-table1",
                                   "Guest metrics at the 1:1 split (Table 1).")
-        rows: List[List[object]] = []
-        for app in ("webserver", "redis", "mongodb", "mysql"):
-            cell = self._run_cell(app, 1.0, 1.0)
-            rows.append([
-                app,
-                round(cell["swap_mb"], 1),
-                round(cell["anon_mb"], 1),
-                round(cell["hvcache_mb"], 1),
-            ])
-            result.scalars[f"{app}_swap_mb"] = cell["swap_mb"]
-            result.scalars[f"{app}_anon_mb"] = cell["anon_mb"]
-            result.scalars[f"{app}_hvcache_mb"] = cell["hvcache_mb"]
-        result.add_table(
-            "table1: guest metrics at the 1:1 split",
-            ["app", "total swap (MB)", "anon usage (MB)", "hv cache usage (MB)"],
-            rows,
-        )
+        outcomes = run_cells(self.simulate, [(app, 1.0, 1.0) for app in APPS])
+        for app, cell in zip(APPS, outcomes):
+            for key in ("swap_mb", "anon_mb", "hvcache_mb"):
+                result.scalars[f"{app}_{key}"] = cell[key]
+        self._add_table1(result, outcomes)
         return result
 
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        apps = ["webserver", "redis", "mongodb", "mysql"]
-        fig3_rows: List[List[object]] = []
-        table1_rows: List[List[object]] = []
-        cells: Dict[Tuple[str, float], dict] = {}
-        for app in apps:
-            row: List[object] = [app]
-            for vm_gb, cache_gb in SPLITS:
-                cell = self._run_cell(app, vm_gb, cache_gb)
-                cells[(app, vm_gb)] = cell
-                row.append(round(cell["ops_per_s"], 1))
-            fig3_rows.append(row)
-            equal = cells[(app, 1.0)]
-            table1_rows.append([
-                app,
-                round(equal["swap_mb"], 1),
-                round(equal["anon_mb"], 1),
-                round(equal["hvcache_mb"], 1),
-            ])
-        headers = ["app"] + [f"{a}:{b}" for a, b in SPLITS]
-        result.add_table("fig3: ops/sec by (in-VM GB : cache GB) split",
-                         headers, fig3_rows)
+        cells: Dict[Tuple[str, float], dict] = {
+            (app, vm_gb): cell
+            for (app, vm_gb, _), cell in zip(self.cells(), outcomes)}
         result.add_table(
-            "table1: guest metrics at the 1:1 split",
-            ["app", "total swap (MB)", "anon usage (MB)", "hv cache usage (MB)"],
-            table1_rows,
-        )
-        for app in apps:
+            "fig3: ops/sec by (in-VM GB : cache GB) split",
+            ["app"] + [f"{a}:{b}" for a, b in SPLITS],
+            [[app] + [round(cells[(app, vm_gb)]["ops_per_s"], 1)
+                      for vm_gb, _ in SPLITS] for app in APPS])
+        self._add_table1(result, [cells[(app, 1.0)] for app in APPS])
+        for app in APPS:
             full = cells[(app, SPLITS[0][0])]["ops_per_s"]
             tight = cells[(app, SPLITS[-1][0])]["ops_per_s"]
             result.scalars[f"{app}_degradation"] = (

@@ -58,7 +58,11 @@ class CachingModesExperiment(Experiment):
                 stream_pace_ms=2.0))),
         ]
 
-    def _run_mode(self, mode: str, result: ExperimentResult) -> Dict[str, dict]:
+    def cells(self):
+        return [(mode,) for mode in MODES]
+
+    def simulate(self, mode: str):
+        """One cache mode: ``(per-workload rates, occupancy series)``."""
         scenario = Scenario(seed=self.seed)
         policy = "mem:25"
         if mode == "Global":
@@ -78,19 +82,19 @@ class CachingModesExperiment(Experiment):
         run = scenario.run(self.warmup_s, self.duration_s, max(
             1.0, (self.warmup_s + self.duration_s) / 120))
 
-        for name, series in run.series.items():
-            result.add_series(f"{mode}/{name}", series)
         for name, cell in run.rates.items():
             stats = run.cache_stats[name]
             cell["hit_ratio_pct"] = 100.0 * stats.hit_ratio if stats else 0.0
             cell["evictions"] = stats.evictions if stats else 0
-        return run.rates
+        return run.rates, run.series
 
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
         per_mode: Dict[str, Dict[str, dict]] = {}
-        for mode in MODES:
-            per_mode[mode] = self._run_mode(mode, result)
+        for mode, (rates, series) in zip(MODES, outcomes):
+            per_mode[mode] = rates
+            for name, trace in series.items():
+                result.add_series(f"{mode}/{name}", trace)
 
         headers = ["workload"]
         for mode in MODES:

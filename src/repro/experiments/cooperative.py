@@ -83,9 +83,13 @@ class CooperativeExperiment(Experiment):
                 cpu_think_ms=3.0)),
         }
 
-    def _run_config(self, technique: str,
-                    partition: Tuple[float, ...]) -> Dict[str, dict]:
-        """One simulation run; returns per-app rates + memory usage."""
+    def cells(self):
+        return [(technique, partition) for technique in ("morai", "dd")
+                for partition in self.candidates]
+
+    def simulate(self, technique: str,
+                 partition: Tuple[float, ...]) -> Dict[str, dict]:
+        """One partition under one technique: per-app rates + memory usage."""
         vm_mb = self.mb(6144)
         scenario = Scenario(seed=self.seed).vm("vm1", memory_mb=vm_mb, vcpus=8)
         workloads = self._make_workloads()
@@ -120,23 +124,17 @@ class CooperativeExperiment(Experiment):
         aggregate = sum(cells[app]["ops_per_s"] for app in APPS)
         return met, aggregate
 
-    def _search(self, technique: str) -> Tuple[Tuple[float, ...], Dict[str, dict]]:
-        best_partition = None
-        best_cells = None
-        best_score = (-1, -1.0)
-        for partition in self.candidates:
-            cells = self._run_config(technique, partition)
-            score = self._score(cells)
-            if score > best_score:
-                best_score = score
-                best_partition = partition
-                best_cells = cells
-        return best_partition, best_cells
+    def _best(self, outcomes: List[Dict[str, dict]]
+              ) -> Tuple[Tuple[float, ...], Dict[str, dict]]:
+        """The first candidate with the highest score, and its cells."""
+        return max(zip(self.candidates, outcomes),
+                   key=lambda pair: self._score(pair[1]))
 
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        morai_part, morai = self._search("morai")
-        dd_part, dd = self._search("dd")
+        searched = len(self.candidates)
+        morai_part, morai = self._best(outcomes[:searched])
+        dd_part, dd = self._best(outcomes[searched:])
 
         rows: List[List[object]] = []
         for app in APPS:

@@ -40,8 +40,8 @@ class DynamicContainersExperiment(Experiment):
         #: Length of each of the three phases (paper: 900 s).
         self.phase_s = phase_s if phase_s is not None else self.secs(900.0)
 
-    def run(self) -> ExperimentResult:
-        result = ExperimentResult(self.name, self.description)
+    def simulate(self):
+        """The one run: every gauge's occupancy series."""
         phase = self.phase_s
         web = ("webserver", dict(
             name="webserver", nfiles=self.count(14000), mean_size_kb=128.0,
@@ -52,7 +52,7 @@ class DynamicContainersExperiment(Experiment):
         video = ("videoserver", dict(
             name="videoserver", nvideos=12, video_mb=self.mb(256.0),
             threads=2, stream_pace_ms=2.0))
-        series = (
+        return (
             Scenario(seed=self.seed)
             .cache("doubledecker", mem_mb=self.mb(1024),
                    ssd_mb=self.mb(245760))
@@ -78,6 +78,10 @@ class DynamicContainersExperiment(Experiment):
             .run(0.0, 3 * phase, max(1.0, phase / 30))
         ).series
 
+    def report(self, outcomes) -> ExperimentResult:
+        result = ExperimentResult(self.name, self.description)
+        phase = self.phase_s
+        (series,) = outcomes
         # Phase means capture the redistribution the paper narrates.
         rows: List[List[object]] = []
         for label, trace in series.items():
@@ -118,8 +122,8 @@ class DynamicVMsExperiment(Experiment):
         #: Interval between VM boots (paper: 600 s).
         self.phase_s = phase_s if phase_s is not None else self.secs(600.0)
 
-    def run(self) -> ExperimentResult:
-        result = ExperimentResult(self.name, self.description)
+    def simulate(self):
+        """The one run: every VM gauge's occupancy series."""
         phase = self.phase_s
         scenario = Scenario(seed=self.seed).cache(
             "doubledecker", mem_mb=self.mb(2048), ssd_mb=self.mb(245760))
@@ -134,7 +138,7 @@ class DynamicVMsExperiment(Experiment):
                 ("videoserver", dict(nvideos=12, video_mb=self.mb(256.0),
                                      threads=2, stream_pace_ms=2.0)),
                 gauges={})
-        series = (
+        return (
             scenario
             .at(phase, "set_vm_weight", vm="vm1", weight=60)
             .at(3 * phase, "set_capacity", store="mem", mb=self.mb(4096))
@@ -143,6 +147,10 @@ class DynamicVMsExperiment(Experiment):
             .run(0.0, 4 * phase, max(1.0, phase / 20))
         ).series
 
+    def report(self, outcomes) -> ExperimentResult:
+        result = ExperimentResult(self.name, self.description)
+        phase = self.phase_s
+        (series,) = outcomes
         rows: List[List[object]] = []
         for label, trace in series.items():
             result.add_series(f"fig13/{label}", trace)

@@ -37,7 +37,12 @@ class EnduranceExperiment(CachingModesExperiment):
         "projected flash lifetime."
     )
 
-    def _run_config(self, config: str, admission: str) -> dict:
+    def cells(self):
+        return [(config, admission) for config in ENDURANCE_SCENARIOS
+                for admission in ADMISSION_POLICIES]
+
+    def simulate(self, config: str, admission: str) -> dict:
+        """One cache configuration under one admission policy: its row."""
         scenario = Scenario(seed=self.seed)
         if config == "DDSSD":
             scenario.cache("doubledecker", mem_mb=0.0,
@@ -71,13 +76,9 @@ class EnduranceExperiment(CachingModesExperiment):
         cell["rejected_admission"] = rejected
         return cell
 
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        cells: Dict[Tuple[str, str], dict] = {}
-        for scenario in ENDURANCE_SCENARIOS:
-            for admission in ADMISSION_POLICIES:
-                cells[scenario, admission] = self._run_config(
-                    scenario, admission)
+        cells: Dict[Tuple[str, str], dict] = dict(zip(self.cells(), outcomes))
 
         headers = ["config", "admission", "hit %", "MB/s", "SSD GB written",
                    "WAF", "wear %", "lifetime", "hits/GB", "rejected"]

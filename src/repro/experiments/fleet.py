@@ -51,11 +51,11 @@ class FleetExperiment(Experiment):
         "host, remote-memory lending plus two live migrations; per-host "
         "and fleet-wide cache behaviour and latency."
     )
-    #: The CLI threads ``--hosts``/``--jobs`` into this experiment only.
+    #: The CLI threads ``--hosts`` into this experiment only.
     takes_fleet_args = True
 
     def __init__(self, scale: float = 1.0, seed: int = 42,
-                 hosts: Optional[int] = None, jobs: int = 1,
+                 hosts: Optional[int] = None,
                  warmup_s: float = None, duration_s: float = None) -> None:
         super().__init__(scale, seed)
         self.hosts = 4 if hosts is None else hosts
@@ -63,7 +63,6 @@ class FleetExperiment(Experiment):
             raise ValueError(
                 f"fleet experiment needs at least 2 hosts, got {self.hosts}"
             )
-        self.jobs = jobs
         self.vms_per_host = max(2, self.count(10))
         self.warmup_s = warmup_s if warmup_s is not None else self.secs(120.0)
         self.duration_s = (duration_s if duration_s is not None
@@ -93,7 +92,10 @@ class FleetExperiment(Experiment):
 
     # -- the run ----------------------------------------------------------
 
-    def run(self) -> ExperimentResult:
+    def simulate(self) -> ExperimentResult:
+        """The one fleet run.  Its tables are read off live objects
+        (caches, the migration ledger, the tracer), so the cell returns
+        the finished result — plain rows and scalars — itself."""
         result = ExperimentResult(self.name, self.description)
         # Latency histograms are part of this experiment's contract, so
         # install a tracer when the harness hasn't (restored afterwards).
@@ -108,7 +110,7 @@ class FleetExperiment(Experiment):
                 set_tracer(None)
 
     def _run(self, result: ExperimentResult, tracer: Tracer) -> ExperimentResult:
-        fleet = Fleet(seed=self.seed, hosts=self.hosts, jobs=self.jobs)
+        fleet = Fleet(seed=self.seed, hosts=self.hosts)
         caches = fleet.install_doubledecker(
             DDConfig(mem_capacity_mb=self.mb(512))
         )
@@ -169,9 +171,12 @@ class FleetExperiment(Experiment):
 
         fleet.run(until=self.warmup_s + self.duration_s)
         assert_fleet_clean(fleet, where="fleet experiment end")
-        fleet.close()
 
         self._report(result, fleet, caches, records, tracer)
+        return result
+
+    def report(self, outcomes) -> ExperimentResult:
+        (result,) = outcomes
         return result
 
     # -- reporting --------------------------------------------------------
@@ -220,7 +225,7 @@ class FleetExperiment(Experiment):
         )
 
         quantiles = ["op", "count", "mean", "p50", "p90", "p99", "p999"]
-        # run() installs a tracer when none is active, so this one is live.
+        # simulate() installs a tracer when none is active, so this one is live.
         all_rows = tracer.latency_rows(per_pool=False)
         fleet_rows = [r for r in all_rows if ".host" not in r[0]]
         host_rows = [r for r in all_rows if ".host" in r[0]]

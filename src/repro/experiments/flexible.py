@@ -45,6 +45,9 @@ POLICY_TABLE: Dict[str, Dict[str, CachePolicy]] = {
     },
 }
 
+#: The baseline and Table 3's modes, in report order.
+MODES = ("Global",) + tuple(POLICY_TABLE)
+
 #: In-VM cgroup limits (MB at scale 1.0) per container.
 MEMORY_LIMITS = {
     "webserver": 1280.0,
@@ -85,7 +88,11 @@ class FlexiblePolicyExperiment(Experiment):
                 stream_pace_ms=2.0))),
         ]
 
-    def _run_mode(self, mode: str, result: ExperimentResult) -> Dict[str, dict]:
+    def cells(self):
+        return [(mode,) for mode in MODES]
+
+    def simulate(self, mode: str):
+        """One policy mode: ``(per-workload rates, occupancy series)``."""
         scenario = Scenario(seed=self.seed)
         if mode == "Global":
             scenario.cache("global", capacity_mb=self.mb(2048),
@@ -101,17 +108,15 @@ class FlexiblePolicyExperiment(Experiment):
                                policies[name], workload)
         run = scenario.run(self.warmup_s, self.duration_s, max(
             1.0, (self.warmup_s + self.duration_s) / 120))
+        return run.rates, run.series
 
-        for name, series in run.series.items():
-            result.add_series(f"{mode}/{name}", series)
-        return run.rates
-
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        modes = ["Global", "DDMem", "DDMemEx", "DDHybrid"]
         per_mode: Dict[str, Dict[str, dict]] = {}
-        for mode in modes:
-            per_mode[mode] = self._run_mode(mode, result)
+        for mode, (rates, series) in zip(MODES, outcomes):
+            per_mode[mode] = rates
+            for name, trace in series.items():
+                result.add_series(f"{mode}/{name}", trace)
 
         # Table 3 (configuration) — rendered for reference.
         t3_rows = []
@@ -133,12 +138,12 @@ class FlexiblePolicyExperiment(Experiment):
         )
 
         # Fig 10 — speedup over Global.
-        headers = ["workload", "Global MB/s"] + [f"{m} speedup" for m in modes[1:]]
+        headers = ["workload", "Global MB/s"] + [f"{m} speedup" for m in MODES[1:]]
         rows = []
         for name in ("webserver", "webproxy", "mail", "videoserver"):
             base = per_mode["Global"][name]["mb_per_s"]
             row: List[object] = [name, round(base, 2)]
-            for mode in modes[1:]:
+            for mode in MODES[1:]:
                 value = per_mode[mode][name]["mb_per_s"]
                 speedup = value / base if base > 0 else float("inf")
                 row.append(round(speedup, 2))

@@ -34,8 +34,18 @@ class MotivationExperiment(Experiment):
         self.duration_s = duration_s if duration_s is not None else self.secs(800.0)
         self.offset_s = self.secs(200.0)
 
-    def _run_scenario(self, label: str, result: ExperimentResult,
-                      run_c1: bool, run_c2: bool, c2_delay: float = 0.0) -> Dict[str, float]:
+    def cells(self):
+        # (series-group label, run container1, run container2, container2 delay)
+        return [
+            ("fig1a-container1-alone", True, False, 0.0),
+            ("fig1b-container2-alone", False, True, 0.0),
+            ("fig2a-simultaneous", True, True, 0.0),
+            ("fig2b-offset-200s", True, True, self.offset_s),
+        ]
+
+    def simulate(self, label: str, run_c1: bool, run_c2: bool,
+                 c2_delay: float):
+        """One start-up pattern: the containers' occupancy series."""
         scenario = (
             Scenario(seed=self.seed)
             .cache("global", capacity_mb=self.mb(1024),
@@ -53,26 +63,19 @@ class MotivationExperiment(Experiment):
                     workload=("webserver", dict(
                         name=f"web-{name}", nfiles=self.count(14000),
                         mean_size_kb=128.0, threads=threads)))
-        run = scenario.run(0.0, self.duration_s,
-                           max(1.0, self.duration_s / 100))
-        peaks = {}
-        for name, series in run.series.items():
-            result.add_series(f"{label}/{name}", series)
-            half = self.duration_s / 2
-            peaks[name] = series.mean(start=half)
-        return peaks
+        return scenario.run(0.0, self.duration_s,
+                            max(1.0, self.duration_s / 100)).series
 
-    def run(self) -> ExperimentResult:
+    def report(self, outcomes) -> ExperimentResult:
         result = ExperimentResult(self.name, self.description)
-        alone1 = self._run_scenario("fig1a-container1-alone", result,
-                                    run_c1=True, run_c2=False)
-        alone2 = self._run_scenario("fig1b-container2-alone", result,
-                                    run_c1=False, run_c2=True)
-        together = self._run_scenario("fig2a-simultaneous", result,
-                                      run_c1=True, run_c2=True)
-        offset = self._run_scenario("fig2b-offset-200s", result,
-                                    run_c1=True, run_c2=True,
-                                    c2_delay=self.offset_s)
+        shares = []
+        for (label, *_), series in zip(self.cells(), outcomes):
+            peaks: Dict[str, float] = {}
+            for name, trace in series.items():
+                result.add_series(f"{label}/{name}", trace)
+                peaks[name] = trace.mean(start=self.duration_s / 2)
+            shares.append(peaks)
+        alone1, alone2, together, offset = shares
 
         cache_mb = self.mb(1024)
         rows = [

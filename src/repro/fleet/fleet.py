@@ -6,8 +6,7 @@ and metrics registry — one simulation shard per host.  Hosts interact
 only through the fleet's control plane (VM live-migration and
 remote-memory lending), and every cross-host effect is delayed by at
 least the :class:`~repro.fleet.network.NetworkModel` latency floor, so
-the shards advance under conservative lookahead
-(:class:`~repro.simkernel.lookahead.LookaheadGroup`): all hosts reach a
+the shards advance under conservative lookahead: all hosts reach a
 sync boundary, the control plane acts, and the next window begins.
 Boundaries are derived from the scheduled control events themselves —
 between two control events no host can observe another, which makes the
@@ -16,10 +15,7 @@ window *at least* the latency floor and usually much larger.
 Determinism: node 0 consumes the master seed exactly as a single-host
 :class:`~repro.context.SimContext` does, so a 1-host fleet reproduces
 the single-host path byte-for-byte; nodes ``i > 0`` draw from spawned
-sub-factories.  With ``jobs > 1`` the shard advancement fans out over
-threads — safe because shards share no mutable state — except while a
-process-global tracer is installed, in which case the fleet falls back
-to serial advancement (the tracer's ring buffer is shared state).
+sub-factories.
 """
 
 from __future__ import annotations
@@ -35,8 +31,7 @@ from ..core.config import CachePolicy
 from ..guest import VirtualMachine
 from ..hypervisor import Host, HostSpec
 from ..metrics import MetricFamily, MetricsRegistry, registry_families, render_families
-from ..obs import tracer as _obs
-from ..simkernel import Environment, LookaheadGroup, RandomStreams
+from ..simkernel import Environment, RandomStreams
 from ..storage import MB
 from .lending import LendingCoordinator
 from .network import NetworkModel
@@ -89,15 +84,11 @@ class Fleet:
         hosts: int = 1,
         spec: Optional[HostSpec] = None,
         net: Optional[NetworkModel] = None,
-        jobs: int = 1,
     ) -> None:
         if hosts < 1:
             raise ValueError(f"need at least one host, got {hosts}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.seed = seed
         self.net = net or NetworkModel()
-        self.jobs = jobs
         self.nodes: List[FleetNode] = []
         base = RandomStreams(seed)
         for index in range(hosts):
@@ -112,8 +103,6 @@ class Fleet:
             self.nodes.append(
                 FleetNode(index, env, streams, registry, host, scope)
             )
-        self._group = LookaheadGroup([node.env for node in self.nodes],
-                                     jobs=jobs)
         self._now = 0.0
         #: Pending control-plane actions: (time, seq, callback(now)).
         self._controls: List[Tuple[float, int, Callable[[float], None]]] = []
@@ -176,20 +165,16 @@ class Fleet:
             if self._controls and self._controls[0][0] < boundary:
                 boundary = self._controls[0][0]
             if boundary > self._now:
-                # A process-global tracer is shared mutable state across
-                # shards; advancing serially keeps its records exact.
-                jobs = 1 if _obs.ACTIVE is not None else self.jobs
-                self._group.advance(boundary, jobs=jobs)
+                # No shard can receive an event below a boundary it has
+                # reached, so the order they are advanced in cannot matter.
+                for node in self.nodes:
+                    node.env.run(until=boundary)
                 self._now = boundary
             while self._controls and self._controls[0][0] <= self._now:
                 _, _, fn = heapq.heappop(self._controls)
                 fn(self._now)
             if self._now >= until:
                 break
-
-    def close(self) -> None:
-        """Release worker threads (safe to call repeatedly)."""
-        self._group.close()
 
     # -- observability export -------------------------------------------
 

@@ -4,7 +4,7 @@ Hosts of a fleet are coupled only through this model.  Its latency floor
 is the *lookahead* of the sharded simulation: no action issued on one
 host can be observed on another sooner than ``latency_s`` later, so the
 fleet may advance every host's environment to a common boundary before
-applying any cross-host effect (see :mod:`repro.simkernel.lookahead`).
+applying any cross-host effect (see :meth:`repro.fleet.Fleet.run`).
 """
 
 from __future__ import annotations

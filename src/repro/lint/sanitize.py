@@ -138,7 +138,8 @@ def run_smoke(
     with decision_guards() as guards:
         for round_no in (1, 2):
             try:
-                result = cls(scale=scale, seed=seed).run()
+                # jobs=1: the guards count calls in this process.
+                result = cls(scale=scale, seed=seed).run(jobs=1)
             except NondeterminismError as exc:
                 out(f"sanitize: FAIL — decision-path guard fired on round "
                     f"{round_no}: {exc}")

@@ -1,8 +1,8 @@
 """The flight recorder: spans, provenance events, and latency histograms.
 
 One process-wide :class:`Tracer` (installed with :func:`set_tracer`, the
-same global-switch pattern as ``set_audit_interval`` so ``--jobs`` workers
-inherit it) collects three kinds of telemetry from the instrumented cache
+same global-switch pattern as ``set_audit_interval``; the experiments'
+cell pool runs in-process while one is installed) collects three kinds of telemetry from the instrumented cache
 path:
 
 * **spans** — timed sections of the op path (``op.get`` at the cleancache

@@ -8,7 +8,6 @@ random streams.
 
 from .core import EmptySchedule, Environment, StopSimulation
 from .events import AllOf, AnyOf, ConditionEvent, Event, Interrupt, Timeout
-from .lookahead import LookaheadGroup
 from .process import Process
 from .resources import Request, Resource, TokenBucket
 from .rng import RandomStreams, zipf_ranks
@@ -22,7 +21,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "LookaheadGroup",
     "Process",
     "RandomStreams",
     "Request",

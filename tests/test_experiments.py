@@ -5,16 +5,23 @@ produce its tables/series, and keep its core shape — without the cost of
 the full benchmark suite.
 """
 
+import os
+import pickle
+from unittest import mock
+
 import pytest
 
+from repro.core import StoreKind
 from repro.experiments import (
     ALL_EXPERIMENTS,
     AppBehaviorExperiment,
     DynamicContainersExperiment,
     DynamicVMsExperiment,
     MotivationExperiment,
+    Scenario,
+    runner,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import Experiment, ExperimentResult
 from repro.metrics import TimeSeries
 
 
@@ -116,3 +123,91 @@ class TestCLI:
         assert (tmp_path / "motivation.txt").exists()
         out = capsys.readouterr().out
         assert "steady-state cache share" in out
+
+
+# Short spans at the smallest scale the suite uses: the pool tests run
+# every experiment twice.
+SMALL = {
+    "motivation": dict(duration_s=20.0),
+    "app_behavior": dict(warmup_s=4.0, duration_s=6.0),
+    "caching_modes": dict(warmup_s=8.0, duration_s=12.0),
+    "flexible_policy": dict(warmup_s=8.0, duration_s=12.0),
+    "cooperative": dict(warmup_s=4.0, duration_s=6.0),
+    "dynamic_containers": dict(phase_s=10.0),
+    "dynamic_vms": dict(phase_s=10.0),
+    "endurance": dict(warmup_s=8.0, duration_s=12.0),
+    "fleet": dict(hosts=2, warmup_s=5.0, duration_s=15.0),
+}
+
+
+@pytest.fixture
+def two_cpus():
+    """Fork even on a one-CPU box, where the default would equal
+    ``jobs=1`` trivially."""
+    with mock.patch.object(runner, "_cpu_count", return_value=2):
+        yield
+
+
+class _OneBadCell(Experiment):
+    """Three tiny DoubleDecker runs; the middle one corrupts its cache's
+    accounting mid-run, which only the auditor notices."""
+
+    name = "one_bad_cell"
+
+    def cells(self):
+        return [(False,), (True,), (False,)]
+
+    def simulate(self, corrupt):
+        scenario = (
+            Scenario(seed=self.seed)
+            .cache("doubledecker", mem_mb=4.0)
+            .vm("vm1", memory_mb=64.0)
+            .container("vm1", "web", 8.0, "mem:100",
+                       ("webserver", dict(nfiles=60, mean_size_kb=64.0)))
+        )
+        if corrupt:
+            def drift(runtime):
+                runtime["cache"].used[StoreKind.MEMORY] += 1
+            scenario.at(5.0, drift)
+        return scenario.run(0.0, 30.0).rates
+
+    def report(self, outcomes):
+        result = ExperimentResult(self.name)
+        result.scalars["cells"] = len(outcomes)
+        return result
+
+
+class TestCellPool:
+    def test_registry_matches_small_configs(self):
+        assert set(SMALL) == set(ALL_EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", list(SMALL))
+    def test_summary_does_not_depend_on_the_budget(self, name, two_cpus):
+        def summary(**budget):
+            experiment = ALL_EXPERIMENTS[name](scale=0.02, seed=7,
+                                               **SMALL[name])
+            return experiment.run(**budget).summary()
+
+        assert summary(jobs=1) == summary()
+
+    def test_outcomes_are_plain_data(self):
+        # What simulate() returns crosses a pipe: no live simulation objects.
+        experiment = ALL_EXPERIMENTS["cooperative"](
+            scale=0.02, seed=7, candidates=[(25.0, 25.0, 25.0, 25.0)],
+            **SMALL["cooperative"])
+        for cell in experiment.cells():
+            pickle.dumps(experiment.simulate(*cell))
+
+    def test_audited_violation_in_one_cell_fails_the_run(self, two_cpus):
+        from repro.core import set_audit_interval
+        from repro.core.audit import InvariantViolation
+
+        assert _OneBadCell(seed=3).run().scalars["cells"] == 3  # unaudited
+        set_audit_interval(2.0)
+        try:
+            with pytest.raises(InvariantViolation):
+                _OneBadCell(seed=3).run()
+        finally:
+            set_audit_interval(0.0)
+        with pytest.raises(ChildProcessError):  # nothing left running
+            os.waitpid(-1, os.WNOHANG)

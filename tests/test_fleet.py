@@ -2,8 +2,7 @@
 
 The load-bearing property is at the bottom: a 1-host fleet reproduces
 the single-host ``SimContext`` path byte-for-byte (the sharded runner is
-a pure refactor of the simulation loop, not a new model), and threaded
-shard advancement (``jobs > 1``) is indistinguishable from serial.
+a pure refactor of the simulation loop, not a new model).
 """
 
 import pytest
@@ -58,10 +57,10 @@ def run_gen(env, gen):
     return env.run(until=env.process(gen))
 
 
-def build_fleet(hosts=2, jobs=1, seed=11, mem_mb=16.0, pressured=(0,)):
+def build_fleet(hosts=2, seed=11, mem_mb=16.0, pressured=(0,)):
     """Fleet with one webserver VM per host; ``pressured`` hosts overflow
     their guest page cache (cleancache traffic), the rest stay idle."""
-    fleet = Fleet(seed=seed, hosts=hosts, jobs=jobs)
+    fleet = Fleet(seed=seed, hosts=hosts)
     caches = fleet.install_doubledecker(DDConfig(mem_capacity_mb=mem_mb))
     workloads = []
     for i in range(hosts):
@@ -86,10 +85,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Fleet(hosts=0)
 
-    def test_rejects_zero_jobs(self):
-        with pytest.raises(ValueError):
-            Fleet(jobs=0)
-
     def test_migrate_to_same_host_rejected(self):
         fleet = Fleet(hosts=2)
         with pytest.raises(ValueError):
@@ -100,7 +95,6 @@ class TestValidation:
         fleet.run(until=5.0)
         with pytest.raises(ValueError):
             fleet._at(1.0, lambda now: None)
-        fleet.close()
 
     def test_enable_lending_twice_rejected(self):
         fleet = Fleet(hosts=2)
@@ -296,7 +290,6 @@ class TestMigration:
         assert stats.migrated_rejected == record.blocks_rejected
         assert caches[0].used[MEM] == 0
         assert check_fleet(fleet) == []
-        fleet.close()
 
     def test_migration_rejects_when_destination_full(self, no_tracer):
         fleet, caches, workloads = build_fleet(hosts=2, mem_mb=4.0,
@@ -316,14 +309,12 @@ class TestMigration:
         # Adoption never evicts the destination's own warm blocks.
         assert caches[1].used[MEM] <= caches[1].capacities[MEM]
         assert_fleet_clean(fleet, where="full destination")
-        fleet.close()
 
     def test_unknown_vm_fails_at_departure_time(self, no_tracer):
         fleet, _, _ = build_fleet(hosts=2, pressured=())
         fleet.migrate_vm("nope", 0, 1, at=1.0)
         with pytest.raises(KeyError):
             fleet.run(until=2.0)
-        fleet.close()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +334,6 @@ class TestLending:
         when, grants = fleet.lending.history[-1]
         assert sum(grants.values()) == 0  # signed grants conserve
         assert check_fleet(fleet) == []
-        fleet.close()
 
     def test_no_borrowers_collapses_all_grants(self):
         fleet = Fleet(hosts=2)
@@ -384,7 +374,6 @@ class TestFleetTracing:
             fleet.migrate_vm("vm0", 0, 1,
                              on_depart=lambda vm, node: workloads[0].stop())
             fleet.run(until=25.0)
-            fleet.close()
         finally:
             set_tracer(None)
         assert tracer.dropped == 0
@@ -411,7 +400,6 @@ class TestFleetTracing:
         try:
             fleet, _, _ = build_fleet(hosts=2, pressured=(0, 1))
             fleet.run(until=10.0)
-            fleet.close()
         finally:
             set_tracer(None)
         rows = {row[0] for row in tracer.latency_rows(per_pool=False)}
@@ -426,7 +414,6 @@ class TestFleetTracing:
         for node in fleet.nodes:  # sampling is opt-in: it adds events
             node.host.sampler.start()
         fleet.run(until=12.0)  # past the sampler interval: gauges exist
-        fleet.close()
         text = fleet.export_metrics_text()
         assert check_exposition(text) == []
         assert 'host="host0"' in text
@@ -444,12 +431,11 @@ class TestFleetTracing:
 # ---------------------------------------------------------------------------
 
 
-def _fleet_fingerprint(jobs):
-    fleet, caches, workloads = build_fleet(hosts=3, jobs=jobs, seed=42,
+def _fleet_fingerprint():
+    fleet, caches, workloads = build_fleet(hosts=3, seed=42,
                                            pressured=(0, 2))
     fleet.enable_lending(interval_s=5.0)
     fleet.run(until=25.0)
-    fleet.close()
     return repr(
         [(w.counters.ops, w.counters.bytes_read, w.counters.bytes_written)
          for w in workloads]
@@ -458,11 +444,8 @@ def _fleet_fingerprint(jobs):
 
 
 class TestDeterminism:
-    def test_threaded_advance_matches_serial(self, no_tracer):
-        assert _fleet_fingerprint(1) == _fleet_fingerprint(2)
-
     def test_same_seed_same_result(self, no_tracer):
-        assert _fleet_fingerprint(1) == _fleet_fingerprint(1)
+        assert _fleet_fingerprint() == _fleet_fingerprint()
 
 
 def _single_host_state(platform):

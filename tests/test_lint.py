@@ -210,7 +210,7 @@ class SanitizerTests(unittest.TestCase):
             def __init__(self, scale, seed):
                 pass
 
-            def run(self):
+            def run(self, jobs=None):
                 return run()
 
         lines = []

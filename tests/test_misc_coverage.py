@@ -19,16 +19,20 @@ class TestCLIAllBranch:
             name = "fake"
             description = "a fake experiment"
 
-            def run(self):
+            def simulate(self):
                 calls.append((self.scale, self.seed))
+                return [[1]]
+
+            def report(self, outcomes):
                 result = ExperimentResult(self.name, self.description)
-                result.add_table("t", ["a"], [[1]])
+                result.add_table("t", ["a"], outcomes[0])
                 return result
 
         monkeypatch.setattr(cli, "ALL_EXPERIMENTS",
                             {"fake": FakeExperiment, "fake2": FakeExperiment})
+        # --jobs 1: ``calls`` is filled in this process.
         code = cli.main(["all", "--scale", "0.5", "--seed", "9",
-                         "--out", str(tmp_path), "--no-plots"])
+                         "--out", str(tmp_path), "--no-plots", "--jobs", "1"])
         assert code == 0
         assert calls == [(0.5, 9), (0.5, 9)]
         assert (tmp_path / "fake.txt").exists()
@@ -95,7 +99,10 @@ class TestReuseTrackerBounds:
 class TestExperimentScaleHelpers:
     def test_secs_floor(self):
         class Tiny(Experiment):
-            def run(self):  # pragma: no cover
+            def simulate(self):  # pragma: no cover
+                return None
+
+            def report(self, outcomes):  # pragma: no cover
                 return ExperimentResult("t")
 
         exp = Tiny(scale=0.01)
@@ -117,9 +124,12 @@ class TestCLIJsonExport:
             name = "fakejson"
             description = "fake"
 
-            def run(self):
+            def simulate(self):
+                return 1.5
+
+            def report(self, outcomes):
                 result = ExperimentResult(self.name)
-                result.scalars["v"] = 1.5
+                (result.scalars["v"],) = outcomes
                 return result
 
         monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fakejson": FakeExperiment})

@@ -8,15 +8,17 @@ Three invariants the optimizations must not bend:
 * the batched data path (``get_many``/``put_many``) is observably
   identical to driving the same keys one at a time, including the
   dedup/compression accounting in ``_mem_units_used``;
-* ``--jobs N`` produces byte-identical outputs to a serial run.
+* ``--jobs N`` produces byte-identical outputs to an in-process run.
 """
 
 import filecmp
+from unittest import mock
 
 import pytest
 
 from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
 from repro.core.optimizations import CompressionModel
+from repro.experiments import runner
 from repro.simkernel import Environment
 from repro.simkernel.core import NORMAL, URGENT
 
@@ -219,8 +221,9 @@ class TestParallelRunner:
 
         serial = tmp_path / "serial"
         fanned = tmp_path / "jobs"
-        assert main(self.ARGS + ["--out", str(serial)]) == 0
-        assert main(self.ARGS + ["--out", str(fanned), "--jobs", "2"]) == 0
+        assert main(self.ARGS + ["--out", str(serial), "--jobs", "1"]) == 0
+        with mock.patch.object(runner, "_cpu_count", return_value=2):
+            assert main(self.ARGS + ["--out", str(fanned), "--jobs", "2"]) == 0
         produced = sorted(p.name for p in serial.iterdir())
         assert produced == sorted(p.name for p in fanned.iterdir())
         assert produced  # both .txt and .json per experiment
@@ -231,6 +234,20 @@ class TestParallelRunner:
         from repro.experiments.__main__ import main
 
         assert main(["motivation", "--jobs", "0"]) == 2
+
+    def test_single_experiment_uses_its_budget(self, capsys):
+        """``<one experiment> --jobs 4`` used to be silently serial."""
+        from repro.experiments.__main__ import main
+
+        args = ["motivation", "--scale", self.SCALE, "--no-plots", "--jobs"]
+        with mock.patch.object(runner, "_cpu_count", return_value=4), \
+                mock.patch.object(runner, "_fork_cell",
+                                  wraps=runner._fork_cell) as forked:
+            assert main(args + ["4"]) == 0
+            assert forked.call_count == 4  # motivation's four cells
+            forked.reset_mock()
+            assert main(args + ["1"]) == 0
+            assert forked.call_count == 0
 
     def test_comma_separated_unknown_rejected(self, capsys):
         from repro.experiments.__main__ import main
@@ -252,9 +269,9 @@ class TestParallelRunner:
         assert stats.total_calls > 0
 
     @pytest.mark.slow
-    def test_profile_with_jobs_writes_per_worker_pstats(self, tmp_path, capsys):
-        """--profile --jobs N profiles each experiment in its worker and
-        writes <stem>.<rank>.pstats ranked in canonical order."""
+    def test_profile_with_jobs_stays_in_process(self, tmp_path, capsys):
+        """--profile keeps the pool in this process whatever --jobs says:
+        one pstats file that saw every experiment's simulation."""
         import pstats
 
         from repro.experiments.__main__ import main
@@ -263,14 +280,7 @@ class TestParallelRunner:
         code = main(["motivation,dynamic_containers", "--scale", self.SCALE,
                      "--no-plots", "--jobs", "2", "--profile", str(out)])
         assert code == 0
-        assert not out.exists()  # per-rank files replace the single dump
-        ranked = [tmp_path / "hot.0.pstats", tmp_path / "hot.1.pstats"]
-        for path in ranked:
-            assert path.exists(), path.name
-            stats = pstats.Stats(str(path))
-            assert stats.total_calls > 0
-        # Rank order is canonical (submission) order: rank 0 profiled the
-        # first-named experiment, whose runner shows up in its stats.
-        stats0 = pstats.Stats(str(ranked[0]))
-        files0 = {func[0] for func in stats0.stats}
-        assert any(f.endswith("motivation.py") for f in files0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hot.pstats"]
+        files = {func[0] for func in pstats.Stats(str(out)).stats}
+        for module in ("motivation.py", "dynamic.py", "timeline.py"):
+            assert any(f.endswith(module) for f in files), module

@@ -1,8 +1,23 @@
 """Unit tests for the experiment runner utilities."""
 
+import os
+import signal
+import sys
+import threading
+import time
+from unittest import mock
+
+import pytest
+
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.experiments.runner import ExperimentResult, OccupancySampler
+from repro.experiments import runner
+from repro.experiments.runner import (
+    ExperimentResult,
+    OccupancySampler,
+    iter_cells,
+    run_cells,
+)
 
 
 class TestOccupancySampler:
@@ -74,3 +89,202 @@ class TestExperimentResultEdgeCases:
         text = result.summary(plots=True)
         assert "modeA (MB over time)" in text
         assert "modeB (MB over time)" in text
+
+
+# ----------------------------------------------------------------------
+# The cell pool
+# ----------------------------------------------------------------------
+
+def _fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def four_cpus():
+    """The pool's answers must not depend on the box: pretend to four
+    CPUs (workers then share whatever cores there are).  A thread some
+    earlier test leaked would silently keep the pool in-process."""
+    assert threading.active_count() == 1, threading.enumerate()
+    with mock.patch.object(runner, "_cpu_count", return_value=4):
+        yield
+
+
+def _slow_then_fast(delay, label):
+    time.sleep(delay)
+    return label, os.getpid()
+
+
+def _cell(parent, action):
+    """One misbehaving (or idle) cell; ``parent`` guards the fatal
+    actions so a pool that failed to fork cannot take pytest down."""
+    if action == "raise":
+        raise ValueError("boom in the cell")
+    if os.getpid() == parent:
+        return "in-process"
+    if action == "exit":
+        os._exit(3)
+    if action == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action == "hang":
+        time.sleep(60)
+    return action
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+class TestCellPoolForked:
+    def test_results_in_cell_order_when_later_cells_finish_first(self, four_cpus):
+        cells = [(0.4, "a"), (0.2, "b"), (0.0, "c"), (0.0, "d"), (0.1, "e")]
+        fds = _fd_count()
+        out = run_cells(_slow_then_fast, cells)
+        assert [label for label, _ in out] == ["a", "b", "c", "d", "e"]
+        pids = {pid for _, pid in out}
+        assert len(pids) == len(cells) and os.getpid() not in pids
+        assert _fd_count() == fds
+        _no_children()
+
+    def test_iter_cells_yields_each_prefix_as_it_completes(self, four_cpus):
+        started = time.monotonic()
+        stream = iter_cells(_slow_then_fast, [(0.0, "a"), (1.0, "b")])
+        assert next(stream)[0] == "a"
+        assert time.monotonic() - started < 0.9
+        assert next(stream)[0] == "b"
+        assert list(stream) == []
+        _no_children()
+
+    def test_budget_caps_live_workers(self, four_cpus):
+        # Two workers, four 0.2 s cells: two rounds, so at least 0.4 s.
+        started = time.monotonic()
+        run_cells(_slow_then_fast, [(0.2, i) for i in range(4)], jobs=2)
+        assert time.monotonic() - started >= 0.4
+
+    def test_raising_cell_reraises_with_the_workers_traceback(self, four_cpus):
+        parent = os.getpid()
+        cells = [(parent, "hang"), (parent, "raise"), (parent, "hang")]
+        fds = _fd_count()
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="boom in the cell") as caught:
+            run_cells(_cell, cells)
+        assert time.monotonic() - started < 30  # the hung workers were killed
+        cause = str(caught.value.__cause__)
+        assert "Traceback" in cause and "in _cell" in cause
+        assert _fd_count() == fds
+        _no_children()
+
+    @pytest.mark.parametrize("action, how", [("exit", "exit code 3"),
+                                             ("kill", "signal 9")])
+    def test_worker_dying_without_a_result_names_the_cell(self, four_cpus,
+                                                          action, how):
+        parent = os.getpid()
+        fds = _fd_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_cells(_cell, [(parent, "fine"), (parent, action),
+                              (parent, "hang")])
+        message = str(caught.value)
+        assert "cell 1" in message and repr(action) in message
+        assert how in message
+        assert _fd_count() == fds
+        _no_children()
+
+    def test_unpicklable_exception_still_reports(self, four_cpus):
+        class Local(Exception):  # a local class does not unpickle
+            pass
+
+        def fn(index):
+            if index:
+                raise Local("only its text survives")
+            return index
+
+        with pytest.raises(RuntimeError, match="Local: only its text"):
+            run_cells(fn, [(0,), (1,)])
+        _no_children()
+
+    def test_closing_the_iterator_early_reaps_the_workers(self, four_cpus):
+        parent = os.getpid()
+        stream = iter_cells(_cell, [(parent, "fine"), (parent, "hang")])
+        assert next(stream) == "fine"
+        stream.close()
+        _no_children()
+
+
+class TestCellPoolInProcess:
+    """Every reason to stay in this process: ``fn`` sees the parent's pid
+    (and the results are those of the plain loop)."""
+
+    CELLS = [(0.0, "a"), (0.0, "b"), (0.0, "c")]
+
+    def _assert_in_process(self, **kwargs):
+        out = run_cells(_slow_then_fast, self.CELLS, **kwargs)
+        assert out == [(label, os.getpid()) for _, label in self.CELLS]
+
+    def test_one_cell_or_a_budget_of_one(self, four_cpus):
+        self._assert_in_process(jobs=1)
+        assert run_cells(_slow_then_fast, [(0.0, "a")]) == [("a", os.getpid())]
+        assert run_cells(_slow_then_fast, []) == []
+
+    def test_under_cprofile(self, four_cpus):
+        # 3.12+ registers cProfile with sys.monitoring, older
+        # interpreters with sys.setprofile: both must be seen.
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            self._assert_in_process()
+        finally:
+            profiler.disable()
+
+    def test_under_settrace(self, four_cpus):
+        saved = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            self._assert_in_process()
+        finally:
+            sys.settrace(saved)
+
+    @pytest.mark.skipif(not hasattr(sys, "monitoring"),
+                        reason="sys.monitoring is 3.12+")
+    def test_under_a_monitoring_tool(self, four_cpus):
+        sys.monitoring.use_tool_id(3, "test_runner")
+        try:
+            self._assert_in_process()
+        finally:
+            sys.monitoring.free_tool_id(3)
+
+    def test_with_a_tracer_installed(self, four_cpus):
+        from repro.obs import Tracer, set_tracer
+
+        set_tracer(Tracer())
+        try:
+            self._assert_in_process()
+        finally:
+            set_tracer(None)
+
+    def test_with_a_second_thread_alive(self, four_cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self._assert_in_process()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs sched_setaffinity")
+    def test_with_affinity_narrowed_to_one_cpu(self):
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            self._assert_in_process()
+        finally:
+            os.sched_setaffinity(0, allowed)
+
+    def test_without_os_fork(self, four_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        self._assert_in_process()
