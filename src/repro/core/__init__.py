@@ -31,7 +31,6 @@ _EXPORTS = {
     "make_admission": "..endurance",
     "set_default_admission": "..endurance",
     "BlockKey": ".pools",
-    "BlockTable": ".radix",
     "CachePolicy": ".config",
     "InvariantViolation": ".audit",
     "assert_consistent": ".audit",

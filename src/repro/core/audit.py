@@ -6,9 +6,9 @@ drift mechanically instead of by luck:
 
 * :func:`check_cache` / :func:`assert_consistent` — recompute ground
   truth from first principles (pool FIFO lengths vs ``pool.used`` vs
-  the file index vs the block-slab ``kind`` plane vs ``manager.used``
-  vs memory units / dedup refcounts vs backend occupancy vs freshly
-  recomputed entitlements) and report every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
+  the file index vs ``manager.used`` vs memory units / dedup refcounts
+  vs backend occupancy vs freshly recomputed entitlements) and report
+  every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
   and both baselines; side-effect free, so it can run mid-simulation.
 * :func:`start_periodic_audit` — a simulation process that re-audits a
   cache every N simulated seconds.  Wired up automatically by
@@ -38,8 +38,6 @@ from typing import Dict, List, Tuple
 
 from .config import StoreKind
 from .policy import recompute_entitlements
-from .pools import CODE_OF as _CODE_OF
-from .pools import KIND_OF as _CODE_KINDS
 from .pools import BlockKey
 
 __all__ = [
@@ -132,7 +130,7 @@ def check_host(host) -> List[str]:
     Checks (duck-typed so :mod:`repro.core` needs no hypervisor import):
 
     * the hypervisor cache knows exactly the host's live VMs — a
-      destroyed VM's registration (pools, FIFO slabs, dedup charges)
+      destroyed VM's registration (pools, FIFOs, dedup charges)
       must be gone, a live one's must exist;
     * every cached per-VM RNG stream belongs to a live VM — the
       ``vm.<name>.reclaim`` entry is dropped with the VM;
@@ -193,55 +191,24 @@ def assert_host_clean(host, where: str = "") -> None:
 
 
 def _check_pool_structures(pool, violations: List[str]) -> Dict[BlockKey, StoreKind]:
-    """Pool-internal coherence: file index vs block slab vs FIFOs vs
-    ``pool.used``.
+    """Pool-internal coherence: file index vs FIFOs vs ``pool.used``.
 
-    The pool's per-file dicts hold integer handles into the flat
-    :class:`~repro.core.radix.BlockTable`; every handle must be in range,
-    point at a live slot, and agree with the slot's recorded identity.
-    FIFO walks are bounded by the slab size (via ``fifo_handles``), so a
-    tampered link cycle shows up as a length mismatch instead of hanging
-    the auditor.
+    Together these checks prove that the index and the FIFOs describe one
+    block set.  Every FIFO key must be indexed under the FIFO's own store,
+    so no key sits in both FIFOs and each maps into the index; an
+    ``OrderedDict`` cannot hold a key twice; and the FIFO totals must
+    equal both the index size and ``pool.used``, so nothing is indexed
+    without being queued.
 
     Returns the pool's index contents so callers can cross-check further.
     """
     label = f"pool {pool.pool_id} ({pool.name!r})"
-    table = pool.table
-    slots = len(table.kind)
     index: Dict[BlockKey, StoreKind] = {}
-    seen_handles: Dict[int, BlockKey] = {}
     for inode, tree in pool.files.items():
         if not tree:
             violations.append(f"{label}: empty block index left behind for inode {inode}")
-        for block, handle in tree.items():
-            key = (inode, block)
-            if not 0 <= handle < slots:
-                violations.append(
-                    f"{label}: index entry {key} holds out-of-range "
-                    f"handle {handle} (slab has {slots} slots)"
-                )
-                continue
-            code = table.kind[handle]
-            if code == 0 or code >= len(_CODE_KINDS):
-                violations.append(
-                    f"{label}: index entry {key} points at slot {handle} "
-                    f"with store code {code} (free or unknown)"
-                )
-                continue
-            if table.inode[handle] != inode or table.block[handle] != block:
-                violations.append(
-                    f"{label}: slab slot {handle} records identity "
-                    f"({table.inode[handle]}, {table.block[handle]}) but "
-                    f"the index filed it under {key}"
-                )
-            other = seen_handles.get(handle)
-            if other is not None:
-                violations.append(
-                    f"{label}: handle {handle} indexed twice "
-                    f"({other} and {key})"
-                )
-            seen_handles[handle] = key
-            index[key] = _CODE_KINDS[code]
+        for block, kind in tree.items():
+            index[(inode, block)] = kind
     for kind in _KINDS:
         fifo = pool.fifos[kind]
         if len(fifo) != pool.used[kind]:
@@ -264,17 +231,6 @@ def _check_pool_structures(pool, violations: List[str]) -> Dict[BlockKey, StoreK
             f"{label}: block index holds {len(index)} blocks but the FIFOs "
             f"hold {fifo_total}"
         )
-    # Independent third record: sweep the slab's kind plane and compare
-    # per-store occupancy against the pool's usage counters.
-    occupancy = table.occupancy()
-    for kind in _KINDS:
-        code = _CODE_OF[kind]
-        counted = occupancy[code] if code < len(occupancy) else 0
-        if counted != pool.used[kind]:
-            violations.append(
-                f"{label}: slab sweep counts {counted} live {kind} slots "
-                f"but pool.used[{kind}] is {pool.used[kind]}"
-            )
     return index
 
 

@@ -303,9 +303,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
             tracer.span_begin()
             t0 = self.env.now
         # Hot path: every guest page-cache miss funnels through here.  The
-        # whole batch is applied as one index sweep over the pool's flat
-        # block table; only memory hits need per-key work afterwards (the
-        # dedup/compression accounting is inherently per block).
+        # pool drops the whole batch in one call; only memory hits need
+        # per-key work afterwards (the dedup/compression accounting is
+        # inherently per block).
         stats = pool.stats
         stats.gets += len(keys)
         mem_keys, ssd_keys = pool.remove_many(keys)
@@ -543,9 +543,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         target = self._require_pool(vm_id, to_pool)
         if from_pool == to_pool:
             return 0
-        # Ascending block order (as the old radix index reported): the
-        # target-FIFO insertion order feeds future evictions, so it is
-        # part of the deterministic contract.
+        # Ascending block order: the target-FIFO insertion order feeds
+        # future evictions, so it is part of the deterministic contract.
         items = source.items_of_inode(inode)
         if not items:
             return 0
@@ -761,24 +760,21 @@ class DoubleDeckerCache(HypervisorCacheBase):
         self.engine.recompute()
 
     def _admission_name(self, policy: CachePolicy) -> str:
-        """The admission-policy name ``policy`` resolves to (per-pool
-        override, then config default, then the process-wide default)."""
+        """The admission-policy name ``policy`` resolves to: per-pool
+        ``CachePolicy.admission``, then ``DDConfig.admission``, then the
+        process-wide default (the CLI ``--admission`` flag)."""
         return policy.admission or self.config.admission or default_admission()
 
     def _build_admission(self, policy: CachePolicy):
-        """Resolve and build a pool's SSD admission controller.
-
-        Precedence: per-pool ``CachePolicy.admission``, then
-        ``DDConfig.admission``, then the process-wide default (the CLI
-        ``--admission`` flag).  Without an SSD store there is nothing to
+        """Resolve (:meth:`_admission_name`) and build a pool's SSD
+        admission controller.  Without an SSD store there is nothing to
         protect, so no controller is built and the hook stays a strict
         no-op.
         """
         if self.ssd_backend is None:
             return None
-        name = policy.admission or self.config.admission or default_admission()
         return make_admission(
-            name,
+            self._admission_name(policy),
             block_bytes=self.block_bytes,
             ssd_capacity_blocks=self.capacities[StoreKind.SSD],
             ghost_mb=self.config.admission_ghost_mb,

@@ -1,24 +1,22 @@
 """Cache pools: the per-container object namespaces of the hypervisor cache.
 
 Each application container gets a *pool* (created via the ``CREATE_CGROUP``
-event).  A pool indexes its cached blocks with a per-file hash table of
-``{block -> handle}`` dicts; all per-block state — identity, store, FIFO
-links — lives in a flat :class:`~repro.core.radix.BlockTable` slab shared
-by the whole pool, so the data path never allocates per-block objects.
-One intrusive FIFO per store backend is the eviction order (FIFO is the
+event).  A pool indexes its cached blocks per file (``inode -> {block ->
+store}``) and keeps one FIFO per store backend, an ``OrderedDict`` of
+``(inode, block)`` keys, as the eviction order (FIFO is the
 LRU-equivalent for an exclusive cache: a hit removes the block, so
 residence order is insertion order).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .config import CachePolicy, StoreKind
-from .radix import BlockTable
 from .stats import PoolStats
 
-__all__ = ["Pool", "VMEntry", "BlockKey", "CODE_OF", "KIND_OF"]
+__all__ = ["Pool", "VMEntry", "BlockKey"]
 
 #: A cached object's identity within a pool: (inode number, block offset).
 BlockKey = Tuple[int, int]
@@ -26,68 +24,24 @@ BlockKey = Tuple[int, int]
 _MEMORY = StoreKind.MEMORY
 _SSD = StoreKind.SSD
 
-#: Slab store codes (0 is the slab's free-slot marker).
-CODE_OF: Dict[StoreKind, int] = {_MEMORY: 1, _SSD: 2}
-#: Inverse mapping, indexable by code.
-KIND_OF: Tuple[Optional[StoreKind], ...] = (None, _MEMORY, _SSD)
-
-_CODE_MEMORY = 1
-_CODE_SSD = 2
-
-
-class _FifoView:
-    """Read-only view of one store's FIFO, oldest first.
-
-    Iteration and length walk the slab's intrusive list, so the view is
-    always live.  Only audit/diagnostic paths use it — the data path
-    works on the slab directly.
-    """
-
-    __slots__ = ("_table", "_code")
-
-    def __init__(self, table: BlockTable, code: int) -> None:
-        self._table = table
-        self._code = code
-
-    def __iter__(self) -> Iterator[BlockKey]:
-        return self._table.fifo_keys(self._code)
-
-    def __len__(self) -> int:
-        n = 0
-        for _ in self._table.fifo_handles(self._code):
-            n += 1
-        return n
-
-    def __bool__(self) -> bool:
-        return self._table.heads[self._code] >= 0
-
-    def __contains__(self, key: BlockKey) -> bool:
-        for candidate in self:
-            if candidate == key:
-                return True
-        return False
-
 
 class Pool:
     """One container's slice of the hypervisor cache."""
 
-    __slots__ = ("pool_id", "vm_id", "name", "policy", "files", "table",
-                 "fifos", "used", "entitlement", "stats", "active",
-                 "admission")
+    __slots__ = ("pool_id", "vm_id", "name", "policy", "files", "fifos",
+                 "used", "entitlement", "stats", "active", "admission")
 
     def __init__(self, pool_id: int, vm_id: int, name: str, policy: CachePolicy) -> None:
         self.pool_id = pool_id
         self.vm_id = vm_id
         self.name = name
         self.policy = policy
-        #: inode -> {block offset -> slab handle}
-        self.files: Dict[int, Dict[int, int]] = {}
-        #: Flat per-block state (identity, store code, FIFO links).
-        self.table = BlockTable()
-        #: StoreKind -> live FIFO view (insertion-ordered keys).
-        self.fifos: Dict[StoreKind, _FifoView] = {
-            _MEMORY: _FifoView(self.table, _CODE_MEMORY),
-            _SSD: _FifoView(self.table, _CODE_SSD),
+        #: inode -> {block offset -> store holding it}
+        self.files: Dict[int, Dict[int, StoreKind]] = {}
+        #: StoreKind -> its cached keys, oldest first (the eviction order)
+        self.fifos: Dict[StoreKind, "OrderedDict[BlockKey, None]"] = {
+            _MEMORY: OrderedDict(),
+            _SSD: OrderedDict(),
         }
         #: StoreKind -> blocks currently cached
         self.used: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
@@ -106,10 +60,7 @@ class Pool:
         tree = self.files.get(inode)
         if tree is None:
             return None
-        handle = tree.get(block)
-        if handle is None:
-            return None
-        return KIND_OF[self.table.kind[handle]]
+        return tree.get(block)
 
     def __len__(self) -> int:
         return self.used[_MEMORY] + self.used[_SSD]
@@ -117,27 +68,23 @@ class Pool:
     # -- mutation -----------------------------------------------------------------
 
     def insert(self, inode: int, block: int, kind: StoreKind) -> None:
-        """Add a block to store ``kind`` (caller enforces capacity).
+        """Add a block to the tail of store ``kind``'s FIFO (caller
+        enforces capacity).
 
-        Replacing an existing copy re-queues it at the tail of ``kind``'s
-        FIFO (the block is the youngest resident again), matching the
+        Replacing an existing copy moves it from its old store's FIFO to
+        that tail (the block is the youngest resident again), matching the
         drop-then-reinsert the paper's put path performs.
         """
-        files = self.files
-        tree = files.get(inode)
+        tree = self.files.get(inode)
         if tree is None:
-            tree = {}
-            files[inode] = tree
-        code = _CODE_MEMORY if kind is _MEMORY else _CODE_SSD
-        table = self.table
-        handle = tree.get(block)
-        if handle is not None:
-            previous = table.requeue(handle, code)
-            if previous != code:
-                self.used[KIND_OF[previous]] -= 1
-                self.used[kind] += 1
-            return
-        tree[block] = table.alloc(inode, block, code)
+            tree = self.files[inode] = {}
+        key = (inode, block)
+        previous = tree.get(block)
+        if previous is not None:
+            del self.fifos[previous][key]
+            self.used[previous] -= 1
+        tree[block] = kind
+        self.fifos[kind][key] = None
         self.used[kind] += 1
 
     def remove(self, inode: int, block: int) -> Optional[StoreKind]:
@@ -148,74 +95,33 @@ class Pool:
         """:meth:`remove` taking the ``(inode, block)`` tuple directly.
 
         The data path iterates over key tuples; accepting them as-is
-        avoids a rebuild of the same tuple for the index deletion.
+        avoids a rebuild of the same tuple for the FIFO deletion.
         """
         inode = key[0]
         tree = self.files.get(inode)
         if tree is None:
             return None
-        handle = tree.pop(key[1], None)
-        if handle is None:
+        kind = tree.pop(key[1], None)
+        if kind is None:
             return None
         if not tree:
             del self.files[inode]
-        kind = KIND_OF[self.table.release(handle)]
+        del self.fifos[kind][key]
         self.used[kind] -= 1
         return kind
 
     def remove_many(self, keys) -> Tuple[List[BlockKey], List[BlockKey]]:
-        """Batch removal sweep: drop every present key in one pass.
-
-        Returns ``(memory_hits, ssd_hits)`` in request order.  The slab
-        arrays are bound to locals and the unlink/free writes are inlined,
-        so a guest batch costs two dict operations plus a handful of
-        array stores per present key — no per-key method dispatch.
-        """
-        # Fused BlockTable.release: per-key calls cost ~2.5% of sim_filebench (0/6 A/B pairs).
-        files = self.files
-        table = self.table
-        kind_arr = table.kind
-        prev_arr = table.prev
-        next_arr = table.next
-        heads = table.heads
-        tails = table.tails
-        free_head = table.free_head
+        """Drop every present key; returns ``(memory_hits, ssd_hits)`` in
+        request order."""
         mem_hits: List[BlockKey] = []
         ssd_hits: List[BlockKey] = []
-        mem_append = mem_hits.append
-        ssd_append = ssd_hits.append
+        remove = self.remove_key
         for key in keys:
-            tree = files.get(key[0])
-            if tree is None:
-                continue
-            handle = tree.pop(key[1], None)
-            if handle is None:
-                continue
-            if not tree:
-                del files[key[0]]
-            code = kind_arr[handle]
-            p = prev_arr[handle]
-            n = next_arr[handle]
-            if p < 0:
-                heads[code] = n
-            else:
-                next_arr[p] = n
-            if n < 0:
-                tails[code] = p
-            else:
-                prev_arr[n] = p
-            kind_arr[handle] = 0
-            next_arr[handle] = free_head
-            free_head = handle
-            if code == _CODE_MEMORY:
-                mem_append(key)
-            else:
-                ssd_append(key)
-        table.free_head = free_head
-        if mem_hits:
-            self.used[_MEMORY] -= len(mem_hits)
-        if ssd_hits:
-            self.used[_SSD] -= len(ssd_hits)
+            kind = remove(key)
+            if kind is _MEMORY:
+                mem_hits.append(key)
+            elif kind is _SSD:
+                ssd_hits.append(key)
         return mem_hits, ssd_hits
 
     def remove_inode(self, inode: int) -> Dict[StoreKind, int]:
@@ -224,34 +130,33 @@ class Pool:
         dropped = {_MEMORY: 0, _SSD: 0}
         if tree is None:
             return dropped
-        table = self.table
-        for handle in tree.values():
-            dropped[KIND_OF[table.release(handle)]] += 1
+        for block, kind in tree.items():
+            del self.fifos[kind][(inode, block)]
+            dropped[kind] += 1
         for kind, count in dropped.items():
             self.used[kind] -= count
         return dropped
 
     def pop_oldest(self, kind: StoreKind) -> Optional[BlockKey]:
         """Evict the FIFO head of store ``kind``; returns its key."""
-        table = self.table
-        handle = table.pop_head(_CODE_MEMORY if kind is _MEMORY else _CODE_SSD)
-        if handle < 0:
+        fifo = self.fifos[kind]
+        if not fifo:
             return None
-        inode = table.inode[handle]
-        block = table.block[handle]
+        key = fifo.popitem(last=False)[0]
+        inode = key[0]
         tree = self.files[inode]
-        del tree[block]
+        del tree[key[1]]
         if not tree:
             del self.files[inode]
         self.used[kind] -= 1
-        return (inode, block)
+        return key
 
     def drain(self) -> Dict[StoreKind, int]:
         """Remove everything (pool destruction); returns per-store counts."""
-        counts = {kind: self.used[kind] for kind in self.used}
+        counts = dict(self.used)
         self.files.clear()
-        self.table.reset()
         for kind in self.used:
+            self.fifos[kind].clear()
             self.used[kind] = 0
         return counts
 
@@ -265,26 +170,14 @@ class Pool:
 
     def items_of_inode(self, inode: int) -> List[Tuple[int, StoreKind]]:
         """``(block, kind)`` pairs of one file in ascending block order
-        (the order the paper's radix tree reports, which
-        ``migrate_objects`` depends on)."""
-        tree = self.files.get(inode)
-        if tree is None:
-            return []
-        kind_arr = self.table.kind
-        return [
-            (block, KIND_OF[kind_arr[handle]])
-            for block, handle in sorted(tree.items())
-        ]
+        (``migrate_objects`` depends on it)."""
+        return sorted(self.files.get(inode, {}).items())
 
     def mem_blocks_of_inode(self, inode: int) -> List[int]:
         """Block offsets of one file currently in the memory store."""
-        tree = self.files.get(inode)
-        if tree is None:
-            return []
-        kind_arr = self.table.kind
         return [
-            block for block, handle in tree.items()
-            if kind_arr[handle] == _CODE_MEMORY
+            block for block, kind in self.files.get(inode, {}).items()
+            if kind is _MEMORY
         ]
 
     # -- snapshot ----------------------------------------------------------------

@@ -17,7 +17,7 @@ clients address whole values, so each tenant keeps **one record per
 entry** in an insertion-ordered FIFO keyed by entry id (ids only grow,
 so insertion order is id order is eviction order) and tells its pool
 only the block count (``pool.used[SSD]``) — the quantity Algorithm 1
-reads.  ``Pool.files`` and its block table stay empty here.  Eviction
+reads.  ``Pool.files`` and ``Pool.fifos`` stay empty here.  Eviction
 pops the FIFO head and retires the *whole* entry — partial values are
 useless to a memcached client.  One Algorithm-1 round frees *at most*
 an eviction batch worth of blocks and stops as soon as the request

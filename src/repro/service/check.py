@@ -8,9 +8,9 @@ that are supposed to agree —
 * the index: every tenant's FIFO holds one record per entry in id
   order, and ``_ids`` is its inverse, key for key;
 * the policy side: ``pool.used[SSD]`` is the block sum of the tenant's
-  records (the pool is told counts, never blocks: ``pool.files`` and
-  its memory store stay empty), and ``used_blocks`` is the sum over
-  tenants and stays within capacity;
+  records (the pool is told counts, never blocks: ``pool.files``,
+  ``pool.fifos`` and its memory store stay empty), and ``used_blocks``
+  is the sum over tenants and stays within capacity;
 * the disk side, read straight from ``log/*.seg`` and ``data.slab``
   with a frame parser of its own (:func:`read_journal`) rather than
   through :class:`~repro.service.store.DiskStore` methods: one live

@@ -2,7 +2,7 @@
 
 :class:`ReferenceCache` / :class:`ReferenceGlobalCache` /
 :class:`ReferenceStaticCache` re-implement DoubleDecker and the two
-baselines with plain dicts and lists — no slab, no hoisted hot loops, no
+baselines with plain dicts and lists — no hoisted hot loops, no
 timing.  The differential suite in ``tests/test_audit.py`` drives the
 production cache and its reference with the same op stream and requires
 *identical* results, occupancy, FIFO order, and counters.  They are test

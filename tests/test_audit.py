@@ -681,10 +681,25 @@ class TestAuditor:
 
     def test_fifo_index_divergence_is_caught(self):
         _, cache, _, pool = self.populated()
-        # Drop a key from the file index but not the slab FIFO.
+        # Drop a key from the file index but not the FIFO.
         tree = cache._pools[pool].files[1]
         del tree[0]
         assert any("FIFO key" in v or "index" in v for v in check_cache(cache))
+
+    def test_key_queued_on_the_wrong_store_is_caught(self):
+        _, cache, _, pool = self.populated()
+        p = cache._pools[pool]
+        # Move (1, 0) to the SSD FIFO, counters along, index untouched:
+        # every length and total still agrees.
+        del p.fifos[MEMORY][(1, 0)]
+        p.fifos[SSD_KIND][(1, 0)] = None
+        p.used[MEMORY] -= 1
+        p.used[SSD_KIND] += 1
+        cache.used[MEMORY] -= 1
+        cache.used[SSD_KIND] += 1
+        violations = check_cache(cache)
+        assert any("FIFO key (1, 0) in the ssd queue but the block index "
+                   "says memory" in v for v in violations), violations
 
     def test_mem_units_drift_is_caught(self):
         _, cache, _, _ = self.populated()

@@ -93,7 +93,7 @@ class TestPool:
         assert list(pool.iter_keys(StoreKind.MEMORY)) == [(1, 5), (1, 2)]
 
     def test_batch_sweep_equivalent_to_per_key(self):
-        """``remove_many`` (fused sweep) agrees with a ``remove_key`` loop
+        """``remove_many`` agrees with a ``remove_key`` loop
         on a request stream with repeats and absent keys."""
         rng = random.Random(7)
         keys = [(rng.randrange(64), rng.randrange(4096)) for _ in range(2000)]
@@ -106,23 +106,19 @@ class TestPool:
         assert mem_keys == removed
         assert ssd_keys == []
         assert len(a) == len(b) == 0
-        assert a.table.free_head == b.table.free_head
 
-    def test_interleaved_mutations_reuse_slots_and_keep_fifo_order(self):
+    def test_interleaved_mutations_keep_fifo_order(self):
         """insert / remove_key / remove_many / pop_oldest all share one
-        free-list and one FIFO: the slab never grows past the high-water
-        mark of live blocks, and residence order stays insertion order."""
+        FIFO: residence order stays insertion order."""
         pool = make_pool()
         rng = random.Random(11)
         model = []  # live keys, oldest first
-        high_water = 0
         next_block = 0
         for _ in range(200):
             for _ in range(rng.randrange(1, 9)):
                 pool.insert(next_block % 5, next_block, StoreKind.MEMORY)
                 model.append((next_block % 5, next_block))
                 next_block += 1
-            high_water = max(high_water, len(model))
             victim = model.pop(rng.randrange(len(model)))
             assert pool.remove_key(victim) is StoreKind.MEMORY
             batch = rng.sample(model, min(3, len(model)))
@@ -133,7 +129,78 @@ class TestPool:
                 assert pool.pop_oldest(StoreKind.MEMORY) == model.pop(0)
             assert list(pool.iter_keys(StoreKind.MEMORY)) == model
             assert len(pool) == len(model)
-            assert len(pool.table) <= high_water
+
+    def test_matches_brute_force_model_across_stores(self):
+        """Every mutation on MEMORY and SSD together, against two plain
+        lists: a re-insert (same or other store) lands at the new store's
+        tail, ``remove_many`` reports first occurrences in request order,
+        and the per-inode views follow."""
+        pool = make_pool(CachePolicy.hybrid(50, 50))
+        rng = random.Random(25)
+        kinds = (StoreKind.MEMORY, StoreKind.SSD)
+        fifo = {kind: [] for kind in kinds}  # oldest first
+        where = {}  # key -> store
+
+        def model_remove(key):
+            kind = where.pop(key, None)
+            if kind is not None:
+                fifo[kind].remove(key)
+            return kind
+
+        def random_key():
+            return (rng.randrange(6), rng.randrange(12))
+
+        for step in range(3000):
+            op = rng.random()
+            if op < 0.45:
+                key, kind = random_key(), rng.choice(kinds)
+                pool.insert(key[0], key[1], kind)
+                model_remove(key)
+                fifo[kind].append(key)
+                where[key] = kind
+            elif op < 0.6:
+                batch = [random_key() for _ in range(rng.randrange(1, 8))]
+                batch += rng.sample(batch, min(2, len(batch)))  # repeats
+                expected = {kind: [] for kind in kinds}
+                for key in batch:
+                    kind = model_remove(key)
+                    if kind is not None:
+                        expected[kind].append(key)
+                mem_keys, ssd_keys = pool.remove_many(batch)
+                assert mem_keys == expected[StoreKind.MEMORY], step
+                assert ssd_keys == expected[StoreKind.SSD], step
+            elif op < 0.75:
+                key = random_key()
+                assert pool.remove_key(key) is model_remove(key), step
+            elif op < 0.82:
+                inode = rng.randrange(6)
+                counts = {kind: 0 for kind in kinds}
+                for key in [key for key in where if key[0] == inode]:
+                    counts[model_remove(key)] += 1
+                assert pool.remove_inode(inode) == counts, step
+            elif op < 0.995:
+                kind = rng.choice(kinds)
+                expected_key = fifo[kind][0] if fifo[kind] else None
+                if expected_key is not None:
+                    model_remove(expected_key)
+                assert pool.pop_oldest(kind) == expected_key, step
+            else:
+                counts = {kind: len(fifo[kind]) for kind in kinds}
+                assert pool.drain() == counts, step
+                where.clear()
+                for kind in kinds:
+                    fifo[kind].clear()
+            for kind in kinds:
+                assert list(pool.fifos[kind]) == fifo[kind], step
+                assert pool.used[kind] == len(fifo[kind]), step
+            for inode in range(6):
+                blocks = sorted((key[1], kind) for key, kind in where.items()
+                                if key[0] == inode)
+                assert pool.items_of_inode(inode) == blocks, step
+                assert sorted(pool.mem_blocks_of_inode(inode)) == [
+                    block for block, kind in blocks if kind is StoreKind.MEMORY
+                ], step
+            assert sorted(pool.files) == sorted({key[0] for key in where}), step
 
 
 class TestVMEntry:

@@ -125,7 +125,7 @@ class TestPolicyControl:
 class TestDestroyVmResidue:
     """Regression (destroy_vm leak audit): a destroyed VM must leave zero
     host-side residue — cache registration, virtual-disk region, pool
-    FIFO slabs, dedup refcounts, and the per-VM RNG stream all retire."""
+    FIFOs, dedup refcounts, and the per-VM RNG stream all retire."""
 
     def test_create_destroy_churn_returns_to_baseline(self):
         from repro.core import assert_host_clean
