@@ -2,7 +2,8 @@
 
 CI's perf-smoke job runs this in check mode (no arguments).  It runs
 every experiment in ``repro.experiments.ALL_EXPERIMENTS`` once at
-``scale=0.02, seed=42`` and asserts the SHA-256 of the run's summary
+``scale=0.02, seed=42`` (``cooperative`` also at two more seeds) and
+asserts the SHA-256 of the run's summary
 table against the committed record in ``BENCH_core.json``.  Any drift
 in simulated results fails the job; this is the cross-machine
 complement to the sanitizer's same-process double run.  Wall time is
@@ -14,7 +15,11 @@ not gated here — ``python3 -m bench`` is the ruler for speed.
 * ``fleet_smoke`` — the ``fleet`` experiment with 2 hosts (sharded
   simulation, lending, live migration);
 * ``<experiment>_smoke`` — the other seven, on each constructor's span
-  override so the whole check stays under three minutes on two cores.
+  override so the whole check stays under three minutes on two cores;
+* ``cooperative_seed<N>_smoke`` — ``cooperative`` again at two more
+  seeds.  Same-instant events pop in scheduling (``eid``) order, so a
+  change that claims to schedule the same instants from fewer events is
+  pinned on more than one random stream.
 
 Re-record after an intentional behaviour change::
 
@@ -36,7 +41,8 @@ SEED = 42
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
-#: Record key -> (experiment name, constructor overrides).
+#: Record key -> (experiment name, constructor overrides; ``seed`` among
+#: them replaces :data:`SEED`).
 SMOKES = {
     "perf_smoke": ("caching_modes", {}),
     "fleet_smoke": ("fleet", {"hosts": 2}),
@@ -47,6 +53,12 @@ SMOKES = {
                               {"warmup_s": 40.0, "duration_s": 60.0}),
     "cooperative_smoke": ("cooperative",
                           {"warmup_s": 10.0, "duration_s": 20.0}),
+    "cooperative_seed7_smoke": ("cooperative",
+                                {"seed": 7, "warmup_s": 10.0,
+                                 "duration_s": 20.0}),
+    "cooperative_seed4001_smoke": ("cooperative",
+                                   {"seed": 4001, "warmup_s": 10.0,
+                                    "duration_s": 20.0}),
     "dynamic_containers_smoke": ("dynamic_containers", {"phase_s": 60.0}),
     "dynamic_vms_smoke": ("dynamic_vms", {"phase_s": 40.0}),
     "endurance_smoke": ("endurance", {"warmup_s": 30.0, "duration_s": 50.0}),
@@ -57,7 +69,8 @@ def run_smoke(key):
     """One smoke round; returns ``(elapsed_s, sha256)``."""
     name, overrides = SMOKES[key]
     started = time.perf_counter()
-    result = ALL_EXPERIMENTS[name](scale=SCALE, seed=SEED, **overrides).run()
+    params = {"scale": SCALE, "seed": SEED, **overrides}
+    result = ALL_EXPERIMENTS[name](**params).run()
     elapsed = time.perf_counter() - started
     summary = result.summary(plots=False)
     return elapsed, hashlib.sha256(summary.encode("utf-8")).hexdigest()
@@ -68,8 +81,8 @@ def record():
     data = {}
     for key, (name, overrides) in SMOKES.items():
         elapsed, digest = run_smoke(key)
-        data[key] = dict(experiment=name, scale=SCALE, seed=SEED,
-                         **overrides, fingerprint_sha256=digest)
+        data[key] = {"experiment": name, "scale": SCALE, "seed": SEED,
+                     **overrides, "fingerprint_sha256": digest}
         print(f"recorded {key}: {elapsed:.2f}s, fingerprint {digest[:16]}…")
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     return 0
@@ -113,7 +126,7 @@ def test_smoke_records_are_committed():
         golden = data[key]
         assert golden["experiment"] == name
         assert golden["scale"] == SCALE
-        assert golden["seed"] == SEED
+        assert golden["seed"] == overrides.get("seed", SEED)
         for option, value in overrides.items():
             assert golden[option] == value
         assert len(golden["fingerprint_sha256"]) == 64

@@ -168,8 +168,13 @@ class GuestOS:
     # ------------------------------------------------------------------
 
     def read_file(self, cgroup: Cgroup, file: File, start: int = 0,
-                  nblocks: Optional[int] = None):
-        """Read a block range through the page cache; returns IOResult."""
+                  nblocks: Optional[int] = None, then: float = 0.0):
+        """Read a block range through the page cache; returns IOResult.
+
+        ``then`` is the caller's next delay (its CPU cost), served before
+        returning.  An all-hit read folds it into the copy-cost timeout,
+        one event instead of two; ``result.latency`` excludes it.
+        """
         result = IOResult()
         env = self.env
         t0 = env._now
@@ -204,12 +209,21 @@ class GuestOS:
         stats.pc_hits += hits
         result.pc_hits = hits
         if hits:
-            yield env.timeout(self._copy_cost(hits))
+            cost = self._copy_cost(hits)
+            if not misses and self.readahead_blocks <= 0:
+                # The copy is this call's last wait: serve ``then`` in it,
+                # and keep ``then`` out of the latency.
+                yield env.timeout(cost, then=then)
+                result.latency = (t0 + cost) - t0
+                return result
+            yield env.timeout(cost)
         if self.readahead_blocks > 0:
             misses.extend(self._readahead_keys(file, start, nkeys))
         if misses:
             yield from self._fill_misses(cgroup, file, misses, result)
         result.latency = env._now - t0
+        if then:
+            yield env.timeout(then)
         return result
 
     def _readahead_keys(self, file: File, start: int, count: int) -> List[BlockKey]:
@@ -345,8 +359,13 @@ class GuestOS:
     # Anonymous memory
     # ------------------------------------------------------------------
 
-    def touch_anon(self, cgroup: Cgroup, pages: Sequence[int]):
-        """Access anonymous pages (fault-in / allocate as needed)."""
+    def touch_anon(self, cgroup: Cgroup, pages: Sequence[int],
+                   then: float = 0.0):
+        """Access anonymous pages (fault-in / allocate as needed).
+
+        ``then`` is the caller's next delay, served before returning; it
+        folds into the resident-touch timeout when one is the last wait.
+        """
         anon = cgroup.anon
         faults: List[int] = []
         fresh: List[int] = []
@@ -383,7 +402,10 @@ class GuestOS:
         # Resident touches cost a memory access each (negligible but nonzero).
         resident = len(pages) - len(faults) - len(fresh)
         if resident:
-            yield self.env.timeout(resident * self.mem_spec.touch_latency_us * 1e-6)
+            yield self.env.timeout(
+                resident * self.mem_spec.touch_latency_us * 1e-6, then=then)
+        elif then:
+            yield self.env.timeout(then)
         return len(faults)
 
     # ------------------------------------------------------------------

@@ -53,8 +53,9 @@ class Container:
     # wrapped generator pays one frame hop per delegation level, and
     # these run once per workload op.
 
-    def read(self, file: File, start: int = 0, nblocks: Optional[int] = None):
-        return self.vm.os.read_file(self.cgroup, file, start, nblocks)
+    def read(self, file: File, start: int = 0, nblocks: Optional[int] = None,
+             then: float = 0.0):
+        return self.vm.os.read_file(self.cgroup, file, start, nblocks, then)
 
     def write(self, file: File, start: int = 0, nblocks: Optional[int] = None,
               sync: bool = False):
@@ -69,8 +70,8 @@ class Container:
     def delete(self, file: File):
         return self.vm.os.delete_file(self.cgroup, file)
 
-    def touch_anon(self, pages):
-        return self.vm.os.touch_anon(self.cgroup, pages)
+    def touch_anon(self, pages, then: float = 0.0):
+        return self.vm.os.touch_anon(self.cgroup, pages, then)
 
     # -- policy control (the VM-level controller) ------------------------------
 

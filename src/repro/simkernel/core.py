@@ -57,9 +57,14 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None,
+                then: float = 0.0) -> Timeout:
+        """An event that fires ``delay`` seconds from now, plus ``then``.
+
+        ``timeout(a, then=b)`` fires at ``(now + a) + b``, bit for bit
+        the instant ``timeout(a)`` followed by ``timeout(b)`` reaches.
+        """
+        return Timeout(self, delay, value, then)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None

@@ -160,23 +160,34 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
+    """An event that triggers automatically after a fixed delay.
 
-    __slots__ = ("delay",)
+    ``then`` is a second delay served back to back with the first (see
+    :meth:`Environment.timeout <repro.simkernel.core.Environment.timeout>`).
+    """
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 then: float = 0.0) -> None:
         # The schedule/fire cycle of timeouts dominates most simulations,
         # so initialize the Event fields and enqueue directly instead of
-        # chaining through Event.__init__ and env.schedule.
+        # chaining through Event.__init__ and env.schedule.  ``then`` is
+        # tested before it is added: a float add allocates, and most
+        # timeouts have none.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
+        at = env._now + delay
+        if then:
+            if then < 0:
+                raise ValueError(f"negative delay {then}")
+            at += then
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
-        self.delay = delay
-        env._push((env._now + delay, _NORMAL, next(env._eid), self))
+        env._push((at, _NORMAL, next(env._eid), self))
 
 
 class ConditionEvent(Event):

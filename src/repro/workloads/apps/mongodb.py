@@ -64,13 +64,17 @@ class MongoWorkload(YCSBWorkload):
         return key // self._records_per_block
 
     def do_read(self, key: int):
-        yield from self.container.read(self._data, self._block_of(key), 1)
+        yield from self.container.read(self._data, self._block_of(key), 1,
+                                       self.cpu_s)
         return (int(self.record_kb * 1024), 0)
 
     def do_update(self, key: int):
         yield from self.container.write(self._data, self._block_of(key), 1)
+        # ``_since_journal`` is shared by the threads and is bumped right
+        # after the write, so the CPU cost cannot ride in that wait.
         self._since_journal += 1
         if self._since_journal >= self.journal_every:
             self._since_journal = 0
             yield from self.container.append(self._journal, 1, sync=True)
+        yield from self.spend_cpu()
         return (0, int(self.record_kb * 1024))

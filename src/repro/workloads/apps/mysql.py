@@ -71,16 +71,17 @@ class MySQLWorkload(YCSBWorkload):
     def _block_of(self, key: int) -> int:
         return key // self._records_per_block
 
-    def _pool_access(self, block: int):
+    def _pool_access(self, block: int, then: float = 0.0):
         """Touch the buffer-pool page for ``block``; miss reads the data file.
 
         The pool page is *anonymous* memory: if the cgroup swapped it out,
         the touch faults it back in (that is MySQL's pain under squeeze).
+        ``then`` is served in the access's last wait.
         """
         slot = self._pool.get(block)
         if slot is not None:
             self._pool.move_to_end(block)
-            yield from self.container.touch_anon([slot])
+            yield from self.container.touch_anon([slot], then)
             return False
         # Miss: find a slot (evicting the LRU mapping) and read the block.
         if self._free_slots:
@@ -89,18 +90,21 @@ class MySQLWorkload(YCSBWorkload):
             _, slot = self._pool.popitem(last=False)
         self._pool[block] = slot
         yield from self.container.touch_anon([slot])
-        yield from self.container.read(self._data, block, 1)
+        yield from self.container.read(self._data, block, 1, then)
         return True
 
     def do_read(self, key: int):
-        yield from self._pool_access(self._block_of(key))
+        yield from self._pool_access(self._block_of(key), self.cpu_s)
         return (int(self.record_kb * 1024), 0)
 
     def do_update(self, key: int):
         yield from self._pool_access(self._block_of(key))
+        # ``_uncommitted`` is shared by the threads and is bumped right
+        # after the access, so the CPU cost cannot ride in that wait.
         self._uncommitted += 1
         if self._uncommitted >= self.commit_every:
             self._uncommitted = 0
             # Commit: append to the redo log and fsync it (durability).
             yield from self.container.append(self._redo, 1, sync=True)
+        yield from self.spend_cpu()
         return (0, int(self.record_kb * 1024))

@@ -92,12 +92,12 @@ class TraceRecorder:
         orig_write = os_.write_file
         orig_anon = os_.touch_anon
 
-        def read_file(cgroup, file, start=0, nblocks=None):
+        def read_file(cgroup, file, start=0, nblocks=None, then=0.0):
             if cgroup.cgroup_id == cgroup_id:
                 count = nblocks if nblocks is not None else file.nblocks - start
                 records.append(TraceRecord(env.now, "r", file.inode, start,
                                            max(0, count)))
-            result = yield from orig_read(cgroup, file, start, nblocks)
+            result = yield from orig_read(cgroup, file, start, nblocks, then)
             return result
 
         def write_file(cgroup, file, start=0, nblocks=None, sync=False):
@@ -108,12 +108,12 @@ class TraceRecorder:
             result = yield from orig_write(cgroup, file, start, nblocks, sync)
             return result
 
-        def touch_anon(cgroup, pages):
+        def touch_anon(cgroup, pages, then=0.0):
             pages = list(pages)
             if cgroup.cgroup_id == cgroup_id:
                 for page in pages:
                     records.append(TraceRecord(env.now, "a", 0, page, 1))
-            result = yield from orig_anon(cgroup, pages)
+            result = yield from orig_anon(cgroup, pages, then)
             return result
 
         os_.read_file = read_file

@@ -20,7 +20,10 @@ class YCSBWorkload(Workload):
 
     Subclasses implement :meth:`do_read` / :meth:`do_update` (generators)
     over ``nrecords`` records; this class draws keys (Zipfian, YCSB's
-    default ``theta = 0.99``) and applies the read fraction.
+    default ``theta = 0.99``) and applies the read fraction.  Each op ends
+    with its CPU cost, :attr:`cpu_s`, which the app model serves itself:
+    folded into its last guest wait (``then=``) when nothing another
+    process can see runs after that wait, as a trailing timeout otherwise.
     """
 
     def __init__(
@@ -35,6 +38,8 @@ class YCSBWorkload(Workload):
         super().__init__(name, threads)
         if not (0.0 <= read_fraction <= 1.0):
             raise ValueError(f"read_fraction must be in [0,1], got {read_fraction}")
+        if cpu_us_per_op < 0:
+            raise ValueError(f"cpu_us_per_op must be >= 0, got {cpu_us_per_op}")
         self.nrecords = nrecords
         self.read_fraction = read_fraction
         self.zipf_theta = zipf_theta
@@ -42,6 +47,11 @@ class YCSBWorkload(Workload):
         self._zipf = None
         self.reads = 0
         self.updates = 0
+
+    @property
+    def cpu_s(self) -> float:
+        """One op's CPU cost in seconds."""
+        return self.cpu_us_per_op * 1e-6
 
     def start(self, container, streams) -> None:
         super().start(container, streams)
@@ -65,27 +75,45 @@ class YCSBWorkload(Workload):
         else:
             self.updates += 1
             stats = yield from self.do_update(key)
-        if self.cpu_us_per_op > 0:
-            yield self.env.timeout(self.cpu_us_per_op * 1e-6)
         return stats
+
+    def spend_cpu(self):
+        """Serve :attr:`cpu_s` as its own timeout (the unfolded sites)."""
+        if self.cpu_us_per_op > 0:
+            yield self.env.timeout(self.cpu_s)
 
     # -- to implement by app models ------------------------------------------
 
     def do_read(self, key: int):
+        """Read ``key``, then serve :attr:`cpu_s`."""
         raise NotImplementedError
         yield  # pragma: no cover
 
     def do_update(self, key: int):
+        """Update ``key``, then serve :attr:`cpu_s`."""
         raise NotImplementedError
         yield  # pragma: no cover
 
 
+_FNV_PRIME = 0x100000001B3
+_FNV_OFFSET = 0xCBF29CE484222325
+_MASK64 = (1 << 64) - 1
+#: ``_FNV_TAIL[k]``: what the 8 - k zero high bytes of a k-byte value do
+#: to the state (xor with zero is a no-op, leaving one multiply each).
+_FNV_TAIL = tuple(pow(_FNV_PRIME, 8 - k, 1 << 64) for k in range(9))
+
+
 def _fnv_scatter(value: int) -> int:
-    """64-bit FNV-1a of an int (YCSB's key-scattering hash)."""
-    prime = 0x100000001B3
-    state = 0xCBF29CE484222325
-    for _ in range(8):
-        state ^= value & 0xFF
-        state = (state * prime) % (1 << 64)
+    """64-bit FNV-1a over the 8 little-endian bytes of ``value`` in
+    ``[0, 2**64)`` (YCSB's key-scattering hash).
+
+    Only the bytes up to the highest non-zero one run the loop; the zero
+    bytes above them collapse into one multiply by ``_FNV_TAIL[k]``.
+    """
+    state = _FNV_OFFSET
+    k = 0
+    while value > 0:
+        state = ((state ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
         value >>= 8
-    return state
+        k += 1
+    return (state * _FNV_TAIL[k]) & _MASK64

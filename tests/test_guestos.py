@@ -5,6 +5,7 @@ exclusivity between page cache and hypervisor cache, cgroup limit
 enforcement, writeback ordering, swap behaviour.
 """
 
+import pytest
 
 from repro.context import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
@@ -45,6 +46,24 @@ class TestReadPath:
         result = run(ctx, c.read(f))
         assert result.pc_hits == 16
         assert result.disk_blocks == 0
+
+    def test_then_is_served_after_the_read_and_not_in_its_latency(self):
+        """``then`` on the hit (folded) and the miss (trailing) path."""
+        ctx, host, cache, vm, (c,) = build()
+        f = c.create_file(16)
+        for expect_disk in (16, 0):
+            start = ctx.now
+            result = run(ctx, c.read(f, then=0.25))
+            assert result.disk_blocks == expect_disk
+            assert ctx.now == pytest.approx(start + result.latency + 0.25,
+                                            rel=1e-12)
+            assert result.latency < 0.25
+        start = ctx.now
+        assert run(ctx, c.touch_anon([0, 1], then=0.25)) == 0  # fresh pages
+        assert ctx.now == start + 0.25
+        run(ctx, c.touch_anon([0, 1], then=0.25))  # resident: folded
+        touch = 2 * vm.os.mem_spec.touch_latency_us * 1e-6
+        assert ctx.now == (start + 0.25 + touch) + 0.25
 
     def test_partial_range_read(self):
         ctx, host, cache, vm, (c,) = build()

@@ -1,6 +1,8 @@
 """Unit tests for the simulation kernel's event primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkernel import (
     AllOf,
@@ -70,6 +72,33 @@ class TestTimeout:
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1)
+
+    def test_negative_then_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.timeout(1.0, then=-1e-6)
+        assert len(env._timeline) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
+           delay=st.floats(0, 1e3, allow_nan=False, allow_infinity=False),
+           then=st.floats(0, 1e3, allow_nan=False, allow_infinity=False))
+    def test_then_fires_where_two_chained_timeouts_do(self, start, delay, then):
+        """``timeout(a, then=b)`` is ``timeout(a)`` then ``timeout(b)``,
+        to the bit, from one queue entry."""
+        chained = Environment(start)
+
+        def chain():
+            yield chained.timeout(delay)
+            yield chained.timeout(then)
+
+        chained.run(until=chained.process(chain()))
+
+        folded = Environment(start)
+        timeout = folded.timeout(delay, then=then)
+        assert len(folded._timeline) == 1
+        folded.run(until=timeout)
+        assert folded.now == chained.now
 
     def test_timeout_fires_at_delay(self):
         env = Environment()

@@ -7,6 +7,7 @@ import pytest
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig
 from repro.workloads import (
+    RedisWorkload,
     TraceRecord,
     TraceRecorder,
     TraceReplayWorkload,
@@ -64,6 +65,27 @@ class TestTraceRecorder:
         ops = [r.op for r in recorder.records]
         assert ops == ["r", "s", "a", "a"]
         assert recorder.records[0].nblocks == 8
+
+        # A recorded Redis serves its CPU cost inside the wrapped touch
+        # (``then=``): each op still starts where the touch timeout and
+        # then the CPU timeout, chained, would have put it.
+        redis_box = vm.create_container("redis", 256, CachePolicy.none())
+        redis_recorder = TraceRecorder(redis_box)
+        redis_recorder.attach()
+        redis = RedisWorkload(nrecords=2_000, threads=1)
+        redis.start(redis_box, ctx.streams)
+        ctx.run(until=ctx.now + 0.05)
+        records = redis_recorder.records
+        assert len(records) > 100
+        assert recorder.records[4:] == []  # the first recorder saw none
+        touch = vm.os.mem_spec.touch_latency_us * 1e-6
+        seen = set()
+        for record, following in zip(records, records[1:]):
+            if record.block in seen:
+                assert following.time == (record.time + touch) + redis.cpu_s
+            else:
+                assert following.time == record.time + redis.cpu_s
+            seen.add(record.block)
 
     def test_only_target_container_recorded(self):
         ctx, host, vm, container = build()

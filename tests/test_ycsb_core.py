@@ -1,15 +1,41 @@
 """Tests for the YCSB core machinery (key scattering, mixes)."""
 
 import collections
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig
+from repro.simkernel import Timeline
 from repro.workloads import RedisWorkload
 from repro.workloads.ycsb.core import _fnv_scatter
 
 
+def _fnv_reference(value: int) -> int:
+    """64-bit FNV-1a over the 8 little-endian bytes, one round per byte."""
+    prime = 0x100000001B3
+    state = 0xCBF29CE484222325
+    for _ in range(8):
+        state ^= value & 0xFF
+        state = (state * prime) % (1 << 64)
+        value >>= 8
+    return state
+
+
 class TestFNVScatter:
+    @pytest.mark.parametrize("value", [0, 1, 255, 256, 2**32 - 1, 2**32,
+                                       2**63, 2**64 - 1])
+    def test_matches_reference_at_byte_edges(self, value):
+        assert _fnv_scatter(value) == _fnv_reference(value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_matches_reference(self, value):
+        assert _fnv_scatter(value) == _fnv_reference(value)
+
     def test_deterministic(self):
         assert _fnv_scatter(12345) == _fnv_scatter(12345)
 
@@ -25,24 +51,52 @@ class TestFNVScatter:
             assert 0 <= _fnv_scatter(rank) < 2**64
 
 
-class TestNextKey:
-    def _workload(self):
-        ctx = SimContext(seed=71)
-        host = ctx.create_host()
-        host.install_doubledecker(DDConfig(mem_capacity_mb=32))
-        vm = host.create_vm("vm1", memory_mb=512)
-        container = vm.create_container("c", 128, CachePolicy.none())
-        workload = RedisWorkload(nrecords=10_000, threads=1)
-        workload.start(container, ctx.streams)
-        return ctx, workload
+def _redis(nrecords=10_000):
+    ctx = SimContext(seed=71)
+    host = ctx.create_host()
+    host.install_doubledecker(DDConfig(mem_capacity_mb=32))
+    vm = host.create_vm("vm1", memory_mb=512)
+    container = vm.create_container("c", 128, CachePolicy.none())
+    workload = RedisWorkload(nrecords=nrecords, threads=1)
+    workload.start(container, ctx.streams)
+    return ctx, workload
 
+
+class TestCpuCost:
+    def test_negative_cpu_cost_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            RedisWorkload(nrecords=10, cpu_us_per_op=-1.0)
+
+    def test_resident_redis_op_is_one_event(self):
+        """An all-resident op serves its touch and its CPU cost in one
+        timeout, so the kernel pops exactly one event per op."""
+        ctx, workload = _redis()
+        ctx.run(until=1.0)  # every page faulted in long before this
+        assert workload.container.cgroup.swap_out_blocks == 0
+        pops = 0
+        pop = Timeline.pop
+
+        def counting_pop(timeline):
+            nonlocal pops
+            pops += 1
+            return pop(timeline)
+
+        ops = workload.counters.ops
+        with mock.patch.object(Timeline, "pop", counting_pop):
+            ctx.run(until=1.5)  # no flusher tick (every 5 s) in between
+        ops = workload.counters.ops - ops
+        assert ops > 1000
+        assert pops == ops + 1  # + the run's own stop event
+
+
+class TestNextKey:
     def test_keys_in_range(self):
-        ctx, workload = self._workload()
+        ctx, workload = _redis()
         for _ in range(2000):
             assert 0 <= workload.next_key() < 10_000
 
     def test_keys_are_skewed_but_scattered(self):
-        ctx, workload = self._workload()
+        ctx, workload = _redis()
         counts = collections.Counter(workload.next_key() for _ in range(20_000))
         top_keys = [key for key, _ in counts.most_common(20)]
         # Skew: the hottest key appears far above uniform frequency.
