@@ -8,23 +8,29 @@ module`` table and gets back the module-level ``__getattr__`` and
 ``__dir__`` that import a module when one of its names is first asked
 for, so ``from repro import SimContext`` and ``repro.core.Pool`` work
 as if the import had been made up front.
+
+The other direction holds too: ``repro.obs`` and ``repro.experiments``
+re-export the same way, so a simulation imports neither the live-service
+telemetry (asyncio, ssl) nor the experiments it does not run.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 __all__ = ["lazy_exports"]
 
 
-def lazy_exports(namespace: Dict[str, Any], exports: Dict[str, str]
+def lazy_exports(namespace: Dict[str, Any],
+                 exports: Dict[str, Union[str, Callable[[], Any]]]
                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
     """``(__getattr__, __dir__)`` for the package whose ``globals()`` is
     ``namespace``.  ``exports`` maps each public name to the module
     defining it, relative to the package (``".audit"``, ``"..endurance"``);
     a name that *is* that module (``"analysis": ".analysis"``) resolves
-    to the module itself."""
+    to the module itself, and a name mapped to a function resolves to
+    what that function builds."""
     package = namespace["__name__"]
 
     def __getattr__(name: str) -> Any:
@@ -32,9 +38,12 @@ def lazy_exports(namespace: Dict[str, Any], exports: Dict[str, str]
         if home is None:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
-        value = importlib.import_module(home, package)
-        if home.lstrip(".") != name:
-            value = getattr(value, name)
+        if callable(home):
+            value = home()
+        else:
+            value = importlib.import_module(home, package)
+            if home.lstrip(".") != name:
+                value = getattr(value, name)
         namespace[name] = value     # later lookups never come back here
         return value
 

@@ -7,43 +7,48 @@ ratios) and ``seed``; ``run()`` returns an
 prints the same rows/series the paper reports.
 """
 
-from .app_behavior import AppBehaviorExperiment
-from .caching_modes import CachingModesExperiment
-from .cooperative import CooperativeExperiment
-from .dynamic import DynamicContainersExperiment, DynamicVMsExperiment
-from .endurance import EnduranceExperiment
-from .fleet import FleetExperiment
-from .flexible import FlexiblePolicyExperiment
-from .motivation import MotivationExperiment
-from .runner import Experiment, ExperimentResult, OccupancySampler
-from .scenarios import Scenario, ScenarioResult
+from .._lazy import lazy_exports
 
-ALL_EXPERIMENTS = {
-    "motivation": MotivationExperiment,
-    "app_behavior": AppBehaviorExperiment,
-    "caching_modes": CachingModesExperiment,
-    "flexible_policy": FlexiblePolicyExperiment,
-    "cooperative": CooperativeExperiment,
-    "dynamic_containers": DynamicContainersExperiment,
-    "dynamic_vms": DynamicVMsExperiment,
-    "endurance": EnduranceExperiment,
-    "fleet": FleetExperiment,
+#: Experiment name -> class name, in ``--list`` order.
+_REGISTRY = {
+    "motivation": "MotivationExperiment",
+    "app_behavior": "AppBehaviorExperiment",
+    "caching_modes": "CachingModesExperiment",
+    "flexible_policy": "FlexiblePolicyExperiment",
+    "cooperative": "CooperativeExperiment",
+    "dynamic_containers": "DynamicContainersExperiment",
+    "dynamic_vms": "DynamicVMsExperiment",
+    "endurance": "EnduranceExperiment",
+    "fleet": "FleetExperiment",
 }
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "AppBehaviorExperiment",
-    "CachingModesExperiment",
-    "CooperativeExperiment",
-    "DynamicContainersExperiment",
-    "DynamicVMsExperiment",
-    "EnduranceExperiment",
-    "Experiment",
-    "ExperimentResult",
-    "FleetExperiment",
-    "FlexiblePolicyExperiment",
-    "MotivationExperiment",
-    "OccupancySampler",
-    "Scenario",
-    "ScenarioResult",
-]
+
+def _all_experiments():
+    """``ALL_EXPERIMENTS``: a plain dict, built on first access, that
+    callers may patch."""
+    return {name: __getattr__(cls) for name, cls in _REGISTRY.items()}
+
+
+#: Public name -> the module that defines it, imported on first use, so
+#: a simulation imports only the experiment it runs.
+_EXPORTS = {
+    "ALL_EXPERIMENTS": _all_experiments,
+    "AppBehaviorExperiment": ".app_behavior",
+    "CachingModesExperiment": ".caching_modes",
+    "CooperativeExperiment": ".cooperative",
+    "DynamicContainersExperiment": ".dynamic",
+    "DynamicVMsExperiment": ".dynamic",
+    "EnduranceExperiment": ".endurance",
+    "Experiment": ".runner",
+    "ExperimentResult": ".runner",
+    "FleetExperiment": ".fleet",
+    "FlexiblePolicyExperiment": ".flexible",
+    "MotivationExperiment": ".motivation",
+    "OccupancySampler": ".runner",
+    "Scenario": ".scenarios",
+    "ScenarioResult": ".scenarios",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

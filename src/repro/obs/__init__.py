@@ -8,13 +8,7 @@ batch op; enabled via the experiment CLI's ``--trace`` flag or
 :func:`set_tracer`.  Analyze traces with ``python -m repro.obs``.
 """
 
-from .export import (
-    events_to_perfetto,
-    parse_jsonl,
-    to_jsonl,
-    validate_trace,
-)
-from .live import OpsLogger, TelemetrySidecar, bind_store_probe
+from .._lazy import lazy_exports
 from .tracer import (
     LEDGER_FIELDS,
     QUANTILE_LABELS,
@@ -23,21 +17,23 @@ from .tracer import (
     set_tracer,
 )
 
-__all__ = [
-    "LEDGER_FIELDS",
-    "QUANTILE_LABELS",
-    "OpsLogger",
-    "TelemetrySidecar",
-    "Tracer",
-    "attach_latency_report",
-    "bind_store_probe",
-    "events_to_perfetto",
-    "ledger_violations",
-    "parse_jsonl",
-    "set_tracer",
-    "to_jsonl",
-    "validate_trace",
-]
+#: Public name -> the module that defines it, imported on first use: a
+#: simulation records through the tracer and needs neither the exporters
+#: nor the live-service telemetry (which pulls in asyncio and ssl).
+_EXPORTS = {
+    "events_to_perfetto": ".export",
+    "parse_jsonl": ".export",
+    "to_jsonl": ".export",
+    "validate_trace": ".export",
+    "OpsLogger": ".live",
+    "TelemetrySidecar": ".live",
+    "bind_store_probe": ".live",
+}
+
+__all__ = sorted([*_EXPORTS, "LEDGER_FIELDS", "QUANTILE_LABELS", "Tracer",
+                  "attach_latency_report", "ledger_violations", "set_tracer"])
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 def attach_latency_report(result, tracer: Tracer, per_pool: bool = False) -> None:

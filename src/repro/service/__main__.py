@@ -17,13 +17,7 @@ import time
 from pathlib import Path
 
 from ..endurance import ADMISSION_POLICIES
-from ..obs import (
-    OpsLogger,
-    TelemetrySidecar,
-    Tracer,
-    bind_store_probe,
-    to_jsonl,
-)
+from ..obs import OpsLogger, TelemetrySidecar, Tracer, bind_store_probe
 from .cache import ServiceCache
 from .protocol import MAX_VALUE_BYTES
 from .server import CacheServer
@@ -126,6 +120,8 @@ async def _run(args: argparse.Namespace, ops_stream=None) -> None:
                 protocol_errors=server.protocol.protocol_errors)
         await server.close()
         if tracer is not None:
+            from ..obs import to_jsonl
+
             Path(args.trace).write_text(to_jsonl(tracer))
 
 

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -209,6 +210,31 @@ class TestCellPoolForked:
         assert next(stream) == "fine"
         stream.close()
         _no_children()
+
+    def test_a_cell_imports_nothing_after_the_fork(self):
+        # A module first imported inside simulate() would be imported
+        # again by every forked cell, on its timed path.  A fresh
+        # interpreter, because this one has imported everything already.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", (
+            "import os, sys\n"
+            "from unittest import mock\n"
+            "from repro.experiments import runner\n"
+            "from repro.experiments.caching_modes import CachingModesExperiment\n"
+            "experiment = CachingModesExperiment(scale=0.02, seed=42,\n"
+            "                                    warmup_s=1.0, duration_s=1.0)\n"
+            "before = set(sys.modules)\n"
+            "def cell(mode):\n"
+            "    experiment.simulate(mode)\n"
+            "    return os.getpid(), sorted(set(sys.modules) - before)\n"
+            "with mock.patch.object(runner, '_cpu_count', return_value=4):\n"
+            "    out = runner.run_cells(cell, experiment.cells()[:2])\n"
+            "assert os.getpid() not in {pid for pid, _ in out}, out\n"
+            "print([new for _, new in out])")],
+            env=dict(os.environ, PYTHONPATH=src), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert done.stdout.strip() == "[[], []]", done.stdout
 
 
 class TestCellPoolInProcess:
