@@ -18,11 +18,16 @@ off, output is byte-identical to a build without the subsystem.
 Each experiment prints the same rows/series its paper table or figure
 reports (see DESIGN.md's per-experiment index).
 
-``--jobs N`` is the worker budget of the one cell pool
+``--jobs N`` is the core budget of the one cell pool
 (:func:`repro.experiments.runner.iter_cells`): every requested
-experiment's independent simulations go into it and at most N of them —
-by default, and never more than, the CPUs this process may use — run at
-a time, each in a forked worker.  A cell builds its own simulation from
+experiment's independent simulations go into it, each in a forked
+worker, over ``min(N, CPUs, cells)`` cores (N defaults to the CPUs this
+process may use).  N below the CPU count is a hard cap on live workers.
+On every CPU, the cells left over after the last full round start
+beside it and share the cores, so at most ``2 * cores - 1`` are in
+flight (memory scales with that); equal cells finish sooner, while one
+cell more than twice as long as two others on two cores can finish
+later (``L + s/2`` instead of ``L``).  A cell builds its own simulation from
 ``scale``/``seed`` and shares nothing, so results are byte-identical to
 ``--jobs 1`` (everything in this process); only the wall clock changes.
 Output is printed in the order the experiments were named, each as soon
@@ -112,9 +117,12 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="with --out, also write machine-readable JSON")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="run at most N simulations at a time, each in "
-                             "a forked worker (default and ceiling: the "
-                             "CPU count; 1 keeps everything in this "
+                        help="run the simulations on N cores, each in a "
+                             "forked worker (default and ceiling: the CPU "
+                             "count; below it, at most N processes; on "
+                             "every CPU a grid's leftover cells share the "
+                             "cores with its last full round, at most "
+                             "2N-1 at a time; 1 keeps everything in this "
                              "process; results are identical either way)")
     parser.add_argument("--hosts", type=int, default=None, metavar="N",
                         help="host count for fleet-topology experiments "

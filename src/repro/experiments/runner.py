@@ -53,7 +53,16 @@ def iter_cells(fn: Callable[..., Any], cells: Iterable[Sequence[Any]],
                jobs: Optional[int] = None) -> Iterator[Any]:
     """Yield ``fn(*cell)`` for every cell, in cell order, each as soon as
     it and all cells before it are done; the cells are forked out over
-    the CPUs this process may use (at most ``jobs`` of them at a time).
+    ``cores = min(len(cells), CPUs, jobs)`` cores.
+
+    When that is every CPU this process may use, the cells left over
+    after the last full round start beside it (``cores + len(cells) %
+    cores`` workers live, at most ``2 * cores - 1``) and the kernel
+    time-slices them, so no core idles through a lone last cell: equal
+    cells take ``len(cells) / cores`` rounds, not the ceiling of it.
+    Cells of very unequal cost can lose by it: on two cores, ``[L, s, s]``
+    with ``L > 2s`` takes ``L + s/2`` instead of ``L``.  An explicit
+    ``jobs`` below the CPU count is a hard cap on live workers.
 
     A cell sees nothing another cell did, so the values are the ones the
     in-process loop yields.  That loop is what runs when there is
@@ -68,28 +77,33 @@ def iter_cells(fn: Callable[..., Any], cells: Iterable[Sequence[Any]],
     return picklable data.
     """
     cells = list(cells)
-    workers = min(len(cells), _cpu_count(),
-                  len(cells) if jobs is None else jobs)
-    if (workers < 2 or not hasattr(os, "fork")
+    cpus = _cpu_count()
+    cores = min(len(cells), cpus, len(cells) if jobs is None else jobs)
+    if (cores < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1 or _observed()):
         for cell in cells:
             yield fn(*cell)
         return
+    workers = cores + len(cells) % cores if cores == cpus else cores
 
     waiting = iter(enumerate(cells))
     live: Dict[int, Tuple[int, int, List[bytes]]] = {}  # pipe -> pid, cell, chunks
     done: Dict[int, Any] = {}
     due = 0
+    # poll, not select: a pipe's fd may be past FD_SETSIZE.
+    poller = select.poll()
     try:
         while due < len(cells):
             for index, cell in islice(waiting, workers - len(live)):
                 pipe, pid = _fork_cell(fn, cell, list(live))
                 live[pipe] = (pid, index, [])
-            for pipe in select.select(list(live), [], [])[0]:
+                poller.register(pipe, select.POLLIN)
+            for pipe, _ in poller.poll():
                 chunk = os.read(pipe, 1 << 16)
                 if chunk:
                     live[pipe][2].append(chunk)
                     continue
+                poller.unregister(pipe)
                 pid, index, chunks = live.pop(pipe)
                 os.close(pipe)
                 status = os.waitpid(pid, 0)[1]
@@ -257,8 +271,9 @@ class Experiment(abc.ABC):
         tables, series and scalars the paper reports."""
 
     def run(self, jobs: Optional[int] = None) -> ExperimentResult:
-        """Simulate every cell on up to ``jobs`` workers (default: every
-        CPU) and report; the result does not depend on ``jobs``."""
+        """Simulate every cell on up to ``jobs`` cores (default: every
+        CPU; see :func:`iter_cells`) and report; the result does not
+        depend on ``jobs``."""
         return self.report(run_cells(self.simulate, self.cells(), jobs))
 
     # -- scaling helpers ------------------------------------------------------

@@ -120,6 +120,32 @@ def _slow_then_fast(delay, label):
     return label, os.getpid()
 
 
+def _stamped(index, delay):
+    started = time.monotonic()
+    time.sleep(delay)
+    return index, started, time.monotonic(), os.getpid()
+
+
+def _peak_live(cpus, cells, jobs=None):
+    """Run ``cells`` sleeping cells on a pretended ``cpus``-CPU box and
+    return the most that were live at one instant, measured from their
+    own clocks (one that ends as another starts does not overlap it)."""
+    assert threading.active_count() == 1, threading.enumerate()
+    with mock.patch.object(runner, "_cpu_count", return_value=cpus):
+        out = run_cells(_stamped, [(i, 0.25) for i in range(cells)], jobs)
+    assert [index for index, *_ in out] == list(range(cells))
+    pids = {pid for *_, pid in out}
+    assert len(pids) == cells and os.getpid() not in pids
+    _no_children()
+    edges = sorted([(end, -1) for _, _, end, _ in out]
+                   + [(start, 1) for _, start, _, _ in out])
+    live = peak = 0
+    for _, step in edges:
+        live += step
+        peak = max(peak, live)
+    return peak
+
+
 def _cell(parent, action):
     """One misbehaving (or idle) cell; ``parent`` guards the fatal
     actions so a pool that failed to fork cannot take pytest down."""
@@ -157,11 +183,44 @@ class TestCellPoolForked:
         assert list(stream) == []
         _no_children()
 
-    def test_budget_caps_live_workers(self, four_cpus):
-        # Two workers, four 0.2 s cells: two rounds, so at least 0.4 s.
-        started = time.monotonic()
-        run_cells(_slow_then_fast, [(0.2, i) for i in range(4)], jobs=2)
-        assert time.monotonic() - started >= 0.4
+    def test_budget_caps_live_workers(self):
+        # Below the CPU count a budget is a hard cap, remainder or not.
+        assert _peak_live(cpus=4, cells=3, jobs=2) == 2
+
+    @pytest.mark.parametrize("cells, peak", [
+        (3, 3),  # the lone third cell starts beside the full round
+        (4, 2),  # a multiple of the cores: no remainder to place
+        (5, 3),
+    ])
+    def test_remainder_runs_beside_the_last_full_round(self, cells, peak):
+        assert _peak_live(cpus=2, cells=cells) == peak
+
+    def test_more_open_fds_than_select_can_watch(self, four_cpus):
+        import resource
+
+        held_count = 1100
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        need = _fd_count() + held_count + 64
+        if hard != resource.RLIM_INFINITY and hard < need:
+            pytest.skip(f"hard RLIMIT_NOFILE {hard} < {need}")
+        if soft != resource.RLIM_INFINITY and soft < need:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
+        held = []
+        try:
+            for _ in range(held_count):
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            assert max(held) >= 1024  # so every pipe is past FD_SETSIZE
+            fds = _fd_count()
+            out = run_cells(_slow_then_fast, [(0.0, "a"), (0.0, "b")])
+            assert [label for label, _ in out] == ["a", "b"]
+            pids = {pid for _, pid in out}
+            assert len(pids) == 2 and os.getpid() not in pids
+            assert _fd_count() == fds
+            _no_children()
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     def test_raising_cell_reraises_with_the_workers_traceback(self, four_cpus):
         parent = os.getpid()
