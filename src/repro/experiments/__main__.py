@@ -233,7 +233,7 @@ def main(argv=None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    started = time.time()  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
+    started = time.time()
     try:
         for name, outcome in zip(names, _results(experiments, args)):
             _emit(args, name, *outcome)
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(args.profile)
-    elapsed = time.time() - started  # dd-lint: disable=DD001 (host-side wall clock for the CLI's elapsed-time report, never feeds simulated state)
+    elapsed = time.time() - started
     print(f"\n(wall time {elapsed:.1f}s)")
     if profiler is not None:
         import pstats

@@ -1,8 +1,9 @@
-"""Runtime nondeterminism sanitizer — the dynamic half of sim-lint.
+"""Runtime nondeterminism sanitizer.
 
-Static rules catch what the AST shows; this module catches what only a
-run shows (it found the one determinism bug the tree ever shipped, the
-``PYTHONHASHSEED``-dependent ``ShardsEstimator._hash``).
+The static hazard tests (``tests/test_hazards.py``) catch what the AST
+shows; this module catches what only a run shows (it found the one
+determinism bug the tree ever shipped, the ``PYTHONHASHSEED``-dependent
+``ShardsEstimator._hash``).
 ``python -m repro.lint.sanitize`` performs a smoke run that:
 
 1. asserts ``PYTHONHASHSEED`` discipline (set, and not ``random``) so

@@ -23,10 +23,10 @@ resident.  Residence order is still FIFO per tenant and Algorithm 1
 picks the victims; a round stops as soon as the request fits, where the
 paper's drains its whole batch (see :mod:`repro.service.cache`).
 
-These modules live on the host wall clock by design; sim-lint's DD001
-(wall-clock) rule is allowlisted for ``repro/service/``, which is
-instead the scope of DD012 (no read-modify-write of shared state across
-an ``await``) — see ``repro.lint.rules.REALTIME_MODULES``.
+These modules live on the host wall clock by design, so the wall-clock
+hazard check skips ``repro/service/``, which is instead the scope of the
+await-race check (no read-modify-write of shared state across an
+``await``) — see ``REALTIME`` in ``tests/test_hazards.py``.
 """
 
 from .cache import ServiceCache, SetStatus
