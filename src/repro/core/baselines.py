@@ -140,7 +140,7 @@ class _PoolTableCache(HypervisorCacheBase):
 
     def _forget(self, pool: Pool, inode: int, block: int) -> Optional[StoreKind]:
         """Remove a block from the pool and shared accounting (hook point)."""
-        kind = pool.remove(inode, block)
+        kind = pool.remove_key((inode, block))
         if kind is not None:
             self.used_blocks -= 1
         return kind
@@ -245,51 +245,63 @@ class GlobalCache(_PoolTableCache):
 
     def put_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
         pool = self._require_pool(vm_id, pool_id)
-        vm = self.vms[vm_id]
         stats = pool.stats
         stats.puts += len(keys)
         capacity = self.capacity_blocks
         per_vm_cap = self.per_vm_cap_blocks
+        # The VM's usage, summed once and kept current below: nothing
+        # else touches this VM's pools before the batch returns.
+        MEMORY = StoreKind.MEMORY
+        vm_used = self.vms[vm_id].used(MEMORY) if per_vm_cap is not None else 0
+        evict_one = self._evict_one
         lookup = pool.lookup
         insert = pool.insert
         fifo = self._fifo
         counters = self.counters
-        MEMORY = StoreKind.MEMORY
         stored = 0
         for key in keys:
             if capacity <= 0:
                 counters.rejected_puts += 1
                 continue
             while self.used_blocks + 1 > capacity:
-                if not self._evict_one():
+                evicted = evict_one()
+                if evicted is None:
                     break
+                if evicted == vm_id:
+                    vm_used -= 1
             if self.used_blocks + 1 > capacity:
                 counters.rejected_puts += 1
                 continue
-            if (
-                per_vm_cap is not None
-                and vm.used(MEMORY) + 1 > per_vm_cap
-            ):
+            if per_vm_cap is not None and vm_used + 1 > per_vm_cap:
                 # Per-VM limit: evict this VM's own oldest block.
-                if not self._evict_one(vm_filter=vm_id):
+                evicted = evict_one(vm_filter=vm_id)
+                if evicted is None:
                     counters.rejected_puts += 1
                     continue
+                if evicted == vm_id:
+                    vm_used -= 1
             inode, block = key
             if lookup(inode, block) is None:
                 insert(inode, block, MEMORY)
                 self.used_blocks += 1
                 fifo[(pool_id, inode, block)] = None
                 stored += 1
+                vm_used += 1
         stats.puts_stored += stored
         if stored:
             yield self.env.timeout(self.mem_backend.write_cost(stored))
         return stored
 
-    def _evict_one(self, vm_filter: Optional[int] = None) -> bool:
-        """Drop the globally-oldest block (optionally of one VM)."""
+    def _evict_one(self, vm_filter: Optional[int] = None) -> Optional[int]:
+        """Drop the globally-oldest block (optionally of one VM).
+
+        Returns the id of the VM the dropped block was charged to (``0``
+        for a stale entry, which frees nothing), or ``None`` when there
+        is no candidate.
+        """
         if vm_filter is None:
             if not self._fifo:
-                return False
+                return None
             (pool_id, inode, block), _ = self._fifo.popitem(last=False)
         else:
             target = None
@@ -299,16 +311,17 @@ class GlobalCache(_PoolTableCache):
                     target = candidate
                     break
             if target is None:
-                return False
+                return None
             del self._fifo[target]
             pool_id, inode, block = target
         pool = self._pools.get(pool_id)
         if pool is None:
-            return True  # stale entry of a destroyed pool
-        if self._forget(pool, inode, block) is not None:
-            pool.stats.evictions += 1
-            self.counters.evictions += 1
-        return True
+            return 0  # stale entry of a destroyed pool
+        if self._forget(pool, inode, block) is None:
+            return 0
+        pool.stats.evictions += 1
+        self.counters.evictions += 1
+        return pool.vm_id
 
     def _on_drop(self, pool_id: int, inode: int, block: int) -> None:
         self._fifo.pop((pool_id, inode, block), None)

@@ -555,7 +555,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
             if target_policy.weight_for(kind) <= 0:
                 rejected += 1
                 continue
-            source.remove(inode, block)
+            source.remove_key((inode, block))
             target.insert(inode, block, kind)
             moved += 1
         if moved:

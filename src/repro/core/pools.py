@@ -87,16 +87,9 @@ class Pool:
         self.fifos[kind][key] = None
         self.used[kind] += 1
 
-    def remove(self, inode: int, block: int) -> Optional[StoreKind]:
-        """Remove a block; returns the store it was in, or ``None``."""
-        return self.remove_key((inode, block))
-
     def remove_key(self, key: BlockKey) -> Optional[StoreKind]:
-        """:meth:`remove` taking the ``(inode, block)`` tuple directly.
-
-        The data path iterates over key tuples; accepting them as-is
-        avoids a rebuild of the same tuple for the FIFO deletion.
-        """
+        """Remove the ``(inode, block)`` block; returns the store it was
+        in, or ``None``."""
         inode = key[0]
         tree = self.files.get(inode)
         if tree is None:

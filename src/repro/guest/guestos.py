@@ -18,7 +18,6 @@ queueing on the virtual disk, the swap device, and the hypervisor cache.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cgroups import Cgroup, CgroupSubsystem
@@ -137,7 +136,7 @@ class GuestOS:
         summed directly off the index instead of walking per-cgroup
         property chains, since reclaim re-checks this bound per batch.
         """
-        total = len(self.pagecache.entries)
+        total = len(self.pagecache)
         for cgroup in self.cgroups:
             total += len(cgroup.anon.resident)
         return total
@@ -178,31 +177,10 @@ class GuestOS:
         result = IOResult()
         env = self.env
         t0 = env._now
-        inode = file.inode
         end = file.nblocks if nblocks is None else min(file.nblocks, start + nblocks)
         nkeys = end - start if end > start else 0
         result.blocks = nkeys
-        # Hot loop (every read of every workload thread): one fused sweep
-        # that builds keys, hit-tests, and bumps LRU/seq with everything
-        # bound to locals — the per-block method chain (File.keys +
-        # PageCache.lookup + SeqCounter) costs more than the work itself.
-        pagecache = self.pagecache
-        entries_get = pagecache.entries.get
-        lrus = pagecache.lrus
-        seq_counter = pagecache.seq
-        seq = seq_counter.value
-        misses: List[BlockKey] = []
-        miss = misses.append
-        for block in range(start, end):
-            key = (inode, block)
-            entry = entries_get(key)
-            if entry is None:
-                miss(key)
-            else:
-                seq += 1
-                entry.seq = seq
-                lrus[entry.cgroup_id].move_to_end(key)
-        seq_counter.value = seq
+        misses = self.pagecache.lookup(file.inode, start, end)
         hits = nkeys - len(misses)
         stats = self.stats
         stats.pc_lookups += nkeys
@@ -244,11 +222,8 @@ class GuestOS:
         file.ra_pos = end
         if file.ra_streak < 2:
             return []
-        out: List[BlockKey] = []
-        for block in range(end, min(file.nblocks, end + self.readahead_blocks)):
-            key = (file.inode, block)
-            if key not in self.pagecache:
-                out.append(key)
+        stop = min(file.nblocks, end + self.readahead_blocks)
+        out = self.pagecache.absent((file.inode, block) for block in range(end, stop))
         self.stats.readahead_blocks += len(out)
         return out
 
@@ -285,37 +260,11 @@ class GuestOS:
         result = IOResult()
         env = self.env
         t0 = env._now
-        inode = file.inode
         end = file.nblocks if nblocks is None else min(file.nblocks, start + nblocks)
         nkeys = end - start if end > start else 0
         result.blocks = nkeys
-        # Fused key-build + lookup + mark_dirty sweep (see read_file).
-        pagecache = self.pagecache
-        entries_get = pagecache.entries.get
-        lrus = pagecache.lrus
-        seq_counter = pagecache.seq
-        dirty_index = pagecache.dirty
-        seq = seq_counter.value
-        now = t0
-        fresh: List[BlockKey] = []
-        add = fresh.append
-        pc_hits = 0
-        for block in range(start, end):
-            key = (inode, block)
-            entry = entries_get(key)
-            if entry is None:
-                add(key)
-            else:
-                pc_hits += 1
-                seq += 1
-                entry.seq = seq
-                lrus[entry.cgroup_id].move_to_end(key)
-                if not entry.dirty:
-                    entry.dirty = True
-                    entry.dirty_since = now
-                    dirty_index[key] = entry
-        seq_counter.value = seq
-        result.pc_hits = pc_hits
+        fresh = self.pagecache.lookup_dirty(file.inode, start, end, t0)
+        result.pc_hits = nkeys - len(fresh)
         if fresh:
             # The hypervisor cache may hold stale copies of blocks we are
             # about to overwrite without reading: invalidate them.
@@ -421,42 +370,12 @@ class GuestOS:
         streaming behaviour for files larger than the container.
         """
         pagecache = self.pagecache
-        resident = pagecache.entries
-        pending = [key for key in keys if key not in resident]
-        if not pending:
-            return
-        # PageCache.insert/mark_dirty inlined (same state transitions):
-        # admission is the second-hottest guest loop and the fresh entry
-        # is known clean, so the dirty branch needs no ``if not dirty``
-        # re-check and the LRU/seq plumbing binds to locals once.
-        lrus = pagecache.lrus
-        seq_counter = pagecache.seq
-        dirty_index = pagecache.dirty
-        cgroup_id = cgroup.cgroup_id
-        lru = lrus.get(cgroup_id)
+        pending = pagecache.absent(keys)
         for base in range(0, len(pending), RECLAIM_BATCH):
             chunk = pending[base:base + RECLAIM_BATCH]
             yield from self._reclaim_for(cgroup, len(chunk))
-            now = self.env._now
-            admitted = 0
-            for key in chunk:
-                if key in resident:  # racing thread admitted it already
-                    continue
-                seq = seq_counter.value + 1
-                seq_counter.value = seq
-                entry = PageEntry(key[0], key[1], cgroup_id, seq)
-                resident[key] = entry
-                if lru is None:
-                    lru = lrus.get(cgroup_id)
-                    if lru is None:
-                        lru = lrus[cgroup_id] = OrderedDict()
-                lru[key] = entry
-                admitted += 1
-                if dirty:
-                    entry.dirty = True
-                    entry.dirty_since = now
-                    dirty_index[key] = entry
-            cgroup.file_blocks += admitted
+            cgroup.file_blocks += pagecache.admit(
+                chunk, cgroup.cgroup_id, self.env._now, dirty)
 
     def _reclaim_for(self, cgroup: Cgroup, need: int):
         """Make room for ``need`` new blocks: cgroup limit, then VM limit."""

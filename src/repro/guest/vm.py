@@ -177,11 +177,7 @@ class VirtualMachine:
         namespace goes away with it).
         """
         cgroup = container.cgroup
-        # Drop this cgroup's file pages from the page cache.
-        lru = self.os.pagecache.lrus.get(cgroup.cgroup_id)
-        if lru:
-            for key in list(lru):
-                self.os.pagecache.remove(key)
+        if self.os.pagecache.drop_cgroup(cgroup.cgroup_id):
             cgroup.file_blocks = 0
         self.os.cgroups.destroy(cgroup)
         del self.containers[container.name]

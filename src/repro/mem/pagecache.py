@@ -19,7 +19,7 @@ Design notes
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .page import BlockKey, PageEntry, SeqCounter
 
@@ -51,44 +51,95 @@ class PageCache:
         return len(lru) if lru is not None else 0
 
     # -- access paths ------------------------------------------------------------
+    #
+    # The guest makes one call per read, per write and per admission chunk.
+    # Each method is one fused sweep with the state bound to locals: a
+    # per-block method chain (key build + hit test + SeqCounter) costs more
+    # than the work itself on the hottest guest loops.
 
-    def lookup(self, key: BlockKey) -> Optional[PageEntry]:
-        """Hit test; bumps LRU position and sequence on hit."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        # Inlined self.seq.next(): this is the hottest guest-side call.
-        seq = self.seq
-        seq.value += 1
-        entry.seq = seq.value
-        self.lrus[entry.cgroup_id].move_to_end(key)
-        return entry
+    def lookup(self, inode: int, start: int, end: int) -> List[BlockKey]:
+        """Hit-test blocks ``[start, end)`` of ``inode``; returns the misses.
 
-    def peek(self, key: BlockKey) -> Optional[PageEntry]:
-        """Hit test without perturbing LRU state."""
-        return self.entries.get(key)
+        Every hit stamps the next access sequence number and moves to the
+        MRU end of its cgroup's LRU.
+        """
+        entries_get = self.entries.get
+        lrus = self.lrus
+        seq_counter = self.seq
+        seq = seq_counter.value
+        misses: List[BlockKey] = []
+        miss = misses.append
+        for block in range(start, end):
+            key = (inode, block)
+            entry = entries_get(key)
+            if entry is None:
+                miss(key)
+            else:
+                seq += 1
+                entry.seq = seq
+                lrus[entry.cgroup_id].move_to_end(key)
+        seq_counter.value = seq
+        return misses
 
-    def insert(self, key: BlockKey, cgroup_id: int) -> PageEntry:
-        """Add a clean page charged to ``cgroup_id`` (must not be present)."""
-        if key in self.entries:
-            raise ValueError(f"page {key} already cached")
-        seq = self.seq
-        seq.value += 1
-        entry = PageEntry(key[0], key[1], cgroup_id, seq.value)
-        self.entries[key] = entry
+    def lookup_dirty(self, inode: int, start: int, end: int, now: float) -> List[BlockKey]:
+        """:meth:`lookup` for a write: each hit also turns dirty at ``now``
+        (keeping its first-dirtied time if already dirty)."""
+        entries_get = self.entries.get
+        lrus = self.lrus
+        dirty_index = self.dirty
+        seq_counter = self.seq
+        seq = seq_counter.value
+        misses: List[BlockKey] = []
+        miss = misses.append
+        for block in range(start, end):
+            key = (inode, block)
+            entry = entries_get(key)
+            if entry is None:
+                miss(key)
+            else:
+                seq += 1
+                entry.seq = seq
+                lrus[entry.cgroup_id].move_to_end(key)
+                if not entry.dirty:
+                    entry.dirty = True
+                    entry.dirty_since = now
+                    dirty_index[key] = entry
+        seq_counter.value = seq
+        return misses
+
+    def absent(self, keys: Iterable[BlockKey]) -> List[BlockKey]:
+        """The ``keys`` not resident, in order (no LRU effect)."""
+        entries = self.entries
+        return [key for key in keys if key not in entries]
+
+    def admit(self, keys: Iterable[BlockKey], cgroup_id: int, now: float,
+              dirty: bool) -> int:
+        """Insert the non-resident ``keys`` at the MRU end of ``cgroup_id``'s
+        LRU, dirty at ``now`` if ``dirty``; returns how many were added.
+
+        Resident keys are skipped: a racing thread admitted them already.
+        """
+        entries = self.entries
+        dirty_index = self.dirty
+        seq_counter = self.seq
         lru = self.lrus.get(cgroup_id)
         if lru is None:
-            lru = OrderedDict()
-            self.lrus[cgroup_id] = lru
-        lru[key] = entry
-        return entry
-
-    def mark_dirty(self, entry: PageEntry, now: float) -> None:
-        """Transition a page to dirty (no-op if already dirty)."""
-        if not entry.dirty:
-            entry.dirty = True
-            entry.dirty_since = now
-            self.dirty[entry.key] = entry
+            lru = self.lrus[cgroup_id] = OrderedDict()
+        admitted = 0
+        for key in keys:
+            if key in entries:
+                continue
+            seq = seq_counter.value + 1
+            seq_counter.value = seq
+            entry = PageEntry(key[0], key[1], cgroup_id, seq)
+            entries[key] = entry
+            lru[key] = entry
+            admitted += 1
+            if dirty:
+                entry.dirty = True
+                entry.dirty_since = now
+                dirty_index[key] = entry
+        return admitted
 
     def mark_clean(self, entry: PageEntry) -> None:
         """Transition a page back to clean after writeback."""
@@ -116,19 +167,6 @@ class PageCache:
             return None
         key = next(iter(lru))
         return lru[key]
-
-    def coldest_cgroup(self) -> Optional[int]:
-        """The cgroup owning the globally coldest page (min sequence)."""
-        best_cg: Optional[int] = None
-        best_seq: Optional[int] = None
-        for cgroup_id, lru in self.lrus.items():
-            if not lru:
-                continue
-            entry = lru[next(iter(lru))]
-            if best_seq is None or entry.seq < best_seq:
-                best_seq = entry.seq
-                best_cg = cgroup_id
-        return best_cg
 
     def take_coldest(
         self, cgroup_id: int, count: int
@@ -171,6 +209,22 @@ class PageCache:
             if entry is not None:
                 removed.append(entry)
         return removed
+
+    def drop_cgroup(self, cgroup_id: int) -> int:
+        """Drop every page charged to ``cgroup_id`` (container teardown);
+        returns how many were resident."""
+        lru = self.lrus.get(cgroup_id)
+        if not lru:
+            return 0
+        entries = self.entries
+        dirty_index = self.dirty
+        for key, entry in lru.items():
+            del entries[key]
+            if entry.dirty:
+                dirty_index.pop(key, None)
+        dropped = len(lru)
+        lru.clear()
+        return dropped
 
     def expired_dirty(self, now: float, max_age: float, limit: int) -> List[PageEntry]:
         """Up to ``limit`` dirty pages older than ``max_age`` (oldest first)."""

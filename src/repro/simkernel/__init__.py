@@ -6,7 +6,7 @@ condition events, FIFO resources, bounded buffers, and deterministic named
 random streams.
 """
 
-from .core import EmptySchedule, Environment, StopSimulation
+from .core import Environment, StopSimulation
 from .events import AllOf, AnyOf, ConditionEvent, Event, Interrupt, Timeout
 from .process import Process
 from .resources import Request, Resource, TokenBucket
@@ -17,7 +17,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "ConditionEvent",
-    "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",

@@ -9,7 +9,7 @@ from .events import AllOf, Event, Timeout
 from .process import Process
 from .timeline import Timeline
 
-__all__ = ["Environment", "StopSimulation", "EmptySchedule"]
+__all__ = ["Environment", "StopSimulation"]
 
 #: Scheduling priorities: URGENT events (process bootstraps, interrupts)
 #: run before NORMAL events scheduled for the same instant.
@@ -19,10 +19,6 @@ NORMAL = 1
 
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Environment.run` at a target event."""
-
-
-class EmptySchedule(Exception):
-    """Raised when the event queue runs dry before the stop condition."""
 
 
 class Environment:
@@ -87,24 +83,6 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._timeline.peek_time()
 
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        entry = self._timeline.pop()
-        if entry is None:
-            raise EmptySchedule()
-        self._now, _, _, event = entry
-
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-
-        if not event._ok and not event._defused:
-            # An unhandled failure: surface it instead of losing it.
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else RuntimeError(exc)
-
     # -- run loop -------------------------------------------------------------
 
     def run(self, until: Any = None) -> Any:
@@ -136,11 +114,11 @@ class Environment:
                 self.schedule(stop_event, delay=stop_time - self._now)
             stop_event.callbacks.append(_stop_callback)
 
-        # The loop below is `step()` inlined: the per-event work is tiny
-        # (often one callback), so the method call and attribute lookups
-        # per event dominate.  The timeline's pop is bound to a local and
-        # signals exhaustion with None, which is cheaper to test per event
-        # than catching IndexError.
+        # One inlined loop, no per-event method: the per-event work is
+        # tiny (often one callback), so a method call and attribute
+        # lookups per event would dominate.  The timeline's pop is bound
+        # to a local and signals exhaustion with None, which is cheaper to
+        # test per event than catching IndexError.
         pop = self._timeline.pop
         try:
             while True:

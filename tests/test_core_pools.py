@@ -22,13 +22,13 @@ class TestPool:
         pool.insert(10, 5, StoreKind.MEMORY)
         assert pool.lookup(10, 5) is StoreKind.MEMORY
         assert pool.used[StoreKind.MEMORY] == 1
-        assert pool.remove(10, 5) is StoreKind.MEMORY
+        assert pool.remove_key((10, 5)) is StoreKind.MEMORY
         assert pool.lookup(10, 5) is None
         assert pool.used[StoreKind.MEMORY] == 0
 
     def test_remove_absent_returns_none(self):
         pool = make_pool()
-        assert pool.remove(1, 1) is None
+        assert pool.remove_key((1, 1)) is None
 
     def test_insert_replace_across_stores(self):
         pool = make_pool(CachePolicy.hybrid(50, 50))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.simkernel import (
     AllOf,
     AnyOf,
-    EmptySchedule,
     Environment,
 )
 
@@ -211,11 +210,6 @@ class TestRunLoop:
         env.process(proc(env))
         env.run()
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_step_on_empty_queue_raises(self):
-        env = Environment()
-        with pytest.raises(EmptySchedule):
-            env.step()
 
     def test_peek_returns_next_event_time(self):
         env = Environment()
