@@ -573,10 +573,10 @@ def _check_doubledecker(cache) -> List[str]:
     }
     try:
         expected_vm = recompute_entitlements(cache.vms, cache.capacities)
-        if expected_vm != cache._vm_entitlements:
+        if expected_vm != cache.engine.vm_entitlements:
             violations.append(
                 "stale VM entitlements: a configuration change was not "
-                "followed by _recompute()"
+                "followed by engine.recompute()"
             )
         for pool in cache._pools.values():
             for kind in _KINDS:

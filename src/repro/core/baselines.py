@@ -21,6 +21,7 @@ from ..simkernel import Environment
 from ..storage import MB, MemSpec
 from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, StoreKind
+from .engine import PolicyEngine
 from .interface import HypervisorCacheBase
 from .pools import BlockKey, Pool, VMEntry
 from .stats import PoolStats, StoreStats
@@ -47,10 +48,12 @@ class _PoolTableCache(HypervisorCacheBase):
         self.capacity_blocks = int(capacity_mb * MB) // block_bytes
         self.used_blocks = 0
         self.mem_backend = MemBackend(block_bytes, mem_spec)
-        self.vms: Dict[int, VMEntry] = {}
-        self._pools: Dict[int, Pool] = {}
-        self._next_vm_id = 1
-        self._next_pool_id = 1
+        # The registry is a policy engine with no stores: entitlements
+        # stay 0 and Algorithm 1 never runs, since these baselines evict
+        # by their own rule.  ``vms`` / ``_pools`` alias its live dicts.
+        self.engine = PolicyEngine({})
+        self.vms: Dict[int, VMEntry] = self.engine.vms
+        self._pools: Dict[int, Pool] = self.engine.pools
         self.counters = StoreStats(kind="memory")
         audit_interval = global_audit_interval()
         if audit_interval > 0:
@@ -59,46 +62,35 @@ class _PoolTableCache(HypervisorCacheBase):
     # -- lifecycle ---------------------------------------------------------
 
     def register_vm(self, name: str, weight: float = 100.0) -> int:
-        vm_id = self._next_vm_id
-        self._next_vm_id += 1
-        self.vms[vm_id] = VMEntry(vm_id, name, weight)
-        return vm_id
+        return self.engine.register_vm(name, weight)
 
     def unregister_vm(self, vm_id: int) -> None:
-        vm = self._require_vm(vm_id)
-        for pool_id in list(vm.pools):
+        for pool_id in list(self.engine.require_vm(vm_id).pools):
             self.destroy_pool(vm_id, pool_id)
-        del self.vms[vm_id]
+        self.engine.unregister_vm(vm_id)
 
     def set_vm_weight(self, vm_id: int, weight: float) -> None:
-        self._require_vm(vm_id).weight = weight
+        self.engine.set_vm_weight(vm_id, weight)
 
     def create_pool(self, vm_id: int, name: str, policy: CachePolicy) -> int:
-        vm = self._require_vm(vm_id)
-        pool_id = self._next_pool_id
-        self._next_pool_id += 1
         # Baselines are memory-backed and container-agnostic: every pool is
         # treated as <Mem, equal> regardless of the requested policy.
-        pool = Pool(pool_id, vm_id, name, CachePolicy.memory(100.0))
-        vm.pools[pool_id] = pool
-        self._pools[pool_id] = pool
-        return pool_id
+        return self.engine.create_pool(
+            vm_id, name, CachePolicy.memory(100.0)).pool_id
 
     def destroy_pool(self, vm_id: int, pool_id: int) -> None:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         for key in list(pool.iter_keys()):
             if self._forget(pool, *key) is not None:
                 self._on_drop(pool_id, *key)
-        pool.active = False
-        del self.vms[vm_id].pools[pool_id]
-        del self._pools[pool_id]
+        self.engine.destroy_pool(vm_id, pool_id)
 
     def set_policy(self, vm_id: int, pool_id: int, policy: CachePolicy) -> None:
         # Container-level policy is exactly what these baselines lack.
-        self._require_pool(vm_id, pool_id)
+        self.engine.require_pool(vm_id, pool_id)
 
     def pool_stats(self, vm_id: int, pool_id: int) -> PoolStats:
-        return self._require_pool(vm_id, pool_id).snapshot_stats()
+        return self.engine.require_pool(vm_id, pool_id).snapshot_stats()
 
     # -- introspection ---------------------------------------------------------
 
@@ -108,8 +100,7 @@ class _PoolTableCache(HypervisorCacheBase):
         return {StoreKind.MEMORY: self.counters}
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
-        vm = self._require_vm(vm_id)
-        return vm.used(StoreKind.MEMORY)
+        return self.engine.require_vm(vm_id).used(StoreKind.MEMORY)
 
     def pool_used_mb(self, pool_id: int, kind: Optional[StoreKind] = None) -> float:
         pool = self._pools.get(pool_id)
@@ -124,19 +115,6 @@ class _PoolTableCache(HypervisorCacheBase):
         return vm.used(StoreKind.MEMORY) * self.block_bytes / MB
 
     # -- helpers ------------------------------------------------------------------
-
-    def _require_vm(self, vm_id: int) -> VMEntry:
-        vm = self.vms.get(vm_id)
-        if vm is None:
-            raise KeyError(f"unknown vm_id {vm_id}")
-        return vm
-
-    def _require_pool(self, vm_id: int, pool_id: int) -> Pool:
-        vm = self._require_vm(vm_id)
-        pool = vm.pools.get(pool_id)
-        if pool is None:
-            raise KeyError(f"unknown pool_id {pool_id} in VM {vm_id}")
-        return pool
 
     def _forget(self, pool: Pool, inode: int, block: int) -> Optional[StoreKind]:
         """Remove a block from the pool and shared accounting (hook point)."""
@@ -153,7 +131,7 @@ class _PoolTableCache(HypervisorCacheBase):
         raise NotImplementedError
 
     def flush_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]) -> int:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         dropped = 0
         for inode, block in keys:
             if self._forget(pool, inode, block) is not None:
@@ -167,7 +145,7 @@ class _PoolTableCache(HypervisorCacheBase):
 
     def flush_inode(self, vm_id: int, pool_id: int, inode: int,
                     nblocks: Optional[int] = None) -> int:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         tree = pool.files.get(inode)
         if tree is None:
             keys = []
@@ -218,7 +196,7 @@ class GlobalCache(_PoolTableCache):
         self.exclusive = exclusive
 
     def get_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         stats = pool.stats
         stats.gets += len(keys)
         found: Set[BlockKey] = set()
@@ -244,7 +222,7 @@ class GlobalCache(_PoolTableCache):
         return found
 
     def put_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         stats = pool.stats
         stats.puts += len(keys)
         capacity = self.capacity_blocks
@@ -359,7 +337,7 @@ class StaticPartitionCache(_PoolTableCache):
         return self._caps_blocks.get(pool_id, 0)
 
     def get_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         stats = pool.stats
         stats.gets += len(keys)
         found: Set[BlockKey] = set()
@@ -376,7 +354,7 @@ class StaticPartitionCache(_PoolTableCache):
         return found
 
     def put_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         cap = self._caps_blocks.get(pool_id, 0)
         stats = pool.stats
         stats.puts += len(keys)

@@ -14,7 +14,7 @@ This is the paper's contribution: an exclusive second-chance cache with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..endurance import default_admission, make_admission
 from ..obs import tracer as _obs
@@ -22,7 +22,7 @@ from ..simkernel import Environment
 from ..storage import MB, MemSpec, SSD
 from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, DDConfig, StoreKind
-from .engine import PolicyEngine
+from .engine import EvictionRound, PolicyEngine
 from .interface import HypervisorCacheBase
 from .optimizations import DedupIndex, content_fingerprint
 from .pools import BlockKey, Pool, VMEntry
@@ -105,6 +105,10 @@ class DoubleDeckerCache(HypervisorCacheBase):
         self.vms: Dict[int, VMEntry] = self.engine.vms
         self._pools: Dict[int, Pool] = self.engine.pools  # global pool-id -> Pool
         self._eviction_batch = max(1, int(config.eviction_batch_mb * MB) // block_bytes)
+        #: ``(store, need)`` -> :meth:`_make_room`'s callbacks, built once
+        #: because every put asks for room.
+        self._room = {(kind, need): self._room_callbacks(kind, need)
+                      for kind in StoreKind for need in (0, 1)}
 
         self.store_counters: Dict[StoreKind, StoreStats] = {
             StoreKind.MEMORY: StoreStats(kind="memory"),
@@ -152,7 +156,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         return vm_id
 
     def unregister_vm(self, vm_id: int) -> None:
-        vm = self._require_vm(vm_id)
+        vm = self.engine.require_vm(vm_id)
         for pool_id in list(vm.pools):
             self.destroy_pool(vm_id, pool_id)
         self.engine.unregister_vm(vm_id)
@@ -213,15 +217,15 @@ class DoubleDeckerCache(HypervisorCacheBase):
         )
         if kind is StoreKind.MEMORY:
             self._mem_units_capacity = self.capacities[kind] * self._mem_gran
-        self._recompute()
-        self._shrink_to_fit(kind)
+        self.engine.recompute()
+        self._make_room(kind, 0)
 
     # ------------------------------------------------------------------
     # Pool lifecycle (guest-level policy controller)
     # ------------------------------------------------------------------
 
     def create_pool(self, vm_id: int, name: str, policy: CachePolicy) -> int:
-        self._require_vm(vm_id)
+        self.engine.require_vm(vm_id)
         if policy.ssd_weight > 0 and self.ssd_backend is None:
             raise ValueError(
                 f"pool {name!r} requests SSD but the cache has no SSD store"
@@ -238,7 +242,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         return pool_id
 
     def destroy_pool(self, vm_id: int, pool_id: int) -> None:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         self._drain_pool(pool)
         # Keep the write and rejection reconciliations exact across pool
         # lifetimes.
@@ -260,7 +264,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
                            pool=pool_id, cache=self._obs_label)
 
     def set_policy(self, vm_id: int, pool_id: int, policy: CachePolicy) -> None:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         if policy.ssd_weight > 0 and self.ssd_backend is None:
             raise ValueError("policy requests SSD but the cache has no SSD store")
         # The engine keeps the live admission controller when the resolved
@@ -289,7 +293,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
             self.used[kind] -= count
 
     def pool_stats(self, vm_id: int, pool_id: int) -> PoolStats:
-        return self._require_pool(vm_id, pool_id).snapshot_stats()
+        return self.engine.require_pool(vm_id, pool_id).snapshot_stats()
 
     # ------------------------------------------------------------------
     # Data path
@@ -297,7 +301,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
 
     def get_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
         """Exclusive lookup; generator returning the set of found keys."""
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         tracer = _obs.ACTIVE
         if tracer is not None:
             tracer.span_begin()
@@ -342,7 +346,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
 
     def put_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]):
         """Best-effort store of clean evicted blocks; returns #stored."""
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         stats = pool.stats
         stats.puts += len(keys)
         tracer = _obs.ACTIVE
@@ -479,7 +483,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         return stored
 
     def flush_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]) -> int:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         mem_keys, ssd_keys = pool.remove_many(keys)
         if mem_keys:
             self.used[StoreKind.MEMORY] -= len(mem_keys)
@@ -502,7 +506,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
 
     def flush_inode(self, vm_id: int, pool_id: int, inode: int,
                     nblocks: Optional[int] = None) -> int:
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         mem_blocks = pool.mem_blocks_of_inode(inode)
         counts = pool.remove_inode(inode)
         for block in mem_blocks:
@@ -539,8 +543,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         ``migrated_rejected`` (and the obs ledger / ``migrate`` instant),
         so a partial migration is distinguishable from a full one.
         """
-        source = self._require_pool(vm_id, from_pool)
-        target = self._require_pool(vm_id, to_pool)
+        source = self.engine.require_pool(vm_id, from_pool)
+        target = self.engine.require_pool(vm_id, to_pool)
         if from_pool == to_pool:
             return 0
         # Ascending block order: the target-FIFO insertion order feeds
@@ -599,7 +603,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         The caller still tears the VM down afterwards (``unregister_vm``
         or ``Host.destroy_vm``); this method only snapshots and accounts.
         """
-        vm = self._require_vm(vm_id)
+        vm = self.engine.require_vm(vm_id)
         tracer = _obs.ACTIVE
         exported: List[Tuple[str, CachePolicy, List[Tuple[int, int, StoreKind]]]] = []
         for pool_id in sorted(vm.pools):
@@ -637,7 +641,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         reconciliation.  Rejections land in the target pool's
         ``migrated_rejected``.
         """
-        pool = self._require_pool(vm_id, pool_id)
+        pool = self.engine.require_pool(vm_id, pool_id)
         MEMORY = StoreKind.MEMORY
         mem_ok = pool.policy.weight_for(MEMORY) > 0
         accepted = 0
@@ -679,7 +683,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         return self.store_counters
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
-        vm = self._require_vm(vm_id)
+        vm = self.engine.require_vm(vm_id)
         if kind is not None:
             return vm.used(kind)
         return vm.used(StoreKind.MEMORY) + vm.used(StoreKind.SSD)
@@ -745,20 +749,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         blocks = self._mem_units_used / self._mem_gran
         return blocks * self.block_bytes / MB
 
-    @property
-    def _vm_entitlements(self) -> Dict[Tuple[int, StoreKind], int]:
-        """Per-``(vm_id, store)`` VM-level entitlements (engine-owned)."""
-        return self.engine.vm_entitlements
-
-    def _require_vm(self, vm_id: int) -> VMEntry:
-        return self.engine.require_vm(vm_id)
-
-    def _require_pool(self, vm_id: int, pool_id: int) -> Pool:
-        return self.engine.require_pool(vm_id, pool_id)
-
-    def _recompute(self) -> None:
-        self.engine.recompute()
-
     def _admission_name(self, policy: CachePolicy) -> str:
         """The admission-policy name ``policy`` resolves to: per-pool
         ``CachePolicy.admission``, then ``DDConfig.admission``, then the
@@ -783,45 +773,41 @@ class DoubleDeckerCache(HypervisorCacheBase):
         )
 
     def _make_room(self, kind: StoreKind, need: int) -> bool:
-        """Ensure ``need`` free blocks in store ``kind``; False on failure.
+        """Ensure ``need`` (0 or 1) free blocks in store ``kind``; False on
+        failure.  ``need=0`` evicts down to a shrunk capacity."""
+        if need > self.capacities[kind]:
+            return False
+        over, evict = self._room[kind, need]
+        return self.engine.make_room(kind, self._eviction_batch, over, evict)
+
+    def _room_callbacks(
+        self, kind: StoreKind, need: int,
+    ) -> Tuple[Callable[[], bool], Callable[[EvictionRound], int]]:
+        """The ``over`` / ``evict`` pair :meth:`PolicyEngine.make_room`
+        runs for ``need`` blocks of store ``kind``.
 
         The memory store is checked in compressed units (worst-case
         charge per incoming block) so compression genuinely increases the
         number of blocks that fit."""
-        capacity = self.capacities[kind]
-        if capacity <= 0:
-            return False
-        guard = 0
         if kind is StoreKind.MEMORY:
-            need_units = need * self._mem_gran
-            while self._mem_units_used + need_units > self._mem_units_capacity:
-                if not self._evict_round(kind):
-                    return False
-                guard += 1
-                if guard > capacity:  # pragma: no cover - safety net
-                    return False
-            return True
-        while self.used[kind] + need > capacity:
-            if not self._evict_round(kind):
-                return False
-            guard += 1
-            if guard > capacity:  # pragma: no cover - safety net
-                return False
-        return True
+            units = need * self._mem_gran
+            over = lambda: self._mem_units_used + units > self._mem_units_capacity
+        else:
+            over = lambda: self.used[kind] + need > self.capacities[kind]
+        return over, lambda selection: self._evict_round(kind, selection)
 
-    def _evict_round(self, kind: StoreKind) -> bool:
-        """One Algorithm-1 round: pick victim VM, then pool, evict a batch.
+    def _evict_round(self, kind: StoreKind, selection: EvictionRound) -> int:
+        """Evict one round's batch FIFO from its victim pool; returns the
+        blocks freed.
 
-        The selection (candidate enumeration by occupancy, Algorithm-1
-        scoring, the fallback rules) lives in
-        :meth:`PolicyEngine.select_eviction`; this driver evicts the
-        batch FIFO from the winning pool and owns all storage accounting
+        The round drains the whole batch even once the request fits (the
+        service's ``_evict_batch`` stops there instead).  The selection
+        itself (candidate enumeration by occupancy, Algorithm-1 scoring,
+        the fallback rules) is :meth:`PolicyEngine.select_eviction`'s;
+        this driver owns all storage accounting for the evicted blocks
         (manager ``used``, memory units, trickle-down, tracing).
         """
         batch = self._eviction_batch
-        selection = self.engine.select_eviction(kind, batch)
-        if selection is None:
-            return False
         pool = selection.victim_pool
         evicted = 0
         trickle: List[BlockKey] = []
@@ -870,8 +856,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 )
             if trickle:
                 self._trickle_down(pool, trickle)
-            return True
-        return False
+        return evicted
 
     def _trickle_down(self, pool: Pool, keys: List[BlockKey]) -> None:
         """Third-chance path: re-home memory-evicted blocks on the SSD.
@@ -914,14 +899,3 @@ class DoubleDeckerCache(HypervisorCacheBase):
                            pool=pool.pool_id, cache=self._obs_label,
                            candidates=len(keys), written=written,
                            rejected_admission=rejected)
-
-    def _shrink_to_fit(self, kind: StoreKind) -> None:
-        """After a capacity reduction, evict until within the new limit."""
-        if kind is StoreKind.MEMORY:
-            while self._mem_units_used > self._mem_units_capacity:
-                if not self._evict_round(kind):
-                    break
-            return
-        while self.used[kind] > self.capacities[kind]:
-            if not self._evict_round(kind):
-                break

@@ -21,7 +21,9 @@ Two drivers exist: the discrete-event simulator's
 :class:`~repro.core.cache_manager.DoubleDeckerCache` (which this class
 was factored out of — the simulated data path is byte-identical to the
 pre-extraction code, pinned by ``tests/test_policy_engine.py``) and the
-wall-clock cache service :mod:`repro.service`.
+wall-clock cache service :mod:`repro.service`.  Both evict through
+:meth:`PolicyEngine.make_room`; the baselines use an engine as their
+registry only.
 """
 
 from __future__ import annotations
@@ -220,6 +222,29 @@ class PolicyEngine:
             vm, victim_pool[0],
             vm_entities, (vm_b, vm_cw), pool_entities, (pool_b, pool_cw),
         )
+
+    def make_room(
+        self,
+        kind: StoreKind,
+        batch: int,
+        over: Callable[[], bool],
+        evict: Callable[[EvictionRound], int],
+    ) -> bool:
+        """Select and evict until ``over()`` is false; False on failure.
+
+        The paper's enforcement loop, stated once for every driver: while
+        the store is over capacity, make one :meth:`select_eviction` and
+        let ``evict(round_)`` free up to ``batch`` blocks FIFO from the
+        victim pool, returning how many it freed.  Gives up when no
+        entity holds anything evictable or a round frees nothing.  Every
+        round frees at least one block and nothing re-enters the store
+        meanwhile, so the loop is bounded by the blocks held.
+        """
+        while over():
+            round_ = self.select_eviction(kind, batch)
+            if round_ is None or not evict(round_):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Introspection

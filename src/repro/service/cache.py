@@ -19,11 +19,13 @@ so insertion order is id order is eviction order) and tells its pool
 only the block count (``pool.used[SSD]``) — the quantity Algorithm 1
 reads.  ``Pool.files`` and ``Pool.fifos`` stay empty here.  Eviction
 pops the FIFO head and retires the *whole* entry — partial values are
-useless to a memcached client.  One Algorithm-1 round frees *at most*
-an eviction batch worth of blocks and stops as soon as the request
-fits, where the simulator's ``DoubleDeckerCache._evict_round`` drains
-the whole batch: in the steady eviction regime a ``set`` evicts what it
-needs and no more (one victim selection per evicting ``set``).
+useless to a memcached client.  The loop is the simulator's,
+:meth:`PolicyEngine.make_room`; only the batch callbacks differ.  This
+one, ``_evict_batch``, frees *at most* an eviction batch and stops as
+soon as the request fits, where the simulator's
+``DoubleDeckerCache._evict_round`` drains the whole batch: in the steady
+eviction regime a ``set`` evicts what it needs and no more (one victim
+selection per evicting ``set``).
 
 Unlike the simulated exclusive cache, a ``get`` hit leaves the entry
 resident (the service is the system of record for its values), so
@@ -255,35 +257,32 @@ class ServiceCache:
 
     def _make_room(self, blocks_needed: int) -> bool:
         """Evict per Algorithm 1 until ``blocks_needed`` fit."""
-        while self.used_blocks + blocks_needed > self.capacity_blocks:
-            round_ = self.engine.select_eviction(_SSD, self._eviction_batch)
-            if round_ is None:
-                return False
-            victim_pool = round_.victim_pool
-            tracer = self._tracer
-            if tracer is not None:
-                with tracer.span("svc.evict.round", vm=self._vm_id,
-                                 pool=victim_pool.pool_id,
-                                 tenant=victim_pool.name, freed=0) as span:
-                    freed = self._evict_batch(victim_pool, blocks_needed)
-                    span.note(freed=freed)
-            else:
-                freed = self._evict_batch(victim_pool, blocks_needed)
-            if freed == 0:
-                # The selected pool had nothing left (stale candidate);
-                # no other entity can be closer to its entitlement, so
-                # the request simply does not fit.
-                return False
-        return True
+        if self.used_blocks + blocks_needed <= self.capacity_blocks:
+            return True     # most sets fit: skip building the callbacks
+        over = lambda: self.used_blocks + blocks_needed > self.capacity_blocks
+        tracer = self._tracer
 
-    def _evict_batch(self, pool: Pool, blocks_needed: int) -> int:
-        """FIFO-evict whole entries from ``pool`` up to one batch; the
-        store retires them with one statement."""
+        def evict(round_) -> int:
+            pool = round_.victim_pool
+            if tracer is None:
+                return self._evict_batch(pool, over)
+            with tracer.span("svc.evict.round", vm=self._vm_id,
+                             pool=pool.pool_id, tenant=pool.name,
+                             freed=0) as span:
+                freed = self._evict_batch(pool, over)
+                span.note(freed=freed)
+            return freed
+
+        return self.engine.make_room(_SSD, self._eviction_batch, over, evict)
+
+    def _evict_batch(self, pool: Pool, over: Callable[[], bool]) -> int:
+        """FIFO-evict whole entries from ``pool`` up to one batch, stopping
+        as soon as ``over()`` is false (the request fits); the store
+        retires them with one statement."""
         freed = 0
         victims = []
         fifo = self._fifos[pool.name]
-        while (fifo and freed < self._eviction_batch
-               and self.used_blocks + blocks_needed > self.capacity_blocks):
+        while fifo and freed < self._eviction_batch and over():
             entry_id = next(iter(fifo))
             _, blocks, size, _ = self._forget(pool, entry_id)
             victims.append((entry_id, size))

@@ -516,24 +516,19 @@ class ReferenceCache:
                     pool.entitlement[kind] = int(share * fraction)
 
     def _make_room(self, kind: StoreKind, need: int) -> bool:
+        # No round cap: each round frees a block, so the blocks held
+        # bound the loop (under dedup a round may free no memory unit).
         capacity = self.capacities[kind]
         if capacity <= 0:
             return False
-        guard = 0
         if kind is _MEMORY:
             need_units = need * self._gran
             while self._units_used + need_units > self._units_capacity:
                 if not self._evict_round(kind):
                     return False
-                guard += 1
-                if guard > capacity:
-                    return False
             return True
         while self.used[kind] + need > capacity:
             if not self._evict_round(kind):
-                return False
-            guard += 1
-            if guard > capacity:
                 return False
         return True
 

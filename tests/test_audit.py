@@ -738,21 +738,21 @@ class TestAuditor:
 
     def test_stale_entitlements_are_caught(self):
         _, cache, vm, _ = self.populated()
-        # Bypass set_vm_weight's _recompute to simulate a missed refresh.
+        # Bypass set_vm_weight's engine.recompute() to simulate a missed refresh.
         cache.vms[vm].weight = 50.0
         cache.vms[vm].pools[next(iter(cache.vms[vm].pools))]  # touch
         cache.register_vm("other")  # second VM so shares actually change
         cache.create_pool(2, "c", CachePolicy.memory(100.0))
-        cache._vm_entitlements[(vm, MEMORY)] += 7
+        cache.engine.vm_entitlements[(vm, MEMORY)] += 7
         assert any("stale" in v.lower() for v in check_cache(cache))
 
     def test_audit_is_side_effect_free(self):
         _, cache, _, pool = self.populated()
         before = dict(cache._pools[pool].entitlement)
-        vm_before = dict(cache._vm_entitlements)
+        vm_before = dict(cache.engine.vm_entitlements)
         assert check_cache(cache) == []
         assert cache._pools[pool].entitlement == before
-        assert cache._vm_entitlements == vm_before
+        assert cache.engine.vm_entitlements == vm_before
 
     def test_baseline_used_blocks_drift_is_caught(self):
         env = Environment()

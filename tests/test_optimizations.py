@@ -11,6 +11,7 @@ from repro.core.optimizations import (
     content_fingerprint,
 )
 from repro.simkernel import Environment
+from repro.storage import MB
 
 BLK = 64 * 1024
 
@@ -197,6 +198,35 @@ class TestDedupCache:
         assert cache._mem_units_used == 1
         run_gen(env, cache.get_many(vm, p2, [(2, 0)]))
         assert cache._mem_units_used == 0
+
+    def test_make_room_evicts_through_shared_content(self):
+        # Evicting a deduplicated block frees no memory unit while another
+        # copy of its content stays cached, so making room for one unit
+        # can take more rounds than the store has blocks.  The loop must
+        # keep going while rounds free blocks, not give up at a round
+        # count tied to capacity.
+        shared = lambda ns, inode, block: "base" if inode == 1 else (inode, block)
+        env = Environment()
+        cache = DoubleDeckerCache(
+            env,
+            DDConfig(mem_capacity_mb=4 * BLK / MB, eviction_batch_mb=BLK / MB,
+                     dedup=True, dedup_fingerprint=shared),
+            BLK,
+        )
+        vm = cache.register_vm("vm")
+        a = cache.create_pool(vm, "a", CachePolicy.memory(50))
+        b = cache.create_pool(vm, "b", CachePolicy.memory(50))
+        run_gen(env, cache.put_many(vm, a, [(1, i) for i in range(10)]))
+        run_gen(env, cache.put_many(vm, a, [(2, i) for i in range(3)]))
+        assert cache._mem_units_used == cache._mem_units_capacity == 4
+        assert run_gen(env, cache.put_many(vm, b, [(3, 0)])) == 1
+        assert cache.pool_stats(vm, b).put_rejected_capacity == 0
+        # All ten copies of the shared content had to go (one per round)
+        # before its unit was freed; the unique blocks stay.
+        assert cache.store_counters[StoreKind.MEMORY].eviction_rounds == 10
+        assert sorted(cache._pools[a].iter_keys(StoreKind.MEMORY)) == [
+            (2, 0), (2, 1), (2, 2)]
+        assert cache._mem_units_used == 4
 
 
 @settings(max_examples=50, deadline=None)

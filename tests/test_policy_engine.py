@@ -8,12 +8,16 @@ recorded on the commit immediately before the split (PYTHONHASHSEED=0,
 scale 0.05, seed 42) and must never drift.
 """
 
+import ast
 import hashlib
+import inspect
 import os
 import unittest
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import CachePolicy, PolicyEngine, StoreKind
 
 # sha256 of ExperimentResult.summary(plots=False), recorded pre-extraction.
@@ -186,6 +190,82 @@ class DecisionTests(unittest.TestCase):
         caps[StoreKind.MEMORY] = 40  # lending / dynamic resize
         engine.recompute()
         self.assertEqual(engine.vm_entitlements[(vm, StoreKind.MEMORY)], 40)
+
+
+class MakeRoomTests(unittest.TestCase):
+
+    @staticmethod
+    def _full_pool():
+        """One VM, one SSD pool holding the whole 4-block store."""
+        engine = make_engine(ssd=4)
+        vm = engine.register_vm("a")
+        pool = engine.create_pool(vm, "p", CachePolicy(ssd_weight=1))
+        pool.used[StoreKind.SSD] = 4
+        return engine, pool
+
+    def _never(self, *args):
+        self.fail(f"called with {args}")
+
+    def test_true_without_selecting_when_not_over(self):
+        engine, _ = self._full_pool()
+        engine.select_eviction = self._never
+        self.assertTrue(
+            engine.make_room(StoreKind.SSD, 1, lambda: False, self._never))
+
+    def test_false_on_an_empty_host(self):
+        engine = make_engine()
+        engine.register_vm("a")
+        self.assertFalse(
+            engine.make_room(StoreKind.SSD, 1, lambda: True, self._never))
+
+    def test_false_when_a_round_frees_nothing(self):
+        engine, pool = self._full_pool()
+        rounds = []
+        self.assertFalse(engine.make_room(
+            StoreKind.SSD, 1, lambda: True,
+            lambda round_: rounds.append(round_) or 0))
+        self.assertEqual([round_.victim_pool for round_ in rounds], [pool])
+
+    def test_evicts_round_by_round_until_the_request_fits(self):
+        engine, pool = self._full_pool()
+
+        def evict(round_):
+            round_.victim_pool.used[StoreKind.SSD] -= 1
+            return 1
+
+        self.assertTrue(engine.make_room(
+            StoreKind.SSD, 1, lambda: pool.used[StoreKind.SSD] + 2 > 4, evict))
+        self.assertEqual(pool.used[StoreKind.SSD], 2)
+
+
+class OneRegistryOneLoopTests(unittest.TestCase):
+    """Every driver selects victims through ``PolicyEngine.make_room`` and
+    registers VMs and pools with a ``PolicyEngine``."""
+
+    SRC = Path(repro.__file__).parent
+    ENGINE = SRC / "core" / "engine.py"
+
+    def test_select_eviction_is_called_only_by_make_room(self):
+        calls = [
+            (str(path.relative_to(self.SRC)), node.lineno)
+            for path in sorted(self.SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "select_eviction"
+        ]
+        self.assertEqual(len(calls), 1, calls)
+        self.assertEqual(calls[0][0], "core/engine.py")
+        source, start = inspect.getsourcelines(PolicyEngine.make_room)
+        self.assertIn(calls[0][1], range(start, start + len(source)))
+
+    def test_only_the_engine_issues_vm_and_pool_ids(self):
+        offenders = [
+            f"{path.relative_to(self.SRC)}: {name}"
+            for path in sorted(self.SRC.rglob("*.py")) if path != self.ENGINE
+            for name in ("_next_vm_id", "_next_pool_id")
+            if name in path.read_text()
+        ]
+        self.assertEqual(offenders, [])
 
 
 @pytest.mark.slow
