@@ -11,6 +11,7 @@ disjoint) and thus serve more second-chance hits.
 from conftest import BENCH_SEED, run_once
 
 from repro import SimContext
+from repro.core import StoreKind
 from repro.workloads import WebserverWorkload
 
 CACHE_MB = 192.0
@@ -40,7 +41,7 @@ def drive(exclusive: bool):
     return {
         "ops": rates["ops_per_s"],
         "duplicated_blocks": duplicated,
-        "cached_blocks": cache.used_blocks,
+        "cached_blocks": cache.used[StoreKind.MEMORY],
     }
 
 

@@ -6,7 +6,8 @@ drift mechanically instead of by luck:
 
 * :func:`check_cache` / :func:`assert_consistent` — recompute ground
   truth from first principles (pool FIFO lengths vs ``pool.used`` vs
-  the file index vs ``manager.used`` vs memory units / dedup refcounts
+  the file index vs the engine's store totals (``manager.used``, which
+  ``Pool`` alone writes) vs memory units / dedup refcounts
   vs backend occupancy vs freshly recomputed entitlements) and report
   every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
   and both baselines; side-effect free, so it can run mid-simulation.
@@ -620,14 +621,12 @@ def _check_pool_table(cache) -> List[str]:
                 f"but {pool.used[_SSD]} SSD blocks are recorded"
             )
         total += len(pool)
-    if cache.used_blocks != total:
+    used = cache.engine.used[_MEMORY]
+    if used != total:
+        violations.append(f"used_blocks = {used} but pools hold {total}")
+    if not 0 <= used <= max(0, cache.capacity_blocks):
         violations.append(
-            f"used_blocks = {cache.used_blocks} but pools hold {total}"
-        )
-    if not 0 <= cache.used_blocks <= max(0, cache.capacity_blocks):
-        violations.append(
-            f"used_blocks = {cache.used_blocks} outside "
-            f"[0, {cache.capacity_blocks}]"
+            f"used_blocks = {used} outside [0, {cache.capacity_blocks}]"
         )
     if isinstance(cache, GlobalCache):
         live_fifo = 0

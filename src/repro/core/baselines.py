@@ -46,14 +46,15 @@ class _PoolTableCache(HypervisorCacheBase):
         self.env = env
         self.block_bytes = block_bytes
         self.capacity_blocks = int(capacity_mb * MB) // block_bytes
-        self.used_blocks = 0
         self.mem_backend = MemBackend(block_bytes, mem_spec)
         # The registry is a policy engine with no stores: entitlements
         # stay 0 and Algorithm 1 never runs, since these baselines evict
-        # by their own rule.  ``vms`` / ``_pools`` alias its live dicts.
+        # by their own rule.  ``vms`` / ``_pools`` / ``used`` alias its
+        # live dicts; the pools alone write ``used``.
         self.engine = PolicyEngine({})
         self.vms: Dict[int, VMEntry] = self.engine.vms
         self._pools: Dict[int, Pool] = self.engine.pools
+        self.used: Dict[StoreKind, int] = self.engine.used
         self.counters = StoreStats(kind="memory")
         audit_interval = global_audit_interval()
         if audit_interval > 0:
@@ -80,9 +81,9 @@ class _PoolTableCache(HypervisorCacheBase):
 
     def destroy_pool(self, vm_id: int, pool_id: int) -> None:
         pool = self.engine.require_pool(vm_id, pool_id)
-        for key in list(pool.iter_keys()):
-            if self._forget(pool, *key) is not None:
-                self._on_drop(pool_id, *key)
+        for key in pool.iter_keys():
+            self._on_drop(pool_id, *key)
+        pool.drain()
         self.engine.destroy_pool(vm_id, pool_id)
 
     def set_policy(self, vm_id: int, pool_id: int, policy: CachePolicy) -> None:
@@ -96,7 +97,7 @@ class _PoolTableCache(HypervisorCacheBase):
 
     def store_stats(self) -> Dict[StoreKind, StoreStats]:
         self.counters.capacity_blocks = self.capacity_blocks
-        self.counters.used_blocks = self.used_blocks
+        self.counters.used_blocks = self.used[StoreKind.MEMORY]
         return {StoreKind.MEMORY: self.counters}
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
@@ -114,15 +115,6 @@ class _PoolTableCache(HypervisorCacheBase):
             return 0.0
         return vm.used(StoreKind.MEMORY) * self.block_bytes / MB
 
-    # -- helpers ------------------------------------------------------------------
-
-    def _forget(self, pool: Pool, inode: int, block: int) -> Optional[StoreKind]:
-        """Remove a block from the pool and shared accounting (hook point)."""
-        kind = pool.remove_key((inode, block))
-        if kind is not None:
-            self.used_blocks -= 1
-        return kind
-
     # Data-path methods are provided by subclasses.
     def get_many(self, vm_id, pool_id, keys):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -133,10 +125,10 @@ class _PoolTableCache(HypervisorCacheBase):
     def flush_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
         dropped = 0
-        for inode, block in keys:
-            if self._forget(pool, inode, block) is not None:
+        for key in keys:
+            if pool.remove_key(key) is not None:
                 dropped += 1
-                self._on_drop(pool.pool_id, inode, block)
+                self._on_drop(pool.pool_id, *key)
         # Same convention as DoubleDecker: ``flushes`` counts drops,
         # ``flush_requests`` counts blocks asked about.
         pool.stats.flush_requests += len(keys)
@@ -146,16 +138,11 @@ class _PoolTableCache(HypervisorCacheBase):
     def flush_inode(self, vm_id: int, pool_id: int, inode: int,
                     nblocks: Optional[int] = None) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
-        tree = pool.files.get(inode)
-        if tree is None:
-            keys = []
-        else:
-            keys = [(inode, block) for block, _ in tree.items()]
-        dropped = 0
-        for key in keys:
-            if self._forget(pool, *key) is not None:
-                dropped += 1
-                self._on_drop(pool.pool_id, *key)
+        blocks = list(pool.files.get(inode, ()))
+        pool.remove_inode(inode)
+        for block in blocks:
+            self._on_drop(pool.pool_id, inode, block)
+        dropped = len(blocks)
         # Requested semantics, same as DoubleDecker's flush_inode.
         pool.stats.flush_requests += dropped if nblocks is None else nblocks
         pool.stats.flushes += dropped
@@ -210,7 +197,6 @@ class GlobalCache(_PoolTableCache):
                 if remove(key) is not None:
                     add_found(key)
                     fifo_pop((pool_id, key[0], key[1]), None)
-            self.used_blocks -= len(found)
         else:
             lookup = pool.lookup
             for key in keys:
@@ -230,6 +216,7 @@ class GlobalCache(_PoolTableCache):
         # The VM's usage, summed once and kept current below: nothing
         # else touches this VM's pools before the batch returns.
         MEMORY = StoreKind.MEMORY
+        used = self.used
         vm_used = self.vms[vm_id].used(MEMORY) if per_vm_cap is not None else 0
         evict_one = self._evict_one
         lookup = pool.lookup
@@ -241,13 +228,13 @@ class GlobalCache(_PoolTableCache):
             if capacity <= 0:
                 counters.rejected_puts += 1
                 continue
-            while self.used_blocks + 1 > capacity:
+            while used[MEMORY] + 1 > capacity:
                 evicted = evict_one()
                 if evicted is None:
                     break
                 if evicted == vm_id:
                     vm_used -= 1
-            if self.used_blocks + 1 > capacity:
+            if used[MEMORY] + 1 > capacity:
                 counters.rejected_puts += 1
                 continue
             if per_vm_cap is not None and vm_used + 1 > per_vm_cap:
@@ -261,7 +248,6 @@ class GlobalCache(_PoolTableCache):
             inode, block = key
             if lookup(inode, block) is None:
                 insert(inode, block, MEMORY)
-                self.used_blocks += 1
                 fifo[(pool_id, inode, block)] = None
                 stored += 1
                 vm_used += 1
@@ -295,7 +281,7 @@ class GlobalCache(_PoolTableCache):
         pool = self._pools.get(pool_id)
         if pool is None:
             return 0  # stale entry of a destroyed pool
-        if self._forget(pool, inode, block) is None:
+        if pool.remove_key((inode, block)) is None:
             return 0
         pool.stats.evictions += 1
         self.counters.evictions += 1
@@ -347,7 +333,6 @@ class StaticPartitionCache(_PoolTableCache):
         for key in keys:
             if remove(key) is not None:
                 add_found(key)
-        self.used_blocks -= len(found)
         stats.get_hits += len(found)
         if found:
             yield self.env.timeout(self.mem_backend.read_cost(len(found)))
@@ -373,7 +358,6 @@ class StaticPartitionCache(_PoolTableCache):
                 victim = pop_oldest(MEMORY)
                 if victim is None:
                     break
-                self.used_blocks -= 1
                 stats.evictions += 1
                 counters.evictions += 1
             if pool_used[MEMORY] + 1 > cap:
@@ -382,7 +366,6 @@ class StaticPartitionCache(_PoolTableCache):
             inode, block = key
             if lookup(inode, block) is None:
                 insert(inode, block, MEMORY)
-                self.used_blocks += 1
                 stored += 1
         stats.puts_stored += stored
         if stored:

@@ -56,7 +56,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             StoreKind.MEMORY: int(config.mem_capacity_mb * MB) // block_bytes,
             StoreKind.SSD: int(config.ssd_capacity_mb * MB) // block_bytes,
         }
-        self.used: Dict[StoreKind, int] = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
 
         # -- remote-memory lending (fleet cooperation) ----------------
         # ``capacities`` is the *effective* size; the audited invariant is
@@ -94,8 +93,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
 
         # The policy core: registry, entitlements, and Algorithm-1
         # selection live in the extracted engine; this class remains the
-        # storage/clock driver.  ``vms`` / ``_pools`` alias the engine's
-        # live dicts so the auditor and tests read one source of truth.
+        # storage/clock driver.  ``vms`` / ``_pools`` / ``used`` alias the
+        # engine's live dicts so the auditor and tests read one source of
+        # truth; the pools alone write ``used``.
         self.engine = PolicyEngine(
             self.capacities,
             victim_policy=config.victim_policy,
@@ -104,6 +104,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         )
         self.vms: Dict[int, VMEntry] = self.engine.vms
         self._pools: Dict[int, Pool] = self.engine.pools  # global pool-id -> Pool
+        self.used: Dict[StoreKind, int] = self.engine.used
         self._eviction_batch = max(1, int(config.eviction_batch_mb * MB) // block_bytes)
         #: ``(store, need)`` -> :meth:`_make_room`'s callbacks, built once
         #: because every put asks for room.
@@ -288,9 +289,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         """Release every cached block of ``pool`` from manager accounting."""
         for inode, block in list(pool.fifos[StoreKind.MEMORY]):
             self._mem_release(pool.vm_id, inode, block)
-        counts = pool.drain()
-        for kind, count in counts.items():
-            self.used[kind] -= count
+        pool.drain()
 
     def pool_stats(self, vm_id: int, pool_id: int) -> PoolStats:
         return self.engine.require_pool(vm_id, pool_id).snapshot_stats()
@@ -315,12 +314,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
         mem_keys, ssd_keys = pool.remove_many(keys)
         mem_hits = len(mem_keys)
         if mem_hits:
-            self.used[StoreKind.MEMORY] -= mem_hits
             release = self._mem_release
             for inode, block in mem_keys:
                 release(vm_id, inode, block)
-        if ssd_keys:
-            self.used[StoreKind.SSD] -= len(ssd_keys)
         found: Set[BlockKey] = set(mem_keys)
         found.update(ssd_keys)
         stats.get_hits += len(found)
@@ -391,7 +387,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             fixed_kind = SSD
         stored = 0
         mem_stores = 0
-        used = self.used
         pool_used = pool.used
         entitlement = pool.entitlement
         remove = pool.remove_key
@@ -410,14 +405,11 @@ class DoubleDeckerCache(HypervisorCacheBase):
         now = self.env.now
         for key in keys:
             inode, block = key
-            # Duplicate put: drop the stale copy first so accounting
-            # (manager used / memory units) stays exact.  ``remove``
-            # folds the former lookup+remove pair into one descent.
-            existing = remove(key)
-            if existing is not None:
-                used[existing] -= 1
-                if existing is MEMORY:
-                    release(vm_id, inode, block)
+            # Duplicate put: drop the stale copy first so the memory
+            # units stay exact.  ``remove`` folds the former lookup+remove
+            # pair into one descent.
+            if remove(key) is MEMORY:
+                release(vm_id, inode, block)
             kind = fixed_kind
             if kind is None:  # hybrid spills to SSD past the memory share
                 kind = MEMORY if pool_used[MEMORY] < entitlement[MEMORY] else SSD
@@ -439,7 +431,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                     continue
                 stats.ssd_writes += 1
             insert(inode, block, kind)
-            used[kind] += 1
             if kind is MEMORY:
                 charge(vm_id, inode, block)
                 mem_stores += 1
@@ -486,12 +477,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
         pool = self.engine.require_pool(vm_id, pool_id)
         mem_keys, ssd_keys = pool.remove_many(keys)
         if mem_keys:
-            self.used[StoreKind.MEMORY] -= len(mem_keys)
             release = self._mem_release
             for inode, block in mem_keys:
                 release(vm_id, inode, block)
-        if ssd_keys:
-            self.used[StoreKind.SSD] -= len(ssd_keys)
         dropped = len(mem_keys) + len(ssd_keys)
         # ``flushes`` counts blocks actually dropped (same as flush_inode);
         # ``flush_requests`` counts blocks the guest asked about, so the
@@ -508,13 +496,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
                     nblocks: Optional[int] = None) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
         mem_blocks = pool.mem_blocks_of_inode(inode)
-        counts = pool.remove_inode(inode)
+        dropped = sum(pool.remove_inode(inode).values())
         for block in mem_blocks:
             self._mem_release(vm_id, inode, block)
-        dropped = 0
-        for kind, count in counts.items():
-            self.used[kind] -= count
-            dropped += count
         # ``flush_requests`` uses the same *requested* semantics as
         # flush_many: the guest passes the file's block count via
         # ``nblocks`` so whole-file flushes report asks, not drops.  When
@@ -536,6 +520,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         operation is metadata-only (as in the paper's MIGRATE_OBJECT).
         Self-migration is a no-op (a remove/insert cycle would reset the
         blocks' FIFO residence order, making them artificially youngest).
+        A block the target already holds replaces the target's copy, whose
+        memory units are released as a duplicate put's are.
         Blocks whose current store the target policy gives zero weight are
         rejected — they stay in the source pool — so migration cannot
         manufacture the stranded-block class ``_evict_round`` guards
@@ -559,7 +545,10 @@ class DoubleDeckerCache(HypervisorCacheBase):
             if target_policy.weight_for(kind) <= 0:
                 rejected += 1
                 continue
-            source.remove_key((inode, block))
+            key = (inode, block)
+            source.remove_key(key)
+            if target.remove_key(key) is StoreKind.MEMORY:
+                self._mem_release(vm_id, inode, block)
             target.insert(inode, block, kind)
             moved += 1
         if moved:
@@ -654,7 +643,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 rejected += 1
                 continue
             pool.insert(inode, block, MEMORY)
-            self.used[MEMORY] += 1
             self._mem_charge(vm_id, inode, block)
             accepted += 1
         if accepted:
@@ -804,8 +792,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
         service's ``_evict_batch`` stops there instead).  The selection
         itself (candidate enumeration by occupancy, Algorithm-1 scoring,
         the fallback rules) is :meth:`PolicyEngine.select_eviction`'s;
-        this driver owns all storage accounting for the evicted blocks
-        (manager ``used``, memory units, trickle-down, tracing).
+        this driver owns the storage accounting for the evicted blocks
+        (memory units, trickle-down, tracing); ``pop_oldest`` moves the
+        occupancy counts.
         """
         batch = self._eviction_batch
         pool = selection.victim_pool
@@ -815,7 +804,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             key = pool.pop_oldest(kind)
             if key is None:
                 break
-            self.used[kind] -= 1
             if kind is StoreKind.MEMORY:
                 self._mem_release(pool.vm_id, key[0], key[1])
             evicted += 1
@@ -887,7 +875,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 break
             inode, block = key
             pool.insert(inode, block, StoreKind.SSD)
-            self.used[StoreKind.SSD] += 1
             pool.stats.ssd_writes += 1
         if tracer is not None and self._obs_label is not None:
             written = pool.stats.ssd_writes - writes0

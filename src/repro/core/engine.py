@@ -8,10 +8,10 @@ controllers — while knowing nothing about storage backends or time
 ``DoubleDeckerCache.put_many``):
 
 * **Storage-agnostic.**  The engine tracks metadata (``Pool`` FIFOs and
-  per-entity occupancy) only; the driver moves bytes and charges device
-  costs.  ``capacities`` is a dict the driver owns and may mutate in
-  place (lending, dynamic resize); the engine re-reads it on every
-  :meth:`recompute`.
+  per-entity occupancy, down to the store-wide ``used`` its pools keep)
+  only; the driver moves bytes and charges device costs.  ``capacities``
+  is a dict the driver owns and may mutate in place (lending, dynamic
+  resize); the engine re-reads it on every :meth:`recompute`.
 * **Clock-agnostic.**  Nothing in the engine reads a clock.  Admission
   controllers take ``now`` as an argument at their call sites, so the
   simulator passes ``Environment.now`` and a wall-clock service passes
@@ -84,6 +84,9 @@ class PolicyEngine:
         self._admission_builder = admission_builder
         self._admission_namer = admission_namer
         self.vms: Dict[int, VMEntry] = {}
+        #: StoreKind -> blocks held by every pool: the store-wide total,
+        #: written only by the pools themselves (``Pool.totals``).
+        self.used: Dict[StoreKind, int] = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
         #: Flat global pool-id -> Pool map (pool ids are host-unique).
         self.pools: Dict[int, Pool] = {}
         self._next_vm_id = 1
@@ -127,7 +130,7 @@ class PolicyEngine:
         vm = self.require_vm(vm_id)
         pool_id = self._next_pool_id
         self._next_pool_id += 1
-        pool = Pool(pool_id, vm_id, name, policy)
+        pool = Pool(pool_id, vm_id, name, policy, self.used)
         if self._admission_builder is not None:
             pool.admission = self._admission_builder(policy)
         vm.pools[pool_id] = pool

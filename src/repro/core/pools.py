@@ -6,6 +6,9 @@ store}``) and keeps one FIFO per store backend, an ``OrderedDict`` of
 ``(inode, block)`` keys, as the eviction order (FIFO is the
 LRU-equivalent for an exclusive cache: a hit removes the block, so
 residence order is insertion order).
+
+This module is the only writer of block occupancy: every mutator moves a
+pool's ``used`` and its engine's store-wide ``totals`` together.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ class Pool:
     """One container's slice of the hypervisor cache."""
 
     __slots__ = ("pool_id", "vm_id", "name", "policy", "files", "fifos",
-                 "used", "entitlement", "stats", "active", "admission")
+                 "used", "totals", "entitlement", "stats", "active", "admission")
 
-    def __init__(self, pool_id: int, vm_id: int, name: str, policy: CachePolicy) -> None:
+    def __init__(self, pool_id: int, vm_id: int, name: str, policy: CachePolicy,
+                 totals: Optional[Dict[StoreKind, int]] = None) -> None:
         self.pool_id = pool_id
         self.vm_id = vm_id
         self.name = name
@@ -45,6 +49,9 @@ class Pool:
         }
         #: StoreKind -> blocks currently cached
         self.used: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
+        #: StoreKind -> blocks held by every pool sharing this dict (the
+        #: engine's ``used``); each mutator moves it with ``used``.
+        self.totals = {_MEMORY: 0, _SSD: 0} if totals is None else totals
         #: StoreKind -> current entitlement in blocks (set by the policy module)
         self.entitlement: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
         self.stats = PoolStats(pool_id=pool_id, vm_id=vm_id, name=name)
@@ -83,9 +90,11 @@ class Pool:
         if previous is not None:
             del self.fifos[previous][key]
             self.used[previous] -= 1
+            self.totals[previous] -= 1
         tree[block] = kind
         self.fifos[kind][key] = None
         self.used[kind] += 1
+        self.totals[kind] += 1
 
     def remove_key(self, key: BlockKey) -> Optional[StoreKind]:
         """Remove the ``(inode, block)`` block; returns the store it was
@@ -101,6 +110,7 @@ class Pool:
             del self.files[inode]
         del self.fifos[kind][key]
         self.used[kind] -= 1
+        self.totals[kind] -= 1
         return kind
 
     def remove_many(self, keys) -> Tuple[List[BlockKey], List[BlockKey]]:
@@ -128,6 +138,7 @@ class Pool:
             dropped[kind] += 1
         for kind, count in dropped.items():
             self.used[kind] -= count
+            self.totals[kind] -= count
         return dropped
 
     def pop_oldest(self, kind: StoreKind) -> Optional[BlockKey]:
@@ -142,16 +153,25 @@ class Pool:
         if not tree:
             del self.files[inode]
         self.used[kind] -= 1
+        self.totals[kind] -= 1
         return key
 
     def drain(self) -> Dict[StoreKind, int]:
         """Remove everything (pool destruction); returns per-store counts."""
         counts = dict(self.used)
         self.files.clear()
-        for kind in self.used:
+        for kind, count in counts.items():
             self.fifos[kind].clear()
             self.used[kind] = 0
+            self.totals[kind] -= count
         return counts
+
+    def charge(self, kind: StoreKind, blocks: int) -> None:
+        """Count ``blocks`` into (or, negative, out of) store ``kind``
+        without indexing them: for a driver that indexes whole entries
+        itself (the service) and tells its pools block counts only."""
+        self.used[kind] += blocks
+        self.totals[kind] += blocks
 
     def iter_keys(self, kind: Optional[StoreKind] = None) -> Iterator[BlockKey]:
         """All cached keys, oldest-first, optionally limited to one store."""

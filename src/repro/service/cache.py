@@ -16,8 +16,9 @@ cache indexes blocks because its guests address blocks; this one's
 clients address whole values, so each tenant keeps **one record per
 entry** in an insertion-ordered FIFO keyed by entry id (ids only grow,
 so insertion order is id order is eviction order) and tells its pool
-only the block count (``pool.used[SSD]``) — the quantity Algorithm 1
-reads.  ``Pool.files`` and ``Pool.fifos`` stay empty here.  Eviction
+only the block count: ``pool.charge`` moves ``pool.used[SSD]`` — the
+quantity Algorithm 1 reads — and the host total ``engine.used[SSD]``
+together.  ``Pool.files`` and ``Pool.fifos`` stay empty here.  Eviction
 pops the FIFO head and retires the *whole* entry — partial values are
 useless to a memcached client.  The loop is the simulator's,
 :meth:`PolicyEngine.make_room`; only the batch callbacks differ.  This
@@ -93,7 +94,7 @@ class ServiceCache:
         )
         self._vm_id = self.engine.register_vm("service", weight=100.0)
         #: tenant name -> its DD container: the policy side, told block
-        #: counts only (``used[SSD]``), never blocks.
+        #: counts only (``pool.charge``), never blocks.
         self.tenants: Dict[str, Pool] = {}
         #: tenant name -> entry id -> record, oldest first.  OrderedDict
         #: because eviction deletes at the front: a dict's first key is
@@ -101,7 +102,6 @@ class ServiceCache:
         self._fifos: Dict[str, "OrderedDict[int, Record]"] = {}
         #: (tenant, key) -> entry id; the truth, the store is only told.
         self._ids: Dict[Tuple[str, str], int] = {}
-        self.used_blocks = 0
         self._recover()
 
     # -- construction ---------------------------------------------------
@@ -257,9 +257,10 @@ class ServiceCache:
 
     def _make_room(self, blocks_needed: int) -> bool:
         """Evict per Algorithm 1 until ``blocks_needed`` fit."""
-        if self.used_blocks + blocks_needed <= self.capacity_blocks:
+        used = self.engine.used
+        if used[_SSD] + blocks_needed <= self.capacity_blocks:
             return True     # most sets fit: skip building the callbacks
-        over = lambda: self.used_blocks + blocks_needed > self.capacity_blocks
+        over = lambda: used[_SSD] + blocks_needed > self.capacity_blocks
         tracer = self._tracer
 
         def evict(round_) -> int:
@@ -301,16 +302,14 @@ class ServiceCache:
         """Queue a new entry at the tail of its tenant's FIFO."""
         self._fifos[pool.name][entry_id] = (key, blocks, size, flags)
         self._ids[(pool.name, key)] = entry_id
-        pool.used[_SSD] += blocks
-        self.used_blocks += blocks
+        pool.charge(_SSD, blocks)
 
     def _forget(self, pool: Pool, entry_id: int) -> Record:
         """Drop and return an entry's record (the caller deletes its
         row, or ``DiskStore.set`` replaces it atomically)."""
         record = self._fifos[pool.name].pop(entry_id)
         del self._ids[(pool.name, record[0])]
-        pool.used[_SSD] -= record[1]
-        self.used_blocks -= record[1]
+        pool.charge(_SSD, -record[1])
         return record
 
     # -- introspection --------------------------------------------------
@@ -333,7 +332,7 @@ class ServiceCache:
                 "entitlement_blocks": pool.entitlement[_SSD],
             }
         out["_host"] = {
-            "used_blocks": self.used_blocks,
+            "used_blocks": self.engine.used[_SSD],
             "capacity_blocks": self.capacity_blocks,
             "entries": len(self._ids),
         }

@@ -8,9 +8,10 @@ that are supposed to agree —
 * the index: every tenant's FIFO holds one record per entry in id
   order, and ``_ids`` is its inverse, key for key;
 * the policy side: ``pool.used[SSD]`` is the block sum of the tenant's
-  records (the pool is told counts, never blocks: ``pool.files``,
-  ``pool.fifos`` and its memory store stay empty), and ``used_blocks``
-  is the sum over tenants and stays within capacity;
+  records (the pool is told counts through ``pool.charge``, never
+  blocks: ``pool.files``, ``pool.fifos`` and its memory store stay
+  empty), and the engine's store total ``engine.used[SSD]`` is the sum
+  over tenants and stays within capacity;
 * the disk side, read straight from ``log/*.seg`` and ``data.slab``
   with a frame parser of its own (:func:`read_journal`) rather than
   through :class:`~repro.service.store.DiskStore` methods: one live
@@ -250,8 +251,9 @@ def check_service(cache) -> List[str]:
                               f"({len(pool.files)} inodes, "
                               f"{pool.used[StoreKind.MEMORY]} in memory)")
     total = sum(entry[2] for entry in entries.values())
-    if total != cache.used_blocks:
-        violations.append(f"used_blocks is {cache.used_blocks}, the entries "
+    host_used = cache.engine.used[_SSD]
+    if total != host_used:
+        violations.append(f"used_blocks is {host_used}, the entries "
                           f"add up to {total}")
     if total > cache.capacity_blocks:
         violations.append(f"{total} blocks used of {cache.capacity_blocks}")

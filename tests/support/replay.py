@@ -2,10 +2,11 @@
 
 :class:`Recorder` records every call a :class:`~repro.experiments.scenarios.Scenario`
 makes at ``DoubleDeckerCache``'s driver interface (``put_many``,
-``get_many``, ``flush_many``, ``flush_inode``) together with the outcome
-and every pool's SSD FIFO after the call.  :func:`replay` plays that
-stream into a :class:`~repro.service.ServiceCache` and returns every place
-where the two disagree.  The mapping:
+``get_many``, ``flush_many``, ``flush_inode``) together with the outcome,
+every pool's SSD FIFO and the engine's SSD total after the call.
+:func:`replay` plays that stream into a
+:class:`~repro.service.ServiceCache` and returns every place where the
+two disagree.  The mapping:
 
 * tenant = pool, all created up front in pool-id order with the pools'
   SSD weights set through ``engine.set_pool_policy``;
@@ -46,6 +47,8 @@ class Op:
     hits: FrozenSet[BlockKey] = frozenset()
     #: pool id -> its SSD FIFO, oldest first, once the call has run.
     fifos: Dict[int, Tuple[BlockKey, ...]] = field(default_factory=dict)
+    #: ``engine.used[SSD]``, the store-wide total, once the call has run.
+    used: int = 0
 
 
 class Recorder:
@@ -96,6 +99,7 @@ class Recorder:
             self.ops[-1].fifos = {
                 pool_id: tuple(pool.fifos[_SSD])
                 for pool_id, pool in self.cache._pools.items()}
+            self.ops[-1].used = self.cache.engine.used[_SSD]
 
     def finish(self) -> List[Op]:
         """The recorded stream, with the last call's state filled in."""
@@ -156,6 +160,8 @@ def _apply(service: ServiceCache, names: Dict[int, str], op: Op) -> List[str]:
         for record in list(service._fifos[tenant].values()):
             if record[0].startswith(prefix):
                 service.delete(tenant, record[0])
+    if service.engine.used[_SSD] != op.used:
+        problems.append(f"store total {service.engine.used[_SSD]} != {op.used}")
     for pool_id, fifo in op.fifos.items():
         pool = service.tenants[names[pool_id]]
         if pool.used[_SSD] != len(fifo):

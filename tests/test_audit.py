@@ -367,7 +367,7 @@ class BaselineDriver:
         self.compare(ops)
 
     def compare(self, step_no):
-        assert self.dut.used_blocks == self.ref.used_blocks, step_no
+        assert self.dut.used[MEMORY] == self.ref.used_blocks, step_no
         for _, pid in self.pools:
             dp = self.dut._pools[pid]
             rp = self.ref.pools[pid]
@@ -761,7 +761,7 @@ class TestAuditor:
         pool = cache.create_pool(vm, "ctr", CachePolicy.memory(100.0))
         run_gen(env, cache.put_many(vm, pool, [(1, b) for b in range(4)]))
         assert check_cache(cache) == []
-        cache.used_blocks += 1
+        cache.used[MEMORY] += 1
         assert any("used_blocks" in v for v in check_cache(cache))
 
     def test_baseline_untracked_fifo_block_is_caught(self):

@@ -67,7 +67,7 @@ class TestGlobalCache:
         vm = cache.register_vm("a")
         pool = cache.create_pool(vm, "c", CachePolicy.memory(100))
         run_gen(env, cache.put_many(vm, pool, [(1, i) for i in range(64)]))
-        assert cache.used_blocks <= cache.capacity_blocks
+        assert cache.used[StoreKind.MEMORY] <= cache.capacity_blocks
 
     def test_duplicate_put_not_double_counted(self):
         env, cache = self.make()
@@ -75,7 +75,7 @@ class TestGlobalCache:
         pool = cache.create_pool(vm, "c", CachePolicy.memory(100))
         run_gen(env, cache.put_many(vm, pool, [(1, 0)]))
         run_gen(env, cache.put_many(vm, pool, [(1, 0)]))
-        assert cache.used_blocks == 1
+        assert cache.used[StoreKind.MEMORY] == 1
 
     def test_destroy_pool_purges_fifo(self):
         env, cache = self.make(capacity_mb=1.0)
@@ -83,7 +83,7 @@ class TestGlobalCache:
         p1 = cache.create_pool(vm, "c1", CachePolicy.memory(100))
         run_gen(env, cache.put_many(vm, p1, [(1, i) for i in range(8)]))
         cache.destroy_pool(vm, p1)
-        assert cache.used_blocks == 0
+        assert cache.used[StoreKind.MEMORY] == 0
         assert len(cache._fifo) == 0
 
     def test_flush_keeps_fifo_consistent(self):
@@ -92,7 +92,7 @@ class TestGlobalCache:
         pool = cache.create_pool(vm, "c", CachePolicy.memory(100))
         run_gen(env, cache.put_many(vm, pool, [(1, i) for i in range(4)]))
         cache.flush_many(vm, pool, [(1, 0), (1, 1)])
-        assert cache.used_blocks == 2
+        assert cache.used[StoreKind.MEMORY] == 2
         assert len(cache._fifo) == 2
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
+from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind, check_cache
 from repro.simkernel import Environment
 from repro.storage import SSD
 
@@ -126,6 +126,20 @@ class TestDataPath:
         assert run_gen(env, cache.get_many(vm, p2, [(1, 0), (1, 1)])) == {
             (1, 0), (1, 1)
         }
+
+    def test_migrate_onto_a_block_the_target_holds_replaces_it(self):
+        """The target's own copy is dropped, not leaked: the store total
+        and the memory units both count the one block that remains."""
+        env, cache = make_cache()
+        vm = cache.register_vm("a")
+        a = cache.create_pool(vm, "a", CachePolicy.memory(50))
+        b = cache.create_pool(vm, "b", CachePolicy.memory(50))
+        run_gen(env, cache.put_many(vm, a, [(1, 0)]))
+        run_gen(env, cache.put_many(vm, b, [(1, 0)]))
+        assert cache.migrate_objects(vm, a, b, 1) == 1
+        assert check_cache(cache) == []
+        assert cache.used[StoreKind.MEMORY] == 1
+        assert cache._mem_units_used == 1
 
     def test_ssd_put_and_get(self):
         env, cache = make_cache(mem_mb=0, ssd_mb=10)

@@ -1,14 +1,18 @@
 """Unit tests for cache pools and VM entries."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core import CachePolicy, Pool, StoreKind, VMEntry
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-def make_pool(policy=None):
-    return Pool(1, 1, "test", policy or CachePolicy.memory(50))
+
+def make_pool(policy=None, totals=None):
+    return Pool(1, 1, "test", policy or CachePolicy.memory(50), totals)
 
 
 class TestPool:
@@ -134,10 +138,17 @@ class TestPool:
         """Every mutation on MEMORY and SSD together, against two plain
         lists: a re-insert (same or other store) lands at the new store's
         tail, ``remove_many`` reports first occurrences in request order,
-        and the per-inode views follow."""
-        pool = make_pool(CachePolicy.hybrid(50, 50))
+        and the per-inode views follow.  A second pool sharing the
+        store totals is charged block counts beside it (the service's
+        use, which indexes nothing), and the totals stay the sum of both
+        pools' ``used``."""
+        totals = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
+        pool = make_pool(CachePolicy.hybrid(50, 50), totals)
+        other = Pool(2, 1, "other", CachePolicy.hybrid(50, 50), totals)
         rng = random.Random(25)
+        side = random.Random(26)  # the charges; ``rng`` drives ``pool``
         kinds = (StoreKind.MEMORY, StoreKind.SSD)
+        charged = {kind: 0 for kind in kinds}
         fifo = {kind: [] for kind in kinds}  # oldest first
         where = {}  # key -> store
 
@@ -187,12 +198,21 @@ class TestPool:
             else:
                 counts = {kind: len(fifo[kind]) for kind in kinds}
                 assert pool.drain() == counts, step
+                assert other.drain() == charged, step
                 where.clear()
                 for kind in kinds:
                     fifo[kind].clear()
+                    charged[kind] = 0
+            charge_kind = side.choice(kinds)
+            delta = side.randrange(-charged[charge_kind], 4)
+            other.charge(charge_kind, delta)
+            charged[charge_kind] += delta
             for kind in kinds:
                 assert list(pool.fifos[kind]) == fifo[kind], step
                 assert pool.used[kind] == len(fifo[kind]), step
+                assert other.used[kind] == charged[kind], step
+                assert not other.fifos[kind], step
+                assert totals[kind] == pool.used[kind] + other.used[kind], step
             for inode in range(6):
                 blocks = sorted((key[1], kind) for key, kind in where.items()
                                 if key[0] == inode)
@@ -201,6 +221,67 @@ class TestPool:
                     block for block, kind in blocks if kind is StoreKind.MEMORY
                 ], step
             assert sorted(pool.files) == sorted({key[0] for key in where}), step
+
+
+def _occupancy_writes(tree):
+    """``(line, target)`` of every assignment in ``tree`` to a subscript
+    of an attribute named ``used`` or to ``self.used_blocks``."""
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for element in node.elts:
+                yield from targets(element)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            found = [t for target in node.targets for t in targets(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            found = list(targets(node.target))
+        else:
+            continue
+        for target in found:
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "used"):
+                yield node.lineno, ast.unparse(target)
+            elif (isinstance(target, ast.Attribute)
+                    and target.attr == "used_blocks"
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                yield node.lineno, ast.unparse(target)
+
+
+class TestOwnership:
+    def test_only_pools_module_writes_block_occupancy(self):
+        """``Pool`` is the one writer of ``pool.used`` and of the store
+        totals it shares with its engine (``PolicyEngine.used``): drivers
+        call its mutators or ``charge`` and keep no second counter."""
+        owner = PACKAGE / "core" / "pools.py"
+        offenders = [
+            f"{path.relative_to(PACKAGE).as_posix()}:{line}: {target}"
+            for path in sorted(PACKAGE.rglob("*.py")) if path != owner
+            for line, target in _occupancy_writes(
+                ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert offenders == []
+
+    def test_the_walk_sees_what_it_forbids(self):
+        """The walk flags real writes and passes reads, string text and
+        other objects' ``used_blocks`` (``StoreStats``)."""
+        source = (
+            "self.used[kind] -= 1\n"
+            "pool.used[kind], x = 0, 1\n"
+            "self.engine.used[SSD] += n\n"
+            "self.used_blocks = 0\n"
+            "counters.used_blocks = self.used[kind]\n"
+            "message = f'pool.used[{kind}] = {n}'\n"
+            "total = pool.used[kind] + 1\n"
+        )
+        assert [line for line, _ in _occupancy_writes(ast.parse(source))] == [
+            1, 2, 3, 4]
 
 
 class TestVMEntry:

@@ -5,7 +5,7 @@ compression, dedup, trickle-down or admission) is recorded at
 ``DoubleDeckerCache``'s driver interface and replayed into a
 ``ServiceCache`` (``tests/support/replay.py``).  At an eviction batch of
 one block both sides must agree after every op: hits, each tenant's
-``used`` and each tenant's FIFO order.
+``used``, each tenant's FIFO order and the store total ``engine.used[SSD]``.
 """
 
 from repro.core import StoreKind

@@ -168,7 +168,7 @@ class SeededFaultTests(unittest.TestCase):
                         f"{fragment!r} not in {report}")
 
     def test_used_blocks_drift(self):
-        self.cache.used_blocks += 1
+        self.cache.engine.used[StoreKind.SSD] += 1
         self.assert_reported("used_blocks is")
 
     def test_index_maps_disagree(self):
@@ -345,7 +345,7 @@ class NoPerBlockCallTests(unittest.TestCase):
         self.assertEqual(hits, before["entries"])
         self.assertEqual(cache.flush_all(), before["entries"])
         self.assertEqual(check_service(cache), [])
-        self.assertEqual(cache.used_blocks, 0)
+        self.assertEqual(cache.engine.used[StoreKind.SSD], 0)
 
 
 def snapshot(directory):

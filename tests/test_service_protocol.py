@@ -512,7 +512,7 @@ class TenantTests(ServerHarness):
         alice = self.cache.tenants["alice"]
         bob = self.cache.tenants["bob"]
         used = alice.used[StoreKind.SSD] + bob.used[StoreKind.SSD]
-        self.assertEqual(used, self.cache.used_blocks)
+        self.assertEqual(used, self.cache.engine.used[StoreKind.SSD])
         self.assertLessEqual(used, capacity)
         # Both tenants survived with a fair share (Algorithm 1 evicts
         # the over-user, so neither can be starved below ~half of its

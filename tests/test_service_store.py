@@ -16,6 +16,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import StoreKind
 from repro.service import DiskStore, ServiceCache, SetStatus
 from repro.service import store as store_module
 from repro.service.check import check_service, read_journal
@@ -924,7 +925,7 @@ class ServiceCacheRecoveryTests(unittest.TestCase):
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=8 * 4096 / (1 << 20),
                                  eviction_batch_mb=4096 / (1 << 20))
-            self.assertEqual(cache.used_blocks, 8)
+            self.assertEqual(cache.engine.used[StoreKind.SSD], 8)
             # The next insert must evict k0 — the oldest surviving entry
             # — proving the FIFO came back in pre-restart order.
             cache.set("t0", "fresh", b"v")
