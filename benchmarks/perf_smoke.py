@@ -1,4 +1,4 @@
-"""Fixed-seed fingerprint goldens for all nine experiments.
+"""Fixed-seed fingerprint goldens for all eight experiments.
 
 CI's perf-smoke job runs this in check mode (no arguments).  It runs
 every experiment in ``repro.experiments.ALL_EXPERIMENTS`` once at
@@ -10,10 +10,7 @@ complement to the sanitizer's same-process double run.  Wall time is
 not gated here — ``python3 -m bench`` is the ruler for speed.
 
 * ``perf_smoke`` — ``caching_modes`` at its default span, the same
-  configuration the runtime sanitizer double-runs (single-host path; its
-  fingerprint also pins the fleet refactor's no-op guarantee);
-* ``fleet_smoke`` — the ``fleet`` experiment with 2 hosts (sharded
-  simulation, lending, live migration);
+  configuration the runtime sanitizer double-runs;
 * ``<experiment>_smoke`` — the other seven, on each constructor's span
   override so the whole check stays under three minutes on two cores;
 * ``cooperative_seed<N>_smoke`` — ``cooperative`` again at two more
@@ -45,7 +42,6 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 #: them replaces :data:`SEED`).
 SMOKES = {
     "perf_smoke": ("caching_modes", {}),
-    "fleet_smoke": ("fleet", {"hosts": 2}),
     "motivation_smoke": ("motivation", {}),
     "app_behavior_smoke": ("app_behavior",
                            {"warmup_s": 10.0, "duration_s": 20.0}),

@@ -32,13 +32,11 @@ _EXPORTS = {
     "Container": ".guest",
     "DDConfig": ".core",
     "DoubleDeckerCache": ".core",
-    "Fleet": ".fleet",
     "GlobalCache": ".core",
     "HDDSpec": ".storage",
     "Host": ".hypervisor",
     "HostSpec": ".hypervisor",
     "MemSpec": ".storage",
-    "NetworkModel": ".fleet",
     "NullCache": ".core",
     "SSDSpec": ".storage",
     "SimContext": ".context",

@@ -45,9 +45,6 @@ class CleancacheClient:
         self.channel = HypercallChannel(env, costs or HypercallCosts())
         #: Kill switch: a guest kernel booted without cleancache support.
         self.enabled = enabled
-        #: Histogram-name prefix for per-host breakdowns in a fleet
-        #: (e.g. ``"host2."``); empty outside one, leaving names unchanged.
-        self.obs_scope = ""
 
     # -- control path (cgroup events) ------------------------------------------
 
@@ -99,8 +96,7 @@ class CleancacheClient:
         yield from self.channel.charge_data(len(keys), payload)
         if tracer is not None:
             tracer.op_span("get", self.vm_id, pool_id, t0, self.env.now,
-                           scope=self.obs_scope, keys=len(keys),
-                           hits=len(found))
+                           keys=len(keys), hits=len(found))
         return found
 
     def put_many(self, pool_id: Optional[int], keys: Sequence[BlockKey]):
@@ -116,8 +112,7 @@ class CleancacheClient:
         yield from self.channel.charge_data(len(keys), payload)
         if tracer is not None:
             tracer.op_span("put", self.vm_id, pool_id, t0, self.env.now,
-                           scope=self.obs_scope, keys=len(keys),
-                           stored=stored)
+                           keys=len(keys), stored=stored)
         return stored
 
     def flush_many(self, pool_id: Optional[int], keys: Sequence[BlockKey]):
@@ -132,8 +127,7 @@ class CleancacheClient:
         yield from self.channel.charge_control(len(keys))
         if tracer is not None:
             tracer.op_span("flush", self.vm_id, pool_id, t0, self.env.now,
-                           scope=self.obs_scope, keys=len(keys),
-                           dropped=dropped)
+                           keys=len(keys), dropped=dropped)
         return dropped
 
     def flush_inode(self, pool_id: Optional[int], inode: int,
@@ -154,6 +148,5 @@ class CleancacheClient:
         yield from self.channel.charge_control(1)
         if tracer is not None:
             tracer.op_span("flush_inode", self.vm_id, pool_id, t0,
-                           self.env.now, scope=self.obs_scope, inode=inode,
-                           dropped=dropped)
+                           self.env.now, inode=inode, dropped=dropped)
         return dropped

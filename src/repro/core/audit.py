@@ -295,26 +295,6 @@ def _check_doubledecker(cache) -> List[str]:
                 f"{cache.capacities[_MEMORY]} blocks"
             )
 
-    # -- lending conservation -------------------------------------------
-    # The effective store size must equal owned capacity adjusted by the
-    # fleet coordinator's grants; outside a fleet all grants are zero and
-    # this reduces to capacities == _base_capacity.
-    for kind in _KINDS:
-        lend_in = cache.lend_in[kind]
-        lend_out = cache.lend_out[kind]
-        expected = cache._base_capacity[kind] + lend_in - lend_out
-        if cache.capacities[kind] != expected:
-            violations.append(
-                f"lending accounting broken for {kind}: effective capacity "
-                f"{cache.capacities[kind]} != base "
-                f"{cache._base_capacity[kind]} + in {lend_in} - out {lend_out}"
-            )
-        if lend_in < 0 or lend_out < 0 or lend_out > cache._base_capacity[kind]:
-            violations.append(
-                f"lend grants out of range for {kind}: in {lend_in}, "
-                f"out {lend_out} of base {cache._base_capacity[kind]}"
-            )
-
     # -- memory units / dedup ground truth ------------------------------
     resident: List[Tuple[int, int, int]] = []
     for pool in cache._pools.values():
@@ -395,9 +375,10 @@ def _check_doubledecker(cache) -> List[str]:
         # entering by a stored put, a trickle-down write or a migration
         # in.  The flow bound is loose by design: ``ssd_writes`` also
         # counts SSD-destined puts, and a re-put of a resident block
-        # drops the old copy uncounted.  (``migrated_rejected`` conserves
-        # only across two caches — the exporter's ``migrated_out`` equals
-        # the adopter's ``migrated_in + migrated_rejected`` — so here it
+        # drops the old copy uncounted.  (``migrate_objects`` adds each
+        # moved block to the source's ``migrated_out`` and the target's
+        # ``migrated_in`` alike; ``migrated_rejected`` counts blocks it
+        # left where they were, which no other counter mirrors, so it
         # gets the sign check alone.)
         for field in ("gets", "get_hits", "flush_requests", "flushes",
                       "migrated_in", "migrated_out", "migrated_rejected"):

@@ -57,16 +57,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             StoreKind.SSD: int(config.ssd_capacity_mb * MB) // block_bytes,
         }
 
-        # -- remote-memory lending (fleet cooperation) ----------------
-        # ``capacities`` is the *effective* size; the audited invariant is
-        # capacities[k] == _base_capacity[k] + lend_in[k] - lend_out[k].
-        # Grants are re-derived by a fleet coordinator and applied as
-        # absolute values via :meth:`set_lending`; a cache outside a
-        # fleet never lends and the three always agree trivially.
-        self._base_capacity: Dict[StoreKind, int] = dict(self.capacities)
-        self.lend_in: Dict[StoreKind, int] = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
-        self.lend_out: Dict[StoreKind, int] = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
-
         self.mem_backend = MemBackend(block_bytes, mem_spec)
         self.ssd_backend: Optional[SSDBackend] = None
         if ssd_device is not None:
@@ -172,50 +162,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
             raise ValueError(f"capacity must be non-negative, got {capacity_mb}")
         if kind is StoreKind.SSD and self.ssd_backend is None and capacity_mb > 0:
             raise ValueError("cannot size an SSD store without an SSD device")
-        self._base_capacity[kind] = int(capacity_mb * MB) // self.block_bytes
-        self._apply_capacity(kind)
-
-    def set_lending(self, kind: StoreKind, lend_in: int = 0,
-                    lend_out: int = 0) -> None:
-        """Apply re-derived lend grants (absolute block counts, idempotent).
-
-        ``lend_out`` exports part of this cache's own store to another
-        host; ``lend_in`` admits borrowed remote capacity.  A store never
-        does both at once (the fleet coordinator nets grants out), and it
-        cannot lend more than it owns.  Shrinking grants evict through the
-        normal path so resource conservation holds across a re-derivation.
-        """
-        if lend_in < 0 or lend_out < 0:
-            raise ValueError(
-                f"lend grants must be non-negative, got in={lend_in} "
-                f"out={lend_out}"
-            )
-        if lend_in and lend_out:
-            raise ValueError("a store cannot lend and borrow simultaneously")
-        if lend_out > self._base_capacity[kind]:
-            raise ValueError(
-                f"cannot lend {lend_out} of {self._base_capacity[kind]} "
-                f"owned blocks"
-            )
-        if (lend_in == self.lend_in[kind]
-                and lend_out == self.lend_out[kind]):
-            return
-        self.lend_in[kind] = lend_in
-        self.lend_out[kind] = lend_out
-        self._apply_capacity(kind)
-        tracer = _obs.ACTIVE
-        if tracer is not None and self._obs_label is not None:
-            tracer.instant("lend.apply", self.env.now, cache=self._obs_label,
-                           kind=kind.name.lower(), lend_in=lend_in,
-                           lend_out=lend_out,
-                           capacity=self.capacities[kind])
-
-    def _apply_capacity(self, kind: StoreKind) -> None:
-        """Recompute the effective store size from base + lend grants."""
-        self.capacities[kind] = (
-            self._base_capacity[kind]
-            + self.lend_in[kind] - self.lend_out[kind]
-        )
+        self.capacities[kind] = int(capacity_mb * MB) // self.block_bytes
         if kind is StoreKind.MEMORY:
             self._mem_units_capacity = self.capacities[kind] * self._mem_gran
         self.engine.recompute()
@@ -569,96 +516,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                            to_pool=to_pool, inode=inode, moved=moved,
                            rejected=rejected)
         return moved
-
-    # ------------------------------------------------------------------
-    # Fleet cooperation: cross-host VM migration
-    # ------------------------------------------------------------------
-
-    def export_vm_blocks(
-        self, vm_id: int
-    ) -> List[Tuple[str, CachePolicy, List[Tuple[int, int, StoreKind]]]]:
-        """Hand one VM's cached blocks off for cross-host live migration.
-
-        The fleet-level analogue of ``MIGRATE_OBJECT``: returns one
-        ``(pool name, policy, [(inode, block, kind), ...])`` entry per
-        pool, pools in id order and blocks in ascending ``(inode, block)``
-        order, so the receiving cache's FIFO insertion order — and with it
-        every future eviction — is deterministic.  Every exported block
-        counts as ``migrated_out`` on its source pool (it leaves this
-        cache either way); whether the target accepts it is accounted
-        there, so across a migration
-        ``source.migrated_out == target.migrated_in + target.migrated_rejected``.
-
-        The caller still tears the VM down afterwards (``unregister_vm``
-        or ``Host.destroy_vm``); this method only snapshots and accounts.
-        """
-        vm = self.engine.require_vm(vm_id)
-        tracer = _obs.ACTIVE
-        exported: List[Tuple[str, CachePolicy, List[Tuple[int, int, StoreKind]]]] = []
-        for pool_id in sorted(vm.pools):
-            pool = vm.pools[pool_id]
-            items: List[Tuple[int, int, StoreKind]] = []
-            for inode in sorted(pool.files):
-                for block, kind in pool.items_of_inode(inode):
-                    items.append((inode, block, kind))
-            exported.append((pool.name, pool.policy, items))
-            if items:
-                pool.stats.migrated_out += len(items)
-            if tracer is not None and self._obs_label is not None:
-                if items:
-                    tracer.ledger_update(self._obs_label, pool_id,
-                                         migrated_out=len(items))
-                tracer.instant("migrate.cross_host", self.env.now, vm=vm_id,
-                               pool=pool_id, cache=self._obs_label,
-                               direction="out", moved=len(items),
-                               rejected=0)
-        return exported
-
-    def adopt_blocks(
-        self, vm_id: int, pool_id: int,
-        items: Sequence[Tuple[int, int, StoreKind]],
-    ) -> Tuple[int, int]:
-        """Adopt blocks exported by another host's cache; ``(accepted,
-        rejected)``.
-
-        Live migration ships the memory store with the VM: memory blocks
-        are accepted while the target policy weights the memory store and
-        free capacity remains (adoption never evicts the host's own warm
-        blocks to make room for a cold import).  SSD-resident blocks are
-        always rejected — the source host's local SSD does not travel,
-        and charging them here would falsify the SSD write
-        reconciliation.  Rejections land in the target pool's
-        ``migrated_rejected``.
-        """
-        pool = self.engine.require_pool(vm_id, pool_id)
-        MEMORY = StoreKind.MEMORY
-        mem_ok = pool.policy.weight_for(MEMORY) > 0
-        accepted = 0
-        rejected = 0
-        for inode, block, kind in items:
-            if (kind is not MEMORY or not mem_ok
-                    or pool.lookup(inode, block) is not None
-                    or self._mem_units_used + self._mem_gran
-                    > self._mem_units_capacity):
-                rejected += 1
-                continue
-            pool.insert(inode, block, MEMORY)
-            self._mem_charge(vm_id, inode, block)
-            accepted += 1
-        if accepted:
-            pool.stats.migrated_in += accepted
-        if rejected:
-            pool.stats.migrated_rejected += rejected
-        tracer = _obs.ACTIVE
-        if tracer is not None and self._obs_label is not None:
-            if accepted or rejected:
-                tracer.ledger_update(self._obs_label, pool_id,
-                                     migrated_in=accepted,
-                                     migrated_rejected=rejected)
-            tracer.instant("migrate.cross_host", self.env.now, vm=vm_id,
-                           pool=pool_id, cache=self._obs_label,
-                           direction="in", moved=accepted, rejected=rejected)
-        return accepted, rejected
 
     # ------------------------------------------------------------------
     # Introspection

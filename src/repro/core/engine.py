@@ -10,8 +10,8 @@ controllers — while knowing nothing about storage backends or time
 * **Storage-agnostic.**  The engine tracks metadata (``Pool`` FIFOs and
   per-entity occupancy, down to the store-wide ``used`` its pools keep)
   only; the driver moves bytes and charges device costs.  ``capacities``
-  is a dict the driver owns and may mutate in place (lending, dynamic
-  resize); the engine re-reads it on every :meth:`recompute`.
+  is a dict the driver owns and may mutate in place (dynamic resize);
+  the engine re-reads it on every :meth:`recompute`.
 * **Clock-agnostic.**  Nothing in the engine reads a clock.  Admission
   controllers take ``now`` as an argument at their call sites, so the
   simulator passes ``Environment.now`` and a wall-clock service passes

@@ -19,7 +19,6 @@ _REGISTRY = {
     "dynamic_containers": "DynamicContainersExperiment",
     "dynamic_vms": "DynamicVMsExperiment",
     "endurance": "EnduranceExperiment",
-    "fleet": "FleetExperiment",
 }
 
 
@@ -41,7 +40,6 @@ _EXPORTS = {
     "EnduranceExperiment": ".endurance",
     "Experiment": ".runner",
     "ExperimentResult": ".runner",
-    "FleetExperiment": ".fleet",
     "FlexiblePolicyExperiment": ".flexible",
     "MotivationExperiment": ".motivation",
     "OccupancySampler": ".runner",

@@ -124,9 +124,6 @@ def main(argv=None) -> int:
                              "cores with its last full round, at most "
                              "2N-1 at a time; 1 keeps everything in this "
                              "process; results are identical either way)")
-    parser.add_argument("--hosts", type=int, default=None, metavar="N",
-                        help="host count for fleet-topology experiments "
-                             "(default: experiment-specific)")
     parser.add_argument("--audit", type=float, nargs="?", const=10.0,
                         default=0.0, metavar="SECONDS",
                         help="audit every cache's shadow accounting every "
@@ -184,14 +181,6 @@ def main(argv=None) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    if args.hosts is not None and not any(
-        getattr(ALL_EXPERIMENTS[name], "takes_fleet_args", False)
-        for name in names
-    ):
-        print("--hosts only applies to fleet-topology experiments "
-              "(e.g. 'fleet')", file=sys.stderr)
-        return 2
-
     if args.audit < 0:
         print(f"--audit must be >= 0, got {args.audit}", file=sys.stderr)
         return 2
@@ -212,15 +201,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    experiments = []
-    for name in names:
-        cls = ALL_EXPERIMENTS[name]
-        # Fleet-topology experiments additionally take a host count;
-        # every other experiment keeps its signature.
-        extra = {}
-        if getattr(cls, "takes_fleet_args", False) and args.hosts is not None:
-            extra["hosts"] = args.hosts
-        experiments.append(cls(scale=args.scale, seed=args.seed, **extra))
+    experiments = [ALL_EXPERIMENTS[name](scale=args.scale, seed=args.seed)
+                   for name in names]
 
     from ..core import set_audit_interval, set_default_admission
 

@@ -94,19 +94,11 @@ class Host:
 
     # -- hypervisor cache installation -------------------------------------------
 
-    def install_doubledecker(
-        self, config: DDConfig, name: str = "ddecker"
-    ) -> DoubleDeckerCache:
-        """Run DoubleDecker as the host's hypervisor cache.
-
-        ``name`` becomes the cache's decision-provenance label; a fleet
-        passes one per host (e.g. ``"host2.ddecker"``) so multi-host
-        traces never mix.
-        """
+    def install_doubledecker(self, config: DDConfig) -> DoubleDeckerCache:
+        """Run DoubleDecker as the host's hypervisor cache."""
         ssd_device = self.ssd if config.ssd_capacity_mb > 0 else None
         cache = DoubleDeckerCache(
-            self.env, config, self.block_bytes, ssd_device=ssd_device,
-            name=name,
+            self.env, config, self.block_bytes, ssd_device=ssd_device
         )
         self.hvcache = cache
         return cache

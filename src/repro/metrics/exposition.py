@@ -1,8 +1,7 @@
 """Prometheus text exposition (format 0.0.4) for :class:`MetricsRegistry`.
 
-One renderer serves both consumers: the live service's ``/metrics``
-sidecar and the fleet's per-host export hook.  Dotted registry names
-become sanitized Prometheus names under a common prefix
+One renderer serves the live service's ``/metrics`` sidecar.  Dotted
+registry names become sanitized Prometheus names under a common prefix
 (``service.lat.get`` -> ``dd_service_lat_get``), a series renders as a
 gauge holding its last sample, and log-bucketed
 :class:`~repro.metrics.timeseries.Histogram`\\ s render as cumulative
@@ -117,18 +116,12 @@ def histogram_family(name: str, hist: Histogram,
     return family
 
 
-def registry_families(registry, prefix: str = "dd",
-                      labels: Optional[Dict[str, str]] = None
-                      ) -> List[MetricFamily]:
+def registry_families(registry, prefix: str = "dd") -> List[MetricFamily]:
     """Every metric of a :class:`MetricsRegistry` as exposition families.
 
     Series render as gauges holding their last sample and histograms as
-    full bucket sets.  ``labels`` (e.g. a fleet's ``{"host": "host2"}``)
-    are attached to every sample, which is what lets several hosts'
-    registries merge into one scrape body.
+    full bucket sets.
     """
-    base = {sanitize_label_name(k): str(v)
-            for k, v in sorted((labels or {}).items())}
     families: List[MetricFamily] = []
 
     for name, series in sorted(registry.all_series().items()):
@@ -136,12 +129,12 @@ def registry_families(registry, prefix: str = "dd",
             continue
         family = MetricFamily(
             f"{prefix}_{sanitize_metric_name(name)}", "gauge")
-        family.add(series.last, labels=base)
+        family.add(series.last)
         families.append(family)
 
     for name, hist in sorted(registry.histograms().items()):
         families.append(histogram_family(
-            f"{prefix}_{sanitize_metric_name(name)}", hist, labels=base))
+            f"{prefix}_{sanitize_metric_name(name)}", hist))
 
     return families
 
@@ -157,10 +150,10 @@ def _labels_text(labels: Dict[str, str]) -> str:
 def render_families(families: Iterable[MetricFamily]) -> str:
     """The exposition body: families merged by name, ``TYPE`` once each.
 
-    Same-named families (one per host, say) must agree on kind; their
-    samples concatenate under a single ``TYPE`` header, as the format
-    requires.  Output is deterministic: families sort by name, samples
-    keep insertion order within a family.
+    Same-named families must agree on kind; their samples concatenate
+    under a single ``TYPE`` header, as the format requires.  Output is
+    deterministic: families sort by name, samples keep insertion order
+    within a family.
     """
     merged: Dict[str, MetricFamily] = {}
     for family in families:

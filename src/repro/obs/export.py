@@ -243,16 +243,6 @@ def _replay_provenance(meta: Dict[str, Any],
             source["migrated_rejected"] += args.get("rejected", 0)
             bucket(cache, args.get("to_pool"))["migrated_in"] += args.get(
                 "moved", 0)
-        elif name == "migrate.cross_host":
-            # Each side of a cross-host VM migration ledgers its own half:
-            # the exporter counts moved blocks out, the adopter counts
-            # what it accepted and what it turned away.
-            entry = bucket(cache, event["pool"])
-            if args.get("direction") == "out":
-                entry["migrated_out"] += args.get("moved", 0)
-            else:
-                entry["migrated_in"] += args.get("moved", 0)
-                entry["migrated_rejected"] += args.get("rejected", 0)
 
     checked_fields = (
         "puts", "puts_stored", "put_rejected_policy", "put_rejected_capacity",

@@ -232,14 +232,14 @@ class Tracer:
         })
 
     def op_span(self, op: str, vm: int, pool: int, t0: float, t1: float,
-                scope: str = "", **args) -> None:
+                **args) -> None:
         """Close a client-level op span and feed the latency histograms.
 
         Histograms see *every* op regardless of ``sample`` — they are the
         cheap aggregate; sampling only thins the ring buffer.
         """
         duration = t1 - t0
-        self.observe_latency(op, vm, pool, duration, scope=scope)
+        self.observe_latency(op, vm, pool, duration)
         self.span_end(f"op.{op}", t0, t1, vm=vm, pool=pool, **args)
 
     # -- latency histograms ---------------------------------------------
@@ -254,20 +254,12 @@ class Tracer:
                 registry.register_histogram(hist)
         return hist
 
-    def observe_latency(self, op: str, vm: int, pool: int, duration: float,
-                        scope: str = "") -> None:
-        """Record one op latency at all three aggregation levels.
-
-        ``scope`` (e.g. ``"host2."``) prefixes the vm/pool levels so a
-        multi-host fleet keeps per-host breakdowns while the unscoped
-        ``obs.lat.{op}`` aggregate stays fleet-wide; with the default
-        empty scope the metric names are unchanged.
-        """
+    def observe_latency(self, op: str, vm: int, pool: int,
+                        duration: float) -> None:
+        """Record one op latency at all three aggregation levels."""
         self.histogram(f"obs.lat.{op}").add(duration)
-        if scope:
-            self.histogram(f"obs.lat.{scope}{op}").add(duration)
-        self.histogram(f"obs.lat.{scope}{op}.vm{vm}").add(duration)
-        self.histogram(f"obs.lat.{scope}{op}.vm{vm}.pool{pool}").add(duration)
+        self.histogram(f"obs.lat.{op}.vm{vm}").add(duration)
+        self.histogram(f"obs.lat.{op}.vm{vm}.pool{pool}").add(duration)
 
     def latency_rows(self, per_pool: bool = True) -> List[List[object]]:
         """:func:`latency_rows` of this tracer's histograms."""

@@ -48,11 +48,6 @@ class RandomStreams:
         """
         self._streams.pop(name, None)
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """A sub-factory whose streams are namespaced under ``name``."""
-        digest = hashlib.sha256(f"{self.seed}//{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
 
 def zipf_ranks(rng: random.Random, n: int, theta: float = 0.99):
     """A sampler of Zipfian ranks in ``[0, n)`` (YCSB's default skew).

@@ -198,9 +198,6 @@ class ReferenceCache:
             _SSD: int(config.ssd_capacity_mb * MB) // block_bytes,
         }
         self.used: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
-        self._base_capacity: Dict[StoreKind, int] = dict(self.capacities)
-        self.lend_in: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
-        self.lend_out: Dict[StoreKind, int] = {_MEMORY: 0, _SSD: 0}
         self.compression = config.compression
         self._gran = config.compression.granularity if config.compression else 1
         self._units_capacity = self.capacities[_MEMORY] * self._gran
@@ -239,29 +236,7 @@ class ReferenceCache:
     def set_capacity(self, kind: StoreKind, capacity_mb: float) -> None:
         if kind is _SSD and not self.has_ssd and capacity_mb > 0:
             raise ValueError("cannot size an SSD store without an SSD device")
-        self._base_capacity[kind] = int(capacity_mb * MB) // self.block_bytes
-        self._apply_capacity(kind)
-
-    def set_lending(self, kind: StoreKind, lend_in: int = 0,
-                    lend_out: int = 0) -> None:
-        if lend_in < 0 or lend_out < 0:
-            raise ValueError("lend grants must be non-negative")
-        if lend_in and lend_out:
-            raise ValueError("a store cannot lend and borrow simultaneously")
-        if lend_out > self._base_capacity[kind]:
-            raise ValueError("cannot lend more than the owned capacity")
-        if (lend_in == self.lend_in[kind]
-                and lend_out == self.lend_out[kind]):
-            return
-        self.lend_in[kind] = lend_in
-        self.lend_out[kind] = lend_out
-        self._apply_capacity(kind)
-
-    def _apply_capacity(self, kind: StoreKind) -> None:
-        self.capacities[kind] = (
-            self._base_capacity[kind]
-            + self.lend_in[kind] - self.lend_out[kind]
-        )
+        self.capacities[kind] = int(capacity_mb * MB) // self.block_bytes
         if kind is _MEMORY:
             self._units_capacity = self.capacities[kind] * self._gran
         self._recompute()

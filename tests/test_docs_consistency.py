@@ -33,15 +33,15 @@ class TestDesignIndex:
 
 
 class TestOneBuildPath:
-    def test_only_scenarios_and_fleet_wire_a_simulation(self):
-        """DESIGN.md promises one build path: every single-host experiment
+    def test_only_scenarios_wire_a_simulation(self):
+        """DESIGN.md promises one build path: every experiment
         declares a Scenario instead of wiring a host by hand."""
         wiring = re.compile(
             r"\b(SimContext|create_host|create_vm|create_container)\(")
         experiments = REPO / "src" / "repro" / "experiments"
         offenders = [
             path.name for path in sorted(experiments.glob("*.py"))
-            if path.name not in ("scenarios.py", "fleet.py")
+            if path.name != "scenarios.py"
             and wiring.search(path.read_text())
         ]
         assert offenders == []

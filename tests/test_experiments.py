@@ -29,12 +29,11 @@ class TestRunnerPlumbing:
     def test_registry_covers_all_paper_artifacts(self):
         ids = {cls.exp_id for cls in ALL_EXPERIMENTS.values()}
         # Every evaluation table/figure of the paper appears exactly once,
-        # plus the EXT-END endurance and FLEET-1 multi-host extensions
-        # (not paper artifacts).
+        # plus the EXT-END endurance extension (not a paper artifact).
         assert ids == {
             "FIG-1/FIG-2", "FIG-3/TAB-1", "FIG-8/FIG-9/TAB-2",
             "FIG-10/FIG-11/TAB-3", "TAB-4", "FIG-12", "FIG-13",
-            "EXT-END", "FLEET-1",
+            "EXT-END",
         }
 
     def test_scale_validation(self):
@@ -136,7 +135,6 @@ SMALL = {
     "dynamic_containers": dict(phase_s=10.0),
     "dynamic_vms": dict(phase_s=10.0),
     "endurance": dict(warmup_s=8.0, duration_s=12.0),
-    "fleet": dict(hosts=2, warmup_s=5.0, duration_s=15.0),
 }
 
 

@@ -110,23 +110,20 @@ class HistogramFamilyTests(unittest.TestCase):
 
 
 class RegistryFamiliesTests(unittest.TestCase):
-    """A registry holds sampled series and histograms; the fleet renders
-    one per host under a ``host`` label."""
+    """A registry holds sampled series and histograms."""
 
-    def test_series_and_histograms_carry_labels(self):
+    def test_series_and_histograms_render(self):
         registry = MetricsRegistry()
         registry.record("cache.used_blocks", 1.0, 40.0)
         registry.record("cache.used_blocks", 2.0, 42.0)  # the last one shows
         registry.wallclock_histogram("service.lat.get").add(500)
-        text = render_families(
-            registry_families(registry, labels={"host": "host0"}))
+        text = render_families(registry_families(registry))
         self.assertEqual(check_exposition(text), [])
         self.assertIn("# TYPE dd_cache_used_blocks gauge", text)
-        self.assertIn('dd_cache_used_blocks{host="host0"} 42', text)
+        self.assertIn("dd_cache_used_blocks 42", text)
         self.assertIn("# TYPE dd_service_lat_get histogram", text)
-        self.assertIn('dd_service_lat_get_bucket{host="host0",le="+Inf"} 1',
-                      text)
-        self.assertIn('dd_service_lat_get_count{host="host0"} 1', text)
+        self.assertIn('dd_service_lat_get_bucket{le="+Inf"} 1', text)
+        self.assertIn("dd_service_lat_get_count 1", text)
 
     def test_empty_series_are_skipped(self):
         registry = MetricsRegistry()
@@ -136,18 +133,19 @@ class RegistryFamiliesTests(unittest.TestCase):
     def test_same_name_families_merge_under_one_type(self):
         families = []
         for index in range(2):
-            registry = MetricsRegistry()
-            registry.record("pool.used_mb", 0.0, 1.0 + index)
-            registry.histogram("obs.lat.get").add(0.001 * (1 + index))
-            families.extend(registry_families(
-                registry, labels={"host": f"host{index}"}))
+            gauge = MetricFamily("dd_pool_used_mb", "gauge")
+            gauge.add(1.0 + index, labels={"tenant": f"t{index}"})
+            hist = Histogram("obs.lat.get")
+            hist.add(0.001 * (1 + index))
+            families += [gauge, histogram_family(
+                "dd_obs_lat_get", hist, labels={"tenant": f"t{index}"})]
         text = render_families(families)
         self.assertEqual(check_exposition(text), [])
         self.assertEqual(text.count("# TYPE dd_pool_used_mb"), 1)
-        self.assertIn('dd_pool_used_mb{host="host0"} 1', text)
-        self.assertIn('dd_pool_used_mb{host="host1"} 2', text)
+        self.assertIn('dd_pool_used_mb{tenant="t0"} 1', text)
+        self.assertIn('dd_pool_used_mb{tenant="t1"} 2', text)
         self.assertEqual(text.count("# TYPE dd_obs_lat_get histogram"), 1)
-        self.assertIn('dd_obs_lat_get_count{host="host1"} 1', text)
+        self.assertIn('dd_obs_lat_get_count{tenant="t1"} 1', text)
 
     def test_kind_mismatch_raises(self):
         with self.assertRaises(ValueError):

@@ -19,22 +19,23 @@ REPO_SRC = os.path.join(
 
 SIMULATOR_ONLY = (
     "guest", "hypervisor", "simkernel", "storage", "mem", "cgroups",
-    "cleancache", "fleet", "workloads", "experiments", "policies", "context",
+    "cleancache", "workloads", "experiments", "policies", "context",
     "analysis", "core.cache_manager", "core.baselines", "core.audit",
     "obs.export")
 
 #: What neither simulator workload of the repo benchmark uses: the
-#: server, its telemetry, the tooling, and the six experiment modules
-#: holding the seven experiments that did not run.
+#: server, its telemetry, the tooling, and the five experiment modules
+#: holding the six experiments that did not run.
 SERVER_AND_TOOLING = (
     "asyncio", "ssl", "repro.service", "repro.obs.live", "repro.obs.export",
-    "repro.lint", "repro.policies", "repro.fleet",
+    "repro.lint", "repro.policies",
     "repro.experiments.app_behavior", "repro.experiments.dynamic",
-    "repro.experiments.endurance", "repro.experiments.fleet",
-    "repro.experiments.flexible", "repro.experiments.motivation")
+    "repro.experiments.endurance", "repro.experiments.flexible",
+    "repro.experiments.motivation")
 
-#: ``python -m repro.experiments --list`` before the registry went lazy.
-LIST_SHA256 = "65538128f0ea18626fa9974a3146ef036489fc803a9afe7e2ddc8cbc937616a2"
+#: ``python -m repro.experiments --list``: the eight experiments, as
+#: listed before the registry went lazy.
+LIST_SHA256 = "cec6d31510804c706100d4ceff45396efe3883daaaad38a310dafddfd7444be2"
 
 
 def run(*argv):
@@ -105,8 +106,8 @@ class LazyImportTests(unittest.TestCase):
         self.assertEqual(done.stdout.strip().splitlines(), [
             "['motivation', 'app_behavior', 'caching_modes', "
             "'flexible_policy', 'cooperative', 'dynamic_containers', "
-            "'dynamic_vms', 'endurance', 'fleet']",
-            "19 37 13 15"], done.stdout)
+            "'dynamic_vms', 'endurance']",
+            "17 37 13 14"], done.stdout)
 
     def test_the_experiment_list_is_unchanged(self):
         done = run("-m", "repro.experiments", "--list")

@@ -187,7 +187,7 @@ class DecisionTests(unittest.TestCase):
         vm = engine.register_vm("a")
         engine.create_pool(vm, "p", CachePolicy(mem_weight=1))
         self.assertEqual(engine.vm_entitlements[(vm, StoreKind.MEMORY)], 100)
-        caps[StoreKind.MEMORY] = 40  # lending / dynamic resize
+        caps[StoreKind.MEMORY] = 40  # dynamic resize
         engine.recompute()
         self.assertEqual(engine.vm_entitlements[(vm, StoreKind.MEMORY)], 40)
 

@@ -31,12 +31,6 @@ class TestRandomStreams:
         v2 = s2.stream("second").random()
         assert v1 == v2
 
-    def test_spawn_namespaces_seeds(self):
-        parent = RandomStreams(5)
-        childa = parent.spawn("a").stream("x").random()
-        childb = parent.spawn("b").stream("x").random()
-        assert childa != childb
-
 
 class TestZipf:
     def test_rejects_bad_parameters(self):
