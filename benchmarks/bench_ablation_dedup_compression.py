@@ -11,7 +11,7 @@ higher second-chance hit ratio.
 from conftest import BENCH_SEED, run_once
 
 from repro import CachePolicy, DDConfig, SimContext
-from repro.core import CompressionModel
+from repro.core import CompressionModel, content_fingerprint
 from repro.workloads import WebserverWorkload
 
 MEM_MB = 96.0
@@ -22,9 +22,11 @@ def drive(compress: bool, dedup: bool):
     host = ctx.create_host()
     # Shared-content fingerprint: both containers' i-th files are the
     # same image blocks (namespace and inode identity ignored modulo the
-    # per-container fileset layout, which is identical by seeding).
-    fingerprint = (lambda ns, inode, block: hash(("img", inode % 4000, block))
-                   ) if dedup else None
+    # per-container fileset layout, which is identical by seeding).  A
+    # keyed digest, not ``hash()``, so the rows do not move with
+    # PYTHONHASHSEED.
+    fingerprint = (lambda ns, inode, block: content_fingerprint(
+        "img", inode % 4000, block)) if dedup else None
     config = DDConfig(
         mem_capacity_mb=MEM_MB,
         compression=CompressionModel() if compress else None,

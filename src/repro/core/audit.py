@@ -7,9 +7,9 @@ drift mechanically instead of by luck:
 * :func:`check_cache` / :func:`assert_consistent` — recompute ground
   truth from first principles (pool FIFO lengths vs ``pool.used`` vs
   the file index vs the engine's store totals (``manager.used``, which
-  ``Pool`` alone writes) vs memory units / dedup refcounts
-  vs backend occupancy vs freshly recomputed entitlements) and report
-  every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
+  ``Pool`` alone writes) vs ``mem_units`` (the pools charge it) / dedup
+  refcounts vs backend occupancy vs freshly recomputed entitlements) and
+  report every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
   and both baselines; side-effect free, so it can run mid-simulation.
 * :func:`start_periodic_audit` — a simulation process that re-audits a
   cache every N simulated seconds.  Wired up automatically by
@@ -283,68 +283,68 @@ def _check_doubledecker(cache) -> List[str]:
             f"SSD store over capacity: {cache.used[_SSD]} > "
             f"{cache.capacities[_SSD]} blocks"
         )
-    if cache._mem_units_used > cache._mem_units_capacity:
-        violations.append(
-            f"memory store over capacity: {cache._mem_units_used} > "
-            f"{cache._mem_units_capacity} units"
-        )
-    if cache.compression is None and cache.dedup is None:
+    units = cache.mem_units
+    if units is None:
         if cache.used[_MEMORY] > cache.capacities[_MEMORY]:
             violations.append(
                 f"memory store over capacity: {cache.used[_MEMORY]} > "
                 f"{cache.capacities[_MEMORY]} blocks"
             )
-
-    # -- memory units / dedup ground truth ------------------------------
-    resident: List[Tuple[int, int, int]] = []
-    for pool in cache._pools.values():
-        for inode, block in pool.fifos[_MEMORY]:
-            resident.append((pool.vm_id, inode, block))
-    fingerprint = cache._fingerprint
-    compression = cache.compression
-
-    def units_of(fp: int) -> int:
-        return 1 if compression is None else compression.charged_units(fp)
-
-    dedup = cache.dedup
-    if dedup is None:
-        expected_units = sum(
-            units_of(fingerprint(vm_id, inode, block))
-            for vm_id, inode, block in resident
-        )
     else:
-        if len(set(resident)) != len(resident):
-            duplicated = [key for key, count in Counter(resident).items() if count > 1]
+        capacity = cache.capacities[_MEMORY] * units.granularity
+        if units.used > capacity:
             violations.append(
-                "dedup placement contract violated: (inode, block) keys "
-                f"cached twice within one VM: {sorted(duplicated)[:5]}"
+                f"memory store over capacity: {units.used} > {capacity} units")
+        # -- memory units / dedup ground truth --------------------------
+        resident: List[Tuple[int, int, int]] = []
+        for pool in cache._pools.values():
+            for inode, block in pool.fifos[_MEMORY]:
+                resident.append((pool.vm_id, inode, block))
+        fingerprint = units.fingerprint
+        compression = units.compression
+
+        def units_of(fp: int) -> int:
+            return 1 if compression is None else compression.charged_units(fp)
+
+        dedup = units.dedup
+        if dedup is None:
+            expected_units = sum(
+                units_of(fingerprint(vm_id, inode, block))
+                for vm_id, inode, block in resident
             )
-        placed = set(dedup._placed)
-        if placed != set(resident):
-            missing = sorted(set(resident) - placed)[:5]
-            stale = sorted(placed - set(resident))[:5]
+        else:
+            if len(set(resident)) != len(resident):
+                duplicated = [key for key, count in Counter(resident).items() if count > 1]
+                violations.append(
+                    "dedup placement contract violated: (inode, block) keys "
+                    f"cached twice within one VM: {sorted(duplicated)[:5]}"
+                )
+            placed = set(dedup._placed)
+            if placed != set(resident):
+                missing = sorted(set(resident) - placed)[:5]
+                stale = sorted(placed - set(resident))[:5]
+                violations.append(
+                    f"dedup index out of sync: missing={missing} stale={stale}"
+                )
+            if dedup.logical_blocks != len(resident):
+                violations.append(
+                    f"dedup logical_blocks = {dedup.logical_blocks} but "
+                    f"{len(resident)} blocks are memory-resident"
+                )
+            recomputed = Counter(
+                fingerprint(vm_id, inode, block) for vm_id, inode, block in set(resident)
+            )
+            if dict(recomputed) != dedup._refcounts:
+                violations.append(
+                    f"dedup refcounts diverge from recomputed fingerprints "
+                    f"({len(dedup._refcounts)} tracked vs {len(recomputed)} recomputed)"
+                )
+            expected_units = sum(units_of(fp) for fp in recomputed)
+        if units.used != expected_units:
             violations.append(
-                f"dedup index out of sync: missing={missing} stale={stale}"
+                f"mem_units.used = {units.used} but ground truth "
+                f"recomputes {expected_units} units"
             )
-        if dedup.logical_blocks != len(resident):
-            violations.append(
-                f"dedup logical_blocks = {dedup.logical_blocks} but "
-                f"{len(resident)} blocks are memory-resident"
-            )
-        recomputed = Counter(
-            fingerprint(vm_id, inode, block) for vm_id, inode, block in set(resident)
-        )
-        if dict(recomputed) != dedup._refcounts:
-            violations.append(
-                f"dedup refcounts diverge from recomputed fingerprints "
-                f"({len(dedup._refcounts)} tracked vs {len(recomputed)} recomputed)"
-            )
-        expected_units = sum(units_of(fp) for fp in recomputed)
-    if cache._mem_units_used != expected_units:
-        violations.append(
-            f"_mem_units_used = {cache._mem_units_used} but ground truth "
-            f"recomputes {expected_units} units"
-        )
 
     # -- put-outcome ledger (endurance accounting) ----------------------
     # Every put is stored or lands in exactly one rejection bucket, so

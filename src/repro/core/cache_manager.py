@@ -6,6 +6,8 @@ This is the paper's contribution: an exclusive second-chance cache with
 * per-container ``<T, W>`` partitioning within each VM's share
   (guest-level policy, delivered over the cleancache/hypercall path),
 * two storage backends (memory, SSD) with hybrid and trickle-down modes,
+  the memory store optionally compressed and/or deduplicated and then
+  accounted in sub-block units (``mem_units``, which the pools charge),
 * *resource-conservative* enforcement: blocks are evicted only when a
   store is full, using Algorithm 1 at the VM level and again at the
   container level, in small batches (2 MB by default), FIFO within the
@@ -24,7 +26,7 @@ from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, DDConfig, StoreKind
 from .engine import EvictionRound, PolicyEngine
 from .interface import HypervisorCacheBase
-from .optimizations import DedupIndex, content_fingerprint
+from .optimizations import DedupIndex, MemoryUnits
 from .pools import BlockKey, Pool, VMEntry
 from .stats import PoolStats, StoreStats
 from .stores import MemBackend, SSDBackend, contiguous_runs
@@ -65,21 +67,15 @@ class DoubleDeckerCache(HypervisorCacheBase):
             )
 
         # -- memory-store optimizations (compression / dedup) ---------
-        # The memory store is accounted in sub-block *units* so compressed
-        # blocks charge their real footprint; without compression the
-        # granularity is 1 and units coincide with blocks.
+        # With either on, the pools charge memory blocks in sub-block
+        # units; without, a block is a unit and ``used`` suffices.
         self.compression = config.compression
-        self._mem_gran = (
-            self.compression.granularity if self.compression else 1
+        self.mem_units: Optional[MemoryUnits] = (
+            MemoryUnits(config.compression, config.dedup,
+                        config.dedup_fingerprint)
+            if config.compression is not None or config.dedup else None
         )
-        self._mem_units_capacity = (
-            self.capacities[StoreKind.MEMORY] * self._mem_gran
-        )
-        self._mem_units_used = 0
-        self._fingerprint = config.dedup_fingerprint or content_fingerprint
-        self.dedup: Optional[DedupIndex] = (
-            DedupIndex(self._fingerprint) if config.dedup else None
-        )
+        self.dedup: Optional[DedupIndex] = self.mem_units.dedup if self.mem_units else None
 
         # The policy core: registry, entitlements, and Algorithm-1
         # selection live in the extracted engine; this class remains the
@@ -163,8 +159,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         if kind is StoreKind.SSD and self.ssd_backend is None and capacity_mb > 0:
             raise ValueError("cannot size an SSD store without an SSD device")
         self.capacities[kind] = int(capacity_mb * MB) // self.block_bytes
-        if kind is StoreKind.MEMORY:
-            self._mem_units_capacity = self.capacities[kind] * self._mem_gran
         self.engine.recompute()
         self._make_room(kind, 0)
 
@@ -179,6 +173,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 f"pool {name!r} requests SSD but the cache has no SSD store"
             )
         pool = self.engine.create_pool(vm_id, name, policy)
+        pool.units = self.mem_units
         pool_id = pool.pool_id
         tracer = _obs.ACTIVE
         if tracer is not None and self._obs_label is not None:
@@ -191,7 +186,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
 
     def destroy_pool(self, vm_id: int, pool_id: int) -> None:
         pool = self.engine.require_pool(vm_id, pool_id)
-        self._drain_pool(pool)
+        pool.drain()
         # Keep the write and rejection reconciliations exact across pool
         # lifetimes.
         self._ssd_writes_destroyed += pool.stats.ssd_writes
@@ -230,13 +225,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         # blocks there (they age out FIFO under pressure) unless it no
         # longer uses the cache at all, in which case they are dropped.
         if not policy.uses_cache and len(pool):
-            self._drain_pool(pool)
-
-    def _drain_pool(self, pool: Pool) -> None:
-        """Release every cached block of ``pool`` from manager accounting."""
-        for inode, block in list(pool.fifos[StoreKind.MEMORY]):
-            self._mem_release(pool.vm_id, inode, block)
-        pool.drain()
+            pool.drain()
 
     def pool_stats(self, vm_id: int, pool_id: int) -> PoolStats:
         return self.engine.require_pool(vm_id, pool_id).snapshot_stats()
@@ -253,17 +242,11 @@ class DoubleDeckerCache(HypervisorCacheBase):
             tracer.span_begin()
             t0 = self.env.now
         # Hot path: every guest page-cache miss funnels through here.  The
-        # pool drops the whole batch in one call; only memory hits need
-        # per-key work afterwards (the dedup/compression accounting is
-        # inherently per block).
+        # pool drops the whole batch in one call.
         stats = pool.stats
         stats.gets += len(keys)
         mem_keys, ssd_keys = pool.remove_many(keys)
         mem_hits = len(mem_keys)
-        if mem_hits:
-            release = self._mem_release
-            for inode, block in mem_keys:
-                release(vm_id, inode, block)
         found: Set[BlockKey] = set(mem_keys)
         found.update(ssd_keys)
         stats.get_hits += len(found)
@@ -338,8 +321,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         entitlement = pool.entitlement
         remove = pool.remove_key
         insert = pool.insert
-        release = self._mem_release
-        charge = self._mem_charge
         make_room = self._make_room
         counters = self.store_counters
         ssd_backend = self.ssd_backend
@@ -352,11 +333,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
         now = self.env.now
         for key in keys:
             inode, block = key
-            # Duplicate put: drop the stale copy first so the memory
-            # units stay exact.  ``remove`` folds the former lookup+remove
-            # pair into one descent.
-            if remove(key) is MEMORY:
-                release(vm_id, inode, block)
+            # Duplicate put: drop the stale copy before making room for
+            # the new one.
+            remove(key)
             kind = fixed_kind
             if kind is None:  # hybrid spills to SSD past the memory share
                 kind = MEMORY if pool_used[MEMORY] < entitlement[MEMORY] else SSD
@@ -379,7 +358,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 stats.ssd_writes += 1
             insert(inode, block, kind)
             if kind is MEMORY:
-                charge(vm_id, inode, block)
                 mem_stores += 1
             stored += 1
         stats.puts_stored += stored
@@ -423,10 +401,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
     def flush_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
         mem_keys, ssd_keys = pool.remove_many(keys)
-        if mem_keys:
-            release = self._mem_release
-            for inode, block in mem_keys:
-                release(vm_id, inode, block)
         dropped = len(mem_keys) + len(ssd_keys)
         # ``flushes`` counts blocks actually dropped (same as flush_inode);
         # ``flush_requests`` counts blocks the guest asked about, so the
@@ -442,10 +416,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
     def flush_inode(self, vm_id: int, pool_id: int, inode: int,
                     nblocks: Optional[int] = None) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
-        mem_blocks = pool.mem_blocks_of_inode(inode)
         dropped = sum(pool.remove_inode(inode).values())
-        for block in mem_blocks:
-            self._mem_release(vm_id, inode, block)
         # ``flush_requests`` uses the same *requested* semantics as
         # flush_many: the guest passes the file's block count via
         # ``nblocks`` so whole-file flushes report asks, not drops.  When
@@ -467,8 +438,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         operation is metadata-only (as in the paper's MIGRATE_OBJECT).
         Self-migration is a no-op (a remove/insert cycle would reset the
         blocks' FIFO residence order, making them artificially youngest).
-        A block the target already holds replaces the target's copy, whose
-        memory units are released as a duplicate put's are.
+        A block the target already holds replaces the target's copy (the
+        pools release and charge the memory units as blocks move).
         Blocks whose current store the target policy gives zero weight are
         rejected — they stay in the source pool — so migration cannot
         manufacture the stranded-block class ``_evict_round`` guards
@@ -492,10 +463,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
             if target_policy.weight_for(kind) <= 0:
                 rejected += 1
                 continue
-            key = (inode, block)
-            source.remove_key(key)
-            if target.remove_key(key) is StoreKind.MEMORY:
-                self._mem_release(vm_id, inode, block)
+            source.remove_key((inode, block))
             target.insert(inode, block, kind)
             moved += 1
         if moved:
@@ -557,41 +525,12 @@ class DoubleDeckerCache(HypervisorCacheBase):
     # Internals
     # ------------------------------------------------------------------
 
-    def _mem_charge(self, vm_id: int, inode: int, block: int) -> None:
-        """Account a block entering the memory store (units/dedup).
-
-        The content fingerprint is only needed to size compressed blocks,
-        and only for blocks that actually consume capacity — so hash after
-        the dedup early-return, and not at all without compression.
-        """
-        dedup = self.dedup
-        if dedup is not None and not dedup.insert(vm_id, inode, block):
-            return  # duplicate content: no new capacity consumed
-        compression = self.compression
-        if compression is None:
-            self._mem_units_used += 1
-        else:
-            self._mem_units_used += compression.charged_units(
-                self._fingerprint(vm_id, inode, block)
-            )
-
-    def _mem_release(self, vm_id: int, inode: int, block: int) -> None:
-        """Account a block leaving the memory store."""
-        dedup = self.dedup
-        if dedup is not None and not dedup.remove(vm_id, inode, block):
-            return  # other references keep the content resident
-        compression = self.compression
-        if compression is None:
-            self._mem_units_used -= 1
-        else:
-            self._mem_units_used -= compression.charged_units(
-                self._fingerprint(vm_id, inode, block)
-            )
-
     @property
     def mem_physical_mb(self) -> float:
         """Real memory consumed by the store (after compression/dedup)."""
-        blocks = self._mem_units_used / self._mem_gran
+        units = self.mem_units
+        blocks = (self.used[StoreKind.MEMORY] if units is None
+                  else units.used / units.granularity)
         return blocks * self.block_bytes / MB
 
     def _admission_name(self, policy: CachePolicy) -> str:
@@ -631,12 +570,14 @@ class DoubleDeckerCache(HypervisorCacheBase):
         """The ``over`` / ``evict`` pair :meth:`PolicyEngine.make_room`
         runs for ``need`` blocks of store ``kind``.
 
-        The memory store is checked in compressed units (worst-case
-        charge per incoming block) so compression genuinely increases the
-        number of blocks that fit."""
-        if kind is StoreKind.MEMORY:
-            units = need * self._mem_gran
-            over = lambda: self._mem_units_used + units > self._mem_units_capacity
+        With compression or dedup the memory store is checked in units
+        (worst-case charge per incoming block) so both genuinely increase
+        the number of blocks that fit."""
+        mem_units = self.mem_units
+        if kind is StoreKind.MEMORY and mem_units is not None:
+            gran = mem_units.granularity
+            over = lambda: (mem_units.used + need * gran
+                            > self.capacities[kind] * gran)
         else:
             over = lambda: self.used[kind] + need > self.capacities[kind]
         return over, lambda selection: self._evict_round(kind, selection)
@@ -649,9 +590,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         service's ``_evict_batch`` stops there instead).  The selection
         itself (candidate enumeration by occupancy, Algorithm-1 scoring,
         the fallback rules) is :meth:`PolicyEngine.select_eviction`'s;
-        this driver owns the storage accounting for the evicted blocks
-        (memory units, trickle-down, tracing); ``pop_oldest`` moves the
-        occupancy counts.
+        this driver owns trickle-down and tracing for the evicted blocks;
+        ``pop_oldest`` moves the occupancy counts and memory units.
         """
         batch = self._eviction_batch
         pool = selection.victim_pool
@@ -661,8 +601,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             key = pool.pop_oldest(kind)
             if key is None:
                 break
-            if kind is StoreKind.MEMORY:
-                self._mem_release(pool.vm_id, key[0], key[1])
             evicted += 1
             if (
                 kind is StoreKind.MEMORY

@@ -15,6 +15,8 @@ at the granularity that matters for capacity accounting:
   The simulation derives fingerprints from a configurable content map
   (workloads can declare files that share content, e.g., identical
   base-image files across containers/VMs).
+* :class:`MemoryUnits` — the memory store's unit total when either is
+  on, charged and released by the cache pools.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
-__all__ = ["CompressionModel", "DedupIndex", "content_fingerprint"]
+__all__ = ["CompressionModel", "DedupIndex", "MemoryUnits", "content_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ class DedupIndex:
         #: (namespace, inode, block) -> fingerprint, for removal.
         self._placed: Dict[Tuple[Hashable, int, int], int] = {}
         self.logical_blocks = 0
-        self.dedup_hits = 0
 
     @property
     def unique_blocks(self) -> int:
@@ -123,10 +124,7 @@ class DedupIndex:
         self.logical_blocks += 1
         count = self._refcounts.get(fp, 0)
         self._refcounts[fp] = count + 1
-        if count:
-            self.dedup_hits += 1
-            return False
-        return True
+        return count == 0
 
     def remove(self, namespace: Hashable, inode: int, block: int) -> bool:
         """Unregister a block; returns True if its fingerprint became
@@ -145,3 +143,42 @@ class DedupIndex:
 
     def holds(self, namespace: Hashable, inode: int, block: int) -> bool:
         return (namespace, inode, block) in self._placed
+
+
+class MemoryUnits:
+    """The memory store's occupancy in 1/``granularity`` block units, kept
+    only when compression or dedup is on.  A block charges its compressed
+    units (1 without compression), and under dedup only while its content
+    is not already resident.  ``Pool``'s mutators are the only callers,
+    with the pool's VM as the namespace."""
+
+    __slots__ = ("compression", "dedup", "fingerprint", "granularity", "used")
+
+    def __init__(
+        self,
+        compression: Optional[CompressionModel],
+        dedup: bool,
+        fingerprint: Optional[Callable[[Hashable, int, int], int]],
+    ) -> None:
+        self.compression = compression
+        self.fingerprint = fingerprint or content_fingerprint
+        self.dedup = DedupIndex(self.fingerprint) if dedup else None
+        self.granularity = compression.granularity if compression else 1
+        self.used = 0
+
+    def charge(self, namespace: Hashable, inode: int, block: int) -> None:
+        """Account a block entering the memory store."""
+        if self.dedup is None or self.dedup.insert(namespace, inode, block):
+            self.used += self._units_of(namespace, inode, block)
+
+    def release(self, namespace: Hashable, inode: int, block: int) -> None:
+        """Account a block leaving the memory store."""
+        if self.dedup is None or self.dedup.remove(namespace, inode, block):
+            self.used -= self._units_of(namespace, inode, block)
+
+    def _units_of(self, namespace: Hashable, inode: int, block: int) -> int:
+        # Hashed only for blocks that consume capacity (after the dedup
+        # check), and not at all without compression.
+        if self.compression is None:
+            return 1
+        return self.compression.charged_units(self.fingerprint(namespace, inode, block))

@@ -8,7 +8,8 @@ LRU-equivalent for an exclusive cache: a hit removes the block, so
 residence order is insertion order).
 
 This module is the only writer of block occupancy: every mutator moves a
-pool's ``used`` and its engine's store-wide ``totals`` together.
+pool's ``used`` and its engine's store-wide ``totals`` together, and
+charges or releases each memory block in the pool's ``units``, if any.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class Pool:
     """One container's slice of the hypervisor cache."""
 
     __slots__ = ("pool_id", "vm_id", "name", "policy", "files", "fifos",
-                 "used", "totals", "entitlement", "stats", "active", "admission")
+                 "used", "totals", "entitlement", "stats", "active", "admission",
+                 "units")
 
     def __init__(self, pool_id: int, vm_id: int, name: str, policy: CachePolicy,
                  totals: Optional[Dict[StoreKind, int]] = None) -> None:
@@ -59,6 +61,8 @@ class Pool:
         self.active = True
         #: SSD admission controller (repro.endurance); None = admit freely.
         self.admission = None
+        #: The memory store's ``MemoryUnits`` (compression/dedup), or None.
+        self.units = None
 
     # -- lookups ---------------------------------------------------------------
 
@@ -86,15 +90,20 @@ class Pool:
         if tree is None:
             tree = self.files[inode] = {}
         key = (inode, block)
+        units = self.units
         previous = tree.get(block)
         if previous is not None:
             del self.fifos[previous][key]
             self.used[previous] -= 1
             self.totals[previous] -= 1
+            if units is not None and previous is _MEMORY:
+                units.release(self.vm_id, inode, block)
         tree[block] = kind
         self.fifos[kind][key] = None
         self.used[kind] += 1
         self.totals[kind] += 1
+        if units is not None and kind is _MEMORY:
+            units.charge(self.vm_id, inode, block)
 
     def remove_key(self, key: BlockKey) -> Optional[StoreKind]:
         """Remove the ``(inode, block)`` block; returns the store it was
@@ -111,6 +120,8 @@ class Pool:
         del self.fifos[kind][key]
         self.used[kind] -= 1
         self.totals[kind] -= 1
+        if self.units is not None and kind is _MEMORY:
+            self.units.release(self.vm_id, inode, key[1])
         return kind
 
     def remove_many(self, keys) -> Tuple[List[BlockKey], List[BlockKey]]:
@@ -133,9 +144,12 @@ class Pool:
         dropped = {_MEMORY: 0, _SSD: 0}
         if tree is None:
             return dropped
+        units = self.units
         for block, kind in tree.items():
             del self.fifos[kind][(inode, block)]
             dropped[kind] += 1
+            if units is not None and kind is _MEMORY:
+                units.release(self.vm_id, inode, block)
         for kind, count in dropped.items():
             self.used[kind] -= count
             self.totals[kind] -= count
@@ -154,11 +168,17 @@ class Pool:
             del self.files[inode]
         self.used[kind] -= 1
         self.totals[kind] -= 1
+        if self.units is not None and kind is _MEMORY:
+            self.units.release(self.vm_id, inode, key[1])
         return key
 
     def drain(self) -> Dict[StoreKind, int]:
         """Remove everything (pool destruction); returns per-store counts."""
         counts = dict(self.used)
+        units = self.units
+        if units is not None:
+            for inode, block in self.fifos[_MEMORY]:
+                units.release(self.vm_id, inode, block)
         self.files.clear()
         for kind, count in counts.items():
             self.fifos[kind].clear()
@@ -185,13 +205,6 @@ class Pool:
         """``(block, kind)`` pairs of one file in ascending block order
         (``migrate_objects`` depends on it)."""
         return sorted(self.files.get(inode, {}).items())
-
-    def mem_blocks_of_inode(self, inode: int) -> List[int]:
-        """Block offsets of one file currently in the memory store."""
-        return [
-            block for block, kind in self.files.get(inode, {}).items()
-            if kind is _MEMORY
-        ]
 
     # -- snapshot ----------------------------------------------------------------
 

@@ -178,8 +178,9 @@ class DifferentialDriver:
     def compare_full_state(self, step_no):
         dut, ref = self.dut, self.ref
         assert dut.used == ref.used, (step_no, dut.used, ref.used)
-        assert dut._mem_units_used == ref._units_used, (
-            step_no, dut._mem_units_used, ref._units_used)
+        units = (dut.used[MEMORY] if dut.mem_units is None
+                 else dut.mem_units.used)
+        assert units == ref._units_used, (step_no, units, ref._units_used)
         for _, pid in self.pools:
             dp = dut._pools[pid]
             rp = ref.pools[pid]
@@ -702,9 +703,9 @@ class TestAuditor:
                    "says memory" in v for v in violations), violations
 
     def test_mem_units_drift_is_caught(self):
-        _, cache, _, _ = self.populated()
-        cache._mem_units_used += 1
-        assert any("_mem_units_used" in v for v in check_cache(cache))
+        _, cache, _, _ = self.populated(compression=CompressionModel())
+        cache.mem_units.used += 1
+        assert any("mem_units.used" in v for v in check_cache(cache))
 
     def test_dedup_index_drift_is_caught(self):
         _, cache, _, _ = self.populated(dedup=True)
@@ -900,11 +901,11 @@ class TestPeriodicAudit:
     def test_global_switch_covers_new_caches(self):
         set_audit_interval(3.0)
         try:
-            env, cache = make_dd(ssd_capacity_mb=0.0)
+            env, cache = make_dd(ssd_capacity_mb=0.0, dedup=True)
             vm = cache.register_vm("vm")
             pool = cache.create_pool(vm, "ctr", CachePolicy.memory(100.0))
             run_gen(env, cache.put_many(vm, pool, [(1, b) for b in range(4)]))
-            cache._mem_units_used += 1
+            cache.mem_units.used += 1
             with pytest.raises(InvariantViolation):
                 env.run(until=10.0)
         finally:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind, check_cache
+from repro.core import (
+    CachePolicy, CompressionModel, DDConfig, DoubleDeckerCache, StoreKind, check_cache,
+)
 from repro.simkernel import Environment
 from repro.storage import SSD
 
@@ -129,8 +131,12 @@ class TestDataPath:
 
     def test_migrate_onto_a_block_the_target_holds_replaces_it(self):
         """The target's own copy is dropped, not leaked: the store total
-        and the memory units both count the one block that remains."""
-        env, cache = make_cache()
+        and the (compressed) memory units both count the one block that
+        remains."""
+        env = Environment()
+        model = CompressionModel()
+        cache = DoubleDeckerCache(
+            env, DDConfig(mem_capacity_mb=1.0, compression=model), BLK)
         vm = cache.register_vm("a")
         a = cache.create_pool(vm, "a", CachePolicy.memory(50))
         b = cache.create_pool(vm, "b", CachePolicy.memory(50))
@@ -139,7 +145,8 @@ class TestDataPath:
         assert cache.migrate_objects(vm, a, b, 1) == 1
         assert check_cache(cache) == []
         assert cache.used[StoreKind.MEMORY] == 1
-        assert cache._mem_units_used == 1
+        assert cache.mem_units.used == model.charged_units(
+            cache.mem_units.fingerprint(vm, 1, 0))
 
     def test_ssd_put_and_get(self):
         env, cache = make_cache(mem_mb=0, ssd_mb=10)

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,19 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 def make_pool(policy=None, totals=None):
     return Pool(1, 1, "test", policy or CachePolicy.memory(50), totals)
+
+
+class RecordingUnits:
+    """A ``MemoryUnits`` stand-in: counts each key charged minus released."""
+
+    def __init__(self):
+        self.held = Counter()
+
+    def charge(self, namespace, inode, block):
+        self.held[namespace, inode, block] += 1
+
+    def release(self, namespace, inode, block):
+        self.held[namespace, inode, block] -= 1
 
 
 class TestPool:
@@ -141,10 +155,14 @@ class TestPool:
         and the per-inode views follow.  A second pool sharing the
         store totals is charged block counts beside it (the service's
         use, which indexes nothing), and the totals stay the sum of both
-        pools' ``used``."""
+        pools' ``used``.  The pool's ``units`` is charged once for every
+        block in its memory FIFO and nothing else, across cross-store
+        replaces too."""
         totals = {StoreKind.MEMORY: 0, StoreKind.SSD: 0}
         pool = make_pool(CachePolicy.hybrid(50, 50), totals)
+        pool.units = units = RecordingUnits()
         other = Pool(2, 1, "other", CachePolicy.hybrid(50, 50), totals)
+        cross_store_replaces = 0
         rng = random.Random(25)
         side = random.Random(26)  # the charges; ``rng`` drives ``pool``
         kinds = (StoreKind.MEMORY, StoreKind.SSD)
@@ -165,6 +183,7 @@ class TestPool:
             op = rng.random()
             if op < 0.45:
                 key, kind = random_key(), rng.choice(kinds)
+                cross_store_replaces += where.get(key, kind) is not kind
                 pool.insert(key[0], key[1], kind)
                 model_remove(key)
                 fifo[kind].append(key)
@@ -217,10 +236,11 @@ class TestPool:
                 blocks = sorted((key[1], kind) for key, kind in where.items()
                                 if key[0] == inode)
                 assert pool.items_of_inode(inode) == blocks, step
-                assert sorted(pool.mem_blocks_of_inode(inode)) == [
-                    block for block, kind in blocks if kind is StoreKind.MEMORY
-                ], step
             assert sorted(pool.files) == sorted({key[0] for key in where}), step
+            assert +units.held == Counter(
+                (pool.vm_id, *key) for key in fifo[StoreKind.MEMORY]), step
+            assert not -units.held, step
+        assert cross_store_replaces, "no cross-store replace was exercised"
 
 
 def _occupancy_writes(tree):
@@ -254,6 +274,33 @@ def _occupancy_writes(tree):
                 yield node.lineno, ast.unparse(target)
 
 
+def _unit_writes(tree):
+    """``(line, what)`` of every hand-kept occupancy counter in ``tree``:
+    arithmetic on, or a store to another object's, attribute named
+    ``used`` / ``*_used``, and every ``charge`` / ``release`` call on an
+    object named ``*units``."""
+    def counter(node):
+        return isinstance(node, ast.Attribute) and (
+            node.attr == "used" or node.attr.endswith("_used"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and counter(node.target):
+            yield node.lineno, ast.unparse(node.target)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if counter(target) and not (isinstance(target.value, ast.Name)
+                                            and target.value.id == "self"):
+                    yield node.lineno, ast.unparse(target)
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("charge", "release")):
+            receiver = node.func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+            if name.endswith("units"):
+                yield node.lineno, ast.unparse(node.func)
+
+
 class TestOwnership:
     def test_only_pools_module_writes_block_occupancy(self):
         """``Pool`` is the one writer of ``pool.used`` and of the store
@@ -282,6 +329,36 @@ class TestOwnership:
         )
         assert [line for line, _ in _occupancy_writes(ast.parse(source))] == [
             1, 2, 3, 4]
+
+    def test_memory_units_have_one_writer_and_one_caller(self):
+        """``MemoryUnits.used`` is written only in ``core/optimizations.py``,
+        and only ``Pool``'s mutators (``core/pools.py``) charge and release
+        it: no driver keeps or moves a units counter of its own."""
+        writer = PACKAGE / "core" / "optimizations.py"
+        caller = PACKAGE / "core" / "pools.py"
+        offenders = []
+        for path in sorted(PACKAGE.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for line, what in _unit_writes(tree):
+                owner = caller if what.endswith(("charge", "release")) else writer
+                if path != owner:
+                    offenders.append(f"{path.relative_to(PACKAGE).as_posix()}:{line}: {what}")
+        assert offenders == []
+
+    def test_the_units_walk_sees_what_it_forbids(self):
+        source = (
+            "self._mem_units_used += 1\n"
+            "self.used -= n\n"
+            "cache.mem_units.used = 0\n"
+            "units.charge(vm, inode, block)\n"
+            "self.units.release(vm, inode, block)\n"
+            "self.used = 0\n"
+            "pool.charge(kind, 1)\n"
+            "self._map.release(slot, 1)\n"
+            "total = units.used + 1\n"
+        )
+        assert [line for line, _ in _unit_writes(ast.parse(source))] == [
+            1, 2, 3, 4, 5]
 
 
 class TestVMEntry:

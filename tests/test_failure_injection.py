@@ -49,7 +49,6 @@ class TestTeardownUnderLoad:
         assert cache.used[StoreKind.MEMORY] > 0
         host.destroy_vm(vm)
         assert cache.used[StoreKind.MEMORY] == 0
-        assert cache._mem_units_used == 0
 
     def test_two_workloads_one_stopped_other_unaffected(self):
         ctx, host, cache, vm = build(mem_cache_mb=128)
@@ -125,7 +124,7 @@ class TestStoreStress:
         pool = cache._pools[c.pool_id]
         assert pool.used[StoreKind.MEMORY] == cache.used[StoreKind.MEMORY]
         assert pool.used[StoreKind.SSD] == cache.used[StoreKind.SSD]
-        assert cache._mem_units_used >= 0
+        assert cache.used[StoreKind.MEMORY] >= 0
 
 
 class TestGuestStress:

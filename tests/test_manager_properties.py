@@ -33,7 +33,6 @@ def check_consistency(cache):
         for pool in cache._pools.values():
             assert len(pool.fifos[kind]) == pool.used[kind]
             assert pool.used[kind] >= 0
-    assert cache._mem_units_used >= 0
     # Index and FIFO agree.
     for pool in cache._pools.values():
         index_total = sum(len(tree) for tree in pool.files.values())

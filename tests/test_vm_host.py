@@ -143,7 +143,7 @@ class TestDestroyVmResidue:
                                       [(1, b) for b in range(10)])
 
         baseline = (
-            dict(cache.used), cache._mem_units_used,
+            dict(cache.used), cache.mem_units.used,
             len(cache.vms), len(cache._pools),
             len(host.streams._streams), host._vm_count,
         )
@@ -156,7 +156,7 @@ class TestDestroyVmResidue:
         assert cache.dedup is not None
         assert len(cache.dedup._refcounts) == 0
         after = (
-            dict(cache.used), cache._mem_units_used,
+            dict(cache.used), cache.mem_units.used,
             len(cache.vms), len(cache._pools),
             len(host.streams._streams),
             # Region reuse: 100 sequential VMs consume ONE region slot.
