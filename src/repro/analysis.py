@@ -1,10 +1,11 @@
 """Post-run analysis helpers.
 
-Turns :class:`~repro.experiments.runner.ExperimentResult` and
-:class:`~repro.experiments.scenarios.ScenarioResult` objects into
-comparable, exportable artifacts: speedup tables, series CSV/JSON dumps,
-and simple shape checks (the same ones the benchmark suite asserts,
-available programmatically).
+:func:`result_to_json` exports an
+:class:`~repro.experiments.runner.ExperimentResult` (tables, scalars,
+notes, series) for ``python -m repro.experiments --out DIR --json``.
+:class:`ShapeExpectation` states a qualitative expectation over a
+result's scalars as data (the same language the benchmark suite asserts
+in code).
 """
 
 from __future__ import annotations
@@ -12,49 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping
 
-from .metrics import TimeSeries, format_table
-
-__all__ = [
-    "speedup_table",
-    "series_to_json",
-    "result_to_json",
-    "compare_scalars",
-    "shape_check",
-    "ShapeExpectation",
-]
-
-
-def speedup_table(
-    baseline: Mapping[str, float],
-    variants: Mapping[str, Mapping[str, float]],
-    metric_name: str = "throughput",
-) -> str:
-    """Render per-key speedups of each variant over a baseline.
-
-    ``baseline`` maps workload -> value; ``variants`` maps variant name ->
-    (workload -> value).  Zero/absent baselines render as ``inf``.
-    """
-    headers = ["workload", f"baseline {metric_name}"] + [
-        f"{name} speedup" for name in variants
-    ]
-    rows: List[List[object]] = []
-    for key in baseline:
-        row: List[object] = [key, round(baseline[key], 2)]
-        for name, values in variants.items():
-            value = values.get(key, 0.0)
-            base = baseline[key]
-            row.append(round(value / base, 2) if base > 0 else float("inf"))
-        rows.append(row)
-    return format_table(headers, rows)
-
-
-def series_to_json(series: Mapping[str, TimeSeries]) -> str:
-    """Serialize occupancy traces to JSON (times/values per label)."""
-    payload = {
-        label: {"times": list(ts.times), "values": list(ts.values)}
-        for label, ts in series.items()
-    }
-    return json.dumps(payload, sort_keys=True)
+__all__ = ["result_to_json", "ShapeExpectation"]
 
 
 def result_to_json(result) -> str:
@@ -74,25 +33,6 @@ def result_to_json(result) -> str:
         },
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def compare_scalars(
-    a: Mapping[str, float], b: Mapping[str, float], rel_tol: float = 0.05
-) -> Dict[str, dict]:
-    """Diff two scalar dicts; returns per-key {a, b, ratio, within_tol}."""
-    out: Dict[str, dict] = {}
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key), b.get(key)
-        entry: Dict[str, Any] = {"a": va, "b": vb}
-        if va is not None and vb is not None and va != 0:
-            ratio = vb / va
-            entry["ratio"] = ratio
-            entry["within_tol"] = abs(ratio - 1.0) <= rel_tol
-        else:
-            entry["ratio"] = None
-            entry["within_tol"] = va == vb
-        out[key] = entry
-    return out
 
 
 class ShapeExpectation:
@@ -154,11 +94,3 @@ class ShapeExpectation:
                     failures.append(f"{key} = {value:.3g} != {target}")
         return failures
 
-
-def shape_check(result, expectation: ShapeExpectation) -> None:
-    """Assert an expectation against a result (raises AssertionError)."""
-    failures = expectation.check(result.scalars)
-    if failures:
-        raise AssertionError(
-            f"shape check failed for {result.name}: " + "; ".join(failures)
-        )

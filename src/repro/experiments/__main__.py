@@ -178,6 +178,10 @@ def main(argv=None) -> int:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
 
+    if args.json and args.out is None:
+        print("--json needs --out DIR to write into", file=sys.stderr)
+        return 2
+
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 

@@ -3,7 +3,7 @@
 The static hazard tests (``tests/test_hazards.py``) catch what the AST
 shows; this module catches what only a run shows (it found the one
 determinism bug the tree ever shipped, the ``PYTHONHASHSEED``-dependent
-``ShardsEstimator._hash``).
+``ShardsEstimator._hash`` of the since-deleted ``repro.policies``).
 ``python -m repro.lint.sanitize`` performs a smoke run that:
 
 1. asserts ``PYTHONHASHSEED`` discipline (set, and not ``random``) so

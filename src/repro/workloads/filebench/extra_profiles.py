@@ -2,8 +2,7 @@
 
 ``fileserver`` and ``oltp`` are the other two canonical Filebench
 profiles; they broaden the workload library for users building their own
-derivative-cloud scenarios (and give the adaptive controller more
-behaviour classes to tell apart).
+derivative-cloud scenarios.
 """
 
 from __future__ import annotations

@@ -2,47 +2,12 @@
 
 import json
 
-import pytest
-
-from repro.analysis import (
-    ShapeExpectation,
-    compare_scalars,
-    result_to_json,
-    series_to_json,
-    shape_check,
-    speedup_table,
-)
+from repro.analysis import ShapeExpectation, result_to_json
 from repro.experiments.runner import ExperimentResult
 from repro.metrics import TimeSeries
 
 
-class TestSpeedupTable:
-    def test_basic(self):
-        table = speedup_table(
-            {"web": 10.0, "mail": 2.0},
-            {"DD": {"web": 60.0, "mail": 2.2}},
-        )
-        assert "6.00" in table
-        assert "1.10" in table
-
-    def test_zero_baseline_is_inf(self):
-        table = speedup_table({"x": 0.0}, {"v": {"x": 5.0}})
-        assert "inf" in table
-
-    def test_missing_variant_value(self):
-        table = speedup_table({"x": 2.0}, {"v": {}})
-        assert "0.00" in table
-
-
 class TestJsonExport:
-    def test_series_roundtrip(self):
-        ts = TimeSeries("a")
-        ts.record(0, 1.0)
-        ts.record(10, 2.0)
-        payload = json.loads(series_to_json({"a": ts}))
-        assert payload["a"]["times"] == [0, 10]
-        assert payload["a"]["values"] == [1.0, 2.0]
-
     def test_result_roundtrip(self):
         result = ExperimentResult("exp", "desc")
         result.add_table("t", ["h1"], [[1.5]])
@@ -57,23 +22,6 @@ class TestJsonExport:
         assert payload["tables"]["t"]["rows"] == [[1.5]]
         assert payload["series"]["g/x"]["values"] == [9.0]
         assert payload["notes"] == ["a note"]
-
-
-class TestCompareScalars:
-    def test_within_tolerance(self):
-        diff = compare_scalars({"a": 100.0}, {"a": 103.0}, rel_tol=0.05)
-        assert diff["a"]["within_tol"] is True
-        assert diff["a"]["ratio"] == pytest.approx(1.03)
-
-    def test_outside_tolerance(self):
-        diff = compare_scalars({"a": 100.0}, {"a": 120.0}, rel_tol=0.05)
-        assert diff["a"]["within_tol"] is False
-
-    def test_missing_keys(self):
-        diff = compare_scalars({"a": 1.0}, {"b": 2.0})
-        assert diff["a"]["b"] is None
-        assert diff["a"]["within_tol"] is False
-        assert diff["b"]["a"] is None
 
 
 class TestShapeExpectation:
@@ -103,9 +51,3 @@ class TestShapeExpectation:
                     .check({"a": 1.0, "b": 0.0}))
         assert len(failures) == 1
 
-    def test_shape_check_raises(self):
-        result = ExperimentResult("exp")
-        result.scalars["v"] = 1.0
-        with pytest.raises(AssertionError, match="shape check failed"):
-            shape_check(result, ShapeExpectation().greater("v", 2.0))
-        shape_check(result, ShapeExpectation().greater("v", 0.5))  # passes

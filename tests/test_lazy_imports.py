@@ -19,7 +19,7 @@ REPO_SRC = os.path.join(
 
 SIMULATOR_ONLY = (
     "guest", "hypervisor", "simkernel", "storage", "mem", "cgroups",
-    "cleancache", "workloads", "experiments", "policies", "context",
+    "cleancache", "workloads", "experiments", "context",
     "analysis", "core.cache_manager", "core.baselines", "core.audit",
     "obs.export")
 
@@ -28,7 +28,7 @@ SIMULATOR_ONLY = (
 #: holding the six experiments that did not run.
 SERVER_AND_TOOLING = (
     "asyncio", "ssl", "repro.service", "repro.obs.live", "repro.obs.export",
-    "repro.lint", "repro.policies",
+    "repro.lint",
     "repro.experiments.app_behavior", "repro.experiments.dynamic",
     "repro.experiments.endurance", "repro.experiments.flexible",
     "repro.experiments.motivation")

@@ -3,7 +3,6 @@
 
 from repro.experiments.runner import Experiment, ExperimentResult
 from repro.metrics import MetricsRegistry, Sampler
-from repro.policies.mrc import ReuseDistanceTracker, _Fenwick
 from repro.simkernel import Environment
 
 
@@ -49,53 +48,6 @@ class TestSamplerDirect:
         assert registry.series("g").last == 42.0
 
 
-class TestFenwick:
-    def test_prefix_sums(self):
-        tree = _Fenwick(8)
-        tree.add(0, 5)
-        tree.add(3, 2)
-        tree.add(7, 1)
-        assert tree.prefix_sum(0) == 5
-        assert tree.prefix_sum(2) == 5
-        assert tree.prefix_sum(3) == 7
-        assert tree.prefix_sum(7) == 8
-
-    def test_grow_preserves_values(self):
-        tree = _Fenwick(4)
-        tree.add(1, 3)
-        tree.add(3, 4)
-        tree.grow(16)
-        assert tree.n == 16
-        assert tree.prefix_sum(1) == 3
-        assert tree.prefix_sum(3) == 7
-        tree.add(10, 1)
-        assert tree.prefix_sum(15) == 8
-
-    def test_grow_noop_when_smaller(self):
-        tree = _Fenwick(8)
-        tree.add(2, 1)
-        tree.grow(4)
-        assert tree.n == 8
-        assert tree.prefix_sum(7) == 1
-
-
-class TestReuseTrackerBounds:
-    def test_max_tracked_prunes_old_keys(self):
-        tracker = ReuseDistanceTracker(max_tracked=100)
-        for key in range(250):
-            tracker.access(key)
-        assert len(tracker._last_pos) <= 130  # pruned to roughly half
-
-    def test_pruned_key_counts_as_cold_again(self):
-        tracker = ReuseDistanceTracker(max_tracked=10)
-        tracker.access("victim")
-        for key in range(30):
-            tracker.access(key)
-        cold_before = tracker.cold_misses
-        tracker.access("victim")  # may have been pruned
-        assert tracker.cold_misses >= cold_before
-
-
 class TestExperimentScaleHelpers:
     def test_secs_floor(self):
         class Tiny(Experiment):
@@ -138,6 +90,25 @@ class TestCLIJsonExport:
         assert code == 0
         payload = json.loads((tmp_path / "fakejson.json").read_text())
         assert payload["scalars"] == {"v": 1.5}
+
+    def test_json_without_out_is_rejected_before_running(self, monkeypatch,
+                                                         capsys):
+        import repro.experiments.__main__ as cli
+
+        class FakeExperiment(Experiment):
+            exp_id = "FAKE-3"
+            name = "fakejson"
+            description = "fake"
+
+            def simulate(self):  # pragma: no cover
+                raise AssertionError("ran without --out")
+
+            def report(self, outcomes):  # pragma: no cover
+                return ExperimentResult(self.name)
+
+        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fakejson": FakeExperiment})
+        assert cli.main(["fakejson", "--json", "--no-plots"]) == 2
+        assert "--json needs --out" in capsys.readouterr().err
 
 
 class TestPaperHardwareDefaults:
