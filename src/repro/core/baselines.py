@@ -124,11 +124,10 @@ class _PoolTableCache(HypervisorCacheBase):
 
     def flush_many(self, vm_id: int, pool_id: int, keys: Sequence[BlockKey]) -> int:
         pool = self.engine.require_pool(vm_id, pool_id)
-        dropped = 0
-        for key in keys:
-            if pool.remove_key(key) is not None:
-                dropped += 1
-                self._on_drop(pool.pool_id, *key)
+        mem_keys, ssd_keys = pool.remove_many(keys)
+        for key in mem_keys + ssd_keys:
+            self._on_drop(pool.pool_id, *key)
+        dropped = len(mem_keys) + len(ssd_keys)
         # Same convention as DoubleDecker: ``flushes`` counts drops,
         # ``flush_requests`` counts blocks asked about.
         pool.stats.flush_requests += len(keys)
@@ -187,17 +186,16 @@ class GlobalCache(_PoolTableCache):
         stats = pool.stats
         stats.gets += len(keys)
         found: Set[BlockKey] = set()
-        add_found = found.add
         if self.exclusive:
-            # Second-chance semantics: a hit removes the block.  Folding
-            # the hit test into the removal costs one tree descent.
-            remove = pool.remove_key
+            # Second-chance semantics: a hit removes the block (memory
+            # is the baselines' only store).
+            hits = pool.remove_many(keys)[0]
             fifo_pop = self._fifo.pop
-            for key in keys:
-                if remove(key) is not None:
-                    add_found(key)
-                    fifo_pop((pool_id, key[0], key[1]), None)
+            for inode, block in hits:
+                fifo_pop((pool_id, inode, block), None)
+            found.update(hits)
         else:
+            add_found = found.add
             lookup = pool.lookup
             for key in keys:
                 if lookup(key[0], key[1]) is not None:
@@ -224,7 +222,18 @@ class GlobalCache(_PoolTableCache):
         fifo = self._fifo
         counters = self.counters
         stored = 0
-        for key in keys:
+        # One pass when the batch is all new keys and fits both caps as
+        # is; otherwise the per-block loop evicts and skips.
+        fits = (
+            used[MEMORY] + len(keys) <= capacity
+            and (per_vm_cap is None or vm_used + len(keys) <= per_vm_cap)
+            and pool.insert_new(keys, MEMORY)
+        )
+        if fits:
+            for inode, block in keys:
+                fifo[(pool_id, inode, block)] = None
+            stored = len(keys)
+        for key in () if fits else keys:
             if capacity <= 0:
                 counters.rejected_puts += 1
                 continue
@@ -326,13 +335,8 @@ class StaticPartitionCache(_PoolTableCache):
         pool = self.engine.require_pool(vm_id, pool_id)
         stats = pool.stats
         stats.gets += len(keys)
-        found: Set[BlockKey] = set()
-        add_found = found.add
-        # Partitions are exclusive: a hit always removes (one descent).
-        remove = pool.remove_key
-        for key in keys:
-            if remove(key) is not None:
-                add_found(key)
+        # Partitions are exclusive: a hit always removes the block.
+        found: Set[BlockKey] = set(pool.remove_many(keys)[0])
         stats.get_hits += len(found)
         if found:
             yield self.env.timeout(self.mem_backend.read_cost(len(found)))
@@ -350,7 +354,12 @@ class StaticPartitionCache(_PoolTableCache):
         pool_used = pool.used
         MEMORY = StoreKind.MEMORY
         stored = 0
-        for key in keys:
+        # One pass when the batch is all new keys and fits the partition.
+        fits = (pool_used[MEMORY] + len(keys) <= cap
+                and pool.insert_new(keys, MEMORY))
+        if fits:
+            stored = len(keys)
+        for key in () if fits else keys:
             if cap <= 0:
                 counters.rejected_puts += 1
                 continue

@@ -331,7 +331,28 @@ class DoubleDeckerCache(HypervisorCacheBase):
         # the clock is constant and hoisted for the time-based policies.
         admission = pool.admission
         now = self.env.now
-        for key in keys:
+        # The common case, one pass: a fixed-store batch of new keys that
+        # fits as is needs no eviction, replacement, unit accounting
+        # (memory) or admission and backpressure (SSD).  Any other batch
+        # runs the per-block loop, which does all of them.
+        n = len(keys)
+        fits = (
+            fixed_kind is not None and n > 0
+            and self.used[fixed_kind] + n <= self.capacities[fixed_kind]
+            and (self.mem_units is None if fixed_kind is MEMORY
+                 else admission is None and ssd_backend is not None
+                 and ssd_backend.has_room(n))
+            and pool.insert_new(keys, fixed_kind)
+        )
+        if fits:
+            stored = n
+            if fixed_kind is MEMORY:
+                mem_stores = n
+            else:
+                assert ssd_backend is not None
+                ssd_backend.enqueue_write(n)
+                stats.ssd_writes += n
+        for key in () if fits else keys:
             inode, block = key
             # Duplicate put: drop the stale copy before making room for
             # the new one.

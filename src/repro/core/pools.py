@@ -15,7 +15,7 @@ charges or releases each memory block in the pool's ``units``, if any.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import CachePolicy, StoreKind
 from .stats import PoolStats
@@ -108,34 +108,63 @@ class Pool:
     def remove_key(self, key: BlockKey) -> Optional[StoreKind]:
         """Remove the ``(inode, block)`` block; returns the store it was
         in, or ``None``."""
-        inode = key[0]
-        tree = self.files.get(inode)
-        if tree is None:
-            return None
-        kind = tree.pop(key[1], None)
-        if kind is None:
-            return None
-        if not tree:
-            del self.files[inode]
-        del self.fifos[kind][key]
-        self.used[kind] -= 1
-        self.totals[kind] -= 1
-        if self.units is not None and kind is _MEMORY:
-            self.units.release(self.vm_id, inode, key[1])
-        return kind
+        mem_hits, ssd_hits = self.remove_many((key,))
+        return _MEMORY if mem_hits else _SSD if ssd_hits else None
+
+    def insert_new(self, keys: Sequence[BlockKey], kind: StoreKind) -> bool:
+        """Add a batch of uncached keys, in one pass, to the tail of store
+        ``kind``'s FIFO in request order (caller enforces capacity).
+        Refuses, changing nothing, if a key is already cached or repeated
+        in the batch: that needs :meth:`insert`'s replacement, per key."""
+        batch = set(keys)
+        fifos = self.fifos
+        if (len(batch) != len(keys)
+                or not fifos[_MEMORY].keys().isdisjoint(batch)
+                or not fifos[_SSD].keys().isdisjoint(batch)):
+            return False
+        files = self.files
+        fifo = fifos[kind]
+        for key in keys:
+            tree = files.get(key[0])
+            if tree is None:
+                tree = files[key[0]] = {}
+            tree[key[1]] = kind
+            fifo[key] = None
+        self.used[kind] += len(keys)
+        self.totals[kind] += len(keys)
+        units = self.units
+        if units is not None and kind is _MEMORY:
+            for inode, block in keys:
+                units.charge(self.vm_id, inode, block)
+        return True
 
     def remove_many(self, keys) -> Tuple[List[BlockKey], List[BlockKey]]:
         """Drop every present key; returns ``(memory_hits, ssd_hits)`` in
         request order."""
         mem_hits: List[BlockKey] = []
         ssd_hits: List[BlockKey] = []
-        remove = self.remove_key
+        files = self.files
+        fifos = self.fifos
+        units = self.units
         for key in keys:
-            kind = remove(key)
+            tree = files.get(key[0])
+            if tree is None:
+                continue
+            kind = tree.pop(key[1], None)
+            if kind is None:
+                continue
+            if not tree:
+                del files[key[0]]
+            del fifos[kind][key]
             if kind is _MEMORY:
                 mem_hits.append(key)
-            elif kind is _SSD:
+                if units is not None:
+                    units.release(self.vm_id, key[0], key[1])
+            else:
                 ssd_hits.append(key)
+        for kind, count in ((_MEMORY, len(mem_hits)), (_SSD, len(ssd_hits))):
+            self.used[kind] -= count
+            self.totals[kind] -= count
         return mem_hits, ssd_hits
 
     def remove_inode(self, inode: int) -> Dict[StoreKind, int]:

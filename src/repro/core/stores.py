@@ -12,8 +12,7 @@ moving block *data*:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..simkernel import Environment, Event
 from ..storage import MB, MemSpec, SSD
@@ -88,7 +87,8 @@ class SSDBackend:
         self.block_bytes = device.block_bytes
         buffer_bytes = max(self.block_bytes, int(write_buffer_mb * MB))
         self._buffer_capacity_blocks = buffer_bytes // self.block_bytes
-        self._pending: Deque[int] = deque()
+        #: blocks enqueued but not yet handed to the device by the writer
+        self._queued = 0
         self._pending_blocks = 0
         self._wakeup: Optional[Event] = None
         self._writer = env.process(self._drain(), name="ssd-store-writer")
@@ -114,14 +114,19 @@ class SSDBackend:
         """Blocks sitting in the write buffer, not yet on flash."""
         return self._pending_blocks
 
+    def has_room(self, nblocks: int) -> bool:
+        """Whether the write buffer can take ``nblocks`` more now."""
+        return self._pending_blocks + nblocks <= self._buffer_capacity_blocks
+
     def enqueue_write(self, nblocks: int) -> bool:
-        """Queue ``nblocks`` for background writing; False if buffer full."""
+        """Queue ``nblocks`` for background writing; False (queueing none
+        of them) if the buffer cannot take them all."""
         if nblocks <= 0:
             return True
-        if self._pending_blocks + nblocks > self._buffer_capacity_blocks:
+        if not self.has_room(nblocks):
             self.writes_rejected += nblocks
             return False
-        self._pending.append(nblocks)
+        self._queued += nblocks
         self._pending_blocks += nblocks
         self.writes_enqueued += nblocks
         if self._wakeup is not None and not self._wakeup.triggered:
@@ -130,17 +135,15 @@ class SSDBackend:
 
     def _drain(self):
         while True:
-            if not self._pending:
+            if not self._queued:
                 self._wakeup = self.env.event()
                 yield self._wakeup
                 self._wakeup = None
                 continue
             # Coalesce queued writes into one device request (up to 2 MB),
             # mimicking a write-back thread batching dirty cache fills.
-            batch = 0
-            limit = max(1, (2 * MB) // self.block_bytes)
-            while self._pending and batch < limit:
-                batch += self._pending.popleft()
+            batch = min(self._queued, max(1, (2 * MB) // self.block_bytes))
+            self._queued -= batch
             yield from self.device.write(0, batch)
             self._pending_blocks -= batch
             self.blocks_written += batch

@@ -465,12 +465,8 @@ class GuestOS:
         stored = yield from self.cleancache.put_many(cgroup.pool_id, put_keys)
         self.stats.cc_put_stored += stored
         if stored and cgroup.pool_id is not None:
-            for entry in clean:
-                file = self.fs.get(entry.inode)
-                if file is not None:
-                    file.hv_pool_id = cgroup.pool_id
-            for entry in dirty:
-                file = self.fs.get(entry.inode)
+            for inode in {key[0] for key in put_keys}:
+                file = self.fs.get(inode)
                 if file is not None:
                     file.hv_pool_id = cgroup.pool_id
         return taken

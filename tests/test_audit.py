@@ -18,6 +18,7 @@ Three layers of defense are exercised here:
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.core import (
     DoubleDeckerCache,
     GlobalCache,
     InvariantViolation,
+    Pool,
     StaticPartitionCache,
     StoreKind,
     assert_consistent,
@@ -57,6 +59,27 @@ STAT_FIELDS = ("gets", "get_hits", "puts", "puts_stored", "flushes",
 
 def run_gen(env, gen):
     return env.run(until=env.process(gen))
+
+
+@pytest.fixture
+def put_paths(monkeypatch):
+    """Counts how puts reach the pools: ``insert_new`` batches accepted
+    (``True``) and refused (``False``), and per-block ``insert`` calls."""
+    seen = Counter()
+    insert, insert_new = Pool.insert, Pool.insert_new
+
+    def spy_insert(self, inode, block, kind):
+        seen["insert"] += 1
+        return insert(self, inode, block, kind)
+
+    def spy_insert_new(self, keys, kind):
+        accepted = insert_new(self, keys, kind)
+        seen[accepted] += 1
+        return accepted
+
+    monkeypatch.setattr(Pool, "insert", spy_insert)
+    monkeypatch.setattr(Pool, "insert_new", spy_insert_new)
+    return seen
 
 
 def make_dd(env=None, **overrides):
@@ -237,7 +260,8 @@ OPS_PER_CORNER = 2000
 
 class TestDifferentialDoubleDecker:
     @pytest.mark.parametrize("dedup,compression,trickle,admission", CORNERS)
-    def test_matches_reference(self, dedup, compression, trickle, admission):
+    def test_matches_reference(self, dedup, compression, trickle, admission,
+                               put_paths):
         overrides = dict(
             trickle_down=trickle,
             dedup=dedup,
@@ -251,6 +275,19 @@ class TestDifferentialDoubleDecker:
         env, dut = make_dd(**overrides)
         ref = ReferenceCache(dut.config, BLK, has_ssd=True)
         DifferentialDriver(env, dut, ref, seed=7).run(OPS_PER_CORNER)
+        # Tight capacities: puts evict, so the per-block loop runs.
+        assert put_paths["insert"], put_paths
+
+    def test_roomy_batches_match_reference(self, put_paths):
+        """Every key of every pool fits (4 pools x 200 keys, 1024
+        memory and SSD blocks each), so whole fixed-store batches of new
+        keys go in with one ``insert_new``; batches holding a cached or
+        repeated key, and the hybrid pool's, take the per-block loop."""
+        env, dut = make_dd(mem_capacity_mb=64.0, ssd_capacity_mb=64.0)
+        ref = ReferenceCache(dut.config, BLK, has_ssd=True)
+        DifferentialDriver(env, dut, ref, seed=7).run(OPS_PER_CORNER)
+        assert put_paths[True] and put_paths[False], put_paths
+        assert put_paths["insert"], put_paths
 
     def test_admission_policy_switch_matches_reference(self):
         """Per-pool ``CachePolicy.admission`` swaps the controller on a
@@ -382,24 +419,50 @@ class BaselineDriver:
 
 
 class TestDifferentialBaselines:
-    @pytest.mark.parametrize("exclusive", [True, False],
-                             ids=["exclusive", "inclusive"])
-    def test_global_cache_matches_reference(self, exclusive):
+    @staticmethod
+    def run_global(exclusive, capacity_mb, per_vm_cap_mb):
         env = Environment()
-        dut = GlobalCache(env, 1.0, BLK, per_vm_cap_mb=0.75, exclusive=exclusive)
-        ref = ReferenceGlobalCache(1.0, BLK, per_vm_cap_mb=0.75,
+        dut = GlobalCache(env, capacity_mb, BLK, per_vm_cap_mb=per_vm_cap_mb,
+                          exclusive=exclusive)
+        ref = ReferenceGlobalCache(capacity_mb, BLK,
+                                   per_vm_cap_mb=per_vm_cap_mb,
                                    exclusive=exclusive)
         BaselineDriver(env, dut, ref, seed=5).run(1500)
 
-    def test_static_partition_matches_reference(self):
+    @staticmethod
+    def run_static(capacity_mb, cap_mb):
         env = Environment()
-        dut = StaticPartitionCache(env, 2.0, BLK)
-        ref = ReferenceStaticCache(2.0, BLK)
+        dut = StaticPartitionCache(env, capacity_mb, BLK)
+        ref = ReferenceStaticCache(capacity_mb, BLK)
         driver = BaselineDriver(env, dut, ref, seed=9)
         for _, pid in driver.pools:
-            dut.set_partition(pid, 0.4)
-            ref.set_partition(pid, 0.4)
+            dut.set_partition(pid, cap_mb)
+            ref.set_partition(pid, cap_mb)
         driver.run(1500)
+
+    # Tight caps evict, so puts take the per-block loop.  The roomy ones
+    # hold every key (4 pools x 200 keys), so whole batches of new keys
+    # go in with one ``insert_new``.
+    @pytest.mark.parametrize("exclusive", [True, False],
+                             ids=["exclusive", "inclusive"])
+    def test_global_cache_matches_reference(self, exclusive, put_paths):
+        self.run_global(exclusive, 1.0, 0.75)
+        assert put_paths["insert"], put_paths
+
+    @pytest.mark.parametrize("exclusive", [True, False],
+                             ids=["exclusive", "inclusive"])
+    def test_global_cache_roomy_batches_match_reference(self, exclusive,
+                                                        put_paths):
+        self.run_global(exclusive, 64.0, 48.0)
+        assert put_paths[True] and put_paths["insert"], put_paths
+
+    def test_static_partition_matches_reference(self, put_paths):
+        self.run_static(2.0, 0.4)
+        assert put_paths["insert"], put_paths
+
+    def test_static_partition_roomy_batches_match_reference(self, put_paths):
+        self.run_static(64.0, 16.0)
+        assert put_paths[True] and put_paths["insert"], put_paths
 
 
 # ----------------------------------------------------------------------

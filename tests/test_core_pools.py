@@ -152,7 +152,9 @@ class TestPool:
         """Every mutation on MEMORY and SSD together, against two plain
         lists: a re-insert (same or other store) lands at the new store's
         tail, ``remove_many`` reports first occurrences in request order,
-        and the per-inode views follow.  A second pool sharing the
+        ``insert_new`` appends an all-new batch in request order and
+        refuses, untouched, one with a cached or repeated key, and the
+        per-inode views follow.  A second pool sharing the
         store totals is charged block counts beside it (the service's
         use, which indexes nothing), and the totals stay the sum of both
         pools' ``used``.  The pool's ``units`` is charged once for every
@@ -163,6 +165,7 @@ class TestPool:
         pool.units = units = RecordingUnits()
         other = Pool(2, 1, "other", CachePolicy.hybrid(50, 50), totals)
         cross_store_replaces = 0
+        batches = Counter()  # insert_new outcomes
         rng = random.Random(25)
         side = random.Random(26)  # the charges; ``rng`` drives ``pool``
         kinds = (StoreKind.MEMORY, StoreKind.SSD)
@@ -188,7 +191,25 @@ class TestPool:
                 model_remove(key)
                 fifo[kind].append(key)
                 where[key] = kind
-            elif op < 0.6:
+            elif op < 0.55:
+                kind = rng.choice(kinds)
+                free = [(inode, block) for inode in range(6)
+                        for block in range(12) if (inode, block) not in where]
+                batch = rng.sample(free, min(len(free), rng.randrange(1, 6)))
+                spoil = rng.random()
+                if spoil < 0.2 and where:  # one cached key
+                    batch.insert(rng.randrange(len(batch) + 1),
+                                 rng.choice(sorted(where)))
+                elif spoil < 0.4 and batch:  # one key twice
+                    batch.append(rng.choice(batch))
+                fresh = (len(set(batch)) == len(batch)
+                         and not any(key in where for key in batch))
+                assert pool.insert_new(batch, kind) is fresh, step
+                batches[fresh] += 1
+                if fresh:
+                    fifo[kind].extend(batch)
+                    where.update((key, kind) for key in batch)
+            elif op < 0.65:
                 batch = [random_key() for _ in range(rng.randrange(1, 8))]
                 batch += rng.sample(batch, min(2, len(batch)))  # repeats
                 expected = {kind: [] for kind in kinds}
@@ -199,10 +220,10 @@ class TestPool:
                 mem_keys, ssd_keys = pool.remove_many(batch)
                 assert mem_keys == expected[StoreKind.MEMORY], step
                 assert ssd_keys == expected[StoreKind.SSD], step
-            elif op < 0.75:
+            elif op < 0.78:
                 key = random_key()
                 assert pool.remove_key(key) is model_remove(key), step
-            elif op < 0.82:
+            elif op < 0.84:
                 inode = rng.randrange(6)
                 counts = {kind: 0 for kind in kinds}
                 for key in [key for key in where if key[0] == inode]:
@@ -241,6 +262,7 @@ class TestPool:
                 (pool.vm_id, *key) for key in fifo[StoreKind.MEMORY]), step
             assert not -units.held, step
         assert cross_store_replaces, "no cross-store replace was exercised"
+        assert batches[True] and batches[False], batches
 
 
 def _occupancy_writes(tree):

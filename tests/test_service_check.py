@@ -292,7 +292,8 @@ class NoPerBlockCallTests(unittest.TestCase):
         def refuse(*args, **kwargs):
             raise AssertionError("per-block Pool call from the service")
 
-        for name in ("insert", "pop_oldest", "remove_inode"):
+        for name in ("insert", "insert_new", "pop_oldest", "remove_key",
+                     "remove_many", "remove_inode"):
             patch = mock.patch.object(Pool, name, refuse)
             patch.start()
             self.addCleanup(patch.stop)
