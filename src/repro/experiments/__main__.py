@@ -43,6 +43,7 @@ one pstats file, and one JSONL per experiment.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -173,6 +174,11 @@ def main(argv=None) -> int:
             print(f"unknown experiment {', '.join(map(repr, unknown))}; use --list",
                   file=sys.stderr)
             return 2
+
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(f"--scale must be finite and > 0, got {args.scale}",
+              file=sys.stderr)
+        return 2
 
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)

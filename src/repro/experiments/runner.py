@@ -10,6 +10,7 @@ machine's cores; everything above it (``Experiment.run``, the CLI's
 from __future__ import annotations
 
 import abc
+import math
 import os
 import pickle
 import select
@@ -248,8 +249,8 @@ class Experiment(abc.ABC):
     description: str = ""
 
     def __init__(self, scale: float = 1.0, seed: int = 42) -> None:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {scale}")
         self.scale = scale
         self.seed = seed
 

@@ -33,10 +33,8 @@ from ..hypervisor import HostSpec
 from ..metrics import format_table
 from ..workloads import (
     CounterSnapshot,
-    FileserverWorkload,
     MongoWorkload,
     MySQLWorkload,
-    OLTPWorkload,
     RedisWorkload,
     VarmailWorkload,
     VideoserverWorkload,
@@ -54,8 +52,6 @@ WORKLOAD_TYPES = {
     "varmail": VarmailWorkload,
     "mail": VarmailWorkload,
     "videoserver": VideoserverWorkload,
-    "fileserver": FileserverWorkload,
-    "oltp": OLTPWorkload,
     "redis": RedisWorkload,
     "mysql": MySQLWorkload,
     "mongodb": MongoWorkload,
@@ -121,7 +117,6 @@ class _VMSpec:
     memory_mb: float
     vcpus: int
     weight: float
-    readahead_blocks: int
     boot_at: float
     gauges: Dict[str, Optional[StoreKind]]
 
@@ -196,57 +191,6 @@ class Scenario:
 
     # -- declaration -----------------------------------------------------------
 
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "Scenario":
-        """Build a scenario from a JSON-able dict::
-
-            {
-              "seed": 7,
-              "cache": {"kind": "doubledecker", "mem_mb": 1024},
-              "vms": [
-                {"name": "vm1", "memory_mb": 4096, "weight": 100,
-                 "containers": [
-                   {"name": "web", "limit_mb": 1024, "policy": "mem:60",
-                    "workload": {"type": "webserver", "nfiles": 8000}}
-                 ]}
-              ],
-              "events": [
-                {"at": 600, "action": "set_policy",
-                 "container": "web", "policy": "ssd:100"}
-              ]
-            }
-        """
-        scenario = cls(seed=int(spec.get("seed", 42)))
-        cache_spec = dict(spec.get("cache", {}))
-        if cache_spec:
-            kind = cache_spec.pop("kind", "doubledecker")
-            scenario.cache(kind, **cache_spec)
-        for vm_spec in spec.get("vms", []):
-            vm_spec = dict(vm_spec)
-            containers = vm_spec.pop("containers", [])
-            name = vm_spec.pop("name")
-            scenario.vm(name, **vm_spec)
-            for container_spec in containers:
-                container_spec = dict(container_spec)
-                workload_spec = container_spec.pop("workload", None)
-                workload = None
-                if workload_spec is not None:
-                    workload_spec = dict(workload_spec)
-                    workload = (workload_spec.pop("type"), workload_spec)
-                scenario.container(
-                    name, container_spec.pop("name"),
-                    container_spec.pop("limit_mb"),
-                    policy=container_spec.pop("policy", None),
-                    workload=workload,
-                    **container_spec,
-                )
-        for event_spec in spec.get("events", []):
-            event_spec = dict(event_spec)
-            time_ = event_spec.pop("at")
-            action = event_spec.pop("action")
-            scenario.at(time_, action, **event_spec)
-        return scenario
-
     def cache(self, kind: str, **kwargs) -> "Scenario":
         """Choose the hypervisor cache: ``doubledecker`` (mem_mb, ssd_mb,
         plus any DDConfig field), ``global`` (capacity_mb, per_vm_cap_mb),
@@ -258,15 +202,14 @@ class Scenario:
         return self
 
     def vm(self, name: str, memory_mb: float, vcpus: int = 4,
-           weight: float = 100.0, readahead_blocks: int = 0,
-           boot_at: float = 0.0,
+           weight: float = 100.0, boot_at: float = 0.0,
            gauges: Optional[Mapping[str, Optional[str]]] = None) -> "Scenario":
         """Add a VM that boots at ``boot_at`` (its containers boot no
         earlier).  ``gauges`` maps a series label to the store whose
         per-VM occupancy it samples (``"mem"``, ``"ssd"`` or ``None`` for
         both); a VM has no gauge by default."""
         self._vms.append(_VMSpec(
-            name, memory_mb, vcpus, weight, readahead_blocks, boot_at,
+            name, memory_mb, vcpus, weight, boot_at,
             _parse_gauges(gauges or {}, f"VM {name!r}"),
         ))
         return self
@@ -422,7 +365,6 @@ class Scenario:
             vm = vms[spec.name] = host.create_vm(
                 spec.name, memory_mb=spec.memory_mb, vcpus=spec.vcpus,
                 cache_weight=spec.weight,
-                readahead_blocks=spec.readahead_blocks,
             )
             watch(sampler.watch_vm, spec.gauges, vm.vm_id)
 

@@ -20,7 +20,7 @@ class File:
     """One regular file."""
 
     __slots__ = ("inode", "owner_cgroup_id", "nblocks", "disk_start",
-                 "max_blocks", "hv_pool_id", "name", "ra_pos", "ra_streak")
+                 "max_blocks", "hv_pool_id", "name")
 
     def __init__(
         self,
@@ -40,9 +40,6 @@ class File:
         #: (None when unknown); used to trigger MIGRATE_OBJECT on sharing.
         self.hv_pool_id: Optional[int] = None
         self.name = name
-        #: Readahead state: expected next sequential offset + streak length.
-        self.ra_pos = -1
-        self.ra_streak = 0
 
     def keys(self, start: int = 0, nblocks: Optional[int] = None) -> List[Tuple[int, int]]:
         """Block keys for the range ``[start, start + nblocks)``."""

@@ -54,7 +54,7 @@ class GuestStats:
     __slots__ = ("pc_lookups", "pc_hits", "cc_gets", "cc_hits", "disk_reads",
                  "disk_writes", "writeback_blocks", "swap_out_blocks",
                  "swap_in_blocks", "cc_puts", "cc_put_stored",
-                 "reclaim_rounds", "readahead_blocks")
+                 "reclaim_rounds")
 
     def __init__(self) -> None:
         self.pc_lookups = 0
@@ -69,7 +69,6 @@ class GuestStats:
         self.cc_puts = 0
         self.cc_put_stored = 0
         self.reclaim_rounds = 0
-        self.readahead_blocks = 0
 
 
 class GuestOS:
@@ -90,7 +89,6 @@ class GuestOS:
         flusher_interval_s: float = 5.0,
         swap_base_block: Optional[int] = None,
         reclaim_rng=None,
-        readahead_blocks: int = 0,
     ) -> None:
         self.env = env
         self.name = name
@@ -115,9 +113,6 @@ class GuestOS:
         #: RNG driving global-reclaim scan-pressure choices (seeded by the
         #: host's stream factory; a private fallback keeps tests simple).
         self._reclaim_rng = reclaim_rng or _random.Random(0)
-        #: Sequential readahead window (0 disables; Linux-like behaviour
-        #: prefetches ahead once a file shows a sequential streak).
-        self.readahead_blocks = readahead_blocks
         self.dirty_expire_s = dirty_expire_s
         self._flusher = env.process(
             self._flusher_loop(flusher_interval_s), name=f"{name}-flusher"
@@ -140,23 +135,6 @@ class GuestOS:
         for cgroup in self.cgroups:
             total += len(cgroup.anon.resident)
         return total
-
-    def set_memory_blocks(self, blocks: int) -> None:
-        """Balloon the VM's usable memory (reclaim is the caller's job —
-        see :meth:`reclaim_to_target` for the eager variant)."""
-        if blocks < 1:
-            raise ValueError(f"memory must be positive, got {blocks}")
-        self.memory_blocks = blocks
-
-    def reclaim_to_target(self):
-        """Generator: reclaim until usage fits the (ballooned) memory."""
-        freed_total = 0
-        while self.total_usage_blocks() > self.memory_blocks:
-            freed = yield from self._shrink_vm(RECLAIM_BATCH)
-            if freed == 0:
-                break
-            freed_total += freed
-        return freed_total
 
     def _copy_cost(self, nblocks: int) -> float:
         """User-copy cost for ``nblocks`` page-cache hits."""
@@ -188,44 +166,19 @@ class GuestOS:
         result.pc_hits = hits
         if hits:
             cost = self._copy_cost(hits)
-            if not misses and self.readahead_blocks <= 0:
+            if not misses:
                 # The copy is this call's last wait: serve ``then`` in it,
                 # and keep ``then`` out of the latency.
                 yield env.timeout(cost, then=then)
                 result.latency = (t0 + cost) - t0
                 return result
             yield env.timeout(cost)
-        if self.readahead_blocks > 0:
-            misses.extend(self._readahead_keys(file, start, nkeys))
         if misses:
             yield from self._fill_misses(cgroup, file, misses, result)
         result.latency = env._now - t0
         if then:
             yield env.timeout(then)
         return result
-
-    def _readahead_keys(self, file: File, start: int, count: int) -> List[BlockKey]:
-        """Prefetch candidates for a sequentially-read file.
-
-        A file that has been read in order for two consecutive requests
-        gets ``readahead_blocks`` of lookahead appended to its miss list
-        (skipping already-resident blocks), mirroring the kernel's
-        streaming readahead.
-        """
-        if self.readahead_blocks <= 0:
-            return []
-        if start == file.ra_pos:
-            file.ra_streak += 1
-        else:
-            file.ra_streak = 1 if start == 0 else 0
-        end = start + count
-        file.ra_pos = end
-        if file.ra_streak < 2:
-            return []
-        stop = min(file.nblocks, end + self.readahead_blocks)
-        out = self.pagecache.absent((file.inode, block) for block in range(end, stop))
-        self.stats.readahead_blocks += len(out)
-        return out
 
     def _fill_misses(self, cgroup: Cgroup, file: File, misses: List[BlockKey],
                      result: IOResult):

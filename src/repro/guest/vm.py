@@ -131,7 +131,6 @@ class VirtualMachine:
         disk_base_block: int = 0,
         kernel_reserve_mb: float = 64.0,
         reclaim_rng=None,
-        readahead_blocks: int = 0,
     ) -> None:
         self.env = env
         self.name = name
@@ -151,7 +150,6 @@ class VirtualMachine:
             disk_base_block=disk_base_block,
             kernel_reserve_mb=kernel_reserve_mb,
             reclaim_rng=reclaim_rng,
-            readahead_blocks=readahead_blocks,
         )
         self.containers: Dict[str, Container] = {}
 
@@ -181,27 +179,6 @@ class VirtualMachine:
             cgroup.file_blocks = 0
         self.os.cgroups.destroy(cgroup)
         del self.containers[container.name]
-
-    def set_memory_mb(self, memory_mb: float, reclaim: bool = True) -> None:
-        """Balloon the VM to a new memory size.
-
-        Deflating (shrinking) immediately spawns a reclaim process that
-        pushes the guest's disk cache toward the hypervisor cache — the
-        ballooning usage the paper describes in §1.
-        """
-        if memory_mb <= 0:
-            raise ValueError(f"memory must be positive, got {memory_mb}")
-        old_blocks = self.os.memory_blocks
-        reserve_blocks = (
-            int(self.memory_mb * MB) // self.block_bytes - old_blocks
-        )
-        self.memory_mb = memory_mb
-        new_blocks = max(1, int(memory_mb * MB) // self.block_bytes
-                         - reserve_blocks)
-        self.os.set_memory_blocks(new_blocks)
-        if reclaim and new_blocks < old_blocks:
-            self.env.process(self.os.reclaim_to_target(),
-                             name=f"{self.name}-balloon")
 
     def container(self, name: str) -> Container:
         return self.containers[name]

@@ -22,7 +22,7 @@ from ..core import (
     StaticPartitionCache,
 )
 from ..guest import VirtualMachine
-from ..metrics import MetricsRegistry, Sampler
+from ..metrics import MetricsRegistry
 from ..obs import tracer as _obs
 from ..simkernel import Environment, RandomStreams
 from ..storage import HDD, KB, SSD, HDDSpec, SSDSpec
@@ -82,15 +82,6 @@ class Host:
         #: first) before the allocator grows — destroyed VMs leave no
         #: address-space residue.
         self._free_disk_bases: List[int] = []
-        self.sampler = Sampler(env, self.registry, interval=10.0)
-        # Endurance gauges: the SSD's wear trajectory is part of every
-        # run's metrics, whether or not an experiment looks at it.
-        wear = self.ssd.wear
-        assert wear is not None
-        self.sampler.add(
-            "host.ssd.gb_written", lambda: wear.host_bytes_written / (1024 ** 3)
-        )
-        self.sampler.add("host.ssd.wear_pct", lambda: 100.0 * wear.wear_fraction)
 
     # -- hypervisor cache installation -------------------------------------------
 
@@ -141,7 +132,6 @@ class Host:
         vcpus: int = 4,
         cache_weight: float = 100.0,
         kernel_reserve_mb: float = 64.0,
-        readahead_blocks: int = 0,
     ) -> VirtualMachine:
         """Boot a VM and register it with the hypervisor cache."""
         if name in self.vms:
@@ -164,7 +154,6 @@ class Host:
             disk_base_block=disk_base,
             kernel_reserve_mb=kernel_reserve_mb,
             reclaim_rng=self.streams.stream(f"vm.{name}.reclaim"),
-            readahead_blocks=readahead_blocks,
         )
         vm.os.swap_base = disk_base + _SWAP_OFFSET
         self.vms[name] = vm

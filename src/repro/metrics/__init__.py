@@ -1,6 +1,6 @@
 """Metrics collection and reporting for simulation experiments."""
 
-from .collector import MetricsRegistry, Sampler
+from .collector import MetricsRegistry
 from .exposition import (
     MetricFamily,
     check_exposition,
@@ -14,7 +14,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "Sampler",
     "TimeSeries",
     "ascii_plot",
     "check_exposition",

@@ -117,26 +117,10 @@ def histogram_family(name: str, hist: Histogram,
 
 
 def registry_families(registry, prefix: str = "dd") -> List[MetricFamily]:
-    """Every metric of a :class:`MetricsRegistry` as exposition families.
-
-    Series render as gauges holding their last sample and histograms as
-    full bucket sets.
-    """
-    families: List[MetricFamily] = []
-
-    for name, series in sorted(registry.all_series().items()):
-        if series.last is None:
-            continue
-        family = MetricFamily(
-            f"{prefix}_{sanitize_metric_name(name)}", "gauge")
-        family.add(series.last)
-        families.append(family)
-
-    for name, hist in sorted(registry.histograms().items()):
-        families.append(histogram_family(
-            f"{prefix}_{sanitize_metric_name(name)}", hist))
-
-    return families
+    """Every histogram of a :class:`MetricsRegistry` as an exposition
+    family with its full bucket set."""
+    return [histogram_family(f"{prefix}_{sanitize_metric_name(name)}", hist)
+            for name, hist in sorted(registry.histograms().items())]
 
 
 def _labels_text(labels: Dict[str, str]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import signal
 import sys
 import time
@@ -24,6 +25,24 @@ from .server import CacheServer
 from .store import DiskStore
 
 
+def _bounded(kind, minimum: float, strict: bool = False):
+    """An argparse ``type=``: a finite ``kind`` value ``>= minimum``
+    (``> minimum`` when ``strict``); anything else exits 2 at parse time,
+    before the store is opened."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        too_small = value <= minimum if strict else value < minimum
+        if too_small or not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {minimum}, "
+                f"got {text}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -34,14 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--dir", default="./ddcache",
                         help="persistent store directory")
-    parser.add_argument("--capacity-mb", type=float, default=64.0,
+    parser.add_argument("--capacity-mb", type=_bounded(float, 0, strict=True),
+                        default=64.0,
                         help="disk cache capacity in MB")
-    parser.add_argument("--eviction-batch-mb", type=float, default=2.0,
+    parser.add_argument("--eviction-batch-mb",
+                        type=_bounded(float, 0, strict=True), default=2.0,
                         help="Algorithm-1 eviction batch (the paper's 2MB)")
     parser.add_argument("--admission", default=None,
                         choices=list(ADMISSION_POLICIES),
                         help="SSD admission controller for every tenant")
-    parser.add_argument("--max-value-bytes", type=int,
+    parser.add_argument("--max-value-bytes", type=_bounded(int, 1),
                         default=MAX_VALUE_BYTES)
     parser.add_argument("--no-fsync", action="store_true",
                         help="skip per-value fsync (benchmarks only)")
@@ -53,12 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--trace", default=None, metavar="PATH",
                            help="record a wall-clock JSONL trace, written "
                                 "at shutdown")
-    telemetry.add_argument("--trace-sample", type=int, default=1,
+    telemetry.add_argument("--trace-sample", type=_bounded(int, 1), default=1,
                            help="keep 1-in-N span events in the trace ring")
     telemetry.add_argument("--ops-log", default=None, metavar="PATH",
                            help="append structured JSON ops events here "
                                 "(default: stderr)")
-    telemetry.add_argument("--slow-op-ms", type=float, default=10.0,
+    telemetry.add_argument("--slow-op-ms", type=_bounded(float, 0),
+                           default=10.0,
                            help="slow-op log threshold in milliseconds")
     return parser
 

@@ -3,36 +3,20 @@
 from .apps import MongoWorkload, MySQLWorkload, RedisWorkload
 from .base import CounterSnapshot, Workload, WorkloadCounters
 from .filebench import (
-    FileserverWorkload,
     Fileset,
-    OLTPWorkload,
     VarmailWorkload,
     VideoserverWorkload,
     WebproxyWorkload,
     WebserverWorkload,
 )
-from .trace import (
-    TraceRecord,
-    TraceRecorder,
-    TraceReplayWorkload,
-    dump_trace,
-    load_trace,
-)
 from .ycsb import YCSBWorkload
 
 __all__ = [
     "CounterSnapshot",
-    "FileserverWorkload",
     "Fileset",
-    "OLTPWorkload",
     "MongoWorkload",
     "MySQLWorkload",
     "RedisWorkload",
-    "TraceRecord",
-    "TraceRecorder",
-    "TraceReplayWorkload",
-    "dump_trace",
-    "load_trace",
     "VarmailWorkload",
     "VideoserverWorkload",
     "WebproxyWorkload",

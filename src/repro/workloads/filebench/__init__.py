@@ -1,6 +1,5 @@
 """Filebench-style workload profiles (webserver, webproxy, varmail, videoserver)."""
 
-from .extra_profiles import FileserverWorkload, OLTPWorkload
 from .fileset import Fileset
 from .profiles import (
     VarmailWorkload,
@@ -10,9 +9,7 @@ from .profiles import (
 )
 
 __all__ = [
-    "FileserverWorkload",
     "Fileset",
-    "OLTPWorkload",
     "VarmailWorkload",
     "VideoserverWorkload",
     "WebproxyWorkload",

@@ -37,8 +37,9 @@ class TestRunnerPlumbing:
         }
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            MotivationExperiment(scale=0)
+        for scale in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MotivationExperiment(scale=scale)
 
     def test_result_summary_renders(self):
         result = ExperimentResult("x", "desc")

@@ -110,25 +110,19 @@ class HistogramFamilyTests(unittest.TestCase):
 
 
 class RegistryFamiliesTests(unittest.TestCase):
-    """A registry holds sampled series and histograms."""
+    """A registry's histograms render with their full bucket sets."""
 
-    def test_series_and_histograms_render(self):
+    def test_histograms_render(self):
         registry = MetricsRegistry()
-        registry.record("cache.used_blocks", 1.0, 40.0)
-        registry.record("cache.used_blocks", 2.0, 42.0)  # the last one shows
         registry.wallclock_histogram("service.lat.get").add(500)
         text = render_families(registry_families(registry))
         self.assertEqual(check_exposition(text), [])
-        self.assertIn("# TYPE dd_cache_used_blocks gauge", text)
-        self.assertIn("dd_cache_used_blocks 42", text)
         self.assertIn("# TYPE dd_service_lat_get histogram", text)
         self.assertIn('dd_service_lat_get_bucket{le="+Inf"} 1', text)
         self.assertIn("dd_service_lat_get_count 1", text)
 
-    def test_empty_series_are_skipped(self):
-        registry = MetricsRegistry()
-        registry.series("never.sampled")
-        self.assertEqual(registry_families(registry), [])
+    def test_empty_registry_renders_nothing(self):
+        self.assertEqual(registry_families(MetricsRegistry()), [])
 
     def test_same_name_families_merge_under_one_type(self):
         families = []
@@ -212,11 +206,11 @@ class CliTests(unittest.TestCase):
         import tempfile
         from pathlib import Path
 
-        registry = MetricsRegistry()
-        registry.record("gets", 0.0, 3)
+        gauge = MetricFamily("dd_gets", "gauge")
+        gauge.add(3)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "metrics.prom"
-            path.write_text(render_families(registry_families(registry)))
+            path.write_text(render_families([gauge]))
             status, output = self._run([str(path)])
         self.assertEqual(status, 0)
         self.assertIn("OK (1 samples)", output)

@@ -5,12 +5,10 @@ import pytest
 from repro.metrics import (
     Histogram,
     MetricsRegistry,
-    Sampler,
     TimeSeries,
     ascii_plot,
     format_table,
 )
-from repro.simkernel import Environment
 
 
 class TestTimeSeries:
@@ -43,39 +41,6 @@ class TestTimeSeries:
             ts.record(t, v)
         assert ts.max() == 50
         assert ts.max(start=15) == 30
-
-
-class TestRegistry:
-    def test_series_create_on_use(self):
-        reg = MetricsRegistry()
-        reg.record("s", 0, 1.0)
-        reg.record("s", 1, 2.0)
-        assert len(reg.series("s")) == 2
-        assert "s" in reg.all_series()
-
-
-class TestSampler:
-    def test_periodic_sampling(self):
-        env = Environment()
-        reg = MetricsRegistry()
-        sampler = Sampler(env, reg, interval=10)
-        state = {"v": 0}
-        sampler.add("gauge", lambda: state["v"])
-        sampler.start()
-
-        def mutate(env):
-            yield env.timeout(15)
-            state["v"] = 7
-
-        env.process(mutate(env))
-        env.run(until=35)
-        assert list(reg.series("gauge")) == [(0, 0.0), (10, 0.0), (20, 7.0),
-                                             (30, 7.0)]
-
-    def test_interval_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Sampler(env, MetricsRegistry(), interval=0)
 
 
 class TestReporting:

@@ -1,9 +1,8 @@
 """Targeted tests for smaller code paths not covered elsewhere."""
 
+import pytest
 
 from repro.experiments.runner import Experiment, ExperimentResult
-from repro.metrics import MetricsRegistry, Sampler
-from repro.simkernel import Environment
 
 
 class TestCLIAllBranch:
@@ -36,16 +35,6 @@ class TestCLIAllBranch:
         assert calls == [(0.5, 9), (0.5, 9)]
         assert (tmp_path / "fake.txt").exists()
         assert (tmp_path / "fake2.txt").exists()
-
-
-class TestSamplerDirect:
-    def test_sample_once_records_now(self):
-        env = Environment()
-        registry = MetricsRegistry()
-        sampler = Sampler(env, registry, interval=10)
-        sampler.add("g", lambda: 42.0)
-        sampler.sample_once()
-        assert registry.series("g").last == 42.0
 
 
 class TestExperimentScaleHelpers:
@@ -109,6 +98,28 @@ class TestCLIJsonExport:
         monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fakejson": FakeExperiment})
         assert cli.main(["fakejson", "--json", "--no-plots"]) == 2
         assert "--json needs --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_is_rejected_before_running(self, monkeypatch, capsys,
+                                                  scale):
+        import repro.experiments.__main__ as cli
+
+        class FakeExperiment(Experiment):
+            exp_id = "FAKE-4"
+            name = "fakescale"
+            description = "fake"
+
+            def simulate(self):  # pragma: no cover
+                raise AssertionError("ran with a bad --scale")
+
+            def report(self, outcomes):  # pragma: no cover
+                return ExperimentResult(self.name)
+
+        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fakescale": FakeExperiment})
+        assert cli.main(["fakescale", "--scale", scale, "--no-plots",
+                         "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--scale must be" in err
 
 
 class TestPaperHardwareDefaults:

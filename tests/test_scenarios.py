@@ -107,9 +107,9 @@ class TestDeclaration:
             Scenario().vm("v", 512, gauges={"v": "disk"})
 
     def test_registry_covers_all_profiles(self):
-        assert {"webserver", "webproxy", "varmail", "videoserver",
-                "fileserver", "oltp", "redis", "mysql",
-                "mongodb"} <= set(WORKLOAD_TYPES)
+        assert set(WORKLOAD_TYPES) == {
+            "webserver", "webproxy", "varmail", "mail", "videoserver",
+            "redis", "mysql", "mongodb"}
 
 
 class TestExecution:
@@ -359,42 +359,3 @@ class TestStaticPartitions:
         )
         with pytest.raises(ValueError, match="partition_mb"):
             scenario.run(warmup_s=10, duration_s=15)
-
-
-class TestFromDict:
-    def test_full_spec_roundtrip(self):
-        spec = {
-            "seed": 7,
-            "cache": {"kind": "doubledecker", "mem_mb": 64, "ssd_mb": 512},
-            "vms": [
-                {"name": "vm1", "memory_mb": 512, "weight": 100,
-                 "containers": [
-                     {"name": "web", "limit_mb": 64, "policy": "mem:100",
-                      "workload": {"type": "webserver", "nfiles": 300,
-                                   "threads": 1}},
-                 ]},
-            ],
-            "events": [
-                {"at": 10, "action": "set_policy", "container": "web",
-                 "policy": "ssd:100"},
-            ],
-        }
-        result = Scenario.from_dict(spec).run(warmup_s=15, duration_s=15)
-        assert result.rates["web"]["ops_per_s"] > 0
-        stats = result.cache_stats["web"]
-        assert stats.ssd_entitlement_blocks > 0
-
-    def test_json_compatibility(self):
-        import json
-
-        spec = json.loads(json.dumps({
-            "cache": {"kind": "none"},
-            "vms": [{"name": "v", "memory_mb": 256,
-                     "containers": [{"name": "c", "limit_mb": 64}]}],
-        }))
-        result = Scenario.from_dict(spec).run(warmup_s=2, duration_s=2)
-        assert "c" in result.cache_stats
-
-    def test_defaults(self):
-        scenario = Scenario.from_dict({"vms": [{"name": "v", "memory_mb": 256}]})
-        assert scenario.seed == 42

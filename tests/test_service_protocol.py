@@ -1,6 +1,8 @@
 """Memcached protocol edge cases against a live asyncio server."""
 
 import asyncio
+import contextlib
+import io
 import socket
 import tempfile
 import unittest
@@ -715,6 +717,43 @@ class LifecycleTests(ServerHarness):
         await self.server.close()
         await self.server.close()
         self.assertIsNone(self.server._server)
+
+
+class CommandLineTests(unittest.TestCase):
+    """The numeric flags are checked while parsing: a bad value exits 2
+    with a usage message, before ``main`` opens the store directory."""
+
+    BAD = [
+        ("--capacity-mb", "-1"), ("--capacity-mb", "0"),
+        ("--capacity-mb", "nan"), ("--capacity-mb", "inf"),
+        ("--eviction-batch-mb", "-1"), ("--eviction-batch-mb", "nan"),
+        ("--max-value-bytes", "0"), ("--trace-sample", "0"),
+        ("--slow-op-ms", "-0.5"), ("--slow-op-ms", "nan"),
+        ("--capacity-mb", "lots"),
+    ]
+
+    def test_bad_values_exit_2_at_parse_time(self):
+        from repro.service.__main__ import build_parser
+
+        for flag, value in self.BAD:
+            with self.subTest(flag=flag, value=value):
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr), \
+                        self.assertRaises(SystemExit) as exit_:
+                    build_parser().parse_args([flag, value])
+                self.assertEqual(exit_.exception.code, 2)
+                self.assertIn(flag, stderr.getvalue())
+
+    def test_boundary_values_parse(self):
+        from repro.service.__main__ import build_parser
+
+        args = build_parser().parse_args([
+            "--capacity-mb", "0.5", "--eviction-batch-mb", "0.1",
+            "--max-value-bytes", "1", "--trace-sample", "1",
+            "--slow-op-ms", "0"])
+        self.assertEqual((args.capacity_mb, args.eviction_batch_mb,
+                          args.max_value_bytes, args.trace_sample,
+                          args.slow_op_ms), (0.5, 0.1, 1, 1, 0.0))
 
 
 if __name__ == "__main__":

@@ -88,6 +88,36 @@ class TestCpuCost:
         assert ops > 1000
         assert pops == ops + 1  # + the run's own stop event
 
+    def test_redis_op_starts_where_chained_timeouts_put_it(self):
+        """Redis serves its CPU cost inside the touch (``then=``): each op
+        still starts where the touch timeout and then the CPU timeout,
+        chained, would have put it."""
+        ctx = SimContext(seed=23)
+        host = ctx.create_host()
+        host.install_doubledecker(DDConfig(mem_capacity_mb=128))
+        vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+        container = vm.create_container("redis", 256, CachePolicy.none())
+        touches = []
+        touch_anon = vm.os.touch_anon
+
+        def recording_touch(cgroup, pages, then=0.0):
+            touches.append((ctx.now, pages[0]))
+            return touch_anon(cgroup, pages, then)
+
+        vm.os.touch_anon = recording_touch
+        redis = RedisWorkload(nrecords=2_000, threads=1)
+        redis.start(container, ctx.streams)
+        ctx.run(until=0.05)
+        assert len(touches) > 100
+        touch = vm.os.mem_spec.touch_latency_us * 1e-6
+        seen = set()
+        for (time, page), (following, _) in zip(touches, touches[1:]):
+            if page in seen:
+                assert following == (time + touch) + redis.cpu_s
+            else:
+                assert following == time + redis.cpu_s
+            seen.add(page)
+
 
 class TestNextKey:
     def test_keys_in_range(self):
