@@ -21,7 +21,7 @@ from ..core.pools import BlockKey
 from ..core.stats import PoolStats
 from ..obs import tracer as _obs
 from ..simkernel import Environment
-from .hypercall import HypercallChannel, HypercallCosts
+from .hypercall import HypercallChannel
 
 __all__ = ["CleancacheClient"]
 
@@ -35,14 +35,13 @@ class CleancacheClient:
         hvcache: HypervisorCacheBase,
         vm_id: int,
         block_bytes: int,
-        costs: Optional[HypercallCosts] = None,
         enabled: bool = True,
     ) -> None:
         self.env = env
         self.hvcache = hvcache
         self.vm_id = vm_id
         self.block_bytes = block_bytes
-        self.channel = HypercallChannel(env, costs or HypercallCosts())
+        self.channel = HypercallChannel(env)
         #: Kill switch: a guest kernel booted without cleancache support.
         self.enabled = enabled
 

@@ -42,13 +42,9 @@ class HypercallCosts:
 class HypercallChannel:
     """Latency-accounting wrapper around the raw hypervisor interface."""
 
-    def __init__(
-        self,
-        env: Environment,
-        costs: HypercallCosts = HypercallCosts(),
-    ) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.costs = costs
+        self.costs = HypercallCosts()
         self.calls = 0
 
     def charge_control(self, ncalls: int):

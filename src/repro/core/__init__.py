@@ -13,7 +13,7 @@ Public surface:
   invariant auditor (see :mod:`repro.core.audit`).
 * Admission controllers (:mod:`repro.endurance`) are re-exported here for
   convenience: :class:`AdmitAll`, :class:`SecondAccessAdmit`,
-  :class:`WriteRateThrottle`, :func:`set_default_admission`.
+  :class:`WriteRateThrottle`, :func:`make_admission`.
 """
 
 from .._lazy import lazy_exports
@@ -27,9 +27,7 @@ _EXPORTS = {
     "AdmitAll": "..endurance",
     "SecondAccessAdmit": "..endurance",
     "WriteRateThrottle": "..endurance",
-    "default_admission": "..endurance",
     "make_admission": "..endurance",
-    "set_default_admission": "..endurance",
     "BlockKey": ".pools",
     "CachePolicy": ".config",
     "InvariantViolation": ".audit",

@@ -12,10 +12,9 @@ drift mechanically instead of by luck:
   report every cross-layer inconsistency.  Works on :class:`DoubleDeckerCache`
   and both baselines; side-effect free, so it can run mid-simulation.
 * :func:`start_periodic_audit` — a simulation process that re-audits a
-  cache every N simulated seconds.  Wired up automatically by
-  ``DDConfig.audit_interval`` (per cache) or
-  :func:`set_audit_interval` (globally, used by the experiment CLI's
-  ``--audit`` flag).
+  cache every N simulated seconds.  Wired up automatically for every
+  cache built while :func:`set_audit_interval` is on (the experiment
+  CLI's ``--audit`` flag, the test fixture, ``bench``).
 
 The brute-force reference models the differential suite compares the
 caches against (``ReferenceCache`` and the two baselines' twins) are test
@@ -70,8 +69,7 @@ _global_interval = 0.0
 
 def set_audit_interval(seconds: float) -> None:
     """Globally opt every *subsequently constructed* cache into periodic
-    self-auditing (0 turns the default back off).  Per-cache
-    ``DDConfig.audit_interval`` takes precedence when set."""
+    self-auditing (0 turns it back off)."""
     global _global_interval
     if seconds < 0:
         raise ValueError(f"audit interval must be non-negative, got {seconds}")

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..simkernel import Environment
-from ..storage import MB, MemSpec
+from ..storage import MB
 from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, StoreKind
 from .engine import PolicyEngine
@@ -41,12 +41,11 @@ class _PoolTableCache(HypervisorCacheBase):
         env: Environment,
         capacity_mb: float,
         block_bytes: int,
-        mem_spec: Optional[MemSpec] = None,
     ) -> None:
         self.env = env
         self.block_bytes = block_bytes
         self.capacity_blocks = int(capacity_mb * MB) // block_bytes
-        self.mem_backend = MemBackend(block_bytes, mem_spec)
+        self.mem_backend = MemBackend(block_bytes)
         # The registry is a policy engine with no stores: entitlements
         # stay 0 and Algorithm 1 never runs, since these baselines evict
         # by their own rule.  ``vms`` / ``_pools`` / ``used`` alias its
@@ -168,11 +167,10 @@ class GlobalCache(_PoolTableCache):
         env: Environment,
         capacity_mb: float,
         block_bytes: int,
-        mem_spec: Optional[MemSpec] = None,
         per_vm_cap_mb: Optional[float] = None,
         exclusive: bool = True,
     ) -> None:
-        super().__init__(env, capacity_mb, block_bytes, mem_spec)
+        super().__init__(env, capacity_mb, block_bytes)
         self._fifo: "OrderedDict[_GlobalKey, None]" = OrderedDict()
         self.per_vm_cap_blocks = (
             int(per_vm_cap_mb * MB) // block_bytes if per_vm_cap_mb else None
@@ -310,13 +308,9 @@ class StaticPartitionCache(_PoolTableCache):
     """
 
     def __init__(
-        self,
-        env: Environment,
-        capacity_mb: float,
-        block_bytes: int,
-        mem_spec: Optional[MemSpec] = None,
+        self, env: Environment, capacity_mb: float, block_bytes: int,
     ) -> None:
-        super().__init__(env, capacity_mb, block_bytes, mem_spec)
+        super().__init__(env, capacity_mb, block_bytes)
         self._caps_blocks: Dict[int, int] = {}
 
     def set_partition(self, pool_id: int, cap_mb: float) -> None:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..endurance import default_admission, make_admission
+from ..endurance import make_admission
 from ..obs import tracer as _obs
 from ..simkernel import Environment
-from ..storage import MB, MemSpec, SSD
+from ..storage import MB, SSD
 from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, DDConfig, StoreKind
 from .engine import EvictionRound, PolicyEngine
@@ -44,7 +44,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         config: DDConfig,
         block_bytes: int,
         ssd_device: Optional[SSD] = None,
-        mem_spec: Optional[MemSpec] = None,
         name: str = "ddecker",
     ) -> None:
         if config.ssd_capacity_mb > 0 and ssd_device is None:
@@ -59,7 +58,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
             StoreKind.SSD: int(config.ssd_capacity_mb * MB) // block_bytes,
         }
 
-        self.mem_backend = MemBackend(block_bytes, mem_spec)
+        self.mem_backend = MemBackend(block_bytes)
         self.ssd_backend: Optional[SSDBackend] = None
         if ssd_device is not None:
             self.ssd_backend = SSDBackend(
@@ -123,9 +122,9 @@ class DoubleDeckerCache(HypervisorCacheBase):
             tracer.register_cache(name) if tracer is not None else None
         )
 
-        # Opt-in shadow accounting: per-config interval wins, else the
-        # process-wide switch installed by ``--audit`` / the test fixture.
-        audit_interval = config.audit_interval or global_audit_interval()
+        # Opt-in shadow accounting: the process-wide switch installed by
+        # ``--audit`` / the test fixture.
+        audit_interval = global_audit_interval()
         if audit_interval > 0:
             start_periodic_audit(env, self, audit_interval)
 
@@ -554,11 +553,10 @@ class DoubleDeckerCache(HypervisorCacheBase):
                   else units.used / units.granularity)
         return blocks * self.block_bytes / MB
 
-    def _admission_name(self, policy: CachePolicy) -> str:
+    def _admission_name(self, policy: CachePolicy) -> Optional[str]:
         """The admission-policy name ``policy`` resolves to: per-pool
-        ``CachePolicy.admission``, then ``DDConfig.admission``, then the
-        process-wide default (the CLI ``--admission`` flag)."""
-        return policy.admission or self.config.admission or default_admission()
+        ``CachePolicy.admission``, else ``DDConfig.admission``."""
+        return policy.admission or self.config.admission
 
     def _build_admission(self, policy: CachePolicy):
         """Resolve (:meth:`_admission_name`) and build a pool's SSD
@@ -572,9 +570,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             self._admission_name(policy),
             block_bytes=self.block_bytes,
             ssd_capacity_blocks=self.capacities[StoreKind.SSD],
-            ghost_mb=self.config.admission_ghost_mb,
-            write_mb_s=self.config.admission_write_mb_s,
-            burst_mb=self.config.admission_burst_mb,
         )
 
     def _make_room(self, kind: StoreKind, need: int) -> bool:

@@ -5,13 +5,20 @@ The paper's per-container policy is a two-tuple ``<T, W>``: a store type
 The hybrid mode sketched in §3.3 gives a container weights on *both*
 stores, with the SSD used once the memory share is exhausted.  A single
 :class:`CachePolicy` with two weights expresses all three cases.
+
+An SSD admission controller is chosen per container
+(``CachePolicy.admission``) or for the whole store
+(``DDConfig.admission``), by a name from ``ADMISSION_POLICIES``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
+
+from ..endurance.admission import ADMISSION_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .optimizations import CompressionModel
@@ -47,18 +54,15 @@ class CachePolicy:
 
     mem_weight: float = 0.0
     ssd_weight: float = 0.0
-    #: Per-container admission policy for the SSD store ("admit_all",
-    #: "second_access", "write_throttle"); ``None`` defers to
-    #: ``DDConfig.admission`` and then the process-wide default.
+    #: Per-container admission policy for the SSD store (one of
+    #: ``ADMISSION_POLICIES``); ``None`` defers to ``DDConfig.admission``.
     admission: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mem_weight < 0 or self.ssd_weight < 0:
-            raise ValueError(f"weights must be non-negative: {self}")
-        if self.admission is not None and self.admission not in (
-            "admit_all", "second_access", "write_throttle"
-        ):
-            raise ValueError(f"unknown admission policy {self.admission!r}")
+        for weight in (self.mem_weight, self.ssd_weight):
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"weights must be finite and non-negative: {self}")
+        _check_admission(self.admission)
 
     @classmethod
     def memory(cls, weight: float) -> "CachePolicy":
@@ -122,41 +126,26 @@ class DDConfig:
     #: Fingerprint function ``(namespace, inode, block) -> int`` declaring
     #: which blocks share content; default makes every block unique.
     dedup_fingerprint: Optional[Callable[[object, int, int], int]] = None
-    #: Opt-in shadow-accounting self-check: every this many *simulated*
-    #: seconds the cache audits its own cross-layer bookkeeping
-    #: (:mod:`repro.core.audit`) and raises on any violation.  0 (the
-    #: default) disables the auditor; ``python -m repro.experiments
-    #: --audit`` enables it globally without touching configs.
-    audit_interval: float = 0.0
-    #: Default SSD admission policy for every pool of this cache
-    #: ("admit_all", "second_access", "write_throttle").  ``None`` falls
-    #: back to the process-wide default (``set_default_admission`` /
-    #: the CLI ``--admission`` flag); per-pool ``CachePolicy.admission``
-    #: overrides both.  With everything unset the admission hook is a
-    #: strict no-op.
+    #: SSD admission policy (one of ``ADMISSION_POLICIES``) for every
+    #: pool whose ``CachePolicy.admission`` is unset.  With both unset
+    #: the admission hook is a strict no-op.
     admission: Optional[str] = None
-    #: Ghost-FIFO size for ``second_access`` in MB of block metadata;
-    #: 0 auto-sizes to the SSD store capacity.
-    admission_ghost_mb: float = 0.0
-    #: Token-bucket refill rate for ``write_throttle`` (MB/s of SSD puts).
-    admission_write_mb_s: float = 8.0
-    #: Token-bucket burst for ``write_throttle`` (MB).
-    admission_burst_mb: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.mem_capacity_mb < 0 or self.ssd_capacity_mb < 0:
-            raise ValueError(f"capacities must be non-negative: {self}")
-        if self.eviction_batch_mb <= 0:
-            raise ValueError(f"eviction batch must be positive: {self}")
+        for size in (self.mem_capacity_mb, self.ssd_capacity_mb,
+                     self.ssd_write_buffer_mb):
+            if not (math.isfinite(size) and size >= 0):
+                raise ValueError(
+                    f"capacities and write buffer must be finite and "
+                    f"non-negative: {self}")
+        if not (math.isfinite(self.eviction_batch_mb)
+                and self.eviction_batch_mb > 0):
+            raise ValueError(f"eviction batch must be finite and positive: {self}")
         if self.victim_policy not in ("exceed", "max_used"):
             raise ValueError(f"unknown victim policy {self.victim_policy!r}")
-        if self.audit_interval < 0:
-            raise ValueError(f"audit interval must be non-negative: {self}")
-        if self.admission is not None and self.admission not in (
-            "admit_all", "second_access", "write_throttle"
-        ):
-            raise ValueError(f"unknown admission policy {self.admission!r}")
-        if self.admission_ghost_mb < 0:
-            raise ValueError(f"admission ghost must be non-negative: {self}")
-        if self.admission_write_mb_s <= 0 or self.admission_burst_mb <= 0:
-            raise ValueError(f"admission throttle rates must be positive: {self}")
+        _check_admission(self.admission)
+
+
+def _check_admission(name: Optional[str]) -> None:
+    if name is not None and name not in ADMISSION_POLICIES:
+        raise ValueError(f"unknown admission policy {name!r}")

@@ -32,20 +32,20 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import CachePolicy, StoreKind
 from .policy import recompute_entitlements
-from .pools import Pool, VMEntry
+from .pools import Pool, VMEntry, check_vm_weight
 from .victim import Entity, select_victim
 
 __all__ = ["PolicyEngine", "EvictionRound"]
 
 #: Builds an admission controller for a pool's policy (or ``None`` to
-#: admit freely).  Resolution of defaults (config / process-wide) is the
-#: driver's business, hence a callable rather than data.
+#: admit freely).  Which name a policy without its own resolves to is
+#: the driver's business, hence a callable rather than data.
 AdmissionBuilder = Callable[[CachePolicy], Optional[object]]
 
 #: Resolves the admission-policy *name* a policy would get, so a policy
 #: change can preserve a live controller (its ghost/bucket state) when
 #: the resolved name is unchanged.
-AdmissionNamer = Callable[[CachePolicy], str]
+AdmissionNamer = Callable[[CachePolicy], Optional[str]]
 
 
 class EvictionRound(NamedTuple):
@@ -117,9 +117,7 @@ class PolicyEngine:
         return vm
 
     def set_vm_weight(self, vm_id: int, weight: float) -> None:
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        self.require_vm(vm_id).weight = weight
+        self.require_vm(vm_id).weight = check_vm_weight(weight)
         self.recompute()
 
     # ------------------------------------------------------------------
@@ -149,7 +147,7 @@ class PolicyEngine:
 
     def set_pool_policy(
         self, vm_id: int, pool_id: int, policy: CachePolicy
-    ) -> str:
+    ) -> Optional[str]:
         """Change a pool's ``<T, W>`` tuple; returns the resolved admission
         name.
 

@@ -14,6 +14,7 @@ charges or releases each memory block in the pool's ``units``, if any.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -267,18 +268,23 @@ class Pool:
         return stats
 
 
+def check_vm_weight(weight: float) -> float:
+    """``weight`` if it is a valid VM weight (finite, non-negative)."""
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"VM weight must be finite and non-negative, got {weight}")
+    return weight
+
+
 class VMEntry:
     """A virtual machine registered with the hypervisor cache."""
 
     __slots__ = ("vm_id", "name", "weight", "pools")
 
     def __init__(self, vm_id: int, name: str, weight: float) -> None:
-        if weight < 0:
-            raise ValueError(f"VM weight must be non-negative, got {weight}")
         self.vm_id = vm_id
         self.name = name
         #: Relative share of every store among VMs (hypervisor-level policy).
-        self.weight = weight
+        self.weight = check_vm_weight(weight)
         self.pools: Dict[int, Pool] = {}
 
     def used(self, kind: StoreKind) -> int:

@@ -54,9 +54,9 @@ class MemBackend:
 
     kind = StoreKind.MEMORY
 
-    def __init__(self, block_bytes: int, spec: Optional[MemSpec] = None) -> None:
+    def __init__(self, block_bytes: int) -> None:
         self.block_bytes = block_bytes
-        self.spec = spec or MemSpec()
+        self.spec = MemSpec()
 
     def read_cost(self, nblocks: int) -> float:
         """Seconds to copy ``nblocks`` out of the store."""

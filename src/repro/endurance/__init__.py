@@ -21,9 +21,7 @@ from .admission import (
     AdmitAll,
     SecondAccessAdmit,
     WriteRateThrottle,
-    default_admission,
     make_admission,
-    set_default_admission,
 )
 from .report import endurance_summary, format_lifetime, hits_per_gb_written
 from .wear import WearModel
@@ -36,8 +34,6 @@ __all__ = [
     "WriteRateThrottle",
     "ADMISSION_POLICIES",
     "make_admission",
-    "set_default_admission",
-    "default_admission",
     "endurance_summary",
     "format_lifetime",
     "hits_per_gb_written",

@@ -23,9 +23,10 @@ enters an SSD-backed pool:
 Controllers are deterministic and per-pool; each keeps its own
 ``attempts == admitted + rejected`` ledger, which the shadow-accounting
 auditor checks (see ``repro.core.audit``).  Selection is by name via
-``CachePolicy.admission``, ``DDConfig.admission``, or the process-wide
-default installed by :func:`set_default_admission` (the CLI's
-``--admission`` flag), in that precedence order.
+``CachePolicy.admission`` (per pool), else ``DDConfig.admission`` (per
+cache); with neither set no controller is built.  The second-access
+ghost is sized to the SSD store and the throttle runs at
+:data:`THROTTLE_WRITE_MB_S` with :data:`THROTTLE_BURST_MB` of burst.
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ __all__ = [
     "WriteRateThrottle",
     "ADMISSION_POLICIES",
     "make_admission",
-    "set_default_admission",
-    "default_admission",
 ]
 
 _MB = 1024 * 1024
 
 #: Valid names for the ``admission=`` knobs, in sweep order.
 ADMISSION_POLICIES = ("admit_all", "second_access", "write_throttle")
+
+#: ``write_throttle`` token-bucket refill rate (MB/s of SSD puts).
+THROTTLE_WRITE_MB_S = 8.0
+#: ``write_throttle`` token-bucket burst (MB).
+THROTTLE_BURST_MB = 64.0
 
 
 class AdmissionController:
@@ -176,18 +180,12 @@ class WriteRateThrottle(AdmissionController):
 
 
 def make_admission(
-    name: Optional[str],
-    *,
-    block_bytes: int,
-    ssd_capacity_blocks: int,
-    ghost_mb: float = 0.0,
-    write_mb_s: float = 8.0,
-    burst_mb: float = 64.0,
+    name: Optional[str], *, block_bytes: int, ssd_capacity_blocks: int,
 ) -> Optional[AdmissionController]:
     """Build a controller by registry name; ``None``/empty means disabled.
 
-    ``ghost_mb == 0`` auto-sizes the second-access ghost to the SSD store
-    capacity.  Raises ``ValueError`` for unknown names so config typos
+    The second-access ghost holds as many keys as the SSD store holds
+    blocks.  Raises ``ValueError`` for unknown names so config typos
     fail loudly instead of silently admitting everything.
     """
     if not name:
@@ -195,42 +193,13 @@ def make_admission(
     if name == "admit_all":
         return AdmitAll()
     if name == "second_access":
-        if ghost_mb > 0:
-            ghost_blocks = max(1, int(ghost_mb * _MB) // block_bytes)
-        else:
-            ghost_blocks = max(1, ssd_capacity_blocks)
-        return SecondAccessAdmit(ghost_blocks)
+        return SecondAccessAdmit(max(1, ssd_capacity_blocks))
     if name == "write_throttle":
         return WriteRateThrottle(
-            rate_bytes_s=write_mb_s * _MB,
-            burst_bytes=burst_mb * _MB,
+            rate_bytes_s=THROTTLE_WRITE_MB_S * _MB,
+            burst_bytes=THROTTLE_BURST_MB * _MB,
             block_bytes=block_bytes,
         )
     raise ValueError(
         f"unknown admission policy {name!r}; expected one of {ADMISSION_POLICIES}"
     )
-
-
-#: Process-wide default admission policy name (CLI ``--admission`` flag).
-_DEFAULT_ADMISSION: Optional[str] = None
-
-
-def set_default_admission(name: Optional[str]) -> None:
-    """Install a process-wide default admission policy by name.
-
-    Mirrors ``set_audit_interval``: per-policy (``CachePolicy.admission``)
-    and per-cache (``DDConfig.admission``) settings take precedence; the
-    default applies to caches created while it is set.  ``None`` restores
-    the strict no-op behavior.
-    """
-    global _DEFAULT_ADMISSION
-    if name is not None and name not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"unknown admission policy {name!r}; expected one of {ADMISSION_POLICIES}"
-        )
-    _DEFAULT_ADMISSION = name
-
-
-def default_admission() -> Optional[str]:
-    """The process-wide default admission policy name (``None`` = off)."""
-    return _DEFAULT_ADMISSION

@@ -131,10 +131,6 @@ def main(argv=None) -> int:
                              "SECONDS simulated seconds (default 10 when "
                              "the flag is given); aborts on any invariant "
                              "violation")
-    parser.add_argument("--admission", default=None, metavar="POLICY",
-                        help="process-wide default SSD admission policy "
-                             "(admit_all, second_access, write_throttle) "
-                             "for pools that don't set their own")
     parser.add_argument("--trace", nargs="?", const="trace", default=None,
                         metavar="PREFIX",
                         help="record an operation/provenance trace per "
@@ -195,14 +191,6 @@ def main(argv=None) -> int:
         print(f"--audit must be >= 0, got {args.audit}", file=sys.stderr)
         return 2
 
-    if args.admission is not None:
-        from ..core import ADMISSION_POLICIES
-
-        if args.admission not in ADMISSION_POLICIES:
-            print(f"unknown admission policy {args.admission!r}; choose from "
-                  f"{', '.join(ADMISSION_POLICIES)}", file=sys.stderr)
-            return 2
-
     if args.trace_ops < 1:
         print(f"--trace-ops must be >= 1, got {args.trace_ops}", file=sys.stderr)
         return 2
@@ -214,11 +202,10 @@ def main(argv=None) -> int:
     experiments = [ALL_EXPERIMENTS[name](scale=args.scale, seed=args.seed)
                    for name in names]
 
-    from ..core import set_audit_interval, set_default_admission
+    from ..core import set_audit_interval
 
-    # Process-wide switches: forked workers inherit them.
+    # Process-wide switch: forked workers inherit it.
     set_audit_interval(args.audit)
-    set_default_admission(args.admission)
     profiler = None
     if args.profile is not None:
         import cProfile
@@ -231,7 +218,6 @@ def main(argv=None) -> int:
             _emit(args, name, *outcome)
     finally:
         set_audit_interval(0.0)
-        set_default_admission(None)
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(args.profile)

@@ -9,8 +9,8 @@ This is where all the paper's mechanisms meet:
   in LRU order, anonymous pages swapped when they are the coldest);
 * **VM-level reclaim** approximating the kernel's global LRU: the
   container owning the coldest page (file or anon) loses it;
-* a background **writeback flusher** (dirty pages expire after
-  ``dirty_expire_s``).
+* a background **writeback flusher** (every ``FLUSHER_INTERVAL_S`` it
+  writes back pages dirty for longer than ``DIRTY_EXPIRE_S``).
 
 All public IO methods are simulation generators: callers experience real
 queueing on the virtual disk, the swap device, and the hypervisor cache.
@@ -33,6 +33,13 @@ __all__ = ["GuestOS", "IOResult", "GuestStats"]
 
 #: Pages reclaimed per round (≈2 MB at the default 64 KiB block size).
 RECLAIM_BATCH = 32
+#: Age (simulated seconds) at which the flusher writes a dirty page back.
+DIRTY_EXPIRE_S = 30.0
+#: Simulated seconds between two flusher passes.
+FLUSHER_INTERVAL_S = 5.0
+#: Offset of the swap area from the VM's disk base, in blocks: its own
+#: region, far from every file's extents.
+SWAP_OFFSET_BLOCKS = 1 << 31
 
 
 class IOResult:
@@ -82,12 +89,8 @@ class GuestOS:
         block_bytes: int,
         disk: BlockDevice,
         cleancache: CleancacheClient,
-        mem_spec: Optional[MemSpec] = None,
         disk_base_block: int = 0,
         kernel_reserve_mb: float = 64.0,
-        dirty_expire_s: float = 30.0,
-        flusher_interval_s: float = 5.0,
-        swap_base_block: Optional[int] = None,
         reclaim_rng=None,
     ) -> None:
         self.env = env
@@ -98,25 +101,20 @@ class GuestOS:
         self.memory_blocks = int(usable_mb * MB) // block_bytes
         self.disk = disk
         self.cleancache = cleancache
-        self.mem_spec = mem_spec or MemSpec()
+        self.mem_spec = MemSpec()
         self.seq = SeqCounter()
         self.pagecache = PageCache(self.seq)
         self.cgroups = CgroupSubsystem(cleancache)
         self.fs = Filesystem(disk_base_block)
         #: Swap area: its own disk region (random single-page faults).
-        self.swap_base = (
-            swap_base_block if swap_base_block is not None else disk_base_block + (1 << 30)
-        )
+        self.swap_base = disk_base_block + SWAP_OFFSET_BLOCKS
         self.stats = GuestStats()
         import random as _random
 
         #: RNG driving global-reclaim scan-pressure choices (seeded by the
         #: host's stream factory; a private fallback keeps tests simple).
         self._reclaim_rng = reclaim_rng or _random.Random(0)
-        self.dirty_expire_s = dirty_expire_s
-        self._flusher = env.process(
-            self._flusher_loop(flusher_interval_s), name=f"{name}-flusher"
-        )
+        self._flusher = env.process(self._flusher_loop(), name=f"{name}-flusher")
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -471,12 +469,12 @@ class GuestOS:
             for offset, length in _disk_runs(file, keys):
                 yield from self.disk.write(offset, length)
 
-    def _flusher_loop(self, interval: float):
+    def _flusher_loop(self):
         """Background dirty-page expiry (pdflush analogue)."""
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(FLUSHER_INTERVAL_S)
             expired = self.pagecache.expired_dirty(
-                self.env.now, self.dirty_expire_s, limit=1024
+                self.env.now, DIRTY_EXPIRE_S, limit=1024
             )
             if expired:
                 yield from self._writeback(expired)

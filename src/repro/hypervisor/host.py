@@ -29,9 +29,9 @@ from ..storage import HDD, KB, SSD, HDDSpec, SSDSpec
 
 __all__ = ["Host", "HostSpec"]
 
-#: Virtual-disk region stride between VMs (in blocks); swap lives halfway.
+#: Virtual-disk region stride between VMs (in blocks); swap lives halfway
+#: (``guestos.SWAP_OFFSET_BLOCKS``).
 _VM_DISK_STRIDE = 1 << 32
-_SWAP_OFFSET = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ class Host:
             kernel_reserve_mb=kernel_reserve_mb,
             reclaim_rng=self.streams.stream(f"vm.{name}.reclaim"),
         )
-        vm.os.swap_base = disk_base + _SWAP_OFFSET
         self.vms[name] = vm
         return vm
 

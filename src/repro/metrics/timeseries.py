@@ -185,17 +185,6 @@ class Histogram:
         out.append((math.inf, self.count))
         return out
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram into this one (bucket-wise addition)."""
-        if (other._lo != self._lo) or (other._growth != self._growth):
-            raise ValueError("cannot merge histograms with different buckets")
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for idx, bucket in other._counts.items():
-            self._counts[idx] = self._counts.get(idx, 0) + bucket
-
     def as_dict(self) -> dict:
         """JSON-friendly snapshot (inverse of :meth:`from_dict`)."""
         return {

@@ -73,7 +73,16 @@ def main(argv=None) -> int:
     if args.command == "smoke":
         return run_smoke(seed=args.seed, verbose=not args.quiet)
 
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        # A missing file, bad JSON or a record that is not a trace record.
+        if args.command == "validate":
+            print(f"{args.trace}: INVALID")
+            print(f"  - {exc}")
+        else:
+            print(f"{args.trace}: cannot read trace: {exc}", file=sys.stderr)
+        return 1
     if args.command == "summarize":
         print(summarize(trace))
         return 0

@@ -77,7 +77,7 @@ def parse_jsonl(text: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         if not line:
             continue
         record = json.loads(line)
-        kind = record.pop("type", None)
+        kind = record.pop("type", None) if isinstance(record, dict) else None
         if kind == "meta":
             record.pop("version", None)
             meta = record

@@ -43,13 +43,21 @@ def _bounded(kind, minimum: float, strict: bool = False):
     return parse
 
 
+def _port(text: str) -> int:
+    """An argparse ``type=``: a TCP port, 0 (pick a free one) to 65535."""
+    port = _bounded(int, 0)(text)
+    if port > 65535:
+        raise argparse.ArgumentTypeError(f"must be at most 65535, got {text}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="DoubleDecker disk cache service (memcached text "
                     "protocol; per-tenant DD containers).")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=11311,
+    parser.add_argument("--port", type=_port, default=11311,
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--dir", default="./ddcache",
                         help="persistent store directory")
@@ -67,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-fsync", action="store_true",
                         help="skip per-value fsync (benchmarks only)")
     telemetry = parser.add_argument_group("telemetry")
-    telemetry.add_argument("--metrics-port", type=int, default=None,
+    telemetry.add_argument("--metrics-port", type=_port, default=None,
                            help="serve /metrics and /healthz on this "
                                 "port (0 picks a free one)")
     telemetry.add_argument("--metrics-host", default="127.0.0.1")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Generator, Optional
 
-from .events import AllOf, Event, Timeout
+from .events import Event, Timeout
 from .process import Process
 from .timeline import Timeline
 
@@ -68,9 +68,6 @@ class Environment:
         """Start ``generator`` as a new simulation process."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, list(events))
-
     # -- scheduling ----------------------------------------------------------
 
     def schedule(
@@ -78,10 +75,6 @@ class Environment:
     ) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
         self._push((self._now + delay, priority, next(self._eid), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._timeline.peek_time()
 
     # -- run loop -------------------------------------------------------------
 

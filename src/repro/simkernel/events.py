@@ -15,9 +15,8 @@ An :class:`Event` moves through three states:
 ``processed``
     the environment has popped the event and run its callbacks.
 
-Only the small set of event types needed by this project is implemented:
-plain events, timeouts, process-completion events, and ``AllOf``/``AnyOf``
-condition events.
+Only the event types this project schedules are implemented: plain
+events, timeouts and process-completion events.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Interrupt",
-    "ConditionEvent",
-    "AllOf",
-    "AnyOf",
 ]
 
 
@@ -188,70 +184,3 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         env._push((at, _NORMAL, next(env._eid), self))
-
-
-class ConditionEvent(Event):
-    """Base for events composed of other events (``AllOf`` / ``AnyOf``)."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:
-        super().__init__(env)
-        self.events = list(events)
-        self._count = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.env is not env:
-                raise ValueError("cannot mix events from different environments")
-            if event.callbacks is None:  # already processed
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict:
-        """Values of all *processed* sub-events, in construction order.
-
-        Timeouts are "triggered" from construction (their value is known up
-        front), so membership must be judged by whether the event has been
-        processed — i.e. actually happened — not by ``triggered``.
-        """
-        return {
-            event: event._value
-            for event in self.events
-            if event.processed and event.ok
-        }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _finish(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect_values())
-
-
-class AllOf(ConditionEvent):
-    """Triggers once *all* sub-events have triggered (fails fast on error)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        self._count += 1
-        if not event._ok or self._count == len(self.events):
-            self._finish(event)
-
-
-class AnyOf(ConditionEvent):
-    """Triggers as soon as *any* sub-event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        self._count += 1
-        self._finish(event)

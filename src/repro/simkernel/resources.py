@@ -3,8 +3,7 @@
 :class:`Resource` models a server with fixed capacity (e.g., a disk spindle
 or an SSD channel).  Processes ``yield resource.request()`` to queue for a
 slot and call ``release`` (or use the request as a context manager) when
-done.  :class:`TokenBucket` models a bounded buffer measured in abstract
-units (e.g., bytes of an async write-back queue).
+done.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Resource", "Request", "TokenBucket"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -120,51 +119,3 @@ class Resource:
         elif not self._users and self._busy_since is not None:
             self._busy_time += self.env.now - self._busy_since
             self._busy_since = None
-
-
-class TokenBucket:
-    """A bounded counter with blocking ``take`` (bounded-buffer semantics).
-
-    ``put(n)`` adds ``n`` units immediately (never blocks; may overfill up
-    to ``capacity`` checks done by callers via :attr:`free`).  ``take(n)``
-    returns an event that triggers once ``n`` units are available.
-    Used for async write-back queues where producers are best-effort.
-    """
-
-    def __init__(self, env: "Environment", capacity: float) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.level = 0.0
-        self._takers: Deque[tuple] = deque()
-
-    @property
-    def free(self) -> float:
-        """Remaining room before the bucket is full."""
-        return self.capacity - self.level
-
-    def put(self, amount: float) -> bool:
-        """Add ``amount`` units if room allows; returns whether it fit."""
-        if amount < 0:
-            raise ValueError(f"negative amount {amount}")
-        if self.level + amount > self.capacity:
-            return False
-        self.level += amount
-        self._serve_takers()
-        return True
-
-    def take(self, amount: float) -> Event:
-        """Event that fires once ``amount`` units have been removed."""
-        if amount < 0:
-            raise ValueError(f"negative amount {amount}")
-        event = Event(self.env)
-        self._takers.append((amount, event))
-        self._serve_takers()
-        return event
-
-    def _serve_takers(self) -> None:
-        while self._takers and self._takers[0][0] <= self.level:
-            amount, event = self._takers.popleft()
-            self.level -= amount
-            event.succeed()

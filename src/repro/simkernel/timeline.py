@@ -1,4 +1,4 @@
-"""The kernel's event queue: a binary heap behind three methods.
+"""The kernel's event queue: a binary heap behind two methods.
 
 Entries are ``(time, priority, eid, event)`` tuples and pop order is
 tuple order.  ``eid`` strictly increases, so entries with equal time and
@@ -35,8 +35,3 @@ class Timeline:
         """Remove and return the earliest entry, or ``None`` when empty."""
         heap = self._heap
         return heappop(heap) if heap else None
-
-    def peek_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        heap = self._heap
-        return heap[0][0] if heap else float("inf")

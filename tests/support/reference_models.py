@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.config import CachePolicy, DDConfig, StoreKind
 from repro.core.optimizations import content_fingerprint
 from repro.core.pools import BlockKey
-from repro.endurance import default_admission
 from repro.storage import MB
 
 __all__ = [
@@ -275,8 +274,8 @@ class ReferenceCache:
             raise ValueError("policy requests SSD but there is no SSD store")
         # Mirror the manager: an unchanged admission policy keeps the live
         # controller (its ghost survives), a change builds a fresh one.
-        old_name = pool.policy.admission or self.config.admission or default_admission()
-        new_name = policy.admission or self.config.admission or default_admission()
+        old_name = pool.policy.admission or self.config.admission
+        new_name = policy.admission or self.config.admission
         pool.policy = policy
         if new_name != old_name:
             pool.admission = self._build_admission(policy)
@@ -413,16 +412,10 @@ class ReferenceCache:
         ``_build_admission``, restated over the reference structures."""
         if not self.has_ssd:
             return None
-        name = policy.admission or self.config.admission or default_admission()
+        name = policy.admission or self.config.admission
         if not name:
             return None
-        if self.config.admission_ghost_mb > 0:
-            ghost_blocks = max(
-                1, int(self.config.admission_ghost_mb * MB) // self.block_bytes
-            )
-        else:
-            ghost_blocks = max(1, self.capacities[_SSD])
-        return _RefAdmission(name, ghost_blocks)
+        return _RefAdmission(name, max(1, self.capacities[_SSD]))
 
     def _units_of(self, fp: int) -> int:
         return 1 if self.compression is None else self.compression.charged_units(fp)

@@ -11,7 +11,8 @@ Three layers of defense are exercised here:
 * **Invariant auditing** — :func:`check_cache` recomputes ground truth
   from first principles; deliberate corruptions of each accounting layer
   must be caught, and clean caches must audit clean (including via the
-  periodic ``audit_interval`` process and the experiment fixture).
+  periodic process :func:`set_audit_interval` starts and the experiment
+  fixture).
 * **Regression tests** — the stranded-block eviction leak, the
   flush-stats skew, and the ``migrate_objects`` edge cases fixed in this
   change each get a test that fails on the pre-fix code.
@@ -945,15 +946,21 @@ class TestAuditor:
 
 
 class TestPeriodicAudit:
-    def test_audit_interval_wires_a_process(self):
-        env, cache = make_dd(audit_interval=5.0, ssd_capacity_mb=0.0)
+    @pytest.fixture
+    def audit_every_5s(self):
+        set_audit_interval(5.0)
+        yield
+        set_audit_interval(0.0)
+
+    def test_audit_interval_wires_a_process(self, audit_every_5s):
+        env, cache = make_dd(ssd_capacity_mb=0.0)
         vm = cache.register_vm("vm")
         pool = cache.create_pool(vm, "ctr", CachePolicy.memory(100.0))
         run_gen(env, cache.put_many(vm, pool, [(1, b) for b in range(8)]))
         env.run(until=20.0)  # several audit firings over a clean cache
 
-    def test_periodic_audit_raises_on_corruption(self):
-        env, cache = make_dd(audit_interval=5.0, ssd_capacity_mb=0.0)
+    def test_periodic_audit_raises_on_corruption(self, audit_every_5s):
+        env, cache = make_dd(ssd_capacity_mb=0.0)
         vm = cache.register_vm("vm")
         pool = cache.create_pool(vm, "ctr", CachePolicy.memory(100.0))
         run_gen(env, cache.put_many(vm, pool, [(1, b) for b in range(8)]))

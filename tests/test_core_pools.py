@@ -1,13 +1,14 @@
 """Unit tests for cache pools and VM entries."""
 
 import ast
+import math
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.core import CachePolicy, Pool, StoreKind, VMEntry
+from repro.core import CachePolicy, DDConfig, Pool, StoreKind, VMEntry
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -388,6 +389,11 @@ class TestVMEntry:
         with pytest.raises(ValueError):
             VMEntry(1, "vm", -1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            VMEntry(1, "vm", weight)
+
     def test_used_sums_pools(self):
         vm = VMEntry(1, "vm", 100)
         p1 = Pool(1, 1, "a", CachePolicy.memory(50))
@@ -414,6 +420,13 @@ class TestCachePolicy:
         with pytest.raises(ValueError):
             CachePolicy(mem_weight=-1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        for build in (CachePolicy.memory, CachePolicy.ssd,
+                      lambda w: CachePolicy.hybrid(10, w)):
+            with pytest.raises(ValueError):
+                build(weight)
+
     def test_factories(self):
         assert CachePolicy.memory(30).weight_for(StoreKind.MEMORY) == 30
         assert CachePolicy.ssd(40).weight_for(StoreKind.SSD) == 40
@@ -425,3 +438,17 @@ class TestCachePolicy:
     def test_single_store_not_hybrid(self):
         assert not CachePolicy.memory(10).is_hybrid
         assert not CachePolicy.ssd(10).is_hybrid
+
+
+class TestDDConfig:
+    @pytest.mark.parametrize("field", ["mem_capacity_mb", "ssd_capacity_mb",
+                                       "eviction_batch_mb",
+                                       "ssd_write_buffer_mb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sizes_must_be_finite(self, field, value):
+        with pytest.raises(ValueError):
+            DDConfig(**{field: value})
+
+    def test_negative_write_buffer_rejected(self):
+        with pytest.raises(ValueError):
+            DDConfig(ssd_write_buffer_mb=-1.0)

@@ -8,13 +8,12 @@ from repro.endurance import (
     SecondAccessAdmit,
     WearModel,
     WriteRateThrottle,
-    default_admission,
     endurance_summary,
     format_lifetime,
     hits_per_gb_written,
     make_admission,
-    set_default_admission,
 )
+from repro.endurance.admission import THROTTLE_BURST_MB, THROTTLE_WRITE_MB_S
 from repro.simkernel import Environment
 from repro.storage import SSD, SSDSpec
 
@@ -177,37 +176,15 @@ class TestMakeAdmission:
                              ssd_capacity_blocks=64)
         assert ctl.ghost_blocks == 64
 
-    def test_ghost_mb_overrides_auto_size(self):
-        ctl = make_admission("second_access", block_bytes=BLK,
-                             ssd_capacity_blocks=64, ghost_mb=1.0)
-        assert ctl.ghost_blocks == 16  # 1 MB / 64 KB
-
     def test_throttle_takes_rate_and_burst(self):
         ctl = make_admission("write_throttle", block_bytes=BLK,
-                             ssd_capacity_blocks=64, write_mb_s=2.0,
-                             burst_mb=4.0)
-        assert ctl.rate_bytes_s == 2.0 * 1024 * 1024
-        assert ctl.burst_bytes == 4.0 * 1024 * 1024
+                             ssd_capacity_blocks=64)
+        assert ctl.rate_bytes_s == THROTTLE_WRITE_MB_S * 1024 * 1024
+        assert ctl.burst_bytes == THROTTLE_BURST_MB * 1024 * 1024
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             make_admission("lru", block_bytes=BLK, ssd_capacity_blocks=16)
-
-
-class TestDefaultAdmission:
-    def teardown_method(self):
-        set_default_admission(None)
-
-    def test_set_and_clear(self):
-        assert default_admission() is None
-        set_default_admission("second_access")
-        assert default_admission() == "second_access"
-        set_default_admission(None)
-        assert default_admission() is None
-
-    def test_invalid_name_raises(self):
-        with pytest.raises(ValueError):
-            set_default_admission("bogus")
 
 
 def make_ssd_cache(ssd_mb=1.0, buffer_mb=64.0, **config_overrides):
@@ -228,9 +205,6 @@ def run_gen(env, gen):
 
 
 class TestCacheIntegration:
-    def teardown_method(self):
-        set_default_admission(None)
-
     def test_no_admission_means_no_controller(self):
         _, _, cache = make_ssd_cache()
         vm = cache.register_vm("a")
@@ -238,7 +212,6 @@ class TestCacheIntegration:
         assert cache._pools[pool_id].admission is None
 
     def test_resolution_precedence_policy_over_config_over_default(self):
-        set_default_admission("write_throttle")
         _, _, cache = make_ssd_cache(admission="admit_all")
         vm = cache.register_vm("a")
         by_policy = cache.create_pool(
@@ -246,7 +219,7 @@ class TestCacheIntegration:
         by_config = cache.create_pool(vm, "c", CachePolicy.ssd(100))
         assert cache._pools[by_policy].admission.name == "second_access"
         assert cache._pools[by_config].admission.name == "admit_all"
-        set_default_admission(None)
+        # With neither set, the default: no controller at all.
         _, _, plain = make_ssd_cache()
         vm2 = plain.register_vm("a")
         bare = plain.create_pool(vm2, "c", CachePolicy.ssd(100))

@@ -113,24 +113,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.quantile(-0.1)
 
-    def test_merge(self):
-        a = Histogram("a")
-        b = Histogram("b")
-        for v in (0.001, 0.002, 0.004):
-            a.add(v)
-        for v in (0.008, 0.016):
-            b.add(v)
-        a.merge(b)
-        assert a.count == 5
-        assert a.max == 0.016
-        assert a.total == pytest.approx(0.031)
-
-    def test_merge_rejects_mismatched_buckets(self):
-        a = Histogram("a")
-        b = Histogram("b", lo=1e-6)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_dict_round_trip(self):
         hist = Histogram("h")
         for v in (0.001, 0.05, 0.9, 14.0):
@@ -174,16 +156,6 @@ class TestHistogram:
         hist.add(3_600_000_000_000)
         assert hist.max == 3_600_000_000_000
 
-    def test_wallclock_ns_merges_with_wallclock_ns_only(self):
-        a = Histogram.wallclock_ns("a")
-        b = Histogram.wallclock_ns("b")
-        b.add(500)
-        a.merge(b)
-        assert a.count == 1
-        with pytest.raises(ValueError):
-            a.merge(Histogram("sim"))
-
-
 class TestRegistryHistograms:
     def test_create_on_use_and_observe(self):
         reg = MetricsRegistry()
@@ -197,7 +169,7 @@ class TestRegistryHistograms:
         hist.add(0.25)
         assert reg.register_histogram(hist) is hist
         assert reg.histogram("obs.lat.get") is hist
-        # An existing name wins; the caller merges if it cares.
+        # An existing name wins.
         other = Histogram("obs.lat.get")
         assert reg.register_histogram(other) is hist
 

@@ -423,6 +423,23 @@ class TestCli:
         bad_path.write_text("\n".join(lines) + "\n")
         assert obs_main(["validate", str(bad_path)]) == 1
 
+    def test_obs_cli_reports_unreadable_files(self, tmp_path, capsys):
+        from repro.obs.__main__ import main as obs_main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"bad": 1}\n')
+        missing = tmp_path / "missing.jsonl"
+        for path in (bad, missing):
+            assert obs_main(["validate", str(path)]) == 1
+            out = capsys.readouterr().out
+            assert out.startswith(f"{path}: INVALID\n")
+            assert len(out.splitlines()) == 2  # the verdict and one reason
+            for command in ("summarize", "top-victims", "latency-breakdown",
+                            "export"):
+                assert obs_main([command, str(path)]) == 1
+                err = capsys.readouterr().err
+                assert len(err.splitlines()) == 1 and str(path) in err
+
     def test_experiments_cli_rejects_bad_trace_flags(self, capsys):
         from repro.experiments.__main__ import main as exp_main
 

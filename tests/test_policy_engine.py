@@ -11,6 +11,7 @@ scale 0.05, seed 42) and must never drift.
 import ast
 import hashlib
 import inspect
+import math
 import os
 import unittest
 from pathlib import Path
@@ -68,6 +69,17 @@ class RegistryTests(unittest.TestCase):
         vm = engine.register_vm("a")
         with self.assertRaises(ValueError):
             engine.set_vm_weight(vm, -1.0)
+
+    def test_non_finite_weight_rejected(self):
+        engine = make_engine()
+        vm = engine.register_vm("a", weight=40.0)
+        for weight in (math.nan, math.inf):
+            with self.assertRaises(ValueError):
+                engine.set_vm_weight(vm, weight)
+            with self.assertRaises(ValueError):
+                engine.register_vm("b", weight=weight)
+        self.assertEqual(engine.vms[vm].weight, 40.0)
+        self.assertEqual(list(engine.vms), [vm])
 
     def test_unknown_victim_policy_rejected(self):
         with self.assertRaises(ValueError):

@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import io
+import os
 import socket
 import tempfile
 import unittest
@@ -754,6 +755,30 @@ class CommandLineTests(unittest.TestCase):
         self.assertEqual((args.capacity_mb, args.eviction_batch_mb,
                           args.max_value_bytes, args.trace_sample,
                           args.slow_op_ms), (0.5, 0.1, 1, 1, 0.0))
+
+    def test_bad_ports_exit_2_before_the_store_is_opened(self):
+        from repro.service.__main__ import main
+
+        for flag, value in [("--port", "70000"), ("--port", "-1"),
+                            ("--port", "65536"), ("--metrics-port", "65536"),
+                            ("--metrics-port", "-5"), ("--port", "http")]:
+            with self.subTest(flag=flag, value=value), \
+                    tempfile.TemporaryDirectory() as tmp:
+                directory = os.path.join(tmp, "store")
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr), \
+                        self.assertRaises(SystemExit) as exit_:
+                    main([flag, value, "--dir", directory])
+                self.assertEqual(exit_.exception.code, 2)
+                self.assertIn(flag, stderr.getvalue())
+                self.assertFalse(os.path.exists(directory))
+
+    def test_port_bounds_parse(self):
+        from repro.service.__main__ import build_parser
+
+        args = build_parser().parse_args(
+            ["--port", "0", "--metrics-port", "65535"])
+        self.assertEqual((args.port, args.metrics_port), (0, 65535))
 
 
 if __name__ == "__main__":

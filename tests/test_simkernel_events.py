@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-)
+from repro.simkernel import Environment
 
 
 class TestEventLifecycle:
@@ -137,46 +133,6 @@ class TestTimeout:
         assert order == [0.0, 0.0]
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        done = []
-
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(3, value="b")
-            results = yield AllOf(env, [t1, t2])
-            done.append((env.now, sorted(results.values())))
-
-        env.process(proc(env))
-        env.run(until=5)
-        assert done == [(3.0, ["a", "b"])]
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        done = []
-
-        def proc(env):
-            t1 = env.timeout(1, value="fast")
-            t2 = env.timeout(3, value="slow")
-            results = yield AnyOf(env, [t1, t2])
-            done.append((env.now, list(results.values())))
-
-        env.process(proc(env))
-        env.run(until=5)
-        assert done == [(1.0, ["fast"])]
-
-    def test_empty_all_of_triggers_immediately(self):
-        env = Environment()
-        cond = AllOf(env, [])
-        assert cond.triggered
-
-    def test_all_of_mixed_environments_rejected(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AllOf(env1, [env2.timeout(1)])
-
-
 class TestRunLoop:
     def test_run_until_time_advances_clock(self):
         env = Environment()
@@ -210,15 +166,6 @@ class TestRunLoop:
         env.process(proc(env))
         env.run()
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_peek_returns_next_event_time(self):
-        env = Environment()
-        env.timeout(7)
-        assert env.peek() == 7.0
-
-    def test_peek_empty_is_inf(self):
-        env = Environment()
-        assert env.peek() == float("inf")
 
     def test_events_process_in_time_order(self):
         env = Environment()

@@ -1,8 +1,8 @@
-"""Unit tests for resources and token buckets."""
+"""Unit tests for FIFO resources."""
 
 import pytest
 
-from repro.simkernel import Environment, Resource, TokenBucket
+from repro.simkernel import Environment, Resource
 
 
 class TestResource:
@@ -83,46 +83,3 @@ class TestResource:
         env.process(worker(env, res))
         env.run(until=10)
         assert res.busy_time() == pytest.approx(3.0)
-
-
-class TestTokenBucket:
-    def test_positive_capacity_required(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            TokenBucket(env, 0)
-
-    def test_put_respects_capacity(self):
-        env = Environment()
-        bucket = TokenBucket(env, capacity=10)
-        assert bucket.put(6)
-        assert not bucket.put(6)  # would exceed
-        assert bucket.level == 6
-        assert bucket.free == 4
-
-    def test_take_blocks_until_available(self):
-        env = Environment()
-        bucket = TokenBucket(env, capacity=10)
-        taken = bucket.take(5)
-        assert not taken.triggered
-        bucket.put(5)
-        assert taken.triggered
-        assert bucket.level == 0
-
-    def test_takers_served_fifo(self):
-        env = Environment()
-        bucket = TokenBucket(env, capacity=10)
-        t1 = bucket.take(4)
-        t2 = bucket.take(2)
-        bucket.put(4)
-        assert t1.triggered
-        assert not t2.triggered
-        bucket.put(2)
-        assert t2.triggered
-
-    def test_negative_amounts_rejected(self):
-        env = Environment()
-        bucket = TokenBucket(env, capacity=10)
-        with pytest.raises(ValueError):
-            bucket.put(-1)
-        with pytest.raises(ValueError):
-            bucket.take(-1)
