@@ -7,8 +7,6 @@ sweep the batch size and report (a) eviction rounds (overhead proxy) and
 (b) worst-case undershoot below entitlement right after an eviction.
 """
 
-from conftest import run_once
-
 from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
 from repro.simkernel import Environment
 
@@ -44,11 +42,8 @@ def drive(batch_mb: float):
     return rounds, undershoot["worst"]
 
 
-def test_ablation_eviction_batch(benchmark):
-    def run():
-        return {mb: drive(mb) for mb in BATCHES_MB}
-
-    results = run_once(benchmark, run)
+def test_ablation_eviction_batch():
+    results = {mb: drive(mb) for mb in BATCHES_MB}
     print()
     for mb, (rounds, undershoot) in results.items():
         print(f"batch {mb:5.2f} MB: {rounds:4d} eviction rounds, "

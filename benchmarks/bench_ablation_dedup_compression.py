@@ -8,7 +8,7 @@ logical blocks in the same physical memory and convert that into a
 higher second-chance hit ratio.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import BENCH_SEED
 
 from repro import CachePolicy, DDConfig, SimContext
 from repro.core import CompressionModel, content_fingerprint
@@ -34,7 +34,7 @@ def drive(compress: bool, dedup: bool):
         dedup_fingerprint=fingerprint,
     )
     host.install_doubledecker(config)
-    vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=1024)
     workloads = []
     containers = []
     for idx in range(2):
@@ -67,16 +67,13 @@ def drive(compress: bool, dedup: bool):
     }
 
 
-def test_ablation_compression_and_dedup(benchmark):
-    def run():
-        return {
-            "plain": drive(False, False),
-            "compressed": drive(True, False),
-            "dedup": drive(False, True),
-            "both": drive(True, True),
-        }
-
-    results = run_once(benchmark, run)
+def test_ablation_compression_and_dedup():
+    results = {
+        "plain": drive(False, False),
+        "compressed": drive(True, False),
+        "dedup": drive(False, True),
+        "both": drive(True, True),
+    }
     print()
     for mode, cells in results.items():
         print(f"{mode:11s} ops/s={cells['ops']:8.1f} "

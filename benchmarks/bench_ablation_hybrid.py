@@ -11,7 +11,7 @@ Both SSD-assisted modes must beat memory-only on second-chance coverage;
 hybrid/trickle throughput sits between pure-memory-fits and pure-SSD.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import BENCH_SEED
 
 from repro import CachePolicy, DDConfig, SimContext
 from repro.workloads import WebserverWorkload
@@ -36,7 +36,7 @@ def drive(mode: str):
     else:
         raise ValueError(mode)
     host.install_doubledecker(config)
-    vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=1024)
     container = vm.create_container("web", 256, policy)
     workload = WebserverWorkload(nfiles=6000, mean_size_kb=128, threads=2,
                                  cpu_think_ms=2.0)
@@ -54,11 +54,8 @@ def drive(mode: str):
     }
 
 
-def test_ablation_hybrid_store(benchmark):
-    def run():
-        return {mode: drive(mode) for mode in ("mem", "hybrid", "trickle")}
-
-    results = run_once(benchmark, run)
+def test_ablation_hybrid_store():
+    results = {mode: drive(mode) for mode in ("mem", "hybrid", "trickle")}
     print()
     for mode, cells in results.items():
         print(f"{mode:8s} ops/s={cells['ops']:8.1f} hit={cells['hit_pct']:5.1f}% "

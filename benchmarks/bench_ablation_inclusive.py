@@ -8,7 +8,7 @@ exclusive cache must cover more unique blocks (page cache + cache are
 disjoint) and thus serve more second-chance hits.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import BENCH_SEED
 
 from repro import SimContext
 from repro.core import StoreKind
@@ -22,7 +22,7 @@ def drive(exclusive: bool):
     host = ctx.create_host()
     cache = host.install_global_cache(capacity_mb=CACHE_MB,
                                       exclusive=exclusive)
-    vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=1024)
     container = vm.create_container("web", 256)
     workload = WebserverWorkload(nfiles=6000, mean_size_kb=128, threads=2,
                                  cpu_think_ms=2.0)
@@ -45,11 +45,8 @@ def drive(exclusive: bool):
     }
 
 
-def test_ablation_inclusive_vs_exclusive(benchmark):
-    def run():
-        return {"exclusive": drive(True), "inclusive": drive(False)}
-
-    results = run_once(benchmark, run)
+def test_ablation_inclusive_vs_exclusive():
+    results = {"exclusive": drive(True), "inclusive": drive(False)}
     print()
     for mode, cells in results.items():
         print(f"{mode:10s} ops/s={cells['ops']:8.1f} "

@@ -7,8 +7,6 @@ resulting shares deviate from the weighted entitlements.  Algorithm 1
 should track the weights strictly better than "evict the largest pool".
 """
 
-from conftest import run_once
-
 from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
 from repro.simkernel import Environment
 
@@ -51,11 +49,8 @@ def drive(victim_policy: str):
     return deviation / len(pools)
 
 
-def test_ablation_victim_selection(benchmark):
-    def run():
-        return drive("exceed"), drive("max_used")
-
-    exceed_dev, naive_dev = run_once(benchmark, run)
+def test_ablation_victim_selection():
+    exceed_dev, naive_dev = drive("exceed"), drive("max_used")
     print(f"\nmean |share - entitlement| (blocks): "
           f"Algorithm1={exceed_dev:.1f}  naive-max-used={naive_dev:.1f}")
     # Algorithm 1 must respect the weights at least as well as the naive

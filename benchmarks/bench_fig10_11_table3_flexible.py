@@ -5,16 +5,16 @@ DD policy; webproxy gains moderately; videoserver *loses* under the
 memory policies but gains when moved to the SSD store (DDHybrid).
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import FlexiblePolicyExperiment
 from repro.experiments.flexible import POLICY_TABLE
 
 
-def test_fig10_11_table3_flexible(benchmark):
+def test_fig10_11_table3_flexible():
     exp = FlexiblePolicyExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                    warmup_s=250, duration_s=300)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

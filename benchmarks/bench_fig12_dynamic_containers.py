@@ -6,17 +6,17 @@ it is moved to the SSD its memory share returns to the others and its
 SSD pool grows.
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import DynamicContainersExperiment
 
 PHASE_S = 250.0
 
 
-def test_fig12_dynamic_containers(benchmark):
+def test_fig12_dynamic_containers():
     exp = DynamicContainersExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                       phase_s=PHASE_S)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

@@ -6,17 +6,17 @@ re-weighting to 40/35/25 redistributes across VM1/VM2/VM4.
 """
 
 import pytest
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import DynamicVMsExperiment
 
 PHASE_S = 180.0
 
 
-def test_fig13_dynamic_vms(benchmark):
+def test_fig13_dynamic_vms():
     exp = DynamicVMsExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                phase_s=PHASE_S)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

@@ -5,14 +5,14 @@ each container alone fills the cache; together the 3-thread container
 takes a disproportionate (>1.2x) share.
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import MotivationExperiment
 
 
-def test_fig1_2_motivation(benchmark):
+def test_fig1_2_motivation():
     exp = MotivationExperiment(scale=BENCH_SCALE, seed=BENCH_SEED)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

@@ -5,15 +5,15 @@ splits; anon-memory apps (redis, mysql) degrade as in-VM memory shrinks,
 with redis collapsing at the extreme split.
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import AppBehaviorExperiment
 
 
-def test_fig3_app_behavior(benchmark):
+def test_fig3_app_behavior():
     exp = AppBehaviorExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                 warmup_s=200, duration_s=200)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

@@ -11,15 +11,15 @@ performance table (Table 2).  Shape checks:
   DD keeps it near its entitlement (Fig 8's story).
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import CachingModesExperiment
 
 
-def test_fig8_9_table2_caching_modes(benchmark):
+def test_fig8_9_table2_caching_modes():
     exp = CachingModesExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                  warmup_s=250, duration_s=300)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

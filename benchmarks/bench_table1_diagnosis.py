@@ -5,15 +5,15 @@ Shape checks: Redis and MySQL swap and leave the hypervisor cache unused
 and fill the hypervisor cache instead.
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import AppBehaviorExperiment
 
 
-def test_table1_diagnosis(benchmark):
+def test_table1_diagnosis():
     exp = AppBehaviorExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                 warmup_s=200, duration_s=200)
-    result = run_once(benchmark, exp.run_table1_only)
+    result = exp.run_table1_only()
     print()
     print(result.summary(plots=False))
 

@@ -6,7 +6,7 @@ DoubleDecker's in-VM + cache provisioning meets more SLAs and lifts
 Redis by a large factor.
 """
 
-from conftest import BENCH_SCALE, BENCH_SEED, run_once
+from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.experiments import CooperativeExperiment
 
@@ -20,11 +20,11 @@ CANDIDATES = [
 ]
 
 
-def test_table4_cooperative(benchmark):
+def test_table4_cooperative():
     exp = CooperativeExperiment(scale=BENCH_SCALE, seed=BENCH_SEED,
                                 warmup_s=120, duration_s=150,
                                 candidates=CANDIDATES)
-    result = run_once(benchmark, exp.run)
+    result = exp.run()
     print()
     print(result.summary(plots=False))
 

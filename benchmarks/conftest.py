@@ -1,39 +1,12 @@
-"""Shared settings for the benchmark harness.
+"""Shared settings for the paper-shape checks.
 
-Each benchmark regenerates one table/figure of the paper at a reduced
-``scale`` (datasets, cache sizes, and durations shrink together, which
-preserves the ratios that define every reported shape).  Results are
-printed so the benchmark log doubles as the reproduction record.
-
-Tune via environment variables:
-
-* ``REPRO_BENCH_SCALE``  (default 0.2)
-* ``REPRO_BENCH_SEED``   (default 42)
+Each file regenerates one table/figure of the paper at a reduced
+``BENCH_SCALE`` (datasets, cache sizes, and durations shrink together,
+which preserves the ratios that define every reported shape), runs it
+once and asserts its shape.  Results are printed so the log doubles as
+the reproduction record.
 """
 
-import os
-
-import pytest
-
-#: Scale used by all experiment benchmarks (see module docstring).
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.2"))
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "42"))
-
-#: Measurement windows (simulated seconds) at bench scale.
-WARMUP_S = 200.0
-DURATION_S = 250.0
-
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture
-def bench_scale():
-    return BENCH_SCALE
-
-
-@pytest.fixture
-def bench_seed():
-    return BENCH_SEED
+#: Scale and seed of every experiment check.
+BENCH_SCALE = 0.2
+BENCH_SEED = 42

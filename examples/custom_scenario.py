@@ -20,10 +20,10 @@ def main() -> None:
     scenario = (
         Scenario(seed=11)
         .cache("doubledecker", mem_mb=768, ssd_mb=32768)
-        .vm("tenant-a", memory_mb=2048, vcpus=4, weight=70)
+        .vm("tenant-a", memory_mb=2048, weight=70)
         # Boots mid-run; its container follows it.  The VM-level gauge
         # samples the memory store only, under its own label.
-        .vm("tenant-b", memory_mb=1536, vcpus=2, weight=30, boot_at=120.0,
+        .vm("tenant-b", memory_mb=1536, weight=30, boot_at=120.0,
             gauges={"tenant-b (mem)": "mem"})
         .container("tenant-a", "mysql-db", 768, policy="mem:60",
                    workload=("mysql", {"nrecords": 1_000_000,

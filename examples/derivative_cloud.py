@@ -32,8 +32,8 @@ def main() -> None:
         DDConfig(mem_capacity_mb=1536, ssd_capacity_mb=65536)
     )
 
-    vm1 = host.create_vm("vm1", memory_mb=2048, vcpus=4, cache_weight=33)
-    vm2 = host.create_vm("vm2", memory_mb=3072, vcpus=8, cache_weight=67)
+    vm1 = host.create_vm("vm1", memory_mb=2048, cache_weight=33)
+    vm2 = host.create_vm("vm2", memory_mb=3072, cache_weight=67)
 
     # VM1's policy controller: video on SSD, web in memory.
     c1 = vm1.create_container("vm1-video", 512, CachePolicy.ssd(100))

@@ -28,7 +28,7 @@ def main() -> None:
     cache = host.install_doubledecker(
         DDConfig(mem_capacity_mb=512, ssd_capacity_mb=65536)
     )
-    vm = host.create_vm("vm1", memory_mb=4096, vcpus=8)
+    vm = host.create_vm("vm1", memory_mb=4096)
 
     c1 = vm.create_container("web", 512, CachePolicy.memory(60))
     c2 = vm.create_container("proxy", 512, CachePolicy.memory(40))

@@ -19,7 +19,7 @@ def main() -> None:
     host = ctx.create_host()
     host.install_doubledecker(DDConfig(mem_capacity_mb=512))
 
-    vm = host.create_vm("vm1", memory_mb=2048, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=2048)
     # <T, W> policies: webserver gets 60% of the VM's memory-store share,
     # mail 40%.
     web = vm.create_container("web", 512, CachePolicy.memory(60))

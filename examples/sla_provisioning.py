@@ -25,7 +25,7 @@ def run_strategy(cooperative: bool) -> dict:
     ctx = SimContext(seed=5)
     host = ctx.create_host()
     host.install_doubledecker(DDConfig(mem_capacity_mb=CACHE_MB))
-    vm = host.create_vm("vm1", memory_mb=VM_MB, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=VM_MB)
 
     if cooperative:
         # VM-level manager: Redis needs ~768 MB of *anonymous* memory

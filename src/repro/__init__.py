@@ -35,7 +35,6 @@ _EXPORTS = {
     "GlobalCache": ".core",
     "HDDSpec": ".storage",
     "Host": ".hypervisor",
-    "HostSpec": ".hypervisor",
     "MemSpec": ".storage",
     "NullCache": ".core",
     "SSDSpec": ".storage",

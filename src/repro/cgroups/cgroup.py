@@ -38,9 +38,8 @@ class Cgroup:
         self.anon = AnonSpace()
         #: Resident file pages charged here (kept in sync by the guest OS).
         self.file_blocks = 0
-        #: Cumulative swap traffic in blocks (Table 1's "total swap").
+        #: Cumulative swap-out traffic in blocks (Table 1's "total swap").
         self.swap_out_blocks = 0
-        self.swap_in_blocks = 0
         self.alive = True
 
     @property

@@ -1,8 +1,8 @@
-"""Top-level simulation context: one object wiring env, RNG, and metrics.
+"""Top-level simulation context: one object wiring env and RNG.
 
 Most users start here::
 
-    from repro import SimContext, HostSpec, DDConfig, CachePolicy
+    from repro import SimContext, DDConfig, CachePolicy
 
     ctx = SimContext(seed=42)
     host = ctx.create_host()
@@ -17,25 +17,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .hypervisor import Host, HostSpec
-from .metrics import MetricsRegistry
+from .hypervisor import Host
 from .simkernel import Environment, RandomStreams
 
 __all__ = ["SimContext"]
 
 
 class SimContext:
-    """Deterministic simulation session: environment + RNG + metrics."""
+    """Deterministic simulation session: environment + RNG."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.env = Environment()
         self.streams = RandomStreams(seed)
-        self.registry = MetricsRegistry()
 
-    def create_host(self, spec: Optional[HostSpec] = None) -> Host:
-        """Build a host wired to this context's env/RNG/metrics."""
-        return Host(self.env, spec=spec, streams=self.streams, registry=self.registry)
+    def create_host(self) -> Host:
+        """Build a host wired to this context's env and RNG."""
+        return Host(self.env, streams=self.streams)
 
     def run(self, until: Optional[float] = None):
         """Advance the simulation (see :meth:`Environment.run`)."""

@@ -33,6 +33,7 @@ silently corrupt unit accounting, and is reported instead.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Dict, List, Tuple
 
@@ -71,8 +72,9 @@ def set_audit_interval(seconds: float) -> None:
     """Globally opt every *subsequently constructed* cache into periodic
     self-auditing (0 turns it back off)."""
     global _global_interval
-    if seconds < 0:
-        raise ValueError(f"audit interval must be non-negative, got {seconds}")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(
+            f"audit interval must be finite and non-negative, got {seconds}")
     _global_interval = float(seconds)
 
 

@@ -16,12 +16,14 @@ This is the paper's contribution: an exclusive second-chance cache with
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..endurance import make_admission
 from ..obs import tracer as _obs
 from ..simkernel import Environment
-from ..storage import MB, SSD
+from ..storage import MB, SSD, block_runs
 from .audit import global_audit_interval, start_periodic_audit
 from .config import CachePolicy, DDConfig, StoreKind
 from .engine import EvictionRound, PolicyEngine
@@ -29,7 +31,7 @@ from .interface import HypervisorCacheBase
 from .optimizations import DedupIndex, MemoryUnits
 from .pools import BlockKey, Pool, VMEntry
 from .stats import PoolStats, StoreStats
-from .stores import MemBackend, SSDBackend, contiguous_runs
+from .stores import MemBackend, SSDBackend
 from .victim import exceed_value
 
 __all__ = ["DoubleDeckerCache"]
@@ -61,9 +63,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         self.mem_backend = MemBackend(block_bytes)
         self.ssd_backend: Optional[SSDBackend] = None
         if ssd_device is not None:
-            self.ssd_backend = SSDBackend(
-                env, ssd_device, write_buffer_mb=config.ssd_write_buffer_mb
-            )
+            self.ssd_backend = SSDBackend(env, ssd_device)
 
         # -- memory-store optimizations (compression / dedup) ---------
         # With either on, the pools charge memory blocks in sub-block
@@ -262,7 +262,11 @@ class DoubleDeckerCache(HypervisorCacheBase):
             yield self.env.timeout(cost)
         if ssd_keys:
             assert self.ssd_backend is not None
-            yield from self.ssd_backend.read_runs(contiguous_runs(ssd_keys))
+            # One device request per run of adjacent blocks of one file.
+            runs: List[Tuple[int, int]] = []
+            for _, keys_of_file in groupby(sorted(ssd_keys), itemgetter(0)):
+                runs += block_runs([block for _, block in keys_of_file])
+            yield from self.ssd_backend.read_runs(runs)
         if tracer is not None:
             tracer.span_end("cache.get", t0, self.env.now, vm=vm_id,
                             pool=pool_id, keys=len(keys), hits=len(found),

@@ -114,7 +114,6 @@ class DDConfig:
     ssd_capacity_mb: float = 0.0
     eviction_batch_mb: float = 2.0
     trickle_down: bool = False
-    ssd_write_buffer_mb: float = 64.0
     #: Victim selection: "exceed" is the paper's Algorithm 1; "max_used"
     #: is the naive largest-holder alternative (for ablation).
     victim_policy: str = "exceed"
@@ -132,12 +131,10 @@ class DDConfig:
     admission: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for size in (self.mem_capacity_mb, self.ssd_capacity_mb,
-                     self.ssd_write_buffer_mb):
+        for size in (self.mem_capacity_mb, self.ssd_capacity_mb):
             if not (math.isfinite(size) and size >= 0):
                 raise ValueError(
-                    f"capacities and write buffer must be finite and "
-                    f"non-negative: {self}")
+                    f"capacities must be finite and non-negative: {self}")
         if not (math.isfinite(self.eviction_batch_mb)
                 and self.eviction_batch_mb > 0):
             raise ValueError(f"eviction batch must be finite and positive: {self}")

@@ -12,41 +12,17 @@ moving block *data*:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..simkernel import Environment, Event
 from ..storage import MB, MemSpec, SSD
 from .config import StoreKind
-from .pools import BlockKey
 
-__all__ = ["MemBackend", "SSDBackend", "contiguous_runs"]
+__all__ = ["MemBackend", "SSDBackend", "SSD_WRITE_BUFFER_MB"]
 
-
-def contiguous_runs(keys: Sequence[BlockKey]) -> List[Tuple[int, int]]:
-    """Merge sorted block keys into ``(start_block, length)`` runs.
-
-    Runs never span files; used to turn per-block SSD hits into realistic
-    multi-block device requests.
-    """
-    runs: List[Tuple[int, int]] = []
-    ordered = sorted(keys)
-    run_start: Optional[Tuple[int, int]] = None
-    run_len = 0
-    for inode, block in ordered:
-        if (
-            run_start is not None
-            and inode == run_start[0]
-            and block == run_start[1] + run_len
-        ):
-            run_len += 1
-        else:
-            if run_start is not None:
-                runs.append((run_start[1], run_len))
-            run_start = (inode, block)
-            run_len = 1
-    if run_start is not None:
-        runs.append((run_start[1], run_len))
-    return runs
+#: The SSD store's write buffer: fills queued for the device beyond this
+#: are rejected (cleancache puts are best-effort).
+SSD_WRITE_BUFFER_MB = 64.0
 
 
 class MemBackend:
@@ -76,16 +52,11 @@ class SSDBackend:
 
     kind = StoreKind.SSD
 
-    def __init__(
-        self,
-        env: Environment,
-        device: SSD,
-        write_buffer_mb: float = 64.0,
-    ) -> None:
+    def __init__(self, env: Environment, device: SSD) -> None:
         self.env = env
         self.device = device
         self.block_bytes = device.block_bytes
-        buffer_bytes = max(self.block_bytes, int(write_buffer_mb * MB))
+        buffer_bytes = max(self.block_bytes, int(SSD_WRITE_BUFFER_MB * MB))
         self._buffer_capacity_blocks = buffer_bytes // self.block_bytes
         #: blocks enqueued but not yet handed to the device by the writer
         self._queued = 0
@@ -94,7 +65,6 @@ class SSDBackend:
         self._writer = env.process(self._drain(), name="ssd-store-writer")
         #: cumulative counters
         self.writes_enqueued = 0
-        self.writes_rejected = 0
         #: blocks whose device write has completed (drained from buffer);
         #: ``writes_enqueued == blocks_written + pending_blocks`` at every
         #: event boundary (the auditor checks this).
@@ -124,7 +94,6 @@ class SSDBackend:
         if nblocks <= 0:
             return True
         if not self.has_room(nblocks):
-            self.writes_rejected += nblocks
             return False
         self._queued += nblocks
         self._pending_blocks += nblocks

@@ -53,6 +53,24 @@ from . import ALL_EXPERIMENTS
 from .runner import Experiment, ExperimentResult, iter_cells
 
 
+def _bounded(kind, minimum: float, strict: bool = False):
+    """An argparse ``type=``: a finite ``kind`` value ``>= minimum``
+    (``> minimum`` when ``strict``); anything else exits 2 at parse time,
+    before any experiment is built."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        too_small = value <= minimum if strict else value < minimum
+        if too_small or not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {minimum}, "
+                f"got {text}")
+        return value
+    return parse
+
+
 def _results(experiments: List[Experiment], args
              ) -> Iterator[Tuple[ExperimentResult, Optional[str]]]:
     """``(result, trace JSONL or None)`` per experiment, in order, each
@@ -103,12 +121,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the DoubleDecker paper's tables and figures.",
+        exit_on_error=False,
     )
     parser.add_argument("experiment", nargs="?",
                         help="experiment name, comma-separated names, or 'all'")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_bounded(float, 0, strict=True),
+                        default=1.0,
                         help="dataset/cache scale factor (default 1.0)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--no-plots", action="store_true",
@@ -117,7 +137,8 @@ def main(argv=None) -> int:
                         help="directory to also write summaries into")
     parser.add_argument("--json", action="store_true",
                         help="with --out, also write machine-readable JSON")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_bounded(int, 1), default=None,
+                        metavar="N",
                         help="run the simulations on N cores, each in a "
                              "forked worker (default and ceiling: the CPU "
                              "count; below it, at most N processes; on "
@@ -125,7 +146,8 @@ def main(argv=None) -> int:
                              "cores with its last full round, at most "
                              "2N-1 at a time; 1 keeps everything in this "
                              "process; results are identical either way)")
-    parser.add_argument("--audit", type=float, nargs="?", const=10.0,
+    parser.add_argument("--audit", type=_bounded(float, 0), nargs="?",
+                        const=10.0,
                         default=0.0, metavar="SECONDS",
                         help="audit every cache's shadow accounting every "
                              "SECONDS simulated seconds (default 10 when "
@@ -137,10 +159,12 @@ def main(argv=None) -> int:
                              "experiment; writes PREFIX_<name>.jsonl "
                              "(PREFIX defaults to 'trace'); analyze, or "
                              "export for Perfetto, with python -m repro.obs")
-    parser.add_argument("--trace-ops", type=int, default=200_000, metavar="N",
+    parser.add_argument("--trace-ops", type=_bounded(int, 1), default=200_000,
+                        metavar="N",
                         help="flight-recorder capacity: keep the newest N "
                              "events (default 200000)")
-    parser.add_argument("--trace-sample", type=int, default=1, metavar="K",
+    parser.add_argument("--trace-sample", type=_bounded(int, 1), default=1,
+                        metavar="K",
                         help="record every Kth span per span type; "
                              "histograms and provenance still see every op "
                              "(default 1 = record all)")
@@ -149,7 +173,11 @@ def main(argv=None) -> int:
                         help="profile the run with cProfile and dump "
                              "pstats to FILE (default profile.pstats); "
                              "a profiled run stays in this process")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as error:
+        print(f"{error.argument_name} {error.message}", file=sys.stderr)
+        return 2
 
     if args.list or not args.experiment:
         print("available experiments:")
@@ -171,33 +199,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    if not (math.isfinite(args.scale) and args.scale > 0):
-        print(f"--scale must be finite and > 0, got {args.scale}",
-              file=sys.stderr)
-        return 2
-
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-
     if args.json and args.out is None:
         print("--json needs --out DIR to write into", file=sys.stderr)
         return 2
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-
-    if args.audit < 0:
-        print(f"--audit must be >= 0, got {args.audit}", file=sys.stderr)
-        return 2
-
-    if args.trace_ops < 1:
-        print(f"--trace-ops must be >= 1, got {args.trace_ops}", file=sys.stderr)
-        return 2
-    if args.trace_sample < 1:
-        print(f"--trace-sample must be >= 1, got {args.trace_sample}",
-              file=sys.stderr)
-        return 2
 
     experiments = [ALL_EXPERIMENTS[name](scale=args.scale, seed=args.seed)
                    for name in names]

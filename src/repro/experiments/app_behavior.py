@@ -54,15 +54,12 @@ class AppBehaviorExperiment(Experiment):
             return app, dict(
                 nfiles=self.count(14000), mean_size_kb=128.0, threads=2)
         if app == "redis":
-            return app, dict(nrecords=self.count(1_800_000), record_kb=1.0,
-                             threads=2)
+            return app, dict(nrecords=self.count(1_800_000), threads=2)
         if app == "mongodb":
-            return app, dict(nrecords=self.count(3_000_000), record_kb=1.0,
-                             threads=2)
+            return app, dict(nrecords=self.count(3_000_000), threads=2)
         if app == "mysql":
             return app, dict(
                 nrecords=self.count(2_000_000),
-                record_kb=1.0,
                 buffer_pool_mb=self.mb(1024.0),
                 threads=2,
             )
@@ -77,7 +74,7 @@ class AppBehaviorExperiment(Experiment):
         run = (
             Scenario(seed=self.seed)
             .cache("doubledecker", mem_mb=max(0.0, self.mb(cache_gb * 1024)))
-            .vm("vm1", memory_mb=self.mb(vm_gb * 1024) + 256, vcpus=4)
+            .vm("vm1", memory_mb=self.mb(vm_gb * 1024) + 256)
             .container("vm1", app, self.mb(vm_gb * 1024),
                        "mem:100" if cache_gb > 0 else "none",
                        self._make_workload(app))

@@ -76,7 +76,7 @@ class CachingModesExperiment(Experiment):
             policy = "ssd:25"
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
+        scenario.vm("vm1", memory_mb=self.mb(8192))
         for name, workload in self._workloads():
             scenario.container("vm1", name, self.mb(1024), policy, workload)
         run = scenario.run(self.warmup_s, self.duration_s, max(

@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .runner import Experiment, ExperimentResult
 from .scenarios import Scenario
 
-__all__ = ["CooperativeExperiment", "DEFAULT_SLAS", "PARTITION_CANDIDATES"]
+__all__ = ["CooperativeExperiment", "SLAS", "PARTITION_CANDIDATES"]
 
 APPS = ("mongodb", "mysql", "redis", "webserver")
 
 #: Target throughputs (ops/sec); chosen to discriminate like the paper's.
-DEFAULT_SLAS = {"mongodb": 15.0, "mysql": 50.0, "redis": 5000.0, "webserver": 100.0}
+SLAS = {"mongodb": 15.0, "mysql": 50.0, "redis": 5000.0, "webserver": 100.0}
 
 #: Hypervisor-cache split candidates (%, order = APPS).  The paper swept
 #: partitions by hand; this grid includes its reported winner (60:40
@@ -61,12 +61,10 @@ class CooperativeExperiment(Experiment):
 
     def __init__(self, scale: float = 1.0, seed: int = 42,
                  warmup_s: float = None, duration_s: float = None,
-                 slas: Optional[Dict[str, float]] = None,
                  candidates: Optional[Sequence[Tuple[float, ...]]] = None) -> None:
         super().__init__(scale, seed)
         self.warmup_s = warmup_s if warmup_s is not None else self.secs(300.0)
         self.duration_s = duration_s if duration_s is not None else self.secs(300.0)
-        self.slas = dict(slas or DEFAULT_SLAS)
         self.candidates = list(candidates or PARTITION_CANDIDATES)
 
     def _make_workloads(self):
@@ -91,7 +89,7 @@ class CooperativeExperiment(Experiment):
                  partition: Tuple[float, ...]) -> Dict[str, dict]:
         """One partition under one technique: per-app rates + memory usage."""
         vm_mb = self.mb(6144)
-        scenario = Scenario(seed=self.seed).vm("vm1", memory_mb=vm_mb, vcpus=8)
+        scenario = Scenario(seed=self.seed).vm("vm1", memory_mb=vm_mb)
         workloads = self._make_workloads()
         if technique == "morai":
             # Centralized: the VM is a black box; containers share the
@@ -119,7 +117,7 @@ class CooperativeExperiment(Experiment):
         """(#SLAs met, aggregate throughput) — lexicographic, as in the
         paper: first SLA adherence, then maximum aggregate ops/sec."""
         met = sum(
-            1 for app in APPS if cells[app]["ops_per_s"] >= self.slas[app]
+            1 for app in APPS if cells[app]["ops_per_s"] >= SLAS[app]
         )
         aggregate = sum(cells[app]["ops_per_s"] for app in APPS)
         return met, aggregate
@@ -142,10 +140,10 @@ class CooperativeExperiment(Experiment):
                 cell = cells[app]
                 rows.append([
                     app,
-                    f"{self.slas[app]:.0f}",
+                    f"{SLAS[app]:.0f}",
                     technique,
                     round(cell["ops_per_s"], 1),
-                    "yes" if cell["ops_per_s"] >= self.slas[app] else "NO",
+                    "yes" if cell["ops_per_s"] >= SLAS[app] else "NO",
                     round(cell["app_memory_gb"], 2),
                     round(cell["hvcache_gb"], 2),
                 ])

@@ -56,7 +56,7 @@ class DynamicContainersExperiment(Experiment):
             Scenario(seed=self.seed)
             .cache("doubledecker", mem_mb=self.mb(1024),
                    ssd_mb=self.mb(245760))
-            .vm("vm1", memory_mb=self.mb(6144), vcpus=8)
+            .vm("vm1", memory_mb=self.mb(6144))
             .container("vm1", "container1", self.mb(1024), "mem:60", web,
                        gauges={"container1": "mem"})
             .container("vm1", "container2", self.mb(1024), "mem:40", proxy,
@@ -131,7 +131,7 @@ class DynamicVMsExperiment(Experiment):
         boots = [("vm1", 100, "mem"), ("vm2", 40, "mem"),
                  ("vm3", 100, "ssd"), ("vm4", 25, "mem")]
         for index, (name, weight, store) in enumerate(boots):
-            scenario.vm(name, memory_mb=self.mb(4096), vcpus=4, weight=weight,
+            scenario.vm(name, memory_mb=self.mb(4096), weight=weight,
                         boot_at=index * phase, gauges={name: store})
             scenario.container(
                 name, f"{name}-video", self.mb(1024), f"{store}:100",

@@ -55,7 +55,7 @@ class EnduranceExperiment(CachingModesExperiment):
             policy = "hybrid:25:25"
         else:
             raise ValueError(f"unknown scenario {config!r}")
-        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
+        scenario.vm("vm1", memory_mb=self.mb(8192))
         for name, workload in self._workloads():
             scenario.container("vm1", name, self.mb(1024), policy, workload)
         run = scenario.run(self.warmup_s, self.duration_s)

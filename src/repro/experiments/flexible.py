@@ -102,7 +102,7 @@ class FlexiblePolicyExperiment(Experiment):
             ssd_mb = self.mb(245760) if mode == "DDHybrid" else 0.0
             scenario.cache("doubledecker", mem_mb=self.mb(2048), ssd_mb=ssd_mb)
             policies = POLICY_TABLE[mode]
-        scenario.vm("vm1", memory_mb=self.mb(8192), vcpus=8)
+        scenario.vm("vm1", memory_mb=self.mb(8192))
         for name, workload in self._workloads():
             scenario.container("vm1", name, self.mb(MEMORY_LIMITS[name]),
                                policies[name], workload)

@@ -50,7 +50,7 @@ class MotivationExperiment(Experiment):
             Scenario(seed=self.seed)
             .cache("global", capacity_mb=self.mb(1024),
                    per_vm_cap_mb=self.mb(1024))
-            .vm("vm1", memory_mb=self.mb(2048), vcpus=4)
+            .vm("vm1", memory_mb=self.mb(2048))
         )
         specs = [
             ("container1", 2, run_c1, 0.0),

@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..context import SimContext
 from ..core import CachePolicy, DDConfig, StoreKind
-from ..hypervisor import HostSpec
 from ..metrics import format_table
 from ..workloads import (
     CounterSnapshot,
@@ -115,7 +114,6 @@ def _parse_gauges(gauges: Mapping[str, Optional[str]],
 class _VMSpec:
     name: str
     memory_mb: float
-    vcpus: int
     weight: float
     boot_at: float
     gauges: Dict[str, Optional[StoreKind]]
@@ -180,9 +178,8 @@ class ScenarioResult:
 class Scenario:
     """A declarative derivative-cloud scenario (see module docstring)."""
 
-    def __init__(self, seed: int = 42, host_spec: Optional[HostSpec] = None) -> None:
+    def __init__(self, seed: int = 42) -> None:
         self.seed = seed
-        self.host_spec = host_spec
         self._cache_kind = "doubledecker"
         self._cache_kwargs: Dict[str, Any] = {"mem_mb": 1024.0}
         self._vms: List[_VMSpec] = []
@@ -201,7 +198,7 @@ class Scenario:
         self._cache_kwargs = dict(kwargs)
         return self
 
-    def vm(self, name: str, memory_mb: float, vcpus: int = 4,
+    def vm(self, name: str, memory_mb: float,
            weight: float = 100.0, boot_at: float = 0.0,
            gauges: Optional[Mapping[str, Optional[str]]] = None) -> "Scenario":
         """Add a VM that boots at ``boot_at`` (its containers boot no
@@ -209,7 +206,7 @@ class Scenario:
         per-VM occupancy it samples (``"mem"``, ``"ssd"`` or ``None`` for
         both); a VM has no gauge by default."""
         self._vms.append(_VMSpec(
-            name, memory_mb, vcpus, weight, boot_at,
+            name, memory_mb, weight, boot_at,
             _parse_gauges(gauges or {}, f"VM {name!r}"),
         ))
         return self
@@ -333,7 +330,7 @@ class Scenario:
         """Build everything, run warm-up + measurement, return results."""
         container_boot = self._validate()
         ctx = SimContext(seed=self.seed)
-        host = ctx.create_host(self.host_spec)
+        host = ctx.create_host()
         cache = self._install_cache(host)
         sampler = OccupancySampler(ctx, interval_s=sample_interval_s)
         vms: Dict[str, Any] = {}
@@ -363,9 +360,7 @@ class Scenario:
 
         def boot_vm(spec: _VMSpec) -> None:
             vm = vms[spec.name] = host.create_vm(
-                spec.name, memory_mb=spec.memory_mb, vcpus=spec.vcpus,
-                cache_weight=spec.weight,
-            )
+                spec.name, memory_mb=spec.memory_mb, cache_weight=spec.weight)
             watch(sampler.watch_vm, spec.gauges, vm.vm_id)
 
         def boot_container(spec: _ContainerSpec) -> None:

@@ -1,7 +1,7 @@
 """Guest-side stack: filesystem, guest OS, virtual machines, containers."""
 
 from .filesystem import File, Filesystem
-from .guestos import GuestOS, GuestStats, IOResult
+from .guestos import GuestOS
 from .vm import Container, VirtualMachine
 
 __all__ = [
@@ -9,7 +9,5 @@ __all__ = [
     "File",
     "Filesystem",
     "GuestOS",
-    "GuestStats",
-    "IOResult",
     "VirtualMachine",
 ]

@@ -1,4 +1,4 @@
-"""A minimal guest filesystem: inodes, extents, per-container ownership.
+"""A minimal guest filesystem: inodes and extents.
 
 Only what disk-cache behaviour needs: each file has an inode, a length in
 blocks, and a contiguous extent on the virtual disk (so sequential file
@@ -19,20 +19,18 @@ _APPEND_SLACK = 4
 class File:
     """One regular file."""
 
-    __slots__ = ("inode", "owner_cgroup_id", "nblocks", "disk_start",
-                 "max_blocks", "hv_pool_id", "name")
+    __slots__ = ("inode", "nblocks", "disk_start", "max_blocks", "hv_pool_id",
+                 "name")
 
     def __init__(
         self,
         inode: int,
-        owner_cgroup_id: int,
         nblocks: int,
         disk_start: int,
         max_blocks: int,
         name: str = "",
     ) -> None:
         self.inode = inode
-        self.owner_cgroup_id = owner_cgroup_id
         self.nblocks = nblocks
         self.disk_start = disk_start
         self.max_blocks = max_blocks
@@ -67,12 +65,9 @@ class Filesystem:
         self.files: Dict[int, File] = {}
         self._next_inode = 1
         self._next_extent = disk_base
-        self.created = 0
-        self.deleted = 0
 
     def create_file(
         self,
-        owner_cgroup_id: int,
         nblocks: int,
         name: str = "",
         append_slack: int = _APPEND_SLACK,
@@ -83,7 +78,6 @@ class Filesystem:
         max_blocks = nblocks + max(0, append_slack)
         file = File(
             inode=self._next_inode,
-            owner_cgroup_id=owner_cgroup_id,
             nblocks=nblocks,
             disk_start=self._next_extent,
             max_blocks=max_blocks,
@@ -92,7 +86,6 @@ class Filesystem:
         self._next_inode += 1
         self._next_extent += max(1, max_blocks)
         self.files[file.inode] = file
-        self.created += 1
         return file
 
     def extend_file(self, file: File, nblocks: int) -> int:
@@ -113,9 +106,7 @@ class Filesystem:
     def delete_file(self, file: File) -> None:
         """Remove a file (page-cache/cleancache invalidation is the guest
         OS's job and must happen first)."""
-        if file.inode in self.files:
-            del self.files[file.inode]
-            self.deleted += 1
+        self.files.pop(file.inode, None)
 
     def get(self, inode: int) -> Optional[File]:
         return self.files.get(inode)

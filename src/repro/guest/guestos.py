@@ -18,7 +18,7 @@ queueing on the virtual disk, the swap device, and the hypervisor cache.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..cgroups import Cgroup, CgroupSubsystem
 from ..cleancache import CleancacheClient
@@ -26,10 +26,10 @@ from ..core.pools import BlockKey
 from ..mem import PageCache
 from ..mem.page import PageEntry, SeqCounter
 from ..simkernel import Environment
-from ..storage import MB, BlockDevice, MemSpec
+from ..storage import MB, BlockDevice, MemSpec, block_runs
 from .filesystem import File, Filesystem
 
-__all__ = ["GuestOS", "IOResult", "GuestStats"]
+__all__ = ["GuestOS"]
 
 #: Pages reclaimed per round (≈2 MB at the default 64 KiB block size).
 RECLAIM_BATCH = 32
@@ -40,42 +40,8 @@ FLUSHER_INTERVAL_S = 5.0
 #: Offset of the swap area from the VM's disk base, in blocks: its own
 #: region, far from every file's extents.
 SWAP_OFFSET_BLOCKS = 1 << 31
-
-
-class IOResult:
-    """Outcome of one read/write call (for workload accounting)."""
-
-    __slots__ = ("blocks", "pc_hits", "cc_hits", "disk_blocks", "latency")
-
-    def __init__(self) -> None:
-        self.blocks = 0
-        self.pc_hits = 0
-        self.cc_hits = 0
-        self.disk_blocks = 0
-        self.latency = 0.0
-
-
-class GuestStats:
-    """Cumulative guest-kernel counters."""
-
-    __slots__ = ("pc_lookups", "pc_hits", "cc_gets", "cc_hits", "disk_reads",
-                 "disk_writes", "writeback_blocks", "swap_out_blocks",
-                 "swap_in_blocks", "cc_puts", "cc_put_stored",
-                 "reclaim_rounds")
-
-    def __init__(self) -> None:
-        self.pc_lookups = 0
-        self.pc_hits = 0
-        self.cc_gets = 0
-        self.cc_hits = 0
-        self.disk_reads = 0
-        self.disk_writes = 0
-        self.writeback_blocks = 0
-        self.swap_out_blocks = 0
-        self.swap_in_blocks = 0
-        self.cc_puts = 0
-        self.cc_put_stored = 0
-        self.reclaim_rounds = 0
+#: Guest RAM the kernel keeps for itself (MB): neither anon nor page cache.
+KERNEL_RESERVE_MB = 64.0
 
 
 class GuestOS:
@@ -90,13 +56,12 @@ class GuestOS:
         disk: BlockDevice,
         cleancache: CleancacheClient,
         disk_base_block: int = 0,
-        kernel_reserve_mb: float = 64.0,
         reclaim_rng=None,
     ) -> None:
         self.env = env
         self.name = name
         self.block_bytes = block_bytes
-        usable_mb = max(1.0, memory_mb - kernel_reserve_mb)
+        usable_mb = max(1.0, memory_mb - KERNEL_RESERVE_MB)
         #: Blocks of RAM available for anon + page cache.
         self.memory_blocks = int(usable_mb * MB) // block_bytes
         self.disk = disk
@@ -108,7 +73,6 @@ class GuestOS:
         self.fs = Filesystem(disk_base_block)
         #: Swap area: its own disk region (random single-page faults).
         self.swap_base = disk_base_block + SWAP_OFFSET_BLOCKS
-        self.stats = GuestStats()
         import random as _random
 
         #: RNG driving global-reclaim scan-pressure choices (seeded by the
@@ -144,42 +108,29 @@ class GuestOS:
 
     def read_file(self, cgroup: Cgroup, file: File, start: int = 0,
                   nblocks: Optional[int] = None, then: float = 0.0):
-        """Read a block range through the page cache; returns IOResult.
+        """Read a block range through the page cache.
 
         ``then`` is the caller's next delay (its CPU cost), served before
         returning.  An all-hit read folds it into the copy-cost timeout,
-        one event instead of two; ``result.latency`` excludes it.
+        one event instead of two.
         """
-        result = IOResult()
         env = self.env
-        t0 = env._now
         end = file.nblocks if nblocks is None else min(file.nblocks, start + nblocks)
         nkeys = end - start if end > start else 0
-        result.blocks = nkeys
         misses = self.pagecache.lookup(file.inode, start, end)
         hits = nkeys - len(misses)
-        stats = self.stats
-        stats.pc_lookups += nkeys
-        stats.pc_hits += hits
-        result.pc_hits = hits
         if hits:
-            cost = self._copy_cost(hits)
             if not misses:
-                # The copy is this call's last wait: serve ``then`` in it,
-                # and keep ``then`` out of the latency.
-                yield env.timeout(cost, then=then)
-                result.latency = (t0 + cost) - t0
-                return result
-            yield env.timeout(cost)
+                # The copy is this call's last wait: serve ``then`` in it.
+                yield env.timeout(self._copy_cost(hits), then=then)
+                return
+            yield env.timeout(self._copy_cost(hits))
         if misses:
-            yield from self._fill_misses(cgroup, file, misses, result)
-        result.latency = env._now - t0
+            yield from self._fill_misses(cgroup, file, misses)
         if then:
             yield env.timeout(then)
-        return result
 
-    def _fill_misses(self, cgroup: Cgroup, file: File, misses: List[BlockKey],
-                     result: IOResult):
+    def _fill_misses(self, cgroup: Cgroup, file: File, misses: List[BlockKey]):
         """Second-chance lookup, then disk, then page-cache admission."""
         # MIGRATE_OBJECT: the file's cached blocks may belong to another
         # container's pool (shared files); re-home them before the lookup.
@@ -191,31 +142,21 @@ class GuestOS:
             self.cleancache.migrate(file.hv_pool_id, cgroup.pool_id, file.inode)
             file.hv_pool_id = cgroup.pool_id
 
-        self.stats.cc_gets += len(misses)
         found = yield from self.cleancache.get_many(cgroup.pool_id, misses)
-        self.stats.cc_hits += len(found)
-        result.cc_hits += len(found)
-
-        disk_keys = [key for key in misses if key not in found]
-        if disk_keys:
-            result.disk_blocks += len(disk_keys)
-            self.stats.disk_reads += len(disk_keys)
-            for offset, length in _disk_runs(file, disk_keys):
-                yield from self.disk.read(offset, length)
+        # ``misses`` ascend (one file's range), so these block numbers do.
+        disk_blocks = [key[1] for key in misses if key not in found]
+        for first, length in block_runs(disk_blocks):
+            yield from self.disk.read(file.disk_offset(first), length)
         # Admit everything we brought in (charging may trigger reclaim).
         yield from self._admit_pages(cgroup, misses, dirty=False)
 
     def write_file(self, cgroup: Cgroup, file: File, start: int = 0,
                    nblocks: Optional[int] = None, sync: bool = False):
-        """Write a block range (buffered unless ``sync``); returns IOResult."""
-        result = IOResult()
+        """Write a block range (buffered unless ``sync``)."""
         env = self.env
-        t0 = env._now
         end = file.nblocks if nblocks is None else min(file.nblocks, start + nblocks)
         nkeys = end - start if end > start else 0
-        result.blocks = nkeys
-        fresh = self.pagecache.lookup_dirty(file.inode, start, end, t0)
-        result.pc_hits = nkeys - len(fresh)
+        fresh = self.pagecache.lookup_dirty(file.inode, start, end, env._now)
         if fresh:
             # The hypervisor cache may hold stale copies of blocks we are
             # about to overwrite without reading: invalidate them.
@@ -224,14 +165,11 @@ class GuestOS:
         yield env.timeout(self._copy_cost(nkeys))
         if sync:
             yield from self.fsync(cgroup, file)
-        result.latency = self.env.now - t0
-        return result
 
     def append_file(self, cgroup: Cgroup, file: File, nblocks: int, sync: bool = False):
-        """Append ``nblocks`` (log-style write); returns IOResult."""
+        """Append ``nblocks`` (log-style write)."""
         start = self.fs.extend_file(file, nblocks)
-        result = yield from self.write_file(cgroup, file, start, nblocks, sync=sync)
-        return result
+        yield from self.write_file(cgroup, file, start, nblocks, sync=sync)
 
     def fsync(self, cgroup: Cgroup, file: File):
         """Write back every dirty page of ``file`` synchronously."""
@@ -286,10 +224,9 @@ class GuestOS:
                     for page in chunk
                     if anon.is_swapped(page)
                 ]
-                cgroup.swap_in_blocks += len(slots)
-                self.stats.swap_in_blocks += len(slots)
-                for offset, length in _slot_runs(self.swap_base, slots):
-                    yield from self.disk.read(offset, length)
+                slots.sort()
+                for first, length in block_runs(slots):
+                    yield from self.disk.read(self.swap_base + first, length)
         if fresh:
             # Chunked like file admission: a huge allocation must not blow
             # past the cgroup limit just because it arrived in one call.
@@ -349,7 +286,6 @@ class GuestOS:
 
     def _shrink_cgroup(self, cgroup: Cgroup, count: int):
         """One cgroup-local reclaim round; returns blocks freed."""
-        self.stats.reclaim_rounds += 1
         file_entry = self.pagecache.coldest(cgroup.cgroup_id)
         anon_seq = cgroup.anon.coldest_seq()
         # Global-LRU choice within the cgroup: evict whichever class owns
@@ -376,7 +312,6 @@ class GuestOS:
         (the paper's Morai++/Redis interaction) — a strict global LRU
         would shield hot anon pages entirely.
         """
-        self.stats.reclaim_rounds += 1
         cgroups = [cg for cg in self.cgroups if cg.usage_blocks > 0]
         if not cgroups:
             return 0
@@ -412,9 +347,7 @@ class GuestOS:
             yield from self._writeback_detached(dirty)
         # Every evicted page is clean by now: offer it to the second chance.
         put_keys = [entry.key for entry in clean] + [entry.key for entry in dirty]
-        self.stats.cc_puts += len(put_keys)
         stored = yield from self.cleancache.put_many(cgroup.pool_id, put_keys)
-        self.stats.cc_put_stored += stored
         if stored and cgroup.pool_id is not None:
             for inode in {key[0] for key in put_keys}:
                 file = self.fs.get(inode)
@@ -428,9 +361,9 @@ class GuestOS:
         if not slots:
             return 0
         cgroup.swap_out_blocks += len(slots)
-        self.stats.swap_out_blocks += len(slots)
-        for offset, length in _slot_runs(self.swap_base, slots):
-            yield from self.disk.write(offset, length)
+        # Fresh slots are handed out in ascending order.
+        for first, length in block_runs(slots):
+            yield from self.disk.write(self.swap_base + first, length)
         return len(slots)
 
     # ------------------------------------------------------------------
@@ -456,8 +389,6 @@ class GuestOS:
         return len(entries)
 
     def _write_entries(self, entries: List[PageEntry]):
-        self.stats.disk_writes += len(entries)
-        self.stats.writeback_blocks += len(entries)
         by_file: Dict[int, List[int]] = {}
         for entry in entries:
             by_file.setdefault(entry.inode, []).append(entry.block)
@@ -465,9 +396,9 @@ class GuestOS:
             file = self.fs.get(inode)
             if file is None:
                 continue  # deleted under us; nothing to persist
-            keys = [(inode, block) for block in sorted(blocks)]
-            for offset, length in _disk_runs(file, keys):
-                yield from self.disk.write(offset, length)
+            blocks.sort()
+            for first, length in block_runs(blocks):
+                yield from self.disk.write(file.disk_offset(first), length)
 
     def _flusher_loop(self):
         """Background dirty-page expiry (pdflush analogue)."""
@@ -479,39 +410,3 @@ class GuestOS:
             if expired:
                 yield from self._writeback(expired)
 
-
-def _disk_runs(file: File, keys: Sequence[BlockKey]) -> List[Tuple[int, int]]:
-    """Convert sorted block keys of one file into disk ``(offset, len)`` runs."""
-    runs: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    length = 0
-    for _, block in keys:
-        if start is not None and block == start + length:
-            length += 1
-        else:
-            if start is not None:
-                runs.append((file.disk_offset(start), length))
-            start = block
-            length = 1
-    if start is not None:
-        runs.append((file.disk_offset(start), length))
-    return runs
-
-
-def _slot_runs(base: int, slots: Sequence[int]) -> List[Tuple[int, int]]:
-    """Contiguous runs over swap slots (offset by the swap area base)."""
-    runs: List[Tuple[int, int]] = []
-    ordered = sorted(slots)
-    start: Optional[int] = None
-    length = 0
-    for slot in ordered:
-        if start is not None and slot == start + length:
-            length += 1
-        else:
-            if start is not None:
-                runs.append((base + start, length))
-            start = slot
-            length = 1
-    if start is not None:
-        runs.append((base + start, length))
-    return runs

@@ -41,9 +41,8 @@ class Container:
     # -- file namespace ----------------------------------------------------
 
     def create_file(self, nblocks: int, name: str = "", append_slack: int = 4) -> File:
-        return self.vm.os.fs.create_file(
-            self.cgroup.cgroup_id, nblocks, name=name, append_slack=append_slack
-        )
+        return self.vm.os.fs.create_file(nblocks, name=name,
+                                         append_slack=append_slack)
 
     # -- IO (generators) -----------------------------------------------------
 
@@ -123,19 +122,16 @@ class VirtualMachine:
         env: Environment,
         name: str,
         memory_mb: float,
-        vcpus: int,
         block_bytes: int,
         disk,
         hvcache,
         vm_id: int,
         disk_base_block: int = 0,
-        kernel_reserve_mb: float = 64.0,
         reclaim_rng=None,
     ) -> None:
         self.env = env
         self.name = name
         self.memory_mb = memory_mb
-        self.vcpus = vcpus
         self.block_bytes = block_bytes
         self.vm_id = vm_id
         self.disk_base_block = disk_base_block
@@ -148,7 +144,6 @@ class VirtualMachine:
             disk=disk,
             cleancache=self.cleancache,
             disk_base_block=disk_base_block,
-            kernel_reserve_mb=kernel_reserve_mb,
             reclaim_rng=reclaim_rng,
         )
         self.containers: Dict[str, Container] = {}

@@ -1,5 +1,5 @@
 """Host machine and hypervisor-side plumbing."""
 
-from .host import Host, HostSpec
+from .host import Host
 
-__all__ = ["Host", "HostSpec"]
+__all__ = ["Host"]

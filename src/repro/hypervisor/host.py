@@ -10,7 +10,6 @@ the spindle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core import (
@@ -22,59 +21,34 @@ from ..core import (
     StaticPartitionCache,
 )
 from ..guest import VirtualMachine
-from ..metrics import MetricsRegistry
-from ..obs import tracer as _obs
 from ..simkernel import Environment, RandomStreams
-from ..storage import HDD, KB, SSD, HDDSpec, SSDSpec
+from ..storage import HDD, KB, SSD
 
-__all__ = ["Host", "HostSpec"]
+__all__ = ["Host"]
+
+#: The testbed's block: the unit of page-cache pages, cache entries and
+#: device requests.
+BLOCK_BYTES = 64 * KB
 
 #: Virtual-disk region stride between VMs (in blocks); swap lives halfway
 #: (``guestos.SWAP_OFFSET_BLOCKS``).
 _VM_DISK_STRIDE = 1 << 32
 
 
-@dataclass(frozen=True)
-class HostSpec:
-    """Hardware of the testbed (defaults mirror the paper's server)."""
-
-    memory_mb: float = 32768.0
-    cpus: int = 16
-    block_kb: int = 64
-    hdd: HDDSpec = field(default_factory=HDDSpec)
-    ssd: SSDSpec = field(default_factory=SSDSpec)
-
-    @property
-    def block_bytes(self) -> int:
-        return self.block_kb * KB
-
-
 class Host:
-    """One physical machine of the derivative cloud."""
+    """One physical machine of the derivative cloud (the paper's testbed:
+    one SATA HDD behind every virtual disk, one SATA SSD for the cache)."""
 
     def __init__(
         self,
         env: Environment,
-        spec: Optional[HostSpec] = None,
         streams: Optional[RandomStreams] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
-        self.spec = spec or HostSpec()
         self.streams = streams or RandomStreams(0)
-        self.registry = registry or MetricsRegistry()
-        tracer = _obs.ACTIVE
-        if tracer is not None:
-            # Run reports read op latencies straight from the registry.
-            tracer.bind_registry(self.registry)
-        self.block_bytes = self.spec.block_bytes
-        self.hdd = HDD(
-            env,
-            self.block_bytes,
-            spec=self.spec.hdd,
-            rng=self.streams.stream("host.hdd"),
-        )
-        self.ssd = SSD(env, self.block_bytes, spec=self.spec.ssd)
+        self.block_bytes = BLOCK_BYTES
+        self.hdd = HDD(env, BLOCK_BYTES, rng=self.streams.stream("host.hdd"))
+        self.ssd = SSD(env, BLOCK_BYTES)
         self.hvcache: HypervisorCacheBase = NullCache()
         self.vms: Dict[str, VirtualMachine] = {}
         self._vm_count = 0
@@ -129,9 +103,7 @@ class Host:
         self,
         name: str,
         memory_mb: float,
-        vcpus: int = 4,
         cache_weight: float = 100.0,
-        kernel_reserve_mb: float = 64.0,
     ) -> VirtualMachine:
         """Boot a VM and register it with the hypervisor cache."""
         if name in self.vms:
@@ -146,13 +118,11 @@ class Host:
             self.env,
             name=name,
             memory_mb=memory_mb,
-            vcpus=vcpus,
             block_bytes=self.block_bytes,
             disk=self.hdd,
             hvcache=self.hvcache,
             vm_id=vm_id,
             disk_base_block=disk_base,
-            kernel_reserve_mb=kernel_reserve_mb,
             reclaim_rng=self.streams.stream(f"vm.{name}.reclaim"),
         )
         self.vms[name] = vm

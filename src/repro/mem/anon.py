@@ -20,8 +20,7 @@ __all__ = ["AnonSpace"]
 class AnonSpace:
     """One container's anonymous pages (page granularity = block size)."""
 
-    __slots__ = ("resident", "swapped", "swap_slots", "_next_slot",
-                 "swap_ins", "swap_outs")
+    __slots__ = ("resident", "swapped", "swap_slots", "_next_slot")
 
     def __init__(self) -> None:
         #: Resident pages, LRU order (values are VM-wide access seqs).
@@ -31,8 +30,6 @@ class AnonSpace:
         #: page -> swap slot (device block) while swapped.
         self.swap_slots: Dict[int, int] = {}
         self._next_slot = 0
-        self.swap_ins = 0
-        self.swap_outs = 0
 
     @property
     def resident_pages(self) -> int:
@@ -76,7 +73,6 @@ class AnonSpace:
         self.swapped.discard(page)
         slot = self.swap_slots.pop(page)
         self.resident[page] = seq
-        self.swap_ins += 1
         return slot
 
     def swap_out_coldest(self, count: int) -> List[int]:
@@ -91,7 +87,6 @@ class AnonSpace:
             self._next_slot += 1
             self.swapped.add(page)
             self.swap_slots[page] = slot
-            self.swap_outs += 1
             slots.append(slot)
         return slots
 

@@ -21,13 +21,14 @@ import sys
 from pathlib import Path
 
 from .analyze import (
+    MalformedTrace,
     latency_breakdown,
     load_trace,
     run_smoke,
     summarize,
     top_victims,
 )
-from .export import events_to_perfetto, validate_trace
+from .export import event_problems, events_to_perfetto, validate_trace
 
 
 def main(argv=None) -> int:
@@ -83,22 +84,30 @@ def main(argv=None) -> int:
         else:
             print(f"{args.trace}: cannot read trace: {exc}", file=sys.stderr)
         return 1
-    if args.command == "summarize":
-        print(summarize(trace))
-        return 0
-    if args.command == "top-victims":
-        print(top_victims(trace, limit=args.limit))
-        return 0
-    if args.command == "latency-breakdown":
-        print(latency_breakdown(trace, per_vm=args.per_vm))
-        return 0
-    if args.command == "export":
-        out = Path(args.out) if args.out else Path(args.trace).with_suffix(
-            ".perfetto.json")
-        meta, events = trace
-        out.write_text(events_to_perfetto(meta, events) + "\n")
-        print(f"wrote {out} ({len(events)} events)")
-        return 0
+    try:
+        if args.command == "summarize":
+            print(summarize(trace))
+            return 0
+        if args.command == "top-victims":
+            print(top_victims(trace, limit=args.limit))
+            return 0
+        if args.command == "latency-breakdown":
+            print(latency_breakdown(trace, per_vm=args.per_vm))
+            return 0
+        if args.command == "export":
+            out = Path(args.out) if args.out else Path(args.trace).with_suffix(
+                ".perfetto.json")
+            meta, events = trace
+            problems = event_problems(events)
+            if problems:
+                raise MalformedTrace(problems)
+            out.write_text(events_to_perfetto(meta, events) + "\n")
+            print(f"wrote {out} ({len(events)} events)")
+            return 0
+    except MalformedTrace as exc:
+        for problem in exc.problems:
+            print(f"{args.trace}: {problem}", file=sys.stderr)
+        return 1
     if args.command == "validate":
         meta, events = trace
         problems = validate_trace(

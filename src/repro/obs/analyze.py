@@ -26,10 +26,12 @@ from typing import Any, Dict, List, Tuple
 
 from ..metrics.reporting import format_table
 from ..metrics.timeseries import Histogram
-from .export import parse_jsonl, time_scale_us, validate_trace
+from .export import (event_problems, meta_problems, parse_jsonl,
+                     time_scale_us, validate_trace)
 from .tracer import QUANTILE_LABELS, latency_rows
 
 __all__ = [
+    "MalformedTrace",
     "load_trace",
     "summarize",
     "top_victims",
@@ -40,9 +42,29 @@ __all__ = [
 Trace = Tuple[Dict[str, Any], List[Dict[str, Any]]]
 
 
+class MalformedTrace(ValueError):
+    """A trace that parses but lacks what a command reads; ``problems``
+    holds one line per defect."""
+
+    def __init__(self, problems: List[str]) -> None:
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
 def load_trace(path: str) -> Trace:
     """Read and parse a JSONL trace file."""
     return parse_jsonl(Path(path).read_text())
+
+
+def _ledger_problems(ledger: Any) -> List[str]:
+    if not isinstance(ledger, dict) or not all(
+            isinstance(pools, dict) for pools in ledger.values()):
+        return ["meta: ledger is not a cache -> pool -> counters object"]
+    return [f"cache {cache!r} pool {pool}: bad ledger counters {counters!r}"
+            for cache, pools in ledger.items()
+            for pool, counters in pools.items()
+            if not isinstance(counters, dict) or not all(
+                isinstance(value, int) for value in counters.values())]
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +73,10 @@ def load_trace(path: str) -> Trace:
 
 def summarize(trace: Trace) -> str:
     meta, events = trace
+    problems = (meta_problems(meta) + event_problems(events)
+                + _ledger_problems(meta.get("ledger", {})))
+    if problems:
+        raise MalformedTrace(problems)
     parts: List[str] = []
     spans: Dict[str, List[float]] = defaultdict(list)
     instants: Dict[str, int] = defaultdict(int)
@@ -122,6 +148,9 @@ def summarize(trace: Trace) -> str:
 
 def top_victims(trace: Trace, limit: int = 10) -> str:
     _, events = trace
+    problems = event_problems(events)
+    if problems:
+        raise MalformedTrace(problems)
     stats: Dict[Tuple[str, str, str], Dict[str, int]] = {}
     for event in events:
         if event["name"] != "evict.round":
@@ -154,12 +183,22 @@ def top_victims(trace: Trace, limit: int = 10) -> str:
 def latency_breakdown(trace: Trace, per_vm: bool = False) -> str:
     meta, _ = trace
     snapshots = meta.get("histograms", {})
+    if not isinstance(snapshots, dict):
+        raise MalformedTrace(["meta: histograms is not an object"])
     if not snapshots:
         return "no latency histograms in trace"
-    rows = latency_rows(
-        {name: Histogram.from_dict(snapshot)
-         for name, snapshot in snapshots.items()},
-        meta, detail=per_vm)
+    histograms: Dict[str, Histogram] = {}
+    problems: List[str] = []
+    for name, snapshot in snapshots.items():
+        try:
+            histograms[name] = Histogram.from_dict(snapshot)
+        except KeyError as exc:
+            problems.append(f"histogram {name!r}: missing {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            problems.append(f"histogram {name!r}: {exc}")
+    if problems:
+        raise MalformedTrace(problems)
+    rows = latency_rows(histograms, meta, detail=per_vm)
     scope = "per op/vm/pool" if per_vm else "per op"
     return format_table(
         ["histogram", "count", "mean(ms)"]

@@ -269,14 +269,23 @@ def _replay_provenance(meta: Dict[str, Any],
     return problems
 
 
+def meta_problems(meta: Dict[str, Any]) -> List[str]:
+    """One line per recorder counter the meta record lacks or garbles."""
+    return [f"meta: bad {counter} {meta.get(counter)!r}"
+            for counter in _META_COUNTERS
+            if not isinstance(meta.get(counter), int) or meta[counter] < 0]
+
+
+def event_problems(events: List[Dict[str, Any]]) -> List[str]:
+    """One line per malformed field of any event."""
+    return [problem for index, event in enumerate(events)
+            for problem in _check_event(event, index)]
+
+
 def validate_trace(meta: Dict[str, Any], events: List[Dict[str, Any]],
                    allow_open_spans: bool = False) -> List[str]:
     """Full trace check; returns violation strings (empty = valid)."""
-    problems: List[str] = []
-    for counter in _META_COUNTERS:
-        value = meta.get(counter)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"meta: bad {counter} {value!r}")
+    problems = meta_problems(meta)
     if problems:
         return problems  # counters unusable; further checks would lie
 
@@ -291,8 +300,7 @@ def validate_trace(meta: Dict[str, Any], events: List[Dict[str, Any]],
             f"meta says {meta['recorded']} events recorded but the log "
             f"holds {len(events)}"
         )
-    for index, event in enumerate(events):
-        problems.extend(_check_event(event, index))
+    problems.extend(event_problems(events))
 
     last_ts = None
     for index, event in enumerate(events):

@@ -15,8 +15,7 @@ path:
   Algorithm-1 exceed values, every put-outcome breakdown, trickle-downs,
   migrations, and control-path changes (pool/VM lifecycle, policy sets).
 * **latency histograms** — log-bucketed per op type, per VM, and per
-  pool, owned by the tracer and registered into each simulation's
-  :class:`~repro.metrics.collector.MetricsRegistry` so run reports can
+  pool, owned by the tracer, so run reports (``attach_latency_report``)
   print p50/p90/p99/p999 without touching the event buffer.
 
 Events live in a bounded ring buffer (the "flight recorder"): the newest
@@ -164,7 +163,6 @@ class Tracer:
         self._span_seq: Dict[str, int] = {}
         #: op -> vm -> pool latency histograms, flat by metric name.
         self._histograms: Dict[str, Histogram] = {}
-        self._registries: List[Any] = []
         #: cache label -> pool id -> cumulative outcome counters.
         self.ledger: Dict[str, Dict[int, Dict[str, int]]] = {}
         #: (cache label, pool id) -> pool name, from pool.create events.
@@ -185,19 +183,6 @@ class Tracer:
         count = self._cache_counts.get(name, 0)
         self._cache_counts[name] = count + 1
         return name if count == 0 else f"{name}#{count + 1}"
-
-    def bind_registry(self, registry) -> None:
-        """Register this tracer's histograms into a run's metric registry.
-
-        Called by :class:`~repro.hypervisor.host.Host` at construction;
-        histograms created later are registered into every bound registry
-        as they appear.
-        """
-        if registry in self._registries:
-            return
-        self._registries.append(registry)
-        for hist in self._histograms.values():
-            registry.register_histogram(hist)
 
     # -- spans ----------------------------------------------------------
 
@@ -248,10 +233,7 @@ class Tracer:
         """The tracer-owned histogram ``name`` (created on first use)."""
         hist = self._histograms.get(name)
         if hist is None:
-            hist = Histogram(name)
-            self._histograms[name] = hist
-            for registry in self._registries:
-                registry.register_histogram(hist)
+            hist = self._histograms[name] = Histogram(name)
         return hist
 
     def observe_latency(self, op: str, vm: int, pool: int,

@@ -1,6 +1,6 @@
 """Storage device models: HDD, SSD, and memory-copy cost specs."""
 
-from .device import SSD, BlockDevice, DeviceStats, HDD
+from .device import SSD, BlockDevice, DeviceStats, HDD, block_runs
 from .specs import KB, MB, HDDSpec, MemSpec, SSDSpec
 
 __all__ = [
@@ -13,4 +13,5 @@ __all__ = [
     "MemSpec",
     "SSD",
     "SSDSpec",
+    "block_runs",
 ]

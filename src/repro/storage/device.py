@@ -12,14 +12,32 @@ callers never deal with bytes.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..endurance.wear import WearModel
 from ..obs import tracer as _obs
 from ..simkernel import Environment, Resource
 from .specs import HDDSpec, SSDSpec
 
-__all__ = ["BlockDevice", "HDD", "SSD", "DeviceStats"]
+__all__ = ["BlockDevice", "HDD", "SSD", "DeviceStats", "block_runs"]
+
+
+def block_runs(blocks: Iterable[int]) -> List[Tuple[int, int]]:
+    """Merge ascending block numbers into ``(start, length)`` runs, one
+    device request each.  The caller sorts when its order is not already
+    ascending; a number that does not extend the current run starts a
+    new one."""
+    runs: List[Tuple[int, int]] = []
+    start = end = None
+    for block in blocks:
+        if block != end:
+            if start is not None:
+                runs.append((start, end - start))
+            start = block
+        end = block + 1
+    if start is not None:
+        runs.append((start, end - start))
+    return runs
 
 
 class DeviceStats:

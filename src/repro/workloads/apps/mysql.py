@@ -12,35 +12,23 @@ from collections import OrderedDict
 from typing import Optional
 
 from ...guest import File
-from ..ycsb import YCSBWorkload
+from ..ycsb import RECORD_BYTES, YCSBWorkload
 
 __all__ = ["MySQLWorkload"]
 
 
 class MySQLWorkload(YCSBWorkload):
-    """YCSB over a buffer-pool database."""
+    """YCSB over a buffer-pool database; every update commits (appends to
+    the redo log and fsyncs it)."""
 
-    def __init__(
-        self,
-        name: str = "mysql",
-        nrecords: int = 2_000_000,
-        record_kb: float = 1.0,
-        buffer_pool_mb: float = 1024.0,
-        read_fraction: float = 0.5,
-        threads: int = 2,
-        cpu_us_per_op: float = 150.0,
-        commit_every: int = 1,
-    ) -> None:
-        super().__init__(
-            name,
-            nrecords,
-            read_fraction=read_fraction,
-            threads=threads,
-            cpu_us_per_op=cpu_us_per_op,
-        )
-        self.record_kb = record_kb
+    READ_FRACTION = 0.5
+    CPU_US_PER_OP = 150.0
+
+    def __init__(self, name: str = "mysql", nrecords: int = 2_000_000,
+                 buffer_pool_mb: float = 1024.0, threads: int = 2) -> None:
+        super().__init__(name, nrecords, threads, self.READ_FRACTION,
+                         self.CPU_US_PER_OP)
         self.buffer_pool_mb = buffer_pool_mb
-        self.commit_every = max(1, commit_every)
         self._data: Optional[File] = None
         self._redo: Optional[File] = None
         #: data block -> buffer-pool slot (anon page), LRU ordered.
@@ -48,15 +36,10 @@ class MySQLWorkload(YCSBWorkload):
         self._free_slots: list = []
         self._pool_slots = 0
         self._records_per_block = 1
-        self._uncommitted = 0
-
-    @property
-    def dataset_mb(self) -> float:
-        return self.nrecords * self.record_kb / 1024.0
 
     def prepare(self):
         block_bytes = self.container.vm.block_bytes
-        self._records_per_block = max(1, int(block_bytes / (self.record_kb * 1024)))
+        self._records_per_block = max(1, block_bytes // RECORD_BYTES)
         nblocks = max(1, -(-self.nrecords // self._records_per_block))
         self._data = self.container.create_file(nblocks, name=f"{self.name}-ibd")
         redo_blocks = max(16, (128 << 20) // block_bytes)
@@ -95,16 +78,12 @@ class MySQLWorkload(YCSBWorkload):
 
     def do_read(self, key: int):
         yield from self._pool_access(self._block_of(key), self.cpu_s)
-        return (int(self.record_kb * 1024), 0)
+        return (RECORD_BYTES, 0)
 
     def do_update(self, key: int):
         yield from self._pool_access(self._block_of(key))
-        # ``_uncommitted`` is shared by the threads and is bumped right
-        # after the access, so the CPU cost cannot ride in that wait.
-        self._uncommitted += 1
-        if self._uncommitted >= self.commit_every:
-            self._uncommitted = 0
-            # Commit: append to the redo log and fsync it (durability).
-            yield from self.container.append(self._redo, 1, sync=True)
+        # Commit: append to the redo log and fsync it (durability).  The
+        # write path takes no ``then=``, so the CPU cost is its own wait.
+        yield from self.container.append(self._redo, 1, sync=True)
         yield from self.spend_cpu()
-        return (0, int(self.record_kb * 1024))
+        return (0, RECORD_BYTES)

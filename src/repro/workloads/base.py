@@ -65,25 +65,14 @@ class CounterSnapshot:
 
 
 class Workload(abc.ABC):
-    """Base class for all workload models.
+    """Base class for all workload models: ``threads`` closed loops, each
+    starting its next op when the last one completes."""
 
-    ``target_ops_per_s`` turns the default closed loop into a rate-limited
-    open-ish loop (YCSB's target-throughput mode): threads pace themselves
-    so the aggregate rate does not exceed the target (it may fall below it
-    when the system cannot keep up).
-    """
-
-    def __init__(self, name: str, threads: int = 1,
-                 target_ops_per_s: float = 0.0) -> None:
+    def __init__(self, name: str, threads: int) -> None:
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
-        if target_ops_per_s < 0:
-            raise ValueError(
-                f"target rate must be non-negative, got {target_ops_per_s}"
-            )
         self.name = name
         self.threads = threads
-        self.target_ops_per_s = target_ops_per_s
         self.counters = WorkloadCounters()
         self.container: Optional[Container] = None
         self.env: Optional[Environment] = None
@@ -120,19 +109,12 @@ class Workload(abc.ABC):
                 self._ready.succeed()
             elif not self._prepared:
                 yield self._ready
-            period = (
-                self.threads / self.target_ops_per_s
-                if self.target_ops_per_s > 0 else 0.0
-            )
             while True:
                 start = self.env.now
                 stats = yield from self.run_op(tid)
-                latency = self.env.now - start
                 bytes_read, bytes_written = stats if stats else (0, 0)
-                self.counters.op_done(latency, bytes_read, bytes_written)
-                if period > latency:
-                    # Rate limiting: wait out the rest of this op's slot.
-                    yield self.env.timeout(period - latency)
+                self.counters.op_done(self.env.now - start, bytes_read,
+                                      bytes_written)
         except Interrupt:
             return
 

@@ -10,6 +10,9 @@ from ...guest import Container, File
 
 __all__ = ["Fileset"]
 
+#: Shape of the file-size gamma distribution (Filebench's default).
+GAMMA_SHAPE = 1.5
+
 
 class Fileset:
     """A set of files owned by one container.
@@ -25,7 +28,6 @@ class Fileset:
         mean_size_kb: float,
         rng: random.Random,
         name: str = "fileset",
-        gamma_shape: float = 1.5,
     ) -> None:
         if nfiles < 1:
             raise ValueError(f"need at least one file, got {nfiles}")
@@ -34,15 +36,14 @@ class Fileset:
         self.rng = rng
         self.name = name
         self.mean_size_kb = mean_size_kb
-        self.gamma_shape = gamma_shape
         self.files: List[File] = [
             self._make_file(f"{name}.{i}") for i in range(nfiles)
         ]
         self._serial = nfiles
 
     def _sample_blocks(self) -> int:
-        scale = self.mean_size_kb / self.gamma_shape
-        size_kb = max(1.0, self.rng.gammavariate(self.gamma_shape, scale))
+        scale = self.mean_size_kb / GAMMA_SHAPE
+        size_kb = max(1.0, self.rng.gammavariate(GAMMA_SHAPE, scale))
         return max(1, math.ceil(size_kb * 1024 / self.block_bytes))
 
     def _make_file(self, name: str) -> File:

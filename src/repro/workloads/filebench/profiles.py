@@ -5,8 +5,9 @@ personality, preserving what matters for cache behaviour: dataset size,
 read/write mix, whole-file vs streaming access, fsync pressure, and churn.
 
 Defaults are sized for the paper's experiments (containers with ~1 GB
-memory limits and a multi-GB hypervisor cache); every knob is a
-constructor argument so experiments can scale them.
+memory limits and a multi-GB hypervisor cache).  What the experiments
+scale (file counts and sizes, threads, think time) is a constructor
+argument; the rest of each personality is fixed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ __all__ = [
 
 class WebserverWorkload(Workload):
     """Filebench ``webserver``: whole-file reads of many small files plus a
-    log append.  Read-mostly; the classic page-cache-friendly workload."""
+    one-block log append.  Read-mostly; the classic page-cache-friendly
+    workload."""
 
     def __init__(
         self,
@@ -35,14 +37,12 @@ class WebserverWorkload(Workload):
         mean_size_kb: float = 128.0,
         threads: int = 2,
         reads_per_op: int = 10,
-        log_append_blocks: int = 1,
         cpu_think_ms: float = 1.0,
     ) -> None:
         super().__init__(name, threads)
         self.nfiles = nfiles
         self.mean_size_kb = mean_size_kb
         self.reads_per_op = reads_per_op
-        self.log_append_blocks = log_append_blocks
         self.cpu_think_ms = cpu_think_ms
         self.fileset: Optional[Fileset] = None
         self._log = None
@@ -67,16 +67,18 @@ class WebserverWorkload(Workload):
             file = self.fileset.pick()
             yield from self.container.read(file)
             bytes_read += file.nblocks * block_bytes
-        yield from self.container.append(self._log, self.log_append_blocks)
-        bytes_written = self.log_append_blocks * block_bytes
+        yield from self.container.append(self._log, 1)
         if self.cpu_think_ms > 0:
             yield self.env.timeout(self.cpu_think_ms * 1e-3)
-        return (bytes_read, bytes_written)
+        return (bytes_read, block_bytes)
 
 
 class WebproxyWorkload(Workload):
     """Filebench ``webproxy``: read-heavy with object churn (delete +
-    re-create) and a log append — a caching proxy's disk cache."""
+    re-create), five whole-object reads and a log append per op — a
+    caching proxy's disk cache."""
+
+    READS_PER_OP = 5
 
     def __init__(
         self,
@@ -84,13 +86,11 @@ class WebproxyWorkload(Workload):
         nfiles: int = 4000,
         mean_size_kb: float = 64.0,
         threads: int = 2,
-        reads_per_op: int = 5,
         cpu_think_ms: float = 1.0,
     ) -> None:
         super().__init__(name, threads)
         self.nfiles = nfiles
         self.mean_size_kb = mean_size_kb
-        self.reads_per_op = reads_per_op
         self.cpu_think_ms = cpu_think_ms
         self.fileset: Optional[Fileset] = None
         self._log = None
@@ -115,7 +115,7 @@ class WebproxyWorkload(Workload):
         yield from self.container.write(new)
         bytes_written = new.nblocks * block_bytes
         bytes_read = 0
-        for _ in range(self.reads_per_op):
+        for _ in range(self.READS_PER_OP):
             file = self.fileset.pick()
             yield from self.container.read(file)
             bytes_read += file.nblocks * block_bytes
@@ -180,9 +180,13 @@ class VideoserverWorkload(Workload):
     """Filebench ``videoserver``: streaming sequential reads of large
     files, plus a writer refreshing the passive set.  The IO-volume hog.
 
-    One *op* is one streamed chunk (``chunk_blocks``), so op latency is a
-    per-request service time and MB/s is the headline number.
+    One *op* is one streamed chunk (:attr:`CHUNK_BLOCKS`), so op latency
+    is a per-request service time and MB/s is the headline number.
     """
+
+    CHUNK_BLOCKS = 16
+    #: Zipf skew of video popularity.
+    POPULARITY_THETA = 0.9
 
     def __init__(
         self,
@@ -190,19 +194,14 @@ class VideoserverWorkload(Workload):
         nvideos: int = 12,
         video_mb: float = 256.0,
         threads: int = 4,
-        chunk_blocks: int = 16,
         stream_pace_ms: float = 1.0,
         writer_interval_s: float = 60.0,
-        popularity_theta: float = 0.9,
     ) -> None:
         super().__init__(name, threads)
         self.nvideos = nvideos
         self.video_mb = video_mb
-        self.chunk_blocks = chunk_blocks
         self.stream_pace_ms = stream_pace_ms
         self.writer_interval_s = writer_interval_s
-        #: Zipf skew of video popularity (0 disables: uniform choice).
-        self.popularity_theta = popularity_theta
         self.videos = []
         self._positions = {}
         self._writer_proc = None
@@ -215,11 +214,11 @@ class VideoserverWorkload(Workload):
             self.container.create_file(blocks, name=f"{self.name}-vid{i}")
             for i in range(self.nvideos)
         ]
-        if self.popularity_theta > 0 and self.nvideos > 1:
+        if self.nvideos > 1:
             from ...simkernel import zipf_ranks
 
             self._popularity = zipf_ranks(
-                self.rng, self.nvideos, self.popularity_theta
+                self.rng, self.nvideos, self.POPULARITY_THETA
             )
         if self.writer_interval_s > 0:
             self._writer_proc = self.env.process(
@@ -239,7 +238,7 @@ class VideoserverWorkload(Workload):
             state = [video, 0]
             self._positions[tid] = state
         video, position = state
-        nblocks = min(self.chunk_blocks, video.nblocks - position)
+        nblocks = min(self.CHUNK_BLOCKS, video.nblocks - position)
         yield from self.container.read(video, position, nblocks)
         state[1] = position + nblocks
         if self.stream_pace_ms > 0:
@@ -263,7 +262,7 @@ class VideoserverWorkload(Workload):
                 # Buffered streaming write in chunks.
                 position = 0
                 while position < blocks:
-                    n = min(self.chunk_blocks, blocks - position)
+                    n = min(self.CHUNK_BLOCKS, blocks - position)
                     yield from self.container.write(fresh, position, n)
                     position += n
                     yield self.env.timeout(self.stream_pace_ms * 1e-3)

@@ -1,5 +1,5 @@
 """YCSB-style workload generator (Zipfian keys, read/update mixes)."""
 
-from .core import YCSBWorkload
+from .core import RECORD_BYTES, YCSBWorkload
 
-__all__ = ["YCSBWorkload"]
+__all__ = ["RECORD_BYTES", "YCSBWorkload"]

@@ -12,16 +12,22 @@ from __future__ import annotations
 from ...simkernel import zipf_ranks
 from ..base import Workload
 
-__all__ = ["YCSBWorkload"]
+__all__ = ["YCSBWorkload", "RECORD_BYTES"]
+
+#: YCSB's Zipfian request skew.
+ZIPF_THETA = 0.99
+#: One record (YCSB's default 10 fields x 100 bytes, rounded to 1 KiB).
+RECORD_BYTES = 1024
 
 
 class YCSBWorkload(Workload):
     """Base for YCSB-driven data stores.
 
     Subclasses implement :meth:`do_read` / :meth:`do_update` (generators)
-    over ``nrecords`` records; this class draws keys (Zipfian, YCSB's
-    default ``theta = 0.99``) and applies the read fraction.  Each op ends
-    with its CPU cost, :attr:`cpu_s`, which the app model serves itself:
+    over ``nrecords`` records of :data:`RECORD_BYTES`; this class draws
+    keys (Zipfian, YCSB's default ``theta = 0.99``) and applies the app's
+    read fraction.  Each op ends with its CPU cost, :attr:`cpu_s`
+    (``cpu_us_per_op``), which the app model serves itself:
     folded into its last guest wait (``then=``) when nothing another
     process can see runs after that wait, as a trailing timeout otherwise.
     """
@@ -30,10 +36,9 @@ class YCSBWorkload(Workload):
         self,
         name: str,
         nrecords: int,
-        read_fraction: float = 0.95,
-        zipf_theta: float = 0.99,
-        threads: int = 2,
-        cpu_us_per_op: float = 80.0,
+        threads: int,
+        read_fraction: float,
+        cpu_us_per_op: float,
     ) -> None:
         super().__init__(name, threads)
         if not (0.0 <= read_fraction <= 1.0):
@@ -42,11 +47,8 @@ class YCSBWorkload(Workload):
             raise ValueError(f"cpu_us_per_op must be >= 0, got {cpu_us_per_op}")
         self.nrecords = nrecords
         self.read_fraction = read_fraction
-        self.zipf_theta = zipf_theta
         self.cpu_us_per_op = cpu_us_per_op
         self._zipf = None
-        self.reads = 0
-        self.updates = 0
 
     @property
     def cpu_s(self) -> float:
@@ -55,7 +57,7 @@ class YCSBWorkload(Workload):
 
     def start(self, container, streams) -> None:
         super().start(container, streams)
-        self._zipf = zipf_ranks(self.rng, self.nrecords, self.zipf_theta)
+        self._zipf = zipf_ranks(self.rng, self.nrecords, ZIPF_THETA)
 
     def next_key(self) -> int:
         """Draw the next record key (Zipfian rank, scattered).
@@ -70,12 +72,8 @@ class YCSBWorkload(Workload):
     def run_op(self, tid: int):
         key = self.next_key()
         if self.rng.random() < self.read_fraction:
-            self.reads += 1
-            stats = yield from self.do_read(key)
-        else:
-            self.updates += 1
-            stats = yield from self.do_update(key)
-        return stats
+            return (yield from self.do_read(key))
+        return (yield from self.do_update(key))
 
     def spend_cpu(self):
         """Serve :attr:`cpu_s` as its own timeout (the unfolded sites)."""

@@ -184,8 +184,8 @@ class ReferenceCache:
     but implemented over plain dicts and lists, with entitlements stored
     per pool and recomputed at the same trigger points as the manager.
     Timing is not modeled; the SSD write buffer is assumed to never
-    reject (differential harnesses should configure the production cache
-    with a large ``ssd_write_buffer_mb`` so both sides agree).
+    reject (differential harnesses should build the production cache with
+    a large ``stores.SSD_WRITE_BUFFER_MB`` so both sides agree).
     """
 
     def __init__(self, config: DDConfig, block_bytes: int, has_ssd: bool) -> None:

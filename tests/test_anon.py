@@ -36,7 +36,7 @@ class TestAnonSpace:
         assert slots == [0, 1]
         assert anon.swapped_pages == 2
         assert anon.resident_pages == 2
-        assert anon.swap_outs == 2
+        assert set(anon.swap_slots) == {0, 1}  # the two coldest pages
 
     def test_swap_slots_monotonic(self):
         anon = AnonSpace()
@@ -54,7 +54,7 @@ class TestAnonSpace:
         slot = anon.fault_in(7, 3)
         assert slot == 0
         assert anon.is_resident(7)
-        assert anon.swap_ins == 1
+        assert not anon.is_swapped(7) and 7 not in anon.swap_slots
 
     def test_fault_in_resident_rejected(self):
         anon = AnonSpace()

@@ -20,6 +20,7 @@ Three layers of defense are exercised here:
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -35,7 +36,9 @@ from repro.core import (
     StoreKind,
     assert_consistent,
     check_cache,
+    global_audit_interval,
     set_audit_interval,
+    stores,
 )
 from repro.simkernel import Environment
 from repro.storage import SSD
@@ -88,12 +91,12 @@ def make_dd(env=None, **overrides):
     overrides.setdefault("mem_capacity_mb", 1.0)
     overrides.setdefault("ssd_capacity_mb", 2.0)
     overrides.setdefault("eviction_batch_mb", 0.25)
-    # Differential runs assume SSD writes are never rejected for buffer
-    # space; the reference model does not track the write buffer.
-    overrides.setdefault("ssd_write_buffer_mb", 10000.0)
     config = DDConfig(**overrides)
     ssd = SSD(env, BLK) if config.ssd_capacity_mb > 0 else None
-    return env, DoubleDeckerCache(env, config, BLK, ssd_device=ssd)
+    # Differential runs assume SSD writes are never rejected for buffer
+    # space; the reference model does not track the write buffer.
+    with mock.patch.object(stores, "SSD_WRITE_BUFFER_MB", 10000.0):
+        return env, DoubleDeckerCache(env, config, BLK, ssd_device=ssd)
 
 
 # ----------------------------------------------------------------------
@@ -981,6 +984,12 @@ class TestPeriodicAudit:
         finally:
             set_audit_interval(0.0)
 
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_interval_must_be_finite_and_non_negative(self, seconds):
+        with pytest.raises(ValueError):
+            set_audit_interval(seconds)
+        assert global_audit_interval() == 0.0
+
     def test_interval_zero_is_off(self):
         env, cache = make_dd(ssd_capacity_mb=0.0)
         vm = cache.register_vm("vm")
@@ -1027,3 +1036,22 @@ class TestAuditedExperiments:
         from repro.experiments.__main__ import main
 
         assert main(["motivation", "--audit", "-1"]) == 2
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_cli_rejects_non_finite_audit_before_running(
+            self, monkeypatch, capsys, seconds):
+        import repro.experiments.__main__ as cli
+        from repro.experiments.runner import Experiment
+
+        class Unreachable(Experiment):
+            exp_id = "FAKE-AUDIT"
+            name = "fakeaudit"
+            description = "fake"
+
+            def simulate(self):  # pragma: no cover
+                raise AssertionError(f"ran with --audit {seconds}")
+
+        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fakeaudit": Unreachable})
+        assert cli.main(["fakeaudit", "--audit", seconds, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--audit must be" in err

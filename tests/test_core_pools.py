@@ -442,13 +442,8 @@ class TestCachePolicy:
 
 class TestDDConfig:
     @pytest.mark.parametrize("field", ["mem_capacity_mb", "ssd_capacity_mb",
-                                       "eviction_batch_mb",
-                                       "ssd_write_buffer_mb"])
+                                       "eviction_batch_mb"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sizes_must_be_finite(self, field, value):
         with pytest.raises(ValueError):
             DDConfig(**{field: value})
-
-    def test_negative_write_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            DDConfig(ssd_write_buffer_mb=-1.0)

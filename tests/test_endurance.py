@@ -1,8 +1,10 @@
 """Tests for the SSD endurance subsystem (wear model, admission control)."""
 
+from unittest import mock
+
 import pytest
 
-from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
+from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind, stores
 from repro.endurance import (
     AdmitAll,
     SecondAccessAdmit,
@@ -190,13 +192,14 @@ class TestMakeAdmission:
 def make_ssd_cache(ssd_mb=1.0, buffer_mb=64.0, **config_overrides):
     env = Environment()
     ssd = SSD(env, BLK, spec=SSDSpec())
-    cache = DoubleDeckerCache(
-        env,
-        DDConfig(mem_capacity_mb=0.0, ssd_capacity_mb=ssd_mb,
-                 ssd_write_buffer_mb=buffer_mb, **config_overrides),
-        BLK,
-        ssd_device=ssd,
-    )
+    with mock.patch.object(stores, "SSD_WRITE_BUFFER_MB", buffer_mb):
+        cache = DoubleDeckerCache(
+            env,
+            DDConfig(mem_capacity_mb=0.0, ssd_capacity_mb=ssd_mb,
+                     **config_overrides),
+            BLK,
+            ssd_device=ssd,
+        )
     return env, ssd, cache
 
 

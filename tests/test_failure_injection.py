@@ -6,20 +6,20 @@ interrupted mid-operation, write buffers overflowing.
 """
 
 
+from unittest import mock
+
 from repro import SimContext
-from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.hypervisor import HostSpec
+from repro.core import CachePolicy, DDConfig, StoreKind, stores
 from repro.workloads import VarmailWorkload, WebserverWorkload
 
 
 def build(mem_cache_mb=64, ssd_mb=0.0, seed=41):
     ctx = SimContext(seed=seed)
-    host = ctx.create_host(HostSpec())
-    cache = host.install_doubledecker(
-        DDConfig(mem_capacity_mb=mem_cache_mb, ssd_capacity_mb=ssd_mb,
-                 ssd_write_buffer_mb=1.0)
-    )
-    vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+    host = ctx.create_host()
+    with mock.patch.object(stores, "SSD_WRITE_BUFFER_MB", 1.0):
+        cache = host.install_doubledecker(
+            DDConfig(mem_capacity_mb=mem_cache_mb, ssd_capacity_mb=ssd_mb))
+    vm = host.create_vm("vm1", memory_mb=1024)
     return ctx, host, cache, vm
 
 

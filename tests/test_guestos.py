@@ -9,15 +9,14 @@ import pytest
 
 from repro.context import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.hypervisor import HostSpec
 
 
 def build(mem_cache_mb=256, vm_mb=1024, limits=(256,), policies=None,
           seed=3):
     ctx = SimContext(seed=seed)
-    host = ctx.create_host(HostSpec())
+    host = ctx.create_host()
     cache = host.install_doubledecker(DDConfig(mem_capacity_mb=mem_cache_mb))
-    vm = host.create_vm("vm1", memory_mb=vm_mb, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=vm_mb)
     containers = []
     for idx, limit in enumerate(limits):
         policy = (policies[idx] if policies else CachePolicy.memory(100))
@@ -33,31 +32,44 @@ class TestReadPath:
     def test_first_read_comes_from_disk(self):
         ctx, host, cache, vm, (c,) = build()
         f = c.create_file(16)
-        result = run(ctx, c.read(f))
-        assert result.disk_blocks == 16
-        assert result.pc_hits == 0
-        assert result.cc_hits == 0
-        assert result.latency > 0
+        run(ctx, c.read(f))
+        assert host.hdd.stats.blocks_read == 16
+        stats = c.cache_stats()
+        assert stats.gets == 16  # every block missed the page cache
+        assert stats.get_hits == 0  # and the hypervisor cache
+        assert len(vm.os.pagecache) == 16
+        assert ctx.now > 0
 
     def test_second_read_hits_page_cache(self):
         ctx, host, cache, vm, (c,) = build()
         f = c.create_file(16)
         run(ctx, c.read(f))
-        result = run(ctx, c.read(f))
-        assert result.pc_hits == 16
-        assert result.disk_blocks == 0
+        start = ctx.now
+        run(ctx, c.read(f))
+        assert host.hdd.stats.blocks_read == 16  # no new disk reads
+        assert c.cache_stats().gets == 16  # nor a cleancache lookup
+        assert ctx.now - start == pytest.approx(
+            16 * vm.os.mem_spec.copy_time(host.block_bytes), rel=1e-12)
 
     def test_then_is_served_after_the_read_and_not_in_its_latency(self):
-        """``then`` on the hit (folded) and the miss (trailing) path."""
+        """``then`` on the miss (trailing) and the hit (folded) path: the
+        read ends exactly ``then`` after the same read without it."""
+        def elapsed(then):
+            ctx, host, cache, vm, (c,) = build()
+            f = c.create_file(16)
+            spans = []
+            for _ in range(2):  # from disk, then all page-cache hits
+                start = ctx.now
+                run(ctx, c.read(f, then=then))
+                spans.append((host.hdd.stats.blocks_read, ctx.now - start))
+            return spans
+
+        for (disk, plain), (disk_paced, paced) in zip(elapsed(0.0),
+                                                      elapsed(0.25)):
+            assert disk == disk_paced
+            assert paced == pytest.approx(plain + 0.25, rel=1e-12)
+            assert plain < 0.25
         ctx, host, cache, vm, (c,) = build()
-        f = c.create_file(16)
-        for expect_disk in (16, 0):
-            start = ctx.now
-            result = run(ctx, c.read(f, then=0.25))
-            assert result.disk_blocks == expect_disk
-            assert ctx.now == pytest.approx(start + result.latency + 0.25,
-                                            rel=1e-12)
-            assert result.latency < 0.25
         start = ctx.now
         assert run(ctx, c.touch_anon([0, 1], then=0.25)) == 0  # fresh pages
         assert ctx.now == start + 0.25
@@ -68,14 +80,16 @@ class TestReadPath:
     def test_partial_range_read(self):
         ctx, host, cache, vm, (c,) = build()
         f = c.create_file(16)
-        result = run(ctx, c.read(f, 4, 8))
-        assert result.blocks == 8
+        run(ctx, c.read(f, 4, 8))
+        assert set(vm.os.pagecache.entries) == {(f.inode, b) for b in range(4, 12)}
+        assert host.hdd.stats.blocks_read == 8
 
     def test_read_beyond_eof_truncated(self):
         ctx, host, cache, vm, (c,) = build()
         f = c.create_file(4)
-        result = run(ctx, c.read(f, 2, 100))
-        assert result.blocks == 2
+        run(ctx, c.read(f, 2, 100))
+        assert set(vm.os.pagecache.entries) == {(f.inode, 2), (f.inode, 3)}
+        assert host.hdd.stats.blocks_read == 2
 
 
 class TestExclusivity:
@@ -102,10 +116,9 @@ class TestExclusivity:
         run(ctx, c.read(f))
         stats = c.cache_stats()
         assert stats.puts_stored > 0  # overflow went to the 2nd chance
-        result = run(ctx, c.read(f))
-        assert result.cc_hits > 0  # and was recovered from it
-        # Exclusive: recovered blocks are gone from the hv cache.
-        assert vm.os.stats.cc_hits > 0
+        assert stats.get_hits == 0
+        run(ctx, c.read(f))
+        assert c.cache_stats().get_hits > 0  # and was recovered from it
 
 
 class TestWritePath:
@@ -195,10 +208,11 @@ class TestCgroupLimits:
         run(ctx, c.touch_anon(range(2000)))
         swapped = next(iter(c.cgroup.anon.swapped))
         t0 = ctx.now
+        reads = host.hdd.stats.reads
         run(ctx, c.touch_anon([swapped]))
         assert c.cgroup.anon.is_resident(swapped)
         assert ctx.now > t0  # swap-in cost real time
-        assert c.cgroup.swap_in_blocks >= 1
+        assert host.hdd.stats.reads > reads  # read back from the swap area
 
     def test_mixed_anon_file_pressure_prefers_colder_class(self):
         ctx, host, cache, vm, (c,) = build(limits=(64,))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.hypervisor import HostSpec
 
 # Operations: (kind, a, b)
 _OPS = st.lists(
@@ -34,11 +33,11 @@ _OPS = st.lists(
 
 def build_stack(seed):
     ctx = SimContext(seed=seed)
-    host = ctx.create_host(HostSpec())
+    host = ctx.create_host()
     cache = host.install_doubledecker(
         DDConfig(mem_capacity_mb=16, eviction_batch_mb=0.25)
     )
-    vm = host.create_vm("vm1", memory_mb=256, vcpus=2)
+    vm = host.create_vm("vm1", memory_mb=256)
     c1 = vm.create_container("c1", 32, CachePolicy.memory(60))
     c2 = vm.create_container("c2", 32, CachePolicy.memory(40))
     return ctx, host, cache, vm, [c1, c2]
@@ -133,13 +132,13 @@ def test_determinism_same_seed_same_outcome(seed):
             return None
 
         ctx.env.run(until=ctx.env.process(driver()))
-        stats = vm.os.stats
         return (
             ctx.now,
-            stats.pc_hits,
-            stats.cc_hits,
-            stats.disk_reads,
-            stats.swap_out_blocks,
+            sorted(vm.os.pagecache.entries),
+            [(s.gets, s.get_hits, s.puts_stored)
+             for s in (c1.cache_stats(), c2.cache_stats())],
+            host.hdd.stats.blocks_read,
+            c2.cgroup.swap_out_blocks,
             cache.used[StoreKind.MEMORY],
         )
 

@@ -159,33 +159,25 @@ class TestHistogram:
 class TestRegistryHistograms:
     def test_create_on_use_and_observe(self):
         reg = MetricsRegistry()
-        reg.histogram("lat").add(0.5)
-        reg.histogram("lat").add(1.5)
-        assert reg.histogram("lat").count == 2
-
-    def test_register_external_histogram(self):
-        reg = MetricsRegistry()
-        hist = Histogram("obs.lat.get")
-        hist.add(0.25)
-        assert reg.register_histogram(hist) is hist
-        assert reg.histogram("obs.lat.get") is hist
-        # An existing name wins.
-        other = Histogram("obs.lat.get")
-        assert reg.register_histogram(other) is hist
+        reg.wallclock_histogram("lat").add(500)
+        reg.wallclock_histogram("lat").add(1500)
+        assert reg.wallclock_histogram("lat").count == 2
 
     def test_histograms_prefix_filter(self):
         reg = MetricsRegistry()
-        reg.histogram("obs.lat.get").add(1.0)
-        reg.histogram("obs.lat.put").add(2.0)
-        reg.histogram("dev.read").add(3.0)
-        assert set(reg.histograms("obs.lat.")) == {"obs.lat.get", "obs.lat.put"}
-        assert set(reg.histograms()) == {"obs.lat.get", "obs.lat.put", "dev.read"}
+        reg.wallclock_histogram("service.lat.get").add(1)
+        reg.wallclock_histogram("service.lat.set").add(2)
+        reg.wallclock_histogram("service.disk.get").add(3)
+        assert set(reg.histograms("service.lat.")) == {"service.lat.get",
+                                                      "service.lat.set"}
+        assert set(reg.histograms()) == {"service.lat.get", "service.lat.set",
+                                         "service.disk.get"}
 
     def test_wallclock_histogram_create_on_use(self):
         reg = MetricsRegistry()
         hist = reg.wallclock_histogram("service.lat.get")
         hist.add(750)  # 750 ns
         assert hist._counts != {0: 1}
-        # Same name resolves to the same object through either accessor.
+        # The same name resolves to the same object.
         assert reg.wallclock_histogram("service.lat.get") is hist
-        assert reg.histogram("service.lat.get") is hist
+        assert reg.histograms() == {"service.lat.get": hist}

@@ -124,13 +124,15 @@ class TestCLIJsonExport:
 
 class TestPaperHardwareDefaults:
     def test_hostspec_matches_testbed(self):
-        """Defaults mirror the paper's server (32 GB RAM, 16 CPUs)."""
-        from repro.hypervisor import HostSpec
+        """The host's block is the testbed's 64 KiB, and its devices are
+        the paper's SATA disk and SSD classes."""
+        from repro import SimContext
+        from repro.storage import HDDSpec, SSDSpec
 
-        spec = HostSpec()
-        assert spec.memory_mb == 32768.0
-        assert spec.cpus == 16
-        assert spec.block_bytes == 64 * 1024
+        host = SimContext().create_host()
+        assert host.block_bytes == 64 * 1024
+        assert host.hdd.spec == HDDSpec()
+        assert host.ssd.spec == SSDSpec()
 
     def test_ssd_spec_matches_v300_class(self):
         from repro.storage import SSDSpec

@@ -372,19 +372,6 @@ class TestReportingIntegration:
 
         attach_latency_report(Exploding(), tracer)
 
-    def test_histograms_bound_into_registry(self, no_tracer):
-        from repro.metrics import MetricsRegistry
-
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        tracer.bind_registry(registry)
-        tracer.observe_latency("get", 1, 1, 0.004)
-        assert registry.histogram("obs.lat.get").count == 1
-        # Histograms created before binding register too.
-        late = MetricsRegistry()
-        tracer.bind_registry(late)
-        assert late.histogram("obs.lat.get").count == 1
-
 
 class TestCli:
     def test_obs_cli_on_trace_file(self, tmp_path, no_tracer):
@@ -439,6 +426,47 @@ class TestCli:
                 assert obs_main([command, str(path)]) == 1
                 err = capsys.readouterr().err
                 assert len(err.splitlines()) == 1 and str(path) in err
+
+    def test_obs_cli_reports_malformed_traces(self, tmp_path, capsys):
+        """A trace that parses but lacks what the command reads: one
+        line per problem, exit 1, no traceback."""
+        from repro.obs.__main__ import main as obs_main
+
+        counterless = tmp_path / "counterless.jsonl"
+        counterless.write_text('{"type": "meta", "x": 1}\n')
+        assert obs_main(["summarize", str(counterless)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 8  # one per recorder counter
+        assert all(line.startswith(f"{counterless}: meta: bad ")
+                   for line in err)
+        assert f"{counterless}: meta: bad recorded None" in err
+
+        bogus = tmp_path / "bogus.jsonl"
+        bogus.write_text('{"type": "meta", "version": 1, "histograms": '
+                         '{"obs.lat.get": {"bogus": 1}}}\n')
+        assert obs_main(["latency-breakdown", str(bogus)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{bogus}: histogram 'obs.lat.get': missing 'lo'"]
+
+    def test_obs_cli_reports_malformed_events(self, tmp_path, capsys,
+                                              no_tracer):
+        from repro.obs.__main__ import main as obs_main
+
+        tracer = Tracer()
+        env, cache = build_traced_cache(tracer)
+        drive(env, cache)
+        set_tracer(None)
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        del events[0]["name"]
+        lines = [json.dumps({"type": "meta", "version": 1, **meta})]
+        lines += [json.dumps({"type": "event", **e}) for e in events]
+        path = tmp_path / "nameless.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("summarize", "top-victims", "export"):
+            assert obs_main([command, str(path)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"{path}: event[0]: bad name None"]
+        assert not path.with_suffix(".perfetto.json").exists()
 
     def test_experiments_cli_rejects_bad_trace_flags(self, capsys):
         from repro.experiments.__main__ import main as exp_main

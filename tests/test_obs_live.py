@@ -145,7 +145,6 @@ class StoreProbeTests(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=1.0, tracer=tracer)
-            tracer.bind_registry(cache.registry)
             bind_store_probe(store, tracer, registry=cache.registry)
             cache.set("t0", "k", b"value")
             cache.get("t0", "k")
@@ -278,7 +277,6 @@ class LiveTraceEndToEndTests(unittest.IsolatedAsyncioTestCase):
         with tempfile.TemporaryDirectory() as tmp:
             store = DiskStore(tmp, sync_writes=False)
             cache = ServiceCache(store, capacity_mb=1.0, tracer=tracer)
-            tracer.bind_registry(cache.registry)
             bind_store_probe(store, tracer, registry=cache.registry)
             server = CacheServer(cache, port=0, tracer=tracer)
             await server.start()

@@ -8,9 +8,11 @@ one block both sides must agree after every op: hits, each tenant's
 ``used``, each tenant's FIFO order and the store total ``engine.used[SSD]``.
 """
 
-from repro.core import StoreKind
+from unittest import mock
+
+from repro.core import StoreKind, stores
 from repro.experiments.scenarios import Scenario
-from repro.hypervisor import HostSpec
+from repro.hypervisor.host import BLOCK_BYTES
 from repro.storage import MB
 
 from .support.replay import Recorder, replay
@@ -25,15 +27,16 @@ def record():
     scenario = (
         Scenario(seed=11)
         .cache("doubledecker", mem_mb=0, ssd_mb=4,
-               eviction_batch_mb=HostSpec().block_bytes / MB,
-               ssd_write_buffer_mb=1024)
+               eviction_batch_mb=BLOCK_BYTES / MB)
         .vm("vm1", memory_mb=512)
         .at(0, recorder.attach)
     )
     for name, weight, workload in CONTAINERS:
         scenario.container("vm1", name, 12, policy=f"ssd:{weight}",
                            workload=(workload, {"nfiles": 150, "threads": 1}))
-    scenario.run(warmup_s=0, duration_s=15)
+    # A buffer no put outruns: the service has no write backpressure.
+    with mock.patch.object(stores, "SSD_WRITE_BUFFER_MB", 1024.0):
+        scenario.run(warmup_s=0, duration_s=15)
     return recorder.cache, recorder.finish()
 
 

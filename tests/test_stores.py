@@ -1,47 +1,81 @@
 """Tests for cache store backends (memory costs, SSD async writes)."""
 
 
-from repro.core.stores import MemBackend, SSDBackend, contiguous_runs
+from unittest import mock
+
+from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, stores
+from repro.core.stores import MemBackend, SSDBackend
 from repro.simkernel import Environment
-from repro.storage import SSD, SSDSpec
+from repro.storage import SSD, SSDSpec, block_runs
 
 BLK = 64 * 1024
 
 
+def ssd_runs(keys):
+    """The ``(start, length)`` requests an SSD-store get of ``keys`` (all
+    resident, in this order) sends to the device."""
+    env = Environment()
+    cache = DoubleDeckerCache(env, DDConfig(mem_capacity_mb=0,
+                                            ssd_capacity_mb=64),
+                              BLK, ssd_device=SSD(env, BLK))
+    vm = cache.register_vm("vm")
+    pool = cache.create_pool(vm, "p", CachePolicy.ssd(100))
+    env.run(until=env.process(cache.put_many(vm, pool, sorted(keys))))
+    requested = []
+
+    def read_runs(runs):
+        requested.extend(runs)
+        yield from ()
+
+    cache.ssd_backend.read_runs = read_runs
+    found = env.run(until=env.process(cache.get_many(vm, pool, keys)))
+    assert found == set(keys)
+    return requested
+
+
 class TestContiguousRuns:
+    """:func:`block_runs` over ascending block numbers, and the SSD
+    store's get, which sorts its keys and splits them per file."""
+
     def test_empty(self):
-        assert contiguous_runs([]) == []
+        assert block_runs([]) == []
+        assert ssd_runs([]) == []
 
     def test_single(self):
-        assert contiguous_runs([(1, 5)]) == [(5, 1)]
+        assert block_runs([5]) == [(5, 1)]
+        assert ssd_runs([(1, 5)]) == [(5, 1)]
 
     def test_merges_adjacent(self):
+        assert block_runs([0, 1, 2, 5, 6]) == [(0, 3), (5, 2)]
         keys = [(1, 0), (1, 1), (1, 2), (1, 5), (1, 6)]
-        assert contiguous_runs(keys) == [(0, 3), (5, 2)]
+        assert ssd_runs(keys) == [(0, 3), (5, 2)]
 
     def test_does_not_merge_across_files(self):
         keys = [(1, 0), (1, 1), (2, 2), (2, 3)]
-        assert contiguous_runs(keys) == [(0, 2), (2, 2)]
+        assert ssd_runs(keys) == [(0, 2), (2, 2)]
 
     def test_unsorted_input(self):
-        keys = [(1, 2), (1, 0), (1, 1)]
-        assert contiguous_runs(keys) == [(0, 3)]
+        # The helper never sorts: a number that does not extend the run
+        # starts a new one.  Callers with unordered blocks sort first.
+        assert block_runs([2, 0, 1]) == [(2, 1), (0, 2)]
+        assert ssd_runs([(1, 2), (1, 0), (1, 1)]) == [(0, 3)]
 
     def test_adjacent_blocks_in_different_inodes_do_not_merge(self):
         # Block numbers continue across the inode boundary ((1,5) then
         # (2,6)), but runs must never span files.
         keys = [(1, 4), (1, 5), (2, 6), (2, 7)]
-        assert contiguous_runs(keys) == [(4, 2), (6, 2)]
+        assert ssd_runs(keys) == [(4, 2), (6, 2)]
 
     def test_all_single_block_runs(self):
+        assert block_runs([0, 2, 4]) == [(0, 1), (2, 1), (4, 1)]
         keys = [(1, 0), (1, 2), (1, 4), (2, 0)]
-        assert contiguous_runs(keys) == [(0, 1), (2, 1), (4, 1), (0, 1)]
+        assert ssd_runs(keys) == [(0, 1), (2, 1), (4, 1), (0, 1)]
 
     def test_same_block_number_restarting_per_inode(self):
         # Each inode restarts at block 0; identical (start, len) tuples
         # from different files stay separate runs.
         keys = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-        assert contiguous_runs(keys) == [(0, 2), (0, 2), (0, 1)]
+        assert ssd_runs(keys) == [(0, 2), (0, 2), (0, 1)]
 
 
 class TestMemBackend:
@@ -56,7 +90,8 @@ class TestSSDBackend:
     def make(self, buffer_mb=1.0):
         env = Environment()
         device = SSD(env, BLK, spec=SSDSpec())
-        backend = SSDBackend(env, device, write_buffer_mb=buffer_mb)
+        with mock.patch.object(stores, "SSD_WRITE_BUFFER_MB", buffer_mb):
+            backend = SSDBackend(env, device)
         return env, device, backend
 
     def test_enqueue_within_buffer(self):
@@ -68,7 +103,7 @@ class TestSSDBackend:
         env, device, backend = self.make(buffer_mb=1.0)
         assert backend.enqueue_write(16)
         assert not backend.enqueue_write(1)
-        assert backend.writes_rejected == 1
+        assert backend.pending_blocks == backend.writes_enqueued == 16
 
     def test_writer_drains_buffer(self):
         env, device, backend = self.make(buffer_mb=1.0)
@@ -104,7 +139,6 @@ class TestSSDBackend:
         assert backend.enqueue_write(10)
         assert not backend.enqueue_write(7)
         assert backend.writes_enqueued == 10
-        assert backend.writes_rejected == 7
         assert backend.blocks_written + backend.pending_blocks == 10
 
     def test_blocks_written_tracks_drained_blocks(self):

@@ -9,7 +9,6 @@ import pytest
 
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig, StoreKind
-from repro.hypervisor import HostSpec
 
 
 def saturating_reader(ctx, container, nblocks=4096):
@@ -31,7 +30,7 @@ def saturating_reader(ctx, container, nblocks=4096):
 class TestTwoLevelPartitioning:
     def test_vm_level_weights_hold_under_contention(self):
         ctx = SimContext(seed=51)
-        host = ctx.create_host(HostSpec())
+        host = ctx.create_host()
         cache = host.install_doubledecker(
             DDConfig(mem_capacity_mb=192, eviction_batch_mb=0.5)
         )
@@ -48,7 +47,7 @@ class TestTwoLevelPartitioning:
 
     def test_container_weights_within_vm(self):
         ctx = SimContext(seed=52)
-        host = ctx.create_host(HostSpec())
+        host = ctx.create_host()
         cache = host.install_doubledecker(
             DDConfig(mem_capacity_mb=192, eviction_batch_mb=0.5)
         )
@@ -66,7 +65,7 @@ class TestTwoLevelPartitioning:
         """The full Figure-5 topology: per-VM 33/67 applied to both the
         memory and the SSD store, containers splitting within."""
         ctx = SimContext(seed=53)
-        host = ctx.create_host(HostSpec())
+        host = ctx.create_host()
         cache = host.install_doubledecker(DDConfig(
             mem_capacity_mb=192, ssd_capacity_mb=192, eviction_batch_mb=0.5
         ))
@@ -100,7 +99,7 @@ class TestTwoLevelPartitioning:
         """Resource conservation: an idle container's share is usable by
         a busy one, and reclaimed (via Algorithm 1) once the owner wakes."""
         ctx = SimContext(seed=54)
-        host = ctx.create_host(HostSpec())
+        host = ctx.create_host()
         cache = host.install_doubledecker(
             DDConfig(mem_capacity_mb=128, eviction_batch_mb=0.5)
         )

@@ -4,12 +4,11 @@ import pytest
 
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig
-from repro.hypervisor import HostSpec
 
 
 def build_host(seed=1):
     ctx = SimContext(seed=seed)
-    host = ctx.create_host(HostSpec())
+    host = ctx.create_host()
     return ctx, host
 
 
@@ -30,8 +29,8 @@ class TestHost:
         ctx, host = build_host()
         vm1 = host.create_vm("vm1", memory_mb=512)
         vm2 = host.create_vm("vm2", memory_mb=512)
-        f1 = vm1.os.fs.create_file(1, 10)
-        f2 = vm2.os.fs.create_file(1, 10)
+        f1 = vm1.os.fs.create_file(10)
+        f2 = vm2.os.fs.create_file(10)
         assert abs(f1.disk_start - f2.disk_start) >= (1 << 31)
 
     def test_destroy_vm_unregisters_cache(self):
@@ -50,11 +49,6 @@ class TestHost:
         host.set_vm_cache_weight(vm, 40)
         assert cache.vms[vm.vm_id].weight == 40
 
-    def test_block_bytes_from_spec(self):
-        ctx = SimContext()
-        host = ctx.create_host(HostSpec(block_kb=128))
-        assert host.block_bytes == 128 * 1024
-
 
 class TestVM:
     def test_duplicate_container_rejected(self):
@@ -66,7 +60,7 @@ class TestVM:
 
     def test_kernel_reserve_reduces_usable_memory(self):
         ctx, host = build_host()
-        vm = host.create_vm("vm1", memory_mb=512, kernel_reserve_mb=64)
+        vm = host.create_vm("vm1", memory_mb=512)  # 64 MB kernel reserve
         expected_blocks = int(448 * 1024 * 1024) // host.block_bytes
         assert vm.os.memory_blocks == expected_blocks
 

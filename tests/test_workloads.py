@@ -4,7 +4,6 @@ import pytest
 
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig
-from repro.hypervisor import HostSpec
 from repro.workloads import (
     MongoWorkload,
     MySQLWorkload,
@@ -13,16 +12,16 @@ from repro.workloads import (
     VideoserverWorkload,
     WebproxyWorkload,
     WebserverWorkload,
+    YCSBWorkload,
 )
-from repro.workloads.base import Workload
 from repro.workloads.filebench import Fileset
 
 
 def build(limit_mb=256, cache_mb=128, vm_mb=2048):
     ctx = SimContext(seed=11)
-    host = ctx.create_host(HostSpec())
+    host = ctx.create_host()
     host.install_doubledecker(DDConfig(mem_capacity_mb=cache_mb))
-    vm = host.create_vm("vm1", memory_mb=vm_mb, vcpus=4)
+    vm = host.create_vm("vm1", memory_mb=vm_mb)
     container = vm.create_container("c", limit_mb, CachePolicy.memory(100))
     return ctx, container
 
@@ -107,8 +106,12 @@ class TestFilebenchProfiles:
         workload = WebproxyWorkload(nfiles=100, threads=1)
         workload.start(container, ctx.streams)
         ctx.run(until=20)
-        assert container.vm.os.fs.deleted > 0
+        fs = container.vm.os.fs
+        # Every op replaces one object: the live count stays put while
+        # inode numbers move past it.
         assert workload.counters.ops > 0
+        assert len(fs) == 100 + 1  # objects + the log
+        assert max(fs.files) >= len(fs) + workload.counters.ops
 
     def test_varmail_fsyncs(self):
         ctx, container = build()
@@ -138,10 +141,13 @@ class TestFilebenchProfiles:
             stream_pace_ms=0.1,
         )
         workload.start(container, ctx.streams)
-        ctx.run(until=30)
         fs = container.vm.os.fs
-        assert fs.created > 2  # ingest files appeared
-        assert fs.deleted > 0  # and were retired
+        ctx.run(until=5.0001)  # just after the writer's first wake-up
+        ingest = [f for f in fs.files.values() if "ingest" in f.name]
+        assert len(ingest) == 1  # an ingest file appeared
+        ctx.run(until=30)
+        assert ingest[0].inode not in fs.files  # and was retired
+        assert len(fs) <= 3  # the passive set does not accumulate
 
 
 class TestYCSBApps:
@@ -156,7 +162,7 @@ class TestYCSBApps:
 
     def test_redis_read_fraction_validated(self):
         with pytest.raises(ValueError):
-            RedisWorkload(nrecords=10, read_fraction=1.5)
+            YCSBWorkload("x", 10, 1, read_fraction=1.5, cpu_us_per_op=0.0)
 
     def test_mongo_file_backed(self):
         ctx, container = build()
@@ -189,35 +195,17 @@ class TestYCSBApps:
 
     def test_zipf_read_update_mix(self):
         ctx, container = build()
-        workload = RedisWorkload(nrecords=64_000, read_fraction=0.5, threads=1)
+        workload = MySQLWorkload(nrecords=64_000, buffer_pool_mb=16, threads=1)
         workload.start(container, ctx.streams)
         ctx.run(until=10)
-        total = workload.reads + workload.updates
-        # An op may be mid-flight at the run cutoff (counted in the mix
-        # but not yet in ops).
-        assert abs(total - workload.counters.ops) <= workload.threads
-        assert 0.3 < workload.reads / total < 0.7
+        # Reads return (record, 0) and updates (0, record) bytes.
+        reads = workload.counters.bytes_read // 1024
+        updates = workload.counters.bytes_written // 1024
+        assert reads + updates == workload.counters.ops
+        assert 0.3 < reads / workload.counters.ops < 0.7  # MySQL's 50:50
 
 
 class TestRateLimiting:
-    def test_target_rate_respected(self):
-        ctx, container = build()
-        workload = WebserverWorkload(nfiles=100, threads=2, reads_per_op=1)
-        workload.target_ops_per_s = 50.0
-        workload.start(container, ctx.streams)
-        ctx.run(until=20)
-        snap0 = workload.snapshot()
-        ctx.run(until=60)
-        rate = workload.snapshot().rates_since(snap0)["ops_per_s"]
-        assert rate <= 55.0           # never above target (+slack)
-        assert rate >= 35.0           # and the system can sustain it
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            Workload.__init__(
-                WebserverWorkload(nfiles=10), "x", 1, target_ops_per_s=-1
-            )
-
     def test_zero_target_is_closed_loop(self):
         ctx, container = build()
         workload = WebserverWorkload(nfiles=50, threads=1, reads_per_op=1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro import SimContext
 from repro.core import CachePolicy, DDConfig
 from repro.simkernel import Timeline
-from repro.workloads import RedisWorkload
+from repro.workloads import RedisWorkload, YCSBWorkload
 from repro.workloads.ycsb.core import _fnv_scatter
 
 
@@ -65,7 +65,7 @@ def _redis(nrecords=10_000):
 class TestCpuCost:
     def test_negative_cpu_cost_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            RedisWorkload(nrecords=10, cpu_us_per_op=-1.0)
+            YCSBWorkload("x", 10, 1, read_fraction=0.5, cpu_us_per_op=-1.0)
 
     def test_resident_redis_op_is_one_event(self):
         """An all-resident op serves its touch and its CPU cost in one
@@ -95,7 +95,7 @@ class TestCpuCost:
         ctx = SimContext(seed=23)
         host = ctx.create_host()
         host.install_doubledecker(DDConfig(mem_capacity_mb=128))
-        vm = host.create_vm("vm1", memory_mb=1024, vcpus=4)
+        vm = host.create_vm("vm1", memory_mb=1024)
         container = vm.create_container("redis", 256, CachePolicy.none())
         touches = []
         touch_anon = vm.os.touch_anon
