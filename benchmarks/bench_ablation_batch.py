@@ -8,6 +8,7 @@ sweep the batch size and report (a) eviction rounds (overhead proxy) and
 """
 
 from repro.core import CachePolicy, DDConfig, DoubleDeckerCache, StoreKind
+from repro.obs import Tracer, set_tracer
 from repro.simkernel import Environment
 
 BLK = 64 * 1024
@@ -16,6 +17,10 @@ BATCHES_MB = (0.5, 2.0, 8.0)
 
 
 def drive(batch_mb: float):
+    # The rounds are counted from the tracer's ``evict.round`` instants,
+    # one per round that evicted anything.
+    tracer = Tracer()
+    set_tracer(tracer)
     env = Environment()
     cache = DoubleDeckerCache(
         env,
@@ -37,8 +42,13 @@ def drive(batch_mb: float):
             gap = pool.entitlement[StoreKind.MEMORY] - pool.used[StoreKind.MEMORY]
             undershoot["worst"] = max(undershoot["worst"], gap)
 
-    env.run(until=env.process(driver()))
-    rounds = cache.store_counters[StoreKind.MEMORY].eviction_rounds
+    try:
+        env.run(until=env.process(driver()))
+    finally:
+        set_tracer(None)
+    rounds = sum(1 for event in tracer.events
+                 if event["name"] == "evict.round"
+                 and event["args"]["store"] == StoreKind.MEMORY.value)
     return rounds, undershoot["worst"]
 
 

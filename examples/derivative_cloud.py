@@ -60,8 +60,10 @@ def main() -> None:
     print(f"\n{'container':12s} {'store':6s} {'used MB':>8s} "
           f"{'entitled MB':>12s} {'hit %':>6s}")
     blk = host.block_bytes
+    evictions = 0
     for _, container in workloads:
         stats = container.cache_stats()
+        evictions += stats.evictions
         policy = container.cgroup.policy
         kind = "SSD" if policy.ssd_weight > 0 else "mem"
         used = (stats.mem_used_blocks + stats.ssd_used_blocks) * blk >> 20
@@ -71,11 +73,10 @@ def main() -> None:
         print(f"{container.name:12s} {kind:6s} {used:8d} {entitled:12d} "
               f"{100 * stats.hit_ratio:6.1f}")
 
-    print("\nstore totals:")
-    for kind, stats in cache.store_stats().items():
-        print(f"  {kind}: {stats.used_blocks * blk >> 20} MB used of "
-              f"{stats.capacity_blocks * blk >> 20} MB "
-              f"({stats.evictions} evictions)")
+    print(f"\nstore totals ({evictions} evictions):")
+    for kind, capacity in cache.capacities.items():
+        print(f"  {kind}: {cache.used[kind] * blk >> 20} MB used of "
+              f"{capacity * blk >> 20} MB")
 
     # The invariant Figure 5 illustrates: per-VM shares follow 33/67 on
     # both stores, regardless of how containers subdivide them.

@@ -1,6 +1,6 @@
 """Guest-side second-chance cache interface (Linux cleancache analogue)."""
 
 from .client import CleancacheClient
-from .hypercall import HypercallChannel, HypercallCosts
+from .hypercall import HypercallChannel
 
-__all__ = ["CleancacheClient", "HypercallChannel", "HypercallCosts"]
+__all__ = ["CleancacheClient", "HypercallChannel"]

@@ -35,44 +35,33 @@ class CleancacheClient:
         hvcache: HypervisorCacheBase,
         vm_id: int,
         block_bytes: int,
-        enabled: bool = True,
     ) -> None:
         self.env = env
         self.hvcache = hvcache
         self.vm_id = vm_id
         self.block_bytes = block_bytes
         self.channel = HypercallChannel(env)
-        #: Kill switch: a guest kernel booted without cleancache support.
-        self.enabled = enabled
 
     # -- control path (cgroup events) ------------------------------------------
 
-    def create_pool(self, name: str, policy: CachePolicy) -> Optional[int]:
-        """CREATE_CGROUP → new pool id (None when cleancache is off)."""
-        if not self.enabled:
-            return None
+    def create_pool(self, name: str, policy: CachePolicy) -> int:
+        """CREATE_CGROUP → new pool id."""
         return self.hvcache.create_pool(self.vm_id, name, policy)
 
     def destroy_pool(self, pool_id: int) -> None:
         """DESTROY_CGROUP."""
-        if self.enabled:
-            self.hvcache.destroy_pool(self.vm_id, pool_id)
+        self.hvcache.destroy_pool(self.vm_id, pool_id)
 
     def set_policy(self, pool_id: int, policy: CachePolicy) -> None:
         """SET_CG_WEIGHT."""
-        if self.enabled:
-            self.hvcache.set_policy(self.vm_id, pool_id, policy)
+        self.hvcache.set_policy(self.vm_id, pool_id, policy)
 
-    def get_stats(self, pool_id: int) -> Optional[PoolStats]:
+    def get_stats(self, pool_id: int) -> PoolStats:
         """GET_STATS."""
-        if not self.enabled:
-            return None
         return self.hvcache.pool_stats(self.vm_id, pool_id)
 
     def migrate(self, from_pool: int, to_pool: int, inode: int) -> int:
         """MIGRATE_OBJECT for one shared file."""
-        if not self.enabled:
-            return 0
         return self.hvcache.migrate_objects(self.vm_id, from_pool, to_pool, inode)
 
     # -- data path ---------------------------------------------------------------
@@ -84,7 +73,7 @@ class CleancacheClient:
 
     def get_many(self, pool_id: Optional[int], keys: Sequence[BlockKey]):
         """Exclusive lookup; generator returning the found key set."""
-        if not self.enabled or pool_id is None or not keys:
+        if pool_id is None or not keys:
             return set()
         tracer = _obs.ACTIVE
         if tracer is not None:
@@ -100,7 +89,7 @@ class CleancacheClient:
 
     def put_many(self, pool_id: Optional[int], keys: Sequence[BlockKey]):
         """Best-effort store of clean evicted blocks; returns #stored."""
-        if not self.enabled or pool_id is None or not keys:
+        if pool_id is None or not keys:
             return 0
         tracer = _obs.ACTIVE
         if tracer is not None:
@@ -116,7 +105,7 @@ class CleancacheClient:
 
     def flush_many(self, pool_id: Optional[int], keys: Sequence[BlockKey]):
         """Invalidate specific blocks; returns #dropped."""
-        if not self.enabled or pool_id is None or not keys:
+        if pool_id is None or not keys:
             return 0
         tracer = _obs.ACTIVE
         if tracer is not None:
@@ -136,7 +125,7 @@ class CleancacheClient:
         ``nblocks`` (the file's size as the guest knows it) feeds the
         requested-flush accounting; see ``HypervisorCacheBase.flush_inode``.
         """
-        if not self.enabled or pool_id is None:
+        if pool_id is None:
             return 0
         tracer = _obs.ACTIVE
         if tracer is not None:

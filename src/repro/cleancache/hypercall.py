@@ -8,35 +8,15 @@ cache "hits" are cheap but never free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..obs import tracer as _obs
 from ..simkernel import Environment
 
-__all__ = ["HypercallChannel", "HypercallCosts"]
+__all__ = ["HypercallChannel", "CALL_US", "COPY_US_PER_KB"]
 
-
-@dataclass(frozen=True)
-class HypercallCosts:
-    """Per-call overheads of the VMCALL path.
-
-    ``call_us`` covers the VM exit/entry and argument marshalling;
-    ``copy_us_per_kb`` the host-side data copy for get/put payloads.
-    """
-
-    call_us: float = 2.0
-    copy_us_per_kb: float = 0.05
-
-    def control_cost(self, ncalls: int) -> float:
-        """Seconds for ``ncalls`` metadata-only hypercalls."""
-        return ncalls * self.call_us * 1e-6
-
-    def data_cost(self, ncalls: int, payload_bytes: int) -> float:
-        """Seconds for ``ncalls`` hypercalls moving ``payload_bytes`` total."""
-        return (
-            ncalls * self.call_us * 1e-6
-            + (payload_bytes / 1024.0) * self.copy_us_per_kb * 1e-6
-        )
+#: Microseconds per hypercall: the VM exit/entry and argument marshalling.
+CALL_US = 2.0
+#: Microseconds per KB of get/put payload: the host-side data copy.
+COPY_US_PER_KB = 0.05
 
 
 class HypercallChannel:
@@ -44,13 +24,10 @@ class HypercallChannel:
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self.costs = HypercallCosts()
-        self.calls = 0
 
     def charge_control(self, ncalls: int):
-        """Generator: pay for metadata-only hypercalls."""
-        self.calls += ncalls
-        cost = self.costs.control_cost(ncalls)
+        """Generator: pay for ``ncalls`` metadata-only hypercalls."""
+        cost = ncalls * CALL_US * 1e-6
         if cost > 0:
             tracer = _obs.ACTIVE
             if tracer is None:
@@ -62,9 +39,12 @@ class HypercallChannel:
             tracer.span_end("hypercall.control", t0, self.env.now, calls=ncalls)
 
     def charge_data(self, ncalls: int, payload_bytes: int):
-        """Generator: pay for data-moving hypercalls."""
-        self.calls += ncalls
-        cost = self.costs.data_cost(ncalls, payload_bytes)
+        """Generator: pay for ``ncalls`` hypercalls moving ``payload_bytes``
+        in total."""
+        cost = (
+            ncalls * CALL_US * 1e-6
+            + (payload_bytes / 1024.0) * COPY_US_PER_KB * 1e-6
+        )
         if cost > 0:
             tracer = _obs.ACTIVE
             if tracer is None:

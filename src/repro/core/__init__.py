@@ -53,7 +53,6 @@ _EXPORTS = {
     "PoolStats": ".stats",
     "StaticPartitionCache": ".baselines",
     "StoreKind": ".config",
-    "StoreStats": ".stats",
     "VMEntry": ".pools",
     "exceed_value": ".victim",
     "select_victim": ".victim",

@@ -473,80 +473,6 @@ def _check_doubledecker(cache) -> List[str]:
                 f"{device.stats.blocks_written} blocks x {device.block_bytes}"
             )
 
-    # -- store-counter ledger (per-kind monotone counters) --------------
-    # Every StoreStats counter reconciles against the per-pool ledger or
-    # an internal shape invariant, so drift in the per-store aggregates
-    # is caught exactly like drift in the pool counters (DD014).
-    store_counters = cache.store_counters
-    for kind in _KINDS:
-        counters = store_counters[kind]
-        # A round is counted only when it evicted at least one block.
-        if counters.evictions < counters.eviction_rounds:
-            violations.append(
-                f"{counters.kind} store: {counters.eviction_rounds} "
-                f"eviction rounds but only {counters.evictions} evictions "
-                f"(every counted round evicts at least one block)"
-            )
-        if counters.evictions > 0 and counters.eviction_rounds == 0:
-            violations.append(
-                f"{counters.kind} store: {counters.evictions} evictions "
-                f"recorded outside any eviction round"
-            )
-        if (counters.rejected_admission + counters.rejected_backpressure
-                > counters.rejected_puts):
-            violations.append(
-                f"{counters.kind} store: rejection sub-buckets exceed "
-                f"rejected_puts ({counters.rejected_admission} admission + "
-                f"{counters.rejected_backpressure} backpressure > "
-                f"{counters.rejected_puts})"
-            )
-    store_evictions = sum(store_counters[kind].evictions for kind in _KINDS)
-    pool_evictions = sum(
-        pool.stats.evictions for pool in cache._pools.values()
-    ) + cache._evictions_destroyed
-    if store_evictions != pool_evictions:
-        violations.append(
-            f"per-store evictions do not reconcile with the pools: "
-            f"stores counted {store_evictions} but pools recorded "
-            f"{pool_evictions}"
-        )
-    store_rejected = sum(store_counters[kind].rejected_puts for kind in _KINDS)
-    pool_rejected = sum(
-        pool.stats.put_rejected_policy
-        + pool.stats.put_rejected_capacity
-        + pool.stats.put_rejected_admission
-        + pool.stats.put_rejected_backpressure
-        for pool in cache._pools.values()
-    ) + cache._put_rejected_destroyed
-    if store_rejected != pool_rejected:
-        violations.append(
-            f"per-store rejected_puts do not reconcile with the pool "
-            f"put-outcome ledger: stores counted {store_rejected} but "
-            f"pools recorded {pool_rejected}"
-        )
-    store_rejected_admission = sum(
-        store_counters[kind].rejected_admission for kind in _KINDS)
-    pool_rejected_admission = sum(
-        pool.stats.put_rejected_admission for pool in cache._pools.values()
-    ) + cache._put_rejected_admission_destroyed
-    if store_rejected_admission != pool_rejected_admission:
-        violations.append(
-            f"per-store rejected_admission does not reconcile: stores "
-            f"counted {store_rejected_admission} but pools recorded "
-            f"{pool_rejected_admission}"
-        )
-    store_rejected_backpressure = sum(
-        store_counters[kind].rejected_backpressure for kind in _KINDS)
-    pool_rejected_backpressure = sum(
-        pool.stats.put_rejected_backpressure for pool in cache._pools.values()
-    ) + cache._put_rejected_backpressure_destroyed
-    if store_rejected_backpressure != pool_rejected_backpressure:
-        violations.append(
-            f"per-store rejected_backpressure does not reconcile: stores "
-            f"counted {store_rejected_backpressure} but pools recorded "
-            f"{pool_rejected_backpressure}"
-        )
-
     # -- entitlement freshness (shadow recompute, then restore) ---------
     pool_snapshot = {
         (pool.pool_id, kind): pool.entitlement[kind]
@@ -573,14 +499,6 @@ def _check_doubledecker(cache) -> List[str]:
         for pool in cache._pools.values():
             for kind in _KINDS:
                 pool.entitlement[kind] = pool_snapshot[(pool.pool_id, kind)]
-
-    # -- decision-provenance ledger (observability cross-check) ---------
-    # Two independent records of the same ops: the tracer's per-pool
-    # provenance ledger must equal the shadow-accounted pool counters.
-    from ..obs import tracer as _obs
-    tracer = _obs.ACTIVE
-    if tracer is not None:
-        violations.extend(_obs.ledger_violations(tracer, cache))
 
     return violations
 

@@ -24,7 +24,7 @@ from .config import CachePolicy, StoreKind
 from .engine import PolicyEngine
 from .interface import HypervisorCacheBase
 from .pools import BlockKey, Pool, VMEntry
-from .stats import PoolStats, StoreStats
+from .stats import PoolStats
 from .stores import MemBackend
 
 __all__ = ["GlobalCache", "StaticPartitionCache"]
@@ -54,7 +54,6 @@ class _PoolTableCache(HypervisorCacheBase):
         self.vms: Dict[int, VMEntry] = self.engine.vms
         self._pools: Dict[int, Pool] = self.engine.pools
         self.used: Dict[StoreKind, int] = self.engine.used
-        self.counters = StoreStats(kind="memory")
         audit_interval = global_audit_interval()
         if audit_interval > 0:
             start_periodic_audit(env, self, audit_interval)
@@ -93,11 +92,6 @@ class _PoolTableCache(HypervisorCacheBase):
         return self.engine.require_pool(vm_id, pool_id).snapshot_stats()
 
     # -- introspection ---------------------------------------------------------
-
-    def store_stats(self) -> Dict[StoreKind, StoreStats]:
-        self.counters.capacity_blocks = self.capacity_blocks
-        self.counters.used_blocks = self.used[StoreKind.MEMORY]
-        return {StoreKind.MEMORY: self.counters}
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
         return self.engine.require_vm(vm_id).used(StoreKind.MEMORY)
@@ -218,7 +212,6 @@ class GlobalCache(_PoolTableCache):
         lookup = pool.lookup
         insert = pool.insert
         fifo = self._fifo
-        counters = self.counters
         stored = 0
         # One pass when the batch is all new keys and fits both caps as
         # is; otherwise the per-block loop evicts and skips.
@@ -233,7 +226,7 @@ class GlobalCache(_PoolTableCache):
             stored = len(keys)
         for key in () if fits else keys:
             if capacity <= 0:
-                counters.rejected_puts += 1
+                stats.put_rejected_capacity += 1
                 continue
             while used[MEMORY] + 1 > capacity:
                 evicted = evict_one()
@@ -242,13 +235,13 @@ class GlobalCache(_PoolTableCache):
                 if evicted == vm_id:
                     vm_used -= 1
             if used[MEMORY] + 1 > capacity:
-                counters.rejected_puts += 1
+                stats.put_rejected_capacity += 1
                 continue
             if per_vm_cap is not None and vm_used + 1 > per_vm_cap:
                 # Per-VM limit: evict this VM's own oldest block.
                 evicted = evict_one(vm_filter=vm_id)
                 if evicted is None:
-                    counters.rejected_puts += 1
+                    stats.put_rejected_capacity += 1
                     continue
                 if evicted == vm_id:
                     vm_used -= 1
@@ -291,7 +284,6 @@ class GlobalCache(_PoolTableCache):
         if pool.remove_key((inode, block)) is None:
             return 0
         pool.stats.evictions += 1
-        self.counters.evictions += 1
         return pool.vm_id
 
     def _on_drop(self, pool_id: int, inode: int, block: int) -> None:
@@ -341,7 +333,6 @@ class StaticPartitionCache(_PoolTableCache):
         cap = self._caps_blocks.get(pool_id, 0)
         stats = pool.stats
         stats.puts += len(keys)
-        counters = self.counters
         lookup = pool.lookup
         insert = pool.insert
         pop_oldest = pool.pop_oldest
@@ -355,16 +346,15 @@ class StaticPartitionCache(_PoolTableCache):
             stored = len(keys)
         for key in () if fits else keys:
             if cap <= 0:
-                counters.rejected_puts += 1
+                stats.put_rejected_capacity += 1
                 continue
             while pool_used[MEMORY] + 1 > cap:
                 victim = pop_oldest(MEMORY)
                 if victim is None:
                     break
                 stats.evictions += 1
-                counters.evictions += 1
             if pool_used[MEMORY] + 1 > cap:
-                counters.rejected_puts += 1
+                stats.put_rejected_capacity += 1
                 continue
             inode, block = key
             if lookup(inode, block) is None:

@@ -30,7 +30,7 @@ from .engine import EvictionRound, PolicyEngine
 from .interface import HypervisorCacheBase
 from .optimizations import DedupIndex, MemoryUnits
 from .pools import BlockKey, Pool, VMEntry
-from .stats import PoolStats, StoreStats
+from .stats import PoolStats
 from .stores import MemBackend, SSDBackend
 from .victim import exceed_value
 
@@ -96,27 +96,14 @@ class DoubleDeckerCache(HypervisorCacheBase):
         self._room = {(kind, need): self._room_callbacks(kind, need)
                       for kind in StoreKind for need in (0, 1)}
 
-        self.store_counters: Dict[StoreKind, StoreStats] = {
-            StoreKind.MEMORY: StoreStats(kind="memory"),
-            StoreKind.SSD: StoreStats(kind="ssd"),
-        }
-
         #: ``ssd_writes`` of pools that no longer exist, so the auditor's
         #: pool-vs-backend write reconciliation survives destroy_pool.
         self._ssd_writes_destroyed = 0
-        #: Same idea for the pool-vs-store-counter reconciliations: the
-        #: destroyed pools' evictions and put-rejection buckets, so the
-        #: monotone ``store_counters`` ledger stays exactly accounted
-        #: across pool lifetimes (DD014 auditor coverage).
-        self._evictions_destroyed = 0
-        self._put_rejected_destroyed = 0
-        self._put_rejected_admission_destroyed = 0
-        self._put_rejected_backpressure_destroyed = 0
 
         # Decision-provenance label: unique per cache instance so traces
         # from experiments that build several caches (whose pool ids all
-        # restart at 1) never mix.  None when built untraced — the
-        # auditor's ledger cross-check skips such caches.
+        # restart at 1) never mix.  None when built untraced: such a
+        # cache records no provenance.
         tracer = _obs.ACTIVE
         self._obs_label: Optional[str] = (
             tracer.register_cache(name) if tracer is not None else None
@@ -176,7 +163,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         pool_id = pool.pool_id
         tracer = _obs.ACTIVE
         if tracer is not None and self._obs_label is not None:
-            tracer.note_pool(self._obs_label, pool_id, name)
+            tracer.note_pool(self._obs_label, pool)
             tracer.instant("pool.create", self.env.now, vm=vm_id, pool=pool_id,
                            cache=self._obs_label, pool_name=name,
                            mem_weight=policy.mem_weight,
@@ -186,19 +173,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
     def destroy_pool(self, vm_id: int, pool_id: int) -> None:
         pool = self.engine.require_pool(vm_id, pool_id)
         pool.drain()
-        # Keep the write and rejection reconciliations exact across pool
-        # lifetimes.
+        # Keep the write reconciliation exact across pool lifetimes.
         self._ssd_writes_destroyed += pool.stats.ssd_writes
-        self._evictions_destroyed += pool.stats.evictions
-        self._put_rejected_destroyed += (
-            pool.stats.put_rejected_policy
-            + pool.stats.put_rejected_capacity
-            + pool.stats.put_rejected_admission
-            + pool.stats.put_rejected_backpressure
-        )
-        self._put_rejected_admission_destroyed += pool.stats.put_rejected_admission
-        self._put_rejected_backpressure_destroyed += (
-            pool.stats.put_rejected_backpressure)
         self.engine.destroy_pool(vm_id, pool_id)
         tracer = _obs.ACTIVE
         if tracer is not None and self._obs_label is not None:
@@ -249,12 +225,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         found: Set[BlockKey] = set(mem_keys)
         found.update(ssd_keys)
         stats.get_hits += len(found)
-        # Ledger before the trailing yields (mirrors the stats updates, so
-        # the auditor reconciles even if the generator never resumes);
-        # the span closes after them so its duration is the real latency.
-        if tracer is not None and self._obs_label is not None:
-            tracer.ledger_update(self._obs_label, pool_id,
-                                 gets=len(keys), get_hits=len(found))
+        # The span closes after the trailing yields, so its duration is
+        # the real latency.
         if mem_hits:
             cost = self.mem_backend.read_cost(mem_hits)
             if self.compression is not None:
@@ -289,12 +261,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
         policy = pool.policy
         if not policy.uses_cache:
             stats.put_rejected_policy += len(keys)
-            self.store_counters[StoreKind.MEMORY].rejected_puts += len(keys)
             if tracer is not None:
                 if self._obs_label is not None:
-                    tracer.ledger_update(self._obs_label, pool_id,
-                                         puts=len(keys),
-                                         put_rejected_policy=len(keys))
                     tracer.instant("put.outcome", self.env.now, vm=vm_id,
                                    pool=pool_id, cache=self._obs_label,
                                    puts=len(keys), stored=0,
@@ -325,7 +293,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         remove = pool.remove_key
         insert = pool.insert
         make_room = self._make_room
-        counters = self.store_counters
         ssd_backend = self.ssd_backend
         # Admission is consulted only for SSD-destined keys; with no
         # controller configured the hook costs one hoisted None-check per
@@ -365,19 +332,14 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 kind = MEMORY if pool_used[MEMORY] < entitlement[MEMORY] else SSD
             if kind is SSD and admission is not None and not admission.admit(key, now):
                 stats.put_rejected_admission += 1
-                counters[SSD].rejected_puts += 1
-                counters[SSD].rejected_admission += 1
                 continue
             if not make_room(kind, 1):
                 stats.put_rejected_capacity += 1
-                counters[kind].rejected_puts += 1
                 continue
             if kind is SSD:
                 assert ssd_backend is not None
                 if not ssd_backend.enqueue_write(1):
                     stats.put_rejected_backpressure += 1
-                    counters[kind].rejected_puts += 1
-                    counters[kind].rejected_backpressure += 1
                     continue
                 stats.ssd_writes += 1
             insert(inode, block, kind)
@@ -395,15 +357,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 # Put-path SSD writes are ``stored - mem_stores`` (not a
                 # counter delta: trickle-down during this batch's own
                 # evictions may bump the same pool's ``ssd_writes`` and
-                # ledgers those itself).
-                tracer.ledger_update(
-                    self._obs_label, pool_id,
-                    puts=len(keys), puts_stored=stored,
-                    put_rejected_capacity=rejected_capacity,
-                    put_rejected_admission=rejected_admission,
-                    put_rejected_backpressure=rejected_backpressure,
-                    ssd_writes=stored - mem_stores,
-                )
+                # reports those in its own instant).
                 tracer.instant("put.outcome", self.env.now, vm=vm_id,
                                pool=pool_id, cache=self._obs_label,
                                puts=len(keys), stored=stored,
@@ -431,10 +385,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         # miss rate of flushes stays observable without skewing drop stats.
         pool.stats.flush_requests += len(keys)
         pool.stats.flushes += dropped
-        tracer = _obs.ACTIVE
-        if tracer is not None and self._obs_label is not None:
-            tracer.ledger_update(self._obs_label, pool_id,
-                                 flush_requests=len(keys), flushes=dropped)
         return dropped
 
     def flush_inode(self, vm_id: int, pool_id: int, inode: int,
@@ -449,10 +399,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         requested = dropped if nblocks is None else nblocks
         pool.stats.flush_requests += requested
         pool.stats.flushes += dropped
-        tracer = _obs.ACTIVE
-        if tracer is not None and self._obs_label is not None:
-            tracer.ledger_update(self._obs_label, pool_id,
-                                 flush_requests=requested, flushes=dropped)
         return dropped
 
     def migrate_objects(self, vm_id: int, from_pool: int, to_pool: int, inode: int) -> int:
@@ -468,7 +414,7 @@ class DoubleDeckerCache(HypervisorCacheBase):
         rejected — they stay in the source pool — so migration cannot
         manufacture the stranded-block class ``_evict_round`` guards
         against.  Rejections are counted into the source pool's
-        ``migrated_rejected`` (and the obs ledger / ``migrate`` instant),
+        ``migrated_rejected`` (and the ``migrate`` instant),
         so a partial migration is distinguishable from a full one.
         """
         source = self.engine.require_pool(vm_id, from_pool)
@@ -497,12 +443,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
             source.stats.migrated_rejected += rejected
         tracer = _obs.ACTIVE
         if tracer is not None and self._obs_label is not None:
-            if moved or rejected:
-                tracer.ledger_update(self._obs_label, from_pool,
-                                     migrated_out=moved,
-                                     migrated_rejected=rejected)
-                tracer.ledger_update(self._obs_label, to_pool,
-                                     migrated_in=moved)
             tracer.instant("migrate", self.env.now, vm=vm_id, pool=from_pool,
                            cache=self._obs_label, from_pool=from_pool,
                            to_pool=to_pool, inode=inode, moved=moved,
@@ -512,12 +452,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def store_stats(self) -> Dict[StoreKind, StoreStats]:
-        for kind, counters in self.store_counters.items():
-            counters.capacity_blocks = self.capacities[kind]
-            counters.used_blocks = self.used[kind]
-        return self.store_counters
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
         vm = self.engine.require_vm(vm_id)
@@ -631,13 +565,8 @@ class DoubleDeckerCache(HypervisorCacheBase):
                 trickle.append(key)
         if evicted:
             pool.stats.evictions += evicted
-            counters = self.store_counters[kind]
-            counters.evictions += evicted
-            counters.eviction_rounds += 1
             tracer = _obs.ACTIVE
             if tracer is not None and self._obs_label is not None:
-                tracer.ledger_update(self._obs_label, pool.pool_id,
-                                     evictions=evicted)
                 # Each candidate's Algorithm-1 exceed value, from the rows
                 # and (slack, weight) state the selection itself scored, so
                 # the trace shows *why* this entity lost.
@@ -694,9 +623,6 @@ class DoubleDeckerCache(HypervisorCacheBase):
         if tracer is not None and self._obs_label is not None:
             written = pool.stats.ssd_writes - writes0
             rejected = pool.stats.trickle_rejected_admission - rejected0
-            tracer.ledger_update(self._obs_label, pool.pool_id,
-                                 ssd_writes=written,
-                                 trickle_rejected_admission=rejected)
             tracer.instant("trickle.down", self.env.now, vm=pool.vm_id,
                            pool=pool.pool_id, cache=self._obs_label,
                            candidates=len(keys), written=written,

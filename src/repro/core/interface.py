@@ -14,11 +14,11 @@ is charged by the guest-side channel.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import CachePolicy, StoreKind
 from .pools import BlockKey
-from .stats import PoolStats, StoreStats
+from .stats import PoolStats
 
 __all__ = ["HypervisorCacheBase", "NullCache"]
 
@@ -103,10 +103,6 @@ class HypervisorCacheBase(abc.ABC):
     # -- introspection -----------------------------------------------------------
 
     @abc.abstractmethod
-    def store_stats(self) -> Dict[StoreKind, StoreStats]:
-        """Capacity/usage/eviction counters per store backend."""
-
-    @abc.abstractmethod
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
         """Blocks a VM currently holds (for the hypervisor's own policies)."""
 
@@ -164,12 +160,6 @@ class NullCache(HypervisorCacheBase):
 
     def migrate_objects(self, vm_id: int, from_pool: int, to_pool: int, inode: int) -> int:
         return 0
-
-    def store_stats(self) -> Dict[StoreKind, StoreStats]:
-        return {
-            StoreKind.MEMORY: StoreStats(kind="memory"),
-            StoreKind.SSD: StoreStats(kind="ssd"),
-        }
 
     def vm_used_blocks(self, vm_id: int, kind: Optional[StoreKind] = None) -> int:
         return 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PoolStats", "StoreStats"]
+__all__ = ["PoolStats"]
 
 
 @dataclass
@@ -55,22 +55,3 @@ class PoolStats:
         """Fraction of lookups served by the cache."""
         return self.get_hits / self.gets if self.gets else 0.0
 
-
-@dataclass
-class StoreStats:
-    """Whole-store statistics (one per backend kind)."""
-
-    kind: str
-    capacity_blocks: int = 0
-    used_blocks: int = 0
-    evictions: int = 0
-    eviction_rounds: int = 0
-    rejected_puts: int = 0
-    #: Subset of ``rejected_puts`` refused by the admission controller.
-    rejected_admission: int = 0
-    #: Subset of ``rejected_puts`` refused by a full SSD write buffer.
-    rejected_backpressure: int = 0
-
-    @property
-    def occupancy(self) -> float:
-        return self.used_blocks / self.capacity_blocks if self.capacity_blocks else 0.0

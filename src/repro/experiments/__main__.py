@@ -43,32 +43,14 @@ one pstats file, and one JSONL per experiment.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
+from .._cli import bounded
 from . import ALL_EXPERIMENTS
 from .runner import Experiment, ExperimentResult, iter_cells
-
-
-def _bounded(kind, minimum: float, strict: bool = False):
-    """An argparse ``type=``: a finite ``kind`` value ``>= minimum``
-    (``> minimum`` when ``strict``); anything else exits 2 at parse time,
-    before any experiment is built."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        too_small = value <= minimum if strict else value < minimum
-        if too_small or not math.isfinite(value):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>' if strict else '>='} {minimum}, "
-                f"got {text}")
-        return value
-    return parse
 
 
 def _results(experiments: List[Experiment], args
@@ -127,7 +109,7 @@ def main(argv=None) -> int:
                         help="experiment name, comma-separated names, or 'all'")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--scale", type=_bounded(float, 0, strict=True),
+    parser.add_argument("--scale", type=bounded(float, 0, strict=True),
                         default=1.0,
                         help="dataset/cache scale factor (default 1.0)")
     parser.add_argument("--seed", type=int, default=42)
@@ -137,7 +119,7 @@ def main(argv=None) -> int:
                         help="directory to also write summaries into")
     parser.add_argument("--json", action="store_true",
                         help="with --out, also write machine-readable JSON")
-    parser.add_argument("--jobs", type=_bounded(int, 1), default=None,
+    parser.add_argument("--jobs", type=bounded(int, 1), default=None,
                         metavar="N",
                         help="run the simulations on N cores, each in a "
                              "forked worker (default and ceiling: the CPU "
@@ -146,7 +128,7 @@ def main(argv=None) -> int:
                              "cores with its last full round, at most "
                              "2N-1 at a time; 1 keeps everything in this "
                              "process; results are identical either way)")
-    parser.add_argument("--audit", type=_bounded(float, 0), nargs="?",
+    parser.add_argument("--audit", type=bounded(float, 0), nargs="?",
                         const=10.0,
                         default=0.0, metavar="SECONDS",
                         help="audit every cache's shadow accounting every "
@@ -159,11 +141,11 @@ def main(argv=None) -> int:
                              "experiment; writes PREFIX_<name>.jsonl "
                              "(PREFIX defaults to 'trace'); analyze, or "
                              "export for Perfetto, with python -m repro.obs")
-    parser.add_argument("--trace-ops", type=_bounded(int, 1), default=200_000,
+    parser.add_argument("--trace-ops", type=bounded(int, 1), default=200_000,
                         metavar="N",
                         help="flight-recorder capacity: keep the newest N "
                              "events (default 200000)")
-    parser.add_argument("--trace-sample", type=_bounded(int, 1), default=1,
+    parser.add_argument("--trace-sample", type=bounded(int, 1), default=1,
                         metavar="K",
                         help="record every Kth span per span type; "
                              "histograms and provenance still see every op "

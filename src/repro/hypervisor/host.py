@@ -134,11 +134,11 @@ class Host:
         Leaves zero host-side residue: the hypervisor-cache registration,
         the VM's virtual-disk region, and the per-VM RNG stream are all
         retired (``repro.core.audit.check_host`` asserts this).  The VM's
-        cleancache client is disabled so any guest process still in
-        flight degrades to no-ops instead of touching the cache under a
-        stale ``vm_id``.
+        cleancache client is pointed at a :class:`NullCache`, so any
+        guest process still in flight misses and drops instead of
+        touching the cache under a stale ``vm_id``.
         """
-        vm.cleancache.enabled = False
+        vm.cleancache.hvcache = NullCache()
         self.hvcache.unregister_vm(vm.vm_id)
         heapq.heappush(self._free_disk_bases, vm.disk_base_block)
         self.streams.drop(f"vm.{vm.name}.reclaim")

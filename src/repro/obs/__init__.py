@@ -13,7 +13,6 @@ from .tracer import (
     LEDGER_FIELDS,
     QUANTILE_LABELS,
     Tracer,
-    ledger_violations,
     set_tracer,
 )
 
@@ -31,7 +30,7 @@ _EXPORTS = {
 }
 
 __all__ = sorted([*_EXPORTS, "LEDGER_FIELDS", "QUANTILE_LABELS", "Tracer",
-                  "attach_latency_report", "ledger_violations", "set_tracer"])
+                  "attach_latency_report", "set_tracer"])
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 

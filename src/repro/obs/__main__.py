@@ -28,7 +28,8 @@ from .analyze import (
     summarize,
     top_victims,
 )
-from .export import event_problems, events_to_perfetto, validate_trace
+from .export import (event_problems, events_to_perfetto, meta_problems,
+                     replay_skips, validate_trace)
 
 
 def main(argv=None) -> int:
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
             out = Path(args.out) if args.out else Path(args.trace).with_suffix(
                 ".perfetto.json")
             meta, events = trace
-            problems = event_problems(events)
+            problems = meta_problems(meta) + event_problems(events)
             if problems:
                 raise MalformedTrace(problems)
             out.write_text(events_to_perfetto(meta, events) + "\n")
@@ -117,9 +118,11 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"  - {problem}")
             return 1
+        skips = replay_skips(meta)
+        replay = f"; replay skipped ({', '.join(skips)})" if skips else ""
         print(f"{args.trace}: OK ({len(events)} events, "
               f"{meta['open_spans']} open spans, "
-              f"{len(meta.get('ledger', {}))} cache ledgers)")
+              f"{len(meta.get('ledger', {}))} cache ledgers{replay})")
         return 0
     parser.error(f"unknown command {args.command!r}")
     return 2

@@ -15,7 +15,8 @@ experiment CLI's ``--trace`` flag (or :func:`repro.obs.export.to_jsonl`):
   :func:`repro.obs.export.validate_trace`).
 * ``smoke`` — build a small traced+audited scenario in-process, run it
   to quiescence, and fail on any unclosed span, schema violation, or
-  provenance/ledger mismatch.  The strict end-to-end gate.
+  provenance event that does not replay to the pools' counters.  The
+  strict end-to-end gate.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
     VMs, evictions, trickle-downs, migrations, flushes), SSD device —
     with finite deterministic op streams, so the simulation quiesces and
     every span must close.  Then: periodic audits must have stayed clean,
-    the tracer ledger must reconcile with pool stats, the JSONL
-    round-trip must be lossless, the Perfetto export must be valid JSON,
-    and :func:`validate_trace` must pass with no allowance for open
-    spans.  Returns a process exit code.
+    the JSONL round-trip must be lossless, the Perfetto export must be
+    valid JSON, the ring must have dropped nothing (so the provenance
+    replay runs), and :func:`validate_trace` must pass with no allowance
+    for open spans.  Returns a process exit code.
     """
     import json
     import random
@@ -234,7 +235,7 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
     from ..simkernel import Environment
     from ..storage import SSD
     from .export import events_to_perfetto, to_jsonl
-    from .tracer import Tracer, ledger_violations, set_tracer
+    from .tracer import Tracer, set_tracer
 
     failures: List[str] = []
     tracer = Tracer(max_events=200_000, sample=1)
@@ -314,7 +315,6 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
         env.run(until=500.0)
 
         assert_consistent(cache, where="smoke end")
-        failures.extend(ledger_violations(tracer, cache))
         if tracer.open_spans:
             failures.append(f"{tracer.open_spans} unclosed span(s)")
 
@@ -324,6 +324,9 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
             failures.append("JSONL round-trip lost events")
         elif list(tracer.events) != events:
             failures.append("JSONL round-trip altered events")
+        if tracer.dropped:
+            failures.append(f"ring dropped {tracer.dropped} events, so the "
+                            f"provenance replay did not run")
         failures.extend(validate_trace(meta, events, allow_open_spans=False))
 
         perfetto = json.loads(events_to_perfetto(meta, events))
@@ -335,7 +338,7 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
             if not hist.count:
                 failures.append(f"no {op} latencies recorded")
 
-        total = tracer.ledger.get(cache._obs_label, {})
+        total = meta["ledger"].get(cache._obs_label, {})
         evictions = sum(c["evictions"] for c in total.values())
         trickles = sum(c["ssd_writes"] for c in total.values())
         if not evictions:
@@ -360,5 +363,5 @@ def run_smoke(seed: int = 7, verbose: bool = True) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\nsmoke OK: spans closed, ledger reconciled, exports valid")
+    print("\nsmoke OK: spans closed, provenance replayed, exports valid")
     return 0

@@ -17,10 +17,10 @@ Two on-disk formats, both plain text:
 :func:`validate_trace` is the schema check CI runs on emitted traces:
 field/type validation of every record (hand-enforced, so no external
 jsonschema dependency), span-balance (no unclosed spans unless the run
-was truncated deliberately), ledger arithmetic (the PR-3 put-outcome
+was truncated deliberately), ledger arithmetic (the put-outcome
 identity ``puts == stored + rejected_*``), and — when the ring buffer
 never dropped and sampling was off — a replay check that the provenance
-*events* re-add to the cumulative ledger.
+*events* re-add to the ledger, the pools' own counters.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ _META_COUNTERS = (
     "max_events", "sample", "recorded", "dropped", "sampled_out",
     "spans_started", "spans_finished", "open_spans",
 )
+
+#: Meta tables keyed ``"cache_label/id"``.
+_NAME_TABLES = ("pool_names", "vm_names")
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +198,11 @@ def _check_event(event: Dict[str, Any], index: int) -> List[str]:
 
 def _replay_provenance(meta: Dict[str, Any],
                        events: Iterable[Dict[str, Any]]) -> List[str]:
-    """Re-add the provenance event stream and compare with the ledger.
+    """Re-add the provenance event stream and compare with the ledger,
+    the pools' own counters read when the trace was written.
 
     Only sound when the ring buffer never overflowed (``dropped == 0``) —
-    a wrapped ring legitimately lost early events, and the cumulative
-    ledger (kept outside the ring) is then the only exact record.
+    a wrapped ring legitimately lost early events.
     """
     problems: List[str] = []
     replayed: Dict[Tuple[str, str], Dict[str, int]] = {}
@@ -270,10 +273,30 @@ def _replay_provenance(meta: Dict[str, Any],
 
 
 def meta_problems(meta: Dict[str, Any]) -> List[str]:
-    """One line per recorder counter the meta record lacks or garbles."""
-    return [f"meta: bad {counter} {meta.get(counter)!r}"
-            for counter in _META_COUNTERS
-            if not isinstance(meta.get(counter), int) or meta[counter] < 0]
+    """One line per recorder counter the meta record lacks or garbles,
+    and per name-table key that is not ``"cache_label/id"``."""
+    problems = [f"meta: bad {counter} {meta.get(counter)!r}"
+                for counter in _META_COUNTERS
+                if not isinstance(meta.get(counter), int) or meta[counter] < 0]
+    for table in _NAME_TABLES:
+        names = meta.get(table, {})
+        if not isinstance(names, dict):
+            problems.append(f"meta: {table} is not an object")
+            continue
+        problems.extend(f"meta: bad {table} key {key!r}" for key in names
+                        if "/" not in key
+                        or not key.rsplit("/", 1)[1].isdecimal())
+    return problems
+
+
+def replay_skips(meta: Dict[str, Any]) -> List[str]:
+    """Why :func:`validate_trace` cannot replay the provenance events of
+    this trace (empty when it does): a wrapped ring lost early events,
+    and sampling thins the stream."""
+    skips = [f"ring dropped {meta['dropped']}"] if meta["dropped"] else []
+    if meta["sample"] != 1:
+        skips.append(f"sampled 1/{meta['sample']}")
+    return skips
 
 
 def event_problems(events: List[Dict[str, Any]]) -> List[str]:
@@ -340,6 +363,6 @@ def validate_trace(meta: Dict[str, Any], events: List[Dict[str, Any]],
                     f"than gets ({counters.get('gets', 0)})"
                 )
 
-    if meta["dropped"] == 0 and meta["sample"] == 1:
+    if not replay_skips(meta):
         problems.extend(_replay_provenance(meta, events))
     return problems

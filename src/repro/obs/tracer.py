@@ -20,10 +20,10 @@ path:
 
 Events live in a bounded ring buffer (the "flight recorder"): the newest
 ``max_events`` events survive, and the ``dropped`` counter says how many
-were pushed out.  The provenance *ledger* — cumulative per-pool outcome
-counters keyed by a unique per-cache label — is kept outside the ring, so
-reconciliation against the shadow-accounting auditor stays exact even
-when the buffer wraps.
+were pushed out.  The meta record's provenance *ledger* — each observed
+pool's own outcome counters (``PoolStats``), keyed by a unique per-cache
+label and read when the trace is written — lives outside the ring, so it
+stays exact even when the buffer wraps.
 
 Instrumentation contract: every call site guards with ``if tracer is not
 None`` on the module global ``ACTIVE``; with tracing disabled the entire
@@ -46,11 +46,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..metrics.timeseries import Histogram
 
 __all__ = ["Tracer", "LiveSpan", "ACTIVE", "set_tracer", "time_scale_us",
-           "latency_rows", "ledger_violations", "LEDGER_FIELDS",
+           "latency_rows", "LEDGER_FIELDS",
            "QUANTILE_LABELS"]
 
-#: Ledger fields mirror the pool's put-outcome/eviction counters exactly,
-#: so reconciliation is a field-by-field equality check.
+#: The ``PoolStats`` counters the meta record's ledger carries per pool.
 LEDGER_FIELDS = (
     "gets", "get_hits",
     "puts", "puts_stored",
@@ -138,7 +137,7 @@ class LiveSpan:
 
 
 class Tracer:
-    """Ring-buffered flight recorder plus provenance ledger."""
+    """Ring-buffered flight recorder."""
 
     def __init__(self, max_events: int = 200_000, sample: int = 1,
                  clock: Optional[Callable[[], int]] = None) -> None:
@@ -163,10 +162,9 @@ class Tracer:
         self._span_seq: Dict[str, int] = {}
         #: op -> vm -> pool latency histograms, flat by metric name.
         self._histograms: Dict[str, Histogram] = {}
-        #: cache label -> pool id -> cumulative outcome counters.
-        self.ledger: Dict[str, Dict[int, Dict[str, int]]] = {}
-        #: (cache label, pool id) -> pool name, from pool.create events.
-        self.pool_names: Dict[Tuple[str, int], str] = {}
+        #: (cache label, pool id) -> the observed ``Pool``, destroyed or
+        #: not: its name and counters go into the meta record.
+        self.pools: Dict[Tuple[str, int], Any] = {}
         #: (cache label, vm id) -> VM name, from vm.register events.
         self.vm_names: Dict[Tuple[str, int], str] = {}
         self._cache_counts: Dict[str, int] = {}
@@ -247,7 +245,7 @@ class Tracer:
         """:func:`latency_rows` of this tracer's histograms."""
         return latency_rows(self._histograms, self._unit(), per_pool)
 
-    # -- instant events + ledger ----------------------------------------
+    # -- instant events -------------------------------------------------
 
     def instant(self, name: str, ts: float, vm: Optional[int] = None,
                 pool: Optional[int] = None, **args) -> None:
@@ -257,19 +255,8 @@ class Tracer:
             "vm": vm, "pool": pool, "args": args,
         })
 
-    def ledger_update(self, cache: str, pool: int, **deltas: int) -> None:
-        """Accumulate outcome deltas for ``pool`` of cache ``cache``."""
-        pools = self.ledger.get(cache)
-        if pools is None:
-            pools = self.ledger[cache] = {}
-        counters = pools.get(pool)
-        if counters is None:
-            counters = pools[pool] = dict.fromkeys(LEDGER_FIELDS, 0)
-        for field, delta in deltas.items():
-            counters[field] += delta
-
-    def note_pool(self, cache: str, pool: int, name: str) -> None:
-        self.pool_names[(cache, pool)] = name
+    def note_pool(self, cache: str, pool) -> None:
+        self.pools[(cache, pool.pool_id)] = pool
 
     def note_vm(self, cache: str, vm: int, name: str) -> None:
         self.vm_names[(cache, vm)] = name
@@ -288,6 +275,15 @@ class Tracer:
         simulated traces stay byte-identical)."""
         return {} if self.clock is None else {"time_unit": "ns"}
 
+    def _ledger(self) -> Dict[str, Dict[str, Dict[str, int]]]:
+        """cache label -> pool id -> the pool's :data:`LEDGER_FIELDS`."""
+        ledger: Dict[str, Dict[str, Dict[str, int]]] = {}
+        for (cache, pool_id), pool in self.pools.items():
+            stats = pool.stats
+            ledger.setdefault(cache, {})[str(pool_id)] = {
+                field: getattr(stats, field) for field in LEDGER_FIELDS}
+        return ledger
+
     def meta(self) -> Dict[str, Any]:
         """Everything the exporters/validators need beyond the events."""
         return {
@@ -300,14 +296,10 @@ class Tracer:
             "spans_started": self.spans_started,
             "spans_finished": self.spans_finished,
             "open_spans": self.open_spans,
-            "ledger": {
-                cache: {str(pool): dict(counters)
-                        for pool, counters in pools.items()}
-                for cache, pools in self.ledger.items()
-            },
+            "ledger": self._ledger(),
             "pool_names": {
-                f"{cache}/{pool}": name
-                for (cache, pool), name in self.pool_names.items()
+                f"{cache}/{pool_id}": pool.name
+                for (cache, pool_id), pool in self.pools.items()
             },
             "vm_names": {
                 f"{cache}/{vm}": name
@@ -318,35 +310,6 @@ class Tracer:
                 for name, hist in sorted(self._histograms.items())
             },
         }
-
-
-def ledger_violations(tracer: Tracer, cache) -> List[str]:
-    """Cross-check the tracer's provenance ledger against ``cache``.
-
-    For every live pool of an observed cache the cumulative ledger must
-    equal the pool's own counters field for field — the traced decision
-    stream and the shadow-accounted ground truth are two independent
-    records of the same ops.  A pool with no ledger entry is compared
-    against all-zeros (no traced op ever touched it).  Returns violation
-    strings; the auditor folds these into its report.
-    """
-    label = getattr(cache, "_obs_label", None)
-    if label is None:
-        return []  # cache was built before tracing was installed
-    violations: List[str] = []
-    pools_ledger = tracer.ledger.get(label, {})
-    for pool in cache._pools.values():
-        counters = pools_ledger.get(pool.pool_id)
-        stats = pool.stats
-        for field in LEDGER_FIELDS:
-            traced = counters[field] if counters is not None else 0
-            actual = getattr(stats, field)
-            if traced != actual:
-                violations.append(
-                    f"pool {pool.pool_id} ({pool.name!r}): traced {field} = "
-                    f"{traced} but pool stats record {actual}"
-                )
-    return violations
 
 
 #: The active tracer; ``None`` keeps every instrumented site a no-op.

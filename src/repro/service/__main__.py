@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import math
 import signal
 import sys
 import time
 from pathlib import Path
 
+from .._cli import bounded
 from ..endurance import ADMISSION_POLICIES
 from ..obs import OpsLogger, TelemetrySidecar, Tracer, bind_store_probe
 from .cache import ServiceCache
@@ -25,27 +25,9 @@ from .server import CacheServer
 from .store import DiskStore
 
 
-def _bounded(kind, minimum: float, strict: bool = False):
-    """An argparse ``type=``: a finite ``kind`` value ``>= minimum``
-    (``> minimum`` when ``strict``); anything else exits 2 at parse time,
-    before the store is opened."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        too_small = value <= minimum if strict else value < minimum
-        if too_small or not math.isfinite(value):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>' if strict else '>='} {minimum}, "
-                f"got {text}")
-        return value
-    return parse
-
-
 def _port(text: str) -> int:
     """An argparse ``type=``: a TCP port, 0 (pick a free one) to 65535."""
-    port = _bounded(int, 0)(text)
+    port = bounded(int, 0)(text)
     if port > 65535:
         raise argparse.ArgumentTypeError(f"must be at most 65535, got {text}")
     return port
@@ -61,16 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--dir", default="./ddcache",
                         help="persistent store directory")
-    parser.add_argument("--capacity-mb", type=_bounded(float, 0, strict=True),
+    parser.add_argument("--capacity-mb", type=bounded(float, 0, strict=True),
                         default=64.0,
                         help="disk cache capacity in MB")
     parser.add_argument("--eviction-batch-mb",
-                        type=_bounded(float, 0, strict=True), default=2.0,
+                        type=bounded(float, 0, strict=True), default=2.0,
                         help="Algorithm-1 eviction batch (the paper's 2MB)")
     parser.add_argument("--admission", default=None,
                         choices=list(ADMISSION_POLICIES),
                         help="SSD admission controller for every tenant")
-    parser.add_argument("--max-value-bytes", type=_bounded(int, 1),
+    parser.add_argument("--max-value-bytes", type=bounded(int, 1),
                         default=MAX_VALUE_BYTES)
     parser.add_argument("--no-fsync", action="store_true",
                         help="skip per-value fsync (benchmarks only)")
@@ -82,12 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--trace", default=None, metavar="PATH",
                            help="record a wall-clock JSONL trace, written "
                                 "at shutdown")
-    telemetry.add_argument("--trace-sample", type=_bounded(int, 1), default=1,
+    telemetry.add_argument("--trace-sample", type=bounded(int, 1), default=1,
                            help="keep 1-in-N span events in the trace ring")
     telemetry.add_argument("--ops-log", default=None, metavar="PATH",
                            help="append structured JSON ops events here "
                                 "(default: stderr)")
-    telemetry.add_argument("--slow-op-ms", type=_bounded(float, 0),
+    telemetry.add_argument("--slow-op-ms", type=bounded(float, 0),
                            default=10.0,
                            help="slow-op log threshold in milliseconds")
     return parser

@@ -14,6 +14,7 @@ from repro.core import (
     DoubleDeckerCache,
     GlobalCache,
     NullCache,
+    PoolStats,
     StaticPartitionCache,
 )
 from repro.simkernel import Environment
@@ -82,13 +83,15 @@ class TestUniversalContract:
         assert cache.flush_inode(vm_id, pool_id, 9) == 0
 
     def test_store_stats_shape(self, kind):
+        """GET_STATS, the one statistics record, is per pool: a fresh
+        pool reports itself and no outcomes yet."""
         env = Environment()
         cache = make_cache(kind, env)
-        stats = cache.store_stats()
-        assert stats
-        for entry in stats.values():
-            assert entry.used_blocks >= 0
-            assert entry.evictions >= 0
+        vm_id, pool_id = setup_pool(kind, cache)
+        stats = cache.pool_stats(vm_id, pool_id)
+        assert isinstance(stats, PoolStats)
+        assert (stats.vm_id, stats.pool_id) == (vm_id, pool_id)
+        assert stats.puts == stats.evictions == stats.put_rejected_capacity == 0
 
 
 @pytest.mark.parametrize("kind", STORING_KINDS)

@@ -169,7 +169,7 @@ class TestEviction:
         cache.create_pool(vm, "c2", CachePolicy.memory(50))
         stored = run_gen(env, cache.put_many(vm, p1, [(1, i) for i in range(12)]))
         assert stored == 12  # entitlement is 8, but the store had room
-        assert cache.store_counters[StoreKind.MEMORY].evictions == 0
+        assert cache.pool_stats(vm, p1).evictions == 0
 
     def test_eviction_only_when_full(self):
         env, cache = make_cache(mem_mb=1, batch_mb=0.125)  # batch = 2 blocks
@@ -280,5 +280,5 @@ class TestStats:
 
     def test_store_stats_capacity(self):
         _, cache = make_cache(mem_mb=2)
-        stats = cache.store_stats()
-        assert stats[StoreKind.MEMORY].capacity_blocks == 32
+        assert cache.capacities[StoreKind.MEMORY] == 32
+        assert cache.used[StoreKind.MEMORY] == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cleancache import CleancacheClient, HypercallChannel, HypercallCosts
+from repro.cleancache import CleancacheClient, HypercallChannel
 from repro.core import CachePolicy, DDConfig, DoubleDeckerCache
 from repro.simkernel import Environment
 
@@ -13,36 +13,34 @@ def run_gen(env, gen):
     return env.run(until=env.process(gen))
 
 
-def make_client(enabled=True):
+def make_client():
     env = Environment()
     cache = DoubleDeckerCache(env, DDConfig(mem_capacity_mb=4), BLK)
     vm_id = cache.register_vm("vm1")
-    client = CleancacheClient(env, cache, vm_id, BLK, enabled=enabled)
+    client = CleancacheClient(env, cache, vm_id, BLK)
     return env, cache, client
+
+
+def charged(charge):
+    """Simulated seconds one channel charge takes on a fresh clock."""
+    env = Environment()
+    run_gen(env, charge(HypercallChannel(env)))
+    return env.now
 
 
 class TestHypercallCosts:
     def test_control_cost_linear_in_calls(self):
-        costs = HypercallCosts(call_us=2.0)
-        assert costs.control_cost(10) == pytest.approx(20e-6)
+        assert charged(lambda ch: ch.charge_control(10)) == pytest.approx(20e-6)
+        assert charged(lambda ch: ch.charge_control(0)) == 0
 
     def test_data_cost_includes_payload(self):
-        costs = HypercallCosts(call_us=2.0, copy_us_per_kb=0.05)
-        assert costs.data_cost(1, 64 * 1024) == pytest.approx(
+        assert charged(lambda ch: ch.charge_data(1, 64 * 1024)) == pytest.approx(
             2e-6 + 64 * 0.05e-6
         )
 
     def test_channel_charges_time(self):
-        env = Environment()
-        channel = HypercallChannel(env)
-
-        def proc(env):
-            yield from channel.charge_data(100, 100 * BLK)
-
-        env.process(proc(env))
-        env.run()
-        assert env.now > 0
-        assert channel.calls == 100
+        assert charged(lambda ch: ch.charge_data(100, 100 * BLK)) == (
+            pytest.approx(100 * (2e-6 + 64 * 0.05e-6)))
 
 
 class TestCleancacheClient:
@@ -66,13 +64,6 @@ class TestCleancacheClient:
         found = run_gen(env, client.get_many(pool, [(1, 0), (1, 1)]))
         assert found == {(1, 0), (1, 1)}
         assert env.now > t0  # hypercall + copy costs accrued
-
-    def test_disabled_client_is_noop(self):
-        env, cache, client = make_client(enabled=False)
-        assert client.create_pool("web", CachePolicy.memory(100)) is None
-        assert run_gen(env, client.put_many(None, [(1, 0)])) == 0
-        assert run_gen(env, client.get_many(None, [(1, 0)])) == set()
-        assert client.get_stats(None) is None
 
     def test_empty_key_list_is_free(self):
         env, cache, client = make_client()

@@ -340,7 +340,7 @@ class TestOwnership:
 
     def test_the_walk_sees_what_it_forbids(self):
         """The walk flags real writes and passes reads, string text and
-        other objects' ``used_blocks`` (``StoreStats``)."""
+        other objects' ``used_blocks``."""
         source = (
             "self.used[kind] -= 1\n"
             "pool.used[kind], x = 0, 1\n"

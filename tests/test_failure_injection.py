@@ -78,10 +78,9 @@ class TestStoreStress:
             return None
 
         ctx.env.run(until=ctx.env.process(reader()))
-        counters = cache.store_counters[StoreKind.SSD]
-        assert counters.rejected_puts > 0
-        # Accounting stays sane: metadata only for blocks actually queued.
         pool = cache._pools[c.pool_id]
+        assert pool.stats.put_rejected_backpressure > 0
+        # Accounting stays sane: metadata only for blocks actually queued.
         assert pool.used[StoreKind.SSD] == cache.used[StoreKind.SSD]
         assert cache.used[StoreKind.SSD] <= cache.capacities[StoreKind.SSD]
 

@@ -107,7 +107,7 @@ class LazyImportTests(unittest.TestCase):
             "['motivation', 'app_behavior', 'caching_modes', "
             "'flexible_policy', 'cooperative', 'dynamic_containers', "
             "'dynamic_vms', 'endurance']",
-            "16 35 13 14"], done.stdout)
+            "16 34 12 14"], done.stdout)
 
     def test_the_experiment_list_is_unchanged(self):
         done = run("-m", "repro.experiments", "--list")

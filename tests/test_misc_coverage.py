@@ -145,12 +145,15 @@ class TestPaperHardwareDefaults:
     def test_latency_ladder(self):
         """mem << hypercall+mem << SSD << HDD-random — the ordering every
         experiment result rests on."""
-        from repro.cleancache import HypercallCosts
+        from repro.cleancache import HypercallChannel
+        from repro.simkernel import Environment
         from repro.storage import HDDSpec, MemSpec, SSDSpec
 
         blk = 64 * 1024
         mem = MemSpec().copy_time(blk)
-        hypercall = HypercallCosts().data_cost(1, blk) + mem
+        env = Environment()
+        env.run(until=env.process(HypercallChannel(env).charge_data(1, blk)))
+        hypercall = env.now + mem
         ssd = SSDSpec().read_time(blk)
         hdd = HDDSpec().access_time(blk, sequential=False)
         assert mem < hypercall < ssd < hdd

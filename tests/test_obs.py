@@ -2,8 +2,8 @@
 
 Covers the tracer (spans, ring buffer, sampling, histograms), the JSONL
 and Perfetto exporters, the trace validator, and — the load-bearing
-property — lockstep reconciliation between the decision-provenance
-ledger and the shadow-accounted pool counters on a real traced cache.
+property — that the decision-provenance events of a real traced cache
+replay exactly to its pools' counters, which the trace's ledger carries.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.obs import (
     Tracer,
     attach_latency_report,
     events_to_perfetto,
-    ledger_violations,
     parse_jsonl,
     set_tracer,
     to_jsonl,
@@ -154,32 +153,34 @@ class TestTracerBasics:
         set_tracer(None)
         assert obs_tracer.ACTIVE is None
 
-    def test_ledger_update_accumulates(self):
-        tracer = Tracer()
-        tracer.ledger_update("c", 1, puts=5, puts_stored=3)
-        tracer.ledger_update("c", 1, puts=2, put_rejected_capacity=2)
-        entry = tracer.ledger["c"][1]
-        assert entry["puts"] == 7
-        assert entry["puts_stored"] == 3
-        assert entry["put_rejected_capacity"] == 2
-        assert set(entry) == set(LEDGER_FIELDS)
-
 
 class TestLockstepReconciliation:
-    """The tentpole property: provenance ledger == audited pool stats."""
+    """The tentpole property: the provenance events replay to the pool
+    counters the trace's ledger carries."""
+
+    @staticmethod
+    def ledger_totals(meta):
+        totals = {field: 0 for field in LEDGER_FIELDS}
+        for pools in meta["ledger"].values():
+            for counters in pools.values():
+                for field, value in counters.items():
+                    totals[field] += value
+        return totals
 
     def test_ledger_matches_pool_stats(self, no_tracer):
         tracer = Tracer()
         env, cache = build_traced_cache(tracer)
         drive(env, cache)
         assert_consistent(cache, where="test end")
-        assert ledger_violations(tracer, cache) == []
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        assert meta["dropped"] == 0  # so the replay runs
+        assert validate_trace(meta, events) == []
+        ledger = meta["ledger"][cache._obs_label]
+        assert ledger == {
+            str(pool.pool_id): {f: getattr(pool.stats, f) for f in LEDGER_FIELDS}
+            for pool in cache._pools.values()}
         # The scenario must actually exercise the interesting paths.
-        totals = {field: 0 for field in LEDGER_FIELDS}
-        for pools in tracer.ledger.values():
-            for counters in pools.values():
-                for field, value in counters.items():
-                    totals[field] += value
+        totals = self.ledger_totals(meta)
         assert totals["puts"] > 0
         assert totals["evictions"] > 0
         assert totals["ssd_writes"] > 0
@@ -191,12 +192,10 @@ class TestLockstepReconciliation:
         tracer = Tracer()
         env, cache = build_traced_cache(tracer, admission="second_access")
         drive(env, cache)
-        assert ledger_violations(tracer, cache) == []
-        totals = {field: 0 for field in LEDGER_FIELDS}
-        for pools in tracer.ledger.values():
-            for counters in pools.values():
-                for field, value in counters.items():
-                    totals[field] += value
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        assert meta["dropped"] == 0
+        assert validate_trace(meta, events) == []
+        totals = self.ledger_totals(meta)
         assert totals["trickle_rejected_admission"] > 0
         assert totals["puts"] == (
             totals["puts_stored"] + totals["put_rejected_policy"]
@@ -205,21 +204,46 @@ class TestLockstepReconciliation:
         )
 
     def test_ledger_violation_detected(self, no_tracer):
+        """Counters bumped past what the events show fail the replay."""
         tracer = Tracer()
         env, cache = build_traced_cache(tracer)
         drive(env, cache)
-        pool_id = next(iter(tracer.ledger[cache._obs_label]))
-        tracer.ledger_update(cache._obs_label, pool_id, puts=1)
-        violations = ledger_violations(tracer, cache)
-        assert violations
-        assert "puts" in violations[0]
+        pool = next(pool for pool in cache._pools.values()
+                    if pool.stats.evictions)
+        pool.stats.puts += 1
+        pool.stats.evictions += 1
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        problems = validate_trace(meta, events)
+        for field in ("puts", "evictions"):
+            assert any(f"pool {pool.pool_id}: replayed {field} = " in problem
+                       for problem in problems), problems
 
-    def test_untraced_cache_skipped(self, no_tracer):
-        env = Environment()
-        config = DDConfig(mem_capacity_mb=1.0, ssd_capacity_mb=0.0)
-        cache = DoubleDeckerCache(env, config, BLOCK)
-        assert cache._obs_label is None
-        assert ledger_violations(Tracer(), cache) == []
+    def test_destroyed_pool_keeps_its_final_row(self, no_tracer):
+        tracer = Tracer()
+        env, cache = build_traced_cache(tracer)
+        vm = cache.register_vm("vm0")
+        doomed = cache.create_pool(vm, "doomed", CachePolicy.memory(50.0))
+        kept = cache.create_pool(vm, "kept", CachePolicy.memory(50.0))
+
+        def run():
+            for pool_id in (doomed, kept):
+                keys = [(pool_id, block) for block in range(48)]
+                yield from cache.put_many(vm, pool_id, keys)
+                yield from cache.get_many(vm, pool_id, keys[:8])
+            finals.append(cache.pool_stats(vm, doomed))
+            cache.destroy_pool(vm, doomed)
+            yield from cache.put_many(vm, kept, [(9, b) for b in range(40)])
+
+        finals = []
+        env.process(run())
+        env.run(until=60.0)  # past the SSD writer's last flush
+        [final] = finals
+        assert final.puts and final.evictions and final.get_hits
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        assert validate_trace(meta, events) == []
+        assert meta["ledger"][cache._obs_label][str(doomed)] == {
+            f: getattr(final, f) for f in LEDGER_FIELDS}
+        assert meta["pool_names"][f"{cache._obs_label}/{doomed}"] == "doomed"
 
     def test_tracing_does_not_perturb_simulation(self, no_tracer):
         def stats_fingerprint(traced):
@@ -392,6 +416,24 @@ class TestCli:
         assert obs_main(["export", str(trace_path), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["traceEvents"]
 
+    def test_obs_cli_validate_says_when_replay_is_skipped(
+            self, tmp_path, capsys, no_tracer):
+        from repro.obs.__main__ import main as obs_main
+
+        for kwargs, note in (({}, ")"),
+                             ({"max_events": 50}, "; replay skipped (ring dropped "),
+                             ({"sample": 2}, "; replay skipped (sampled 1/2)")):
+            tracer = Tracer(**kwargs)
+            env, cache = build_traced_cache(tracer)
+            drive(env, cache)
+            set_tracer(None)
+            path = tmp_path / "t.jsonl"
+            path.write_text(to_jsonl(tracer))
+            assert obs_main(["validate", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"{path}: OK (")
+            assert f"1 cache ledgers{note}" in out, out
+
     def test_obs_cli_validate_catches_corruption(self, tmp_path, no_tracer):
         from repro.obs.__main__ import main as obs_main
 
@@ -447,6 +489,24 @@ class TestCli:
         assert obs_main(["latency-breakdown", str(bogus)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"{bogus}: histogram 'obs.lat.get': missing 'lo'"]
+
+        # Name-table keys are "cache_label/id".
+        for table, key in (("pool_names", "nolabel"),
+                           ("vm_names", "ddecker/x")):
+            unnamed = tmp_path / "unnamed.jsonl"
+            unnamed.write_text(json.dumps({
+                "type": "meta", "version": 1, "max_events": 1, "sample": 1,
+                "recorded": 0, "dropped": 0, "sampled_out": 0,
+                "spans_started": 0, "spans_finished": 0, "open_spans": 0,
+                table: {key: "p"}}) + "\n")
+            problem = f"meta: bad {table} key {key!r}"
+            assert obs_main(["export", str(unnamed)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"{unnamed}: {problem}"]
+            assert not unnamed.with_suffix(".perfetto.json").exists()
+            assert obs_main(["validate", str(unnamed)]) == 1
+            assert capsys.readouterr().out.splitlines() == [
+                f"{unnamed}: INVALID", f"  - {problem}"]
 
     def test_obs_cli_reports_malformed_events(self, tmp_path, capsys,
                                               no_tracer):

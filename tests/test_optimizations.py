@@ -10,6 +10,7 @@ from repro.core.optimizations import (
     DedupIndex,
     content_fingerprint,
 )
+from repro.obs import Tracer, set_tracer
 from repro.simkernel import Environment
 from repro.storage import MB
 
@@ -232,23 +233,30 @@ class TestDedupCache:
         # count tied to capacity.
         shared = lambda ns, inode, block: "base" if inode == 1 else (inode, block)
         env = Environment()
-        cache = DoubleDeckerCache(
-            env,
-            DDConfig(mem_capacity_mb=4 * BLK / MB, eviction_batch_mb=BLK / MB,
-                     dedup=True, dedup_fingerprint=shared),
-            BLK,
-        )
-        vm = cache.register_vm("vm")
-        a = cache.create_pool(vm, "a", CachePolicy.memory(50))
-        b = cache.create_pool(vm, "b", CachePolicy.memory(50))
-        run_gen(env, cache.put_many(vm, a, [(1, i) for i in range(10)]))
-        run_gen(env, cache.put_many(vm, a, [(2, i) for i in range(3)]))
-        assert cache.mem_units.used == cache.capacities[StoreKind.MEMORY] == 4
-        assert run_gen(env, cache.put_many(vm, b, [(3, 0)])) == 1
+        tracer = Tracer()  # counts the rounds: one evict.round instant each
+        set_tracer(tracer)
+        try:
+            cache = DoubleDeckerCache(
+                env,
+                DDConfig(mem_capacity_mb=4 * BLK / MB, eviction_batch_mb=BLK / MB,
+                         dedup=True, dedup_fingerprint=shared),
+                BLK,
+            )
+            vm = cache.register_vm("vm")
+            a = cache.create_pool(vm, "a", CachePolicy.memory(50))
+            b = cache.create_pool(vm, "b", CachePolicy.memory(50))
+            run_gen(env, cache.put_many(vm, a, [(1, i) for i in range(10)]))
+            run_gen(env, cache.put_many(vm, a, [(2, i) for i in range(3)]))
+            assert cache.mem_units.used == cache.capacities[StoreKind.MEMORY] == 4
+            assert run_gen(env, cache.put_many(vm, b, [(3, 0)])) == 1
+        finally:
+            set_tracer(None)
         assert cache.pool_stats(vm, b).put_rejected_capacity == 0
         # All ten copies of the shared content had to go (one per round)
         # before its unit was freed; the unique blocks stay.
-        assert cache.store_counters[StoreKind.MEMORY].eviction_rounds == 10
+        rounds = [event for event in tracer.events
+                  if event["name"] == "evict.round"]
+        assert len(rounds) == 10
         assert sorted(cache._pools[a].iter_keys(StoreKind.MEMORY)) == [
             (2, 0), (2, 1), (2, 2)]
         assert cache.mem_units.used == 4

@@ -165,10 +165,14 @@ class TestDestroyVmResidue:
         vm = host.create_vm("vm1", memory_mb=128.0)
         vm.create_container("app", 64.0, CachePolicy.memory(100))
         host.destroy_vm(vm)
-        # A guest process still in flight degrades to no-ops instead of
+        # A guest process still in flight misses and drops instead of
         # hitting the cache with a stale vm_id.
-        assert vm.cleancache.enabled is False
-        assert vm.cleancache.get_stats(1) is None
+        client = vm.cleancache
+        assert client.get_stats(1).puts == 0
+        put = ctx.env.process(client.put_many(1, [(1, 0)]))
+        ctx.env.run(until=put)
+        assert put.value == 0
+        assert host.hvcache.vms == {}
 
     def test_disk_regions_are_reused_lowest_first(self):
         ctx, host = build_host()
