@@ -40,6 +40,7 @@ from typing import Dict, List, Tuple
 from .config import StoreKind
 from .policy import recompute_entitlements
 from .pools import BlockKey
+from .stats import put_ledger_problems
 
 __all__ = [
     "InvariantViolation",
@@ -347,27 +348,9 @@ def _check_doubledecker(cache) -> List[str]:
             )
 
     # -- put-outcome ledger (endurance accounting) ----------------------
-    # Every put is stored or lands in exactly one rejection bucket, so
-    # admission/backpressure rejections can never be silently dropped.
     for pool in cache._pools.values():
         stats = pool.stats
-        accounted = (
-            stats.puts_stored
-            + stats.put_rejected_policy
-            + stats.put_rejected_capacity
-            + stats.put_rejected_admission
-            + stats.put_rejected_backpressure
-        )
-        if stats.puts != accounted:
-            violations.append(
-                f"pool {pool.pool_id} ({pool.name!r}): put ledger leaks — "
-                f"{stats.puts} puts but {accounted} accounted "
-                f"(stored {stats.puts_stored}, policy "
-                f"{stats.put_rejected_policy}, capacity "
-                f"{stats.put_rejected_capacity}, admission "
-                f"{stats.put_rejected_admission}, backpressure "
-                f"{stats.put_rejected_backpressure})"
-            )
+        violations.extend(put_ledger_problems(stats))
         # Lookup / flush / migration ledger.  No counter runs backwards; a
         # lookup hits at most what it asked for and a flush drops at most
         # what it asked about; and a block leaves the pool (exclusive hit,

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
-__all__ = ["PoolStats"]
+__all__ = ["PoolStats", "put_ledger_problems"]
 
 
 @dataclass
@@ -55,3 +56,19 @@ class PoolStats:
         """Fraction of lookups served by the cache."""
         return self.get_hits / self.gets if self.gets else 0.0
 
+
+def put_ledger_problems(stats: PoolStats) -> List[str]:
+    """The violation of ``puts == puts_stored + put_rejected_*`` in a
+    pool's stats, if any: every put is stored or lands in exactly one
+    rejection bucket, so no rejection is silently dropped."""
+    accounted = (stats.puts_stored + stats.put_rejected_policy
+                 + stats.put_rejected_capacity + stats.put_rejected_admission
+                 + stats.put_rejected_backpressure)
+    if stats.puts == accounted:
+        return []
+    return [f"pool {stats.pool_id} ({stats.name!r}): put ledger leaks — "
+            f"{stats.puts} puts but {accounted} accounted (stored "
+            f"{stats.puts_stored}, policy {stats.put_rejected_policy}, "
+            f"capacity {stats.put_rejected_capacity}, admission "
+            f"{stats.put_rejected_admission}, backpressure "
+            f"{stats.put_rejected_backpressure})"]

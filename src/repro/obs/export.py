@@ -101,13 +101,18 @@ def _display_names(meta: Dict[str, Any], table: str) -> Dict[int, str]:
     """``{vm_or_pool_id: display name}`` from a meta name table.
 
     Meta keys are ``"cache_label/id"``; with several caches in one run
-    (one per experiment mode) the first label to claim an id wins, which
-    is stable because ``meta()`` preserves registration order.
+    (one per experiment mode) the first registered names an id: keys
+    rank by registration ordinal (``Tracer.register_cache``'s k-th
+    ``name`` is ``name#k``), then by key, never by key order, which
+    ``to_jsonl`` sorts (``"x#2/1"`` before ``"x/1"``).
     """
+    def rank(key: str) -> Tuple[int, str]:
+        base, _, ordinal = key.rsplit("/", 1)[0].rpartition("#")
+        return (int(ordinal) if base and ordinal.isdecimal() else 1), key
+
     names: Dict[int, str] = {}
-    for key, name in meta.get(table, {}).items():
-        ident = int(key.rsplit("/", 1)[1])
-        names.setdefault(ident, name)
+    for key in sorted(meta.get(table, {}), key=rank):
+        names.setdefault(int(key.rsplit("/", 1)[1]), meta[table][key])
     return names
 
 

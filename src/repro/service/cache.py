@@ -13,14 +13,18 @@ The disk store plays the role of the simulator's SSD store
 ``ceil(n / SLOT_BYTES)`` blocks of the capacity budget — the slab's
 slot size, so the capacity ledger and ``data.slab`` agree.  The paper's
 cache indexes blocks because its guests address blocks; this one's
-clients address whole values, so each tenant keeps **one record per
-entry** in an insertion-ordered FIFO keyed by entry id (ids only grow,
-so insertion order is id order is eviction order) and tells its pool
-only the block count: ``pool.charge`` moves ``pool.used[SSD]`` — the
-quantity Algorithm 1 reads — and the host total ``engine.used[SSD]``
-together.  ``Pool.files`` and ``Pool.fifos`` stay empty here.  Eviction
-pops the FIFO head and retires the *whole* entry — partial values are
-useless to a memcached client.  The loop is the simulator's,
+clients address whole values.  An entry's one record is the store's
+(tenant, key, flags, size: :meth:`DiskStore.entry`); the cache keeps
+``key -> id`` and, per tenant, an insertion-ordered FIFO of ``id ->
+blocks`` (ids only grow, so insertion order is id order is eviction
+order), and tells its pool only the block count: ``pool.charge`` moves
+``pool.used[SSD]`` — the quantity Algorithm 1 reads — and the host
+total ``engine.used[SSD]`` together.  ``Pool.files`` and ``Pool.fifos``
+stay empty here: keeping each entry's blocks in them instead (an inode
+per entry, ``insert_new`` / ``remove_inode``) was measured and cost
+``svc_direct_churn`` a fifth of its throughput and 9 % more peak RSS.
+Eviction pops the FIFO head and retires the *whole* entry — partial
+values are useless to a memcached client.  The loop is the simulator's,
 :meth:`PolicyEngine.make_room`; only the batch callbacks differ.  This
 one, ``_evict_batch``, frees *at most* an eviction batch and stops as
 soon as the request fits, where the simulator's
@@ -52,9 +56,9 @@ _SSD = StoreKind.SSD
 _MB = 1 << 20
 #: Every tenant's ``<T, W>`` weight until a client can set its own.
 _TENANT_WEIGHT = 100.0
-
-#: What a tenant's FIFO holds per entry: (key, blocks, size, flags).
-Record = Tuple[str, int, int, int]
+#: The ``PoolStats`` counters :meth:`ServiceCache.stats` reports per tenant.
+_REPORTED = ("gets", "get_hits", "puts", "puts_stored", "evictions",
+             "put_rejected_admission", "put_rejected_capacity")
 
 
 class SetStatus:
@@ -96,10 +100,11 @@ class ServiceCache:
         #: tenant name -> its DD container: the policy side, told block
         #: counts only (``pool.charge``), never blocks.
         self.tenants: Dict[str, Pool] = {}
-        #: tenant name -> entry id -> record, oldest first.  OrderedDict
-        #: because eviction deletes at the front: a dict's first key is
-        #: found by walking the tombstones of every head popped before.
-        self._fifos: Dict[str, "OrderedDict[int, Record]"] = {}
+        #: tenant name -> entry id -> its blocks, oldest first.
+        #: OrderedDict because eviction deletes at the front: a dict's
+        #: first key is found by walking the tombstones of every head
+        #: popped before.
+        self._fifos: Dict[str, "OrderedDict[int, int]"] = {}
         #: (tenant, key) -> entry id; the truth, the store is only told.
         self._ids: Dict[Tuple[str, str], int] = {}
         self._recover()
@@ -117,7 +122,7 @@ class ServiceCache:
         """Rebuild the index from the store, in id (FIFO) order."""
         for entry in self.store.iter_entries():
             self._remember(self.pool(entry.tenant), entry.entry_id, entry.key,
-                           self._blocks_of(entry.size), entry.size, entry.flags)
+                           self._blocks_of(entry.size))
 
     def pool(self, tenant: str) -> Pool:
         """The tenant's container, created on first use."""
@@ -179,15 +184,14 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return None
-        _, _, size, flags = self._fifos[tenant][entry_id]
-        value = self.store.get(entry_id, size)
+        value = self.store.get(entry_id)
         if value is None:
             # The value vanished behind the store's back — heal to a miss.
-            self._forget(pool, entry_id)
-            self.store.delete_entry(entry_id, size)
+            self._forget(pool, key)
+            self.store.delete_entry(entry_id)
             return None
         pool.stats.get_hits += 1
-        return value, flags, entry_id
+        return value, self.store.entry(entry_id).flags, entry_id
 
     def _set(self, tenant: str, key: str, value: bytes, flags: int) -> str:
         pool = self.pool(tenant)
@@ -206,24 +210,24 @@ class ServiceCache:
                 (tenant, key), self._clock(), blocks):
             pool.stats.put_rejected_admission += 1
             if old_id is not None:
-                self.store.delete_entry(old_id, self._forget(pool, old_id)[2])
+                self._forget(pool, key)
+                self.store.delete_entry(old_id)
             return SetStatus.NOT_STORED
 
         # Replace-in-place: retire the old copy's blocks first so the
         # eviction pass below sees true occupancy.  Its row stays until
         # DiskStore.set replaces it atomically, or the refusal deletes it.
-        old = None
         if old_id is not None:
-            old = (old_id, self._forget(pool, old_id)[2])
+            self._forget(pool, key)
 
         if not self._make_room(blocks):
             pool.stats.put_rejected_capacity += 1
-            if old is not None:
-                self.store.delete_entry(*old)
+            if old_id is not None:
+                self.store.delete_entry(old_id)
             return SetStatus.NOT_STORED
 
-        entry_id = self.store.set(tenant, key, value, flags, old)
-        self._remember(pool, entry_id, key, blocks, len(value), flags)
+        entry_id = self.store.set(tenant, key, value, flags, old_id)
+        self._remember(pool, entry_id, key, blocks)
         pool.stats.puts_stored += 1
         pool.stats.ssd_writes += blocks
         return SetStatus.STORED
@@ -234,9 +238,8 @@ class ServiceCache:
         entry_id = self._ids.get((tenant, key))
         if entry_id is None:
             return False
-        _, blocks, size, _ = self._forget(pool, entry_id)
-        self.store.delete_entry(entry_id, size)
-        pool.stats.flushes += blocks
+        pool.stats.flushes += self._forget(pool, key)
+        self.store.delete_entry(entry_id)
         return True
 
     def flush_all(self, tenant: Optional[str] = None) -> int:
@@ -246,9 +249,9 @@ class ServiceCache:
             if tenant not in (None, name):
                 continue
             for entry_id in list(self._fifos[name]):
-                _, blocks, size, _ = self._forget(pool, entry_id)
-                pool.stats.flushes += blocks
-                victims.append((entry_id, size))
+                key = self.store.entry(entry_id).key
+                pool.stats.flushes += self._forget(pool, key)
+                victims.append(entry_id)
         victims.sort()      # the DEL frame lists ids in order, as it always has
         self.store.delete_entries(victims)
         return len(victims)
@@ -285,8 +288,8 @@ class ServiceCache:
         fifo = self._fifos[pool.name]
         while fifo and freed < self._eviction_batch and over():
             entry_id = next(iter(fifo))
-            _, blocks, size, _ = self._forget(pool, entry_id)
-            victims.append((entry_id, size))
+            blocks = self._forget(pool, self.store.entry(entry_id).key)
+            victims.append(entry_id)
             pool.stats.evictions += blocks
             freed += blocks
             if self._tracer is not None:
@@ -297,20 +300,20 @@ class ServiceCache:
             self.store.delete_entries(victims)
         return freed
 
-    def _remember(self, pool: Pool, entry_id: int, key: str, blocks: int,
-                  size: int, flags: int) -> None:
+    def _remember(self, pool: Pool, entry_id: int, key: str,
+                  blocks: int) -> None:
         """Queue a new entry at the tail of its tenant's FIFO."""
-        self._fifos[pool.name][entry_id] = (key, blocks, size, flags)
+        self._fifos[pool.name][entry_id] = blocks
         self._ids[(pool.name, key)] = entry_id
         pool.charge(_SSD, blocks)
 
-    def _forget(self, pool: Pool, entry_id: int) -> Record:
-        """Drop and return an entry's record (the caller deletes its
-        row, or ``DiskStore.set`` replaces it atomically)."""
-        record = self._fifos[pool.name].pop(entry_id)
-        del self._ids[(pool.name, record[0])]
-        pool.charge(_SSD, -record[1])
-        return record
+    def _forget(self, pool: Pool, key: str) -> int:
+        """Drop a key's entry from the index and return its blocks (the
+        caller deletes its row, or ``DiskStore.set`` replaces it
+        atomically)."""
+        blocks = self._fifos[pool.name].pop(self._ids.pop((pool.name, key)))
+        pool.charge(_SSD, -blocks)
+        return blocks
 
     # -- introspection --------------------------------------------------
 
@@ -319,18 +322,10 @@ class ServiceCache:
         out: Dict[str, Dict[str, float]] = {}
         for tenant in sorted(self.tenants):
             pool = self.tenants[tenant]
-            snap = pool.snapshot_stats()
-            out[tenant] = {
-                "gets": snap.gets,
-                "get_hits": snap.get_hits,
-                "puts": snap.puts,
-                "puts_stored": snap.puts_stored,
-                "evictions": snap.evictions,
-                "put_rejected_admission": snap.put_rejected_admission,
-                "put_rejected_capacity": snap.put_rejected_capacity,
-                "used_blocks": pool.used[_SSD],
-                "entitlement_blocks": pool.entitlement[_SSD],
-            }
+            out[tenant] = {field: getattr(pool.stats, field)
+                           for field in _REPORTED}
+            out[tenant].update(used_blocks=pool.used[_SSD],
+                               entitlement_blocks=pool.entitlement[_SSD])
         out["_host"] = {
             "used_blocks": self.engine.used[_SSD],
             "capacity_blocks": self.capacity_blocks,

@@ -5,13 +5,16 @@ what :func:`repro.core.audit.check_cache` is to the simulated caches:
 it trusts no counter and recomputes every quantity from the structures
 that are supposed to agree —
 
-* the index: every tenant's FIFO holds one record per entry in id
-  order, and ``_ids`` is its inverse, key for key;
+* the index: every tenant's FIFO queues its ids in id order, ``_ids``
+  names each queued id once and nothing else, each under the tenant and
+  key of its live ``PUT`` frame, every live frame is queued, and each
+  queued block count is what the frame's size takes;
 * the policy side: ``pool.used[SSD]`` is the block sum of the tenant's
-  records (the pool is told counts through ``pool.charge``, never
-  blocks: ``pool.files``, ``pool.fifos`` and its memory store stay
-  empty), and the engine's store total ``engine.used[SSD]`` is the sum
-  over tenants and stays within capacity;
+  FIFO (the pool is told counts through ``pool.charge``, never blocks:
+  ``pool.files``, ``pool.fifos`` and its memory store stay empty), the
+  engine's store total ``engine.used[SSD]`` is the sum over tenants and
+  stays within capacity, and every put was stored or rejected once
+  (:func:`~repro.core.stats.put_ledger_problems`);
 * the disk side, read straight from ``log/*.seg`` and ``data.slab``
   with a frame parser of its own (:func:`read_journal`) rather than
   through :class:`~repro.service.store.DiskStore` methods: one live
@@ -20,8 +23,8 @@ that are supposed to agree —
   overlapping, none past the end of the file; every segment whole and
   opening with a ``LEASE``; the journal within its reclaim budget;
 * the store's memory against the frames alone: the same slots in use,
-  the same id → slot and id → entry maps, the same per-tenant and byte
-  counters, and a slab exactly as long as the slot map.
+  the same record per id (its first slot included), the same per-tenant
+  and byte counters, and a slab exactly as long as the slot map.
 
 It is meant to run between operations (tests call it every N ops); a
 store caught mid-``set`` is not a state it describes.
@@ -42,6 +45,7 @@ import zlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.config import StoreKind
+from ..core.stats import put_ledger_problems
 from .store import (INLINE_BYTES, LAYOUT_VERSION, SLOT_BYTES, log_budget,
                     slots_of)
 
@@ -166,14 +170,13 @@ def _recount(rows: Dict[int, Row]) -> Dict[str, List[int]]:
     return totals
 
 
-def _check_rows(rows: Dict[int, Row], slab: int, violations: List[str]
-                ) -> Tuple[Dict[int, int], Dict[int, int]]:
+def _check_rows(rows: Dict[int, Row], slab: int,
+                violations: List[str]) -> Dict[int, int]:
     """Every row's value against its size, every run against the others
-    and the file.  Returns slot -> id of the row claiming it and id ->
-    first slot, both from the rows alone."""
+    and the file.  Returns slot -> id of the row claiming it, from the
+    rows alone."""
     slab_bytes = os.fstat(slab).st_size
     claimed: Dict[int, int] = {}
-    first_slots: Dict[int, int] = {}
     for entry_id, row in sorted(rows.items()):
         size, slot, stored = row.size, row.slot, row.inline
         if (slot is None) != (size <= INLINE_BYTES):
@@ -182,7 +185,6 @@ def _check_rows(rows: Dict[int, Row], slab: int, violations: List[str]
                 + ("inline" if slot is None else f"in slot {slot}")
                 + f": INLINE_BYTES is {INLINE_BYTES}")
         if slot is not None:
-            first_slots[entry_id] = slot
             run = range(slot, slot + slots_of(size))
             for at in run:
                 if claimed.setdefault(at, entry_id) != entry_id:
@@ -197,60 +199,73 @@ def _check_rows(rows: Dict[int, Row], slab: int, violations: List[str]
         if stored != size:
             violations.append(f"row {entry_id}: {stored} bytes stored,"
                               f" its frame says {size}")
-    return claimed, first_slots
+    return claimed
 
 
 def check_service(cache) -> List[str]:
     """Audit ``cache``; returns violation descriptions (empty = clean)."""
     violations: List[str] = []
+    store = cache.store
+    journal = read_journal(store.directory)
+    rows = journal.rows
+    violations.extend(journal.violations)
 
     # -- index -----------------------------------------------------------
-    #: id -> (tenant, key, blocks, size, flags), from the FIFOs alone.
-    entries: Dict[int, Tuple[str, str, int, int, int]] = {}
+    #: id -> the tenant queueing it, from the FIFOs alone.
+    queued: Dict[int, str] = {}
     for tenant, fifo in sorted(cache._fifos.items()):
         if list(fifo) != sorted(fifo):
             violations.append(f"pool {tenant!r}: FIFO order is not id order")
-        for entry_id, record in fifo.items():
-            if entry_id in entries:
+        for entry_id, blocks in fifo.items():
+            if entry_id in queued:
                 violations.append(f"id {entry_id} is queued by tenants "
-                                  f"{entries[entry_id][0]!r} and {tenant!r}")
-            entries[entry_id] = (tenant,) + record
-            indexed = cache._ids.get((tenant, record[0]))
-            if indexed != entry_id:
-                violations.append(
-                    f"pool {tenant!r}: id {entry_id} is queued for key "
-                    f"{record[0]!r}, _ids has {indexed} there")
-    for (tenant, key), entry_id in cache._ids.items():
-        record = cache._fifos.get(tenant, {}).get(entry_id)
-        if record is None or record[0] != key:
+                                  f"{queued[entry_id]!r} and {tenant!r}")
+            queued[entry_id] = tenant
+            row = rows.get(entry_id)
+            expected = None if row is None else max(1, slots_of(row.size))
+            if expected not in (None, blocks):
+                violations.append(f"entry {entry_id}: {blocks} blocks queued "
+                                  f"for {row.size} bytes, expected {expected}")
+    for (tenant, key), entry_id in sorted(cache._ids.items()):
+        if queued.get(entry_id) != tenant:
             violations.append(
                 f"_ids[{tenant!r}, {key!r}] -> {entry_id}, which tenant "
-                f"{tenant!r} has not queued ({record and record[0]!r} there)")
-    if len(cache._ids) != len(entries):
+                f"{tenant!r} has not queued")
+        row = rows.get(entry_id)
+        if row is None:
+            violations.append(f"entry {entry_id} {(tenant, key)!r} has no row")
+        elif (row.tenant, row.key) != (tenant, key):
+            violations.append(
+                f"_ids[{tenant!r}, {key!r}] -> {entry_id}, whose row is "
+                f"{(row.tenant, row.key)!r}")
+    for entry_id in sorted(set(queued) - set(cache._ids.values())):
+        violations.append(f"id {entry_id} is queued by tenant "
+                          f"{queued[entry_id]!r}, no key in _ids names it")
+    if len(cache._ids) != len(queued):
         violations.append(f"{len(cache._ids)} keys in _ids but "
-                          f"{len(entries)} records queued")
+                          f"{len(queued)} entries queued")
+    for entry_id in sorted(set(rows) - set(queued)):
+        row = rows[entry_id]
+        violations.append(f"row {entry_id} {(row.tenant, row.key)!r} is "
+                          "not indexed")
 
     # -- pools -----------------------------------------------------------
-    for entry_id, (_, _, blocks, size, _) in entries.items():
-        expected = max(1, -(-size // cache.block_bytes))
-        if blocks != expected:
-            violations.append(f"entry {entry_id}: {blocks} blocks recorded "
-                              f"for {size} bytes, expected {expected}")
     if cache._fifos.keys() != cache.tenants.keys():
         violations.append(f"FIFOs of {sorted(cache._fifos)}, pools of "
                           f"{sorted(cache.tenants)}")
+    total = 0
     for tenant, pool in sorted(cache.tenants.items()):
-        queued = sum(record[1]
-                     for record in cache._fifos.get(tenant, {}).values())
-        if queued != pool.used[_SSD]:
-            violations.append(f"pool {tenant!r}: {queued} blocks queued, "
+        blocks = sum(cache._fifos.get(tenant, {}).values())
+        total += blocks
+        if blocks != pool.used[_SSD]:
+            violations.append(f"pool {tenant!r}: {blocks} blocks queued, "
                               f"pool.used says {pool.used[_SSD]}")
         # The service tells its pools counts, never blocks.
         if pool.files or pool.used[StoreKind.MEMORY]:
             violations.append(f"pool {tenant!r}: holds blocks of its own "
                               f"({len(pool.files)} inodes, "
                               f"{pool.used[StoreKind.MEMORY]} in memory)")
-    total = sum(entry[2] for entry in entries.values())
+        violations.extend(put_ledger_problems(pool.stats))
     host_used = cache.engine.used[_SSD]
     if total != host_used:
         violations.append(f"used_blocks is {host_used}, the entries "
@@ -259,31 +274,15 @@ def check_service(cache) -> List[str]:
         violations.append(f"{total} blocks used of {cache.capacity_blocks}")
 
     # -- disk ------------------------------------------------------------
-    store = cache.store
-    journal = read_journal(store.directory)
-    rows = journal.rows
-    violations.extend(journal.violations)
     if journal.torn:
         violations.append(f"{journal.torn} bytes after the last whole frame "
                           "of a store that is open")
     slab = os.open(os.path.join(store.directory, "data.slab"), os.O_RDONLY)
     try:
         slab_bytes = os.fstat(slab).st_size
-        claimed, first_slots = _check_rows(rows, slab, violations)
+        claimed = _check_rows(rows, slab, violations)
     finally:
         os.close(slab)
-    for entry_id, row in sorted(rows.items()):
-        entry = entries.get(entry_id)
-        identity = (row.tenant, row.key, row.size)
-        if entry is None:
-            violations.append(f"row {entry_id} {identity!r} is not indexed")
-        elif ((entry[0], entry[1], entry[3]) != identity
-              or entry[4] != row.flags):
-            violations.append(f"row {entry_id} is {identity!r} flags "
-                              f"{row.flags}, the index says {entry!r}")
-    for entry_id in sorted(set(entries) - set(rows)):
-        violations.append(f"entry {entry_id} {entries[entry_id][:2]!r} "
-                          "has no row")
     # The store's memory against the frames alone.
     used = store._map.used
     for at in sorted(set(claimed) | {at for at, taken in enumerate(used)
@@ -293,18 +292,16 @@ def check_service(cache) -> List[str]:
         elif at >= len(used) or not used[at]:
             violations.append(f"slot {at} is marked free, row {claimed[at]} "
                               "claims it")
-    if store._slots != first_slots:
-        odd = sorted(set(store._slots.items()) ^ set(first_slots.items()))
-        violations.append(f"the store's id -> slot map and the rows disagree "
-                          f"on {odd[:6]}")
     if slab_bytes != len(used) * SLOT_BYTES:
         violations.append(f"data.slab is {slab_bytes} bytes, the slot map "
                           f"spans {len(used)} slots of {SLOT_BYTES}")
     paths = {segment.fd: segment.path for segment in store._segments}
-    held = {entry_id: (paths.get(place[0]),) + place[1:]
-            for entry_id, place in store._where.items()}
-    framed = {entry_id: (row.segment, row.at, row.length, row.tenant,
-                         row.key, row.flags, row.size)
+    held = {entry_id: (entry.entry_id, paths.get(entry.fd), entry.at,
+                       entry.length, entry.tenant, entry.key, entry.flags,
+                       entry.size, entry.slot)
+            for entry_id, entry in store._where.items()}
+    framed = {entry_id: (entry_id, row.segment, row.at, row.length,
+                         row.tenant, row.key, row.flags, row.size, row.slot)
               for entry_id, row in rows.items()}
     if held != framed:
         odd = sorted(set(held.items()) ^ set(framed.items()))
@@ -347,7 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         journal = read_journal(directory)
         violations = list(journal.violations)
-        claimed, _ = _check_rows(journal.rows, slab, violations)
+        claimed = _check_rows(journal.rows, slab, violations)
         slab_bytes = os.fstat(slab).st_size
     finally:
         os.close(slab)

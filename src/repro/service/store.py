@@ -17,13 +17,15 @@ each appended with one ``os.write``; the first payload byte is the kind:
 A larger value takes ``ceil(size / SLOT_BYTES)`` contiguous slots of
 ``data.slab`` and its ``PUT`` names the first — cache space addressed
 by block, as the paper's SSD store is, with no file, inode or directory
-entry per value.  The store is never asked *whether* a key exists:
-:class:`~repro.service.cache.ServiceCache`'s index is the truth while
-the process runs and addresses entries by id; the journal is what
-:meth:`iter_entries` rebuilds that index from after a restart.  In
-memory the store keeps, per id, where its ``PUT`` frame lies (an inline
+entry per value.  The store is addressed by id alone and never asked
+*whether* a key exists: :class:`~repro.service.cache.ServiceCache`'s
+index (key -> id, and each tenant's ids in FIFO order) is the truth
+while the process runs, and the journal is what :meth:`iter_entries`
+rebuilds that index from after a restart.  In memory the store keeps
+the one record of each entry — where its ``PUT`` frame lies (an inline
 value is read back from there with one ``pread``) beside what the frame
-says, and which slots are free (:class:`SlotMap`).  A ``set`` is two steps:
+says: tenant, key, flags, size and first slot (:meth:`entry`) — and
+which slots are free (:class:`SlotMap`).  A ``set`` is two steps:
 
 1. Take a fresh id and, for a large value, a free run (a hole of
    exactly its length if there is one, else the lowest that fits, else
@@ -110,12 +112,17 @@ _VALUE_AT = _HEAD.size + _PUT.size  # ... this far into it
 
 
 class StoredEntry(NamedTuple):
-    """Metadata of one committed value, as recovery iterates them."""
+    """The store's one record of a live entry: what its ``PUT`` frame
+    says, and where the frame lies."""
     entry_id: int
     tenant: str
     key: str
     flags: int
     size: int
+    slot: Optional[int]     # first slab slot; None: the value is in the frame
+    fd: int                 # the segment holding the frame
+    at: int                 # offset of the frame in it
+    length: int             # bytes of the frame, header included
 
 
 def slots_of(size: int) -> int:
@@ -171,8 +178,6 @@ class SlotMap:
 
 class _Segment:
     """One open ``log/<seq>.seg``; ``size`` is where the next frame goes."""
-
-    __slots__ = ("seq", "path", "fd", "size")
 
     def __init__(self, seq: int, path: str, fd: int, size: int) -> None:
         self.seq, self.path, self.fd, self.size = seq, path, fd, size
@@ -251,13 +256,10 @@ class DiskStore:
             self._segments.append(_Segment(seq, path, fd, os.fstat(fd).st_size))
         rows, high_water = self._replay()
 
-        #: id -> (segment fd, frame offset, frame length, tenant, key,
-        #: flags, size) of every live entry and its PUT frame.  Tenant
-        #: and key are the caller's strings (the ones recovery hands it),
-        #: referenced, not copied.
-        self._where: Dict[int, Tuple[int, int, int, str, str, int, int]] = {}
-        #: id -> first slot of every slab-backed entry.
-        self._slots: Dict[int, int] = {}
+        #: id -> the record of every live entry.  Tenant and key are the
+        #: caller's strings (the ones recovery hands it), referenced, not
+        #: copied.
+        self._where: Dict[int, StoredEntry] = {}
         #: tenant -> [entries, bytes of value]
         self._tenants: Dict[str, List[int]] = {}
         self._map = SlotMap()
@@ -266,10 +268,8 @@ class DiskStore:
             key_at = 2 + _U16.unpack_from(names)[0]
             self._admit(entry_id, fd, at, length,
                         sys.intern(names[2:key_at].decode("utf-8")),
-                        names[key_at:].decode("utf-8"), flags, size)
-            if slot != _NO_SLOT:
-                self._map.claim(slot, slots_of(size))
-                self._slots[entry_id] = slot
+                        names[key_at:].decode("utf-8"), flags, size,
+                        None if slot == _NO_SLOT else slot)
         self._log_bytes = sum(segment.size for segment in self._segments)
         #: The oldest segment's bytes while it is being reclaimed, and
         #: how many of them have been examined.
@@ -334,12 +334,11 @@ class DiskStore:
     # -- data path ------------------------------------------------------
 
     def set(self, tenant: str, key: str, value: bytes, flags: int = 0,
-            replaces: Optional[Tuple[int, int]] = None) -> int:
+            replaces: Optional[int] = None) -> int:
         """Store ``value`` under a fresh id and return the id.
-        ``replaces`` is the ``(id, size)`` the caller's index holds for
-        this key, if any: the frame that commits the new entry retires
-        that one, so no crash point shows two values for a key, or
-        none."""
+        ``replaces`` is the id the caller's index holds for this key, if
+        any: the frame that commits the new entry retires that one, so
+        no crash point shows two values for a key, or none."""
         if self._slab < 0:
             raise self._closed()
         if self.probe is None:
@@ -376,73 +375,71 @@ class DiskStore:
         if lease:
             self._leased += _LEASE
         self._next_id += 1
-        self._admit(entry_id, fd, at + len(lease), len(frame),
-                    tenant, key, flags, size)
-        retired = 0
-        if slot != _NO_SLOT:
-            self._map.claim(slot, count)
-            self._slots[entry_id] = slot
-        if replaces is not None:
-            retired = self._release((replaces,))
+        self._admit(entry_id, fd, at + len(lease), len(frame), tenant, key,
+                    flags, size, None if slot == _NO_SLOT else slot)
+        retired = 0 if replaces is None else self._release((replaces,))
         self._reclaim(len(lease) + len(frame) + retired)
         return entry_id
 
-    def get(self, entry_id: int, size: int) -> Optional[bytes]:
-        """The value of a live entry of ``size`` bytes (``None`` if the
-        store holds no such id, or the slab no longer holds all of it)."""
+    def get(self, entry_id: int) -> Optional[bytes]:
+        """The value of a live entry (``None`` if the store holds no
+        such id, or the slab no longer holds all of it)."""
         if self._slab < 0:
             raise self._closed()
         if self.probe is None:
-            return self._get(entry_id, size)
-        return self._probed("get", None, self._get, entry_id, size)
+            return self._get(entry_id)
+        return self._probed("get", None, self._get, entry_id)
 
-    def _get(self, entry_id: int, size: int) -> Optional[bytes]:
-        if size <= INLINE_BYTES:
-            place = self._where.get(entry_id)
-            if place is None:
-                return None
-            value = os.pread(place[0], size, place[1] + _VALUE_AT)
+    def _get(self, entry_id: int) -> Optional[bytes]:
+        entry = self._where.get(entry_id)
+        if entry is None:
+            return None
+        size = entry.size
+        if entry.slot is None:
+            value = os.pread(entry.fd, size, entry.at + _VALUE_AT)
         else:
-            slot = self._slots.get(entry_id)
-            if slot is None:
-                return None
-            value = os.pread(self._slab, size, slot * SLOT_BYTES)
+            value = os.pread(self._slab, size, entry.slot * SLOT_BYTES)
         return value if len(value) == size else None
 
-    def delete_entry(self, entry_id: int, size: int) -> None:
+    def delete_entry(self, entry_id: int) -> None:
         """Delete one entry.  Its ``DEL`` frame is written before its
         slots can be handed out again."""
-        self.delete_entries(((entry_id, size),))
+        self.delete_entries((entry_id,))
 
-    def delete_entries(self, victims: Sequence[Tuple[int, int]]) -> None:
-        """Delete ``(id, size)`` entries — an eviction batch, a flush —
-        with one frame (per :data:`_DEL_IDS`: a longer batch is all or
-        nothing frame by frame, in the order given), then free their
-        slots (same crash rule)."""
+    def delete_entries(self, ids: Sequence[int]) -> None:
+        """Delete entries — an eviction batch, a flush — with one frame
+        (per :data:`_DEL_IDS`: a longer batch is all or nothing frame by
+        frame, in the order given), then free their slots (same crash
+        rule)."""
         if self._slab < 0:
             raise self._closed()
         if self.probe is None:
-            return self._delete_entries(victims)
-        self._probed("delete", 0, self._delete_entries, victims)
+            return self._delete_entries(ids)
+        self._probed("delete", 0, self._delete_entries, ids)
 
-    def _delete_entries(self, victims: Sequence[Tuple[int, int]]) -> None:
+    def _delete_entries(self, ids: Sequence[int]) -> None:
         where = self._where
-        victims = [victim for victim in victims if victim[0] in where]
-        for start in range(0, len(victims), _DEL_IDS):
-            batch = victims[start:start + _DEL_IDS]
-            frame = _frame(struct.pack(
-                f"<B{len(batch)}Q", _KIND_DEL, *[victim[0] for victim in batch]))
+        ids = [entry_id for entry_id in ids if entry_id in where]
+        for start in range(0, len(ids), _DEL_IDS):
+            batch = ids[start:start + _DEL_IDS]
+            frame = _frame(struct.pack(f"<B{len(batch)}Q", _KIND_DEL, *batch))
             self._append(frame)
             self._reclaim(len(frame) + self._release(batch))
 
     # -- accounting / recovery iteration --------------------------------
 
+    def entry(self, entry_id: int) -> StoredEntry:
+        """What the store records of a live entry (``KeyError`` if it
+        holds no such id)."""
+        if self._slab < 0:
+            raise self._closed()
+        return self._where[entry_id]
+
     def iter_entries(self) -> Iterator[StoredEntry]:
         """Live entries in id order — FIFO residence order."""
         if self._slab < 0:
             raise self._closed()
-        return (StoredEntry(entry_id, *place[3:])
-                for entry_id, place in sorted(self._where.items()))
+        return (entry for _, entry in sorted(self._where.items()))
 
     def tenant_bytes(self) -> Dict[str, int]:
         """Per-tenant live bytes (size accounting): running counters."""
@@ -489,9 +486,14 @@ class DiskStore:
         return result
 
     def _admit(self, entry_id: int, fd: int, at: int, length: int,
-               tenant: str, key: str, flags: int, size: int) -> None:
-        """Record a live entry whose PUT frame lies at ``at`` of ``fd``."""
-        self._where[entry_id] = (fd, at, length, tenant, key, flags, size)
+               tenant: str, key: str, flags: int, size: int,
+               slot: Optional[int]) -> None:
+        """Keep a live entry whose PUT frame lies at ``at`` of ``fd``, and
+        claim its run."""
+        self._where[entry_id] = StoredEntry(entry_id, tenant, key, flags,
+                                            size, slot, fd, at, length)
+        if slot is not None:
+            self._map.claim(slot, slots_of(size))
         self._live_bytes += length
         account = self._tenants.get(tenant)
         if account is None:
@@ -499,23 +501,21 @@ class DiskStore:
         account[0] += 1
         account[1] += size
 
-    def _release(self, entries: Sequence[Tuple[int, int]]) -> int:
-        """Forget ``(id, size)`` entries a frame has retired and free
-        their runs (by the store's own record of their size); returns
-        the bytes of their PUT frames."""
+    def _release(self, ids: Sequence[int]) -> int:
+        """Forget entries a frame has retired and free their runs;
+        returns the bytes of their PUT frames."""
         retired = 0
         before = len(self._map.used)
-        for entry_id, _ in entries:
-            place = self._where.pop(entry_id, None)
-            if place is None:
+        for entry_id in ids:
+            entry = self._where.pop(entry_id, None)
+            if entry is None:
                 continue
-            retired += place[2]
-            account = self._tenants[place[3]]
+            retired += entry.length
+            account = self._tenants[entry.tenant]
             account[0] -= 1
-            account[1] -= place[6]
-            slot = self._slots.pop(entry_id, None)
-            if slot is not None:
-                self._map.release(slot, slots_of(place[6]))
+            account[1] -= entry.size
+            if entry.slot is not None:
+                self._map.release(entry.slot, slots_of(entry.size))
         self._live_bytes -= retired
         if len(self._map.used) < before:
             self._cut_back()
@@ -587,9 +587,9 @@ class DiskStore:
                 length = _HEAD.size + _HEAD.unpack_from(data, at)[0]
                 if data[at + _HEAD.size] == _KIND_PUT:
                     entry_id = _PUT.unpack_from(data, at + _HEAD.size)[1]
-                    place = where.get(entry_id)
-                    if (place is not None and place[0] == oldest.fd
-                            and place[1] == at):
+                    entry = where.get(entry_id)
+                    if (entry is not None and entry.fd == oldest.fd
+                            and entry.at == at):
                         live.append((entry_id, at, length))
                 at += length
             if live:
@@ -597,7 +597,7 @@ class DiskStore:
                     b"".join([data[start:start + length]
                               for _, start, length in live]))
                 for entry_id, _, length in live:
-                    where[entry_id] = (fd, to) + where[entry_id][2:]
+                    where[entry_id] = where[entry_id]._replace(fd=fd, at=to)
                     to += length
             credit -= at - self._cursor
             self._cursor = at

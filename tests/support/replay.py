@@ -157,9 +157,10 @@ def _apply(service: ServiceCache, names: Dict[int, str], op: Op) -> List[str]:
             service.delete(tenant, _key(key))
     else:
         prefix = f"{op.keys[0][0]}:"
-        for record in list(service._fifos[tenant].values()):
-            if record[0].startswith(prefix):
-                service.delete(tenant, record[0])
+        for entry_id in list(service._fifos[tenant]):
+            key = service.store.entry(entry_id).key
+            if key.startswith(prefix):
+                service.delete(tenant, key)
     if service.engine.used[_SSD] != op.used:
         problems.append(f"store total {service.engine.used[_SSD]} != {op.used}")
     for pool_id, fifo in op.fifos.items():
@@ -167,7 +168,8 @@ def _apply(service: ServiceCache, names: Dict[int, str], op: Op) -> List[str]:
         if pool.used[_SSD] != len(fifo):
             problems.append(f"{names[pool_id]} used {pool.used[_SSD]} != "
                             f"{len(fifo)}")
-        held = [record[0] for record in service._fifos[names[pool_id]].values()]
+        held = [service.store.entry(entry_id).key
+                for entry_id in service._fifos[names[pool_id]]]
         if held != [_key(key) for key in fifo]:
             problems.append(f"{names[pool_id]} FIFO differs")
     return problems

@@ -11,7 +11,8 @@ paths no fixed-seed run happens to exercise:
 * a read-modify-write of shared ``self`` state split across an
   ``await`` (the real-time modules);
 * a ledger counter in ``core/stats.py`` that no invariant in
-  ``core/audit.py`` reads.
+  ``core/audit.py`` reads (there or in a ``core/stats.py`` function
+  it imports).
 
 Each check is a plain function from ``{path: module AST}`` to findings.
 A finding that is fine gets an :data:`ALLOWED` entry with its reason;
@@ -247,10 +248,17 @@ _GAUGE = re.compile(r"used_blocks|capacity_blocks|entitlement", re.IGNORECASE)
 def unaudited_counters(modules: Modules) -> List[Finding]:
     """Monotone ledger counters of ``core/stats.py`` (``int`` fields
     defaulting to 0, gauges exempt) whose name no invariant in
-    ``core/audit.py`` reads, as an attribute or a string."""
+    ``core/audit.py`` reads, as an attribute or a string, there or in a
+    ``core/stats.py`` function it imports."""
     audit = modules["core/audit.py"]
+    helpers = {alias.name for node in ast.walk(audit)
+               if isinstance(node, ast.ImportFrom) and node.module == "stats"
+               for alias in node.names}
+    checks = [audit] + [node for node in modules["core/stats.py"].body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name in helpers]
     read = {node.attr if isinstance(node, ast.Attribute) else node.value
-            for node in ast.walk(audit)
+            for tree in checks for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
     found = []
@@ -482,6 +490,18 @@ class CheckCaseTests(unittest.TestCase):
         self.assertEqual([(f.symbol, f.line) for f in found],
                          [("PoolStats", 9)], found)
         self.assertIn("ghost_counter", found[0].what)
+
+    def test_a_stats_helper_reads_counters_only_if_the_audit_imports_it(self):
+        helper = STATS + """
+
+    def ghost_leak(stats):
+        return stats.ghost_counter < 0
+"""
+        for audit, lines in ((AUDIT, [9]),
+                             ("\n    from .stats import ghost_leak" + AUDIT, [])):
+            found = unaudited_counters({**parse("core/stats.py", helper),
+                                        **parse("core/audit.py", audit)})
+            self.assertEqual([f.line for f in found], lines, found)
 
     def test_gauge_fields_are_exempt_from_ledger_coverage(self):
         # An auditor that reads nothing leaves only the two counters.

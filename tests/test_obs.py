@@ -312,6 +312,24 @@ class TestExporters:
                  and e["name"] == "process_name"]
         assert any("vm1" in name for name in names)
 
+    def test_perfetto_names_come_from_the_first_cache_after_a_round_trip(
+            self, no_tracer):
+        tracer = Tracer()
+        for name in ("first", "second"):
+            env, cache = build_traced_cache(tracer)
+            vm = cache.register_vm(f"{name}_vm")
+            pool = cache.create_pool(vm, f"{name}_pool",
+                                     CachePolicy.memory(50.0))
+        set_tracer(None)
+        tracer.instant("test.mark", 0.0, vm=vm, pool=pool)
+        meta, events = parse_jsonl(to_jsonl(tracer))
+        assert list(meta["pool_names"]) == ["ddecker#2/1", "ddecker/1"]
+        doc = json.loads(events_to_perfetto(meta, events))
+        labels = {e["name"]: e["args"]["name"]
+                  for e in doc["traceEvents"] if e["ph"] == "M"}
+        assert labels == {"process_name": "vm1 (first_vm)",
+                          "thread_name": "pool1 (first_pool)"}
+
     def test_validate_clean_trace(self, no_tracer):
         tracer = self.make_trace()
         meta, events = parse_jsonl(to_jsonl(tracer))

@@ -146,10 +146,10 @@ class SeededFaultTests(unittest.TestCase):
     def frame_of(self, entry_id):
         """Path, offset and length of an entry's PUT frame."""
         store = self.cache.store
-        fd, at, length = store._where[entry_id][:3]
+        entry = store.entry(entry_id)
         path = next(segment.path for segment in store._segments
-                    if segment.fd == fd)
-        return path, at, length
+                    if segment.fd == entry.fd)
+        return path, entry.at, entry.length
 
     def rewrite(self, entry_id, slot):
         """Point an entry's PUT frame at another slot, CRC made good."""
@@ -185,9 +185,26 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported("FIFO order is not id order")
 
     def test_id_queued_without_an_entry(self):
-        self.cache._fifos["t0"][self.last_id + 1] = ("ghost", 1, 100, 0)
-        self.assert_reported(f"id {self.last_id + 1} is queued for key "
-                             "'ghost', _ids has None there")
+        self.cache._fifos["t0"][self.last_id + 1] = 1
+        self.assert_reported(f"id {self.last_id + 1} is queued by tenant "
+                             "'t0', no key in _ids names it")
+
+    def test_ids_name_an_entry_whose_record_carries_another_key(self):
+        entry_id = self.cache._ids.pop(("t0", "k2"))
+        self.cache._ids[("t0", "k2")] = self.cache._ids.pop(("t0", "k3"))
+        self.cache._ids[("t0", "k3")] = entry_id
+        self.assert_reported(f"_ids['t0', 'k3'] -> {entry_id}, whose row is "
+                             "('t0', 'k2')")
+
+    def test_blocks_queued_against_the_size_of_the_row(self):
+        self.cache._fifos["t1"][self.last_id] += 1
+        self.assert_reported(f"entry {self.last_id}: 3 blocks queued for "
+                             "5000 bytes, expected 2")
+
+    def test_put_ledger_leak(self):
+        self.cache.tenants["t0"].stats.puts += 1
+        self.assert_reported("('t0'): put ledger leaks — 7 puts but 6 "
+                             "accounted")
 
     def test_entry_indexed_but_not_queued(self):
         entry_id = self.cache._ids[("t0", "k2")]
@@ -243,7 +260,7 @@ class SeededFaultTests(unittest.TestCase):
     def test_id_to_entry_map_and_frames_disagree(self):
         store = self.cache.store
         place = store._where[self.last_id]
-        store._where[self.last_id] = place[:1] + (place[1] + 1,) + place[2:]
+        store._where[self.last_id] = place._replace(at=place.at + 1)
         self.assert_reported("id -> entry map and the frames disagree on")
 
     def test_log_over_its_reclaim_budget(self):
@@ -264,9 +281,10 @@ class SeededFaultTests(unittest.TestCase):
         self.assert_reported("slot 3 is marked used, no row claims it")
 
     def test_id_to_slot_map_and_rows_disagree(self):
-        self.cache.store._slots[self.last_id] = 4
-        self.assert_reported("id -> slot map and the rows disagree on "
-                             f"[({self.last_id}, 4), ({self.last_id}, 5)]")
+        store = self.cache.store
+        store._where[self.last_id] = store._where[self.last_id]._replace(
+            slot=4)
+        self.assert_reported("id -> entry map and the frames disagree on")
 
     def test_slab_length_is_not_the_map_length(self):
         with open(self.slab, "ab") as slab:
@@ -383,7 +401,8 @@ class DamagedJournalTests(unittest.TestCase):
         self.kept = {entry.key: cache.get("t0", entry.key)[:2]
                      for entry in cache.store.iter_entries()}
         self.last_key = "k11"
-        self.last_frame = cache.store._where[cache._ids[("t0", "k11")]][1:3]
+        last = cache.store.entry(cache._ids[("t0", "k11")])
+        self.last_frame = last.at, last.length
         cache.close()
         self.log = os.path.join(self._tmp.name, "log")
         self.segments = sorted(os.listdir(self.log),

@@ -176,7 +176,7 @@ class ServiceEntryPointTest(unittest.TestCase):
             self.assertEqual({entry.tenant for entry in entries}, set(TENANTS))
             for entry in entries:
                 index = int(entry.key[1:])
-                self.assertEqual(store.get(entry.entry_id, entry.size),
+                self.assertEqual(store.get(entry.entry_id),
                                  value_of(entry.tenant, index), entry)
         finally:
             store.close()

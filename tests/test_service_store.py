@@ -30,6 +30,12 @@ SMALL = b"s" * INLINE_BYTES            # the largest value kept in its frame
 LARGE = b"L" * (INLINE_BYTES + 1)      # the smallest kept in the slab
 
 
+def first_slots(store):
+    """id -> first slot of every slab-backed entry, from the store's records."""
+    return {entry.entry_id: entry.slot for entry in store.iter_entries()
+            if entry.slot is not None}
+
+
 def slab_bytes(directory):
     return os.path.getsize(os.path.join(directory, "data.slab"))
 
@@ -46,7 +52,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         for value in (b"", b"hello", SMALL, LARGE, b"x" * 100_000,
                       b"y" * SLOT_BYTES, b"z" * (SLOT_BYTES + 1)):
             entry_id = self.store.set("t0", f"k{len(value)}", value, flags=7)
-            self.assertEqual(self.store.get(entry_id, len(value)), value)
+            self.assertEqual(self.store.get(entry_id), value)
             if len(value) > INLINE_BYTES:
                 slots += -(-len(value) // SLOT_BYTES)
             self.assertEqual(slab_bytes(self._tmp.name), slots * SLOT_BYTES)
@@ -60,60 +66,59 @@ class DiskStoreBasicsTests(unittest.TestCase):
     def test_tenants_are_disjoint_namespaces(self):
         zero_id = self.store.set("t0", "k", b"zero")
         one_id = self.store.set("t1", "k", b"one")
-        self.assertEqual(self.store.get(zero_id, 4), b"zero")
-        self.assertEqual(self.store.get(one_id, 3), b"one")
-        self.store.delete_entry(zero_id, 4)
-        self.assertIsNone(self.store.get(zero_id, 4))
-        self.assertEqual(self.store.get(one_id, 3), b"one")
+        self.assertEqual(self.store.get(zero_id), b"zero")
+        self.assertEqual(self.store.get(one_id), b"one")
+        self.store.delete_entry(zero_id)
+        self.assertIsNone(self.store.get(zero_id))
+        self.assertEqual(self.store.get(one_id), b"one")
 
     def test_replace_allocates_new_id_and_drops_old_blob(self):
         first = self.store.set("t0", "k", LARGE)
-        second = self.store.set("t0", "k", LARGE + b"!",
-                                replaces=(first, len(LARGE)))
+        second = self.store.set("t0", "k", LARGE + b"!", replaces=first)
         self.assertGreater(second, first)
-        self.assertEqual(self.store.get(second, len(LARGE) + 1), LARGE + b"!")
-        self.assertIsNone(self.store.get(first, len(LARGE)))
+        self.assertEqual(self.store.get(second), LARGE + b"!")
+        self.assertIsNone(self.store.get(first))
         self.assertEqual(self.store.count(), 1)
         # The new value went beside the old one (whose frame still claimed
         # slot 0 while it was written); slot 0 is the next to be used.
         self.assertEqual(bytes(self.store._map.used), b"\0\1")
         third = self.store.set("t0", "other", LARGE)
-        self.assertEqual(self.store._slots, {second: 1, third: 0})
+        self.assertEqual(first_slots(self.store), {second: 1, third: 0})
 
     def test_a_hole_of_exactly_the_size_is_taken_before_a_lower_larger_one(self):
         ids = [self.store.set("t0", f"k{i}", b"x" * (n * SLOT_BYTES))
                for i, n in enumerate((1, 2, 1, 1, 1))]        # A BB C D E
-        self.store.delete_entry(ids[1], 2 * SLOT_BYTES)
-        self.store.delete_entry(ids[3], SLOT_BYTES)           # A __ C _ E
+        self.store.delete_entry(ids[1])
+        self.store.delete_entry(ids[3])                       # A __ C _ E
         one = self.store.set("t0", "one", b"1" * SLOT_BYTES)
         two = self.store.set("t0", "two", b"2" * (2 * SLOT_BYTES))
         more = self.store.set("t0", "more", b"m" * SLOT_BYTES)
-        self.assertEqual([self.store._slots[i] for i in (one, two, more)],
+        self.assertEqual([first_slots(self.store)[i] for i in (one, two, more)],
                          [4, 1, 6])                           # A 22 C 1 E m
 
     def test_freed_slots_are_reused_lowest_first_and_the_tail_is_cut(self):
         ids = [self.store.set("t0", f"k{i}", bytes([65 + i]) * (n * SLOT_BYTES))
                for i, n in enumerate((1, 2, 1, 3))]           # A BB C DDD
         self.assertEqual(slab_bytes(self._tmp.name), 7 * SLOT_BYTES)
-        self.store.delete_entry(ids[1], 2 * SLOT_BYTES)       # A __ C DDD
-        self.store.delete_entry(ids[3], 3 * SLOT_BYTES)       # A __ C
+        self.store.delete_entry(ids[1])                       # A __ C DDD
+        self.store.delete_entry(ids[3])                       # A __ C
         self.assertEqual(slab_bytes(self._tmp.name), 4 * SLOT_BYTES)
         three = self.store.set("t0", "three", b"3" * (3 * SLOT_BYTES))
         one = self.store.set("t0", "one", b"1" * 2000)
-        self.assertEqual((self.store._slots[three], self.store._slots[one]),
+        slots = first_slots(self.store)
+        self.assertEqual((slots[three], slots[one]),
                          (4, 1))                              # A 1_ C 333
-        self.store.delete_entries([(three, 3 * SLOT_BYTES),
-                                   (ids[2], SLOT_BYTES)])     # A 1
+        self.store.delete_entries([three, ids[2]])            # A 1
         self.assertEqual(slab_bytes(self._tmp.name), 2 * SLOT_BYTES)
-        self.assertEqual(self.store.get(ids[0], SLOT_BYTES), b"A" * SLOT_BYTES)
-        self.assertEqual(self.store.get(one, 2000), b"1" * 2000)
+        self.assertEqual(self.store.get(ids[0]), b"A" * SLOT_BYTES)
+        self.assertEqual(self.store.get(one), b"1" * 2000)
         # The frames alone give the same allocation state back.
         self.store.set("t0", "far", b"f" * SLOT_BYTES)
-        self.store.delete_entry(one, 2000)                    # A _ f
-        state = bytes(self.store._map.used), self.store._slots
+        self.store.delete_entry(one)                          # A _ f
+        state = bytes(self.store._map.used), first_slots(self.store)
         self.store.close()
         self.store = DiskStore(self._tmp.name, sync_writes=False)
-        self.assertEqual((bytes(self.store._map.used), self.store._slots),
+        self.assertEqual((bytes(self.store._map.used), first_slots(self.store)),
                          state)
         self.assertEqual(state[0], b"\1\0\1")
 
@@ -132,7 +137,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(self.store.tenant_bytes(), {"t0": 3010, "t1": 5})
 
     def test_delete_entries_is_one_frame_for_the_whole_batch(self):
-        victims = [(self.store.set("t0", f"k{i}", value), len(value))
+        victims = [self.store.set("t0", f"k{i}", value)
                    for i, value in enumerate((SMALL, LARGE, b"", LARGE))]
         keep = self.store.set("t0", "keep", LARGE)
         with mock.patch.object(os, "write", wraps=os.write) as write:
@@ -142,7 +147,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         self.assertEqual(len(write.call_args[0][1]), 8 + 1 + 4 * 8)
         self.assertEqual([e.entry_id for e in self.store.iter_entries()],
                          [keep])
-        self.assertEqual(self.store._slots, {keep: 2})
+        self.assertEqual(first_slots(self.store), {keep: 2})
         self.assertEqual(bytes(self.store._map.used), b"\0\0\1")
 
     def test_tenant_counters_track_sets_overwrites_and_deletes(self):
@@ -201,10 +206,10 @@ class DiskStoreBasicsTests(unittest.TestCase):
             store.close()
         self.assertEqual(len(os.listdir("/proc/self/fd")), before)
         for call in (lambda: store.set("t0", "k", b"v"),
-                     lambda: store.get(entry_id, len(LARGE)),
-                     lambda: store.get(entry_id + 1, len(SMALL)),
-                     lambda: store.delete_entry(entry_id, len(LARGE)),
-                     lambda: store.delete_entries([(entry_id, len(LARGE))]),
+                     lambda: store.get(entry_id),
+                     lambda: store.get(entry_id + 1),
+                     lambda: store.delete_entry(entry_id),
+                     lambda: store.delete_entries([entry_id]),
                      lambda: list(store.iter_entries()),
                      store.tenant_bytes, store.count):
             with self.assertRaises(RuntimeError) as caught:
@@ -216,7 +221,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
     def test_ids_are_never_reused_across_a_restart(self):
         ids = [self.store.set("t0", f"k{i}", b"v") for i in range(5)]
         for entry_id in ids[-2:]:       # delete the newest: max(id) is now 3
-            self.store.delete_entry(entry_id, 1)
+            self.store.delete_entry(entry_id)
         self.store.close()
         self.store = DiskStore(self._tmp.name, sync_writes=False)
         self.assertGreater(self.store.set("t0", "again", b"v"), max(ids))
@@ -229,9 +234,9 @@ class DiskStoreBasicsTests(unittest.TestCase):
             store = DiskStore(self._tmp.name, sync_writes=False)
             keep = store.set("t0", "keep", b"v")
             ids = [store.set("t0", f"k{i}", SMALL) for i in range(1100)]
-            store.delete_entries([(entry_id, len(SMALL)) for entry_id in ids])
+            store.delete_entries(ids)
             for i in range(12):         # churn until reclaim has caught up
-                keep = store.set("t0", "keep", b"v", replaces=(keep, 1))
+                keep = store.set("t0", "keep", b"v", replaces=keep)
             first = min(int(name[:-4]) for name in
                         os.listdir(os.path.join(self._tmp.name, "log")))
             self.assertGreater(first, 1100, "their segments are still there")
@@ -265,7 +270,7 @@ class DiskStoreBasicsTests(unittest.TestCase):
         entry_id = self.store.set("t0", "k", LARGE)
         self.store.close()
         self.store = DiskStore(self._tmp.name, sync_writes=False)
-        self.assertEqual(self.store.get(entry_id, len(LARGE)), LARGE)
+        self.assertEqual(self.store.get(entry_id), LARGE)
 
 
 class SlotMapPropertyTests(unittest.TestCase):
@@ -329,20 +334,18 @@ class JournalPropertyTests(unittest.TestCase):
                     if op == "set":
                         value = bytes([step % 251]) * size
                         old = model.get(arg)
-                        entry_id = store.set(
-                            *arg, value, flags=step,
-                            replaces=old and (old[0], len(old[1])))
+                        entry_id = store.set(*arg, value, flags=step,
+                                             replaces=old and old[0])
                         self.assertGreater(entry_id, issued, "id reused")
                         issued = entry_id
                         model[arg] = (entry_id, value, step)
                     elif op == "delete" and arg in model:
-                        entry_id, value, _ = model.pop(arg)
-                        store.delete_entry(entry_id, len(value))
+                        store.delete_entry(model.pop(arg)[0])
                     elif op == "batch":
                         gone = [model.pop(key) for key in sorted(arg)
                                 if key in model]
                         store.delete_entries(
-                            [(entry_id, len(value)) for entry_id, value, _ in gone])
+                            [entry_id for entry_id, _, _ in gone])
                     elif op == "reopen":
                         store.close()
                         store = DiskStore(tmp, sync_writes=False)
@@ -354,7 +357,7 @@ class JournalPropertyTests(unittest.TestCase):
                     # After every op: values, counters, and the journal as a
                     # parser that shares no code with the store sees it.
                     for entry_id, value, _ in model.values():
-                        self.assertEqual(store.get(entry_id, len(value)), value)
+                        self.assertEqual(store.get(entry_id), value)
                     totals = {}
                     for (tenant, _), (_, value, _) in model.items():
                         totals[tenant] = totals.get(tenant, 0) + len(value)
@@ -745,7 +748,7 @@ class CrashStateRecoveryTests(unittest.TestCase):
         reopened = DiskStore(self._tmp.name, sync_writes=False)
         self.addCleanup(reopened.close)
         self.assertEqual(slab_bytes(self._tmp.name), SLOT_BYTES)
-        self.assertEqual(reopened.get(kept, len(LARGE)), LARGE)
+        self.assertEqual(reopened.get(kept), LARGE)
 
     def test_a_short_value_is_a_miss_and_heals(self):
         """Cut ``data.slab`` under a live cache: what no longer reads
@@ -780,7 +783,7 @@ class CrashStateRecoveryTests(unittest.TestCase):
         reopened = DiskStore(self._tmp.name, sync_writes=False)
         self.addCleanup(reopened.close)
         self.assertEqual(slab_bytes(self._tmp.name), 100)
-        self.assertIsNone(reopened.get(entry_id, 5000))
+        self.assertIsNone(reopened.get(entry_id))
 
     def test_older_layout_is_refused_loudly_and_left_untouched(self):
         path = os.path.join(self._tmp.name, "meta.db")
